@@ -1,6 +1,7 @@
 """The release acceptance suite as a library of criterion checks.
 
-Each criterion function returns a list of :class:`Record`; the CLI ``all``
+Each criterion function returns a list of :class:`~anisocheck.checks.Check`;
+the CLI ``all``
 command and the pytest acceptance module both consume these, so the two
 entry points cannot drift apart.  Tolerances are fixed here, not at call
 sites.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,38 +31,14 @@ from . import inequalities as iq
 from . import integrand as ig
 from . import mubble as mb
 from . import variation as va
+from .checks import ORDER_MIN, Check, ge, le, order_ok, refinement_order
 
 SQRT2 = math.sqrt(2.0)
 
 RES_2D = (17, 33)
 RES_3D = (13, 25)
 REL_TOL = 1e-3
-ORDER_MIN = 1.8
 ORDER_FLOOR_REL = 1e-4
-
-
-@dataclass
-class Record:
-    name: str
-    value: float
-    tolerance: float
-    passed: bool
-    detail: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        d = {"name": self.name, "value": self.value, "tolerance": self.tolerance,
-             "pass": bool(self.passed)}
-        if self.detail:
-            d["detail"] = self.detail
-        return d
-
-
-def _rec_le(name, value, tol, **detail):
-    return Record(name, float(value), float(tol), bool(value <= tol), detail)
-
-
-def _rec_ge(name, value, bound, **detail):
-    return Record(name, float(value), float(bound), bool(value >= bound), detail)
 
 
 # -- criterion 1: explicit constants --------------------------------------------
@@ -73,34 +49,34 @@ def criterion_constants():
     recs = []
     lam = co.spectral_lambda(3, 1.0 / SQRT2, co.C0)
     lam_closed = 3.0 * (5.0 + 3.0 * SQRT2) / 56.0
-    recs.append(_rec_le("lambda vs 3(5+3sqrt2)/56 (rel)",
-                        abs(lam - lam_closed) / lam_closed, 1e-14))
-    recs.append(_rec_le("c0 vs 1/(sqrt2 - 1/2) (rel)",
-                        abs(co.C0 - 1.0 / (SQRT2 - 0.5)) / co.C0, 1e-14))
-    recs.append(_rec_le("c0 approximately 1.09", abs(co.C0 - 1.09), 5e-3))
+    recs.append(le("lambda vs 3(5+3sqrt2)/56 (rel)",
+                   abs(lam - lam_closed) / lam_closed, 1e-14))
+    recs.append(le("c0 vs 1/(sqrt2 - 1/2) (rel)",
+                   abs(co.C0 - 1.0 / (SQRT2 - 0.5)) / co.C0, 1e-14))
+    recs.append(le("c0 approximately 1.09", abs(co.C0 - 1.09), 5e-3))
     mc = co.minimal_case_constants()
     vol_ref = (32.0 * math.pi / 3.0) ** 1.5 * math.exp(30.0 * math.pi / math.sqrt(3.0)) \
         / (6.0 * math.sqrt(math.pi))
-    recs.append(_rec_le("minimal volume coefficient (rel)",
-                        abs(mc.value("volume_coefficient") - vol_ref) / vol_ref, 1e-14))
-    recs.append(_rec_le("minimal rho0 vs e^(-10pi/sqrt3) (rel)",
-                        abs(mc.value("rho0_min_case") - math.exp(-10 * math.pi / math.sqrt(3.0)))
-                        / mc.value("rho0_min_case"), 1e-14))
-    recs.append(_rec_le("minimal area bound vs 32pi/3 (rel)",
-                        abs(mc.value("area_bound_min_case") - 32 * math.pi / 3)
-                        / (32 * math.pi / 3), 1e-14))
-    recs.append(_rec_le("minimal diameter bound vs 4pi/sqrt3 (rel)",
-                        abs(mc.value("diameter_bound_min_case") - 4 * math.pi / math.sqrt(3.0))
-                        / (4 * math.pi / math.sqrt(3.0)), 1e-14))
+    recs.append(le("minimal volume coefficient (rel)",
+                   abs(mc.value("volume_coefficient") - vol_ref) / vol_ref, 1e-14))
+    recs.append(le("minimal rho0 vs e^(-10pi/sqrt3) (rel)",
+                   abs(mc.value("rho0_min_case") - math.exp(-10 * math.pi / math.sqrt(3.0)))
+                   / mc.value("rho0_min_case"), 1e-14))
+    recs.append(le("minimal area bound vs 32pi/3 (rel)",
+                   abs(mc.value("area_bound_min_case") - 32 * math.pi / 3)
+                   / (32 * math.pi / 3), 1e-14))
+    recs.append(le("minimal diameter bound vs 4pi/sqrt3 (rel)",
+                   abs(mc.value("diameter_bound_min_case") - 4 * math.pi / math.sqrt(3.0))
+                   / (4 * math.pi / math.sqrt(3.0)), 1e-14))
     table = co.build_table()
-    recs.append(_rec_le("worst expression rederivation error",
-                        max(e.rederivation_error() for e in table.entries.values()), 1e-14))
-    recs.append(_rec_le("lambda pipeline uses no hand-entered minimal value",
-                        abs(co.spectral_lambda(3, 1.0, 1.0) - mc.value("lambda_min_case")), 0.0))
+    recs.append(le("worst expression rederivation error",
+                   max(e.rederivation_error() for e in table.entries.values()), 1e-14))
+    recs.append(le("lambda pipeline uses no hand-entered minimal value",
+                   abs(co.spectral_lambda(3, 1.0, 1.0) - mc.value("lambda_min_case")), 0.0))
     c0, beta = co.c0_and_beta()
-    recs.append(_rec_le("beta route cross-check residual",
-                        abs(0.5 * 3 * (0.5 - 0.5 / beta) - lam), 1e-14))
-    recs.append(_rec_le("criterion runtime (s)", time.perf_counter() - t0, 1.0))
+    recs.append(le("beta route cross-check residual",
+                   abs(0.5 * 3 * (0.5 - 0.5 / beta) - lam), 1e-14))
+    recs.append(le("criterion runtime (s)", time.perf_counter() - t0, 1.0))
     return recs
 
 
@@ -110,15 +86,14 @@ def criterion_constants():
 def criterion_quadratic_lemma():
     t0 = time.perf_counter()
     rep = iq.verify_quadratic_lemma(200, 200, 720)
-    recs = [_rec_ge(f"sweep {r.name}", r.margin, -r.tolerance, config=r.config)
-            for r in rep.records]
-    recs.append(_rec_le("max Q1/Q2 vs c0", rep.extras["max_ratio_q1_q2"] - iq.C0, 1e-12))
-    cfg = rep.records[0].config
+    recs = [r.prefixed("sweep ") for r in rep.records]
+    recs.append(le("max Q1/Q2 vs c0", rep.extras["max_ratio_q1_q2"] - iq.C0, 1e-12))
+    cfg = rep.records[0].detail["config"]
     m1, _, _ = iq.quadratic_lemma_point(cfg["alpha"], cfg["beta"], cfg["theta"])
-    recs.append(_rec_le("argmin reproduction error", abs(m1 - rep.records[0].margin), 1e-14))
-    recs.append(Record("q2 positive everywhere", rep.extras["q2_nonpositive_count"], 0.0,
-                       rep.extras["q2_nonpositive_count"] == 0))
-    recs.append(_rec_le("criterion runtime (s)", time.perf_counter() - t0, 30.0))
+    recs.append(le("argmin reproduction error", abs(m1 - rep.records[0].value), 1e-14))
+    recs.append(Check("q2 positive everywhere", rep.extras["q2_nonpositive_count"], 0.0,
+                      rep.extras["q2_nonpositive_count"] == 0))
+    recs.append(le("criterion runtime (s)", time.perf_counter() - t0, 30.0))
     return recs
 
 
@@ -128,16 +103,16 @@ def criterion_quadratic_lemma():
 def criterion_curvature_ricci(samples=1_000_000, seed=1234):
     t0 = time.perf_counter()
     crep = iq.verify_curvature_pinch(samples, seed=seed)
-    recs = [_rec_ge(f"curvature {r.name}", r.margin, -r.tolerance) for r in crep.records]
-    recs.append(_rec_le("curvature constraint residual",
-                        crep.extras["max_constraint_residual"], 1e-12))
-    recs.append(_rec_ge("near-sharp ratio >= c0 - 0.05",
-                        crep.extras["max_ratio_A2_over_negR"], iq.C0 - 0.05))
-    recs.append(_rec_le("ratio stays below c0",
-                        crep.extras["max_ratio_A2_over_negR"] - iq.C0, 1e-12))
+    recs = [r.prefixed("curvature ") for r in crep.records]
+    recs.append(le("curvature constraint residual",
+                   crep.extras["max_constraint_residual"], 1e-12))
+    recs.append(ge("near-sharp ratio >= c0 - 0.05",
+                   crep.extras["max_ratio_A2_over_negR"], iq.C0 - 0.05))
+    recs.append(le("ratio stays below c0",
+                   crep.extras["max_ratio_A2_over_negR"] - iq.C0, 1e-12))
     rrep = iq.verify_ricci_bound(samples, seed=seed)
-    recs += [_rec_ge(f"ricci {r.name}", r.margin, -r.tolerance) for r in rrep.records]
-    recs.append(_rec_le("criterion runtime (s)", time.perf_counter() - t0, 60.0))
+    recs += [r.prefixed("ricci ") for r in rrep.records]
+    recs.append(le("criterion runtime (s)", time.perf_counter() - t0, 60.0))
     return recs
 
 
@@ -147,18 +122,14 @@ def criterion_curvature_ricci(samples=1_000_000, seed=1234):
 def criterion_kato(points=10_000, seed=1234):
     t0 = time.perf_counter()
     rep = iq.verify_kato(points, seed=seed)
-    recs = [_rec_ge(f"{r.name}", r.margin, -r.tolerance) for r in rep.records]
+    recs = list(rep.records)
     m = iq.kato_point("xy", [0.37, -0.61, 0.11])
-    recs.append(_rec_le("xy closed form margin = 1/2", abs(m - 0.5), 1e-12))
-    recs.append(_rec_le("criterion runtime (s)", time.perf_counter() - t0, 10.0))
+    recs.append(le("xy closed form margin = 1/2", abs(m - 0.5), 1e-12))
+    recs.append(le("criterion runtime (s)", time.perf_counter() - t0, 10.0))
     return recs
 
 
 # -- criterion 5: first/second variation vs oracles -------------------------------
-
-
-def _variation_order_rule(rel, order, floor=ORDER_FLOOR_REL):
-    return rel <= REL_TOL and (order >= ORDER_MIN or rel <= floor)
 
 
 def variation_consistency_cases(kind="first"):
@@ -186,10 +157,9 @@ def variation_consistency_cases(kind="first"):
                             chk = va.second_variation_check(g, integ, u)
                         discs.append(chk.discrepancy)
                         rels.append(chk.rel_discrepancy)
-                    order = (np.inf if discs[1] < 1e-11
-                             else np.log2(max(discs[0], 1e-300) / discs[1]))
+                    order = refinement_order(discs[0], discs[1], 1e-11)
                     cases.append({"n": n, "chart": cname, "integrand": iname,
-                                  "bump": bump, "rel": rels[-1], "order": float(order),
+                                  "bump": bump, "rel": rels[-1], "order": order,
                                   "discrepancies": discs})
     return cases
 
@@ -204,12 +174,13 @@ def criterion_variation():
         cases = variation_consistency_cases(kind)
         worst_rel = max(c["rel"] for c in cases)
         violations = [c for c in cases
-                      if not _variation_order_rule(c["rel"], c["order"], floor)]
-        recs.append(_rec_le(f"{kind} variation worst relative discrepancy",
-                            worst_rel, REL_TOL, cases=len(cases)))
-        recs.append(Record(f"{kind} variation order rule violations",
-                           len(violations), 0.0, not violations,
-                           {"violations": violations[:5]}))
+                      if not (c["rel"] <= REL_TOL
+                              and order_ok(c["order"], c["rel"], floor))]
+        recs.append(le(f"{kind} variation worst relative discrepancy",
+                       worst_rel, REL_TOL, cases=len(cases)))
+        recs.append(Check(f"{kind} variation order rule violations",
+                          len(violations), 0.0, not violations,
+                          {"violations": violations[:5]}))
     # isotropic reduction identities
     worst_h = 0.0
     worst_psi = 0.0
@@ -224,9 +195,9 @@ def criterion_variation():
                 w = g.jac[..., a]
                 worst_psi = max(worst_psi, float(np.abs(
                     np.einsum("...de,...e->...d", psi, w) - w).max()))
-    recs.append(_rec_le("isotropic reduction |H_phi - tr S|", worst_h, 1e-10))
-    recs.append(_rec_le("isotropic reduction |Psi w - w|", worst_psi, 1e-12))
-    recs.append(_rec_le("criterion runtime (s)", time.perf_counter() - t0, 300.0))
+    recs.append(le("isotropic reduction |H_phi - tr S|", worst_h, 1e-10))
+    recs.append(le("isotropic reduction |Psi w - w|", worst_psi, 1e-12))
+    recs.append(le("criterion runtime (s)", time.perf_counter() - t0, 300.0))
     return recs
 
 
@@ -243,7 +214,7 @@ def criterion_vectorfield_isoperimetric():
     for iname, integ in ig.catalog(4).items():
         for fname, fld in fields.items():
             res, _, _, _ = va.vectorfield_first_variation(plane0, integ, fld)
-            recs.append(_rec_le(f"plane identity [{iname} x {fname}]", res, 1e-6))
+            recs.append(le(f"plane identity [{iname} x {fname}]", res, 1e-6))
     # refinement of the residual on curved stationary charts
     for label, chart, integ, pair in (
             ("catenoid_2", geo.catalog(2)["catenoid_2"], ig.Integrand.isotropic(3), RES_2D),
@@ -254,10 +225,9 @@ def criterion_vectorfield_isoperimetric():
             r, interior, _, stat = va.vectorfield_first_variation(
                 g, integ, va.VectorField.position())
             resids.append(r)
-        order = np.inf if resids[1] < 1e-12 else np.log2(resids[0] / resids[1])
-        recs.append(Record(f"{label} position-field residual order", float(order),
-                           ORDER_MIN, order >= ORDER_MIN,
-                           {"residuals": resids, "stationary": stat}))
+        order = refinement_order(resids[0], resids[1], 1e-12)
+        recs.append(ge(f"{label} position-field residual order", order, ORDER_MIN,
+                       residuals=resids, stationary=stat))
     # flat-ball isoperimetric instance with closed-form sides
     s0 = 0.05
     ball = geo.sample_chart(
@@ -267,14 +237,14 @@ def criterion_vectorfield_isoperimetric():
     chk = va.isoperimetric_check(ball, iso4, 1.0)
     lhs_exact = 4.0 * math.pi / 3.0 * (1.0 - s0**3)
     rhs_exact = SQRT2 / 3.0 * 4.0 * math.pi * (1.0 + s0**2)
-    recs.append(_rec_ge("flat ball isoperimetric margin", chk.margin, 0.0))
-    recs.append(_rec_le("flat ball |M| vs closed form (rel)",
-                        abs(chk.area - lhs_exact) / lhs_exact, 1e-2))
-    recs.append(_rec_le("flat ball bound vs closed form (rel)",
-                        abs(chk.bound - rhs_exact) / rhs_exact, 1e-2))
-    recs.append(Record("flat ball is phi-stationary", float(chk.stationary), 1.0,
-                       chk.stationary))
-    recs.append(_rec_le("criterion runtime (s)", time.perf_counter() - t0, 60.0))
+    recs.append(ge("flat ball isoperimetric margin", chk.margin, 0.0))
+    recs.append(le("flat ball |M| vs closed form (rel)",
+                   abs(chk.area - lhs_exact) / lhs_exact, 1e-2))
+    recs.append(le("flat ball bound vs closed form (rel)",
+                   abs(chk.bound - rhs_exact) / rhs_exact, 1e-2))
+    recs.append(Check("flat ball is phi-stationary", float(chk.stationary), 1.0,
+                      chk.stationary))
+    recs.append(le("criterion runtime (s)", time.perf_counter() - t0, 60.0))
     return recs
 
 
@@ -299,28 +269,28 @@ def criterion_conformal(seed=1234):
                 chk = cf.qform_identity_check(cg, phi, lam_table[n])
                 discs.append(chk.discrepancy)
                 scale = max(1.0, abs(chk.derived))
-            order = np.inf if discs[-1] < 1e-11 else np.log2(discs[-2] / discs[-1])
-            ok = order >= ORDER_MIN or discs[-1] / scale <= ORDER_FLOOR_REL
-            recs.append(Record(f"qform identity order [{cname} n={n}]", float(order),
-                               ORDER_MIN, ok, {"discrepancies": discs}))
+            order = refinement_order(discs[-2], discs[-1], 1e-11)
+            ok = order_ok(order, discs[-1] / scale, ORDER_FLOOR_REL)
+            recs.append(Check(f"qform identity order [{cname} n={n}]", order,
+                              ORDER_MIN, ok, {"discrepancies": discs}))
     # radial Laplacian identity refinement
     for label, chart, pair in (
             ("plane", geo.Hyperplane(3, offset=1.0), RES_3D),
             ("cone", geo.catalog(3)["cone"], RES_3D),
             ("sphere_origin", geo.catalog(3)["sphere"], RES_3D)):
         resids = [geo.laplace_r_check(geo.sample_chart(chart, r)) for r in pair]
-        order = np.inf if resids[1] < 1e-12 else np.log2(resids[0] / resids[1])
-        recs.append(Record(f"radial Laplacian identity order [{label}]", float(order),
-                           ORDER_MIN, order >= ORDER_MIN, {"residuals": resids}))
+        order = refinement_order(resids[0], resids[1], 1e-12)
+        recs.append(ge(f"radial Laplacian identity order [{label}]", order, ORDER_MIN,
+                       residuals=resids))
     # distance comparison margins
     plane0 = geo.Hyperplane(2, offset=0.0, polar=True, box=[(0.5, 3.0), (0, 2 * math.pi)])
     s = np.linspace(1.0, math.e, 4001)
     ray = np.stack([s, np.zeros_like(s)], axis=-1)
     chk = cf.distance_comparison_check(plane0, ray)
-    recs.append(_rec_le("radial ray equality |D - log ratio|",
-                        abs(chk.length - chk.log_ratio), 1e-8))
-    recs.append(_rec_le("radial ray intrinsic equality",
-                        abs(chk.length - chk.intrinsic_log_ratio), 1e-8))
+    recs.append(le("radial ray equality |D - log ratio|",
+                   abs(chk.length - chk.log_ratio), 1e-8))
+    recs.append(le("radial ray intrinsic equality",
+                   abs(chk.length - chk.intrinsic_log_ratio), 1e-8))
     rng = np.random.default_rng(seed)
     worst = math.inf
     charts = [geo.Sphere(3, radius=1.5, center=[0.2, 0, 0, 0]),
@@ -338,11 +308,11 @@ def criterion_conformal(seed=1234):
             worst = min(worst, c.margin)
             if c.intrinsic_margin is not None:
                 worst = min(worst, c.intrinsic_margin)
-    recs.append(_rec_ge("random path comparison worst margin", worst, -1e-6))
+    recs.append(ge("random path comparison worst margin", worst, -1e-6))
     # flat patch spectral estimate against the closed-form target 3/4
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0, box=[(-1.2, 1.2)] * 3), 21)
     est = cf.lambda1_estimate(cf.deform(g), lambda_target=0.75)
-    recs.append(_rec_ge("flat patch lambda1 >= 3/4 - 1e-3", est.lambda1, 0.75 - 1e-3))
+    recs.append(ge("flat patch lambda1 >= 3/4 - 1e-3", est.lambda1, 0.75 - 1e-3))
     # pointwise absorption step margins on the catalog
     beta = co.c0_and_beta()[1]
     worst_cs = math.inf
@@ -350,7 +320,7 @@ def criterion_conformal(seed=1234):
         for chart in geo.catalog(n).values():
             g = geo.sample_chart(chart, 11)
             worst_cs = min(worst_cs, cf.cauchy_schwarz_step_check(g, beta))
-    recs.append(_rec_ge("absorption step worst margin", worst_cs, -1e-10))
+    recs.append(ge("absorption step worst margin", worst_cs, -1e-10))
     # dilation invariance of deformed lengths
     cone = geo.catalog(3)["cone"]
     t = np.linspace(0, 1, 200)
@@ -359,8 +329,8 @@ def criterion_conformal(seed=1234):
     curve2 = curve.copy()
     curve2[:, 0] *= 3.7
     L2 = cf.curve_gtilde_length(cone.dilate(3.7), curve2)
-    recs.append(_rec_le("dilation invariance of deformed length", abs(L1 - L2), 1e-12))
-    recs.append(_rec_le("criterion runtime (s)", time.perf_counter() - t0, 120.0))
+    recs.append(le("dilation invariance of deformed length", abs(L1 - L2), 1e-12))
+    recs.append(le("criterion runtime (s)", time.perf_counter() - t0, 120.0))
     return recs
 
 
@@ -372,35 +342,34 @@ def criterion_mubble():
     recs = []
     models = mb.catalog()
     for name, model in models.items():
-        recs.append(_rec_le(f"{name} witness residual", mb.supersolution_residual(model), 1e-6))
+        recs.append(le(f"{name} witness residual", mb.supersolution_residual(model), 1e-6))
         lam_half, _, _ = mb.lambda1_sturm(model.name, model.params, model.T,
                                           n_grid=model.n_grid // 2 + 1)
-        recs.append(_rec_le(f"{name} lambda1 2x-resolution drift",
-                            abs(lam_half - model.lambda1), 1e-6))
-        recs.append(Record(f"{name} satisfies the distance hypothesis",
-                           model.T, 5 * math.pi / math.sqrt(model.lam),
-                           model.T >= 5 * math.pi / math.sqrt(model.lam)))
+        recs.append(le(f"{name} lambda1 2x-resolution drift",
+                       abs(lam_half - model.lambda1), 1e-6))
+        recs.append(ge(f"{name} satisfies the distance hypothesis",
+                       model.T, 5 * math.pi / math.sqrt(model.lam)))
         prof = mb.build_phi_h(model, eps=0.1)
         m_model, _ = mb.check_h_condition(prof, "model")
         m_budget, _ = mb.check_h_condition(prof, "budget")
-        recs.append(_rec_ge(f"{name} slope condition margin (model lip)", m_model, -1e-10))
-        recs.append(_rec_ge(f"{name} slope condition margin (lip budget)", m_budget, -1e-10))
+        recs.append(ge(f"{name} slope condition margin (model lip)", m_model, -1e-10))
+        recs.append(ge(f"{name} slope condition margin (lip budget)", m_budget, -1e-10))
         sol = mb.minimize_A(model, eps=0.1)
         concl = mb.verify_conclusions(sol)
-        recs.append(_rec_ge(f"{name} boundary area margin", concl.area_margin, -1e-8))
-        recs.append(_rec_ge(f"{name} diameter margin", concl.diameter_margin, -1e-8))
-        recs.append(_rec_ge(f"{name} containment margin", concl.containment_margin, -1e-8))
-        recs.append(_rec_ge(f"{name} minimality certificate", concl.minimality_slack, -1e-8))
-        recs.append(_rec_le(f"{name} stationarity residual",
-                            sol.stationarity_residual, 1e-5))
+        recs.append(ge(f"{name} boundary area margin", concl.area_margin, -1e-8))
+        recs.append(ge(f"{name} diameter margin", concl.diameter_margin, -1e-8))
+        recs.append(ge(f"{name} containment margin", concl.containment_margin, -1e-8))
+        recs.append(ge(f"{name} minimality certificate", concl.minimality_slack, -1e-8))
+        recs.append(le(f"{name} stationarity residual",
+                       sol.stationarity_residual, 1e-5))
     # recorded counterexample: half amplitude under the Lipschitz budget
     lam_pinched = co.spectral_lambda(3, 1.0 / SQRT2, co.C0)
     witness = mb.make_model("cylinder", T=20.0, lam=lam_pinched, n_grid=501)
     prof_half = mb.build_phi_h(witness, eps=0.1, amplitude="half")
     m_bad, cfg = mb.check_h_condition(prof_half, "budget")
-    recs.append(Record("half-amplitude budget counterexample margin", float(m_bad),
-                       0.0, m_bad < 0.0, cfg))
-    recs.append(_rec_le("criterion runtime (s)", time.perf_counter() - t0, 60.0))
+    recs.append(Check("half-amplitude budget counterexample margin", float(m_bad),
+                      0.0, m_bad < 0.0, cfg))
+    recs.append(le("criterion runtime (s)", time.perf_counter() - t0, 60.0))
     return recs
 
 
@@ -414,18 +383,18 @@ def criterion_pinching():
         for name, integ in ig.catalog(d).items():
             rep = ig.analyze(integ, 17)
             if name == "quadratic_aniso4":
-                recs.append(_rec_le("aniso4 a_max equals 4", abs(rep.a_max - 4.0), 1e-9))
-                recs.append(Record("aniso4 reported as pinch violation",
-                                   float(rep.pinch_satisfied_scaled), 0.0,
-                                   not rep.pinch_satisfied_scaled
-                                   and not rep.pinch_satisfied))
+                recs.append(le("aniso4 a_max equals 4", abs(rep.a_max - 4.0), 1e-9))
+                recs.append(Check("aniso4 reported as pinch violation",
+                                  float(rep.pinch_satisfied_scaled), 0.0,
+                                  not rep.pinch_satisfied_scaled
+                                  and not rep.pinch_satisfied))
             else:
-                recs.append(Record(
+                recs.append(Check(
                     f"{name} (d={d}) satisfies the pinch up to scaling",
                     rep.a_max / rep.a_min, SQRT2 + 1e-9, rep.pinch_satisfied_scaled))
-                recs.append(_rec_ge(f"{name} (d={d}) Lambda >= 1/sqrt2",
-                                    rep.stability_lambda, 1.0 / SQRT2 - 1e-12))
-    recs.append(_rec_le("criterion runtime (s)", time.perf_counter() - t0, 30.0))
+                recs.append(ge(f"{name} (d={d}) Lambda >= 1/sqrt2",
+                               rep.stability_lambda, 1.0 / SQRT2 - 1e-12))
+    recs.append(le("criterion runtime (s)", time.perf_counter() - t0, 30.0))
     return recs
 
 
@@ -443,7 +412,8 @@ CRITERIA = {
 
 
 def run_all(seed=1234):
-    """Run every criterion; returns the aggregate report dictionary.
+    """Run every criterion; returns the aggregate report dictionary, whose
+    criterion blocks hold their :class:`~anisocheck.checks.Check` records.
 
     The inequality sweeps take the seed; everything else is deterministic
     by construction.
@@ -458,7 +428,7 @@ def run_all(seed=1234):
         report["criteria"][name] = {
             "pass": ok,
             "runtime_s": round(time.perf_counter() - t1, 3),
-            "records": [r.as_dict() for r in recs],
+            "records": recs,
         }
         report["pass"] = report["pass"] and ok
     report["total_runtime_s"] = round(time.perf_counter() - t0, 3)

@@ -5,10 +5,8 @@ conformal, mubble, verify, all) plus ``schema`` to print the job format
 and ``run`` to dispatch a job file directly.  Reports are deterministic
 for a fixed seed: report.json (sorted keys, no timestamps), CSV tables
 for bulk numbers, and .dat profile curves for plotting.  The exit status
-is 0 exactly when every recorded check passes.
-
-Environment: ANISOCHECK_DISABLE_NUMBA selects the pure-numpy kernels,
-ANISOCHECK_THREADS caps the numba threading layer.
+is 0 exactly when every recorded check passes, 1 when a check fails and
+2 when the job is invalid or cannot be read.
 """
 
 from __future__ import annotations
@@ -32,12 +30,11 @@ from . import integrand as ig
 from . import mubble as mb
 from . import schema as sch
 from . import variation as va
-from ._jit import apply_thread_cap, numba_requested
+from .checks import ORDER_MIN, Check, ge, le, order_ok, refinement_order
 
 
 def _provenance(seed, variant=None):
-    prov = {"tool": "anisocheck", "version": __version__, "seed": int(seed),
-            "kernel": "numba" if numba_requested() else "numpy"}
+    prov = {"tool": "anisocheck", "version": __version__, "seed": int(seed)}
     if variant is not None:
         prov["variant"] = variant
     return prov
@@ -61,13 +58,6 @@ def _write_csv(out_dir, name, header, rows):
         w.writerows(rows)
 
 
-def _record(name, value, tolerance, passed, **detail):
-    rec = {"name": name, "value": value, "tolerance": tolerance, "pass": bool(passed)}
-    if detail:
-        rec["detail"] = detail
-    return rec
-
-
 # -- command runners -----------------------------------------------------------
 
 
@@ -79,8 +69,8 @@ def _run_constants(inputs, seed, out_dir):
     records = []
     for entry in table.entries.values():
         err = entry.rederivation_error()
-        records.append(_record(f"rederive {entry.name}", err, 1e-14, err <= 1e-14,
-                               constant=entry.value, expression=entry.expression))
+        records.append(le(f"rederive {entry.name}", err, 1e-14,
+                          constant=entry.value, expression=entry.expression))
     if out_dir:
         _write_csv(out_dir, "constants.csv", ["name", "value", "expression"],
                    [(e.name, repr(e.value), e.expression)
@@ -104,11 +94,11 @@ def _run_integrand(inputs, seed, out_dir):
     fd_rel = float(np.abs(fd_g - integ.gradient(w)).max()
                    / max(1.0, np.abs(integ.gradient(w)).max()))
     records = [
-        _record("homogeneity residual", hom, 1e-12, hom <= 1e-12),
-        _record("Euler relation residual", euler, 1e-10, euler <= 1e-10),
-        _record("radial degeneracy residual", radial, 1e-8, radial <= 1e-8),
-        _record("finite-difference gradient (rel)", fd_rel, 1e-6, fd_rel <= 1e-6),
-        _record("phi positive on grid", rep.phi_min, 0.0, rep.phi_min > 0.0),
+        le("homogeneity residual", hom, 1e-12),
+        le("Euler relation residual", euler, 1e-10),
+        le("radial degeneracy residual", radial, 1e-8),
+        le("finite-difference gradient (rel)", fd_rel, 1e-6),
+        Check("phi positive on grid", rep.phi_min, 0.0, rep.phi_min > 0.0),
     ]
     return records, {"report": rep.as_dict(), "describe": integ.describe()}
 
@@ -125,19 +115,15 @@ def _run_variation(inputs, seed, out_dir):
     if "first_variation" in tests:
         for bump in va.BUMP_NAMES:
             chk = va.first_variation_check(g, integ, va.bump_function(g, bump))
-            records.append(_record(f"first variation rel discrepancy [{bump}]",
-                                   chk.rel_discrepancy, ac.REL_TOL,
-                                   chk.rel_discrepancy <= ac.REL_TOL,
-                                   **chk.as_dict()))
+            records.append(le(f"first variation rel discrepancy [{bump}]",
+                              chk.rel_discrepancy, ac.REL_TOL, **chk.as_dict()))
     if "second_variation" in tests:
         stationary = va.is_phi_stationary(g, integ)
         if stationary:
             for bump in va.BUMP_NAMES:
                 chk = va.second_variation_check(g, integ, va.bump_function(g, bump))
-                records.append(_record(f"second variation rel discrepancy [{bump}]",
-                                       chk.rel_discrepancy, ac.REL_TOL,
-                                       chk.rel_discrepancy <= ac.REL_TOL,
-                                       **chk.as_dict()))
+                records.append(le(f"second variation rel discrepancy [{bump}]",
+                                  chk.rel_discrepancy, ac.REL_TOL, **chk.as_dict()))
         else:
             extras["second_variation"] = "skipped: chart is not phi-stationary"
     if "vectorfield" in tests:
@@ -146,28 +132,25 @@ def _run_variation(inputs, seed, out_dir):
         if stat:
             tol = 1e-6 if float(np.abs(g.shape_op).max()) == 0.0 \
                 else 1e-2 * max(1.0, abs(interior))
-            records.append(_record("vector-field identity residual", resid, tol,
-                                   resid <= tol, interior=interior,
-                                   boundary=boundary, stationary=True))
+            records.append(le("vector-field identity residual", resid, tol,
+                              interior=interior, boundary=boundary, stationary=True))
         else:
-            records.append(_record("vector-field identity residual", resid,
-                                   None, True, interior=interior,
-                                   boundary=boundary, stationary=False,
-                                   warning="chart is not phi-stationary; the "
-                                           "identity is not expected to hold"))
+            records.append(Check("vector-field identity residual", resid, None, True,
+                                 {"interior": interior, "boundary": boundary,
+                                  "stationary": False,
+                                  "warning": "chart is not phi-stationary; the "
+                                             "identity is not expected to hold"}))
     if "isoperimetric" in tests:
         rho = float(inputs.get("rho", 0.0))
         if rho <= 0.0:
             rho = max(float(np.linalg.norm(f.X, axis=-1).max())
                       for f in geo.boundary_faces(g)) * (1 + 1e-12)
         chk = va.isoperimetric_check(g, integ, rho)
-        records.append(_record("isoperimetric margin", chk.margin, 0.0,
-                               chk.margin >= 0.0, **chk.as_dict()))
+        records.append(ge("isoperimetric margin", chk.margin, 0.0, **chk.as_dict()))
     if "spectrum" in tests:
         rep = va.stability_spectrum(g, integ)
-        records.append(_record("stability spectrum converged", rep.lambda_stab,
-                               None, True, stable=rep.stable,
-                               iterations=rep.iterations))
+        records.append(Check("stability spectrum converged", rep.lambda_stab, None, True,
+                             {"stable": rep.stable, "iterations": rep.iterations}))
         extras["lambda_stab"] = rep.lambda_stab
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -191,18 +174,16 @@ def _run_conformal(inputs, seed, out_dir):
         cf_fine = cf.deform(fine)
         d0 = cf.qform_identity_check(cg, va.bump_function(g, "centered"), lam)
         d1 = cf.qform_identity_check(cf_fine, va.bump_function(fine, "centered"), lam)
-        order = math.inf if d1.discrepancy < 1e-11 else math.log2(
-            d0.discrepancy / d1.discrepancy)
-        records.append(_record("qform identity refinement order", order, ac.ORDER_MIN,
-                               order >= ac.ORDER_MIN
-                               or d1.discrepancy <= 1e-5 * max(1, abs(d1.derived)),
-                               coarse=d0.as_dict(), fine=d1.as_dict()))
+        order = refinement_order(d0.discrepancy, d1.discrepancy, 1e-11)
+        rel = d1.discrepancy / max(1.0, abs(d1.derived))
+        records.append(Check("qform identity refinement order", order, ORDER_MIN,
+                             order_ok(order, rel, ac.ORDER_FLOOR_REL),
+                             {"coarse": d0.as_dict(), "fine": d1.as_dict()}))
     if "laplace_r" in tests:
         r0 = geo.laplace_r_check(g)
         r1 = geo.laplace_r_check(geo.sample_chart(chart, 2 * res - 1))
-        order = math.inf if r1 < 1e-12 else math.log2(r0 / r1)
-        records.append(_record("radial Laplacian identity order", order, ac.ORDER_MIN,
-                               order >= ac.ORDER_MIN, residuals=[r0, r1]))
+        records.append(ge("radial Laplacian identity order",
+                          refinement_order(r0, r1, 1e-12), ORDER_MIN, residuals=[r0, r1]))
     if "distance" in tests:
         rng = np.random.default_rng(seed)
         lo = [b[0] for b in chart.box]
@@ -216,8 +197,7 @@ def _run_conformal(inputs, seed, out_dir):
             worst = min(worst, chk.margin)
             if chk.intrinsic_margin is not None:
                 worst = min(worst, chk.intrinsic_margin)
-        records.append(_record("distance comparison worst margin", worst, -1e-6,
-                               worst >= -1e-6))
+        records.append(ge("distance comparison worst margin", worst, -1e-6))
     if "lambda1" in tests:
         est = cf.lambda1_estimate(cg, lambda_target=lam)
         integ_spec = inputs.get("integrand", {"kind": "isotropic", "dim": chart.dim})
@@ -225,13 +205,13 @@ def _run_conformal(inputs, seed, out_dir):
         certified = (va.is_phi_stationary(g, integ)
                      and va.stability_spectrum(g, integ).lambda_stab >= -1e-10)
         if certified:
-            records.append(_record("lambda1 estimate vs target", est.margin, -1e-3,
-                                   est.margin >= -1e-3, **est.as_dict()))
+            records.append(ge("lambda1 estimate vs target", est.margin, -1e-3,
+                              **est.as_dict()))
         else:
-            records.append(_record("lambda1 estimate vs target", est.margin, None,
-                                   True, warning="chart is not a certified stable "
-                                   "stationary piece; estimate reported only",
-                                   **est.as_dict()))
+            records.append(Check("lambda1 estimate vs target", est.margin, None, True,
+                                 {"warning": "chart is not a certified stable "
+                                             "stationary piece; estimate reported only",
+                                  **est.as_dict()}))
     return records, extras
 
 
@@ -242,27 +222,19 @@ def _run_mubble(inputs, seed, out_dir):
                           n_grid=int(spec.get("n_grid", 4001)))
     eps = float(spec.get("eps", 0.1))
     amplitude = inputs.get("amplitude", "sqrt-lambda")
-    records = [
-        _record("witness residual", mb.supersolution_residual(model), 1e-6,
-                mb.supersolution_residual(model) <= 1e-6),
-    ]
+    records = [le("witness residual", mb.supersolution_residual(model), 1e-6)]
     prof = mb.build_phi_h(model, eps=eps, amplitude=amplitude)
     m_model, cfg = mb.check_h_condition(prof, "model")
     m_budget, _ = mb.check_h_condition(prof, "budget")
-    records.append(_record("slope condition margin (model lip)", m_model, -1e-10,
-                           m_model >= -1e-10, **cfg))
-    records.append(_record("slope condition margin (lip budget)", m_budget, -1e-10,
-                           m_budget >= -1e-10))
+    records.append(ge("slope condition margin (model lip)", m_model, -1e-10, **cfg))
+    records.append(ge("slope condition margin (lip budget)", m_budget, -1e-10))
     sol = mb.minimize_A(model, eps=eps, amplitude=amplitude)
     concl = mb.verify_conclusions(sol)
-    records.append(_record("boundary area margin", concl.area_margin, -1e-8,
-                           concl.area_margin >= -1e-8, solution=sol.as_dict()))
-    records.append(_record("diameter margin", concl.diameter_margin, -1e-8,
-                           concl.diameter_margin >= -1e-8))
-    records.append(_record("containment margin", concl.containment_margin, -1e-8,
-                           concl.containment_margin >= -1e-8))
-    records.append(_record("minimality certificate", concl.minimality_slack, -1e-8,
-                           concl.minimality_slack >= -1e-8))
+    records.append(ge("boundary area margin", concl.area_margin, -1e-8,
+                      solution=sol.as_dict()))
+    records.append(ge("diameter margin", concl.diameter_margin, -1e-8))
+    records.append(ge("containment margin", concl.containment_margin, -1e-8))
+    records.append(ge("minimality certificate", concl.minimality_slack, -1e-8))
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -296,11 +268,9 @@ def _run_verify(inputs, seed, out_dir):
         else:
             raise ValueError(f"unknown suite {suite!r}")
         extras[suite] = rep.extras
-        for r in rep.records:
-            records.append(_record(f"{suite}: {r.name}", r.margin, -r.tolerance,
-                                   r.passed, config=r.config))
-            rows.append((suite, r.name, repr(r.margin), repr(r.tolerance), r.passed,
-                         json.dumps(r.config, sort_keys=True)))
+        records += [r.prefixed(f"{suite}: ") for r in rep.records]
+        rows += [(suite, r.name, repr(r.value), repr(rep.tolerance), r.passed,
+                  json.dumps(r.detail["config"], sort_keys=True)) for r in rep.records]
     if out_dir:
         _write_csv(out_dir, "margins.csv",
                    ["suite", "record", "margin", "tolerance", "pass", "config"], rows)
@@ -311,14 +281,10 @@ def _run_all(inputs, seed, out_dir):
     report = ac.run_all(seed=seed)
     records = []
     for crit, block in report["criteria"].items():
-        for rec in block["records"]:
-            rec = dict(rec)
-            rec["name"] = f"{crit}: {rec['name']}"
-            records.append(rec)
-        records.append(_record(f"{crit}: all records pass", float(block["pass"]),
-                               1.0, block["pass"], runtime_s=block["runtime_s"]))
-    records.append(_record("total runtime within 600 s", report["total_runtime_s"],
-                           600.0, report["runtime_within_budget"]))
+        records += [r.prefixed(f"{crit}: ") for r in block["records"]]
+        records.append(ge(f"{crit}: all records pass", float(block["pass"]), 1.0,
+                          runtime_s=block["runtime_s"]))
+    records.append(le("total runtime within 600 s", report["total_runtime_s"], 600.0))
     return records, {"criteria_runtimes":
                      {k: v["runtime_s"] for k, v in report["criteria"].items()}}
 
@@ -344,8 +310,8 @@ def run(job, out_dir=None):
     records, extras = _RUNNERS[job["command"]](inputs, seed, out_dir)
     report = {
         "job": job,
-        "records": records,
-        "pass": all(r["pass"] for r in records),
+        "records": [r.as_dict() for r in records],
+        "pass": all(r.passed for r in records),
         "extras": extras,
         "provenance": _provenance(seed, inputs.get("variant")),
     }
@@ -385,12 +351,16 @@ def _build_parser():
 
 
 def _load_job(args):
+    """Build the job from the arguments; raises ValueError (or OSError for an
+    unreadable file) on bad input."""
     inputs = {}
     if args.job:
         data = json.loads(Path(args.job).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("job file must hold a JSON object")
         if "command" in data:
             if args.command not in ("run", data["command"]):
-                raise SystemExit(
+                raise ValueError(
                     f"job file is a {data['command']!r} job; invoke it via "
                     f"'anisocheck run' or the matching subcommand")
             job = data
@@ -398,7 +368,7 @@ def _load_job(args):
             return job
         inputs = data
     if args.command == "run":
-        raise SystemExit("run needs --job pointing at a full job object")
+        raise ValueError("run needs --job pointing at a full job object")
     if args.command == "constants" and getattr(args, "variant", None):
         inputs.setdefault("variant", args.variant)
     if args.command == "verify":
@@ -409,12 +379,15 @@ def _load_job(args):
 
 
 def main(argv=None):
-    apply_thread_cap()
     args = _build_parser().parse_args(argv)
     if args.command == "schema":
         print(json.dumps(sch.JOB_SCHEMA, indent=2, sort_keys=True))
         return 0
-    job = _load_job(args)
+    try:
+        job = _load_job(args)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load job: {exc}", file=sys.stderr)
+        return 2
     try:
         report = run(job, out_dir=args.out)
     except ValueError as exc:

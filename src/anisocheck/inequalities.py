@@ -6,6 +6,12 @@ a standalone evaluator re-evaluates any stored configuration so reports
 are reproducible.  Sampling is deterministic: a Halton low-discrepancy
 stream and a fixed-seed PRNG stream, both reported, plus closed-form
 witness configurations where an equality case is known.
+
+The sweep kernels are vectorized numpy; on ties the first occurrence of
+the extreme value wins, so the stored argmin witness is deterministic.
+Each record is a :class:`~anisocheck.checks.Check` whose value is the
+margin, whose bound is ``-tol`` and whose ``detail["config"]`` holds the
+witness configuration.
 """
 
 from __future__ import annotations
@@ -14,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels as kr
-from ._jit import numba_requested
+from .checks import ge
 
-SQRT2 = kr.SQRT2
-C0 = kr.C0
-C1_MAX = kr.C1_MAX
+SQRT2 = np.sqrt(2.0)
+C0 = 1.0 / (SQRT2 - 0.5)
+C1_MAX = 1.5 - SQRT2
 DEFAULT_TOL = 1e-10
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
@@ -43,22 +48,6 @@ def halton(count, dims, skip=20):
 
 
 @dataclass
-class MarginRecord:
-    name: str
-    margin: float
-    config: dict
-    tolerance: float
-
-    @property
-    def passed(self):
-        return self.margin >= -self.tolerance
-
-    def as_dict(self):
-        return {"name": self.name, "margin": self.margin, "config": self.config,
-                "tolerance": self.tolerance, "pass": self.passed}
-
-
-@dataclass
 class SweepReport:
     suite: str
     domain: str
@@ -66,32 +55,14 @@ class SweepReport:
     tolerance: float
     records: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-    method: str = ""
 
     @property
     def worst_margin(self):
-        return min(r.margin for r in self.records)
+        return min(r.value for r in self.records)
 
     @property
     def passed(self):
         return all(r.passed for r in self.records)
-
-    def as_dict(self):
-        return {
-            "suite": self.suite,
-            "domain": self.domain,
-            "sample_count": self.sample_count,
-            "tolerance": self.tolerance,
-            "worst_margin": self.worst_margin,
-            "pass": self.passed,
-            "records": [r.as_dict() for r in self.records],
-            "extras": self.extras,
-            "method": self.method,
-        }
-
-
-def _method_tag():
-    return "numba" if numba_requested() else "numpy"
 
 
 # -- quadratic form comparison -------------------------------------------------
@@ -112,6 +83,45 @@ def quadratic_lemma_point_from_a(a1, a2, a3, theta):
     return quadratic_lemma_point(a1 / a3, a2 / a3, theta)
 
 
+def _quadratic_sweep(alphas, betas, coss, sins):
+    """Extremes of the three margins over beta >= alpha and the angle grid,
+    with their grid indices, and the count of points where Q2 <= 0."""
+    min1 = np.inf
+    i1 = j1 = k1i = 0
+    min2 = np.inf
+    i2 = j2 = k2i = 0
+    maxr = -np.inf
+    ir = jr = kr = 0
+    bad_q2 = 0
+    k1 = coss[None, :]
+    k2 = sins[None, :]
+    for i, a in enumerate(alphas):
+        sel = np.nonzero(betas >= a)[0]
+        if sel.size == 0:
+            continue
+        b = betas[sel][:, None]
+        q1 = (1.0 + a * a) * k1 * k1 + 2.0 * a * b * k1 * k2 + (1.0 + b * b) * k2 * k2
+        q2 = 2.0 * a * k1 * k1 + 2.0 * (a + b - 1.0) * k1 * k2 + 2.0 * b * k2 * k2
+        good = q2 > 0.0
+        bad_q2 += int(q2.size - good.sum())
+        m1 = np.where(good, C0 * q2 - q1, np.inf)
+        m2 = np.where(good, C1_MAX - (q1 - q2) / q1, np.inf)
+        r = np.where(good, q1 / np.where(good, q2, 1.0), -np.inf)
+        f = int(np.argmin(m1))
+        if m1.ravel()[f] < min1:
+            min1 = float(m1.ravel()[f])
+            i1, j1, k1i = i, int(sel[f // coss.size]), f % coss.size
+        f = int(np.argmin(m2))
+        if m2.ravel()[f] < min2:
+            min2 = float(m2.ravel()[f])
+            i2, j2, k2i = i, int(sel[f // coss.size]), f % coss.size
+        f = int(np.argmax(r))
+        if r.ravel()[f] > maxr:
+            maxr = float(r.ravel()[f])
+            ir, jr, kr = i, int(sel[f // coss.size]), f % coss.size
+    return min1, i1, j1, k1i, min2, i2, j2, k2i, maxr, ir, jr, kr, bad_q2
+
+
 def verify_quadratic_lemma(n_alpha=200, n_beta=200, n_angle=720, tol=DEFAULT_TOL):
     """Sweep a <= b in [1/sqrt2, 1] x unit circle and certify
 
@@ -123,24 +133,24 @@ def verify_quadratic_lemma(n_alpha=200, n_beta=200, n_angle=720, tol=DEFAULT_TOL
     betas = np.linspace(1.0 / SQRT2, 1.0, n_beta)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angle, endpoint=False)
     coss, sins = np.cos(thetas), np.sin(thetas)
-    (m1, i1, j1, k1, m2, i2, j2, k2, maxr, ir, jr, krr, bad) = kr.quadratic_sweep(
+    (m1, i1, j1, k1, m2, i2, j2, k2, maxr, ir, jr, krr, bad) = _quadratic_sweep(
         alphas, betas, coss, sins)
     count = int(np.sum(betas[None, :] >= alphas[:, None]) * n_angle)
     rep = SweepReport(
         suite="quadratic_lemma",
         domain=f"alpha<=beta in [2^-1/2,1]^2 ({n_alpha}x{n_beta}), {n_angle} angles",
-        sample_count=count, tolerance=tol, method=_method_tag())
-    rep.records.append(MarginRecord(
-        "c0*Q2 - Q1", float(m1),
-        {"alpha": float(alphas[i1]), "beta": float(betas[j1]), "theta": float(thetas[k1])},
-        tol))
-    rep.records.append(MarginRecord(
-        "(3/2 - sqrt2) - (Q1-Q2)/Q1", float(m2),
-        {"alpha": float(alphas[i2]), "beta": float(betas[j2]), "theta": float(thetas[k2])},
-        tol))
+        sample_count=count, tolerance=tol)
+    rep.records.append(ge(
+        "c0*Q2 - Q1", m1, -tol,
+        config={"alpha": float(alphas[i1]), "beta": float(betas[j1]),
+                "theta": float(thetas[k1])}))
+    rep.records.append(ge(
+        "(3/2 - sqrt2) - (Q1-Q2)/Q1", m2, -tol,
+        config={"alpha": float(alphas[i2]), "beta": float(betas[j2]),
+                "theta": float(thetas[k2])}))
     c0_identity = abs(1.0 / (1.0 - C1_MAX) - C0)
-    rep.records.append(MarginRecord("identity 1/(1-c1_max) = c0", -c0_identity,
-                                    {"residual": c0_identity}, tol))
+    rep.records.append(ge("identity 1/(1-c1_max) = c0", -c0_identity, -tol,
+                          config={"residual": c0_identity}))
     rep.extras["max_ratio_q1_q2"] = float(maxr)
     rep.extras["max_ratio_config"] = {
         "alpha": float(alphas[ir]), "beta": float(betas[jr]), "theta": float(thetas[krr])}
@@ -183,6 +193,34 @@ def _curvature_samples(count, seed, sampler):
     return aa, psis
 
 
+def _curvature_sweep(aa, psis):
+    """Worst margins of -R and c0 (-R) - |A|^2 with their sample indices,
+    the largest ratio |A|^2 / (-R) and the largest constraint residual.
+
+    For unit k orthogonal to a (componentwise in [1, sqrt 2], sorted), with
+    |A|^2 = |k|^2 = 1 and R = (sum k)^2 - 1; the constraint-plane basis
+    built from cross(a, e1) never degenerates on [1, sqrt2]^3.
+    """
+    a1, a2, a3 = aa[:, 0], aa[:, 1], aa[:, 2]
+    b1 = np.stack([np.zeros_like(a1), a3, -a2], axis=-1)
+    b1 /= np.linalg.norm(b1, axis=-1)[:, None]
+    b2 = np.cross(aa, b1)
+    b2 /= np.linalg.norm(b2, axis=-1)[:, None]
+    k = np.cos(psis)[:, None] * b1 + np.sin(psis)[:, None] * b2
+    cons = np.abs(np.einsum("pi,pi->p", aa, k))
+    A2 = np.einsum("pi,pi->p", k, k)
+    s = k.sum(axis=1)
+    R = s * s - A2
+    mR = -R
+    m2 = -C0 * R - A2
+    ratio = np.where(-R > 1e-15, A2 / np.where(-R > 1e-15, -R, 1.0), -np.inf)
+    p1 = int(np.argmin(mR))
+    p2 = int(np.argmin(m2))
+    pr = int(np.argmax(ratio))
+    return (float(mR[p1]), p1, float(m2[p2]), p2, float(ratio[pr]), pr,
+            float(cons.max()))
+
+
 def verify_curvature_pinch(samples=1_000_000, seed=1234, tol=DEFAULT_TOL,
                            corner_angles=20001):
     """Certify R <= 0, -R <= |A|^2 <= -c0 R on the constrained domain.
@@ -194,36 +232,34 @@ def verify_curvature_pinch(samples=1_000_000, seed=1234, tol=DEFAULT_TOL,
     rep = SweepReport(
         suite="curvature_pinch",
         domain="a sorted in [1,sqrt2]^3, unit k with sum a_i k_i = 0",
-        sample_count=samples, tolerance=tol, method=_method_tag())
+        sample_count=samples, tolerance=tol)
     max_ratio = -np.inf
     ratio_cfg = None
     max_cons = 0.0
     for sampler, cnt in (("halton", samples // 2), ("prng", samples - samples // 2)):
         aa, psis = _curvature_samples(cnt, seed, sampler)
-        mR, pR, m2, p2, ratio, pr, cons = kr.curvature_sweep(aa, psis)
-        rep.records.append(MarginRecord(
-            f"-R >= 0 [{sampler}]", float(mR),
-            {"a": aa[pR].tolist(), "psi": float(psis[pR])}, tol))
-        rep.records.append(MarginRecord(
-            f"c0*(-R) - |A|^2 [{sampler}]", float(m2),
-            {"a": aa[p2].tolist(), "psi": float(psis[p2])}, tol))
+        mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
+        rep.records.append(ge(f"-R >= 0 [{sampler}]", mR, -tol,
+                              config={"a": aa[pR].tolist(), "psi": float(psis[pR])}))
+        rep.records.append(ge(f"c0*(-R) - |A|^2 [{sampler}]", m2, -tol,
+                              config={"a": aa[p2].tolist(), "psi": float(psis[p2])}))
         max_cons = max(max_cons, cons)
         if ratio > max_ratio:
             max_ratio = ratio
             ratio_cfg = {"a": aa[pr].tolist(), "psi": float(psis[pr])}
     # |A|^2 >= -R is (sum k)^2 >= 0: record the identity margin at the
     # moment R is most negative (trivially nonnegative, kept for the table)
-    rep.records.append(MarginRecord("|A|^2 + R >= 0", 0.0, {"identity": "(sum k)^2"}, tol))
+    rep.records.append(ge("|A|^2 + R >= 0", 0.0, -tol, config={"identity": "(sum k)^2"}))
     # deterministic near-sharpness pass over the corner triples
     corners = [(1.0, 1.0, 1.0), (1.0, 1.0, SQRT2), (1.0, SQRT2, SQRT2),
                (SQRT2, SQRT2, SQRT2)]
     psis = np.linspace(0.0, 2.0 * np.pi, corner_angles)
     for a in corners:
         aa = np.tile(np.asarray(a), (corner_angles, 1))
-        mR, pR, m2, p2, ratio, pr, cons = kr.curvature_sweep(aa, psis)
-        rep.records.append(MarginRecord(
-            f"c0*(-R) - |A|^2 [corner {tuple(round(x, 6) for x in a)}]", float(m2),
-            {"a": list(a), "psi": float(psis[p2])}, tol))
+        mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
+        rep.records.append(ge(
+            f"c0*(-R) - |A|^2 [corner {tuple(round(x, 6) for x in a)}]", m2, -tol,
+            config={"a": list(a), "psi": float(psis[p2])}))
         max_cons = max(max_cons, cons)
         if ratio > max_ratio:
             max_ratio = ratio
@@ -256,13 +292,24 @@ def _unit_sphere_points(u, v):
     return np.stack([s * np.cos(th), s * np.sin(th), z], axis=-1)
 
 
+def _ricci_sweep(ks, ys):
+    """Worst margin of Ric(y) + |A|^2/sqrt2, Ric(y) = sum_i k_i (s - k_i) y_i^2,
+    and its sample index."""
+    s = ks.sum(axis=1)
+    ric = np.einsum("pi,pi->p", ks * (s[:, None] - ks), ys * ys)
+    A2 = np.einsum("pi,pi->p", ks, ks)
+    m = ric + A2 / SQRT2
+    p = int(np.argmin(m))
+    return float(m[p]), p
+
+
 def verify_ricci_bound(samples=1_000_000, seed=1234, tol=DEFAULT_TOL):
     """Certify Ric(y,y) >= -|A|^2/sqrt(2) over unit (k, y), including the
     closed-form equality witness k = (-sqrt2, 1, 1)/2, y = e1."""
     rep = SweepReport(
         suite="ricci_bound",
         domain="unit principal-curvature vectors k and unit directions y",
-        sample_count=samples, tolerance=tol, method=_method_tag())
+        sample_count=samples, tolerance=tol)
     for sampler, cnt in (("halton", samples // 2), ("prng", samples - samples // 2)):
         if sampler == "halton":
             pts = halton(cnt, 4)
@@ -270,16 +317,14 @@ def verify_ricci_bound(samples=1_000_000, seed=1234, tol=DEFAULT_TOL):
             pts = np.random.default_rng(seed).random((cnt, 4))
         ks = _unit_sphere_points(pts[:, 0], pts[:, 1])
         ys = _unit_sphere_points(pts[:, 2], pts[:, 3])
-        worst, p = kr.ricci_sweep(ks, ys)
-        rep.records.append(MarginRecord(
-            f"Ric + |A|^2/sqrt2 [{sampler}]", float(worst),
-            {"k": ks[p].tolist(), "y": ys[p].tolist()}, tol))
+        worst, p = _ricci_sweep(ks, ys)
+        rep.records.append(ge(f"Ric + |A|^2/sqrt2 [{sampler}]", worst, -tol,
+                              config={"k": ks[p].tolist(), "y": ys[p].tolist()}))
     k_eq = np.array([-SQRT2, 1.0, 1.0]) / 2.0
     y_eq = np.array([1.0, 0.0, 0.0])
     m_eq = ricci_point(k_eq, y_eq)
-    rep.records.append(MarginRecord("equality witness k=(-sqrt2,1,1)/2, y=e1",
-                                    float(m_eq), {"k": k_eq.tolist(), "y": y_eq.tolist()},
-                                    tol))
+    rep.records.append(ge("equality witness k=(-sqrt2,1,1)/2, y=e1", m_eq, -tol,
+                          config={"k": k_eq.tolist(), "y": y_eq.tolist()}))
     rep.extras["equality_witness_margin"] = float(m_eq)
     return rep
 
@@ -417,7 +462,7 @@ def verify_kato(points=10_000, seed=1234, tol=DEFAULT_TOL, box=1.0):
     rep = SweepReport(
         suite="kato_inequality",
         domain=f"harmonic polynomial catalog on [-{box}, {box}]^3",
-        sample_count=points * len(_KATO_CATALOG), tolerance=tol, method="numpy")
+        sample_count=points * len(_KATO_CATALOG), tolerance=tol)
     half = points // 2
     pts = np.concatenate([
         box * (2.0 * halton(half, 3) - 1.0),
@@ -436,8 +481,7 @@ def verify_kato(points=10_000, seed=1234, tol=DEFAULT_TOL, box=1.0):
         rhs = 1.5 * np.sum(hg * hg, axis=-1) / np.where(ok, g2, 1.0)
         margin = np.where(ok, lhs - rhs, np.inf)
         p = int(np.argmin(margin))
-        rep.records.append(MarginRecord(
-            f"kato[{name}]", float(margin[p]), {"poly": name, "point": pts[p].tolist()},
-            tol))
+        rep.records.append(ge(f"kato[{name}]", margin[p], -tol,
+                              config={"poly": name, "point": pts[p].tolist()}))
     rep.extras["skipped_points"] = skipped
     return rep

@@ -31,8 +31,12 @@ def _err(path, msg):
     return f"{path}: {msg}"
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_number(errors, path, value, lo=None, hi=None):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         errors.append(_err(path, "must be a number"))
         return False
     if lo is not None and value < lo:
@@ -113,7 +117,19 @@ def validate_chart(spec, path="/inputs/chart"):
     if kind == "cone":
         _check_number(errors, f"{path}/link_ratio", spec.get("link_ratio", 0.8),
                       lo=1e-6, hi=1 - 1e-6)
+    if "box" in spec and n in (2, 3):
+        errors += _validate_box(spec["box"], n, f"{path}/box")
     return errors
+
+
+def _validate_box(box, n, path):
+    """One [lo, hi] interval with lo < hi per chart parameter."""
+    if not isinstance(box, list) or len(box) != n:
+        return [_err(path, f"must be a list of n = {n} intervals [lo, hi]")]
+    return [_err(f"{path}/{i}", "must be a pair of numbers [lo, hi] with lo < hi")
+            for i, iv in enumerate(box)
+            if not (isinstance(iv, list) and len(iv) == 2
+                    and all(_is_number(x) for x in iv) and iv[0] < iv[1])]
 
 
 def build_chart(spec):
@@ -272,7 +288,11 @@ JOB_SCHEMA = {
                         "link_ratio": {"type": "number",
                                        "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                         "polar": {"type": "boolean"},
-                        "box": {"type": "array"},
+                        "box": {"type": "array",
+                                "description": "n intervals [lo, hi] with lo < hi",
+                                "items": {"type": "array", "minItems": 2,
+                                          "maxItems": 2,
+                                          "items": {"type": "number"}}},
                     },
                 },
                 "model": {

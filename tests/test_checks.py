@@ -1,0 +1,56 @@
+import math
+
+import pytest
+
+from anisocheck.checks import ORDER_MIN, Check, ge, le, order_ok, refinement_order
+
+
+def test_check_as_dict_keys():
+    assert Check("a", 1.0, 2.0, True).as_dict() == {
+        "name": "a", "value": 1.0, "tolerance": 2.0, "pass": True}
+    d = le("b", 3.0, 2.0, where="x").as_dict()
+    assert d == {"name": "b", "value": 3.0, "tolerance": 2.0, "pass": False,
+                 "detail": {"where": "x"}}
+    assert Check("c", 0.5, None, True).as_dict()["tolerance"] is None
+
+
+def test_le_ge_boundaries_and_detail_names():
+    assert le("x", 1e-10, 1e-10).passed and not le("x", 2e-10, 1e-10).passed
+    assert ge("x", -1e-10, -1e-10).passed and not ge("x", -2e-10, -1e-10).passed
+    assert not le("x", math.nan, 1.0).passed
+    # detail entries may reuse the constructor's parameter names
+    rec = ge("x", 1.0, 0.0, bound=5.0, value=7.0, tolerance=3.0)
+    assert rec.tolerance == 0.0 and rec.detail == {"bound": 5.0, "value": 7.0,
+                                                   "tolerance": 3.0}
+
+
+def test_prefixed_keeps_everything_but_the_name():
+    rec = ge("m", 1.0, 0.0, config={"a": 1})
+    out = rec.prefixed("suite: ")
+    assert out.name == "suite: m" and rec.name == "m"
+    assert (out.value, out.tolerance, out.passed, out.detail) == (
+        rec.value, rec.tolerance, rec.passed, rec.detail)
+
+
+def test_refinement_order_is_inf_at_or_below_zero():
+    assert refinement_order(1e-3, 1e-11, 1e-11) == math.inf
+    assert refinement_order(1e-3, 5e-12, 1e-11) == math.inf
+    assert refinement_order(1e-3, 0.0, 1e-12) == math.inf
+    assert math.isfinite(refinement_order(1e-3, 2e-11, 1e-11))
+
+
+def test_refinement_order_exact_log2_and_zero_guard():
+    assert refinement_order(8e-4, 1e-4, 1e-12) == 3.0
+    assert refinement_order(1e-4, 4e-4, 1e-12) == -2.0
+    # a vanishing coarse discrepancy is clamped at 1e-300 instead of log2(0)
+    assert refinement_order(0.0, 1e-6, 1e-12) == pytest.approx(math.log2(1e-294),
+                                                               rel=1e-15)
+
+
+def test_order_waiver_at_its_floor():
+    assert order_ok(ORDER_MIN, 1.0, 1e-4)
+    below = math.nextafter(ORDER_MIN, 0.0)
+    assert not order_ok(below, 1.0, 1e-4)
+    assert order_ok(below, 1e-4, 1e-4)
+    assert not order_ok(below, math.nextafter(1e-4, 1.0), 1e-4)
+    assert order_ok(math.inf, 1.0, 1e-4)

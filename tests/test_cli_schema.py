@@ -174,3 +174,37 @@ def test_cli_exit_codes_via_subprocess(tmp_path):
                            "--job", str(bad)], capture_output=True, text=True)
     assert proc.returncode == 2
     assert "matrix" in proc.stderr
+
+
+def test_missing_job_file_exits_2(tmp_path, capsys):
+    rc = cli.main(["run", "--job", str(tmp_path / "absent.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "absent.json" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ['{"command": "verify", ', "5"])
+def test_malformed_job_file_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rc = cli.main(["run", "--job", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot load job") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("box, pointer", [
+    ([[0.5, 2.5]], "/inputs/chart/box"),
+    ([[0.5, 2.5]] * 4, "/inputs/chart/box"),
+    ([[0.5, 2.5], [2.5, 0.5], [0.0, 6.0]], "/inputs/chart/box/1"),
+    ([[0.5, 2.5], [0.5, 2.5], [0.0, "6"]], "/inputs/chart/box/2"),
+    ([[0.5, 2.5], [0.5], [0.0, 6.0]], "/inputs/chart/box/1"),
+])
+def test_schema_rejects_bad_chart_box(box, pointer, capsys):
+    job = {"command": "variation",
+           "inputs": {"chart": {"kind": "sphere", "n": 3, "box": box},
+                      "integrand": {"kind": "isotropic", "dim": 4}}}
+    errors = sch.validate_job(job)
+    assert [e.split(":")[0] for e in errors] == [pointer]
+    with pytest.raises(ValueError):
+        cli.run(job)

@@ -215,30 +215,59 @@ def _grid_for(box, shape, periodic):
     return params, tuple(spacings)
 
 
+def _cofactors(m):
+    """(det, adjugate) of a stack of 2x2 or 3x3 matrices in closed form.
+
+    The adjugate is the transposed cofactor matrix, so ``adj / det`` is the
+    inverse; 3x3 cofactors use cyclic index shifts, which carry their signs.
+    """
+    if m.shape[-1] == 2:
+        a, b = m[..., 0, 0], m[..., 0, 1]
+        c, d = m[..., 1, 0], m[..., 1, 1]
+        adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
+        return a * d - b * c, adj
+    if m.shape[-1] == 3:
+        adj = np.empty_like(m)
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                adj[..., j, i] = m[..., i1, j1] * m[..., i2, j2] - m[..., i1, j2] * m[..., i2, j1]
+        det = m[..., 0, 0] * adj[..., 0, 0] + m[..., 0, 1] * adj[..., 1, 0] \
+            + m[..., 0, 2] * adj[..., 2, 0]
+        return det, adj
+    raise ValueError("only 2x2 and 3x3 matrices are supported")
+
+
 def _generalized_cross(jac):
-    """Unit vector orthogonal to the columns of jac, unnormalized sign.
+    """Vector orthogonal to the columns of jac, neither normalized nor
+    sign-aligned.
 
     dim 3: plain cross product; dim 4: cofactor expansion of the 3-column
-    frame (component i is (-1)^i times the minor without row i).
+    frame (component i is (-1)^i times the minor without row i), each 3x3
+    minor expanded along the third column over the 2x2 minors of the first
+    two.
     """
     dim = jac.shape[-2]
     if dim == 3:
         return np.cross(jac[..., :, 0], jac[..., :, 1])
     if dim == 4:
-        comps = []
-        rows = np.arange(4)
-        for i in range(4):
-            keep = rows[rows != i]
-            minor = jac[..., keep, :]
-            comps.append((-1.0) ** i * np.linalg.det(minor))
-        return np.stack(comps, axis=-1)
+        a, b, c = jac[..., :, 0], jac[..., :, 1], jac[..., :, 2]
+        m2 = {(p, q): a[..., p] * b[..., q] - a[..., q] * b[..., p]
+              for p in range(4) for q in range(p + 1, 4)}
+
+        def minor(p, q, r):
+            return c[..., p] * m2[q, r] - c[..., q] * m2[p, r] + c[..., r] * m2[p, q]
+
+        return np.stack([minor(1, 2, 3), -minor(0, 2, 3), minor(0, 1, 3), -minor(0, 1, 2)],
+                        axis=-1)
     raise ValueError("only ambient dimensions 3 and 4 are supported")
 
 
 def _assemble(chart_name, n, dim, box, shape, periodic, spacings, params,
               X, jac, d2X, nu, pole_ends=()):
-    g = np.einsum("...da,...db->...ab", jac, jac)
-    det = np.linalg.det(g)
+    g = np.ascontiguousarray(np.swapaxes(jac, -1, -2)) @ jac
+    det, adj = _cofactors(g)
     bad = det <= DET_FLOOR
     if np.any(bad):
         idx = np.unravel_index(np.argmax(bad), det.shape)
@@ -247,9 +276,9 @@ def _assemble(chart_name, n, dim, box, shape, periodic, spacings, params,
             f"degenerate metric on chart {chart_name!r}: det g = {det[idx]:.3e} "
             f"at parameters {loc}"
         )
-    ginv = np.linalg.inv(g)
+    ginv = adj / det[..., None, None]
     hform = -np.einsum("...d,...dab->...ab", nu, d2X)
-    S = np.einsum("...ab,...bc->...ac", ginv, hform)
+    S = ginv @ hform
     H = np.einsum("...aa->...", S)
     A2 = np.einsum("...ab,...ba->...", S, S)
     R = H * H - A2
@@ -842,18 +871,21 @@ class Catenoid3(Chart):
         rho = self.c * np.sqrt(ch)
         drho = sh / np.sqrt(ch)
         ddrho = (ch * ch + 1.0) / (self.c * ch ** 1.5)
-        z = _catenoid3_height(t, self.c)
         dz = 1.0 / np.sqrt(ch)
         ddz = -sh / (self.c * ch ** 1.5)
-        return rho, drho, ddrho, z, dz, ddz, sh, ch
+        return rho, drho, ddrho, dz, ddz, sh, ch
 
     def position(self, u):
-        rho, _, _, z, _, _, _, _ = self._profile(u[..., 0])
+        t = u[..., 0]
+        rho = self._profile(t)[0]
+        # the height quadrature runs once per distinct t (one grid axis)
+        ts, where = np.unique(t, return_inverse=True)
+        z = _catenoid3_height(ts, self.c)[where].reshape(t.shape)
         om, _, _ = _sphere2(u[..., 1:])
         return np.concatenate([rho[..., None] * om, z[..., None]], axis=-1)
 
     def jacobian(self, u):
-        rho, drho, _, _, dz, _, _, _ = self._profile(u[..., 0])
+        rho, drho, _, dz, _, _, _ = self._profile(u[..., 0])
         om, dom, _ = _sphere2(u[..., 1:])
         J = np.zeros(u.shape[:-1] + (4, 3))
         J[..., :3, 0] = drho[..., None] * om
@@ -863,7 +895,7 @@ class Catenoid3(Chart):
         return J
 
     def second_derivatives(self, u):
-        rho, drho, ddrho, _, _, ddz, _, _ = self._profile(u[..., 0])
+        rho, drho, ddrho, _, ddz, _, _ = self._profile(u[..., 0])
         om, dom, ddom = _sphere2(u[..., 1:])
         d2 = np.zeros(u.shape[:-1] + (4, 3, 3))
         d2[..., :3, 0, 0] = ddrho[..., None] * om
@@ -876,7 +908,7 @@ class Catenoid3(Chart):
         return d2
 
     def normal(self, u):
-        _, _, _, _, _, _, sh, ch = self._profile(u[..., 0])
+        _, _, _, _, _, sh, ch = self._profile(u[..., 0])
         om, _, _ = _sphere2(u[..., 1:])
         return np.concatenate([om / ch[..., None], (-sh / ch)[..., None]], axis=-1)
 

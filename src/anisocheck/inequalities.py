@@ -258,7 +258,7 @@ def verify_curvature_pinch(samples=1_000_000, seed=1234, tol=DEFAULT_TOL,
         aa = np.tile(np.asarray(a), (corner_angles, 1))
         mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
         rep.records.append(ge(
-            f"c0*(-R) - |A|^2 [corner {tuple(round(x, 6) for x in a)}]", m2, -tol,
+            f"c0*(-R) - |A|^2 [corner {tuple(round(float(x), 6) for x in a)}]", m2, -tol,
             config={"a": list(a), "psi": float(psis[p2])}))
         max_cons = max(max_cons, cons)
         if ratio > max_ratio:

@@ -33,7 +33,13 @@ STATIONARY_TOL = 1e-4   # max |H_phi| for a chart to count as phi-stationary
 def _psi_pullback(geom, integrand):
     """B_ab = D^2 phi(nu)[dX/du_a, dX/du_b] at every node."""
     hess = integrand.hessian(geom.nu)
-    return np.einsum("...da,...de,...eb->...ab", geom.jac, hess, geom.jac)
+    jac_t = np.ascontiguousarray(np.swapaxes(geom.jac, -1, -2))
+    return jac_t @ (hess @ geom.jac)
+
+
+def _trace_product(P, Q):
+    """Per-node tr(P Q) of two stacks of square matrices."""
+    return np.einsum("...ab,...ba->...", P, Q)
 
 
 def phi_area(geom, integrand):
@@ -44,14 +50,17 @@ def phi_area(geom, integrand):
 
 
 def aniso_mean_curvature(geom, integrand):
-    """Per-node anisotropic mean curvature tr_M(Psi(nu) S)."""
+    """Per-node anisotropic mean curvature tr_M(Psi(nu) S) = tr(S g^{-1} B)."""
     B = _psi_pullback(geom, integrand)
-    return np.einsum("...ab,...bc,...cd,...da->...",
-                     geom.metric_inv, geom.second_form, geom.metric_inv, B)
+    return _trace_product(geom.shape_op @ geom.metric_inv, B)
 
 
-def is_phi_stationary(geom, integrand, tol=STATIONARY_TOL):
-    return float(np.abs(aniso_mean_curvature(geom, integrand)).max()) <= tol
+def is_phi_stationary(geom, integrand, tol=STATIONARY_TOL, hphi=None):
+    """max |H_phi| <= tol; ``hphi`` is aniso_mean_curvature(geom, integrand)
+    when the caller already holds it."""
+    if hphi is None:
+        hphi = aniso_mean_curvature(geom, integrand)
+    return float(np.abs(hphi).max()) <= tol
 
 
 # -- bump functions ----------------------------------------------------------
@@ -129,69 +138,125 @@ class VariationCheck:
         return self.__dict__.copy()
 
 
-def _numeric_phi_area(geom, integrand, u, t):
-    pert = geo.resample_normal_graph(geom, u, t)
-    return phi_area(pert, integrand)
+class NormalOracle:
+    """Resample-and-difference oracle for normal variations of one sampled
+    geometry.
 
-
-def first_variation_check(geom, integrand, u, step=None):
-    """Central difference of the functional under X -> X + t u nu versus
-    the closed formula int H_phi u dmu (Richardson across t and t/2).
-
-    The relative discrepancy is measured against |formula| + phi_area/10,
-    an absolute floor that keeps the ratio meaningful when the exact value
-    vanishes identically (stationary charts).
+    ``speeds`` maps names to node scalars u, each vanishing on two node
+    layers at the boundary.  The oracle perturbs the immersion to
+    X + tau u nu with tau in {+-t/2, +-t} (and tau = 0, the same immersion
+    for every speed), rebuilds each perturbed geometry from node positions
+    alone and keeps only what a phi-area needs: the normal and the area
+    density.  Each perturbed immersion is resampled once, on first use, so
+    the first and second variation of a speed and every integrand share
+    the same resamples.  The step t is half the smallest grid spacing.
     """
-    _check_compact_support(geom, u)
-    t = 0.5 * min(geom.spacings) if step is None else float(step)
 
-    def central(tau):
-        plus = _numeric_phi_area(geom, integrand, u, tau)
-        minus = _numeric_phi_area(geom, integrand, u, -tau)
-        return (plus - minus) / (2.0 * tau)
+    def __init__(self, geom, speeds):
+        for u in speeds.values():
+            _check_compact_support(geom, u)
+        self.geom = geom
+        self.speeds = dict(speeds)
+        self.step = 0.5 * min(geom.spacings)
+        self._weights = geom.node_weights()
+        self._resamples = {}
 
-    fd = (4.0 * central(t / 2.0) - central(t)) / 3.0
-    formula = geom.integrate(aniso_mean_curvature(geom, integrand) * u)
+    def _resample(self, speed, tau):
+        key = (speed, tau) if tau != 0.0 else (None, 0.0)
+        if key not in self._resamples:
+            u = self.speeds[speed] if tau != 0.0 else np.zeros(self.geom.shape)
+            pert = geo.resample_normal_graph(self.geom, u, tau)
+            self._resamples[key] = (pert.nu, pert.sqrt_det_g)
+        return self._resamples[key]
+
+    def phi_area(self, integrand, speed, tau):
+        """Phi-area of X + tau u nu, u the named speed."""
+        nu, sqrt_det_g = self._resample(speed, tau)
+        return float(np.sum(self._weights * (integrand.value(nu) * sqrt_det_g)))
+
+    def first_difference(self, integrand, speed):
+        """Central first difference of the phi-area, Richardson across t
+        and t/2."""
+        def central(tau):
+            return (self.phi_area(integrand, speed, tau)
+                    - self.phi_area(integrand, speed, -tau)) / (2.0 * tau)
+
+        t = self.step
+        return (4.0 * central(t / 2.0) - central(t)) / 3.0
+
+    def second_difference(self, integrand, speed):
+        """Central second difference of the phi-area, Richardson across t
+        and t/2."""
+        base = self.phi_area(integrand, speed, 0.0)
+
+        def second(tau):
+            return (self.phi_area(integrand, speed, tau) - 2.0 * base
+                    + self.phi_area(integrand, speed, -tau)) / (tau * tau)
+
+        t = self.step
+        return (4.0 * second(t / 2.0) - second(t)) / 3.0
+
+
+def _as_oracle(oracle, speed):
+    """(oracle, speed name); a bare sampled geometry with a node array
+    ``speed`` stands for a one-speed oracle of its own."""
+    if isinstance(oracle, NormalOracle):
+        return oracle, speed
+    return NormalOracle(oracle, {"u": speed}), "u"
+
+
+def _compare(fd, formula, geom, integrand, step):
+    """The relative discrepancy is measured against |formula| +
+    phi_area/10, an absolute floor that keeps the ratio meaningful when the
+    exact value vanishes identically (stationary charts)."""
     scale = abs(phi_area(geom, integrand))
     disc = abs(fd - formula)
     rel = disc / (abs(formula) + 0.1 * scale)
     return VariationCheck(fd_value=fd, formula_value=formula, discrepancy=disc,
-                          rel_discrepancy=rel, scale=scale, step=t)
+                          rel_discrepancy=rel, scale=scale, step=step)
+
+
+def first_variation_check(oracle, integrand, speed, hphi=None):
+    """Central difference of the functional under X -> X + t u nu versus
+    the closed formula int H_phi u dmu (Richardson across t and t/2).
+
+    ``oracle`` is a :class:`NormalOracle` and ``speed`` one of its speed
+    names (or a sampled geometry and a node array, see ``_as_oracle``);
+    ``hphi`` is aniso_mean_curvature of the oracle's geometry when the
+    caller already holds it.
+    """
+    oracle, speed = _as_oracle(oracle, speed)
+    geom = oracle.geom
+    if hphi is None:
+        hphi = aniso_mean_curvature(geom, integrand)
+    formula = geom.integrate(hphi * oracle.speeds[speed])
+    return _compare(oracle.first_difference(integrand, speed), formula, geom,
+                    integrand, oracle.step)
 
 
 def second_variation_form(geom, integrand, u):
     """Q(u) = int <grad u, Psi(nu) grad u> - tr_M(Psi(nu) S^2) u^2 dmu."""
     _check_compact_support(geom, u)
     B = _psi_pullback(geom, integrand)
-    du = geom.param_gradient(u)
     ginv = geom.metric_inv
-    grad_term = np.einsum("...a,...ab,...bc,...cd,...d->...", du, ginv, B, ginv, du)
+    raised = ginv @ geom.param_gradient(u)[..., None]
+    grad_term = (np.swapaxes(raised, -1, -2) @ B @ raised)[..., 0, 0]
     # tr(Psi S^2) = tr(S^2 g^{-1} B) in the parameter basis
-    S2 = np.einsum("...ab,...bc->...ac", geom.shape_op, geom.shape_op)
-    pot = np.einsum("...ab,...bc,...ca->...", S2, ginv, B)
+    pot = _trace_product(geom.shape_op @ geom.shape_op @ ginv, B)
     return geom.integrate(grad_term - pot * u * u)
 
 
-def second_variation_check(geom, integrand, u, step=None, stationary_tol=STATIONARY_TOL):
+def second_variation_check(oracle, integrand, speed, hphi=None,
+                           stationary_tol=STATIONARY_TOL):
     """Second central difference of the functional versus the assembled
-    quadratic form; only meaningful on phi-stationary charts (flagged)."""
-    _check_compact_support(geom, u)
-    t = 0.5 * min(geom.spacings) if step is None else float(step)
-    base = _numeric_phi_area(geom, integrand, u, 0.0)
-
-    def second(tau):
-        plus = _numeric_phi_area(geom, integrand, u, tau)
-        minus = _numeric_phi_area(geom, integrand, u, -tau)
-        return (plus - 2.0 * base + minus) / (tau * tau)
-
-    fd = (4.0 * second(t / 2.0) - second(t)) / 3.0
-    formula = second_variation_form(geom, integrand, u)
-    scale = abs(phi_area(geom, integrand))
-    disc = abs(fd - formula)
-    rel = disc / (abs(formula) + 0.1 * scale)
-    chk = VariationCheck(fd_value=fd, formula_value=formula, discrepancy=disc,
-                         rel_discrepancy=rel, scale=scale, step=t)
-    chk.stationary = is_phi_stationary(geom, integrand, stationary_tol)
+    quadratic form; only meaningful on phi-stationary charts (flagged).
+    Arguments as for :func:`first_variation_check`."""
+    oracle, speed = _as_oracle(oracle, speed)
+    geom = oracle.geom
+    formula = second_variation_form(geom, integrand, oracle.speeds[speed])
+    chk = _compare(oracle.second_difference(integrand, speed), formula, geom,
+                   integrand, oracle.step)
+    chk.stationary = is_phi_stationary(geom, integrand, stationary_tol, hphi)
     return chk
 
 

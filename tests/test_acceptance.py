@@ -13,6 +13,7 @@ import sys
 import time
 
 from anisocheck import acceptance as ac
+from anisocheck import cli
 
 
 def _check(name, records):
@@ -108,3 +109,16 @@ def test_criterion_10_run_all_deterministic_and_timed(tmp_path):
     finally:
         print(f"ACCEPTANCE [{status}] 10 end-to-end determinism and budget: "
               f"exit={codes} runtime={runtimes[0]:.1f}s")
+
+
+def test_record_names_hold_plain_numbers():
+    # numpy scalars must not leak their repr (np.float64(...)) into names
+    verify = cli.run({"command": "verify", "seed": 1234,
+                      "inputs": {"suites": ["quadratic_lemma", "curvature_pinch",
+                                            "ricci_bound", "kato"],
+                                 "samples": 2000, "grids": [20, 20, 36]}})
+    names = [r["name"] for r in verify["records"]]
+    names += [r.name for block in ac.run_all(seed=1234)["criteria"].values()
+              for r in block["records"]]
+    assert any("corner (1.0, 1.0, 1.414214)" in name for name in names)
+    assert not [name for name in names if "np." in name or "float64" in name]

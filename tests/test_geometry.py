@@ -139,6 +139,22 @@ def test_immersion_error_reports_location():
     with pytest.raises(geo.ImmersionError) as err:
         geo.sample_chart(bad, 17)
     assert "det g" in str(err.value)
+    # the first degenerate node in C order, located with np.linalg.det
+    shape = (17, 17, 17)
+    params, _ = geo._grid_for(bad.resolve_box(shape), shape, bad.periodic)
+    J = bad.jacobian(np.stack(np.meshgrid(*params, indexing="ij"), axis=-1))
+    det = np.linalg.det(np.swapaxes(J, -1, -2) @ J)
+    idx = np.unravel_index(np.argmax(det <= geo.DET_FLOOR), shape)
+    loc = tuple(float(params[a][idx[a]]) for a in range(3))
+    assert f"at parameters {loc}" in str(err.value)
+    # resample path: X = (u1, u2, u3 f(u1), 1) has det g = f(u1)^2 exactly,
+    # with f = ((1.1 - u1)/2)^6 below the floor from u1 = 5/6 on
+    g = geo.sample_chart(geo.Hyperplane(3, offset=1.0), 13)
+    X = g.X.copy()
+    X[..., 2] *= ((1.1 - X[..., 0]) / 2.0) ** 6
+    with pytest.raises(geo.ImmersionError) as err:
+        geo.geometry_from_positions(X, g.box, g.periodic, g.nu)
+    assert f"at parameters {(float(g.params[0][11]), -1.0, -1.0)}" in str(err.value)
 
 
 def test_resolution_floor_enforced():
@@ -193,3 +209,64 @@ def test_export_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].split(",")[:3] == ["u1", "u2", "X1"]
     assert len(lines) == 1 + 81
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_det_and_inverse_match_linalg(n):
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(2000, n, n))
+    near = m.copy()
+    near[:, 1] = 2.0 * m[:, 0] + 10.0 ** rng.uniform(-12, -2, size=(2000, 1)) \
+        * rng.normal(size=(2000, n))
+    for batch in (m, near):
+        det, adj = geo._cofactors(batch)
+        inv = adj / det[:, None, None]
+        # both routes are backward stable: forward errors scale with cond
+        bound = 8.0 * EPS * np.linalg.cond(batch)
+        ref = np.linalg.det(batch)
+        assert np.all(np.abs(det - ref) <= bound * np.abs(ref))
+        ref_inv = np.linalg.inv(batch)
+        assert np.all(np.abs(inv - ref_inv).max(axis=(1, 2))
+                      <= bound * np.abs(ref_inv).max(axis=(1, 2)))
+
+
+def test_cofactor_normal_matches_linalg_minors():
+    rng = np.random.default_rng(11)
+    frames = rng.normal(size=(2000, 4, 3))
+    near = frames.copy()
+    near[:, :, 2] = frames[:, :, 0] - 0.5 * frames[:, :, 1] \
+        + 10.0 ** rng.uniform(-12, -2, size=(2000, 1)) * rng.normal(size=(2000, 4))
+    rows = np.arange(4)
+    for jac in (frames, near):
+        ref = np.stack([(-1.0) ** i * np.linalg.det(jac[:, rows != i, :]) for i in range(4)],
+                       axis=-1)
+        raw = geo._generalized_cross(jac)
+        bound = 8.0 * EPS * np.linalg.cond(jac)
+        assert np.all(np.linalg.norm(raw - ref, axis=-1)
+                      <= bound * np.linalg.norm(ref, axis=-1))
+        # the unit normal is orthogonal to every column of the frame
+        unit = raw / np.linalg.norm(raw, axis=-1)[:, None]
+        assert np.all(np.abs(np.einsum("pd,pda->pa", unit, jac))
+                      <= bound[:, None] * np.linalg.norm(jac, axis=1))
+
+
+@pytest.mark.parametrize("c", [0.7, 1.0, 2.5])
+def test_catenoid3_height_is_an_elliptic_integral(c):
+    # z' = cosh(2t/c)^(-1/2) integrates to z = (c/sqrt2) F(beta | 1/2) with
+    # theta = gd(2t/c) = 2 arctan(tanh(t/c)) and sin beta = sqrt2 sin(theta/2)
+    from scipy.special import ellipkinc
+
+    t = np.linspace(-0.8, 0.8, 161)
+    theta = 2.0 * np.arctan(np.tanh(t / c))
+    beta = np.arcsin(np.sqrt(2.0) * np.sin(theta / 2.0))
+    exact = c / np.sqrt(2.0) * ellipkinc(beta, 0.5)
+    assert np.abs(geo._catenoid3_height(t, c) - exact).max() <= 1e-15
+    # position evaluates the height once per distinct t and broadcasts it
+    chart = geo.Catenoid3(scale=c)
+    g = geo.sample_chart(chart, 13)
+    assert np.array_equal(g.X[..., 3],
+                          np.broadcast_to(geo._catenoid3_height(g.params[0], c)[:, None, None],
+                                          g.shape))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisocheck import cli
 from anisocheck import geometry as geo
 from anisocheck import integrand as ig
 from anisocheck import variation as va
@@ -245,3 +246,59 @@ def test_bump_functions_vanish_on_two_layers():
                 outer = ~g.interior_mask(2)
                 if outer.any():
                     assert np.abs(u[outer]).max() == 0.0
+
+
+def _count_resamples(monkeypatch):
+    """Record every call of the resampling entry point."""
+    calls = []
+    build = geo.geometry_from_positions
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "geometry_from_positions", counting)
+    return calls
+
+
+def test_variation_job_resamples_each_immersion_once(monkeypatch):
+    calls = _count_resamples(monkeypatch)
+    job = {"command": "variation", "seed": 1,
+           "inputs": {"chart": {"kind": "catenoid_2", "n": 2},
+                      "integrand": {"kind": "isotropic", "dim": 3}, "resolution": 25,
+                      "tests": ["first_variation", "second_variation"]}}
+    report = cli.run(job)
+    assert report["pass"] and len(report["records"]) == 6
+    # 3 bumps x {+-t, +-t/2}, plus the unperturbed base shared by every bump
+    assert len(calls) == 13
+    calls.clear()
+    job["inputs"]["tests"] = ["first_variation"]
+    cli.run(job)
+    assert len(calls) == 12
+
+
+def test_oracle_shares_resamples_across_integrands(monkeypatch, iso3):
+    calls = _count_resamples(monkeypatch)
+    mild = ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.1]))
+    counts = []
+    for integrands in ([iso3], [iso3, mild]):
+        calls.clear()
+        g = geo.sample_chart(geo.catalog(2)["catenoid_2"], 17)
+        oracle = va.NormalOracle(g, {b: va.bump_function(g, b) for b in va.BUMP_NAMES})
+        for integ in integrands:
+            for bump in va.BUMP_NAMES:
+                va.first_variation_check(oracle, integ, bump)
+                va.second_variation_check(oracle, integ, bump)
+        counts.append(len(calls))
+    assert counts == [13, 13]
+
+
+def test_shared_oracle_matches_one_speed_oracles(iso3):
+    # sharing resamples changes no value: each check equals the same check
+    # on an oracle built for its speed alone
+    g = geo.sample_chart(geo.catalog(2)["catenoid_2"], 17)
+    speeds = {b: va.bump_function(g, b) for b in va.BUMP_NAMES}
+    shared = va.NormalOracle(g, speeds)
+    for bump, u in speeds.items():
+        for check in (va.first_variation_check, va.second_variation_check):
+            assert check(shared, iso3, bump).as_dict() == check(g, iso3, u).as_dict()

@@ -30,7 +30,7 @@ from . import integrand as ig
 from . import mubble as mb
 from . import schema as sch
 from . import variation as va
-from .checks import ORDER_MIN, Check, ge, le, order_ok, refinement_order
+from .checks import Check, ge, le
 
 
 def _provenance(seed, variant=None):
@@ -116,19 +116,13 @@ def _run_variation(inputs, seed, out_dir):
         # one oracle: the checks share every resampled immersion
         oracle = va.NormalOracle(g, {b: va.bump_function(g, b) for b in va.BUMP_NAMES})
         hphi = va.aniso_mean_curvature(g, integ)
-    if "first_variation" in tests:
-        for bump in va.BUMP_NAMES:
-            chk = va.first_variation_check(oracle, integ, bump, hphi)
-            records.append(le(f"first variation rel discrepancy [{bump}]",
-                              chk.rel_discrepancy, ac.REL_TOL, **chk.as_dict()))
-    if "second_variation" in tests:
-        if va.is_phi_stationary(g, integ, hphi=hphi):
-            for bump in va.BUMP_NAMES:
-                chk = va.second_variation_check(oracle, integ, bump, hphi)
-                records.append(le(f"second variation rel discrepancy [{bump}]",
-                                  chk.rel_discrepancy, ac.REL_TOL, **chk.as_dict()))
-        else:
-            extras["second_variation"] = "skipped: chart is not phi-stationary"
+        kinds = ["first"] if "first_variation" in tests else []
+        if "second_variation" in tests:
+            if va.is_phi_stationary(g, integ, hphi=hphi):
+                kinds.append("second")
+            else:
+                extras["second_variation"] = "skipped: chart is not phi-stationary"
+        records += ac.variation_records(oracle, integ, hphi, kinds).values()
     if "vectorfield" in tests:
         resid, interior, boundary, stat = va.vectorfield_first_variation(
             g, integ, va.VectorField.position())
@@ -171,36 +165,17 @@ def _run_conformal(inputs, seed, out_dir):
     g = geo.sample_chart(chart, res)
     cg = cf.deform(g)
     records = []
-    extras = {}
     if "qform" in tests:
-        fine = geo.sample_chart(chart, 2 * res - 1)
-        cf_fine = cf.deform(fine)
-        d0 = cf.qform_identity_check(cg, va.bump_function(g, "centered"), lam)
-        d1 = cf.qform_identity_check(cf_fine, va.bump_function(fine, "centered"), lam)
-        order = refinement_order(d0.discrepancy, d1.discrepancy, 1e-11)
-        rel = d1.discrepancy / max(1.0, abs(d1.derived))
-        records.append(Check("qform identity refinement order", order, ORDER_MIN,
-                             order_ok(order, rel, ac.ORDER_FLOOR_REL),
-                             {"coarse": d0.as_dict(), "fine": d1.as_dict()}))
+        records.append(ac.qform_order_check(
+            "qform identity refinement order",
+            [cg, cf.deform(geo.sample_chart(chart, 2 * res - 1))], lam))
     if "laplace_r" in tests:
-        r0 = geo.laplace_r_check(g)
-        r1 = geo.laplace_r_check(geo.sample_chart(chart, 2 * res - 1))
-        records.append(ge("radial Laplacian identity order",
-                          refinement_order(r0, r1, 1e-12), ORDER_MIN, residuals=[r0, r1]))
+        records.append(ac.laplace_r_order_check(
+            "radial Laplacian identity order", [g, geo.sample_chart(chart, 2 * res - 1)]))
     if "distance" in tests:
-        rng = np.random.default_rng(seed)
-        lo = [b[0] for b in chart.box]
-        hi = [b[1] for b in chart.box]
-        worst = math.inf
-        for _ in range(6):
-            pts = lo + rng.random((10, chart.n)) * (np.array(hi) - lo)
-            dense = [a + tt * (b - a) for a, b in zip(pts[:-1], pts[1:])
-                     for tt in [np.linspace(0, 1, 60)[:, None]]]
-            chk = cf.distance_comparison_check(chart, np.concatenate(dense))
-            worst = min(worst, chk.margin)
-            if chk.intrinsic_margin is not None:
-                worst = min(worst, chk.intrinsic_margin)
-        records.append(ge("distance comparison worst margin", worst, -1e-6))
+        records.append(ac.distance_margin_check("distance comparison worst margin",
+                                                [chart], np.random.default_rng(seed),
+                                                6, 10, 60))
     if "lambda1" in tests:
         est = cf.lambda1_estimate(cg, lambda_target=lam)
         integ_spec = inputs.get("integrand", {"kind": "isotropic", "dim": chart.dim})
@@ -215,7 +190,7 @@ def _run_conformal(inputs, seed, out_dir):
                                  {"warning": "chart is not a certified stable "
                                              "stationary piece; estimate reported only",
                                   **est.as_dict()}))
-    return records, extras
+    return records, {}
 
 
 def _run_mubble(inputs, seed, out_dir):
@@ -225,19 +200,7 @@ def _run_mubble(inputs, seed, out_dir):
                           n_grid=int(spec.get("n_grid", 4001)))
     eps = float(spec.get("eps", 0.1))
     amplitude = inputs.get("amplitude", "sqrt-lambda")
-    records = [le("witness residual", mb.supersolution_residual(model), 1e-6)]
-    prof = mb.build_phi_h(model, eps=eps, amplitude=amplitude)
-    m_model, cfg = mb.check_h_condition(prof, "model")
-    m_budget, _ = mb.check_h_condition(prof, "budget")
-    records.append(ge("slope condition margin (model lip)", m_model, -1e-10, **cfg))
-    records.append(ge("slope condition margin (lip budget)", m_budget, -1e-10))
-    sol = mb.minimize_A(model, eps=eps, amplitude=amplitude)
-    concl = mb.verify_conclusions(sol)
-    records.append(ge("boundary area margin", concl.area_margin, -1e-8,
-                      solution=sol.as_dict()))
-    records.append(ge("diameter margin", concl.diameter_margin, -1e-8))
-    records.append(ge("containment margin", concl.containment_margin, -1e-8))
-    records.append(ge("minimality certificate", concl.minimality_slack, -1e-8))
+    records, prof, _ = ac.bubble_checks(model, eps, amplitude)
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -281,15 +244,8 @@ def _run_verify(inputs, seed, out_dir):
 
 
 def _run_all(inputs, seed, out_dir):
-    report = ac.run_all(seed=seed)
-    records = []
-    for crit, block in report["criteria"].items():
-        records += [r.prefixed(f"{crit}: ") for r in block["records"]]
-        records.append(ge(f"{crit}: all records pass", float(block["pass"]), 1.0,
-                          runtime_s=block["runtime_s"]))
-    records.append(le("total runtime within 600 s", report["total_runtime_s"], 600.0))
-    return records, {"criteria_runtimes":
-                     {k: v["runtime_s"] for k, v in report["criteria"].items()}}
+    records, runtimes = ac.run_all(seed=seed)
+    return records, {"criteria_runtimes": runtimes}
 
 
 _RUNNERS = {

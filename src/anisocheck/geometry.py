@@ -264,6 +264,12 @@ def _generalized_cross(jac):
     raise ValueError("only ambient dimensions 3 and 4 are supported")
 
 
+def _first_location(bad, params):
+    """'at parameters (u1, ..., un)' of the first flagged node in C order."""
+    idx = np.unravel_index(np.argmax(bad), bad.shape)
+    return f"at parameters {tuple(float(p[i]) for p, i in zip(params, idx))}"
+
+
 def _assemble(chart_name, n, dim, box, shape, periodic, spacings, params,
               X, jac, d2X, nu, pole_ends=()):
     g = np.ascontiguousarray(np.swapaxes(jac, -1, -2)) @ jac
@@ -271,10 +277,9 @@ def _assemble(chart_name, n, dim, box, shape, periodic, spacings, params,
     bad = det <= DET_FLOOR
     if np.any(bad):
         idx = np.unravel_index(np.argmax(bad), det.shape)
-        loc = tuple(float(params[a][idx[a]]) for a in range(n))
         raise ImmersionError(
             f"degenerate metric on chart {chart_name!r}: det g = {det[idx]:.3e} "
-            f"at parameters {loc}"
+            f"{_first_location(bad, params)}"
         )
     ginv = adj / det[..., None, None]
     hform = -np.einsum("...d,...dab->...ab", nu, d2X)
@@ -343,7 +348,12 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
         axis=-2,
     )
     raw = _generalized_cross(jac)
-    nu = raw / np.linalg.norm(raw, axis=-1)[..., None]
+    norm = np.linalg.norm(raw, axis=-1)
+    bad = ~(np.isfinite(norm) & (norm > 0.0))
+    if np.any(bad):
+        raise ImmersionError(f"zero or non-finite numeric normal on chart {chart_name!r} "
+                             f"{_first_location(bad, params)}")
+    nu = raw / norm[..., None]
     flip = np.sign(np.einsum("...d,...d->...", nu, ref_nu))
     if np.any(flip == 0):
         raise ImmersionError("numeric normal orthogonal to reference normal")

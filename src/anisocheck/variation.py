@@ -197,14 +197,6 @@ class NormalOracle:
         return (4.0 * second(t / 2.0) - second(t)) / 3.0
 
 
-def _as_oracle(oracle, speed):
-    """(oracle, speed name); a bare sampled geometry with a node array
-    ``speed`` stands for a one-speed oracle of its own."""
-    if isinstance(oracle, NormalOracle):
-        return oracle, speed
-    return NormalOracle(oracle, {"u": speed}), "u"
-
-
 def _compare(fd, formula, geom, integrand, step):
     """The relative discrepancy is measured against |formula| +
     phi_area/10, an absolute floor that keeps the ratio meaningful when the
@@ -221,11 +213,9 @@ def first_variation_check(oracle, integrand, speed, hphi=None):
     the closed formula int H_phi u dmu (Richardson across t and t/2).
 
     ``oracle`` is a :class:`NormalOracle` and ``speed`` one of its speed
-    names (or a sampled geometry and a node array, see ``_as_oracle``);
-    ``hphi`` is aniso_mean_curvature of the oracle's geometry when the
-    caller already holds it.
+    names; ``hphi`` is aniso_mean_curvature of the oracle's geometry when
+    the caller already holds it.
     """
-    oracle, speed = _as_oracle(oracle, speed)
     geom = oracle.geom
     if hphi is None:
         hphi = aniso_mean_curvature(geom, integrand)
@@ -251,7 +241,6 @@ def second_variation_check(oracle, integrand, speed, hphi=None,
     """Second central difference of the functional versus the assembled
     quadratic form; only meaningful on phi-stationary charts (flagged).
     Arguments as for :func:`first_variation_check`."""
-    oracle, speed = _as_oracle(oracle, speed)
     geom = oracle.geom
     formula = second_variation_form(geom, integrand, oracle.speeds[speed])
     chk = _compare(oracle.second_difference(integrand, speed), formula, geom,

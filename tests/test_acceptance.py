@@ -8,12 +8,15 @@ status.
 """
 
 import json
+import math
 import subprocess
 import sys
 import time
 
 from anisocheck import acceptance as ac
 from anisocheck import cli
+from anisocheck import geometry as geo
+from anisocheck import mubble as mb
 
 
 def _check(name, records):
@@ -118,7 +121,28 @@ def test_record_names_hold_plain_numbers():
                                             "ricci_bound", "kato"],
                                  "samples": 2000, "grids": [20, 20, 36]}})
     names = [r["name"] for r in verify["records"]]
-    names += [r.name for block in ac.run_all(seed=1234)["criteria"].values()
-              for r in block["records"]]
+    names += [r.name for r in ac.run_all(seed=1234)[0]]
     assert any("corner (1.0, 1.0, 1.414214)" in name for name in names)
     assert not [name for name in names if "np." in name or "float64" in name]
+
+
+def test_cli_runners_and_criteria_share_builders():
+    # a CLI conformal job at resolution 13 refines (13, 25), criterion 7's
+    # RES_3D, on its catalog cone
+    chart = {"kind": "cone", "n": 3, "theta_range": [math.pi / 4, 3 * math.pi / 4]}
+    report = cli.run({"command": "conformal", "seed": 1,
+                      "inputs": {"chart": chart, "resolution": 13,
+                                 "tests": ["laplace_r"]}})
+    crit = ac.laplace_r_order_check(
+        "radial Laplacian identity order [cone]",
+        [geo.sample_chart(geo.catalog(3)["cone"], res) for res in ac.RES_3D])
+    assert report["records"][0]["value"] == crit.value
+    # a CLI mubble job on the catalog cylinder reports criterion 8's seven
+    # shared "cylinder ..." records
+    report = cli.run({"command": "mubble", "seed": 1,
+                      "inputs": {"model": {"profile": "cylinder", "T": 20,
+                                           "lambda": 1.0}}})
+    shared, _, _ = ac.bubble_checks(mb.catalog()["cylinder"])
+    assert len(shared) == 7
+    assert [dict(r, name="cylinder " + r["name"]) for r in report["records"]] \
+        == [r.prefixed("cylinder ").as_dict() for r in shared]

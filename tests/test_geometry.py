@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,16 @@ def test_immersion_error_reports_location():
     with pytest.raises(geo.ImmersionError) as err:
         geo.geometry_from_positions(X, g.box, g.periodic, g.nu)
     assert f"at parameters {(float(g.params[0][11]), -1.0, -1.0)}" in str(err.value)
+    # with f = ((1 - u1)/2)^6 the last u1 layer has a zero numeric normal:
+    # rejected with its location before orientation, and without a warning
+    X = g.X.copy()
+    X[..., 2] *= ((1.0 - X[..., 0]) / 2.0) ** 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(geo.ImmersionError) as err:
+            geo.geometry_from_positions(X, g.box, g.periodic, g.nu)
+    assert "numeric normal" in str(err.value)
+    assert "at parameters (1.0, -1.0, " in str(err.value)
 
 
 def test_resolution_floor_enforced():

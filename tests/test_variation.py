@@ -47,14 +47,15 @@ def test_aniso_mean_curvature_nonconstant_on_sphere():
     g = geo.sample_chart(geo.catalog(3)["sphere"], 25)
     hphi = va.aniso_mean_curvature(g, quad)
     assert hphi.std() > 1e-2
-    chk = va.first_variation_check(g, quad, va.bump_function(g, "centered"))
+    oracle = va.NormalOracle(g, {"u": va.bump_function(g, "centered")})
+    chk = va.first_variation_check(oracle, quad, "u")
     assert chk.rel_discrepancy <= 1e-3
 
 
 def test_first_variation_sphere_isotropic(iso4):
     g = geo.sample_chart(geo.Sphere(3, radius=1.0), 17)
     u = va.bump_function(g, "centered")
-    chk = va.first_variation_check(g, iso4, u)
+    chk = va.first_variation_check(va.NormalOracle(g, {"u": u}), iso4, "u")
     # formula side is the integral of (3/rho) u
     assert chk.formula_value == pytest.approx(g.integrate(3.0 * u), rel=1e-12)
     assert chk.rel_discrepancy <= 1e-3
@@ -64,7 +65,7 @@ def test_first_variation_flat_identically_zero():
     mild = ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.0, 1.1]))
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0), 13)
     u = va.bump_function(g, "centered")
-    chk = va.first_variation_check(g, mild, u)
+    chk = va.first_variation_check(va.NormalOracle(g, {"u": u}), mild, "u")
     assert chk.formula_value == 0.0
     assert chk.rel_discrepancy <= 1e-3
 
@@ -73,7 +74,7 @@ def test_boundary_supported_speed_rejected(iso4):
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0), 13)
     u = np.ones(g.shape)
     with pytest.raises(ValueError):
-        va.first_variation_check(g, iso4, u)
+        va.first_variation_check(va.NormalOracle(g, {"u": u}), iso4, "u")
 
 
 def test_second_variation_form_sphere_reduction(iso4):
@@ -87,12 +88,13 @@ def test_second_variation_form_sphere_reduction(iso4):
 def test_second_variation_matches_fd_on_stationary_charts(iso3):
     cat = geo.sample_chart(geo.Catenoid2(1.0, (-1, 1)), (25, 50))
     u = va.bump_function(cat, "centered")
-    chk = va.second_variation_check(cat, iso3, u)
+    chk = va.second_variation_check(va.NormalOracle(cat, {"u": u}), iso3, "u")
     assert chk.stationary
     assert chk.rel_discrepancy <= 1e-3
     mild = ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.1]))
     plane = geo.sample_chart(geo.Hyperplane(2, offset=1.0), 25)
-    chk2 = va.second_variation_check(plane, mild, va.bump_function(plane, "offset"))
+    offset = va.NormalOracle(plane, {"u": va.bump_function(plane, "offset")})
+    chk2 = va.second_variation_check(offset, mild, "u")
     assert chk2.rel_discrepancy <= 1e-3
     # flat chart, pinched integrand: Q(u) >= int |grad u|^2 > 0
     assert chk2.formula_value > 0.0
@@ -301,4 +303,5 @@ def test_shared_oracle_matches_one_speed_oracles(iso3):
     shared = va.NormalOracle(g, speeds)
     for bump, u in speeds.items():
         for check in (va.first_variation_check, va.second_variation_check):
-            assert check(shared, iso3, bump).as_dict() == check(g, iso3, u).as_dict()
+            alone = va.NormalOracle(g, {"u": u})
+            assert check(shared, iso3, bump).as_dict() == check(alone, iso3, "u").as_dict()

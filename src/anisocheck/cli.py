@@ -159,19 +159,21 @@ def _run_variation(inputs, seed, out_dir):
 def _run_conformal(inputs, seed, out_dir):
     chart = sch.build_chart(inputs["chart"])
     res = int(inputs.get("resolution", 21 if chart.n == 2 else 13))
-    # the refinement companions below double a scalar resolution
-    tests = inputs.get("tests", ["qform"])
+    tests = set(inputs.get("tests", ["qform"]))
     lam = float(inputs.get("lambda", 0.75 if chart.n == 3 else 0.0))
-    g = geo.sample_chart(chart, res)
-    cg = cf.deform(g)
+    if tests & {"qform", "laplace_r", "lambda1"}:
+        g = geo.sample_chart(chart, res)
+        cg = cf.deform(g)
+    if tests & {"qform", "laplace_r"}:
+        # the refinement companion doubles a scalar resolution
+        fine = geo.sample_chart(chart, 2 * res - 1)
     records = []
     if "qform" in tests:
         records.append(ac.qform_order_check(
-            "qform identity refinement order",
-            [cg, cf.deform(geo.sample_chart(chart, 2 * res - 1))], lam))
+            "qform identity refinement order", [cg, cf.deform(fine)], lam))
     if "laplace_r" in tests:
         records.append(ac.laplace_r_order_check(
-            "radial Laplacian identity order", [g, geo.sample_chart(chart, 2 * res - 1)]))
+            "radial Laplacian identity order", [g, fine]))
     if "distance" in tests:
         records.append(ac.distance_margin_check("distance comparison worst margin",
                                                 [chart], np.random.default_rng(seed),

@@ -37,12 +37,6 @@ class ConformalGeometry:
     def n(self):
         return self.base.n
 
-    def integrate_tilde(self, density=None):
-        """Quadrature against the deformed measure w^n dmu."""
-        wn = self.w**self.base.n
-        f = wn if density is None else np.asarray(density) * wn
-        return self.base.integrate(f)
-
 
 def deform(geom):
     """Conformal geometry of r^-2 g; requires r >= 1e-3 on the chart."""
@@ -163,9 +157,9 @@ def curve_gtilde_length(chart, curve_params):
     direction = b - a
 
     def speed(u):
-        J = chart.jacobian(u)
+        X, J, _, _ = chart.frame(u)
         vel = np.einsum("...da,...a->...d", J, direction)
-        r = np.linalg.norm(chart.position(u), axis=-1)
+        r = np.linalg.norm(X, axis=-1)
         if np.any(r <= 0.0):
             raise ValueError("curve passes through the ambient origin")
         return np.linalg.norm(vel, axis=-1) / r
@@ -191,7 +185,7 @@ def distance_comparison_check(chart, curve_params):
     distance to the origin preimage (radial charts)."""
     pts = np.asarray(curve_params, dtype=float)
     D = curve_gtilde_length(chart, pts)
-    ends = chart.position(pts[[0, -1]])
+    ends = chart.frame(pts[[0, -1]])[0]
     r0, r1 = np.linalg.norm(ends, axis=-1)
     log_ratio = abs(float(np.log(r1) - np.log(r0)))
     intrinsic = None

@@ -93,9 +93,6 @@ class ConstantsTable:
         self.entries[name] = ConstantEntry(name, expression, exact, float(value),
                                            description)
 
-    def __getitem__(self, name):
-        return self.entries[name]
-
     def value(self, name):
         return self.entries[name].value
 

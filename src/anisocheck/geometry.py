@@ -116,9 +116,6 @@ class SampledGeometry:
     pole_ends: tuple = ()
     _deriv_mats: list = field(default_factory=list, repr=False)
 
-    def deriv_matrix(self, axis):
-        return self._deriv_mats[axis]
-
     def interior_mask(self, layers=2):
         """Mask excluding ``layers`` node layers at non-periodic edges."""
         mask = np.ones(self.shape, dtype=bool)
@@ -174,12 +171,6 @@ class SampledGeometry:
         return np.stack(
             [apply_derivative(f, self._deriv_mats[a], a) for a in range(self.n)], axis=-1
         )
-
-    def ambient_gradient(self, f):
-        """Tangential gradient of a node scalar as an ambient vector."""
-        df = self.param_gradient(f)
-        raised = np.einsum("...ab,...b->...a", self.metric_inv, df)
-        return np.einsum("...da,...a->...d", self.jac, raised)
 
     def grad_norm_sq(self, f):
         df = self.param_gradient(f)
@@ -321,10 +312,7 @@ def sample_chart(chart, shape):
     box = chart.resolve_box(shape)
     params, spacings = _grid_for(box, shape, chart.periodic)
     U = np.stack(np.meshgrid(*params, indexing="ij"), axis=-1)
-    X = chart.position(U)
-    jac = chart.jacobian(U)
-    d2X = chart.second_derivatives(U)
-    nu = chart.normal(U)
+    X, jac, d2X, nu = chart.frame(U)
     return _assemble(chart.name, chart.n, chart.dim, box, shape, chart.periodic,
                      spacings, params, X, jac, d2X, nu, pole_ends=chart.pole_ends)
 
@@ -384,12 +372,8 @@ def resample_normal_graph(geom, u, t):
 # -- per-node linear algebra -------------------------------------------------
 
 
-def gauss_scalar(shape_op, metric=None):
-    """Scalar curvature from the shape operator: (tr S)^2 - tr(S^2).
-
-    ``metric`` is accepted for signature completeness; traces of an
-    endomorphism do not depend on it.
-    """
+def gauss_scalar(shape_op):
+    """Scalar curvature from the shape operator: (tr S)^2 - tr(S^2)."""
     S = np.asarray(shape_op)
     H = np.einsum("...aa->...", S)
     A2 = np.einsum("...ab,...ba->...", S, S)
@@ -517,6 +501,14 @@ def export_csv(geom, path):
 # -- chart catalog ------------------------------------------------------------
 
 
+def _circle(theta):
+    """S^1 direction and derivatives from theta: omega (2,), d_omega (2,1),
+    d2_omega (2,1,1)."""
+    omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    d = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)[..., None]
+    return omega, d, -omega[..., None, None]
+
+
 def _sphere2(angles):
     """S^2 direction and derivatives from (theta, phi): omega, d_omega (3,2),
     d2_omega (3,2,2)."""
@@ -536,32 +528,10 @@ def _sphere2(angles):
     return omega, d, dd
 
 
-def _sphere3(angles):
-    """S^3 direction and derivatives from (theta1, theta2, theta3)."""
-    t1 = angles[..., 0]
-    s1, c1 = np.sin(t1), np.cos(t1)
-    eta, deta, ddeta = _sphere2(angles[..., 1:])
-    omega = np.concatenate([s1[..., None] * eta, c1[..., None]], axis=-1)
-    d = np.zeros(omega.shape + (3,))
-    d[..., :3, 0] = c1[..., None] * eta
-    d[..., 3, 0] = -s1
-    d[..., :3, 1] = s1[..., None] * deta[..., 0]
-    d[..., :3, 2] = s1[..., None] * deta[..., 1]
-    dd = np.zeros(omega.shape + (3, 3))
-    dd[..., :, 0, 0] = -omega
-    dd[..., :3, 0, 1] = c1[..., None] * deta[..., 0]
-    dd[..., :3, 0, 2] = c1[..., None] * deta[..., 1]
-    dd[..., :3, 1, 0] = dd[..., :3, 0, 1]
-    dd[..., :3, 2, 0] = dd[..., :3, 0, 2]
-    dd[..., :3, 1, 1] = s1[..., None] * ddeta[..., 0, 0]
-    dd[..., :3, 1, 2] = s1[..., None] * ddeta[..., 0, 1]
-    dd[..., :3, 2, 1] = dd[..., :3, 1, 2]
-    dd[..., :3, 2, 2] = s1[..., None] * ddeta[..., 1, 1]
-    return omega, d, dd
-
-
 class Chart:
-    """Base class: subclasses provide position/jacobian/second/normal."""
+    """Base class: subclasses provide ``frame(u)``, which returns the
+    position X, the Jacobian dX/du (dim, n), the second derivatives
+    d^2X/du^2 (dim, n, n) and the unit normal nu at parameter points u."""
 
     name = "chart"
     #: (axis, side) pairs whose box end sits on a coordinate degeneracy
@@ -591,13 +561,49 @@ class Chart:
                 box[a][1] -= pad
         return [tuple(b) for b in box]
 
-    def dilate(self, factor):
-        raise NotImplementedError(f"{self.name} has no dilation rule")
 
-    # subclasses implement: position, jacobian, second_derivatives, normal
+class Revolution(Chart):
+    """Hypersurface of revolution X = (rho(t) omega, z(t)) with omega on the
+    unit sphere S^{n-1} (S^1 for n = 2, S^2 for n = 3).
+
+    The profile parameter t is the first axis (the last one where
+    ``profile_axis = -1``); the remaining axes parametrize omega.  A family
+    supplies ``_profile(t)``, which returns (rho, rho', rho'', z, z', z'')
+    and the normal components (n_rho, n_z) with nu = (n_rho omega, n_z).
+    """
+
+    profile_axis = 0
+
+    def frame(self, u):
+        n = self.n
+        p = self.profile_axis % n
+        links = [a for a in range(n) if a != p]
+        om, dom, ddom = _circle(u[..., links[0]]) if n == 2 else _sphere2(u[..., links])
+        (rho, rho1, rho2, z, z1, z2), (n_rho, n_z) = self._profile(u[..., p])
+        rho, rho1, rho2, n_rho = (np.asarray(f, dtype=float)[..., None]
+                                  for f in (rho, rho1, rho2, n_rho))
+        shp = u.shape[:-1]
+        X = np.empty(shp + (n + 1,))
+        X[..., :n] = rho * om
+        X[..., n] = z
+        J = np.zeros(shp + (n + 1, n))
+        J[..., :n, p] = rho1 * om
+        J[..., n, p] = z1
+        d2 = np.zeros(shp + (n + 1, n, n))
+        d2[..., :n, p, p] = rho2 * om
+        d2[..., n, p, p] = z2
+        for i, a in enumerate(links):
+            J[..., :n, a] = rho * dom[..., i]
+            d2[..., :n, p, a] = d2[..., :n, a, p] = rho1 * dom[..., i]
+            for j, b in enumerate(links):
+                d2[..., :n, a, b] = rho * ddom[..., i, j]
+        nu = np.empty(shp + (n + 1,))
+        nu[..., :n] = n_rho * om
+        nu[..., n] = n_z
+        return X, J, d2, nu
 
 
-class Hyperplane(Chart):
+class Hyperplane(Revolution):
     """Flat chart in the coordinate hyperplane x_d = offset.
 
     Cartesian by default; ``polar=True`` uses radial coordinates in the
@@ -620,73 +626,19 @@ class Hyperplane(Chart):
         super().__init__(n, box, periodic)
         self.name = f"hyperplane{'_polar' if polar else ''}{n}"
 
-    def _plane_point(self, u):
-        if not self.polar:
-            return u
-        if self.n == 2:
-            s, th = u[..., 0], u[..., 1]
-            return np.stack([s * np.cos(th), s * np.sin(th)], axis=-1)
-        s = u[..., 0]
-        om, _, _ = _sphere2(u[..., 1:])
-        return s[..., None] * om
+    def _profile(self, s):
+        return (s, 1.0, 0.0, self.offset, 0.0, 0.0), (0.0, 1.0)
 
-    def position(self, u):
-        p = self._plane_point(u)
-        off = np.full(p.shape[:-1] + (1,), self.offset)
-        return np.concatenate([p, off], axis=-1)
-
-    def jacobian(self, u):
+    def frame(self, u):
+        if self.polar:
+            return super().frame(u)
         shp = u.shape[:-1]
+        X = np.concatenate([u, np.full(shp + (1,), self.offset)], axis=-1)
         J = np.zeros(shp + (self.dim, self.n))
-        if not self.polar:
-            for a in range(self.n):
-                J[..., a, a] = 1.0
-            return J
-        if self.n == 2:
-            s, th = u[..., 0], u[..., 1]
-            J[..., 0, 0], J[..., 1, 0] = np.cos(th), np.sin(th)
-            J[..., 0, 1], J[..., 1, 1] = -s * np.sin(th), s * np.cos(th)
-            return J
-        s = u[..., 0]
-        om, dom, _ = _sphere2(u[..., 1:])
-        J[..., :3, 0] = om
-        J[..., :3, 1] = s[..., None] * dom[..., 0]
-        J[..., :3, 2] = s[..., None] * dom[..., 1]
-        return J
-
-    def second_derivatives(self, u):
-        shp = u.shape[:-1]
-        d2 = np.zeros(shp + (self.dim, self.n, self.n))
-        if not self.polar:
-            return d2
-        if self.n == 2:
-            s, th = u[..., 0], u[..., 1]
-            d2[..., 0, 0, 1] = -np.sin(th)
-            d2[..., 1, 0, 1] = np.cos(th)
-            d2[..., :, 1, 0] = d2[..., :, 0, 1]
-            d2[..., 0, 1, 1] = -s * np.cos(th)
-            d2[..., 1, 1, 1] = -s * np.sin(th)
-            return d2
-        s = u[..., 0]
-        om, dom, ddom = _sphere2(u[..., 1:])
-        d2[..., :3, 0, 1] = dom[..., 0]
-        d2[..., :3, 0, 2] = dom[..., 1]
-        d2[..., :3, 1, 0] = dom[..., 0]
-        d2[..., :3, 2, 0] = dom[..., 1]
-        for a in range(2):
-            for b in range(2):
-                d2[..., :3, 1 + a, 1 + b] = s[..., None] * ddom[..., a, b]
-        return d2
-
-    def normal(self, u):
-        nu = np.zeros(u.shape[:-1] + (self.dim,))
+        J[..., np.arange(self.n), np.arange(self.n)] = 1.0
+        nu = np.zeros(shp + (self.dim,))
         nu[..., -1] = 1.0
-        return nu
-
-    def dilate(self, factor):
-        box = [(factor * lo, factor * hi) if (self.polar and a == 0) or not self.polar
-               else (lo, hi) for a, (lo, hi) in enumerate(self.box)]
-        return Hyperplane(self.n, offset=factor * self.offset, box=box, polar=self.polar)
+        return X, J, np.zeros(shp + (self.dim, self.n, self.n)), nu
 
     def intrinsic_radius(self, u):
         """Exact intrinsic distance to the origin preimage; only defined for
@@ -696,7 +648,7 @@ class Hyperplane(Chart):
         return np.asarray(u, dtype=float)[..., 0]
 
 
-class Sphere(Chart):
+class Sphere(Revolution):
     """Round sphere of radius rho about ``center``, outward normal."""
 
     def __init__(self, n=3, radius=1.0, center=None, box=None):
@@ -721,32 +673,24 @@ class Sphere(Chart):
         self.pole_ends = tuple(ends)
         self.name = f"sphere{n}"
 
-    def _omega(self, u):
-        return _sphere2(u) if self.n == 2 else _sphere3(u)
+    def _profile(self, t):
+        st, ct = np.sin(t), np.cos(t)
+        R = self.radius
+        return (R * st, R * ct, -R * st, R * ct, -R * st, -R * ct), (st, ct)
 
-    def position(self, u):
-        om, _, _ = self._omega(u)
-        return self.center + self.radius * om
-
-    def jacobian(self, u):
-        _, dom, _ = self._omega(u)
-        return self.radius * dom
-
-    def second_derivatives(self, u):
-        _, _, ddom = self._omega(u)
-        return self.radius * ddom
-
-    def normal(self, u):
-        om, _, _ = self._omega(u)
-        return om
+    def frame(self, u):
+        X, J, d2, nu = super().frame(u)
+        return self.center + X, J, d2, nu
 
     def dilate(self, factor):
         return Sphere(self.n, radius=factor * self.radius, center=factor * self.center,
                       box=self.box)
 
 
-class Cylinder(Chart):
+class Cylinder(Revolution):
     """Product of a round sphere of radius ``a`` with a line segment."""
+
+    profile_axis = -1
 
     def __init__(self, n=3, link_radius=1.0, z_range=(-1.0, 1.0), theta_range=None):
         self.a = float(link_radius)
@@ -761,41 +705,11 @@ class Cylinder(Chart):
         super().__init__(n, box, periodic)
         self.name = f"cylinder{n}"
 
-    def _link(self, u):
-        if self.n == 2:
-            th = u[..., 0]
-            om = np.stack([np.cos(th), np.sin(th)], axis=-1)
-            dom = np.stack([-np.sin(th), np.cos(th)], axis=-1)[..., None]
-            ddom = -om[..., None, None]
-            return om, dom, ddom
-        return _sphere2(u[..., :2])
-
-    def position(self, u):
-        om, _, _ = self._link(u)
-        return np.concatenate([self.a * om, u[..., -1:]], axis=-1)
-
-    def jacobian(self, u):
-        om, dom, _ = self._link(u)
-        shp = u.shape[:-1]
-        J = np.zeros(shp + (self.dim, self.n))
-        J[..., : self.dim - 1, : self.n - 1] = self.a * dom
-        J[..., -1, -1] = 1.0
-        return J
-
-    def second_derivatives(self, u):
-        _, _, ddom = self._link(u)
-        shp = u.shape[:-1]
-        d2 = np.zeros(shp + (self.dim, self.n, self.n))
-        d2[..., : self.dim - 1, : self.n - 1, : self.n - 1] = self.a * ddom
-        return d2
-
-    def normal(self, u):
-        om, _, _ = self._link(u)
-        z = np.zeros(u.shape[:-1] + (1,))
-        return np.concatenate([om, z], axis=-1)
+    def _profile(self, z):
+        return (self.a, 0.0, 0.0, z, 1.0, 0.0), (1.0, 0.0)
 
 
-class Catenoid2(Chart):
+class Catenoid2(Revolution):
     """Classical minimal surface of revolution in R^3, neck scale c."""
 
     def __init__(self, scale=1.0, s_range=(-1.0, 1.0), angular_box=None):
@@ -804,43 +718,9 @@ class Catenoid2(Chart):
         super().__init__(2, box, [False, angular_box is None])
         self.name = "catenoid_2"
 
-    def position(self, u):
-        s, th = u[..., 0], u[..., 1]
-        rho = self.c * np.cosh(s / self.c)
-        return np.stack([rho * np.cos(th), rho * np.sin(th), s], axis=-1)
-
-    def jacobian(self, u):
-        s, th = u[..., 0], u[..., 1]
+    def _profile(self, s):
         sh, ch = np.sinh(s / self.c), np.cosh(s / self.c)
-        J = np.zeros(u.shape[:-1] + (3, 2))
-        J[..., 0, 0] = sh * np.cos(th)
-        J[..., 1, 0] = sh * np.sin(th)
-        J[..., 2, 0] = 1.0
-        J[..., 0, 1] = -self.c * ch * np.sin(th)
-        J[..., 1, 1] = self.c * ch * np.cos(th)
-        return J
-
-    def second_derivatives(self, u):
-        s, th = u[..., 0], u[..., 1]
-        sh, ch = np.sinh(s / self.c), np.cosh(s / self.c)
-        d2 = np.zeros(u.shape[:-1] + (3, 2, 2))
-        d2[..., 0, 0, 0] = ch / self.c * np.cos(th)
-        d2[..., 1, 0, 0] = ch / self.c * np.sin(th)
-        d2[..., 0, 0, 1] = -sh * np.sin(th)
-        d2[..., 1, 0, 1] = sh * np.cos(th)
-        d2[..., :, 1, 0] = d2[..., :, 0, 1]
-        d2[..., 0, 1, 1] = -self.c * ch * np.cos(th)
-        d2[..., 1, 1, 1] = -self.c * ch * np.sin(th)
-        return d2
-
-    def normal(self, u):
-        s, th = u[..., 0], u[..., 1]
-        sh, ch = np.sinh(s / self.c), np.cosh(s / self.c)
-        return np.stack([np.cos(th) / ch, np.sin(th) / ch, -sh / ch], axis=-1)
-
-    def dilate(self, factor):
-        return Catenoid2(scale=factor * self.c,
-                         s_range=(factor * self.box[0][0], factor * self.box[0][1]))
+        return (self.c * ch, sh, ch / self.c, s, 1.0, 0.0), (1.0 / ch, -sh / ch)
 
 
 def _catenoid3_height(t, c, panels=40, order=12):
@@ -858,7 +738,7 @@ def _catenoid3_height(t, c, panels=40, order=12):
     return np.einsum("...q,q->...", vals, ws) * t
 
 
-class Catenoid3(Chart):
+class Catenoid3(Revolution):
     """Rotationally symmetric minimal hypersurface in R^4.
 
     Profile rho(t) = c sqrt(cosh(2t/c)) with height z(t) chosen so that
@@ -878,54 +758,12 @@ class Catenoid3(Chart):
     def _profile(self, t):
         ch = np.cosh(2.0 * t / self.c)
         sh = np.sinh(2.0 * t / self.c)
-        rho = self.c * np.sqrt(ch)
-        drho = sh / np.sqrt(ch)
-        ddrho = (ch * ch + 1.0) / (self.c * ch ** 1.5)
-        dz = 1.0 / np.sqrt(ch)
-        ddz = -sh / (self.c * ch ** 1.5)
-        return rho, drho, ddrho, dz, ddz, sh, ch
-
-    def position(self, u):
-        t = u[..., 0]
-        rho = self._profile(t)[0]
         # the height quadrature runs once per distinct t (one grid axis)
         ts, where = np.unique(t, return_inverse=True)
         z = _catenoid3_height(ts, self.c)[where].reshape(t.shape)
-        om, _, _ = _sphere2(u[..., 1:])
-        return np.concatenate([rho[..., None] * om, z[..., None]], axis=-1)
-
-    def jacobian(self, u):
-        rho, drho, _, dz, _, _, _ = self._profile(u[..., 0])
-        om, dom, _ = _sphere2(u[..., 1:])
-        J = np.zeros(u.shape[:-1] + (4, 3))
-        J[..., :3, 0] = drho[..., None] * om
-        J[..., 3, 0] = dz
-        J[..., :3, 1] = rho[..., None] * dom[..., 0]
-        J[..., :3, 2] = rho[..., None] * dom[..., 1]
-        return J
-
-    def second_derivatives(self, u):
-        rho, drho, ddrho, _, ddz, _, _ = self._profile(u[..., 0])
-        om, dom, ddom = _sphere2(u[..., 1:])
-        d2 = np.zeros(u.shape[:-1] + (4, 3, 3))
-        d2[..., :3, 0, 0] = ddrho[..., None] * om
-        d2[..., 3, 0, 0] = ddz
-        for a in range(2):
-            d2[..., :3, 0, 1 + a] = drho[..., None] * dom[..., a]
-            d2[..., :3, 1 + a, 0] = d2[..., :3, 0, 1 + a]
-            for b in range(2):
-                d2[..., :3, 1 + a, 1 + b] = rho[..., None] * ddom[..., a, b]
-        return d2
-
-    def normal(self, u):
-        _, _, _, _, _, sh, ch = self._profile(u[..., 0])
-        om, _, _ = _sphere2(u[..., 1:])
-        return np.concatenate([om / ch[..., None], (-sh / ch)[..., None]], axis=-1)
-
-    def dilate(self, factor):
-        return Catenoid3(scale=factor * self.c,
-                         t_range=(factor * self.box[0][0], factor * self.box[0][1]),
-                         theta_range=None if self.pole_ends else tuple(self.box[1]))
+        return ((self.c * np.sqrt(ch), sh / np.sqrt(ch), (ch * ch + 1.0) / (self.c * ch ** 1.5),
+                 z, 1.0 / np.sqrt(ch), -sh / (self.c * ch ** 1.5)),
+                (1.0 / ch, -sh / ch))
 
 
 _HEIGHTS = ("paraboloid", "sine")
@@ -969,38 +807,21 @@ class Graph(Chart):
                     d2F[..., a, b] = self.amplitude * coss[..., a] * coss[..., b] * rest_ab
         return F, dF, d2F
 
-    def position(self, u):
-        F, _, _ = self._F(u)
-        return np.concatenate([u, (self.offset + F)[..., None]], axis=-1)
-
-    def jacobian(self, u):
-        _, dF, _ = self._F(u)
-        J = np.zeros(u.shape[:-1] + (self.dim, self.n))
-        for a in range(self.n):
-            J[..., a, a] = 1.0
+    def frame(self, u):
+        F, dF, d2F = self._F(u)
+        shp = u.shape[:-1]
+        X = np.concatenate([u, (self.offset + F)[..., None]], axis=-1)
+        J = np.zeros(shp + (self.dim, self.n))
+        J[..., np.arange(self.n), np.arange(self.n)] = 1.0
         J[..., -1, :] = dF
-        return J
-
-    def second_derivatives(self, u):
-        _, _, d2F = self._F(u)
-        d2 = np.zeros(u.shape[:-1] + (self.dim, self.n, self.n))
+        d2 = np.zeros(shp + (self.dim, self.n, self.n))
         d2[..., -1, :, :] = d2F
-        return d2
-
-    def normal(self, u):
-        _, dF, _ = self._F(u)
         denom = np.sqrt(1.0 + np.sum(dF * dF, axis=-1))[..., None]
-        return np.concatenate([-dF, np.ones(u.shape[:-1] + (1,))], axis=-1) / denom
-
-    def dilate(self, factor):
-        if self.height != "paraboloid":
-            raise NotImplementedError("only paraboloid graphs dilate within the catalog")
-        box = [(factor * lo, factor * hi) for lo, hi in self.box]
-        return Graph(self.n, "paraboloid", amplitude=self.amplitude / factor,
-                     offset=factor * self.offset, box=box)
+        nu = np.concatenate([-dF, np.ones(shp + (1,))], axis=-1) / denom
+        return X, J, d2, nu
 
 
-class ConePatch(Chart):
+class ConePatch(Revolution):
     """Truncated cone over a sphere, radial from the ambient origin.
 
     X(s, angles) = s (a omega, b) with a^2 + b^2 = 1, so r(X) = s exactly
@@ -1024,45 +845,8 @@ class ConePatch(Chart):
         super().__init__(n, box, periodic)
         self.name = f"cone{n}"
 
-    def _link(self, u):
-        if self.n == 2:
-            th = u[..., 1]
-            om = np.stack([np.cos(th), np.sin(th)], axis=-1)
-            dom = np.stack([-np.sin(th), np.cos(th)], axis=-1)[..., None]
-            ddom = -om[..., None, None]
-            return om, dom, ddom
-        return _sphere2(u[..., 1:])
-
-    def position(self, u):
-        om, _, _ = self._link(u)
-        s = u[..., 0:1]
-        return np.concatenate([self.a * s * om, self.b * s], axis=-1)
-
-    def jacobian(self, u):
-        om, dom, _ = self._link(u)
-        s = u[..., 0]
-        J = np.zeros(u.shape[:-1] + (self.dim, self.n))
-        J[..., : self.dim - 1, 0] = self.a * om
-        J[..., -1, 0] = self.b
-        for a in range(self.n - 1):
-            J[..., : self.dim - 1, 1 + a] = self.a * s[..., None] * dom[..., a]
-        return J
-
-    def second_derivatives(self, u):
-        om, dom, ddom = self._link(u)
-        s = u[..., 0]
-        d2 = np.zeros(u.shape[:-1] + (self.dim, self.n, self.n))
-        for a in range(self.n - 1):
-            d2[..., : self.dim - 1, 0, 1 + a] = self.a * dom[..., a]
-            d2[..., : self.dim - 1, 1 + a, 0] = self.a * dom[..., a]
-            for b in range(self.n - 1):
-                d2[..., : self.dim - 1, 1 + a, 1 + b] = self.a * s[..., None] * ddom[..., a, b]
-        return d2
-
-    def normal(self, u):
-        om, _, _ = self._link(u)
-        shape = u.shape[:-1] + (1,)
-        return np.concatenate([self.b * om, np.full(shape, -self.a)], axis=-1)
+    def _profile(self, s):
+        return (self.a * s, self.a, 0.0, self.b * s, self.b, 0.0), (self.b, -self.a)
 
     def dilate(self, factor):
         return ConePatch(self.n, link_ratio=self.a,

@@ -25,6 +25,8 @@ CONFORMAL_TESTS = ("qform", "laplace_r", "distance", "lambda1")
 CHART_KINDS = ("hyperplane", "sphere", "cylinder", "catenoid_2", "catenoid_3",
                "graph", "cone")
 PROFILES = ("cylinder", "funnel", "bulge", "round_cap")
+#: chart keys holding one parameter interval [lo, hi]
+RANGE_KEYS = ("theta_range", "z_range", "s_range", "t_range")
 
 
 def _err(path, msg):
@@ -33,6 +35,14 @@ def _err(path, msg):
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_INTERVAL_RULE = "must be a pair of numbers [lo, hi] with lo < hi"
+
+
+def _is_interval(iv):
+    return (isinstance(iv, list) and len(iv) == 2
+            and all(_is_number(x) for x in iv) and iv[0] < iv[1])
 
 
 def _check_number(errors, path, value, lo=None, hi=None):
@@ -117,6 +127,14 @@ def validate_chart(spec, path="/inputs/chart"):
     if kind == "cone":
         _check_number(errors, f"{path}/link_ratio", spec.get("link_ratio", 0.8),
                       lo=1e-6, hi=1 - 1e-6)
+    if "offset" in spec:
+        _check_number(errors, f"{path}/offset", spec["offset"])
+    errors += [_err(f"{path}/{key}", _INTERVAL_RULE) for key in RANGE_KEYS
+               if key in spec and not _is_interval(spec[key])]
+    if "center" in spec and n in (2, 3):
+        c = spec["center"]
+        if not (isinstance(c, list) and len(c) == n + 1 and all(_is_number(x) for x in c)):
+            errors.append(_err(f"{path}/center", f"must be a list of n + 1 = {n + 1} numbers"))
     if "box" in spec and n in (2, 3):
         errors += _validate_box(spec["box"], n, f"{path}/box")
     return errors
@@ -126,10 +144,8 @@ def _validate_box(box, n, path):
     """One [lo, hi] interval with lo < hi per chart parameter."""
     if not isinstance(box, list) or len(box) != n:
         return [_err(path, f"must be a list of n = {n} intervals [lo, hi]")]
-    return [_err(f"{path}/{i}", "must be a pair of numbers [lo, hi] with lo < hi")
-            for i, iv in enumerate(box)
-            if not (isinstance(iv, list) and len(iv) == 2
-                    and all(_is_number(x) for x in iv) and iv[0] < iv[1])]
+    return [_err(f"{path}/{i}", _INTERVAL_RULE)
+            for i, iv in enumerate(box) if not _is_interval(iv)]
 
 
 def build_chart(spec):
@@ -282,12 +298,17 @@ JOB_SCHEMA = {
                         "n": {"enum": [2, 3]},
                         "offset": {"type": "number"},
                         "radius": {"type": "number", "exclusiveMinimum": 0},
-                        "center": {"type": "array", "items": {"type": "number"}},
+                        "center": {"type": "array", "minItems": 3, "maxItems": 4,
+                                   "description": "n + 1 numbers",
+                                   "items": {"type": "number"}},
                         "scale": {"type": "number", "exclusiveMinimum": 0},
                         "link_radius": {"type": "number", "exclusiveMinimum": 0},
                         "link_ratio": {"type": "number",
                                        "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                         "polar": {"type": "boolean"},
+                        **{key: {"type": "array", "minItems": 2, "maxItems": 2,
+                                 "description": "[lo, hi] with lo < hi",
+                                 "items": {"type": "number"}} for key in RANGE_KEYS},
                         "box": {"type": "array",
                                 "description": "n intervals [lo, hi] with lo < hi",
                                 "items": {"type": "array", "minItems": 2,

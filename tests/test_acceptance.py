@@ -86,7 +86,7 @@ def _strip_wallclock(obj):
     return obj
 
 
-def test_criterion_10_run_all_deterministic_and_timed(tmp_path):
+def test_criterion_10_run_all_deterministic_and_timed(tmp_path, child_env):
     reports = []
     runtimes = []
     codes = []
@@ -95,7 +95,7 @@ def test_criterion_10_run_all_deterministic_and_timed(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "anisocheck.cli", "all", "--seed", "1234",
              "--out", str(tmp_path / d)],
-            capture_output=True, text=True, timeout=900)
+            capture_output=True, text=True, timeout=900, env=child_env)
         runtimes.append(time.time() - t0)
         codes.append(proc.returncode)
         reports.append(json.loads((tmp_path / d / "report.json").read_text()))

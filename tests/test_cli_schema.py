@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from anisocheck import cli
+from anisocheck import conformal as cf
+from anisocheck import geometry as geo
 from anisocheck import schema as sch
 
 JOBS_DIR = Path(__file__).resolve().parent.parent / "jobs"
@@ -54,6 +56,35 @@ def test_shipped_jobs_run_clean(tmp_path):
             continue
         rc = cli.main(["run", "--job", str(path), "--out", str(tmp_path / path.stem)])
         assert rc == 0, path.name
+
+
+DISTANCE_ONLY = {"command": "conformal", "seed": 7,
+                 "inputs": {"chart": {"kind": "cone", "n": 3}, "tests": ["distance"]}}
+
+
+@pytest.mark.parametrize("job, samples, deforms", [
+    ("conformal_cone.json", 2, 2),
+    ("conformal_flat_lambda1.json", 2, 2),
+    (DISTANCE_ONLY, 0, 0),
+])
+def test_conformal_runner_samples_each_grid_once(monkeypatch, job, samples, deforms):
+    calls = {"sample_chart": 0, "deform": 0}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(geo, "sample_chart")
+    count(cf, "deform")
+    if isinstance(job, str):
+        job = json.loads((JOBS_DIR / job).read_text())
+    assert cli.run(job)["pass"]
+    assert calls == {"sample_chart": samples, "deform": deforms}
 
 
 def test_schema_rejects_unknown_command():
@@ -164,14 +195,15 @@ def test_cli_variation_exports_geometry_csv(tmp_path):
     assert header.startswith("u1,u2,X1")
 
 
-def test_cli_exit_codes_via_subprocess(tmp_path):
+def test_cli_exit_codes_via_subprocess(tmp_path, child_env):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"command": "integrand",
                                "inputs": {"integrand": {"kind": "quadratic",
                                                         "dim": 3,
                                                         "matrix": [[1, 2], [3, 4]]}}}))
     proc = subprocess.run([sys.executable, "-m", "anisocheck.cli", "run",
-                           "--job", str(bad)], capture_output=True, text=True)
+                           "--job", str(bad)], capture_output=True, text=True,
+                          env=child_env)
     assert proc.returncode == 2
     assert "matrix" in proc.stderr
 
@@ -199,10 +231,20 @@ def test_malformed_job_file_exits_2(tmp_path, capsys, text):
     ([[0.5, 2.5], [2.5, 0.5], [0.0, 6.0]], "/inputs/chart/box/1"),
     ([[0.5, 2.5], [0.5, 2.5], [0.0, "6"]], "/inputs/chart/box/2"),
     ([[0.5, 2.5], [0.5], [0.0, 6.0]], "/inputs/chart/box/1"),
+    # the other chart keys that the constructors read
+    ({"kind": "sphere", "n": 3, "center": [0, 0]}, "/inputs/chart/center"),
+    ({"kind": "cylinder", "n": 3, "z_range": [1]}, "/inputs/chart/z_range"),
+    ({"kind": "cone", "n": 3, "s_range": [1.5, 0.5]}, "/inputs/chart/s_range"),
+    ({"kind": "cylinder", "n": 3, "theta_range": [0.5, "2"]},
+     "/inputs/chart/theta_range"),
+    ({"kind": "catenoid_3", "n": 3, "t_range": 0.8}, "/inputs/chart/t_range"),
+    ({"kind": "hyperplane", "n": 3, "offset": "1"}, "/inputs/chart/offset"),
 ])
 def test_schema_rejects_bad_chart_box(box, pointer, capsys):
+    # a list is the box of a 3-sphere, a dict the whole chart
+    chart = box if isinstance(box, dict) else {"kind": "sphere", "n": 3, "box": box}
     job = {"command": "variation",
-           "inputs": {"chart": {"kind": "sphere", "n": 3, "box": box},
+           "inputs": {"chart": chart,
                       "integrand": {"kind": "isotropic", "dim": 4}}}
     errors = sch.validate_job(job)
     assert [e.split(":")[0] for e in errors] == [pointer]

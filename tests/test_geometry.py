@@ -144,7 +144,7 @@ def test_immersion_error_reports_location():
     # the first degenerate node in C order, located with np.linalg.det
     shape = (17, 17, 17)
     params, _ = geo._grid_for(bad.resolve_box(shape), shape, bad.periodic)
-    J = bad.jacobian(np.stack(np.meshgrid(*params, indexing="ij"), axis=-1))
+    J = bad.frame(np.stack(np.meshgrid(*params, indexing="ij"), axis=-1))[1]
     det = np.linalg.det(np.swapaxes(J, -1, -2) @ J)
     idx = np.unravel_index(np.argmax(det <= geo.DET_FLOOR), shape)
     loc = tuple(float(params[a][idx[a]]) for a in range(3))
@@ -282,3 +282,52 @@ def test_catenoid3_height_is_an_elliptic_integral(c):
     assert np.array_equal(g.X[..., 3],
                           np.broadcast_to(geo._catenoid3_height(g.params[0], c)[:, None, None],
                                           g.shape))
+
+
+FRAME_CHARTS = {
+    **{f"{name}{n}": chart for n in (2, 3) for name, chart in geo.catalog(n).items()},
+    "polar_plane2": geo.Hyperplane(2, offset=0.0, polar=True),
+    "polar_plane3": geo.Hyperplane(3, offset=0.0, polar=True),
+    "sphere3_poles": geo.Sphere(3, radius=1.5, center=[0.1, -0.2, 0.3, 0.5]),
+}
+
+
+def _outward(chart, X):
+    """A direction the unit normal must have a positive component along:
+    away from the center of a sphere, up for graphs and hyperplanes, away
+    from the x_d axis for the other charts of revolution."""
+    if isinstance(chart, geo.Sphere):
+        return X - chart.center
+    if isinstance(chart, (geo.Graph, geo.Hyperplane)):
+        return np.broadcast_to(np.eye(chart.dim)[-1], X.shape)
+    return np.concatenate([X[..., :-1], np.zeros(X.shape[:-1] + (1,))], axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CHARTS))
+def test_frame_matches_differences_of_its_position(name):
+    chart = FRAME_CHARTS[name]
+    lo, hi = np.array(chart.box).T
+    frac = np.stack(np.meshgrid(*[[0.3, 0.5, 0.7]] * chart.n, indexing="ij"), axis=-1)
+    U = lo + frac.reshape(-1, chart.n) * (hi - lo)
+    X, J, d2X, nu = chart.frame(U)
+    # fourth-order central differences of X alone: truncation h^4 |X^(5)|
+    # and roundoff eps |X| / h^2 both lie far below the tolerance
+    h, tol = 5e-3, 1e-7
+    weights = {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12}
+
+    def diff(f, a):
+        step = h * np.eye(chart.n)[a]
+        return lambda V: sum(w * f(V + k * step) for k, w in weights.items()) / h
+
+    def position(V):
+        return chart.frame(V)[0]
+
+    for a in range(chart.n):
+        assert np.abs(diff(position, a)(U) - J[..., a]).max() <= tol
+        for b in range(chart.n):
+            assert np.abs(diff(diff(position, a), b)(U) - d2X[..., a, b]).max() <= tol
+    assert np.abs(np.linalg.norm(nu, axis=-1) - 1.0).max() <= 1e-14
+    assert np.abs(np.einsum("pd,pda->pa", nu, J)).max() <= 1e-14
+    assert np.all(np.einsum("pd,pd->p", nu, _outward(chart, X)) > 0.0)
+    if name.startswith("polar_plane"):
+        assert np.array_equal(nu, np.broadcast_to(np.eye(chart.dim)[-1], nu.shape))

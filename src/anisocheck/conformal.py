@@ -113,8 +113,9 @@ def qform_identity_check(cgeom, phi, lam):
 class SpectralEstimate:
     lambda1: float
     lambda_target: float
-    margin: float
-    iterations: int
+    margin: float               # lambda1 - residual - lambda_target
+    matvecs: int
+    residual: float             # M^-1-norm residual of the eigenpair
     resolution: tuple
     note: str = ("Dirichlet value on a compact chart piece; upper bounds the "
                  "chart's own bottom eigenvalue only, quoted for consistency "
@@ -126,7 +127,7 @@ class SpectralEstimate:
         return d
 
 
-def lambda1_estimate(cgeom, lambda_target=0.0, tol=1e-8):
+def lambda1_estimate(cgeom, lambda_target=0.0, tol=va.EIG_TOL):
     """Bottom Dirichlet eigenvalue of -Lap~ + R~/2 on the chart piece."""
     geom = cgeom.base
     n = geom.n
@@ -135,11 +136,11 @@ def lambda1_estimate(cgeom, lambda_target=0.0, tol=1e-8):
     pot = 0.5 * cgeom.R_tilde * wn
     K, M = va.assemble_forms(geom, coeff, pot, wn)
     idx = va._interior_indices(geom, layers=1)
-    lam, vec, iters = va.smallest_eigenpair(K[idx][:, idx], M[idx][:, idx],
-                                            float((0.5 * cgeom.R_tilde).min()), tol=tol)
+    lam, _, matvecs, resid = va.smallest_eigenpair(K[idx][:, idx], M[idx][:, idx],
+                                                   tol=tol)
     return SpectralEstimate(lambda1=lam, lambda_target=lambda_target,
-                            margin=lam - lambda_target, iterations=iters,
-                            resolution=geom.shape)
+                            margin=lam - resid - lambda_target, matvecs=matvecs,
+                            residual=resid, resolution=geom.shape)
 
 
 # -- curve comparisons ---------------------------------------------------------

@@ -38,24 +38,28 @@ FOUR_PI = 4.0 * math.pi
 
 
 def _profile_functions(name, params):
+    """f and its first three derivatives for a named warping profile."""
     if name == "cylinder":
         return (lambda t: np.ones_like(t),
+                lambda t: np.zeros_like(t),
                 lambda t: np.zeros_like(t),
                 lambda t: np.zeros_like(t))
     if name == "funnel":
         a = float(params.get("rate", 0.1))
         return (lambda t: np.exp(-a * t),
                 lambda t: -a * np.exp(-a * t),
-                lambda t: a * a * np.exp(-a * t))
+                lambda t: a * a * np.exp(-a * t),
+                lambda t: -a * a * a * np.exp(-a * t))
     if name == "bulge":
         amp = float(params.get("amplitude", 0.05))
         period = float(params.get("period", 17.0))
         om = 2.0 * math.pi / period
         return (lambda t: 1.0 + amp * np.cos(om * t),
                 lambda t: -amp * om * np.sin(om * t),
-                lambda t: -amp * om * om * np.cos(om * t))
+                lambda t: -amp * om * om * np.cos(om * t),
+                lambda t: amp * om * om * om * np.sin(om * t))
     if name == "round_cap":
-        return (np.sin, np.cos, lambda t: -np.sin(t))
+        return (np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t))
     raise ValueError(f"unknown warping profile {name!r}")
 
 
@@ -87,8 +91,15 @@ class WarpedModel:
                 "lambda": self.lam, "lambda1": self.lambda1, "params": self.params}
 
 
-def scalar_curvature_profile(f, fp, fpp):
-    return 2.0 * (1.0 - fp * fp) / (f * f) - 4.0 * fpp / f
+def scalar_curvature_profile(f, fp, fpp, fppp=None):
+    """R = 2 (1 - f'^2) / f^2 - 4 f'' / f.  At a pole (f = 0, where the
+    model closes smoothly: f'^2 = 1, f'' = 0) R is its limit -6 f'''/f'."""
+    pole = f == 0.0
+    fs = np.where(pole, 1.0, f)
+    R = 2.0 * (1.0 - fp * fp) / (fs * fs) - 4.0 * fpp / fs
+    if np.any(pole):
+        R = np.where(pole, -6.0 * fppp / fp, R)
+    return R
 
 
 def lambda1_sturm(name, params, T, n_grid=4001, t_min=0.0):
@@ -99,27 +110,33 @@ def lambda1_sturm(name, params, T, n_grid=4001, t_min=0.0):
     2 n_grid - 1 nodes; the returned eigenvalue is the Richardson
     extrapolation, the eigenfunction lives on the fine grid.
     """
-    ff, fpf, fppf = _profile_functions(name, params)
+    ff, fpf, fppf, fpppf = _profile_functions(name, params)
 
     def solve(n):
         t = np.linspace(t_min, T, n)
         h = t[1] - t[0]
         f = ff(t)
-        R = scalar_curvature_profile(f, fpf(t), fppf(t))
-        w_mid = ((f[:-1] + f[1:]) / 2.0) ** 2
-        mass = f * f * h
-        mass[0] *= 0.5
+        R = scalar_curvature_profile(f, fpf(t), fppf(t), fpppf(t))
+        # a pole at t_min carries no mass; its natural condition gives
+        # u_0 = u_1, so the node and its element drop out of the solve
+        lo = 1 if f[0] == 0.0 else 0
+        fr = f[lo:]
+        w_mid = ((fr[:-1] + fr[1:]) / 2.0) ** 2
+        mass = fr * fr * h
+        if not lo:
+            mass[0] *= 0.5
         mass[-1] *= 0.5
-        diag = np.zeros(n)
+        diag = np.zeros(n - lo)
         diag[:-1] += w_mid / h
         diag[1:] += w_mid / h
         off = -w_mid / h
-        pot = 0.5 * R * mass
+        pot = 0.5 * R[lo:] * mass
         d = np.sqrt(mass)
         main = (diag + pot) / (d * d)
         sub = off / (d[:-1] * d[1:])
         vals, vecs = eigh_tridiagonal(main, sub, select="i", select_range=(0, 0))
         v = vecs[:, 0] / d
+        v = np.concatenate([v[:lo], v])
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
         return float(vals[0]), t, v / np.abs(v).max()
@@ -135,10 +152,10 @@ def make_model(name, T, params=None, lam=None, n_grid=4001, t_min=0.0):
     the witness inequality holds with equality up to discretization."""
     params = dict(params or {})
     lam1, t, u = lambda1_sturm(name, params, T, n_grid=n_grid, t_min=t_min)
-    ff, fpf, fppf = _profile_functions(name, params)
+    ff, fpf, fppf, fpppf = _profile_functions(name, params)
     f, fp, fpp = ff(t), fpf(t), fppf(t)
     return WarpedModel(name=name, T=float(T), t=t, f=f, fp=fp, fpp=fpp,
-                       R=scalar_curvature_profile(f, fp, fpp), u=u,
+                       R=scalar_curvature_profile(f, fp, fpp, fpppf(t)), u=u,
                        lam=float(lam1 if lam is None else lam), lambda1=float(lam1),
                        params=params)
 
@@ -157,13 +174,12 @@ def supersolution_residual(model):
     <= discretization noise; exactly (lam - lambda1) u in the continuum)."""
     t, u = model.t, model.u
     h = t[1] - t[0]
-    lap = np.empty_like(u)
-    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    lap[0] = lap[1]
-    lap[-1] = lap[-2]
-    lap = lap + 2.0 * (model.fp / model.f) * np.gradient(u, h, edge_order=2)
-    resid = lap + 0.5 * (2.0 * model.lam - model.R) * u
-    return float(resid[1:-1].max())
+    inner = slice(1, -1)      # f may vanish at an end (a pole)
+    lap = ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+           + 2.0 * (model.fp[inner] / model.f[inner])
+           * np.gradient(u, h, edge_order=2)[inner])
+    resid = lap + 0.5 * (2.0 * model.lam - model.R[inner]) * u[inner]
+    return float(resid.max())
 
 
 # -- band profiles and the slope condition ---------------------------------------
@@ -279,7 +295,7 @@ def minimize_A(model, eps=0.1, amplitude="sqrt-lambda", n_scan=4001,
     prof = build_phi_h(model, eps=eps, amplitude=amplitude)
     lam, amp = prof.lam, prof.amplitude
     u_s = model.spline_u()
-    ff, fpf, _ = _profile_functions(model.name, model.params)
+    ff, fpf = _profile_functions(model.name, model.params)[:2]
     denom = 4.0 / math.sqrt(lam) + eps / math.pi
 
     def h_of(t):

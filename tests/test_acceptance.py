@@ -9,9 +9,6 @@ status.
 
 import json
 import math
-import subprocess
-import sys
-import time
 
 from anisocheck import acceptance as ac
 from anisocheck import cli
@@ -86,19 +83,12 @@ def _strip_wallclock(obj):
     return obj
 
 
-def test_criterion_10_run_all_deterministic_and_timed(tmp_path, child_env):
-    reports = []
-    runtimes = []
-    codes = []
-    for d in ("r1", "r2"):
-        t0 = time.time()
-        proc = subprocess.run(
-            [sys.executable, "-m", "anisocheck.cli", "all", "--seed", "1234",
-             "--out", str(tmp_path / d)],
-            capture_output=True, text=True, timeout=900, env=child_env)
-        runtimes.append(time.time() - t0)
-        codes.append(proc.returncode)
-        reports.append(json.loads((tmp_path / d / "report.json").read_text()))
+def test_criterion_10_run_all_deterministic_and_timed(tmp_path, run_all_cli, all_run):
+    # the shared session run is the first of the two runs
+    runs = [all_run, run_all_cli(tmp_path / "r2")]
+    codes = [code for code, _, _ in runs]
+    runtimes = [runtime for _, runtime, _ in runs]
+    reports = [report for _, _, report in runs]
     status = "PASS"
     try:
         assert codes == [0, 0], f"exit codes {codes}"
@@ -114,14 +104,14 @@ def test_criterion_10_run_all_deterministic_and_timed(tmp_path, child_env):
               f"exit={codes} runtime={runtimes[0]:.1f}s")
 
 
-def test_record_names_hold_plain_numbers():
+def test_record_names_hold_plain_numbers(all_run):
     # numpy scalars must not leak their repr (np.float64(...)) into names
     verify = cli.run({"command": "verify", "seed": 1234,
                       "inputs": {"suites": ["quadratic_lemma", "curvature_pinch",
                                             "ricci_bound", "kato"],
                                  "samples": 2000, "grids": [20, 20, 36]}})
     names = [r["name"] for r in verify["records"]]
-    names += [r.name for r in ac.run_all(seed=1234)[0]]
+    names += [r["name"] for r in all_run[2]["records"]]
     assert any("corner (1.0, 1.0, 1.414214)" in name for name in names)
     assert not [name for name in names if "np." in name or "float64" in name]
 

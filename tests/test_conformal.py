@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from anisocheck import conformal as cf
 from anisocheck import constants as co
@@ -135,6 +136,25 @@ def test_lambda1_flat_patch_meets_spectral_target():
     est = cf.lambda1_estimate(cf.deform(g), lambda_target=0.75)
     assert est.lambda1 >= 0.75 - 1e-3
     assert "Dirichlet" in est.note
+
+
+def test_lambda1_estimate_matches_dense_oracle(monkeypatch):
+    forms = []
+    solve = va.smallest_eigenpair
+
+    def keep(K, M, **kwargs):
+        forms.append((K, M))
+        return solve(K, M, **kwargs)
+
+    monkeypatch.setattr(va, "smallest_eigenpair", keep)
+    flat = geo.Hyperplane(3, offset=1.0, box=[(-1.2, 1.2)] * 3)
+    for chart in (flat, geo.catalog(3)["cone"]):
+        est = cf.lambda1_estimate(cf.deform(geo.sample_chart(chart, 9)), 0.75)
+        K, M = forms[-1]
+        exact = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[0]
+        assert abs(est.lambda1 - exact) <= 1e-9 * max(1.0, abs(exact)), chart.name
+        assert est.residual <= va.EIG_TOL * max(1.0, abs(est.lambda1))
+        assert est.margin == est.lambda1 - est.residual - 0.75
 
 
 def test_lambda1_dirichlet_monotone_under_enlargement():

@@ -21,6 +21,19 @@ def test_round_cap_spectrum_closed_form():
     assert np.ptp(u) <= 1e-9
 
 
+def test_round_cap_spectrum_from_the_pole():
+    # the grid starts on the pole f(0) = 0: R takes its limit 6 there and
+    # the massless pole node follows its neighbour
+    for T in (1.0, 2.0, 3.0):
+        lam1, t, u = mb.lambda1_sturm("round_cap", {}, T)
+        assert t[0] == 0.0
+        assert lam1 == pytest.approx(3.0, abs=1e-6), T
+        assert np.ptp(u) <= 1e-9, T
+    model = mb.make_model("round_cap", 3.0)
+    assert np.all(np.isfinite(model.R)) and model.R[0] == 6.0
+    assert mb.supersolution_residual(model) <= 1e-6
+
+
 def test_scalar_curvature_profile():
     t = np.linspace(0.0, 10.0, 101)
     f = np.exp(-0.1 * t)

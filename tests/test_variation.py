@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from anisocheck import cli
 from anisocheck import geometry as geo
@@ -117,6 +119,82 @@ def test_stability_spectrum_catenoid_bands(iso3):
     # ground state of the wide band certifies instability through Q
     u = rep.eigenfunction
     assert rep.q_value(u) < 0.0
+
+
+def test_stability_spectrum_matches_dense_oracle(iso3, iso4):
+    # every catalog chart at resolution 9, isotropic and a mild quadratic
+    mild = {3: ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.1])),
+            4: ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.0, 1.1]))}
+    for n, iso in ((2, iso3), (3, iso4)):
+        for name, chart in geo.catalog(n).items():
+            g = geo.sample_chart(chart, 9)
+            for integ in (iso, mild[n + 1]):
+                rep = va.stability_spectrum(g, integ)
+                exact = scipy.linalg.eigh(rep._K.toarray(), rep._M.toarray(),
+                                          eigvals_only=True)[0]
+                assert abs(rep.lambda_stab - exact) <= 1e-9 * max(1.0, abs(exact)), \
+                    (name, integ.describe())
+                assert rep.residual <= va.EIG_TOL * max(1.0, abs(rep.lambda_stab))
+                assert rep.stable == (rep.lambda_stab - rep.residual >= 0.0)
+                assert rep.mass(rep.eigenfunction) == pytest.approx(1.0, abs=1e-12)
+                assert np.sum(rep.eigenfunction) > 0.0
+
+
+def test_smallest_eigenpair_rejects_what_it_cannot_solve():
+    K = sp.diags([3.0, 1.0]).tocsc()
+    theta, x, _, resid = va.smallest_eigenpair(K, sp.identity(2, format="csc"))
+    assert theta == pytest.approx(1.0, abs=1e-14) and resid <= 1e-14
+    assert x[1] == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError, match="diagonal"):
+        va.smallest_eigenpair(K, sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+    with pytest.raises(ValueError, match="at least 2"):
+        va.smallest_eigenpair(sp.csc_matrix([[1.0]]), sp.csc_matrix([[1.0]]))
+
+
+SPECTRUM_JOB = {"command": "variation", "seed": 1,
+                "inputs": {"chart": {"kind": "hyperplane", "n": 2, "offset": 1.0},
+                           "integrand": {"kind": "isotropic", "dim": 3},
+                           "resolution": 17, "tests": ["spectrum"]}}
+
+
+def _converged_record(report):
+    (rec,) = [r for r in report["records"] if r["name"] == "stability spectrum converged"]
+    return rec
+
+
+def test_spectrum_record_holds_the_residual():
+    report = cli.run(SPECTRUM_JOB)
+    rec = _converged_record(report)
+    lam = report["extras"]["lambda_stab"]
+    assert rec["pass"] and rec["value"] <= rec["tolerance"]
+    assert rec["tolerance"] == va.EIG_TOL * max(1.0, abs(lam))
+    assert rec["detail"]["lambda_stab"] == lam and rec["detail"]["stable"]
+    assert rec["detail"]["matvecs"] > 0
+
+
+def test_spectrum_record_fails_on_a_perturbed_eigenvector(monkeypatch):
+    eigsh = va.spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        vecs[::5] *= 1.01
+        return vals, vecs
+
+    monkeypatch.setattr(va.spla, "eigsh", perturbed)
+    report = cli.run(SPECTRUM_JOB)
+    assert not _converged_record(report)["pass"] and not report["pass"]
+
+
+def test_spectrum_record_fails_without_arpack_convergence(monkeypatch):
+    def unconverged(A, *args, **kwargs):
+        raise va.spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                          np.zeros((A.shape[0], 0)))
+
+    monkeypatch.setattr(va.spla, "eigsh", unconverged)
+    report = cli.run(SPECTRUM_JOB)
+    rec = _converged_record(report)
+    assert not rec["pass"] and not report["pass"]
+    assert np.isfinite(rec["value"]) and np.isfinite(rec["detail"]["lambda_stab"])
 
 
 def test_cutoff_constant_destabilizes_wide_neck(iso3):

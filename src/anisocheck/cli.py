@@ -5,8 +5,9 @@ conformal, mubble, verify, all) plus ``schema`` to print the job format
 and ``run`` to dispatch a job file directly.  Reports are deterministic
 for a fixed seed: report.json (sorted keys, no timestamps), CSV tables
 for bulk numbers, and .dat profile curves for plotting.  The exit status
-is 0 exactly when every recorded check passes, 1 when a check fails and
-2 when the job is invalid or cannot be read.
+is 0 exactly when every recorded check passes, 1 when a check fails, 2
+when the job is invalid or cannot be read and 3 when a runner raises (an
+internal error, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ def _write_csv(out_dir, name, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+class InvalidJob(ValueError):
+    """The job is invalid input: it fails `schema.validate_job`, or its
+    runner finds that the model it describes cannot be run.  The message
+    lists each error with its JSON pointer."""
 
 
 # -- command runners -----------------------------------------------------------
@@ -185,7 +192,7 @@ def _run_conformal(inputs, seed, out_dir):
         integ_spec = inputs.get("integrand", {"kind": "isotropic", "dim": chart.dim})
         integ = sch.build_integrand(integ_spec)
         certified = (va.is_phi_stationary(g, integ)
-                     and va.stability_spectrum(g, integ).lambda_stab >= -1e-10)
+                     and va.stability_spectrum(g, integ).stable)
         if certified:
             records.append(ge("lambda1 estimate vs target", est.margin, -1e-3,
                               **est.as_dict()))
@@ -203,6 +210,12 @@ def _run_mubble(inputs, seed, out_dir):
                           params=spec.get("params"), lam=spec.get("lambda"),
                           n_grid=int(spec.get("n_grid", 4001)))
     eps = float(spec.get("eps", 0.1))
+    # lambda defaults to the model's lambda_1, known only after the solve
+    t_end = mb.band_end(model.lam, eps)
+    if model.T < t_end:
+        raise InvalidJob(f"invalid job:\n  /inputs/model/T: must be >= 4 pi/sqrt(lambda)"
+                         f" + 2 eps = {t_end:.4f} for lambda = {model.lam:.6g}, to hold"
+                         " the band of the phi profile")
     amplitude = inputs.get("amplitude", "sqrt-lambda")
     records, prof, _ = ac.bubble_checks(model, eps, amplitude)
     if out_dir:
@@ -264,10 +277,11 @@ _RUNNERS = {
 
 
 def run(job, out_dir=None):
-    """Validate and execute one job; returns the report dictionary."""
+    """Validate and execute one job; returns the report dictionary.  Raises
+    InvalidJob for an invalid job."""
     errors = sch.validate_job(job)
     if errors:
-        raise ValueError("invalid job:\n  " + "\n  ".join(errors))
+        raise InvalidJob("invalid job:\n  " + "\n  ".join(errors))
     seed = int(job.get("seed", 1234))
     inputs = job.get("inputs", {})
     records, extras = _RUNNERS[job["command"]](inputs, seed, out_dir)
@@ -353,9 +367,13 @@ def main(argv=None):
         return 2
     try:
         report = run(job, out_dir=args.out)
-    except ValueError as exc:
+    except InvalidJob as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except Exception as exc:  # a runner fault, never "a check failed" (exit 1)
+        msg = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return 3
     failed = [r for r in report["records"] if not r["pass"]]
     for rec in report["records"]:
         status = "PASS" if rec["pass"] else "FAIL"

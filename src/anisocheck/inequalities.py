@@ -9,6 +9,16 @@ witness configurations where an equality case is known.
 
 The sweep kernels are vectorized numpy; on ties the first occurrence of
 the extreme value wins, so the stored argmin witness is deterministic.
+The kernels hoist and tabulate terms but never reorder floating-point
+operations: the quadratic-lemma kernel keeps the operation order of
+`quadratic_lemma_point`, so its witnesses re-evaluate to the bit, and the
+curvature and Ricci kernels keep the order of the stacked (n, 3) numpy
+evaluation (`np.cross`, `np.linalg.norm`, `np.einsum`) written out per
+component, so a given numpy build reproduces every margin and witness
+bit for bit.  `halton` takes its digits as exact integers, so it is exact
+for every index (in particular every index below 2^53, where float digit
+arithmetic would still be exact), and sums them in the digit-by-digit
+order.
 Each record is a :class:`~anisocheck.checks.Check` whose value is the
 margin, whose bound is ``-tol`` and whose ``detail["config"]`` holds the
 witness configuration.
@@ -28,22 +38,46 @@ C1_MAX = 1.5 - SQRT2
 DEFAULT_TOL = 1e-10
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
+#: largest table of low-digit sums that `halton` builds per dimension
+_HALTON_TABLE = 1 << 14
+#: points per block of the quadratic-lemma sweep (a few blocks fit in L2)
+_QUAD_BLOCK = 1 << 15
 
 
 def halton(count, dims, skip=20):
-    """Deterministic Halton points in [0,1)^dims (radical inverse)."""
+    """Deterministic Halton points in [0,1)^dims (radical inverse).
+
+    Point ``i`` of dimension ``d`` is the radical inverse of ``skip + i`` in
+    base ``_PRIMES[d]``, summed digit by digit from the lowest digit:
+    ``((d0/b + d1/b^2) + d2/b^3) + ...``.  The sums of the low ``k`` digits
+    are tabulated once for every residue below ``b^k`` (at most
+    ``_HALTON_TABLE`` entries), and each run of consecutive indices that
+    shares its high digits copies a slice of that table and adds the high
+    digits in the same order.  The digits are exact integers and the sums
+    keep their order, so every point equals the digit-by-digit sum to the bit.
+    """
     out = np.empty((count, dims))
+    stop = skip + count
+    col = np.empty(count)
     for d in range(dims):
         b = _PRIMES[d]
-        idx = np.arange(skip, skip + count, dtype=np.int64)
-        f = np.zeros(count)
+        low = np.zeros(1)
         denom = 1.0
-        work = idx.copy()
-        while work.max() > 0:
+        while low.size < stop and low.size * b <= _HALTON_TABLE:
             denom *= b
-            f += (work % b) / denom
-            work //= b
-        out[:, d] = f
+            low = (low + (np.arange(b) / denom)[:, None]).ravel()
+        span = low.size
+        for high in range(skip // span, (stop - 1) // span + 1):
+            lo, hi = max(skip, high * span), min(stop, (high + 1) * span)
+            seg = col[lo - skip:hi - skip]
+            seg[:] = low[lo - high * span:hi - high * span]
+            rest, den = high, denom
+            while rest:
+                den *= b
+                rest, digit = divmod(rest, b)
+                if digit:
+                    seg += digit / den
+        out[:, d] = col
     return out
 
 
@@ -85,7 +119,16 @@ def quadratic_lemma_point_from_a(a1, a2, a3, theta):
 
 def _quadratic_sweep(alphas, betas, coss, sins):
     """Extremes of the three margins over beta >= alpha and the angle grid,
-    with their grid indices, and the count of points where Q2 <= 0."""
+    with their grid indices, and the count of points where Q2 <= 0.
+
+    ``betas`` is ascending, so beta >= alpha is a suffix of the grid.  Each
+    term is evaluated in the operation order of `quadratic_lemma_point`:
+    the alpha-only terms once per alpha, the beta-only terms once per
+    (beta, theta), the mixed terms per block of at most ``_QUAD_BLOCK``
+    points, and every sum left to right.  Blocks run in grid order and
+    only a strictly better value replaces an extreme, so the first
+    occurrence wins as in a single argmin over the domain.
+    """
     min1 = np.inf
     i1 = j1 = k1i = 0
     min2 = np.inf
@@ -93,32 +136,53 @@ def _quadratic_sweep(alphas, betas, coss, sins):
     maxr = -np.inf
     ir = jr = kr = 0
     bad_q2 = 0
+    n = coss.size
     k1 = coss[None, :]
     k2 = sins[None, :]
-    for i, a in enumerate(alphas):
-        sel = np.nonzero(betas >= a)[0]
-        if sel.size == 0:
-            continue
-        b = betas[sel][:, None]
-        q1 = (1.0 + a * a) * k1 * k1 + 2.0 * a * b * k1 * k2 + (1.0 + b * b) * k2 * k2
-        q2 = 2.0 * a * k1 * k1 + 2.0 * (a + b - 1.0) * k1 * k2 + 2.0 * b * k2 * k2
-        good = q2 > 0.0
-        bad_q2 += int(q2.size - good.sum())
-        m1 = np.where(good, C0 * q2 - q1, np.inf)
-        m2 = np.where(good, C1_MAX - (q1 - q2) / q1, np.inf)
-        r = np.where(good, q1 / np.where(good, q2, 1.0), -np.inf)
-        f = int(np.argmin(m1))
-        if m1.ravel()[f] < min1:
-            min1 = float(m1.ravel()[f])
-            i1, j1, k1i = i, int(sel[f // coss.size]), f % coss.size
-        f = int(np.argmin(m2))
-        if m2.ravel()[f] < min2:
-            min2 = float(m2.ravel()[f])
-            i2, j2, k2i = i, int(sel[f // coss.size]), f % coss.size
-        f = int(np.argmax(r))
-        if r.ravel()[f] > maxr:
-            maxr = float(r.ravel()[f])
-            ir, jr, kr = i, int(sel[f // coss.size]), f % coss.size
+    bb = betas[:, None]
+    q1_beta = (1.0 + bb * bb) * k2 * k2
+    q2_beta = 2.0 * bb * k2 * k2
+    rows = max(1, _QUAD_BLOCK // n)
+    q1, q2, m1, m2, r = np.empty((5, min(rows, betas.size), n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, a in enumerate(alphas):
+            q1_alpha = (1.0 + a * a) * k1 * k1
+            q2_alpha = 2.0 * a * k1 * k1
+            for j in range(int(np.searchsorted(betas, a)), betas.size, rows):
+                b = bb[j:j + rows]
+                Q1, Q2, M1, M2, R = (buf[:b.size] for buf in (q1, q2, m1, m2, r))
+                np.multiply(2.0 * a * b, k1, out=Q1)
+                Q1 *= k2
+                Q1 += q1_alpha
+                Q1 += q1_beta[j:j + rows]
+                np.multiply(2.0 * (a + b - 1.0), k1, out=Q2)
+                Q2 *= k2
+                Q2 += q2_alpha
+                Q2 += q2_beta[j:j + rows]
+                np.multiply(Q2, C0, out=M1)
+                M1 -= Q1
+                np.subtract(Q1, Q2, out=M2)
+                M2 /= Q1
+                np.subtract(C1_MAX, M2, out=M2)
+                np.divide(Q1, Q2, out=R)
+                if not Q2.min() > 0.0:
+                    bad = ~(Q2 > 0.0)
+                    bad_q2 += int(np.count_nonzero(bad))
+                    M1[bad] = np.inf
+                    M2[bad] = np.inf
+                    R[bad] = -np.inf
+                f = int(np.argmin(M1))
+                if M1.flat[f] < min1:
+                    min1 = float(M1.flat[f])
+                    i1, j1, k1i = i, j + f // n, f % n
+                f = int(np.argmin(M2))
+                if M2.flat[f] < min2:
+                    min2 = float(M2.flat[f])
+                    i2, j2, k2i = i, j + f // n, f % n
+                f = int(np.argmax(R))
+                if R.flat[f] > maxr:
+                    maxr = float(R.flat[f])
+                    ir, jr, kr = i, j + f // n, f % n
     return min1, i1, j1, k1i, min2, i2, j2, k2i, maxr, ir, jr, kr, bad_q2
 
 
@@ -183,42 +247,77 @@ def curvature_pinch_point(a, psi):
 
 
 def _curvature_samples(count, seed, sampler):
+    """Sorted coefficient columns a1 <= a2 <= a3 in [1, sqrt2] and angles."""
     if sampler == "halton":
         pts = halton(count, 4)
     else:
         rng = np.random.default_rng(seed)
         pts = rng.random((count, 4))
-    aa = 1.0 + (SQRT2 - 1.0) * np.sort(pts[:, :3], axis=1)
-    psis = 2.0 * np.pi * pts[:, 3]
-    return aa, psis
+    # sort the first three coordinates of each point with min/max selections
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    mid = np.maximum(lo, z)
+    aa = (np.minimum(lo, z), np.minimum(hi, mid), np.maximum(hi, mid))
+    return tuple(1.0 + (SQRT2 - 1.0) * c for c in aa), 2.0 * np.pi * pts[:, 3]
 
 
 def _curvature_sweep(aa, psis):
     """Worst margins of -R and c0 (-R) - |A|^2 with their sample indices,
     the largest ratio |A|^2 / (-R) and the largest constraint residual.
 
-    For unit k orthogonal to a (componentwise in [1, sqrt 2], sorted), with
-    |A|^2 = |k|^2 = 1 and R = (sum k)^2 - 1; the constraint-plane basis
-    built from cross(a, e1) never degenerates on [1, sqrt2]^3.
+    ``aa`` holds the coefficient columns (a1, a2, a3).  For unit k orthogonal
+    to a (componentwise in [1, sqrt 2], sorted), with |A|^2 = |k|^2 = 1 and
+    R = (sum k)^2 - 1; the constraint-plane basis b1 = (0, a3, -a2)/|.|,
+    b2 = a x b1/|.| never degenerates on [1, sqrt2]^3.  The basis is written
+    out per component in the order of `np.cross` and of `np.linalg.norm`,
+    and the dot products in the order of ``np.einsum("pi,pi->p")`` for
+    three terms, ``(x0 + x2) + x1``, so the margins equal those of the
+    stacked (n, 3) evaluation to the bit.
     """
-    a1, a2, a3 = aa[:, 0], aa[:, 1], aa[:, 2]
-    b1 = np.stack([np.zeros_like(a1), a3, -a2], axis=-1)
-    b1 /= np.linalg.norm(b1, axis=-1)[:, None]
-    b2 = np.cross(aa, b1)
-    b2 /= np.linalg.norm(b2, axis=-1)[:, None]
-    k = np.cos(psis)[:, None] * b1 + np.sin(psis)[:, None] * b2
-    cons = np.abs(np.einsum("pi,pi->p", aa, k))
-    A2 = np.einsum("pi,pi->p", k, k)
-    s = k.sum(axis=1)
-    R = s * s - A2
+    a1, a2, a3 = aa
+    # b1 = (0, c, -s): (0, a3, -a2) over its norm
+    norm = a3 * a3
+    norm += a2 * a2
+    np.sqrt(norm, out=norm)
+    c, s = a3 / norm, a2 / norm
+    # a x b1 = (-(a2 s + a3 c), a1 s, a1 c), over its norm, is b2
+    k0 = a2 * s
+    k0 += a3 * c
+    np.negative(k0, out=k0)
+    k1, k2 = a1 * s, a1 * c
+    np.multiply(k0, k0, out=norm)
+    norm += k1 * k1
+    norm += k2 * k2
+    np.sqrt(norm, out=norm)
+    # k = cos(psi) b1 + sin(psi) b2
+    cp, sp = np.cos(psis), np.sin(psis)
+    for kc in (k0, k1, k2):
+        kc /= norm
+        kc *= sp
+    k1 += cp * c
+    k2 -= cp * s
+    dot = np.multiply(a1, k0, out=norm)
+    dot += a3 * k2
+    dot += a2 * k1
+    cons = float(np.abs(dot, out=dot).max())
+    A2 = k0 * k0
+    A2 += k2 * k2
+    A2 += k1 * k1
+    R = k0 + k1
+    R += k2
+    R *= R
+    R -= A2
     mR = -R
-    m2 = -C0 * R - A2
-    ratio = np.where(-R > 1e-15, A2 / np.where(-R > 1e-15, -R, 1.0), -np.inf)
+    m2 = R
+    m2 *= -C0
+    m2 -= A2
+    pos = mR > 1e-15
+    ratio = np.divide(A2, np.where(pos, mR, 1.0), out=A2)
+    ratio[~pos] = -np.inf
     p1 = int(np.argmin(mR))
     p2 = int(np.argmin(m2))
     pr = int(np.argmax(ratio))
-    return (float(mR[p1]), p1, float(m2[p2]), p2, float(ratio[pr]), pr,
-            float(cons.max()))
+    return (float(mR[p1]), p1, float(m2[p2]), p2, float(ratio[pr]), pr, cons)
 
 
 def verify_curvature_pinch(samples=1_000_000, seed=1234, tol=DEFAULT_TOL,
@@ -240,13 +339,15 @@ def verify_curvature_pinch(samples=1_000_000, seed=1234, tol=DEFAULT_TOL,
         aa, psis = _curvature_samples(cnt, seed, sampler)
         mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
         rep.records.append(ge(f"-R >= 0 [{sampler}]", mR, -tol,
-                              config={"a": aa[pR].tolist(), "psi": float(psis[pR])}))
+                              config={"a": [float(c[pR]) for c in aa],
+                                      "psi": float(psis[pR])}))
         rep.records.append(ge(f"c0*(-R) - |A|^2 [{sampler}]", m2, -tol,
-                              config={"a": aa[p2].tolist(), "psi": float(psis[p2])}))
+                              config={"a": [float(c[p2]) for c in aa],
+                                      "psi": float(psis[p2])}))
         max_cons = max(max_cons, cons)
         if ratio > max_ratio:
             max_ratio = ratio
-            ratio_cfg = {"a": aa[pr].tolist(), "psi": float(psis[pr])}
+            ratio_cfg = {"a": [float(c[pr]) for c in aa], "psi": float(psis[pr])}
     # |A|^2 >= -R is (sum k)^2 >= 0: record the identity margin at the
     # moment R is most negative (trivially nonnegative, kept for the table)
     rep.records.append(ge("|A|^2 + R >= 0", 0.0, -tol, config={"identity": "(sum k)^2"}))
@@ -255,7 +356,7 @@ def verify_curvature_pinch(samples=1_000_000, seed=1234, tol=DEFAULT_TOL,
                (SQRT2, SQRT2, SQRT2)]
     psis = np.linspace(0.0, 2.0 * np.pi, corner_angles)
     for a in corners:
-        aa = np.tile(np.asarray(a), (corner_angles, 1))
+        aa = tuple(np.full(corner_angles, c) for c in a)
         mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
         rep.records.append(ge(
             f"c0*(-R) - |A|^2 [corner {tuple(round(float(x), 6) for x in a)}]", m2, -tol,
@@ -286,18 +387,28 @@ def ricci_point(k, y):
 
 
 def _unit_sphere_points(u, v):
+    """Coordinate columns (x, y, z) of the area-uniform map of [0,1)^2 onto
+    the unit sphere."""
     z = 2.0 * u - 1.0
     th = 2.0 * np.pi * v
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([s * np.cos(th), s * np.sin(th), z], axis=-1)
+    return s * np.cos(th), s * np.sin(th), z
 
 
 def _ricci_sweep(ks, ys):
     """Worst margin of Ric(y) + |A|^2/sqrt2, Ric(y) = sum_i k_i (s - k_i) y_i^2,
-    and its sample index."""
-    s = ks.sum(axis=1)
-    ric = np.einsum("pi,pi->p", ks * (s[:, None] - ks), ys * ys)
-    A2 = np.einsum("pi,pi->p", ks, ks)
+    and its sample index.
+
+    ``ks`` and ``ys`` are coordinate columns.  The three-term sums keep the
+    order of ``np.einsum("pi,pi->p")``, ``(x0 + x2) + x1``, and of
+    ``sum(axis=1)``, ``(x0 + x1) + x2``, so the margins equal those of the
+    stacked (n, 3) evaluation to the bit.
+    """
+    k0, k1, k2 = ks
+    s = (k0 + k1) + k2
+    w0, w1, w2 = (k * (s - k) * (y * y) for k, y in zip(ks, ys))
+    ric = (w0 + w2) + w1
+    A2 = (k0 * k0 + k2 * k2) + k1 * k1
     m = ric + A2 / SQRT2
     p = int(np.argmin(m))
     return float(m[p]), p
@@ -319,7 +430,8 @@ def verify_ricci_bound(samples=1_000_000, seed=1234, tol=DEFAULT_TOL):
         ys = _unit_sphere_points(pts[:, 2], pts[:, 3])
         worst, p = _ricci_sweep(ks, ys)
         rep.records.append(ge(f"Ric + |A|^2/sqrt2 [{sampler}]", worst, -tol,
-                              config={"k": ks[p].tolist(), "y": ys[p].tolist()}))
+                              config={"k": [float(c[p]) for c in ks],
+                                      "y": [float(c[p]) for c in ys]}))
     k_eq = np.array([-SQRT2, 1.0, 1.0]) / 2.0
     y_eq = np.array([1.0, 0.0, 0.0])
     m_eq = ricci_point(k_eq, y_eq)

@@ -32,6 +32,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
 FOUR_PI = 4.0 * math.pi
+#: the round cap f = sin t closes at its second pole t = pi
+ROUND_CAP_END = math.pi
 
 
 # -- profiles -------------------------------------------------------------------
@@ -205,6 +207,12 @@ class BubbleProfiles:
                 "lip_within_budget": self.lip_within_budget}
 
 
+def band_end(lam, eps):
+    """Right end 4 pi / sqrt(lam) + 2 eps of the band of `build_phi_h`; a
+    model must reach it (T >= band_end)."""
+    return eps + math.pi * (4.0 / math.sqrt(lam) + eps / math.pi)
+
+
 def _amplitude_value(amplitude, lam):
     if amplitude == "sqrt-lambda":
         return math.sqrt(lam)
@@ -224,7 +232,7 @@ def build_phi_h(model, eps=0.1, amplitude="sqrt-lambda", n_band=4001):
     denom = 4.0 / math.sqrt(lam) + eps / math.pi
     lip = 1.0 / denom
     t_lo = eps
-    t_hi = eps + math.pi * denom          # = 4 pi / sqrt(lam) + 2 eps
+    t_hi = band_end(lam, eps)
     if t_hi > model.T:
         raise ValueError(
             f"model too short for the band: need T >= {t_hi:.3f}, have {model.T}")

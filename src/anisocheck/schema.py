@@ -15,6 +15,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import integrand as ig
+from . import mubble as mb
 
 COMMANDS = ("constants", "integrand", "variation", "conformal", "mubble",
             "verify", "all")
@@ -27,6 +28,12 @@ CHART_KINDS = ("hyperplane", "sphere", "cylinder", "catenoid_2", "catenoid_3",
 PROFILES = ("cylinder", "funnel", "bulge", "round_cap")
 #: chart keys holding one parameter interval [lo, hi]
 RANGE_KEYS = ("theta_range", "z_range", "s_range", "t_range")
+#: largest ``samples`` (and Kato ``points``) of a verify job: memory and
+#: time grow linearly in it, about 75 MB and 0.2 s per 10^6 curvature samples
+MAX_SAMPLES = 10_000_000
+#: largest grid product n_alpha * n_beta * n_angle of the quadratic-lemma
+#: sweep: about 3.5 times the default 200 x 200 x 720
+MAX_GRID_POINTS = 100_000_000
 
 
 def _err(path, msg):
@@ -192,6 +199,42 @@ def _validate_resolution(inputs, scalar_only=False):
     return [_err("/inputs/resolution", f"must be {kind} >= 8")]
 
 
+def _is_int(value, lo, hi):
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and lo <= value <= hi)
+
+
+def _validate_grids(grids, path="/inputs/grids"):
+    """Exactly three grid sizes n_alpha, n_beta, n_angle >= 2 whose product
+    is at most MAX_GRID_POINTS."""
+    if not isinstance(grids, list) or len(grids) != 3:
+        return [_err(path, "must be a list of 3 integers [n_alpha, n_beta, n_angle]")]
+    errors = [_err(f"{path}/{i}", f"must be an integer in [2, {MAX_GRID_POINTS}]")
+              for i, n in enumerate(grids) if not _is_int(n, 2, MAX_GRID_POINTS)]
+    if not errors and grids[0] * grids[1] * grids[2] > MAX_GRID_POINTS:
+        errors.append(_err(path, f"grid product must be <= {MAX_GRID_POINTS}"))
+    return errors
+
+
+def _validate_model(model, path="/inputs/model"):
+    """Model fields that can be checked without solving for lambda_1; the
+    band length T >= 4 pi/sqrt(lambda) + 2 eps is checked by the runner."""
+    errors = []
+    profile = model.get("profile")
+    if profile not in PROFILES:
+        errors.append(_err(f"{path}/profile", f"must be one of {PROFILES}"))
+    if _check_number(errors, f"{path}/T", model.get("T", 20.0), lo=1e-6) \
+            and profile == "round_cap" and model.get("T", 20.0) > mb.ROUND_CAP_END:
+        errors.append(_err(f"{path}/T", "must be <= pi: a round cap ends at its "
+                                        "second pole, T = pi"))
+    if "eps" in model:
+        _check_number(errors, f"{path}/eps", model["eps"], lo=1e-9, hi=0.5 - 1e-9)
+    lam = model.get("lambda")
+    if lam is not None and not (_is_number(lam) and lam > 0):
+        errors.append(_err(f"{path}/lambda", "must be a number > 0"))
+    return errors
+
+
 def validate_job(job):
     """Full job validation; returns a list of '<json-pointer>: message'."""
     errors = []
@@ -237,20 +280,17 @@ def validate_job(job):
         if not isinstance(model, dict):
             errors.append(_err("/inputs/model", "must be an object"))
         else:
-            if model.get("profile") not in PROFILES:
-                errors.append(_err("/inputs/model/profile",
-                                   f"must be one of {PROFILES}"))
-            _check_number(errors, "/inputs/model/T", model.get("T", 20.0), lo=1e-6)
-            if "eps" in model:
-                _check_number(errors, "/inputs/model/eps", model["eps"],
-                              lo=1e-9, hi=0.5 - 1e-9)
+            errors += _validate_model(model)
     elif cmd == "verify":
         for i, s in enumerate(inputs.get("suites", list(SUITES))):
             if s not in SUITES:
                 errors.append(_err(f"/inputs/suites/{i}", f"must be one of {SUITES}"))
-        if "samples" in inputs and (not isinstance(inputs["samples"], int)
-                                    or inputs["samples"] < 1000):
-            errors.append(_err("/inputs/samples", "must be an integer >= 1000"))
+        for key, lo in (("samples", 1000), ("points", 1)):
+            if key in inputs and not _is_int(inputs[key], lo, MAX_SAMPLES):
+                errors.append(_err(f"/inputs/{key}",
+                                   f"must be an integer in [{lo}, {MAX_SAMPLES}]"))
+        if "grids" in inputs:
+            errors += _validate_grids(inputs["grids"])
     return errors
 
 
@@ -274,7 +314,15 @@ JOB_SCHEMA = {
                               {"type": "array",
                                "items": {"type": "integer", "minimum": 8}}]},
                 "suites": {"type": "array", "items": {"enum": list(SUITES)}},
-                "samples": {"type": "integer", "minimum": 1000},
+                "samples": {"type": "integer", "minimum": 1000,
+                            "maximum": MAX_SAMPLES},
+                "points": {"type": "integer", "minimum": 1, "maximum": MAX_SAMPLES,
+                           "description": "Kato sample points"},
+                "grids": {"type": "array", "minItems": 3, "maxItems": 3,
+                          "items": {"type": "integer", "minimum": 2},
+                          "description": "[n_alpha, n_beta, n_angle] of the "
+                                         "quadratic-lemma sweep, product <= "
+                                         f"{MAX_GRID_POINTS}"},
                 "tests": {"type": "array"},
                 "integrand": {
                     "type": "object",
@@ -321,9 +369,13 @@ JOB_SCHEMA = {
                     "required": ["profile"],
                     "properties": {
                         "profile": {"enum": list(PROFILES)},
-                        "T": {"type": "number", "exclusiveMinimum": 0},
+                        "T": {"type": "number", "exclusiveMinimum": 0,
+                              "description": "T >= 4 pi/sqrt(lambda) + 2 eps; "
+                                             "round_cap: T <= pi"},
                         "params": {"type": "object"},
-                        "lambda": {"type": "number"},
+                        "lambda": {"type": "number", "exclusiveMinimum": 0,
+                                   "description": "default: lambda_1 of the model "
+                                                  "(3 for round_cap)"},
                         "eps": {"type": "number",
                                 "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
                         "amplitude": {}},

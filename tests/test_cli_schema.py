@@ -9,6 +9,7 @@ from anisocheck import cli
 from anisocheck import conformal as cf
 from anisocheck import geometry as geo
 from anisocheck import schema as sch
+from anisocheck import variation as va
 
 JOBS_DIR = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -250,3 +251,86 @@ def test_schema_rejects_bad_chart_box(box, pointer, capsys):
     assert [e.split(":")[0] for e in errors] == [pointer]
     with pytest.raises(ValueError):
         cli.run(job)
+
+
+@pytest.mark.parametrize("inputs, pointers", [
+    ({"grids": ["a", 2, 3]}, ["/inputs/grids/0"]),
+    ({"grids": [1, 1, 1]}, ["/inputs/grids/0", "/inputs/grids/1", "/inputs/grids/2"]),
+    ({"grids": [10]}, ["/inputs/grids"]),
+    ({"grids": [20, True, 36]}, ["/inputs/grids/1"]),
+    ({"grids": [2000, 2000, 720]}, ["/inputs/grids"]),
+    ({"samples": sch.MAX_SAMPLES + 1}, ["/inputs/samples"]),
+    ({"samples": 999}, ["/inputs/samples"]),
+    ({"points": 0}, ["/inputs/points"]),
+])
+def test_schema_rejects_bad_verify_inputs(inputs, pointers):
+    job = {"command": "verify", "inputs": {"suites": ["quadratic_lemma"], **inputs}}
+    errors = sch.validate_job(job)
+    assert [e.split(":")[0] for e in errors] == pointers
+    with pytest.raises(cli.InvalidJob):
+        cli.run(job)
+
+
+def test_schema_accepts_verify_caps():
+    job = {"command": "verify",
+           "inputs": {"samples": sch.MAX_SAMPLES, "points": sch.MAX_SAMPLES,
+                      "grids": [100, 100, sch.MAX_GRID_POINTS // 10_000]}}
+    assert sch.validate_job(job) == []
+
+
+@pytest.mark.parametrize("model, pointer", [
+    # a round cap ends at its second pole t = pi
+    ({"profile": "round_cap", "T": 4.0, "lambda": 100.0}, "/inputs/model/T"),
+    ({"profile": "funnel", "T": 17.0, "lambda": 0.0}, "/inputs/model/lambda"),
+    ({"profile": "funnel", "T": 17.0, "lambda": -1.0}, "/inputs/model/lambda"),
+    ({"profile": "funnel", "T": 17.0, "lambda": "1"}, "/inputs/model/lambda"),
+])
+def test_schema_rejects_mubble_models_that_cannot_run(model, pointer):
+    job = {"command": "mubble", "inputs": {"model": model}}
+    assert [e.split(":")[0] for e in sch.validate_job(job)] == [pointer]
+
+
+@pytest.mark.parametrize("model", [
+    # lambda_1 = 3 needs T >= 4 pi/sqrt(3) + 2 eps = 7.455 > pi
+    {"profile": "round_cap", "T": 3.0},
+    {"profile": "round_cap", "T": 3.0, "lambda": 20.0},
+    {"profile": "cylinder", "T": 10.0, "lambda": 1.0},
+])
+def test_mubble_model_too_short_for_the_band_exits_2(tmp_path, capsys, model):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"command": "mubble", "inputs": {"model": model}}))
+    assert cli.main(["run", "--job", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "/inputs/model/T: must be >= 4 pi/sqrt(lambda) + 2 eps" in err
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad value\nsecond line"),
+                                 RuntimeError("solver diverged")])
+def test_runner_exception_exits_3_with_one_line(monkeypatch, capsys, exc):
+    def broken(inputs, seed, out_dir):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "verify", broken)
+    assert cli.main(["verify", "--samples", "1000"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"internal error: {type(exc).__name__}: ")
+
+
+def test_conformal_lambda1_uses_the_stability_rule(monkeypatch):
+    # theta = 0 passes the old "lambda_stab >= -1e-10" test, but with a
+    # positive residual theta - residual < 0, so the chart is not stable
+    def unresolved(geom, integrand, tol=va.EIG_TOL):
+        theta, residual = 0.0, 1e-3
+        return va.StabilityReport(lambda_stab=theta, stable=theta - residual >= 0.0,
+                                  eigenfunction=None, resolution=geom.shape,
+                                  matvecs=0, residual=residual)
+
+    monkeypatch.setattr(va, "stability_spectrum", unresolved)
+    job = {"command": "conformal", "seed": 7,
+           "inputs": {"chart": {"kind": "hyperplane", "n": 3, "offset": 1.0,
+                                "box": [[-1.2, 1.2]] * 3},
+                      "lambda": 0.75, "resolution": 9, "tests": ["lambda1"]}}
+    rec, = cli.run(job)["records"]
+    assert rec["tolerance"] is None
+    assert "not a certified stable" in rec["detail"]["warning"]

@@ -145,3 +145,287 @@ def test_halton_deterministic_and_in_unit_cube():
     assert pts.shape == (1000, 4)
     assert pts.min() >= 0.0 and pts.max() < 1.0
     assert np.array_equal(pts, iq.halton(1000, 4))
+
+
+# -- bit-exact pins ------------------------------------------------------------------
+#
+# The sweeps hoist and tabulate terms but keep every floating-point operation
+# in its order, so their output is pinned repr-exactly.  The literals were
+# produced by the row-by-row kernels (one full numpy expression per alpha,
+# digit-by-digit Halton sums) under numpy 2.4 on x86-64; numpy builds whose
+# cos/sin or einsum round differently change the last bits.
+
+GOLDEN = {
+    "quadratic_lemma": {"sample_count": 59040,
+     "records": [("c0*Q2 - Q1",
+                  -4.440892098500626e-16,
+                  -1e-10,
+                  True,
+                  {"config": {"alpha": 0.7071067811865475,
+                              "beta": 0.7071067811865475,
+                              "theta": 0.7853981633974483}}),
+                 ("(3/2 - sqrt2) - (Q1-Q2)/Q1",
+                  -2.220446049250313e-16,
+                  -1e-10,
+                  True,
+                  {"config": {"alpha": 0.7071067811865475,
+                              "beta": 0.7071067811865475,
+                              "theta": 0.7853981633974483}}),
+                 ("identity 1/(1-c1_max) = c0",
+                  -0.0,
+                  -1e-10,
+                  True,
+                  {"config": {"residual": np.float64(0.0)}})],
+     "extras": {"max_ratio_q1_q2": 1.0938363213560545,
+                "max_ratio_config": {"alpha": 0.7071067811865475,
+                                     "beta": 0.7071067811865475,
+                                     "theta": 0.7853981633974483},
+                "q2_nonpositive_count": 0,
+                "c0": np.float64(1.0938363213560542)}},
+    "curvature_pinch": {"sample_count": 20000,
+     "records": [("-R >= 0 [halton]",
+                  0.9274122255686273,
+                  -1e-10,
+                  True,
+                  {"config": {"a": [1.0127738470944707,
+                                    1.0318911305942293,
+                                    1.4116095586545632],
+                              "psi": 5.478674402137016}}),
+                 ("c0*(-R) - |A|^2 [halton]",
+                  0.0144371771966183,
+                  -1e-10,
+                  True,
+                  {"config": {"a": [1.0127738470944707,
+                                    1.0318911305942293,
+                                    1.4116095586545632],
+                              "psi": 5.478674402137016}}),
+                 ("-R >= 0 [prng]",
+                  0.9274950310644159,
+                  -1e-10,
+                  True,
+                  {"config": {"a": [1.0085696335929069,
+                                    1.0461299983623884,
+                                    1.4121843713663713],
+                              "psi": 5.640971927699846}}),
+                 ("c0*(-R) - |A|^2 [prng]",
+                  0.014527752855519882,
+                  -1e-10,
+                  True,
+                  {"config": {"a": [1.0085696335929069,
+                                    1.0461299983623884,
+                                    1.4121843713663713],
+                              "psi": 5.640971927699846}}),
+                 ("|A|^2 + R >= 0",
+                  0.0,
+                  -1e-10,
+                  True,
+                  {"config": {"identity": "(sum k)^2"}}),
+                 ("c0*(-R) - |A|^2 [corner (1.0, 1.0, 1.0)]",
+                  0.09383632135605413,
+                  -1e-10,
+                  True,
+                  {"config": {"a": [1.0, 1.0, 1.0], "psi": 0.0015707963267948964}}),
+                 ("c0*(-R) - |A|^2 [corner (1.0, 1.0, 1.414214)]",
+                  1.6323231655235304e-10,
+                  -1e-10,
+                  True,
+                  {"config": {"a": [1.0, 1.0, np.float64(1.4142135623730951)],
+                              "psi": 2.526154652751553}}),
+                 ("c0*(-R) - |A|^2 [corner (1.0, 1.414214, 1.414214)]",
+                  0.01876726427121067,
+                  -1e-10,
+                  True,
+                  {"config": {"a": [1.0,
+                                    np.float64(1.4142135623730951),
+                                    np.float64(1.4142135623730951)],
+                              "psi": 4.71238898038469}}),
+                 ("c0*(-R) - |A|^2 [corner (1.414214, 1.414214, 1.414214)]",
+                  0.09383632135605413,
+                  -1e-10,
+                  True,
+                  {"config": {"a": [np.float64(1.4142135623730951),
+                                    np.float64(1.4142135623730951),
+                                    np.float64(1.4142135623730951)],
+                              "psi": 0.010367255756846317}})],
+     "extras": {"max_ratio_A2_over_negR": 1.0938363211775048,
+                "max_ratio_config": {"a": [1.0, 1.0, np.float64(1.4142135623730951)],
+                                     "psi": 2.526154652751553},
+                "near_sharp": True,
+                "max_constraint_residual": 4.440892098500626e-16,
+                "c0": np.float64(1.0938363213560542)}},
+    "ricci_bound": {"sample_count": 20000,
+     "records": [("Ric + |A|^2/sqrt2 [halton]",
+                  0.009497846567372958,
+                  -1e-10,
+                  True,
+                  {"config": {"k": [-0.41568058215952935,
+                                    0.7444758037721144,
+                                    -0.5224609375],
+                              "y": [-0.03073670415632349,
+                                    0.999297543986578,
+                                    0.021439999999999904]}}),
+                 ("Ric + |A|^2/sqrt2 [prng]",
+                  0.006341869122414634,
+                  -1e-10,
+                  True,
+                  {"config": {"k": [0.4887201515534437,
+                                    0.47381615869185123,
+                                    -0.7325645781964054],
+                              "y": [0.02453837380772675,
+                                    0.08243640080521453,
+                                    0.9962941874934101]}}),
+                 ("equality witness k=(-sqrt2,1,1)/2, y=e1",
+                  -1.1102230246251565e-16,
+                  -1e-10,
+                  True,
+                  {"config": {"k": [-0.7071067811865476, 0.5, 0.5],
+                              "y": [1.0, 0.0, 0.0]}})],
+     "extras": {"equality_witness_margin": -1.1102230246251565e-16}},
+    "kato": {"sample_count": 12000,
+     "records": [("kato[linear_x]",
+                  0.0,
+                  -1e-10,
+                  True,
+                  {"config": {"poly": "linear_x",
+                              "point": [-0.6875,
+                                        0.4814814814814814,
+                                        -0.6799999999999999]}}),
+                 ("kato[re_z3]",
+                  0.0029700764859799077,
+                  -1e-10,
+                  True,
+                  {"config": {"poly": "re_z3",
+                              "point": [0.005859375,
+                                        -0.011431184270690453,
+                                        0.8438400000000001]}}),
+                 ("kato[x2_minus_y2]",
+                  1.9999999999999991,
+                  -1e-10,
+                  True,
+                  {"config": {"poly": "x2_minus_y2",
+                              "point": [0.3125, -0.6296296296296297, -0.28]}}),
+                 ("kato[xy]",
+                  0.4999999999999998,
+                  -1e-10,
+                  True,
+                  {"config": {"poly": "xy",
+                              "point": [0.3125, -0.6296296296296297, -0.28]}}),
+                 ("kato[xyz]",
+                  8.628038447477948e-05,
+                  -1e-10,
+                  True,
+                  {"config": {"poly": "xyz",
+                              "point": [0.7319070546477038,
+                                        0.7401845793162523,
+                                        -0.7323637363298141]}}),
+                 ("kato[z_x2_minus_y2]",
+                  0.003430880915415102,
+                  -1e-10,
+                  True,
+                  {"config": {"poly": "z_x2_minus_y2",
+                              "point": [0.01953125,
+                                        -0.355281207133059,
+                                        -0.24160000000000004]}})],
+     "extras": {"skipped_points": {"linear_x": 0,
+                                   "re_z3": 0,
+                                   "x2_minus_y2": 0,
+                                   "xy": 0,
+                                   "xyz": 0,
+                                   "z_x2_minus_y2": 0}}},
+}
+
+
+def _sweep_outputs(rep):
+    return {"sample_count": rep.sample_count,
+            "records": [(r.name, r.value, r.tolerance, r.passed, r.detail)
+                        for r in rep.records],
+            "extras": rep.extras}
+
+
+@pytest.mark.parametrize("suite, sweep", [
+    ("quadratic_lemma", lambda: iq.verify_quadratic_lemma(40, 40, 72)),
+    ("curvature_pinch", lambda: iq.verify_curvature_pinch(20_000, seed=1234)),
+    ("ricci_bound", lambda: iq.verify_ricci_bound(20_000, seed=1234)),
+    ("kato", lambda: iq.verify_kato(2_000, seed=1234)),
+])
+def test_sweep_records_are_pinned(suite, sweep):
+    assert repr(_sweep_outputs(sweep())) == repr(GOLDEN[suite])
+
+
+def _radical_inverse(index, base):
+    """Scalar reference: integer digits, lowest first, summed left to right."""
+    f, denom = 0.0, 1.0
+    while index:
+        denom *= base
+        index, digit = divmod(index, base)
+        f += digit / denom
+    return f
+
+
+@pytest.mark.parametrize("count, skip", [(20_000, 20), (2_000, 123_456_789),
+                                         (300, 2**40 + 12_345)])
+def test_halton_matches_scalar_radical_inverse(count, skip):
+    pts = iq.halton(count, len(iq._PRIMES), skip=skip)
+    ref = np.array([[_radical_inverse(skip + i, b) for b in iq._PRIMES]
+                    for i in range(count)])
+    assert np.array_equal(pts.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("block", [48, 1 << 15])
+@pytest.mark.parametrize("alphas, betas", [
+    # reaches alpha, beta < 0, where Q2 <= 0 occurs
+    (np.linspace(-0.5, 1.0, 9), np.linspace(-0.5, 1.0, 11)),
+    # identical rows, and theta -> theta + pi repeats every value: ties
+    # within and across blocks, where the first occurrence must win
+    (np.full(3, 0.8), np.full(4, 0.8)),
+])
+def test_quadratic_sweep_matches_full_grid_reference(monkeypatch, block, alphas, betas):
+    # swept in blocks of two beta rows and in whole rows
+    monkeypatch.setattr(iq, "_QUAD_BLOCK", block)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    coss, sins = np.cos(thetas), np.sin(thetas)
+    a, b = alphas[:, None, None], betas[None, :, None]
+    k1, k2 = coss[None, None, :], sins[None, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m1, m2, r = iq.quadratic_lemma_point(a, b, thetas[None, None, :])
+    q2 = 2.0 * a * k1 * k1 + 2.0 * (a + b - 1.0) * k1 * k2 + 2.0 * b * k2 * k2
+    keep = (b >= a) & (q2 > 0.0)
+    expected = []
+    for arr, fill, pick in ((m1, np.inf, np.argmin), (m2, np.inf, np.argmin),
+                            (r, -np.inf, np.argmax)):
+        masked = np.where(keep, arr, fill)
+        f = int(pick(masked))
+        expected += [float(masked.flat[f]), *np.unravel_index(f, masked.shape)]
+    expected.append(int(np.sum((b >= a) & ~keep)))
+    assert iq._quadratic_sweep(alphas, betas, coss, sins) == tuple(expected)
+
+
+def test_curvature_and_ricci_kernels_match_stacked_reference():
+    # each sample swept alone gives its own margins, compared bit for bit
+    # with the stacked (n, 3) evaluation of the whole batch
+    rng = np.random.default_rng(11)
+    n = 400
+    aa = 1.0 + (SQRT2 - 1.0) * np.sort(rng.random((n, 3)), axis=1)
+    psis = 2.0 * np.pi * rng.random(n)
+    b1 = np.stack([np.zeros(n), aa[:, 2], -aa[:, 1]], axis=-1)
+    b1 /= np.linalg.norm(b1, axis=-1)[:, None]
+    b2 = np.cross(aa, b1)
+    b2 /= np.linalg.norm(b2, axis=-1)[:, None]
+    k = np.cos(psis)[:, None] * b1 + np.sin(psis)[:, None] * b2
+    A2 = np.einsum("pi,pi->p", k, k)
+    s = k.sum(axis=1)
+    R = s * s - A2
+    cons = np.abs(np.einsum("pi,pi->p", aa, k))
+    ks = rng.normal(size=(n, 3))
+    ys = rng.normal(size=(n, 3))
+    sk = ks.sum(axis=1)
+    ric = np.einsum("pi,pi->p", ks * (sk[:, None] - ks), ys * ys)
+    ricci = ric + np.einsum("pi,pi->p", ks, ks) / SQRT2
+    for p in range(n):
+        mR, _, m2, _, ratio, _, c = iq._curvature_sweep(
+            tuple(aa[p:p + 1, i] for i in range(3)), psis[p:p + 1])
+        assert (mR, m2, ratio, c) == (-R[p], -iq.C0 * R[p] - A2[p], A2[p] / -R[p],
+                                      cons[p]), p
+        worst, _ = iq._ricci_sweep(tuple(ks[p:p + 1, i] for i in range(3)),
+                                   tuple(ys[p:p + 1, i] for i in range(3)))
+        assert worst == ricci[p], p

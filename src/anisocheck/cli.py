@@ -205,7 +205,7 @@ def _run_conformal(inputs, seed, out_dir):
 
 
 def _run_mubble(inputs, seed, out_dir):
-    spec = inputs.get("model", {"profile": "cylinder", "T": 20.0})
+    spec = inputs["model"]
     model = mb.make_model(spec["profile"], T=float(spec.get("T", 20.0)),
                           params=spec.get("params"), lam=spec.get("lambda"),
                           n_grid=int(spec.get("n_grid", 4001)))

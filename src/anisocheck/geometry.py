@@ -766,14 +766,14 @@ class Catenoid3(Revolution):
                 (1.0 / ch, -sh / ch))
 
 
-_HEIGHTS = ("paraboloid", "sine")
+HEIGHTS = ("paraboloid", "sine")
 
 
 class Graph(Chart):
     """Graph chart x_d = offset + F(u) for a catalog height function."""
 
     def __init__(self, n=3, height="paraboloid", amplitude=0.5, offset=1.0, box=None):
-        if height not in _HEIGHTS:
+        if height not in HEIGHTS:
             raise ValueError(f"unknown height {height!r}")
         self.height = height
         self.amplitude = float(amplitude)

@@ -4,12 +4,17 @@ A job is one JSON object
 
     {"command": <name>, "seed": <int>, "inputs": {...}}
 
-with command-specific inputs.  ``validate_job`` returns a list of error
-strings, each prefixed with the JSON-pointer path of the offending value,
-and ``emit_schema`` prints a JSON-Schema document describing the format.
+with command-specific inputs.  ``JOB_SCHEMA`` is the one description of
+the format: ``anisocheck schema`` prints it, and ``validate_job`` walks
+it, then checks the few rules that relate one value to another.  Each
+error string is prefixed with the JSON pointer of the offending value.
 """
 
 from __future__ import annotations
+
+import math
+import operator
+import sys
 
 import numpy as np
 
@@ -20,87 +25,294 @@ from . import mubble as mb
 COMMANDS = ("constants", "integrand", "variation", "conformal", "mubble",
             "verify", "all")
 SUITES = ("quadratic_lemma", "curvature_pinch", "ricci_bound", "kato")
-VARIATION_TESTS = ("first_variation", "second_variation", "vectorfield",
-                   "isoperimetric", "spectrum")
-CONFORMAL_TESTS = ("qform", "laplace_r", "distance", "lambda1")
-CHART_KINDS = ("hyperplane", "sphere", "cylinder", "catenoid_2", "catenoid_3",
-               "graph", "cone")
-PROFILES = ("cylinder", "funnel", "bulge", "round_cap")
-#: chart keys holding one parameter interval [lo, hi]
-RANGE_KEYS = ("theta_range", "z_range", "s_range", "t_range")
 #: largest ``samples`` (and Kato ``points``) of a verify job: memory and
 #: time grow linearly in it, about 75 MB and 0.2 s per 10^6 curvature samples
 MAX_SAMPLES = 10_000_000
 #: largest grid product n_alpha * n_beta * n_angle of the quadratic-lemma
 #: sweep: about 3.5 times the default 200 x 200 x 720
 MAX_GRID_POINTS = 100_000_000
+#: largest grid a variation or conformal job samples: r^n nodes for a
+#: resolution r, the product of a resolution list, (2r - 1)^n for the
+#: refinement companion of the conformal qform/laplace_r tests.  At the cap
+#: (50^3) a catenoid_3 variation job with first/second variation and
+#: spectrum peaks at 722 MiB RSS in 22 s on a 2-core x86-64 machine
+MAX_NODES = 125_000
+#: the chart class of each kind and the keys its constructor reads
+CHARTS = {
+    "hyperplane": (geo.Hyperplane, ("n", "offset", "box", "polar")),
+    "sphere": (geo.Sphere, ("n", "radius", "center", "box")),
+    "cylinder": (geo.Cylinder, ("n", "link_radius", "z_range", "theta_range")),
+    "catenoid_2": (geo.Catenoid2, ("scale", "s_range")),
+    "catenoid_3": (geo.Catenoid3, ("scale", "t_range", "theta_range")),
+    "graph": (geo.Graph, ("n", "height", "amplitude", "offset", "box")),
+    "cone": (geo.ConePatch, ("n", "link_ratio", "s_range", "theta_range")),
+}
 
 
-def _err(path, msg):
-    return f"{path}: {msg}"
+# -- the schema ---------------------------------------------------------------------
+
+POSITIVE = {"type": "number", "minimum": 1e-12}
+INTERVAL = {"type": "array", "format": "interval", "minItems": 2, "maxItems": 2,
+            "items": {"type": "number"}, "description": "[lo, hi] with lo < hi"}
+RESOLUTION = {"type": "integer", "minimum": 8}
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _list_of(*values):
+    return {"type": "array", "items": {"enum": list(values)}}
 
 
-_INTERVAL_RULE = "must be a pair of numbers [lo, hi] with lo < hi"
+def _when(key, value, then):
+    """draft-07 conditional: apply ``then`` where ``key`` equals ``value``."""
+    return {"if": {"required": [key], "properties": {key: {"const": value}}},
+            "then": then}
 
 
-def _is_interval(iv):
-    return (isinstance(iv, list) and len(iv) == 2
-            and all(_is_number(x) for x in iv) and iv[0] < iv[1])
+INTEGRAND = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {
+        "kind": {"enum": ["isotropic", "quadratic", "perturbed"]},
+        "dim": {"type": "integer", "minimum": 3, "description": "ambient dimension"},
+        "scale": POSITIVE,
+        "matrix": {"type": "array", "format": "spd-matrix", "minItems": 3,
+                   "items": {"type": "array", "items": {"type": "number"}},
+                   "description": "symmetric positive definite; its size is the "
+                                  "ambient dimension"},
+        "epsilon": {"type": "number", "minimum": -1.0, "maximum": 1.0},
+        "profile": {"enum": ig.profile_names()},
+    },
+    "allOf": [_when("kind", "quadratic", {"required": ["matrix"]}),
+              _when("kind", "perturbed", {"required": ["profile"]})],
+}
+
+CHART = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {
+        "kind": {"enum": list(CHARTS)},
+        "n": {"type": "integer", "enum": [2, 3],
+              "description": "default 2 for catenoid_2, else 3"},
+        "offset": {"type": "number"},
+        **{key: POSITIVE for key in ("radius", "scale", "link_radius", "amplitude")},
+        "link_ratio": {"type": "number", "minimum": 1e-6, "maximum": 1 - 1e-6},
+        "polar": {"type": "boolean"},
+        "height": {"enum": list(geo.HEIGHTS)},
+        "center": {"type": "array", "items": {"type": "number"},
+                   "description": "n + 1 numbers"},
+        **{key: INTERVAL for key in ("theta_range", "z_range", "s_range", "t_range")},
+        "box": {"type": "array", "items": INTERVAL, "description": "n intervals"},
+    },
+    "allOf": [_when("kind", "catenoid_2", {"properties": {"n": {"const": 2}}}),
+              _when("kind", "catenoid_3", {"properties": {"n": {"const": 3}}})],
+}
+
+MODEL = {
+    "type": "object",
+    "required": ["profile"],
+    "properties": {
+        "profile": {"enum": ["cylinder", "funnel", "bulge", "round_cap"]},
+        "T": {"type": "number", "minimum": 1e-6,
+              "description": "T >= 4 pi/sqrt(lambda) + 2 eps, checked by the runner"},
+        "params": {"type": "object",
+                   "properties": {"rate": {"type": "number"},
+                                  "amplitude": {"type": "number"},
+                                  "period": {"type": "number", "exclusiveMinimum": 0}}},
+        "lambda": {"type": "number", "exclusiveMinimum": 0,
+                   "description": "default: lambda_1 of the model (3 for round_cap)"},
+        "eps": {"type": "number", "minimum": 1e-9, "maximum": 0.5 - 1e-9},
+        "n_grid": {"type": "integer", "minimum": 3},
+    },
+    # a round cap ends at its second pole, T = pi; the runner's default T is 20
+    "allOf": [_when("profile", "round_cap",
+                    {"required": ["T"], "properties": {"T": {"maximum": mb.ROUND_CAP_END}}})],
+}
+
+INPUTS = {
+    "constants": {"properties": {"variant": {"enum": ["sqrt-lambda", "as-printed"]},
+                                 "c1_norm": POSITIVE, "phi_min": POSITIVE}},
+    "integrand": {"required": ["integrand"],
+                  "properties": {"integrand": INTEGRAND, "resolution": RESOLUTION}},
+    "variation": {
+        "required": ["chart", "integrand"],
+        "properties": {
+            "chart": CHART, "integrand": INTEGRAND,
+            "resolution": {"anyOf": [RESOLUTION, {"type": "array", "minItems": 1,
+                                                  "items": RESOLUTION}],
+                           "description": "an integer >= 8 or a list of n of them"},
+            "tests": _list_of("first_variation", "second_variation", "vectorfield",
+                              "isoperimetric", "spectrum"),
+            "rho": {"type": "number"},
+        },
+    },
+    "conformal": {"required": ["chart"],
+                  "properties": {"chart": CHART, "integrand": INTEGRAND,
+                                 "resolution": RESOLUTION,
+                                 "tests": _list_of("qform", "laplace_r", "distance", "lambda1"),
+                                 "lambda": {"type": "number"}}},
+    "mubble": {"required": ["model"],
+               "properties": {"model": MODEL,
+                              "amplitude": {"anyOf": [{"enum": ["sqrt-lambda", "half"]},
+                                                      {"type": "number"}],
+                                            "description": "'sqrt-lambda', 'half' "
+                                                           "or a number"}}},
+    "verify": {"properties": {
+        "suites": _list_of(*SUITES),
+        "samples": {"type": "integer", "minimum": 1000, "maximum": MAX_SAMPLES},
+        "points": {"type": "integer", "minimum": 1, "maximum": MAX_SAMPLES,
+                   "description": "Kato sample points"},
+        "grids": {"type": "array", "minItems": 3, "maxItems": 3,
+                  "items": {"type": "integer", "minimum": 2, "maximum": MAX_GRID_POINTS},
+                  "description": "[n_alpha, n_beta, n_angle] of the quadratic-lemma "
+                                 f"sweep, product <= {MAX_GRID_POINTS}"},
+    }},
+    "all": {},
+}
 
 
-def _check_number(errors, path, value, lo=None, hi=None):
-    if not _is_number(value):
-        errors.append(_err(path, "must be a number"))
-        return False
-    if lo is not None and value < lo:
-        errors.append(_err(path, f"must be >= {lo}"))
-        return False
-    if hi is not None and value > hi:
-        errors.append(_err(path, f"must be <= {hi}"))
-        return False
-    return True
+JOB_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "anisocheck job",
+    "description": "variation and conformal jobs also need box = n intervals, "
+                   "center = n + 1 numbers, a resolution list of n entries, an "
+                   "integrand of ambient dimension n + 1 and a largest sampled "
+                   f"grid of at most {MAX_NODES} nodes",
+    "type": "object",
+    "required": ["command"],
+    "properties": {
+        "command": {"enum": list(COMMANDS)},
+        "seed": {"type": "integer", "minimum": 0},
+        "out": {"type": "string"},
+        "inputs": {"type": "object"},
+    },
+    # inputs that require a key must be present themselves
+    "allOf": [_when("command", cmd, {"required": ["inputs"] if "required" in inputs else [],
+                                     "properties": {"inputs": inputs}})
+              for cmd, inputs in INPUTS.items()],
+}
 
 
-def validate_integrand(spec, path="/inputs/integrand"):
+# -- validation ---------------------------------------------------------------------
+
+
+def _is_type(value, name):
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "number":        # finite as a float
+        return (isinstance(value, (int, float))
+                and -sys.float_info.max <= value <= sys.float_info.max)
+    return isinstance(value, {"integer": int, "string": str, "boolean": bool,
+                              "array": list, "object": dict}[name])
+
+
+def _interval(iv):
+    if not (len(iv) == 2 and all(_is_type(x, "number") for x in iv) and iv[0] < iv[1]):
+        return "must be a pair of numbers [lo, hi] with lo < hi"
+
+
+def _spd_matrix(m):
+    if not (m and all(isinstance(row, list) and len(row) == len(m)
+                      and all(_is_type(x, "number") for x in row) for row in m)):
+        return "must be a square matrix of numbers"
+    a = np.array(m, dtype=float)
+    if not np.allclose(a, a.T, atol=1e-12):
+        return "must be symmetric"
+    if np.linalg.eigvalsh(a).min() <= 0:
+        return "must be positive definite"
+
+
+_TYPE_NAMES = {"integer": "an integer", "number": "a finite number", "string": "a string",
+               "boolean": "a boolean", "array": "an array", "object": "an object"}
+#: the ``format`` checks JSON-Schema cannot state: the error of a bad value, else None
+FORMATS = {"interval": _interval, "spd-matrix": _spd_matrix}
+_BOUNDS = (("minimum", operator.lt, ">="), ("maximum", operator.gt, "<="),
+           ("exclusiveMinimum", operator.le, ">"))
+
+
+def _walk(schema, value, path=""):
+    """Errors of ``value`` (at JSON pointer ``path``) against the draft-07
+    keywords of ``schema``.  A failed ``type`` or ``format`` ends the walk
+    of that value, so it is reported once."""
     errors = []
-    if not isinstance(spec, dict):
-        return [_err(path, "must be an object")]
-    kind = spec.get("kind")
-    if kind not in ("isotropic", "quadratic", "perturbed"):
-        errors.append(_err(f"{path}/kind",
-                           "must be one of isotropic, quadratic, perturbed"))
+
+    def fail(msg):
+        errors.append(f"{path or '/'}: {msg}")
+
+    name = schema.get("type")
+    msg = (f"must be {_TYPE_NAMES[name]}" if name and not _is_type(value, name)
+           else schema.get("format") and FORMATS[schema["format"]](value))
+    if msg:
+        fail(msg)
         return errors
-    dim = spec.get("dim", 4)
-    if not isinstance(dim, int) or dim < 3:
-        errors.append(_err(f"{path}/dim", "must be an integer >= 3"))
-    if kind == "quadratic":
-        m = spec.get("matrix")
-        if m is None:
-            errors.append(_err(f"{path}/matrix", "required for quadratic integrands"))
-        else:
-            arr = np.asarray(m, dtype=float) if _is_matrix(m) else None
-            if arr is None or arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                errors.append(_err(f"{path}/matrix", "must be a square matrix"))
-            elif not np.allclose(arr, arr.T, atol=1e-12):
-                errors.append(_err(f"{path}/matrix", "must be symmetric"))
-            elif np.min(np.linalg.eigvalsh(arr)) <= 0:
-                errors.append(_err(f"{path}/matrix", "must be positive definite"))
-    if kind == "perturbed":
-        if spec.get("profile") not in ig.profile_names():
-            errors.append(_err(f"{path}/profile",
-                               f"must be one of {ig.profile_names()}"))
-        _check_number(errors, f"{path}/epsilon", spec.get("epsilon", 0.0), lo=-1.0, hi=1.0)
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"must be one of {schema['enum']}")
+    if "const" in schema and value != schema["const"]:
+        fail(f"must be {schema['const']!r}")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):   # exact for big ints
+        for key, violates, rule in _BOUNDS:
+            if key in schema and violates(value, schema[key]):
+                fail(f"must be {rule} {schema[key]}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"must hold at least {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", len(value)):
+            fail(f"must hold at most {schema['maxItems']} items")
+        for i, item in enumerate(value if "items" in schema else ()):
+            errors += _walk(schema["items"], item, f"{path}/{i}")
+    if isinstance(value, dict):
+        errors += [f"{path}/{key}: is required"
+                   for key in schema.get("required", ()) if key not in value]
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                errors += _walk(sub, value[key], f"{path}/{key}")
+    if "anyOf" in schema and all(_walk(sub, value, path) for sub in schema["anyOf"]):
+        fail(f"must be {schema['description']}")
+    if "if" in schema and not _walk(schema["if"], value, path):
+        errors += _walk(schema["then"], value, path)
+    for sub in schema.get("allOf", ()):
+        errors += _walk(sub, value, path)
     return errors
 
 
-def _is_matrix(m):
-    return (isinstance(m, list) and m
-            and all(isinstance(row, list) and len(row) == len(m) for row in m)
-            and all(isinstance(x, (int, float)) for row in m for x in row))
+def _rules(job):
+    """The rules of a schema-valid job that relate one value to another."""
+    cmd, inputs = job["command"], job.get("inputs", {})
+    if cmd == "verify" and math.prod(inputs.get("grids", ())) > MAX_GRID_POINTS:
+        return [f"/inputs/grids: grid product must be <= {MAX_GRID_POINTS}"]
+    if cmd not in ("variation", "conformal"):
+        return []
+    chart = inputs["chart"]
+    n = chart.get("n", 2 if chart["kind"] == "catenoid_2" else 3)
+    errors = [f"/inputs/chart/{key}: must hold {size} {what} for n = {n}"
+              for key, size, what in (("box", n, "intervals"), ("center", n + 1, "numbers"))
+              if key in chart and len(chart[key]) != size]
+    # a conformal job without an integrand uses the isotropic one of the chart
+    spec = inputs.get("integrand", {"kind": "isotropic", "dim": n + 1})
+    key = "matrix" if spec["kind"] == "quadratic" else "dim"
+    dim = len(spec["matrix"]) if key == "matrix" else spec.get("dim", 4)
+    if dim != n + 1:
+        errors.append(f"/inputs/integrand/{key}: ambient dimension {dim} must be "
+                      f"n + 1 = {n + 1} for the chart")
+    res = inputs.get("resolution", 21 if n == 2 else 13)
+    if isinstance(res, list):
+        if len(res) != n:
+            errors.append(f"/inputs/resolution: must hold n = {n} entries")
+        nodes = math.prod(res)
+    elif cmd == "conformal" and {"qform", "laplace_r"} & set(inputs.get("tests", ["qform"])):
+        nodes = (2 * res - 1) ** n
+    else:
+        nodes = res ** n
+    if nodes > MAX_NODES:
+        errors.append(f"/inputs/resolution: samples {nodes} nodes, more than "
+                      f"MAX_NODES = {MAX_NODES}")
+    return errors
+
+
+def validate_job(job):
+    """Full job validation; returns a list of '<json-pointer>: message'."""
+    return _walk(JOB_SCHEMA, job) or _rules(job)
+
+
+# -- builders -----------------------------------------------------------------------
 
 
 def build_integrand(spec):
@@ -113,274 +325,6 @@ def build_integrand(spec):
     return ig.Integrand.perturbed(dim, float(spec.get("epsilon", 0.0)), spec["profile"])
 
 
-def validate_chart(spec, path="/inputs/chart"):
-    errors = []
-    if not isinstance(spec, dict):
-        return [_err(path, "must be an object")]
-    kind = spec.get("kind")
-    if kind not in CHART_KINDS:
-        errors.append(_err(f"{path}/kind", f"must be one of {CHART_KINDS}"))
-        return errors
-    n = spec.get("n", 2 if kind == "catenoid_2" else 3)
-    if kind == "catenoid_2" and n != 2:
-        errors.append(_err(f"{path}/n", "catenoid_2 is a surface (n = 2)"))
-    if kind == "catenoid_3" and n != 3:
-        errors.append(_err(f"{path}/n", "catenoid_3 needs n = 3"))
-    if not isinstance(n, int) or n not in (2, 3):
-        errors.append(_err(f"{path}/n", "must be 2 or 3"))
-    for key in ("radius", "scale", "link_radius", "amplitude"):
-        if key in spec:
-            _check_number(errors, f"{path}/{key}", spec[key], lo=1e-12)
-    if kind == "cone":
-        _check_number(errors, f"{path}/link_ratio", spec.get("link_ratio", 0.8),
-                      lo=1e-6, hi=1 - 1e-6)
-    if "offset" in spec:
-        _check_number(errors, f"{path}/offset", spec["offset"])
-    errors += [_err(f"{path}/{key}", _INTERVAL_RULE) for key in RANGE_KEYS
-               if key in spec and not _is_interval(spec[key])]
-    if "center" in spec and n in (2, 3):
-        c = spec["center"]
-        if not (isinstance(c, list) and len(c) == n + 1 and all(_is_number(x) for x in c)):
-            errors.append(_err(f"{path}/center", f"must be a list of n + 1 = {n + 1} numbers"))
-    if "box" in spec and n in (2, 3):
-        errors += _validate_box(spec["box"], n, f"{path}/box")
-    return errors
-
-
-def _validate_box(box, n, path):
-    """One [lo, hi] interval with lo < hi per chart parameter."""
-    if not isinstance(box, list) or len(box) != n:
-        return [_err(path, f"must be a list of n = {n} intervals [lo, hi]")]
-    return [_err(f"{path}/{i}", _INTERVAL_RULE)
-            for i, iv in enumerate(box) if not _is_interval(iv)]
-
-
 def build_chart(spec):
-    kind = spec["kind"]
-    n = int(spec.get("n", 3))
-    if kind == "hyperplane":
-        return geo.Hyperplane(n, offset=float(spec.get("offset", 1.0)),
-                              box=spec.get("box"), polar=bool(spec.get("polar", False)))
-    if kind == "sphere":
-        return geo.Sphere(n, radius=float(spec.get("radius", 1.0)),
-                          center=spec.get("center"), box=spec.get("box"))
-    if kind == "cylinder":
-        return geo.Cylinder(n, link_radius=float(spec.get("link_radius", 1.0)),
-                            z_range=tuple(spec.get("z_range", (-1.0, 1.0))),
-                            theta_range=spec.get("theta_range"))
-    if kind == "catenoid_2":
-        return geo.Catenoid2(scale=float(spec.get("scale", 1.0)),
-                             s_range=tuple(spec.get("s_range", (-1.0, 1.0))))
-    if kind == "catenoid_3":
-        return geo.Catenoid3(scale=float(spec.get("scale", 1.0)),
-                             t_range=tuple(spec.get("t_range", (-0.8, 0.8))),
-                             theta_range=spec.get("theta_range"))
-    if kind == "graph":
-        return geo.Graph(n, spec.get("height", "paraboloid"),
-                         amplitude=float(spec.get("amplitude", 0.5)),
-                         offset=float(spec.get("offset", 1.0)), box=spec.get("box"))
-    if kind == "cone":
-        return geo.ConePatch(n, link_ratio=float(spec.get("link_ratio", 0.8)),
-                             s_range=tuple(spec.get("s_range", (0.5, 1.5))),
-                             theta_range=spec.get("theta_range"))
-    raise ValueError(f"unknown chart kind {kind!r}")
-
-
-def _validate_resolution(inputs, scalar_only=False):
-    if "resolution" not in inputs:
-        return []
-    res = inputs["resolution"]
-    if isinstance(res, int) and not isinstance(res, bool) and res >= 8:
-        return []
-    if (not scalar_only and isinstance(res, list) and res
-            and all(isinstance(m, int) and m >= 8 for m in res)):
-        return []
-    kind = "an integer" if scalar_only else "an integer or list of integers"
-    return [_err("/inputs/resolution", f"must be {kind} >= 8")]
-
-
-def _is_int(value, lo, hi):
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and lo <= value <= hi)
-
-
-def _validate_grids(grids, path="/inputs/grids"):
-    """Exactly three grid sizes n_alpha, n_beta, n_angle >= 2 whose product
-    is at most MAX_GRID_POINTS."""
-    if not isinstance(grids, list) or len(grids) != 3:
-        return [_err(path, "must be a list of 3 integers [n_alpha, n_beta, n_angle]")]
-    errors = [_err(f"{path}/{i}", f"must be an integer in [2, {MAX_GRID_POINTS}]")
-              for i, n in enumerate(grids) if not _is_int(n, 2, MAX_GRID_POINTS)]
-    if not errors and grids[0] * grids[1] * grids[2] > MAX_GRID_POINTS:
-        errors.append(_err(path, f"grid product must be <= {MAX_GRID_POINTS}"))
-    return errors
-
-
-def _validate_model(model, path="/inputs/model"):
-    """Model fields that can be checked without solving for lambda_1; the
-    band length T >= 4 pi/sqrt(lambda) + 2 eps is checked by the runner."""
-    errors = []
-    profile = model.get("profile")
-    if profile not in PROFILES:
-        errors.append(_err(f"{path}/profile", f"must be one of {PROFILES}"))
-    if _check_number(errors, f"{path}/T", model.get("T", 20.0), lo=1e-6) \
-            and profile == "round_cap" and model.get("T", 20.0) > mb.ROUND_CAP_END:
-        errors.append(_err(f"{path}/T", "must be <= pi: a round cap ends at its "
-                                        "second pole, T = pi"))
-    if "eps" in model:
-        _check_number(errors, f"{path}/eps", model["eps"], lo=1e-9, hi=0.5 - 1e-9)
-    lam = model.get("lambda")
-    if lam is not None and not (_is_number(lam) and lam > 0):
-        errors.append(_err(f"{path}/lambda", "must be a number > 0"))
-    return errors
-
-
-def validate_job(job):
-    """Full job validation; returns a list of '<json-pointer>: message'."""
-    errors = []
-    if not isinstance(job, dict):
-        return ["/: job must be a JSON object"]
-    cmd = job.get("command")
-    if cmd not in COMMANDS:
-        errors.append(_err("/command", f"must be one of {COMMANDS}"))
-        return errors
-    seed = job.get("seed", 1234)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append(_err("/seed", "must be an integer"))
-    inputs = job.get("inputs", {})
-    if not isinstance(inputs, dict):
-        errors.append(_err("/inputs", "must be an object"))
-        return errors
-    if cmd == "constants":
-        if inputs.get("variant", "sqrt-lambda") not in ("sqrt-lambda", "as-printed"):
-            errors.append(_err("/inputs/variant",
-                               "must be 'sqrt-lambda' or 'as-printed'"))
-        for key in ("c1_norm", "phi_min"):
-            if key in inputs:
-                _check_number(errors, f"/inputs/{key}", inputs[key], lo=1e-12)
-    elif cmd == "integrand":
-        errors += validate_integrand(inputs.get("integrand", {}))
-        errors += _validate_resolution(inputs, scalar_only=True)
-    elif cmd == "variation":
-        errors += validate_chart(inputs.get("chart", {}))
-        errors += validate_integrand(inputs.get("integrand", {}))
-        errors += _validate_resolution(inputs)
-        for i, t in enumerate(inputs.get("tests", [])):
-            if t not in VARIATION_TESTS:
-                errors.append(_err(f"/inputs/tests/{i}",
-                                   f"must be one of {VARIATION_TESTS}"))
-    elif cmd == "conformal":
-        errors += validate_chart(inputs.get("chart", {}))
-        for i, t in enumerate(inputs.get("tests", [])):
-            if t not in CONFORMAL_TESTS:
-                errors.append(_err(f"/inputs/tests/{i}",
-                                   f"must be one of {CONFORMAL_TESTS}"))
-    elif cmd == "mubble":
-        model = inputs.get("model", {})
-        if not isinstance(model, dict):
-            errors.append(_err("/inputs/model", "must be an object"))
-        else:
-            errors += _validate_model(model)
-    elif cmd == "verify":
-        for i, s in enumerate(inputs.get("suites", list(SUITES))):
-            if s not in SUITES:
-                errors.append(_err(f"/inputs/suites/{i}", f"must be one of {SUITES}"))
-        for key, lo in (("samples", 1000), ("points", 1)):
-            if key in inputs and not _is_int(inputs[key], lo, MAX_SAMPLES):
-                errors.append(_err(f"/inputs/{key}",
-                                   f"must be an integer in [{lo}, {MAX_SAMPLES}]"))
-        if "grids" in inputs:
-            errors += _validate_grids(inputs["grids"])
-    return errors
-
-
-JOB_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "anisocheck job",
-    "type": "object",
-    "required": ["command"],
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "seed": {"type": "integer"},
-        "out": {"type": "string"},
-        "inputs": {
-            "type": "object",
-            "properties": {
-                "variant": {"enum": ["sqrt-lambda", "as-printed"]},
-                "c1_norm": {"type": "number", "exclusiveMinimum": 0},
-                "phi_min": {"type": "number", "exclusiveMinimum": 0},
-                "resolution": {
-                    "oneOf": [{"type": "integer", "minimum": 8},
-                              {"type": "array",
-                               "items": {"type": "integer", "minimum": 8}}]},
-                "suites": {"type": "array", "items": {"enum": list(SUITES)}},
-                "samples": {"type": "integer", "minimum": 1000,
-                            "maximum": MAX_SAMPLES},
-                "points": {"type": "integer", "minimum": 1, "maximum": MAX_SAMPLES,
-                           "description": "Kato sample points"},
-                "grids": {"type": "array", "minItems": 3, "maxItems": 3,
-                          "items": {"type": "integer", "minimum": 2},
-                          "description": "[n_alpha, n_beta, n_angle] of the "
-                                         "quadratic-lemma sweep, product <= "
-                                         f"{MAX_GRID_POINTS}"},
-                "tests": {"type": "array"},
-                "integrand": {
-                    "type": "object",
-                    "required": ["kind"],
-                    "properties": {
-                        "kind": {"enum": ["isotropic", "quadratic", "perturbed"]},
-                        "dim": {"type": "integer", "minimum": 3},
-                        "matrix": {"type": "array",
-                                   "items": {"type": "array",
-                                             "items": {"type": "number"}},
-                                   "description": "symmetric positive definite"},
-                        "epsilon": {"type": "number"},
-                        "profile": {"enum": list(ig.profile_names())},
-                    },
-                },
-                "chart": {
-                    "type": "object",
-                    "required": ["kind"],
-                    "properties": {
-                        "kind": {"enum": list(CHART_KINDS)},
-                        "n": {"enum": [2, 3]},
-                        "offset": {"type": "number"},
-                        "radius": {"type": "number", "exclusiveMinimum": 0},
-                        "center": {"type": "array", "minItems": 3, "maxItems": 4,
-                                   "description": "n + 1 numbers",
-                                   "items": {"type": "number"}},
-                        "scale": {"type": "number", "exclusiveMinimum": 0},
-                        "link_radius": {"type": "number", "exclusiveMinimum": 0},
-                        "link_ratio": {"type": "number",
-                                       "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                        "polar": {"type": "boolean"},
-                        **{key: {"type": "array", "minItems": 2, "maxItems": 2,
-                                 "description": "[lo, hi] with lo < hi",
-                                 "items": {"type": "number"}} for key in RANGE_KEYS},
-                        "box": {"type": "array",
-                                "description": "n intervals [lo, hi] with lo < hi",
-                                "items": {"type": "array", "minItems": 2,
-                                          "maxItems": 2,
-                                          "items": {"type": "number"}}},
-                    },
-                },
-                "model": {
-                    "type": "object",
-                    "required": ["profile"],
-                    "properties": {
-                        "profile": {"enum": list(PROFILES)},
-                        "T": {"type": "number", "exclusiveMinimum": 0,
-                              "description": "T >= 4 pi/sqrt(lambda) + 2 eps; "
-                                             "round_cap: T <= pi"},
-                        "params": {"type": "object"},
-                        "lambda": {"type": "number", "exclusiveMinimum": 0,
-                                   "description": "default: lambda_1 of the model "
-                                                  "(3 for round_cap)"},
-                        "eps": {"type": "number",
-                                "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
-                        "amplitude": {}},
-                },
-            },
-        },
-    },
-}
+    cls, keys = CHARTS[spec["kind"]]
+    return cls(**{key: spec[key] for key in keys if key in spec})

@@ -334,3 +334,176 @@ def test_conformal_lambda1_uses_the_stability_rule(monkeypatch):
     rec, = cli.run(job)["records"]
     assert rec["tolerance"] is None
     assert "not a certified stable" in rec["detail"]["warning"]
+
+
+PLANE = {"kind": "hyperplane", "n": 3, "offset": 1.0}
+ISO4 = {"kind": "isotropic", "dim": 4}
+
+
+def _conformal(**inputs):
+    return {"command": "conformal",
+            "inputs": {"chart": PLANE, "tests": ["qform"], "resolution": 9, **inputs}}
+
+
+def _variation(**inputs):
+    return {"command": "variation",
+            "inputs": {"chart": PLANE, "integrand": ISO4, "resolution": 9,
+                       "tests": ["first_variation"], **inputs}}
+
+
+def _mubble(model=None, **inputs):
+    return {"command": "mubble",
+            "inputs": {"model": {"profile": "funnel", "T": 17.0, "n_grid": 401,
+                                 **(model or {})}, **inputs}}
+
+
+# jobs whose runners read a value that no validation looked at
+UNCHECKED_INPUTS = [
+    (_conformal(integrand={"kind": "bogus"}, tests=["lambda1"]), "/inputs/integrand/kind"),
+    (_conformal(resolution="x"), "/inputs/resolution"),
+    (_conformal(resolution=3), "/inputs/resolution"),
+    (_conformal(**{"lambda": "x"}), "/inputs/lambda"),
+    (_variation(rho="x", tests=["isoperimetric"]), "/inputs/rho"),
+    (_variation(chart={"kind": "graph", "n": 3, "height": "nope"}), "/inputs/chart/height"),
+    ({"command": "integrand",
+      "inputs": {"integrand": {"kind": "isotropic", "scale": "x"}}}, "/inputs/integrand/scale"),
+    (_mubble({"n_grid": "x"}), "/inputs/model/n_grid"),
+    (_mubble({"params": {"rate": "x"}}), "/inputs/model/params/rate"),
+    (_mubble(amplitude="big"), "/inputs/amplitude"),
+    ({"command": "verify", "seed": -1, "inputs": {"suites": ["kato"], "points": 10}}, "/seed"),
+    (_variation(resolution=[9, 9]), "/inputs/resolution"),
+    (_variation(integrand={"kind": "isotropic", "dim": 3}), "/inputs/integrand/dim"),
+    ({"command": "integrand", "inputs": {}}, "/inputs/integrand"),
+    ({"command": "variation", "inputs": {"chart": PLANE}}, "/inputs/integrand"),
+    ({"command": "conformal", "inputs": {"tests": ["qform"]}}, "/inputs/chart"),
+    ({"command": "mubble", "inputs": {}}, "/inputs/model"),
+]
+
+
+# a JSON integer too large for a float: a draft-07 validator takes it as a number
+TOO_LARGE = (_variation(chart={"kind": "sphere", "n": 3, "radius": 10**400}),
+             "/inputs/chart/radius")
+# JSON integers beyond the float range still meet the bounds of their key
+BEYOND_FLOAT = [
+    ({"command": "verify", "inputs": {"samples": 10**400}}, "/inputs/samples"),
+    ({"command": "verify", "inputs": {"points": -10**400}}, "/inputs/points"),
+    ({"command": "verify", "inputs": {"grids": [-10**400, 2, 2]}}, "/inputs/grids/0"),
+    ({"command": "integrand",
+      "inputs": {"integrand": {"kind": "isotropic", "dim": -10**400}}}, "/inputs/integrand/dim"),
+    (_conformal(resolution=-10**400), "/inputs/resolution"),
+    ({"command": "verify", "seed": -10**400, "inputs": {"suites": ["kato"], "points": 10}},
+     "/seed"),
+]
+
+
+def _run_pointers(tmp_path, capsys, job):
+    """Exit code of ``anisocheck run`` on ``job`` and the pointers it printed."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(job))
+    code = cli.main(["run", "--job", str(bad)])
+    header, *lines = capsys.readouterr().err.strip().splitlines()
+    assert header == "invalid job:"
+    return code, [line.split(":")[0].strip() for line in lines]
+
+
+@pytest.mark.parametrize("job, pointer", UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT)
+def test_unchecked_inputs_exit_2_with_their_pointer(tmp_path, capsys, job, pointer):
+    assert _run_pointers(tmp_path, capsys, job) == (2, [pointer])
+
+
+def test_round_cap_without_T_exits_2(tmp_path, capsys):
+    # the runner's default T = 20 lies past the cap's second pole, T = pi
+    job = {"command": "mubble", "inputs": {"model": {"profile": "round_cap"}}}
+    assert _run_pointers(tmp_path, capsys, job) == (2, ["/inputs/model/T"])
+
+
+def _draft7():
+    import jsonschema
+
+    jsonschema.Draft7Validator.check_schema(sch.JOB_SCHEMA)
+    formats = jsonschema.FormatChecker(formats=())
+    for name, predicate in sch.FORMATS.items():
+        formats.checks(name)(lambda v, p=predicate: not isinstance(v, list) or p(v) is None)
+    return jsonschema.Draft7Validator(sch.JOB_SCHEMA, format_checker=formats)
+
+
+def test_jsonschema_agrees_with_the_walker():
+    # the cross-value rules of validate_job are the only difference
+    validator = _draft7()
+    jobs = [json.loads(p.read_text()) for p in sorted(JOBS_DIR.glob("*.json"))]
+    jobs += EXAMPLE_JOBS + [job for job, _ in UNCHECKED_INPUTS + BEYOND_FLOAT]
+    jobs.append({"command": "mubble", "inputs": {"model": {"profile": "round_cap"}}})
+    jobs += [{"command": "integrand",
+              "inputs": {"integrand": {"kind": "quadratic", "matrix": m}}}
+             for m in ([[1, 2, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]])]
+    jobs.append(_variation(chart={"kind": "cone", "n": 3, "s_range": [1.5, 0.5]}))
+    for job in jobs:
+        walker_ok = sch._walk(sch.JOB_SCHEMA, job) == []
+        assert validator.is_valid(job) == walker_ok, job
+
+
+def _shaped(node, values):
+    """JSON values shaped like the schema ``node``, with any part of them
+    replaced by an arbitrary value, so that any keyword can be broken."""
+    from hypothesis import strategies as st
+
+    options = [values] + [_shaped(sub, values) for sub in node.get("anyOf", ())]
+    if "enum" in node:
+        options.append(st.sampled_from(node["enum"]))
+    if "const" in node:
+        options.append(st.just(node["const"]))
+    bounds = [node[key] for key in ("minimum", "maximum", "exclusiveMinimum") if key in node]
+    if bounds:      # the bounds themselves, and integers beyond the float range
+        options.append(st.sampled_from(bounds + [-10**400, 10**400]))
+    if "items" in node:
+        options.append(st.lists(_shaped(node["items"], values), max_size=4))
+    # one object shape per if/then branch, with the branch's condition met
+    for branch in ([{}] + node.get("allOf", []) if "properties" in node else ()):
+        cond = branch.get("if", {}).get("properties", {})
+        props = {**node["properties"], **branch.get("then", {}).get("properties", {})}
+        options.append(st.fixed_dictionaries(
+            {key: st.just(sub["const"]) for key, sub in cond.items()},
+            optional={key: _shaped(sub, values) for key, sub in props.items()
+                      if key not in cond}))
+    return st.one_of(options)
+
+
+def _json_values():
+    from hypothesis import strategies as st
+
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3),
+                                                                    inner, max_size=4),
+        max_leaves=20)
+    return _shaped(sch.JOB_SCHEMA, values)
+
+
+def test_validate_job_returns_pointers_on_any_json():
+    from hypothesis import given, settings
+
+    validator = _draft7()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_json_values())
+    def check(job):
+        errors = sch.validate_job(job)
+        assert all(isinstance(e, str) and e.startswith("/") for e in errors)
+        # the walker is never looser than a draft-07 validator of JOB_SCHEMA
+        if sch._walk(sch.JOB_SCHEMA, job) == []:
+            assert validator.is_valid(job)
+
+    check()
+
+
+@pytest.mark.parametrize("job, pointers", [
+    (_variation(resolution=[sch.MAX_NODES // 2500, 50, 50]), []),
+    (_variation(resolution=[sch.MAX_NODES // 2500 + 1, 50, 50]), ["/inputs/resolution"]),
+    (_variation(resolution=100_000), ["/inputs/resolution"]),
+    # the qform refinement companion samples (2r - 1)^3 nodes: 49^3, then 51^3
+    (_conformal(resolution=25), []),
+    (_conformal(resolution=26), ["/inputs/resolution"]),
+    (_conformal(resolution=50, tests=["lambda1"]), []),
+])
+def test_resolution_cap(job, pointers):
+    assert [e.split(":")[0] for e in sch.validate_job(job)] == pointers

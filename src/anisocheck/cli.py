@@ -30,6 +30,7 @@ from . import inequalities as iq
 from . import integrand as ig
 from . import mubble as mb
 from . import schema as sch
+from . import table as tb
 from . import variation as va
 from .checks import Check, ge, le
 
@@ -222,12 +223,11 @@ def _run_mubble(inputs, seed, out_dir):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         curves = np.column_stack([model.t, model.f, model.u, model.R])
-        np.savetxt(out / "model_profiles.dat", curves, header="t f u R")
-        np.savetxt(out / "model_profiles.csv", curves, delimiter=",",
-                   header="t,f,u,R", comments="")
-        np.savetxt(out / "band_profiles.dat",
-                   np.column_stack([prof.t, prof.phi, prof.h]),
-                   header="t phi h")
+        tb.write_table([(out / "model_profiles.dat", " ", "# t f u R"),
+                        (out / "model_profiles.csv", ",", "t,f,u,R")],
+                       tb.row_blocks(curves))
+        tb.write_table([(out / "band_profiles.dat", " ", "# t phi h")],
+                       tb.row_blocks(np.column_stack([prof.t, prof.phi, prof.h])))
     return records, {"model": model.as_dict(), "profiles": prof.as_dict()}
 
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import table
+
 R_MIN = 1e-3          # radial floor required by conformal operations
 DET_FLOOR = 1e-10     # immersion check threshold on det(g)
 
@@ -478,15 +480,15 @@ CSV_COLUMNS_DOC = (
 
 
 def export_csv(geom, path):
-    """One row per node; fixed column order (see CSV_COLUMNS_DOC)."""
+    """One row per node, in C order of the grid; fixed column order (see
+    CSV_COLUMNS_DOC).  The text is ``np.savetxt``'s ``"%.18e"`` default."""
     n, d = geom.n, geom.dim
-    U = np.stack(np.meshgrid(*geom.params, indexing="ij"), axis=-1)
-    cols = [U[..., a].ravel() for a in range(n)]
-    cols += [geom.X[..., i].ravel() for i in range(d)]
-    cols += [geom.nu[..., i].ravel() for i in range(d)]
-    cols += [geom.sqrt_det_g.ravel(), geom.mean_curvature.ravel(), geom.A2.ravel(),
-             geom.scalar_curvature.ravel(), geom.r.ravel(), geom.radial_cos.ravel()]
-    cols += [geom.grad_r[..., i].ravel() for i in range(d)]
+    nodes = int(np.prod(geom.shape))
+    fields = [geom.X.reshape(nodes, d), geom.nu.reshape(nodes, d)]
+    fields += [f.reshape(nodes, 1) for f in (geom.sqrt_det_g, geom.mean_curvature,
+                                             geom.A2, geom.scalar_curvature, geom.r,
+                                             geom.radial_cos)]
+    fields.append(geom.grad_r.reshape(nodes, d))
     header = (
         [f"u{a+1}" for a in range(n)]
         + [f"X{i+1}" for i in range(d)]
@@ -494,8 +496,15 @@ def export_csv(geom, path):
         + ["sqrt_det_g", "H", "A2", "R", "r", "radial_cos"]
         + [f"grad_r{i+1}" for i in range(d)]
     )
-    data = np.column_stack(cols)
-    np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
+
+    def blocks():
+        for lo in range(0, nodes, table.BLOCK_ROWS):
+            hi = min(lo + table.BLOCK_ROWS, nodes)
+            index = np.unravel_index(np.arange(lo, hi), geom.shape)
+            yield np.column_stack([p[i] for p, i in zip(geom.params, index)]
+                                  + [f[lo:hi] for f in fields])
+
+    table.write_table([(path, ",", ",".join(header))], blocks())
 
 
 # -- chart catalog ------------------------------------------------------------

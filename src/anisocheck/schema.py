@@ -37,6 +37,20 @@ MAX_GRID_POINTS = 100_000_000
 #: (50^3) a catenoid_3 variation job with first/second variation and
 #: spectrum peaks at 722 MiB RSS in 22 s on a 2-core x86-64 machine
 MAX_NODES = 125_000
+#: largest sphere grid the integrand command analyzes: m^dim - (m - 2)^dim
+#: nodes for a resolution r, m = r | 1.  Near the cap (dim 6, r = 8: 413 792
+#: nodes) the analysis of a perturbed integrand peaks at 851 MiB RSS in
+#: 13 s on a 2-core x86-64 machine (an isotropic one at 469 MiB)
+MAX_SPHERE_NODES = 500_000
+#: largest integrand ambient dimension: dim 7 exceeds MAX_SPHERE_NODES at
+#: the smallest resolution, 8
+MAX_DIM = 6
+#: largest integrand resolution: r = 290 exceeds MAX_SPHERE_NODES at dim 3
+MAX_SPHERE_RESOLUTION = 289
+#: largest mubble ``n_grid``: the solve runs at n_grid and 2 n_grid - 1
+#: nodes; a funnel job at the cap peaks at 406 MiB RSS in 11 s on the
+#: machine above (and at 1.3 GiB in 60 s at 4 * 10^6 + 1)
+MAX_N_GRID = 1_000_000
 #: the chart class of each kind and the keys its constructor reads
 CHARTS = {
     "hyperplane": (geo.Hyperplane, ("n", "offset", "box", "polar")),
@@ -72,9 +86,11 @@ INTEGRAND = {
     "required": ["kind"],
     "properties": {
         "kind": {"enum": ["isotropic", "quadratic", "perturbed"]},
-        "dim": {"type": "integer", "minimum": 3, "description": "ambient dimension"},
+        "dim": {"type": "integer", "minimum": 3, "maximum": MAX_DIM,
+                "description": "ambient dimension"},
         "scale": POSITIVE,
         "matrix": {"type": "array", "format": "spd-matrix", "minItems": 3,
+                   "maxItems": MAX_DIM,
                    "items": {"type": "array", "items": {"type": "number"}},
                    "description": "symmetric positive definite; its size is the "
                                   "ambient dimension"},
@@ -120,7 +136,7 @@ MODEL = {
         "lambda": {"type": "number", "exclusiveMinimum": 0,
                    "description": "default: lambda_1 of the model (3 for round_cap)"},
         "eps": {"type": "number", "minimum": 1e-9, "maximum": 0.5 - 1e-9},
-        "n_grid": {"type": "integer", "minimum": 3},
+        "n_grid": {"type": "integer", "minimum": 3, "maximum": MAX_N_GRID},
     },
     # a round cap ends at its second pole, T = pi; the runner's default T is 20
     "allOf": [_when("profile", "round_cap",
@@ -131,7 +147,9 @@ INPUTS = {
     "constants": {"properties": {"variant": {"enum": ["sqrt-lambda", "as-printed"]},
                                  "c1_norm": POSITIVE, "phi_min": POSITIVE}},
     "integrand": {"required": ["integrand"],
-                  "properties": {"integrand": INTEGRAND, "resolution": RESOLUTION}},
+                  "properties": {"integrand": INTEGRAND,
+                                 "resolution": {**RESOLUTION,
+                                                "maximum": MAX_SPHERE_RESOLUTION}}},
     "variation": {
         "required": ["chart", "integrand"],
         "properties": {
@@ -175,7 +193,8 @@ JOB_SCHEMA = {
     "description": "variation and conformal jobs also need box = n intervals, "
                    "center = n + 1 numbers, a resolution list of n entries, an "
                    "integrand of ambient dimension n + 1 and a largest sampled "
-                   f"grid of at most {MAX_NODES} nodes",
+                   f"grid of at most {MAX_NODES} nodes; the sphere grid of an "
+                   f"integrand job holds at most {MAX_SPHERE_NODES} nodes",
     "type": "object",
     "required": ["command"],
     "properties": {
@@ -278,6 +297,14 @@ def _rules(job):
     cmd, inputs = job["command"], job.get("inputs", {})
     if cmd == "verify" and math.prod(inputs.get("grids", ())) > MAX_GRID_POINTS:
         return [f"/inputs/grids: grid product must be <= {MAX_GRID_POINTS}"]
+    if cmd == "integrand":
+        spec = inputs["integrand"]
+        dim = len(spec["matrix"]) if spec["kind"] == "quadratic" else spec.get("dim", 4)
+        m = inputs.get("resolution", 17) | 1
+        nodes = m**dim - (m - 2)**dim
+        if nodes > MAX_SPHERE_NODES:
+            return [f"/inputs/resolution: sphere grid of {nodes} nodes in dimension "
+                    f"{dim}, more than MAX_SPHERE_NODES = {MAX_SPHERE_NODES}"]
     if cmd not in ("variation", "conformal"):
         return []
     chart = inputs["chart"]

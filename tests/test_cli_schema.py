@@ -395,6 +395,14 @@ BEYOND_FLOAT = [
      "/seed"),
 ]
 
+# sizes that, uncapped, run out of ndarray dimensions or memory inside the
+# runner (exit 3)
+UNCAPPED = [
+    ({"command": "integrand",
+      "inputs": {"integrand": {"kind": "isotropic", "dim": 10**6}}}, "/inputs/integrand/dim"),
+    (_mubble({"n_grid": 10**9}), "/inputs/model/n_grid"),
+]
+
 
 def _run_pointers(tmp_path, capsys, job):
     """Exit code of ``anisocheck run`` on ``job`` and the pointers it printed."""
@@ -406,7 +414,8 @@ def _run_pointers(tmp_path, capsys, job):
     return code, [line.split(":")[0].strip() for line in lines]
 
 
-@pytest.mark.parametrize("job, pointer", UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT)
+@pytest.mark.parametrize("job, pointer",
+                         UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT + UNCAPPED)
 def test_unchecked_inputs_exit_2_with_their_pointer(tmp_path, capsys, job, pointer):
     assert _run_pointers(tmp_path, capsys, job) == (2, [pointer])
 
@@ -431,7 +440,7 @@ def test_jsonschema_agrees_with_the_walker():
     # the cross-value rules of validate_job are the only difference
     validator = _draft7()
     jobs = [json.loads(p.read_text()) for p in sorted(JOBS_DIR.glob("*.json"))]
-    jobs += EXAMPLE_JOBS + [job for job, _ in UNCHECKED_INPUTS + BEYOND_FLOAT]
+    jobs += EXAMPLE_JOBS + [job for job, _ in UNCHECKED_INPUTS + BEYOND_FLOAT + UNCAPPED]
     jobs.append({"command": "mubble", "inputs": {"model": {"profile": "round_cap"}}})
     jobs += [{"command": "integrand",
               "inputs": {"integrand": {"kind": "quadratic", "matrix": m}}}
@@ -506,4 +515,34 @@ def test_validate_job_returns_pointers_on_any_json():
     (_conformal(resolution=50, tests=["lambda1"]), []),
 ])
 def test_resolution_cap(job, pointers):
+    assert [e.split(":")[0] for e in sch.validate_job(job)] == pointers
+
+
+def _integrand(resolution, **spec):
+    return {"command": "integrand", "inputs": {"integrand": {"kind": "isotropic", **spec},
+                                                "resolution": resolution}}
+
+
+def _eye(k):
+    return [[float(i == j) for j in range(k)] for i in range(k)]
+
+
+@pytest.mark.parametrize("job, pointers", [
+    # m^dim - (m - 2)^dim sphere-grid nodes, m = resolution | 1
+    (_integrand(8, dim=sch.MAX_DIM), []),
+    (_integrand(10, dim=sch.MAX_DIM), ["/inputs/resolution"]),
+    (_integrand(8, dim=sch.MAX_DIM + 1), ["/inputs/integrand/dim"]),
+    (_integrand(sch.MAX_SPHERE_RESOLUTION, dim=3), []),
+    (_integrand(sch.MAX_SPHERE_RESOLUTION + 1, dim=3), ["/inputs/resolution"]),
+    (_integrand(39, dim=4), []),
+    (_integrand(40, dim=4), ["/inputs/resolution"]),
+    (_integrand(8, kind="quadratic", matrix=_eye(sch.MAX_DIM)), []),
+    (_integrand(10, kind="quadratic", matrix=_eye(sch.MAX_DIM)),
+     ["/inputs/resolution"]),
+    (_integrand(8, kind="quadratic", matrix=_eye(sch.MAX_DIM + 1)),
+     ["/inputs/integrand/matrix"]),
+    (_mubble({"n_grid": sch.MAX_N_GRID}), []),
+    (_mubble({"n_grid": sch.MAX_N_GRID + 1}), ["/inputs/model/n_grid"]),
+])
+def test_integrand_and_mubble_size_caps(job, pointers):
     assert [e.split(":")[0] for e in sch.validate_job(job)] == pointers

@@ -1,9 +1,11 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from anisocheck import geometry as geo
+from anisocheck import table as tb
 
 
 def test_hyperplane_is_flat():
@@ -221,6 +223,90 @@ def test_export_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].split(",")[:3] == ["u1", "u2", "X1"]
     assert len(lines) == 1 + 81
+
+
+def _savetxt_csv(geom, path):
+    """The reference writer: the full table stacked and written by np.savetxt."""
+    n, d = geom.n, geom.dim
+    U = np.stack(np.meshgrid(*geom.params, indexing="ij"), axis=-1)
+    data = np.column_stack(
+        [U.reshape(-1, n), geom.X.reshape(-1, d), geom.nu.reshape(-1, d)]
+        + [f.reshape(-1, 1) for f in (geom.sqrt_det_g, geom.mean_curvature, geom.A2,
+                                      geom.scalar_curvature, geom.r, geom.radial_cos)]
+        + [geom.grad_r.reshape(-1, d)])
+    header = ([f"u{a+1}" for a in range(n)] + [f"X{i+1}" for i in range(d)]
+              + [f"nu{i+1}" for i in range(d)]
+              + ["sqrt_det_g", "H", "A2", "R", "r", "radial_cos"]
+              + [f"grad_r{i+1}" for i in range(d)])
+    np.savetxt(path, data, fmt="%.18e", delimiter=",", header=",".join(header),
+               comments="")
+
+
+def _assert_export_matches_savetxt(geom, tmp_path):
+    geo.export_csv(geom, tmp_path / "export.csv")
+    _savetxt_csv(geom, tmp_path / "savetxt.csv")
+    assert (tmp_path / "export.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n, name", [(n, name) for n in (2, 3) for name in geo.catalog(n)])
+def test_export_csv_matches_savetxt_on_the_catalog(tmp_path, n, name):
+    _assert_export_matches_savetxt(geo.sample_chart(geo.catalog(n)[name], 9), tmp_path)
+
+
+# -0.0 beside 0.0, NaNs of both signs and another payload, infinities,
+# subnormals and three-digit exponents
+SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
+                    1e-100, 1e100, -1.5e250, 1.7976931348623157e308, 1.0, -np.pi,
+                    np.uint64(0x7FF8000000000001).view(np.float64)])
+
+
+def _synthetic(shape, values):
+    """A two-parameter geometry in R^3 over ``shape`` whose parameters and
+    fields are drawn from ``values`` (a callable of a size)."""
+    base = geo.sample_chart(geo.Hyperplane(2, offset=1.0), 8)
+    fields = {key: values(shape + (3,)) for key in ("X", "nu", "grad_r")}
+    fields.update({key: values(shape) for key in ("sqrt_det_g", "mean_curvature", "A2",
+                                                  "scalar_curvature", "r", "radial_cos")})
+    return dataclasses.replace(base, shape=shape, params=[values(m) for m in shape],
+                               **fields)
+
+
+def test_export_csv_matches_savetxt_on_special_values(tmp_path):
+    rng = np.random.default_rng(3)
+    geom = _synthetic((6, 7), lambda size: rng.choice(SPECIAL, size))
+    geom.X[0, 0, :2] = 0.0, -0.0     # side by side in one row
+    _assert_export_matches_savetxt(geom, tmp_path)
+    assert "0.000000000000000000e+00,-0.000000000000000000e+00" in \
+        (tmp_path / "export.csv").read_text()
+
+
+def test_export_csv_matches_savetxt_on_distinct_values(tmp_path):
+    rng = np.random.default_rng(4)
+    geom = _synthetic((40, 41), lambda size: rng.normal(size=size)
+                      * 10.0 ** rng.uniform(-300, 300, size))
+    _assert_export_matches_savetxt(geom, tmp_path)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 341), (32, 32), (5, 205)])
+def test_export_csv_matches_savetxt_at_block_edges(tmp_path, shape):
+    # 1, BLOCK_ROWS - 1, BLOCK_ROWS and BLOCK_ROWS + 1 rows
+    assert tb.BLOCK_ROWS == 1024
+    rng = np.random.default_rng(5)
+    pool = np.concatenate([SPECIAL, rng.normal(size=40)])
+    _assert_export_matches_savetxt(_synthetic(shape, lambda size: rng.choice(pool, size)),
+                                   tmp_path)
+
+
+def test_write_table_matches_savetxt_for_every_target(tmp_path):
+    rng = np.random.default_rng(6)
+    table = np.column_stack([np.linspace(0.0, 1.0, 1500), rng.choice(SPECIAL, 1500),
+                             rng.normal(size=1500), np.zeros(1500)])
+    tb.write_table([(tmp_path / "t.dat", " ", "# t f u R"),
+                    (tmp_path / "t.csv", ",", "t,f,u,R")], tb.row_blocks(table))
+    np.savetxt(tmp_path / "ref.dat", table, header="t f u R")
+    np.savetxt(tmp_path / "ref.csv", table, delimiter=",", header="t,f,u,R", comments="")
+    for name in ("dat", "csv"):
+        assert (tmp_path / f"t.{name}").read_bytes() == (tmp_path / f"ref.{name}").read_bytes()
 
 
 EPS = np.finfo(float).eps

@@ -107,7 +107,7 @@ def distance_margin_check(name, charts, rng, batches, points, samples):
     return ge(name, worst, -1e-6)
 
 
-def bubble_checks(model, eps=0.1, amplitude="sqrt-lambda"):
+def bubble_checks(model, eps=mb.EPS, amplitude=mb.AMPLITUDE):
     """Warped-bubble records of one model: the spectral witness residual,
     the slope condition under the model's phi slope and under the
     Lipschitz budget, and the four conclusion margins of the minimizer of
@@ -172,7 +172,7 @@ def criterion_constants():
 
 def criterion_quadratic_lemma():
     t0 = time.perf_counter()
-    rep = iq.verify_quadratic_lemma(200, 200, 720)
+    rep = iq.verify_quadratic_lemma(*iq.GRIDS)
     recs = [r.prefixed("sweep ") for r in rep.records]
     recs.append(le("max Q1/Q2 vs c0", rep.extras["max_ratio_q1_q2"] - iq.C0, 1e-12))
     cfg = rep.records[0].detail["config"]
@@ -187,9 +187,9 @@ def criterion_quadratic_lemma():
 # -- criterion 3: curvature and Ricci sweeps -------------------------------------
 
 
-def criterion_curvature_ricci(samples=1_000_000, seed=1234):
+def criterion_curvature_ricci(seed=iq.SEED):
     t0 = time.perf_counter()
-    crep = iq.verify_curvature_pinch(samples, seed=seed)
+    crep = iq.verify_curvature_pinch(seed=seed)
     recs = [r.prefixed("curvature ") for r in crep.records]
     recs.append(le("curvature constraint residual",
                    crep.extras["max_constraint_residual"], 1e-12))
@@ -197,7 +197,7 @@ def criterion_curvature_ricci(samples=1_000_000, seed=1234):
                    crep.extras["max_ratio_A2_over_negR"], iq.C0 - 0.05))
     recs.append(le("ratio stays below c0",
                    crep.extras["max_ratio_A2_over_negR"] - iq.C0, 1e-12))
-    rrep = iq.verify_ricci_bound(samples, seed=seed)
+    rrep = iq.verify_ricci_bound(seed=seed)
     recs += [r.prefixed("ricci ") for r in rrep.records]
     recs.append(le("criterion runtime (s)", time.perf_counter() - t0, 60.0))
     return recs
@@ -206,9 +206,9 @@ def criterion_curvature_ricci(samples=1_000_000, seed=1234):
 # -- criterion 4: improved Kato spot check ----------------------------------------
 
 
-def criterion_kato(points=10_000, seed=1234):
+def criterion_kato(seed=iq.SEED):
     t0 = time.perf_counter()
-    rep = iq.verify_kato(points, seed=seed)
+    rep = iq.verify_kato(seed=seed)
     recs = list(rep.records)
     m = iq.kato_point("xy", [0.37, -0.61, 0.11])
     recs.append(le("xy closed form margin = 1/2", abs(m - 0.5), 1e-12))
@@ -340,10 +340,9 @@ def criterion_vectorfield_isoperimetric():
 # -- criterion 7: conformal identity chain ----------------------------------------
 
 
-def criterion_conformal(seed=1234):
+def criterion_conformal(seed=iq.SEED):
     t0 = time.perf_counter()
     recs = []
-    lam_table = {2: 0.0, 3: 0.75}
     # three refinement levels; the order is taken on the finest pair (the
     # coarsest pair can sit pre-asymptotically where error terms cross)
     levels = {2: (17, 33, 65), 3: (13, 25, 49)}
@@ -352,7 +351,7 @@ def criterion_conformal(seed=1234):
             recs.append(qform_order_check(
                 f"qform identity order [{cname} n={n}]",
                 (cf.deform(geo.sample_chart(chart, res)) for res in levels[n]),
-                lam_table[n]))
+                cf.LAMBDA_TARGET[n]))
     for label, chart in (("plane", geo.Hyperplane(3, offset=1.0)),
                          ("cone", geo.catalog(3)["cone"]),
                          ("sphere_origin", geo.catalog(3)["sphere"])):
@@ -374,8 +373,9 @@ def criterion_conformal(seed=1234):
                                       np.random.default_rng(seed), 8, 12, 80))
     # flat patch spectral estimate against the closed-form target 3/4
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0, box=[(-1.2, 1.2)] * 3), 21)
-    est = cf.lambda1_estimate(cf.deform(g), lambda_target=0.75)
-    recs.append(ge("flat patch lambda1 >= 3/4 - 1e-3", est.lambda1, 0.75 - 1e-3))
+    est = cf.lambda1_estimate(cf.deform(g))
+    recs.append(ge("flat patch lambda1 >= 3/4 - 1e-3", est.lambda1,
+                   cf.LAMBDA_TARGET[3] - 1e-3))
     # pointwise absorption step margins on the catalog
     beta = co.c0_and_beta()[1]
     worst_cs = math.inf
@@ -417,7 +417,7 @@ def criterion_mubble():
     # recorded counterexample: half amplitude under the Lipschitz budget
     lam_pinched = co.spectral_lambda(3, 1.0 / SQRT2, co.C0)
     witness = mb.make_model("cylinder", T=20.0, lam=lam_pinched, n_grid=501)
-    prof_half = mb.build_phi_h(witness, eps=0.1, amplitude="half")
+    prof_half = mb.build_phi_h(witness, amplitude="half")
     m_bad, cfg = mb.check_h_condition(prof_half, "budget")
     recs.append(Check("half-amplitude budget counterexample margin", float(m_bad),
                       0.0, m_bad < 0.0, cfg))
@@ -433,7 +433,7 @@ def criterion_pinching():
     recs = []
     for d in (3, 4):
         for name, integ in ig.catalog(d).items():
-            rep = ig.analyze(integ, 17)
+            rep = ig.analyze(integ)
             if name == "quadratic_aniso4":
                 recs.append(le("aniso4 a_max equals 4", abs(rep.a_max - 4.0), 1e-9))
                 recs.append(Check("aniso4 reported as pinch violation",
@@ -463,7 +463,7 @@ CRITERIA = {
 }
 
 
-def run_all(seed=1234):
+def run_all(seed=iq.SEED):
     """Run every criterion; returns its records, each name prefixed with
     ``"<criterion>: "`` and followed by the record of the 600-s budget,
     and the runtime of each criterion in seconds.

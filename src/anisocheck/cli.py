@@ -13,9 +13,9 @@ internal error, reported in one line on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -35,22 +35,6 @@ from . import variation as va
 from .checks import Check, ge, le
 
 
-def _provenance(seed, variant=None):
-    prov = {"tool": "anisocheck", "version": __version__, "seed": int(seed)}
-    if variant is not None:
-        prov["variant"] = variant
-    return prov
-
-
-def _write_report(out_dir, report):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
-
-
 def _write_csv(out_dir, name, header, rows):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -62,18 +46,26 @@ def _write_csv(out_dir, name, header, rows):
 
 class InvalidJob(ValueError):
     """The job is invalid input: it fails `schema.validate_job`, or its
-    runner finds that the model it describes cannot be run.  The message
-    lists each error with its JSON pointer."""
+    runner finds that the chart or model it describes cannot be run.  The
+    message lists each error with its JSON pointer."""
 
 
-# -- command runners -----------------------------------------------------------
+@contextlib.contextmanager
+def _chart_domain():
+    """Turn the ValueError of sampling the job's chart (`geometry.ImmersionError`)
+    or of deforming it (`conformal.deform`'s radial floor) into an invalid job."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InvalidJob(f"invalid job:\n  /inputs/chart: {exc}") from exc
+
+
+# -- command runners: each gets the inputs of `schema.resolve_inputs` ----------------
 
 
 def _run_constants(inputs, seed, out_dir):
-    variant = inputs.get("variant", "sqrt-lambda")
-    c1 = float(inputs.get("c1_norm", math.sqrt(2.0)))
-    pm = float(inputs.get("phi_min", 1.0))
-    table = co.build_table(c1_norm=c1, phi_min=pm, variant=variant)
+    table = co.build_table(c1_norm=float(inputs["c1_norm"]),
+                           phi_min=float(inputs["phi_min"]), variant=inputs["variant"])
     records = []
     for entry in table.entries.values():
         err = entry.rederivation_error()
@@ -88,8 +80,7 @@ def _run_constants(inputs, seed, out_dir):
 
 def _run_integrand(inputs, seed, out_dir):
     integ = sch.build_integrand(inputs["integrand"])
-    res = int(inputs.get("resolution", 17))
-    rep = ig.analyze(integ, res)
+    rep = ig.analyze(integ, int(inputs["resolution"]))
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(1000, integ.dim))
     v /= np.linalg.norm(v, axis=1)[:, None]
@@ -114,10 +105,11 @@ def _run_integrand(inputs, seed, out_dir):
 def _run_variation(inputs, seed, out_dir):
     chart = sch.build_chart(inputs["chart"])
     integ = sch.build_integrand(inputs["integrand"])
-    res = inputs.get("resolution", 21 if chart.n == 2 else 13)
-    res = tuple(res) if isinstance(res, (list, tuple)) else int(res)
-    tests = inputs.get("tests", ["first_variation"])
-    g = geo.sample_chart(chart, res)
+    res = inputs["resolution"]
+    res = tuple(res) if isinstance(res, list) else int(res)
+    tests = inputs["tests"]
+    with _chart_domain():
+        g = geo.sample_chart(chart, res)
     records = []
     extras = {"phi_area": va.phi_area(g, integ)}
     if "first_variation" in tests or "second_variation" in tests:
@@ -146,7 +138,7 @@ def _run_variation(inputs, seed, out_dir):
                                   "warning": "chart is not phi-stationary; the "
                                              "identity is not expected to hold"}))
     if "isoperimetric" in tests:
-        rho = float(inputs.get("rho", 0.0))
+        rho = float(inputs["rho"])
         if rho <= 0.0:
             rho = max(float(np.linalg.norm(f.X, axis=-1).max())
                       for f in geo.boundary_faces(g)) * (1 + 1e-12)
@@ -168,19 +160,21 @@ def _run_variation(inputs, seed, out_dir):
 
 def _run_conformal(inputs, seed, out_dir):
     chart = sch.build_chart(inputs["chart"])
-    res = int(inputs.get("resolution", 21 if chart.n == 2 else 13))
-    tests = set(inputs.get("tests", ["qform"]))
-    lam = float(inputs.get("lambda", 0.75 if chart.n == 3 else 0.0))
-    if tests & {"qform", "laplace_r", "lambda1"}:
-        g = geo.sample_chart(chart, res)
-        cg = cf.deform(g)
-    if tests & {"qform", "laplace_r"}:
-        # the refinement companion doubles a scalar resolution
-        fine = geo.sample_chart(chart, 2 * res - 1)
+    res = int(inputs["resolution"])
+    tests = set(inputs["tests"])
+    lam = float(inputs["lambda"])
+    with _chart_domain():
+        if tests & {"qform", "laplace_r", "lambda1"}:
+            g = geo.sample_chart(chart, res)
+            cg = cf.deform(g)
+        if tests & {"qform", "laplace_r"}:
+            # the refinement companion doubles a scalar resolution
+            fine = geo.sample_chart(chart, 2 * res - 1)
+            cfine = cf.deform(fine)
     records = []
     if "qform" in tests:
         records.append(ac.qform_order_check(
-            "qform identity refinement order", [cg, cf.deform(fine)], lam))
+            "qform identity refinement order", [cg, cfine], lam))
     if "laplace_r" in tests:
         records.append(ac.laplace_r_order_check(
             "radial Laplacian identity order", [g, fine]))
@@ -190,8 +184,7 @@ def _run_conformal(inputs, seed, out_dir):
                                                 6, 10, 60))
     if "lambda1" in tests:
         est = cf.lambda1_estimate(cg, lambda_target=lam)
-        integ_spec = inputs.get("integrand", {"kind": "isotropic", "dim": chart.dim})
-        integ = sch.build_integrand(integ_spec)
+        integ = sch.build_integrand(inputs["integrand"])
         certified = (va.is_phi_stationary(g, integ)
                      and va.stability_spectrum(g, integ).stable)
         if certified:
@@ -207,18 +200,16 @@ def _run_conformal(inputs, seed, out_dir):
 
 def _run_mubble(inputs, seed, out_dir):
     spec = inputs["model"]
-    model = mb.make_model(spec["profile"], T=float(spec.get("T", 20.0)),
-                          params=spec.get("params"), lam=spec.get("lambda"),
-                          n_grid=int(spec.get("n_grid", 4001)))
-    eps = float(spec.get("eps", 0.1))
+    model = mb.make_model(spec["profile"], T=float(spec["T"]), params=spec.get("params"),
+                          lam=spec.get("lambda"), n_grid=int(spec["n_grid"]))
+    eps = float(spec["eps"])
     # lambda defaults to the model's lambda_1, known only after the solve
     t_end = mb.band_end(model.lam, eps)
     if model.T < t_end:
         raise InvalidJob(f"invalid job:\n  /inputs/model/T: must be >= 4 pi/sqrt(lambda)"
                          f" + 2 eps = {t_end:.4f} for lambda = {model.lam:.6g}, to hold"
                          " the band of the phi profile")
-    amplitude = inputs.get("amplitude", "sqrt-lambda")
-    records, prof, _ = ac.bubble_checks(model, eps, amplitude)
+    records, prof, _ = ac.bubble_checks(model, eps, inputs["amplitude"])
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -232,24 +223,16 @@ def _run_mubble(inputs, seed, out_dir):
 
 
 def _run_verify(inputs, seed, out_dir):
-    suites = inputs.get("suites", list(sch.SUITES))
-    samples = int(inputs.get("samples", 1_000_000))
-    points = int(inputs.get("points", 10_000))
-    grids = inputs.get("grids", [200, 200, 720])
+    samples = int(inputs["samples"])
+    sweeps = {"quadratic_lemma": lambda: iq.verify_quadratic_lemma(*inputs["grids"]),
+              "curvature_pinch": lambda: iq.verify_curvature_pinch(samples, seed=seed),
+              "ricci_bound": lambda: iq.verify_ricci_bound(samples, seed=seed),
+              "kato": lambda: iq.verify_kato(int(inputs["points"]), seed=seed)}
     records = []
     extras = {}
     rows = []
-    for suite in suites:
-        if suite == "quadratic_lemma":
-            rep = iq.verify_quadratic_lemma(*grids)
-        elif suite == "curvature_pinch":
-            rep = iq.verify_curvature_pinch(samples, seed=seed)
-        elif suite == "ricci_bound":
-            rep = iq.verify_ricci_bound(samples, seed=seed)
-        elif suite == "kato":
-            rep = iq.verify_kato(points, seed=seed)
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
+    for suite in inputs["suites"]:
+        rep = sweeps[suite]()
         extras[suite] = rep.extras
         records += [r.prefixed(f"{suite}: ") for r in rep.records]
         rows += [(suite, r.name, repr(r.value), repr(rep.tolerance), r.passed,
@@ -282,18 +265,22 @@ def run(job, out_dir=None):
     errors = sch.validate_job(job)
     if errors:
         raise InvalidJob("invalid job:\n  " + "\n  ".join(errors))
-    seed = int(job.get("seed", 1234))
-    inputs = job.get("inputs", {})
-    records, extras = _RUNNERS[job["command"]](inputs, seed, out_dir)
+    seed = int(job.get("seed", iq.SEED))
+    records, extras = _RUNNERS[job["command"]](sch.resolve_inputs(job), seed, out_dir)
+    provenance = {"tool": "anisocheck", "version": __version__, "seed": seed}
+    if job.get("inputs", {}).get("variant") is not None:    # as the job gives it
+        provenance["variant"] = job["inputs"]["variant"]
     report = {
         "job": job,
         "records": [r.as_dict() for r in records],
         "pass": all(r.passed for r in records),
         "extras": extras,
-        "provenance": _provenance(seed, inputs.get("variant")),
+        "provenance": provenance,
     }
     if out_dir:
-        _write_report(out_dir, report)
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        Path(out_dir, "report.json").write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return report
 
 
@@ -308,19 +295,19 @@ def _build_parser():
 
     def common(sp):
         sp.add_argument("--job", help="JSON job file (inputs or a full job object)")
-        sp.add_argument("--seed", type=int, default=1234)
+        sp.add_argument("--seed", type=int, default=iq.SEED)
         sp.add_argument("--out", help="output directory for report.json and tables")
 
     for name in sch.COMMANDS:
         sp = sub.add_parser(name, help=f"run the {name} command")
         common(sp)
         if name == "constants":
-            sp.add_argument("--variant", choices=["sqrt-lambda", "as-printed"],
-                            default="sqrt-lambda")
+            sp.add_argument("--variant", choices=co.VARIANTS,
+                            default=sch.DEFAULTS["constants"]["variant"])
         if name == "verify":
             sp.add_argument("--suite", action="append", choices=list(sch.SUITES),
                             help="repeatable; default: all suites")
-            sp.add_argument("--samples", type=int, default=1_000_000)
+            sp.add_argument("--samples", type=int, default=sch.DEFAULTS["verify"]["samples"])
     sp = sub.add_parser("run", help="dispatch a full job file")
     common(sp)
     sub.add_parser("schema", help="print the JSON job schema")

@@ -21,6 +21,10 @@ import numpy as np
 from . import geometry as geo
 from . import variation as va
 
+#: the target of the bottom eigenvalue of the deformed operator by the
+#: chart's n: the criteria's targets and a conformal job's default lambda
+LAMBDA_TARGET = {2: 0.0, 3: 0.75}
+
 
 @dataclass
 class ConformalGeometry:
@@ -74,9 +78,6 @@ class QFormCheck:
     discrepancy: float
     lam: float
 
-    def as_dict(self):
-        return self.__dict__.copy()
-
 
 def qform_identity_check(cgeom, phi, lam):
     """Two-way evaluation of the deformed spectral quadratic form.
@@ -127,7 +128,7 @@ class SpectralEstimate:
         return d
 
 
-def lambda1_estimate(cgeom, lambda_target=0.0, tol=va.EIG_TOL):
+def lambda1_estimate(cgeom, lambda_target=0.0):
     """Bottom Dirichlet eigenvalue of -Lap~ + R~/2 on the chart piece."""
     geom = cgeom.base
     n = geom.n
@@ -135,9 +136,8 @@ def lambda1_estimate(cgeom, lambda_target=0.0, tol=va.EIG_TOL):
     coeff = (cgeom.w ** (n - 2.0))[..., None, None] * geom.metric_inv
     pot = 0.5 * cgeom.R_tilde * wn
     K, M = va.assemble_forms(geom, coeff, pot, wn)
-    idx = va._interior_indices(geom, layers=1)
-    lam, _, matvecs, resid = va.smallest_eigenpair(K[idx][:, idx], M[idx][:, idx],
-                                                   tol=tol)
+    idx = np.flatnonzero(geom.dirichlet_mask().ravel())
+    lam, _, matvecs, resid = va.smallest_eigenpair(K[idx][:, idx], M[idx][:, idx])
     return SpectralEstimate(lambda1=lam, lambda_target=lambda_target,
                             margin=lam - resid - lambda_target, matvecs=matvecs,
                             residual=resid, resolution=geom.shape)
@@ -175,9 +175,6 @@ class DistanceComparison:
     margin: float
     intrinsic_log_ratio: float | None
     intrinsic_margin: float | None
-
-    def as_dict(self):
-        return self.__dict__.copy()
 
 
 def distance_comparison_check(chart, curve_params):

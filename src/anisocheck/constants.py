@@ -39,6 +39,11 @@ C0 = 1.0 / (SQRT2 - 0.5)
 LAMBDA_EXPR = ("(3/2)*((3-2)/2 - 3*(1/(sqrt(2)-1/2) - 1)/(8*(1/sqrt(2) - 1/2)))")
 LAMBDA_CLOSED_EXPR = "3*(5 + 3*sqrt(2))/56"
 LAMBDA_MIN_EXPR = "(3/2)*((3-2)/2 - 3*(1 - 1)/(8*(1 - 1/2)))"
+#: the exponent variants of V0; the first is the default
+VARIANTS = ("sqrt-lambda", "as-printed")
+#: default integrand norms of the table: ||phi||_C1 and min phi of the area
+#: integrand phi(nu) = |nu| on the unit sphere
+C1_NORM, PHI_MIN = SQRT2, 1.0
 
 _SAFE_NUMERIC = {"sqrt", "pi", "exp", "log"}
 
@@ -72,9 +77,7 @@ class ConstantEntry:
         return abs(self.value - ref) / max(abs(ref), 1e-300)
 
     def as_dict(self):
-        return {"name": self.name, "expression": self.expression,
-                "value": self.value, "value_double": self.value_double,
-                "description": self.description}
+        return self.__dict__.copy()
 
 
 @dataclass
@@ -149,13 +152,8 @@ class RemarkConstants:
     variant: str
     expressions: dict
 
-    def as_dict(self):
-        return {"V0": self.V0, "Q": self.Q, "rho0": self.rho0, "V1": self.V1,
-                "lambda": self.lam, "variant": self.variant,
-                "expressions": self.expressions}
 
-
-def remark_constants(c1_norm, phi_min, variant="sqrt-lambda", lam=None,
+def remark_constants(c1_norm, phi_min, variant=VARIANTS[0], lam=None,
                      lam_expr=None):
     """Global and local volume constants from the integrand norms.
 
@@ -165,8 +163,8 @@ def remark_constants(c1_norm, phi_min, variant="sqrt-lambda", lam=None,
     """
     if not (c1_norm >= phi_min > 0):
         raise ValueError("need c1_norm >= phi_min > 0")
-    if variant not in ("sqrt-lambda", "as-printed"):
-        raise ValueError("variant must be 'sqrt-lambda' or 'as-printed'")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
     if lam is None:
         lam = spectral_lambda(3, 1.0 / SQRT2, C0)
         lam_expr = LAMBDA_EXPR
@@ -216,7 +214,7 @@ def minimal_case_constants():
     return table
 
 
-def build_table(c1_norm=SQRT2, phi_min=1.0, variant="sqrt-lambda"):
+def build_table(c1_norm=C1_NORM, phi_min=PHI_MIN, variant=VARIANTS[0]):
     """Full constants table: pinched-case chain, both V0 variants, and the
     isotropic-case block."""
     lam = spectral_lambda(3, 1.0 / SQRT2, C0)

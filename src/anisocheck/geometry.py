@@ -105,7 +105,6 @@ class SampledGeometry:
     metric: np.ndarray
     metric_inv: np.ndarray
     sqrt_det_g: np.ndarray
-    second_form: np.ndarray
     shape_op: np.ndarray
     mean_curvature: np.ndarray
     mean_curvature_vec: np.ndarray
@@ -122,31 +121,21 @@ class SampledGeometry:
         """Mask excluding ``layers`` node layers at non-periodic edges."""
         mask = np.ones(self.shape, dtype=bool)
         for a in range(self.n):
-            if self.periodic[a]:
-                continue
-            sl = [slice(None)] * self.n
-            sl[a] = slice(0, layers)
-            mask[tuple(sl)] = False
-            sl[a] = slice(self.shape[a] - layers, self.shape[a])
-            mask[tuple(sl)] = False
+            if not self.periodic[a]:
+                for ends in (slice(0, layers), slice(self.shape[a] - layers, None)):
+                    mask[(slice(None),) * a + (ends,)] = False
         return mask
 
-    def dirichlet_mask(self, layers=1):
-        """Mask of free nodes for Dirichlet problems: only physical
-        boundaries are clamped; polar-inset ends are coordinate artifacts
+    def dirichlet_mask(self):
+        """Mask of free nodes for Dirichlet problems: one node layer of each
+        physical boundary is clamped; polar-inset ends are coordinate artifacts
         where the surface closes smoothly, so their nodes stay free
         (natural condition on a ring that shrinks with the grid step)."""
         mask = np.ones(self.shape, dtype=bool)
         for a in range(self.n):
-            if self.periodic[a]:
-                continue
             for side in (0, -1):
-                if (a, side) in self.pole_ends:
-                    continue
-                sl = [slice(None)] * self.n
-                sl[a] = slice(0, layers) if side == 0 else \
-                    slice(self.shape[a] - layers, self.shape[a])
-                mask[tuple(sl)] = False
+                if not self.periodic[a] and (a, side) not in self.pole_ends:
+                    mask[(slice(None),) * a + (side,)] = False
         return mask
 
     def axis_weights(self):
@@ -295,7 +284,7 @@ def _assemble(chart_name, n, dim, box, shape, periodic, spacings, params,
         chart_name=chart_name, n=n, dim=dim, box=box, shape=tuple(shape),
         periodic=tuple(periodic), spacings=spacings, params=params,
         X=X, nu=nu, jac=jac, metric=g, metric_inv=ginv,
-        sqrt_det_g=np.sqrt(det), second_form=hform, shape_op=S,
+        sqrt_det_g=np.sqrt(det), shape_op=S,
         mean_curvature=H, mean_curvature_vec=-H[..., None] * nu,
         A2=A2, scalar_curvature=R, r=r, grad_r=grad_r, radial_cos=cosr,
         origin_on_chart=origin, pole_ends=tuple(pole_ends), _deriv_mats=mats,
@@ -451,7 +440,7 @@ def boundary_area(geom):
 # -- radial identity check ----------------------------------------------------
 
 
-def laplace_r_check(geom, layers=2):
+def laplace_r_check(geom):
     """Max interior residual of the radial Laplacian identity
 
         Laplace r = n/r + (Laplace_g X) . xhat - |grad r|^2 / r,
@@ -467,8 +456,7 @@ def laplace_r_check(geom, layers=2):
     gr2 = np.einsum("...d,...d->...", geom.grad_r, geom.grad_r)
     rhs = geom.n / geom.r + np.einsum("...d,...d->...", hvec, xhat) - gr2 / geom.r
     res = np.abs(lap_r - rhs)
-    mask = geom.interior_mask(layers)
-    return float(res[mask].max())
+    return float(res[geom.interior_mask(2)].max())
 
 
 # -- CSV export ---------------------------------------------------------------
@@ -732,16 +720,17 @@ class Catenoid2(Revolution):
         return (self.c * ch, sh, ch / self.c, s, 1.0, 0.0), (1.0 / ch, -sh / ch)
 
 
-def _catenoid3_height(t, c, panels=40, order=12):
+def _catenoid3_height(t, c):
     """z(t) = int_0^t cosh(2 tau / c)^(-1/2) d tau by fixed composite
-    Gauss-Legendre quadrature (vectorized, ~machine accurate)."""
+    Gauss-Legendre quadrature, 40 panels of order 12 (vectorized, ~machine
+    accurate)."""
     t = np.asarray(t, dtype=float)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    edges = np.linspace(0.0, 1.0, 41)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    taus = (mid[:, None] + half * nodes[None, :]).ravel()     # (panels*order,) in (0,1)
-    ws = np.tile(half * weights, panels)
+    taus = (mid[:, None] + half * nodes[None, :]).ravel()     # (40*12,) in (0,1)
+    ws = np.tile(half * weights, mid.size)
     tt = t[..., None] * taus
     vals = 1.0 / np.sqrt(np.cosh(2.0 * tt / c))
     return np.einsum("...q,q->...", vals, ws) * t

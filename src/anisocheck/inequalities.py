@@ -20,7 +20,7 @@ for every index (in particular every index below 2^53, where float digit
 arithmetic would still be exact), and sums them in the digit-by-digit
 order.
 Each record is a :class:`~anisocheck.checks.Check` whose value is the
-margin, whose bound is ``-tol`` and whose ``detail["config"]`` holds the
+margin, whose bound is ``-TOL`` and whose ``detail["config"]`` holds the
 witness configuration.
 """
 
@@ -35,7 +35,15 @@ from .checks import ge
 SQRT2 = np.sqrt(2.0)
 C0 = 1.0 / (SQRT2 - 0.5)
 C1_MAX = 1.5 - SQRT2
-DEFAULT_TOL = 1e-10
+TOL = 1e-10             # each record passes at margin >= -TOL
+#: default sizes of the sweeps, shared by the verify job and the criteria:
+#: samples of the curvature and Ricci sweeps, Kato points per polynomial and
+#: the (n_alpha, n_beta, n_angle) grid of the quadratic lemma
+SAMPLES = 1_000_000
+KATO_POINTS = 10_000
+GRIDS = (200, 200, 720)
+#: default seed of the PRNG streams, and of every job and criterion
+SEED = 1234
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 #: largest table of low-digit sums that `halton` builds per dimension
@@ -84,7 +92,6 @@ def halton(count, dims, skip=20):
 @dataclass
 class SweepReport:
     suite: str
-    domain: str
     sample_count: int
     tolerance: float
     records: list = field(default_factory=list)
@@ -186,7 +193,7 @@ def _quadratic_sweep(alphas, betas, coss, sins):
     return min1, i1, j1, k1i, min2, i2, j2, k2i, maxr, ir, jr, kr, bad_q2
 
 
-def verify_quadratic_lemma(n_alpha=200, n_beta=200, n_angle=720, tol=DEFAULT_TOL):
+def verify_quadratic_lemma(n_alpha, n_beta, n_angle):
     """Sweep a <= b in [1/sqrt2, 1] x unit circle and certify
 
         Q1 <= c0 Q2   and   (Q1 - Q2)/Q1 <= 3/2 - sqrt(2),
@@ -200,20 +207,17 @@ def verify_quadratic_lemma(n_alpha=200, n_beta=200, n_angle=720, tol=DEFAULT_TOL
     (m1, i1, j1, k1, m2, i2, j2, k2, maxr, ir, jr, krr, bad) = _quadratic_sweep(
         alphas, betas, coss, sins)
     count = int(np.sum(betas[None, :] >= alphas[:, None]) * n_angle)
-    rep = SweepReport(
-        suite="quadratic_lemma",
-        domain=f"alpha<=beta in [2^-1/2,1]^2 ({n_alpha}x{n_beta}), {n_angle} angles",
-        sample_count=count, tolerance=tol)
+    rep = SweepReport(suite="quadratic_lemma", sample_count=count, tolerance=TOL)
     rep.records.append(ge(
-        "c0*Q2 - Q1", m1, -tol,
+        "c0*Q2 - Q1", m1, -TOL,
         config={"alpha": float(alphas[i1]), "beta": float(betas[j1]),
                 "theta": float(thetas[k1])}))
     rep.records.append(ge(
-        "(3/2 - sqrt2) - (Q1-Q2)/Q1", m2, -tol,
+        "(3/2 - sqrt2) - (Q1-Q2)/Q1", m2, -TOL,
         config={"alpha": float(alphas[i2]), "beta": float(betas[j2]),
                 "theta": float(thetas[k2])}))
     c0_identity = abs(1.0 / (1.0 - C1_MAX) - C0)
-    rep.records.append(ge("identity 1/(1-c1_max) = c0", -c0_identity, -tol,
+    rep.records.append(ge("identity 1/(1-c1_max) = c0", -c0_identity, -TOL,
                           config={"residual": c0_identity}))
     rep.extras["max_ratio_q1_q2"] = float(maxr)
     rep.extras["max_ratio_config"] = {
@@ -320,28 +324,24 @@ def _curvature_sweep(aa, psis):
     return (float(mR[p1]), p1, float(m2[p2]), p2, float(ratio[pr]), pr, cons)
 
 
-def verify_curvature_pinch(samples=1_000_000, seed=1234, tol=DEFAULT_TOL,
-                           corner_angles=20001):
+def verify_curvature_pinch(samples=SAMPLES, seed=SEED):
     """Certify R <= 0, -R <= |A|^2 <= -c0 R on the constrained domain.
 
     ``samples`` are split between the Halton stream and the seeded PRNG
     stream; a deterministic pass over the corner triples of [1, sqrt2]^3
     with a fine angle grid probes near-sharpness of c0.
     """
-    rep = SweepReport(
-        suite="curvature_pinch",
-        domain="a sorted in [1,sqrt2]^3, unit k with sum a_i k_i = 0",
-        sample_count=samples, tolerance=tol)
+    rep = SweepReport(suite="curvature_pinch", sample_count=samples, tolerance=TOL)
     max_ratio = -np.inf
     ratio_cfg = None
     max_cons = 0.0
     for sampler, cnt in (("halton", samples // 2), ("prng", samples - samples // 2)):
         aa, psis = _curvature_samples(cnt, seed, sampler)
         mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
-        rep.records.append(ge(f"-R >= 0 [{sampler}]", mR, -tol,
+        rep.records.append(ge(f"-R >= 0 [{sampler}]", mR, -TOL,
                               config={"a": [float(c[pR]) for c in aa],
                                       "psi": float(psis[pR])}))
-        rep.records.append(ge(f"c0*(-R) - |A|^2 [{sampler}]", m2, -tol,
+        rep.records.append(ge(f"c0*(-R) - |A|^2 [{sampler}]", m2, -TOL,
                               config={"a": [float(c[p2]) for c in aa],
                                       "psi": float(psis[p2])}))
         max_cons = max(max_cons, cons)
@@ -350,16 +350,16 @@ def verify_curvature_pinch(samples=1_000_000, seed=1234, tol=DEFAULT_TOL,
             ratio_cfg = {"a": [float(c[pr]) for c in aa], "psi": float(psis[pr])}
     # |A|^2 >= -R is (sum k)^2 >= 0: record the identity margin at the
     # moment R is most negative (trivially nonnegative, kept for the table)
-    rep.records.append(ge("|A|^2 + R >= 0", 0.0, -tol, config={"identity": "(sum k)^2"}))
+    rep.records.append(ge("|A|^2 + R >= 0", 0.0, -TOL, config={"identity": "(sum k)^2"}))
     # deterministic near-sharpness pass over the corner triples
     corners = [(1.0, 1.0, 1.0), (1.0, 1.0, SQRT2), (1.0, SQRT2, SQRT2),
                (SQRT2, SQRT2, SQRT2)]
-    psis = np.linspace(0.0, 2.0 * np.pi, corner_angles)
+    psis = np.linspace(0.0, 2.0 * np.pi, 20001)
     for a in corners:
-        aa = tuple(np.full(corner_angles, c) for c in a)
+        aa = tuple(np.full(psis.size, c) for c in a)
         mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
         rep.records.append(ge(
-            f"c0*(-R) - |A|^2 [corner {tuple(round(float(x), 6) for x in a)}]", m2, -tol,
+            f"c0*(-R) - |A|^2 [corner {tuple(round(float(x), 6) for x in a)}]", m2, -TOL,
             config={"a": list(a), "psi": float(psis[p2])}))
         max_cons = max(max_cons, cons)
         if ratio > max_ratio:
@@ -414,13 +414,10 @@ def _ricci_sweep(ks, ys):
     return float(m[p]), p
 
 
-def verify_ricci_bound(samples=1_000_000, seed=1234, tol=DEFAULT_TOL):
+def verify_ricci_bound(samples=SAMPLES, seed=SEED):
     """Certify Ric(y,y) >= -|A|^2/sqrt(2) over unit (k, y), including the
     closed-form equality witness k = (-sqrt2, 1, 1)/2, y = e1."""
-    rep = SweepReport(
-        suite="ricci_bound",
-        domain="unit principal-curvature vectors k and unit directions y",
-        sample_count=samples, tolerance=tol)
+    rep = SweepReport(suite="ricci_bound", sample_count=samples, tolerance=TOL)
     for sampler, cnt in (("halton", samples // 2), ("prng", samples - samples // 2)):
         if sampler == "halton":
             pts = halton(cnt, 4)
@@ -429,13 +426,13 @@ def verify_ricci_bound(samples=1_000_000, seed=1234, tol=DEFAULT_TOL):
         ks = _unit_sphere_points(pts[:, 0], pts[:, 1])
         ys = _unit_sphere_points(pts[:, 2], pts[:, 3])
         worst, p = _ricci_sweep(ks, ys)
-        rep.records.append(ge(f"Ric + |A|^2/sqrt2 [{sampler}]", worst, -tol,
+        rep.records.append(ge(f"Ric + |A|^2/sqrt2 [{sampler}]", worst, -TOL,
                               config={"k": [float(c[p]) for c in ks],
                                       "y": [float(c[p]) for c in ys]}))
     k_eq = np.array([-SQRT2, 1.0, 1.0]) / 2.0
     y_eq = np.array([1.0, 0.0, 0.0])
     m_eq = ricci_point(k_eq, y_eq)
-    rep.records.append(ge("equality witness k=(-sqrt2,1,1)/2, y=e1", m_eq, -tol,
+    rep.records.append(ge("equality witness k=(-sqrt2,1,1)/2, y=e1", m_eq, -TOL,
                           config={"k": k_eq.tolist(), "y": y_eq.tolist()}))
     rep.extras["equality_witness_margin"] = float(m_eq)
     return rep
@@ -551,15 +548,15 @@ def kato_catalog_names():
     return sorted(_KATO_CATALOG)
 
 
-def kato_point(poly, point, grad_floor=1e-8):
+def kato_point(poly, point):
     """Margin |Hess u|^2 - (3/8)|grad u|^-2 |grad|grad u|^2|^2 at one point,
-    or None when |grad u| is below the floor (critical point skipped)."""
+    or None when |grad u| is below 1e-8 (critical point skipped)."""
     grad_fn, hess_fn = _KATO_CATALOG[poly]
     p = np.asarray(point, dtype=float)
     g = grad_fn(p)
     H = hess_fn(p)
     g2 = float(np.sum(g * g))
-    if g2 < grad_floor**2:
+    if g2 < 1e-8**2:
         return None
     lhs = float(np.sum(H * H))
     hg = H @ g
@@ -567,18 +564,16 @@ def kato_point(poly, point, grad_floor=1e-8):
     return lhs - rhs
 
 
-def verify_kato(points=10_000, seed=1234, tol=DEFAULT_TOL, box=1.0):
-    """Sweep the harmonic polynomial catalog on points of [-box, box]^3
-    with exact derivatives (points with |grad u| below 1e-8 are skipped
-    and counted)."""
-    rep = SweepReport(
-        suite="kato_inequality",
-        domain=f"harmonic polynomial catalog on [-{box}, {box}]^3",
-        sample_count=points * len(_KATO_CATALOG), tolerance=tol)
+def verify_kato(points=KATO_POINTS, seed=SEED):
+    """Sweep the harmonic polynomial catalog on points of [-1, 1]^3 with
+    exact derivatives (points with |grad u| below 1e-8 are skipped and
+    counted)."""
+    rep = SweepReport(suite="kato_inequality", sample_count=points * len(_KATO_CATALOG),
+                      tolerance=TOL)
     half = points // 2
     pts = np.concatenate([
-        box * (2.0 * halton(half, 3) - 1.0),
-        box * (2.0 * np.random.default_rng(seed).random((points - half, 3)) - 1.0),
+        2.0 * halton(half, 3) - 1.0,
+        2.0 * np.random.default_rng(seed).random((points - half, 3)) - 1.0,
     ])
     skipped = {}
     for name in kato_catalog_names():
@@ -593,7 +588,7 @@ def verify_kato(points=10_000, seed=1234, tol=DEFAULT_TOL, box=1.0):
         rhs = 1.5 * np.sum(hg * hg, axis=-1) / np.where(ok, g2, 1.0)
         margin = np.where(ok, lhs - rhs, np.inf)
         p = int(np.argmin(margin))
-        rep.records.append(ge(f"kato[{name}]", margin[p], -tol,
+        rep.records.append(ge(f"kato[{name}]", margin[p], -TOL,
                               config={"poly": name, "point": pts[p].tolist()}))
     rep.extras["skipped_points"] = skipped
     return rep

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SQRT2 = float(np.sqrt(2.0))
+#: default nodes per cube edge of the sphere grid of the statistics
+SPHERE_RESOLUTION = 17
 
 #: Profile catalog for the perturbed family.  Each entry is a homogeneous
 #: polynomial P with |P| <= 1 on the unit sphere, given as
@@ -314,7 +316,7 @@ def tangent_basis(nu):
     return H[..., :, 1:]
 
 
-def pinch_bounds(integrand, sphere_grid_resolution=17):
+def pinch_bounds(integrand, sphere_grid_resolution=SPHERE_RESOLUTION):
     """Extremes of the tangential Hessian eigenvalues over the sphere.
 
     Returns (a_min, a_max): the min/max over a quasi-uniform grid of the
@@ -328,16 +330,16 @@ def pinch_bounds(integrand, sphere_grid_resolution=17):
     return float(eigs[:, 0].min()), float(eigs[:, -1].max())
 
 
-def stability_lambda(integrand, sphere_grid_resolution=17, bounds=None):
+def stability_lambda(integrand, sphere_grid_resolution=SPHERE_RESOLUTION):
     """Ellipticity ratio Lambda = a_min / a_max; equals 1 for the area
     integrand and is >= 1/sqrt(2) whenever the pinch window holds."""
-    a_min, a_max = bounds if bounds is not None else pinch_bounds(integrand, sphere_grid_resolution)
+    a_min, a_max = pinch_bounds(integrand, sphere_grid_resolution)
     if a_min <= 0:
         raise ValueError("integrand is not convex on the sampled grid (a_min <= 0)")
     return a_min / a_max
 
 
-def c1_norm(integrand, sphere_grid_resolution=17, gradient="ambient"):
+def c1_norm(integrand, sphere_grid_resolution=SPHERE_RESOLUTION, gradient="ambient"):
     """Grid maximum over the sphere of sqrt(phi^2 + |D phi|^2).
 
     ``gradient='ambient'`` uses the full ambient gradient (default);
@@ -353,7 +355,7 @@ def c1_norm(integrand, sphere_grid_resolution=17, gradient="ambient"):
     return float(np.sqrt(phi**2 + np.sum(dphi**2, axis=-1)).max())
 
 
-def min_phi(integrand, sphere_grid_resolution=17):
+def min_phi(integrand, sphere_grid_resolution=SPHERE_RESOLUTION):
     nu = sphere_grid(integrand.dim, sphere_grid_resolution)
     return float(integrand.value(nu).min())
 
@@ -372,23 +374,15 @@ class IntegrandReport:
     resolution: int
 
     def as_dict(self):
-        return {
-            "a_min": self.a_min,
-            "a_max": self.a_max,
-            "stability_lambda": self.stability_lambda,
-            "c1_norm": self.c1_norm,
-            "phi_min": self.phi_min,
-            "pinch_satisfied": self.pinch_satisfied,
-            "pinch_satisfied_scaled": self.pinch_satisfied_scaled,
-            "resolution": self.resolution,
-        }
+        return self.__dict__.copy()
 
 
-def analyze(integrand, sphere_grid_resolution=17, pinch_tol=1e-9):
+def analyze(integrand, sphere_grid_resolution=SPHERE_RESOLUTION):
     a_min, a_max = pinch_bounds(integrand, sphere_grid_resolution)
     lam = a_min / a_max if a_min > 0 else float("nan")
-    window = a_min >= 1.0 - pinch_tol and a_max <= SQRT2 + pinch_tol
-    scaled = a_min > 0 and a_max <= SQRT2 * a_min + pinch_tol
+    tol = 1e-9      # slack of the pinch window on the grid
+    window = a_min >= 1.0 - tol and a_max <= SQRT2 + tol
+    scaled = a_min > 0 and a_max <= SQRT2 * a_min + tol
     return IntegrandReport(
         a_min=a_min,
         a_max=a_max,

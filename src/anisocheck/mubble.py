@@ -34,6 +34,13 @@ from scipy.linalg import eigh_tridiagonal
 FOUR_PI = 4.0 * math.pi
 #: the round cap f = sin t closes at its second pole t = pi
 ROUND_CAP_END = math.pi
+#: defaults of a bubble run, shared by the mubble job and the criteria: the
+#: Sturm grid of a model, the band offset eps and the amplitude of h
+N_GRID = 4001
+EPS = 0.1
+AMPLITUDE = "sqrt-lambda"
+#: points across the band, for its profiles and for the scan of A
+BAND_POINTS = 4001
 
 
 # -- profiles -------------------------------------------------------------------
@@ -104,7 +111,7 @@ def scalar_curvature_profile(f, fp, fpp, fppp=None):
     return R
 
 
-def lambda1_sturm(name, params, T, n_grid=4001, t_min=0.0):
+def lambda1_sturm(name, params, T, n_grid=N_GRID, t_min=0.0):
     """Bottom eigenvalue and positive ground state of -Lap + R/2 over
     radial functions, natural (Neumann) ends.
 
@@ -149,11 +156,11 @@ def lambda1_sturm(name, params, T, n_grid=4001, t_min=0.0):
     return lam_ext, t[::2], u[::2]
 
 
-def make_model(name, T, params=None, lam=None, n_grid=4001, t_min=0.0):
+def make_model(name, T, params=None, lam=None, n_grid=N_GRID):
     """Build a catalog model; ``lam`` defaults to the solver's lambda_1 so
     the witness inequality holds with equality up to discretization."""
     params = dict(params or {})
-    lam1, t, u = lambda1_sturm(name, params, T, n_grid=n_grid, t_min=t_min)
+    lam1, t, u = lambda1_sturm(name, params, T, n_grid=n_grid)
     ff, fpf, fppf, fpppf = _profile_functions(name, params)
     f, fp, fpp = ff(t), fpf(t), fppf(t)
     return WarpedModel(name=name, T=float(T), t=t, f=f, fp=fp, fpp=fpp,
@@ -196,7 +203,6 @@ class BubbleProfiles:
     band: tuple
     t_mid: float
     t: np.ndarray
-    phi0: np.ndarray
     phi: np.ndarray
     h: np.ndarray
     lip_within_budget: bool
@@ -221,9 +227,9 @@ def _amplitude_value(amplitude, lam):
     return float(amplitude)
 
 
-def build_phi_h(model, eps=0.1, amplitude="sqrt-lambda", n_band=4001):
-    """Band profiles: phi0(t) = t (distance to the t = 0 boundary is exact
-    in the symmetric model), the affine sweep phi mapping
+def build_phi_h(model, eps=EPS, amplitude=AMPLITUDE):
+    """Band profiles over the distance t to the t = 0 boundary (exact in
+    the symmetric model): the affine sweep phi mapping
     [eps, 4 pi/sqrt(lam) + 2 eps] onto [-pi/2, pi/2], and
     h = -amplitude * tan(phi)."""
     if not 0.0 < eps < 0.5:
@@ -237,12 +243,12 @@ def build_phi_h(model, eps=0.1, amplitude="sqrt-lambda", n_band=4001):
         raise ValueError(
             f"model too short for the band: need T >= {t_hi:.3f}, have {model.T}")
     amp = _amplitude_value(amplitude, lam)
-    t = np.linspace(t_lo, t_hi, n_band)[1:-1]     # open band, tan stays finite
+    t = np.linspace(t_lo, t_hi, BAND_POINTS)[1:-1]     # open band, tan stays finite
     phi = (t - eps) / denom - math.pi / 2.0
     h = -amp * np.tan(phi)
     t_mid = eps + 0.5 * math.pi * denom
     return BubbleProfiles(lam=lam, eps=eps, amplitude=amp, lip_phi=lip,
-                          band=(t_lo, t_hi), t_mid=t_mid, t=t, phi0=t, phi=phi,
+                          band=(t_lo, t_hi), t_mid=t_mid, t=t, phi=phi,
                           h=h, lip_within_budget=bool(lip < math.sqrt(lam) / 2.0))
 
 
@@ -292,8 +298,7 @@ class MuBubbleSolution:
         return self.__dict__.copy()
 
 
-def minimize_A(model, eps=0.1, amplitude="sqrt-lambda", n_scan=4001,
-               golden_tol=1e-10):
+def minimize_A(model, eps=EPS, amplitude=AMPLITUDE):
     """Minimize A over symmetric regions {t < t0}, t0 in the band: dense
     scan plus golden-section refinement on spline interpolants.
 
@@ -311,7 +316,7 @@ def minimize_A(model, eps=0.1, amplitude="sqrt-lambda", n_scan=4001,
 
     lo, hi = prof.band
     pad = (hi - lo) * 1e-6
-    grid = np.linspace(lo + pad, hi - pad, n_scan)
+    grid = np.linspace(lo + pad, hi - pad, BAND_POINTS)
     integ = CubicSpline(grid, h_of(grid) * u_s(grid) * ff(grid) ** 2)
     anti = integ.antiderivative()
     mid = prof.t_mid
@@ -322,12 +327,12 @@ def minimize_A(model, eps=0.1, amplitude="sqrt-lambda", n_scan=4001,
     vals = value(grid)
     k = int(np.argmin(vals))
     a = grid[max(0, k - 1)]
-    b = grid[min(n_scan - 1, k + 1)]
+    b = grid[min(grid.size - 1, k + 1)]
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - gr * (b - a)
     x2 = a + gr * (b - a)
     f1, f2 = value(x1), value(x2)
-    while b - a > golden_tol * max(1.0, abs(b)):
+    while b - a > 1e-10 * max(1.0, abs(b)):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - gr * (b - a)
@@ -360,14 +365,9 @@ class ConclusionMargins:
         return (self.area_margin >= -1e-8 and self.diameter_margin >= -1e-8
                 and self.containment_margin >= -1e-8 and self.minimality_slack >= -1e-8)
 
-    def as_dict(self):
-        d = self.__dict__.copy()
-        d["pass"] = self.passed
-        return d
 
-
-def verify_conclusions(solution, lam=None):
-    lam = solution.lam if lam is None else lam
+def verify_conclusions(solution):
+    lam = solution.lam
     return ConclusionMargins(
         area_margin=8.0 * math.pi / lam - solution.boundary_area,
         diameter_margin=2.0 * math.pi / math.sqrt(lam) - solution.boundary_diameter,

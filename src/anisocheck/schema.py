@@ -12,13 +12,17 @@ error string is prefixed with the JSON pointer of the offending value.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import sys
 
 import numpy as np
 
+from . import conformal as cf
+from . import constants as co
 from . import geometry as geo
+from . import inequalities as iq
 from . import integrand as ig
 from . import mubble as mb
 
@@ -131,20 +135,21 @@ MODEL = {
               "description": "T >= 4 pi/sqrt(lambda) + 2 eps, checked by the runner"},
         "params": {"type": "object",
                    "properties": {"rate": {"type": "number"},
-                                  "amplitude": {"type": "number"},
+                                  "amplitude": {"type": "number", "exclusiveMinimum": -1,
+                                                "exclusiveMaximum": 1},
                                   "period": {"type": "number", "exclusiveMinimum": 0}}},
         "lambda": {"type": "number", "exclusiveMinimum": 0,
                    "description": "default: lambda_1 of the model (3 for round_cap)"},
         "eps": {"type": "number", "minimum": 1e-9, "maximum": 0.5 - 1e-9},
         "n_grid": {"type": "integer", "minimum": 3, "maximum": MAX_N_GRID},
     },
-    # a round cap ends at its second pole, T = pi; the runner's default T is 20
+    # a round cap ends at its second pole, T = pi; the default T is 20
     "allOf": [_when("profile", "round_cap",
                     {"required": ["T"], "properties": {"T": {"maximum": mb.ROUND_CAP_END}}})],
 }
 
 INPUTS = {
-    "constants": {"properties": {"variant": {"enum": ["sqrt-lambda", "as-printed"]},
+    "constants": {"properties": {"variant": {"enum": list(co.VARIANTS)},
                                  "c1_norm": POSITIVE, "phi_min": POSITIVE}},
     "integrand": {"required": ["integrand"],
                   "properties": {"integrand": INTEGRAND,
@@ -244,7 +249,7 @@ _TYPE_NAMES = {"integer": "an integer", "number": "a finite number", "string": "
 #: the ``format`` checks JSON-Schema cannot state: the error of a bad value, else None
 FORMATS = {"interval": _interval, "spd-matrix": _spd_matrix}
 _BOUNDS = (("minimum", operator.lt, ">="), ("maximum", operator.gt, "<="),
-           ("exclusiveMinimum", operator.le, ">"))
+           ("exclusiveMinimum", operator.le, ">"), ("exclusiveMaximum", operator.ge, "<"))
 
 
 def _walk(schema, value, path=""):
@@ -293,38 +298,33 @@ def _walk(schema, value, path=""):
 
 
 def _rules(job):
-    """The rules of a schema-valid job that relate one value to another."""
-    cmd, inputs = job["command"], job.get("inputs", {})
-    if cmd == "verify" and math.prod(inputs.get("grids", ())) > MAX_GRID_POINTS:
+    """The rules of a schema-valid job that relate one value to another,
+    checked on its resolved inputs."""
+    cmd, inputs = job["command"], resolve_inputs(job)
+    if cmd == "verify" and math.prod(inputs["grids"]) > MAX_GRID_POINTS:
         return [f"/inputs/grids: grid product must be <= {MAX_GRID_POINTS}"]
     if cmd == "integrand":
-        spec = inputs["integrand"]
-        dim = len(spec["matrix"]) if spec["kind"] == "quadratic" else spec.get("dim", 4)
-        m = inputs.get("resolution", 17) | 1
+        dim, m = inputs["integrand"]["dim"], inputs["resolution"] | 1
         nodes = m**dim - (m - 2)**dim
         if nodes > MAX_SPHERE_NODES:
             return [f"/inputs/resolution: sphere grid of {nodes} nodes in dimension "
                     f"{dim}, more than MAX_SPHERE_NODES = {MAX_SPHERE_NODES}"]
     if cmd not in ("variation", "conformal"):
         return []
-    chart = inputs["chart"]
-    n = chart.get("n", 2 if chart["kind"] == "catenoid_2" else 3)
+    chart, spec, n = inputs["chart"], inputs["integrand"], inputs["chart"]["n"]
     errors = [f"/inputs/chart/{key}: must hold {size} {what} for n = {n}"
               for key, size, what in (("box", n, "intervals"), ("center", n + 1, "numbers"))
               if key in chart and len(chart[key]) != size]
-    # a conformal job without an integrand uses the isotropic one of the chart
-    spec = inputs.get("integrand", {"kind": "isotropic", "dim": n + 1})
-    key = "matrix" if spec["kind"] == "quadratic" else "dim"
-    dim = len(spec["matrix"]) if key == "matrix" else spec.get("dim", 4)
-    if dim != n + 1:
-        errors.append(f"/inputs/integrand/{key}: ambient dimension {dim} must be "
+    if spec["dim"] != n + 1:
+        key = "matrix" if spec["kind"] == "quadratic" else "dim"
+        errors.append(f"/inputs/integrand/{key}: ambient dimension {spec['dim']} must be "
                       f"n + 1 = {n + 1} for the chart")
-    res = inputs.get("resolution", 21 if n == 2 else 13)
+    res = inputs["resolution"]
     if isinstance(res, list):
         if len(res) != n:
             errors.append(f"/inputs/resolution: must hold n = {n} entries")
         nodes = math.prod(res)
-    elif cmd == "conformal" and {"qform", "laplace_r"} & set(inputs.get("tests", ["qform"])):
+    elif cmd == "conformal" and {"qform", "laplace_r"} & set(inputs["tests"]):
         nodes = (2 * res - 1) ** n
     else:
         nodes = res ** n
@@ -339,12 +339,57 @@ def validate_job(job):
     return _walk(JOB_SCHEMA, job) or _rules(job)
 
 
+# -- defaults -----------------------------------------------------------------------
+
+#: the default of each optional input that no other input decides
+DEFAULTS = {
+    "constants": {"variant": co.VARIANTS[0], "c1_norm": co.C1_NORM, "phi_min": co.PHI_MIN},
+    "integrand": {"resolution": ig.SPHERE_RESOLUTION},
+    "variation": {"tests": ["first_variation"], "rho": 0.0},
+    "conformal": {"tests": ["qform"]},
+    "mubble": {"amplitude": mb.AMPLITUDE},
+    "verify": {"suites": list(SUITES), "samples": iq.SAMPLES, "points": iq.KATO_POINTS,
+               "grids": list(iq.GRIDS)},
+    "all": {},
+}
+#: a model's defaults; its lambda defaults to its lambda_1, known after the solve
+MODEL_DEFAULTS = {"T": 20.0, "eps": mb.EPS, "n_grid": mb.N_GRID}
+#: the default resolution of a variation or conformal chart by its n
+CHART_RESOLUTION = {2: 21, 3: 13}
+
+
+def resolve_inputs(job):
+    """The inputs of a valid job with every default filled in, in new dicts
+    (the job stays as given).  A chart's n (2 for catenoid_2, else 3) sets
+    the default resolution and, in a conformal job, the default isotropic
+    integrand and lambda; an integrand's dim defaults to 4."""
+    cmd = job["command"]
+    named = INPUTS[cmd].get("properties", {})      # a key the schema ignores stays as given
+    inputs = {**copy.deepcopy(DEFAULTS[cmd]), **job.get("inputs", {})}
+    if "model" in named:
+        inputs["model"] = {**MODEL_DEFAULTS, **inputs["model"]}
+    if "chart" in named:
+        chart = inputs["chart"]
+        n = chart.get("n", 2 if chart["kind"] == "catenoid_2" else 3)
+        inputs["chart"] = {**chart, "n": n}
+        inputs.setdefault("resolution", CHART_RESOLUTION[n])
+        if cmd == "conformal":
+            inputs.setdefault("integrand", {"kind": "isotropic", "dim": n + 1})
+            inputs.setdefault("lambda", cf.LAMBDA_TARGET[n])
+    if "integrand" in named:
+        spec = inputs["integrand"]
+        dim = len(spec["matrix"]) if spec["kind"] == "quadratic" else spec.get("dim", 4)
+        inputs["integrand"] = {**spec, "dim": dim}
+    return inputs
+
+
 # -- builders -----------------------------------------------------------------------
 
 
 def build_integrand(spec):
+    """The integrand of a resolved spec (see `resolve_inputs`)."""
     kind = spec["kind"]
-    dim = int(spec.get("dim", 4))
+    dim = int(spec["dim"])
     if kind == "isotropic":
         return ig.Integrand.isotropic(dim, scale=float(spec.get("scale", 1.0)))
     if kind == "quadratic":

@@ -61,12 +61,12 @@ def aniso_mean_curvature(geom, integrand):
     return _trace_product(geom.shape_op @ geom.metric_inv, B)
 
 
-def is_phi_stationary(geom, integrand, tol=STATIONARY_TOL, hphi=None):
-    """max |H_phi| <= tol; ``hphi`` is aniso_mean_curvature(geom, integrand)
-    when the caller already holds it."""
+def is_phi_stationary(geom, integrand, hphi=None):
+    """max |H_phi| <= STATIONARY_TOL; ``hphi`` is aniso_mean_curvature(geom,
+    integrand) when the caller already holds it."""
     if hphi is None:
         hphi = aniso_mean_curvature(geom, integrand)
-    return float(np.abs(hphi).max()) <= tol
+    return float(np.abs(hphi).max()) <= STATIONARY_TOL
 
 
 # -- bump functions ----------------------------------------------------------
@@ -122,8 +122,8 @@ def bump_function(geom, which="centered"):
 BUMP_NAMES = ("centered", "offset", "two_humps")
 
 
-def _check_compact_support(geom, u, layers=2):
-    mask = ~geom.interior_mask(layers)
+def _check_compact_support(geom, u):
+    mask = ~geom.interior_mask(2)
     if np.any(mask) and float(np.abs(u[mask]).max()) > 0.0:
         raise ValueError("variation speed must vanish on two node layers at the boundary")
 
@@ -242,8 +242,7 @@ def second_variation_form(geom, integrand, u):
     return geom.integrate(grad_term - pot * u * u)
 
 
-def second_variation_check(oracle, integrand, speed, hphi=None,
-                           stationary_tol=STATIONARY_TOL):
+def second_variation_check(oracle, integrand, speed, hphi=None):
     """Second central difference of the functional versus the assembled
     quadratic form; only meaningful on phi-stationary charts (flagged).
     Arguments as for :func:`first_variation_check`."""
@@ -251,7 +250,7 @@ def second_variation_check(oracle, integrand, speed, hphi=None,
     formula = second_variation_form(geom, integrand, oracle.speeds[speed])
     chk = _compare(oracle.second_difference(integrand, speed), formula, geom,
                    integrand, oracle.step)
-    chk.stationary = is_phi_stationary(geom, integrand, stationary_tol, hphi)
+    chk.stationary = is_phi_stationary(geom, integrand, hphi)
     return chk
 
 
@@ -341,7 +340,7 @@ class IsoperimetricCheck:
         return self.__dict__.copy()
 
 
-def isoperimetric_check(geom, integrand, rho, norm_resolution=17):
+def isoperimetric_check(geom, integrand, rho):
     """Verify |M| <= rho ||phi||_C1 / (n min phi) |dM| for a chart whose
     boundary sits inside the ball of radius rho about the origin."""
     for face in geo.boundary_faces(geom):
@@ -350,8 +349,8 @@ def isoperimetric_check(geom, integrand, rho, norm_resolution=17):
             raise ValueError("chart boundary leaves the enclosing ball")
     area = geom.integrate()
     bd = geo.boundary_area(geom)
-    c1 = ig.c1_norm(integrand, norm_resolution)
-    pmin = ig.min_phi(integrand, norm_resolution)
+    c1 = ig.c1_norm(integrand)
+    pmin = ig.min_phi(integrand)
     bound = rho * c1 / (geom.n * pmin) * bd
     return IsoperimetricCheck(area=area, boundary_measure=bd, bound=bound,
                               margin=bound - area,
@@ -436,15 +435,11 @@ def assemble_forms(geom, coeff, potential, mass_density):
     return K.tocsc(), M.tocsc()
 
 
-def _interior_indices(geom, layers=1):
-    return np.flatnonzero(geom.dirichlet_mask(layers).ravel())
-
-
-def smallest_eigenpair(K, M, tol=EIG_TOL):
+def smallest_eigenpair(K, M):
     """Smallest eigenvalue of K x = lambda M x, K symmetric and M the
     diagonal positive (lumped) mass of :func:`assemble_forms`.
 
-    One Lanczos solve (ARPACK ``eigsh``, relative tolerance ``tol``) on the
+    One Lanczos solve (ARPACK ``eigsh``, relative tolerance EIG_TOL) on the
     mass-scaled form B = D^-1/2 K D^-1/2, D = diag(M), from the
     deterministic start sqrt(D), the all-ones vector in scaled coordinates.
     Returns (theta, x, matvecs, residual): x is M-normalized with
@@ -470,7 +465,7 @@ def smallest_eigenpair(K, M, tol=EIG_TOL):
     v0 = np.sqrt(d)
     op = spla.LinearOperator(B.shape, matvec=matvec, dtype=float)
     try:
-        y = spla.eigsh(op, k=1, which="SA", v0=v0, ncv=LANCZOS_NCV, tol=tol)[1][:, 0]
+        y = spla.eigsh(op, k=1, which="SA", v0=v0, ncv=LANCZOS_NCV, tol=EIG_TOL)[1][:, 0]
     except spla.ArpackNoConvergence:
         # unconverged at k = 1 ARPACK returns no Ritz pair; the start vector
         # stands in, and its residual fails the caller's convergence check
@@ -496,7 +491,6 @@ class StabilityReport:
     _K: sp.csc_matrix = None
     _M: sp.csc_matrix = None
     _interior: np.ndarray = None
-    _shape: tuple = None
 
     def q_value(self, u):
         """Assembled quadratic form at a full-grid node scalar (must vanish
@@ -514,7 +508,7 @@ class StabilityReport:
         return float(v @ (self._M @ v))
 
 
-def stability_spectrum(geom, integrand, tol=EIG_TOL):
+def stability_spectrum(geom, integrand):
     """Minimal Rayleigh quotient of the second-variation form against the
     L^2(dmu) norm under Dirichlet conditions on the chart boundary.  The
     chart counts as stable when lambda_stab - residual >= 0."""
@@ -524,16 +518,16 @@ def stability_spectrum(geom, integrand, tol=EIG_TOL):
     S2 = np.einsum("...ab,...bc->...ac", geom.shape_op, geom.shape_op)
     pot = -np.einsum("...ab,...bc,...ca->...", S2, ginv, B)
     K, M = assemble_forms(geom, coeff, pot, np.ones(geom.shape))
-    idx = _interior_indices(geom, layers=1)
+    idx = np.flatnonzero(geom.dirichlet_mask().ravel())
     Ki = K[idx][:, idx]
     Mi = M[idx][:, idx]
-    lam, vec, matvecs, resid = smallest_eigenpair(Ki, Mi, tol=tol)
+    lam, vec, matvecs, resid = smallest_eigenpair(Ki, Mi)
     full = np.zeros(int(np.prod(geom.shape)))
     full[idx] = vec
     return StabilityReport(lambda_stab=lam, stable=bool(lam - resid >= 0.0),
                            eigenfunction=full.reshape(geom.shape),
                            resolution=geom.shape, matvecs=matvecs, residual=resid,
-                           _K=Ki, _M=Mi, _interior=idx, _shape=geom.shape)
+                           _K=Ki, _M=Mi, _interior=idx)
 
 
 @dataclass
@@ -547,11 +541,8 @@ class ReducedStabilityCheck:
     min_slack_potential_lower: float  # tr(Psi S^2) - a_min |A|^2
     lam: float
 
-    def as_dict(self):
-        return self.__dict__.copy()
 
-
-def reduced_stability_check(geom, integrand, u, resolution=17):
+def reduced_stability_check(geom, integrand, u):
     """Pointwise and integrated consistency of the ellipticity chain
 
         a_min |grad u|^2 <= <grad u, Psi grad u> <= a_max |grad u|^2,
@@ -562,7 +553,7 @@ def reduced_stability_check(geom, integrand, u, resolution=17):
     nonnegative as well.
     """
     _check_compact_support(geom, u)
-    a_min, a_max = ig.pinch_bounds(integrand, resolution)
+    a_min, a_max = ig.pinch_bounds(integrand)
     lam = a_min / a_max
     B = _psi_pullback(geom, integrand)
     du = geom.param_gradient(u)

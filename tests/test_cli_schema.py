@@ -404,6 +404,23 @@ UNCAPPED = [
 ]
 
 
+# charts and models that the schema admits but a runner cannot take: the
+# runner turns the sampling or deformation error into an invalid job
+UNRUNNABLE = [
+    # det g = s^4 sin^2 theta falls below DET_FLOOR near the inset pole
+    (_variation(chart={"kind": "hyperplane", "n": 3, "polar": True}), "/inputs/chart"),
+    (_variation(chart={"kind": "sphere", "n": 3, "radius": 1e-12}), "/inputs/chart"),
+    (_conformal(chart={"kind": "sphere", "n": 3, "radius": 1e-12}), "/inputs/chart"),
+    # the origin is a node: r >= R_MIN fails
+    (_conformal(chart={"kind": "hyperplane", "n": 3, "offset": 0.0}), "/inputs/chart"),
+    # f = 1 + a cos(omega t) vanishes at |a| = 1
+    (_mubble({"profile": "bulge", "params": {"amplitude": 1}}),
+     "/inputs/model/params/amplitude"),
+    (_mubble({"profile": "bulge", "params": {"amplitude": -1.0}}),
+     "/inputs/model/params/amplitude"),
+]
+
+
 def _run_pointers(tmp_path, capsys, job):
     """Exit code of ``anisocheck run`` on ``job`` and the pointers it printed."""
     bad = tmp_path / "bad.json"
@@ -415,7 +432,7 @@ def _run_pointers(tmp_path, capsys, job):
 
 
 @pytest.mark.parametrize("job, pointer",
-                         UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT + UNCAPPED)
+                         UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT + UNCAPPED + UNRUNNABLE)
 def test_unchecked_inputs_exit_2_with_their_pointer(tmp_path, capsys, job, pointer):
     assert _run_pointers(tmp_path, capsys, job) == (2, [pointer])
 
@@ -440,7 +457,8 @@ def test_jsonschema_agrees_with_the_walker():
     # the cross-value rules of validate_job are the only difference
     validator = _draft7()
     jobs = [json.loads(p.read_text()) for p in sorted(JOBS_DIR.glob("*.json"))]
-    jobs += EXAMPLE_JOBS + [job for job, _ in UNCHECKED_INPUTS + BEYOND_FLOAT + UNCAPPED]
+    jobs += EXAMPLE_JOBS + [job for job, _ in UNCHECKED_INPUTS + BEYOND_FLOAT + UNCAPPED
+                            + UNRUNNABLE]
     jobs.append({"command": "mubble", "inputs": {"model": {"profile": "round_cap"}}})
     jobs += [{"command": "integrand",
               "inputs": {"integrand": {"kind": "quadratic", "matrix": m}}}
@@ -546,3 +564,66 @@ def _eye(k):
 ])
 def test_integrand_and_mubble_size_caps(job, pointers):
     assert [e.split(":")[0] for e in sch.validate_job(job)] == pointers
+
+
+SQRT2 = 1.4142135623730951
+# the inputs of a minimal job (required inputs only) of each command, with
+# every default filled in: a default that moves fails here
+RESOLVED = [
+    ({"command": "constants"},
+     {"variant": "sqrt-lambda", "c1_norm": SQRT2, "phi_min": 1.0}),
+    ({"command": "integrand", "inputs": {"integrand": {"kind": "isotropic"}}},
+     {"integrand": {"kind": "isotropic", "dim": 4}, "resolution": 17}),
+    ({"command": "integrand", "inputs": {"integrand": {"kind": "quadratic",
+                                                       "matrix": _eye(3)}}},
+     {"integrand": {"kind": "quadratic", "matrix": _eye(3), "dim": 3}, "resolution": 17}),
+    ({"command": "variation", "inputs": {"chart": {"kind": "sphere"},
+                                         "integrand": {"kind": "isotropic"}}},
+     {"chart": {"kind": "sphere", "n": 3}, "integrand": {"kind": "isotropic", "dim": 4},
+      "resolution": 13, "tests": ["first_variation"], "rho": 0.0}),
+    ({"command": "variation", "inputs": {"chart": {"kind": "catenoid_2"},
+                                         "integrand": {"kind": "isotropic", "dim": 3}}},
+     {"chart": {"kind": "catenoid_2", "n": 2}, "integrand": {"kind": "isotropic", "dim": 3},
+      "resolution": 21, "tests": ["first_variation"], "rho": 0.0}),
+    ({"command": "conformal", "inputs": {"chart": {"kind": "cone"}}},
+     {"chart": {"kind": "cone", "n": 3}, "integrand": {"kind": "isotropic", "dim": 4},
+      "resolution": 13, "tests": ["qform"], "lambda": 0.75}),
+    ({"command": "conformal", "inputs": {"chart": {"kind": "catenoid_2"}}},
+     {"chart": {"kind": "catenoid_2", "n": 2}, "integrand": {"kind": "isotropic", "dim": 3},
+      "resolution": 21, "tests": ["qform"], "lambda": 0.0}),
+    ({"command": "mubble", "inputs": {"model": {"profile": "funnel"}}},
+     {"model": {"profile": "funnel", "T": 20.0, "eps": 0.1, "n_grid": 4001},
+      "amplitude": "sqrt-lambda"}),
+    ({"command": "verify"},
+     {"suites": ["quadratic_lemma", "curvature_pinch", "ricci_bound", "kato"],
+      "samples": 1_000_000, "points": 10_000, "grids": [200, 200, 720]}),
+    ({"command": "all"}, {}),
+    # a key that the command does not read stays as given
+    ({"command": "constants", "inputs": {"chart": 5, "model": None}},
+     {"variant": "sqrt-lambda", "c1_norm": SQRT2, "phi_min": 1.0, "chart": 5, "model": None}),
+]
+
+
+@pytest.mark.parametrize("job, resolved", RESOLVED)
+def test_resolve_inputs_fills_every_default(job, resolved):
+    given = json.dumps(job, sort_keys=True)
+    assert sch.resolve_inputs(job) == resolved
+    assert json.dumps(job, sort_keys=True) == given      # the job stays as given
+    assert sch.validate_job({**job, "inputs": sch.resolve_inputs(job)}) == []
+
+
+def test_rules_size_the_resolved_grid(monkeypatch):
+    # a qform job without resolution on a chart without n samples its
+    # refinement companion at (2 * 13 - 1)^3 nodes
+    job = {"command": "conformal", "inputs": {"chart": {"kind": "cone"}}}
+    monkeypatch.setattr(sch, "MAX_NODES", 25**3)
+    assert sch.validate_job(job) == []
+    monkeypatch.setattr(sch, "MAX_NODES", 25**3 - 1)
+    assert sch.validate_job(job) == [
+        f"/inputs/resolution: samples {25**3} nodes, more than MAX_NODES = {25**3 - 1}"]
+
+
+def test_cli_defaults_are_the_resolved_ones():
+    args = cli._build_parser().parse_args(["verify"])
+    assert (args.seed, args.samples) == (1234, 1_000_000)
+    assert cli._build_parser().parse_args(["constants"]).variant == "sqrt-lambda"

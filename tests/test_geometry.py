@@ -375,6 +375,8 @@ FRAME_CHARTS = {
     "polar_plane2": geo.Hyperplane(2, offset=0.0, polar=True),
     "polar_plane3": geo.Hyperplane(3, offset=0.0, polar=True),
     "sphere3_poles": geo.Sphere(3, radius=1.5, center=[0.1, -0.2, 0.3, 0.5]),
+    "graph_sine2": geo.Graph(2, "sine"),
+    "graph_sine3": geo.Graph(3, "sine"),
 }
 
 

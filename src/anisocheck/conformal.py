@@ -67,7 +67,7 @@ def transformation_law_residual(cgeom, lap_log_w_exact):
     lhs = cgeom.w**2 * cgeom.R_tilde
     rhs = (geom.scalar_curvature - 2.0 * (n - 1) * lap_log_w_exact
            - (n - 1) * (n - 2) * cgeom.grad_log_w_sq)
-    mask = geom.interior_mask(2)
+    mask = geom.interior_mask()
     return float(np.abs(lhs - rhs)[mask].max())
 
 

@@ -117,12 +117,12 @@ class SampledGeometry:
     pole_ends: tuple = ()
     _deriv_mats: list = field(default_factory=list, repr=False)
 
-    def interior_mask(self, layers=2):
-        """Mask excluding ``layers`` node layers at non-periodic edges."""
+    def interior_mask(self):
+        """Mask excluding two node layers at non-periodic edges."""
         mask = np.ones(self.shape, dtype=bool)
         for a in range(self.n):
             if not self.periodic[a]:
-                for ends in (slice(0, layers), slice(self.shape[a] - layers, None)):
+                for ends in (slice(0, 2), slice(self.shape[a] - 2, None)):
                     mask[(slice(None),) * a + (ends,)] = False
         return mask
 
@@ -252,8 +252,8 @@ def _first_location(bad, params):
     return f"at parameters {tuple(float(p[i]) for p, i in zip(params, idx))}"
 
 
-def _assemble(chart_name, n, dim, box, shape, periodic, spacings, params,
-              X, jac, d2X, nu, pole_ends=()):
+def _metric(jac, chart_name, params):
+    """(g, det g, adj g) of g = J^T J; raises at det g <= DET_FLOOR."""
     g = np.ascontiguousarray(np.swapaxes(jac, -1, -2)) @ jac
     det, adj = _cofactors(g)
     bad = det <= DET_FLOOR
@@ -263,6 +263,12 @@ def _assemble(chart_name, n, dim, box, shape, periodic, spacings, params,
             f"degenerate metric on chart {chart_name!r}: det g = {det[idx]:.3e} "
             f"{_first_location(bad, params)}"
         )
+    return g, det, adj
+
+
+def _assemble(chart_name, n, dim, box, shape, periodic, spacings, params,
+              X, jac, d2X, nu, metric, pole_ends=()):
+    g, det, adj = metric
     ginv = adj / det[..., None, None]
     hform = -np.einsum("...d,...dab->...ab", nu, d2X)
     S = ginv @ hform
@@ -305,25 +311,17 @@ def sample_chart(chart, shape):
     U = np.stack(np.meshgrid(*params, indexing="ij"), axis=-1)
     X, jac, d2X, nu = chart.frame(U)
     return _assemble(chart.name, chart.n, chart.dim, box, shape, chart.periodic,
-                     spacings, params, X, jac, d2X, nu, pole_ends=chart.pole_ends)
+                     spacings, params, X, jac, d2X, nu, _metric(jac, chart.name, params),
+                     pole_ends=chart.pole_ends)
 
 
-def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole_ends=()):
-    """Build a SampledGeometry from node positions alone (all derivatives by
-    grid finite differences); the normal sign is aligned with ``ref_nu``.
-
-    This is the oracle-side path used to resample perturbed immersions.
-    """
-    X = np.asarray(X, dtype=float)
-    shape = X.shape[:-1]
-    dim = X.shape[-1]
-    n = len(shape)
-    periodic = tuple(periodic)
-    params, spacings = _grid_for(box, shape, periodic)
-    mats = [derivative_matrix(shape[a], spacings[a], periodic[a]) for a in range(n)]
+def _first_order(X, params, mats, ref_nu, chart_name):
+    """Jacobian, unit normal (sign aligned with ``ref_nu``) and metric
+    ``(g, det g, adj g)`` of node positions X on the grid ``params``, all by
+    the finite-difference matrices ``mats``."""
     jac = np.stack(
-        [np.stack([apply_derivative(X[..., d], mats[a], a) for a in range(n)], axis=-1)
-         for d in range(dim)],
+        [np.stack([apply_derivative(X[..., d], D, a) for a, D in enumerate(mats)], axis=-1)
+         for d in range(X.shape[-1])],
         axis=-2,
     )
     raw = _generalized_cross(jac)
@@ -337,6 +335,18 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
     if np.any(flip == 0):
         raise ImmersionError("numeric normal orthogonal to reference normal")
     nu = nu * flip[..., None]
+    return jac, nu, _metric(jac, chart_name, params)
+
+
+def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole_ends=()):
+    """Build a SampledGeometry from node positions alone (all derivatives by
+    grid finite differences); the normal sign is aligned with ``ref_nu``."""
+    X = np.asarray(X, dtype=float)
+    shape, dim, n = X.shape[:-1], X.shape[-1], X.ndim - 1
+    periodic = tuple(periodic)
+    params, spacings = _grid_for(box, shape, periodic)
+    mats = [derivative_matrix(shape[a], spacings[a], periodic[a]) for a in range(n)]
+    jac, nu, metric = _first_order(X, params, mats, ref_nu, chart_name)
     # d2X_ab symmetrized from derivatives of the Jacobian columns
     d2X = np.empty(shape + (dim, n, n))
     for a in range(n):
@@ -348,16 +358,17 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
             d2X[..., a, b] = dab
             d2X[..., b, a] = dab
     return _assemble(chart_name, n, dim, list(box), shape, periodic, spacings,
-                     params, X, jac, d2X, nu, pole_ends=pole_ends)
+                     params, X, jac, d2X, nu, metric, pole_ends=pole_ends)
 
 
 def resample_normal_graph(geom, u, t):
-    """Geometry of the immersion X + t * u * nu, all fields re-derived by
-    finite differences on the same parameter grid."""
+    """(nu, sqrt det g) of the immersion X + t * u * nu, re-derived by finite
+    differences on the same parameter grid; the resample-and-difference
+    oracle needs nothing else, so no second derivative is formed."""
     Y = geom.X + t * u[..., None] * geom.nu
-    return geometry_from_positions(Y, geom.box, geom.periodic, geom.nu,
-                                   chart_name=f"{geom.chart_name}+normal",
-                                   pole_ends=geom.pole_ends)
+    _, nu, (_, det, _) = _first_order(Y, geom.params, geom._deriv_mats, geom.nu,
+                                      f"{geom.chart_name}+normal")
+    return nu, np.sqrt(det)
 
 
 # -- per-node linear algebra -------------------------------------------------
@@ -456,7 +467,7 @@ def laplace_r_check(geom):
     gr2 = np.einsum("...d,...d->...", geom.grad_r, geom.grad_r)
     rhs = geom.n / geom.r + np.einsum("...d,...d->...", hvec, xhat) - gr2 / geom.r
     res = np.abs(lap_r - rhs)
-    return float(res[geom.interior_mask(2)].max())
+    return float(res[geom.interior_mask()].max())
 
 
 # -- CSV export ---------------------------------------------------------------

@@ -18,6 +18,7 @@ minimum of phi on the sphere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,12 +282,14 @@ def fd_hessian(fn, v, step=1e-3):
 # -- sphere sampling and ellipticity statistics ----------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def sphere_grid(dim, resolution):
     """Quasi-uniform deterministic grid on the unit sphere in R^dim.
 
     Lattice points on the surface of the cube [-1,1]^dim (``resolution``
     nodes per edge, forced odd so that all +-e_i directions are present)
-    are deduplicated and radially normalized.
+    are deduplicated and radially normalized.  Built once per (dim,
+    resolution) and returned read-only, since every caller shares it.
     """
     if resolution < 8:
         raise ValueError("sphere grid resolution must be at least 8")
@@ -300,7 +303,9 @@ def sphere_grid(dim, resolution):
             col = np.full((face.shape[0], 1), side)
             pts.append(np.concatenate([face[:, :a], col, face[:, a:]], axis=1))
     pts = np.unique(np.concatenate(pts, axis=0), axis=0)
-    return pts / np.linalg.norm(pts, axis=1)[:, None]
+    grid = pts / np.linalg.norm(pts, axis=1)[:, None]
+    grid.flags.writeable = False
+    return grid
 
 
 def tangent_basis(nu):

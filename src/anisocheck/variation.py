@@ -123,7 +123,7 @@ BUMP_NAMES = ("centered", "offset", "two_humps")
 
 
 def _check_compact_support(geom, u):
-    mask = ~geom.interior_mask(2)
+    mask = ~geom.interior_mask()
     if np.any(mask) and float(np.abs(u[mask]).max()) > 0.0:
         raise ValueError("variation speed must vanish on two node layers at the boundary")
 
@@ -171,8 +171,7 @@ class NormalOracle:
         key = (speed, tau) if tau != 0.0 else (None, 0.0)
         if key not in self._resamples:
             u = self.speeds[speed] if tau != 0.0 else np.zeros(self.geom.shape)
-            pert = geo.resample_normal_graph(self.geom, u, tau)
-            self._resamples[key] = (pert.nu, pert.sqrt_det_g)
+            self._resamples[key] = geo.resample_normal_graph(self.geom, u, tau)
         return self._resamples[key]
 
     def phi_area(self, integrand, speed, tau):

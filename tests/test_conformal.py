@@ -13,7 +13,7 @@ def test_deform_unit_sphere_is_identity():
     g = geo.sample_chart(geo.Sphere(3, radius=1.0), 13)
     cg = cf.deform(g)
     assert np.abs(cg.w - 1.0).max() <= 1e-14
-    mask = g.interior_mask(2)
+    mask = g.interior_mask()
     assert np.abs(cg.R_tilde - 6.0)[mask].max() <= 1e-10
 
 
@@ -34,7 +34,7 @@ def test_transformation_law_against_plane_closed_form():
         lap_exact = -(3.0 + u2) / g.r**4
         resid = cf.transformation_law_residual(cg, lap_exact)
         Rt_exact = (0.0 - 4.0 * lap_exact - 2.0 * u2 / g.r**4) * g.r**2
-        mask = g.interior_mask(2)
+        mask = g.interior_mask()
         assert np.abs(cg.R_tilde - Rt_exact)[mask].max() <= (0.1 if res == 13 else 5e-3)
         if prev is not None:
             assert prev / resid >= 3.5
@@ -48,7 +48,7 @@ def test_cone_deformed_curvature_scale_invariant():
     g1 = geo.sample_chart(cone, 13)
     g2 = geo.sample_chart(cone.dilate(2.0), 13)
     c1, c2 = cf.deform(g1), cf.deform(g2)
-    mask = g1.interior_mask(2)
+    mask = g1.interior_mask()
     assert np.abs(c1.R_tilde - c2.R_tilde)[mask].max() <= 1e-8
 
 

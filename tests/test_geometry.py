@@ -36,7 +36,7 @@ def test_catenoids_minimal_by_finite_difference_oracle():
         g = geo.sample_chart(chart, res)
         gn = geo.geometry_from_positions(g.X, g.box, g.periodic, g.nu,
                                          pole_ends=g.pole_ends)
-        mask = g.interior_mask(2)
+        mask = g.interior_mask()
         assert np.abs(gn.mean_curvature[mask]).max() <= tol
         # analytic parametrizations are minimal to machine precision
         assert np.abs(g.mean_curvature).max() <= 1e-12
@@ -128,13 +128,28 @@ def test_mean_curvature_vector_dictionary_on_sphere():
     # H_vec = Laplace_g X equals -H nu; validated numerically, not assumed
     g = geo.sample_chart(geo.Sphere(3, radius=1.5), 21)
     hvec = g.laplacian_ambient(g.X)
-    mask = g.interior_mask(2)
+    mask = g.interior_mask()
     err = np.linalg.norm(hvec - g.mean_curvature_vec, axis=-1)[mask].max()
     assert err <= 5e-3
     g2 = geo.sample_chart(geo.Sphere(2, radius=1.0), 33)
     hvec2 = g2.laplacian_ambient(g2.X)
-    err2 = np.linalg.norm(hvec2 - g2.mean_curvature_vec, axis=-1)[g2.interior_mask(2)].max()
+    err2 = np.linalg.norm(hvec2 - g2.mean_curvature_vec, axis=-1)[g2.interior_mask()].max()
     assert err2 <= 1e-3
+
+
+def _resample_error(g, X):
+    """ImmersionError text of positions X on the grid of g, raised alike
+    (and without a warning) by geometry_from_positions and by the
+    oracle's first-order path resample_normal_graph."""
+    name = f"{g.chart_name}+normal"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(geo.ImmersionError) as full:
+            geo.geometry_from_positions(X, g.box, g.periodic, g.nu, chart_name=name)
+        with pytest.raises(geo.ImmersionError) as first:
+            geo.resample_normal_graph(dataclasses.replace(g, X=X), np.zeros(g.shape), 0.0)
+    assert str(first.value) == str(full.value)
+    return str(full.value)
 
 
 def test_immersion_error_reports_location():
@@ -156,19 +171,15 @@ def test_immersion_error_reports_location():
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0), 13)
     X = g.X.copy()
     X[..., 2] *= ((1.1 - X[..., 0]) / 2.0) ** 6
-    with pytest.raises(geo.ImmersionError) as err:
-        geo.geometry_from_positions(X, g.box, g.periodic, g.nu)
-    assert f"at parameters {(float(g.params[0][11]), -1.0, -1.0)}" in str(err.value)
+    msg = _resample_error(g, X)
+    assert f"at parameters {(float(g.params[0][11]), -1.0, -1.0)}" in msg
     # with f = ((1 - u1)/2)^6 the last u1 layer has a zero numeric normal:
     # rejected with its location before orientation, and without a warning
     X = g.X.copy()
     X[..., 2] *= ((1.0 - X[..., 0]) / 2.0) ** 6
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(geo.ImmersionError) as err:
-            geo.geometry_from_positions(X, g.box, g.periodic, g.nu)
-    assert "numeric normal" in str(err.value)
-    assert "at parameters (1.0, -1.0, " in str(err.value)
+    msg = _resample_error(g, X)
+    assert "numeric normal" in msg
+    assert "at parameters (1.0, -1.0, " in msg
 
 
 def test_resolution_floor_enforced():
@@ -181,11 +192,23 @@ def test_numeric_path_matches_analytic():
     g = geo.sample_chart(chart, 17)
     gn = geo.geometry_from_positions(g.X, g.box, g.periodic, g.nu,
                                      pole_ends=g.pole_ends)
-    m = g.interior_mask(2)
+    m = g.interior_mask()
     assert np.linalg.norm(gn.nu - g.nu, axis=-1)[m].max() <= 1e-4
     assert np.abs(gn.scalar_curvature - g.scalar_curvature)[m].max() <= 1e-2
-    rs = geo.resample_normal_graph(g, np.zeros(g.shape), 0.0)
-    assert np.abs(rs.mean_curvature - gn.mean_curvature).max() == 0.0
+    # the oracle's first-order path gives the very nu and sqrt det g that
+    # geometry_from_positions builds from the same perturbed positions
+    t = 0.01
+    for chart, res in ((geo.catalog(2)["catenoid_2"], 33),
+                       (geo.catalog(3)["catenoid_3"], 17),
+                       (geo.catalog(3)["sphere"], 17),
+                       (geo.Sphere(3), (13, 13, 12))):
+        g = geo.sample_chart(chart, res)
+        u = np.cos(3.0 * g.X[..., 0]) * np.sin(2.0 * g.X[..., -1] + 0.5)
+        full = geo.geometry_from_positions(g.X + t * u[..., None] * g.nu, g.box, g.periodic,
+                                           g.nu, pole_ends=g.pole_ends)
+        nu, sqrt_det_g = geo.resample_normal_graph(g, u, t)
+        assert np.array_equal(nu, full.nu), chart.name
+        assert np.array_equal(sqrt_det_g, full.sqrt_det_g), chart.name
 
 
 def test_boundary_faces_and_pole_skipping():

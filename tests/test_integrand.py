@@ -157,6 +157,18 @@ def test_sphere_grid_contains_axes_and_rejects_small_resolution():
         ig.sphere_grid(4, 7)
 
 
+def test_sphere_grid_is_cached_read_only():
+    grid = ig.sphere_grid(4, 17)
+    assert ig.sphere_grid(4, 17) is grid
+    with pytest.raises(ValueError):
+        grid[0, 0] = 0.0
+    # the shared grid gives the report of a fresh build
+    pert = ig.Integrand.perturbed(4, 0.1, "axis2")
+    cached = ig.analyze(pert)
+    ig.sphere_grid.cache_clear()
+    assert ig.analyze(pert) == cached
+
+
 def test_tangent_basis_orthonormal_to_normal():
     rng = np.random.default_rng(2)
     nu = rng.normal(size=(200, 4))

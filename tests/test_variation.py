@@ -203,7 +203,7 @@ def test_cutoff_constant_destabilizes_wide_neck(iso3):
     U = np.meshgrid(*wide.params, indexing="ij")
     xi = np.clip((np.abs(U[0]) - 1.5) / (2.4 * 0.92 - 1.5), 0.0, 1.0)
     u = (1.0 - xi**2) ** 2
-    u[~wide.interior_mask(2)] = 0.0
+    u[~wide.interior_mask()] = 0.0
     assert va.second_variation_form(wide, iso3, u) < -1.0
 
 
@@ -323,7 +323,7 @@ def test_bump_functions_vanish_on_two_layers():
             g = geo.sample_chart(chart, 11)
             for name in va.BUMP_NAMES:
                 u = va.bump_function(g, name)
-                outer = ~g.interior_mask(2)
+                outer = ~g.interior_mask()
                 if outer.any():
                     assert np.abs(u[outer]).max() == 0.0
 
@@ -331,13 +331,13 @@ def test_bump_functions_vanish_on_two_layers():
 def _count_resamples(monkeypatch):
     """Record every call of the resampling entry point."""
     calls = []
-    build = geo.geometry_from_positions
+    build = geo.resample_normal_graph
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(geo, "geometry_from_positions", counting)
+    monkeypatch.setattr(geo, "resample_normal_graph", counting)
     return calls
 
 

@@ -50,6 +50,10 @@ class InvalidJob(ValueError):
     message lists each error with its JSON pointer."""
 
 
+def _invalid(pointer, message):
+    return InvalidJob(f"invalid job:\n  {pointer}: {message}")
+
+
 @contextlib.contextmanager
 def _chart_domain():
     """Turn the ValueError of sampling the job's chart (`geometry.ImmersionError`)
@@ -57,7 +61,7 @@ def _chart_domain():
     try:
         yield
     except ValueError as exc:
-        raise InvalidJob(f"invalid job:\n  /inputs/chart: {exc}") from exc
+        raise _invalid("/inputs/chart", exc) from exc
 
 
 # -- command runners: each gets the inputs of `schema.resolve_inputs` ----------------
@@ -145,12 +149,9 @@ def _run_variation(inputs, seed, out_dir):
         chk = va.isoperimetric_check(g, integ, rho)
         records.append(ge("isoperimetric margin", chk.margin, 0.0, **chk.as_dict()))
     if "spectrum" in tests:
-        rep = va.stability_spectrum(g, integ)
-        records.append(le("stability spectrum converged", rep.residual,
-                          va.EIG_TOL * max(1.0, abs(rep.lambda_stab)),
-                          lambda_stab=rep.lambda_stab, stable=rep.stable,
-                          matvecs=rep.matvecs))
-        extras["lambda_stab"] = rep.lambda_stab
+        spec = va.stability_spectrum(g, integ)
+        records.append(ac.spectrum_converged_check(spec))
+        extras["lambda_stab"] = spec.eigenvalue
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         geo.export_csv(g, Path(out_dir) / "geometry.csv")
@@ -183,33 +184,40 @@ def _run_conformal(inputs, seed, out_dir):
                                                 [chart], np.random.default_rng(seed),
                                                 6, 10, 60))
     if "lambda1" in tests:
-        est = cf.lambda1_estimate(cg, lambda_target=lam)
-        integ = sch.build_integrand(inputs["integrand"])
-        certified = (va.is_phi_stationary(g, integ)
-                     and va.stability_spectrum(g, integ).stable)
-        if certified:
-            records.append(ge("lambda1 estimate vs target", est.margin, -1e-3,
-                              **est.as_dict()))
-        else:
-            records.append(Check("lambda1 estimate vs target", est.margin, None, True,
-                                 {"warning": "chart is not a certified stable "
-                                             "stationary piece; estimate reported only",
-                                  **est.as_dict()}))
+        records.append(ac.lambda1_target_check("lambda1 estimate vs target", cg,
+                                               sch.build_integrand(inputs["integrand"]),
+                                               lam))
     return records, {}
 
 
 def _run_mubble(inputs, seed, out_dir):
     spec = inputs["model"]
-    model = mb.make_model(spec["profile"], T=float(spec["T"]), params=spec.get("params"),
-                          lam=spec.get("lambda"), n_grid=int(spec["n_grid"]))
-    eps = float(spec["eps"])
+    params = spec.get("params") or {}
+    try:
+        model = mb.make_model(spec["profile"], T=float(spec["T"]), params=params,
+                              lam=spec.get("lambda"), n_grid=int(spec["n_grid"]))
+    except mb.ProfileError as exc:
+        scale = mb.SCALE_PARAM.get(spec["profile"])
+        at = f"params/{scale}" if scale in params else "T"
+        raise _invalid(f"/inputs/model/{at}", exc) from exc
     # lambda defaults to the model's lambda_1, known only after the solve
+    if model.lam <= 0.0:
+        raise _invalid("/inputs/model", f"lambda_1 = {model.lam:.6g} must be > 0 to set "
+                       "the band of the phi profile")
+    eps = float(spec["eps"])
     t_end = mb.band_end(model.lam, eps)
     if model.T < t_end:
-        raise InvalidJob(f"invalid job:\n  /inputs/model/T: must be >= 4 pi/sqrt(lambda)"
-                         f" + 2 eps = {t_end:.4f} for lambda = {model.lam:.6g}, to hold"
-                         " the band of the phi profile")
-    records, prof, _ = ac.bubble_checks(model, eps, inputs["amplitude"])
+        raise _invalid("/inputs/model/T", f"must be >= 4 pi/sqrt(lambda) + 2 eps = "
+                       f"{t_end:.4f} for lambda = {model.lam:.6g}, to hold the band of "
+                       "the phi profile")
+    amplitude = inputs["amplitude"]
+    with np.errstate(over="ignore"):    # an overflow is the error reported below
+        h = mb.build_phi_h(model, eps, amplitude).h
+        if not np.all(np.isfinite(h * h)):
+            raise _invalid("/inputs/model" if isinstance(amplitude, str) else
+                           "/inputs/amplitude", "h = -amplitude tan(phi) squares past "
+                           f"the float range on the band at lambda = {model.lam:.6g}")
+    records, prof, _ = ac.bubble_checks(model, eps, amplitude)
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

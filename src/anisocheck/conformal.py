@@ -110,37 +110,14 @@ def qform_identity_check(cgeom, phi, lam):
                       discrepancy=abs(direct - derived), lam=lam)
 
 
-@dataclass
-class SpectralEstimate:
-    lambda1: float
-    lambda_target: float
-    margin: float               # lambda1 - residual - lambda_target
-    matvecs: int
-    residual: float             # M^-1-norm residual of the eigenpair
-    resolution: tuple
-    note: str = ("Dirichlet value on a compact chart piece; upper bounds the "
-                 "chart's own bottom eigenvalue only, quoted for consistency "
-                 "with the target on stable catalog charts")
-
-    def as_dict(self):
-        d = self.__dict__.copy()
-        d["resolution"] = list(self.resolution)
-        return d
-
-
-def lambda1_estimate(cgeom, lambda_target=0.0):
-    """Bottom Dirichlet eigenvalue of -Lap~ + R~/2 on the chart piece."""
+def lambda1_estimate(cgeom):
+    """Bottom Dirichlet eigenvalue of -Lap~ + R~/2 on the chart piece, a
+    :class:`variation.DirichletSpectrum`."""
     geom = cgeom.base
     n = geom.n
     wn = cgeom.w**n
     coeff = (cgeom.w ** (n - 2.0))[..., None, None] * geom.metric_inv
-    pot = 0.5 * cgeom.R_tilde * wn
-    K, M = va.assemble_forms(geom, coeff, pot, wn)
-    idx = np.flatnonzero(geom.dirichlet_mask().ravel())
-    lam, _, matvecs, resid = va.smallest_eigenpair(K[idx][:, idx], M[idx][:, idx])
-    return SpectralEstimate(lambda1=lam, lambda_target=lambda_target,
-                            margin=lam - resid - lambda_target, matvecs=matvecs,
-                            residual=resid, resolution=geom.shape)
+    return va.dirichlet_spectrum(geom, coeff, 0.5 * cgeom.R_tilde * wn, wn)
 
 
 # -- curve comparisons ---------------------------------------------------------

@@ -266,8 +266,11 @@ def _metric(jac, chart_name, params):
     return g, det, adj
 
 
-def _assemble(chart_name, n, dim, box, shape, periodic, spacings, params,
+def _assemble(chart_name, box, periodic, spacings, params, mats,
               X, jac, d2X, nu, metric, pole_ends=()):
+    """The SampledGeometry of node positions X and their derivatives on the
+    grid ``params``, whose finite-difference matrices are ``mats``."""
+    shape, dim, n = X.shape[:-1], X.shape[-1], X.ndim - 1
     g, det, adj = metric
     ginv = adj / det[..., None, None]
     hform = -np.einsum("...d,...dab->...ab", nu, d2X)
@@ -285,7 +288,6 @@ def _assemble(chart_name, n, dim, box, shape, periodic, spacings, params,
         mask = r < 1e-12
         cosr = np.where(mask, 0.0, cosr)
         grad_r = np.where(mask[..., None], 0.0, grad_r)
-    mats = [derivative_matrix(shape[a], spacings[a], periodic[a]) for a in range(n)]
     return SampledGeometry(
         chart_name=chart_name, n=n, dim=dim, box=box, shape=tuple(shape),
         periodic=tuple(periodic), spacings=spacings, params=params,
@@ -310,9 +312,9 @@ def sample_chart(chart, shape):
     params, spacings = _grid_for(box, shape, chart.periodic)
     U = np.stack(np.meshgrid(*params, indexing="ij"), axis=-1)
     X, jac, d2X, nu = chart.frame(U)
-    return _assemble(chart.name, chart.n, chart.dim, box, shape, chart.periodic,
-                     spacings, params, X, jac, d2X, nu, _metric(jac, chart.name, params),
-                     pole_ends=chart.pole_ends)
+    mats = [derivative_matrix(m, h, per) for m, h, per in zip(shape, spacings, chart.periodic)]
+    return _assemble(chart.name, box, chart.periodic, spacings, params, mats, X, jac, d2X,
+                     nu, _metric(jac, chart.name, params), pole_ends=chart.pole_ends)
 
 
 def _first_order(X, params, mats, ref_nu, chart_name):
@@ -357,8 +359,8 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
                 dab = 0.5 * (dab + dba)
             d2X[..., a, b] = dab
             d2X[..., b, a] = dab
-    return _assemble(chart_name, n, dim, list(box), shape, periodic, spacings,
-                     params, X, jac, d2X, nu, metric, pole_ends=pole_ends)
+    return _assemble(chart_name, list(box), periodic, spacings, params, mats,
+                     X, jac, d2X, nu, metric, pole_ends=pole_ends)
 
 
 def resample_normal_graph(geom, u, t):

@@ -41,6 +41,12 @@ EPS = 0.1
 AMPLITUDE = "sqrt-lambda"
 #: points across the band, for its profiles and for the scan of A
 BAND_POINTS = 4001
+#: the parameter that sets the length scale of a profile (1/rate, period)
+SCALE_PARAM = {"funnel": "rate", "bulge": "period"}
+
+
+class ProfileError(ValueError):
+    """The warping profile or its curvature is not finite on the grid."""
 
 
 # -- profiles -------------------------------------------------------------------
@@ -124,8 +130,12 @@ def lambda1_sturm(name, params, T, n_grid=N_GRID, t_min=0.0):
     def solve(n):
         t = np.linspace(t_min, T, n)
         h = t[1] - t[0]
-        f = ff(t)
-        R = scalar_curvature_profile(f, fpf(t), fppf(t), fpppf(t))
+        with np.errstate(all="ignore"):     # an overflow is caught just below
+            f = ff(t)
+            R = scalar_curvature_profile(f, fpf(t), fppf(t), fpppf(t))
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(R))):
+            raise ProfileError(f"the {name} profile f or its curvature R is not finite "
+                               f"on [{t_min}, {T}]")
         # a pole at t_min carries no mass; its natural condition gives
         # u_0 = u_1, so the node and its element drop out of the solve
         lo = 1 if f[0] == 0.0 else 0

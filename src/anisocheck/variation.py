@@ -43,11 +43,6 @@ def _psi_pullback(geom, integrand):
     return jac_t @ (hess @ geom.jac)
 
 
-def _trace_product(P, Q):
-    """Per-node tr(P Q) of two stacks of square matrices."""
-    return np.einsum("...ab,...ba->...", P, Q)
-
-
 def phi_area(geom, integrand):
     """Quadrature of phi(nu) over the chart."""
     if integrand.dim != geom.dim:
@@ -57,8 +52,8 @@ def phi_area(geom, integrand):
 
 def aniso_mean_curvature(geom, integrand):
     """Per-node anisotropic mean curvature tr_M(Psi(nu) S) = tr(S g^{-1} B)."""
-    B = _psi_pullback(geom, integrand)
-    return _trace_product(geom.shape_op @ geom.metric_inv, B)
+    return np.einsum("...ab,...ba->...", geom.shape_op @ geom.metric_inv,
+                     _psi_pullback(geom, integrand))
 
 
 def is_phi_stationary(geom, integrand, hphi=None):
@@ -229,16 +224,22 @@ def first_variation_check(oracle, integrand, speed, hphi=None):
                     integrand, oracle.step)
 
 
+def _second_variation_density(geom, integrand):
+    """Per-node coefficients (C, V) of Q(u) = int <du, C du> + V u^2 dmu in
+    the parameter basis: C = g^{-1} B g^{-1} and V = -tr(S^2 g^{-1} B), with
+    B the pullback of Psi(nu) (tr(S^2 g^{-1} B) is tr_M(Psi S^2))."""
+    B = _psi_pullback(geom, integrand)
+    ginv = geom.metric_inv
+    S = geom.shape_op
+    return ginv @ B @ ginv, -np.einsum("...ab,...ba->...", S @ S @ ginv, B)
+
+
 def second_variation_form(geom, integrand, u):
     """Q(u) = int <grad u, Psi(nu) grad u> - tr_M(Psi(nu) S^2) u^2 dmu."""
     _check_compact_support(geom, u)
-    B = _psi_pullback(geom, integrand)
-    ginv = geom.metric_inv
-    raised = ginv @ geom.param_gradient(u)[..., None]
-    grad_term = (np.swapaxes(raised, -1, -2) @ B @ raised)[..., 0, 0]
-    # tr(Psi S^2) = tr(S^2 g^{-1} B) in the parameter basis
-    pot = _trace_product(geom.shape_op @ geom.shape_op @ ginv, B)
-    return geom.integrate(grad_term - pot * u * u)
+    C, V = _second_variation_density(geom, integrand)
+    du = geom.param_gradient(u)
+    return geom.integrate(np.einsum("...a,...ab,...b->...", du, C, du) + V * u * u)
 
 
 def second_variation_check(oracle, integrand, speed, hphi=None):
@@ -480,53 +481,32 @@ def smallest_eigenpair(K, M):
 
 
 @dataclass
-class StabilityReport:
-    lambda_stab: float
-    stable: bool
-    eigenfunction: np.ndarray
-    resolution: tuple
+class DirichletSpectrum:
+    """Bottom of a Dirichlet spectrum: the Ritz value of
+    :func:`smallest_eigenpair`, its M^-1-norm residual (an eigenvalue lies
+    within it), the matvecs it took and the grid shape."""
+
+    eigenvalue: float
+    residual: float
     matvecs: int
-    residual: float             # M^-1-norm residual of the eigenpair
-    _K: sp.csc_matrix = None
-    _M: sp.csc_matrix = None
-    _interior: np.ndarray = None
+    resolution: tuple
 
-    def q_value(self, u):
-        """Assembled quadratic form at a full-grid node scalar (must vanish
-        on the Dirichlet boundary)."""
-        v = np.ravel(u)[self._interior]
-        return float(v @ (self._K @ v))
 
-    def bilinear(self, u, v):
-        a = np.ravel(u)[self._interior]
-        b = np.ravel(v)[self._interior]
-        return float(a @ (self._K @ b))
-
-    def mass(self, u):
-        v = np.ravel(u)[self._interior]
-        return float(v @ (self._M @ v))
+def dirichlet_spectrum(geom, coeff, potential, mass_density):
+    """Bottom of the spectrum of the form of :func:`assemble_forms` on the
+    free nodes of ``geom.dirichlet_mask()``."""
+    K, M = assemble_forms(geom, coeff, potential, mass_density)
+    idx = np.flatnonzero(geom.dirichlet_mask().ravel())
+    lam, _, matvecs, resid = smallest_eigenpair(K[idx][:, idx], M[idx][:, idx])
+    return DirichletSpectrum(eigenvalue=lam, residual=resid, matvecs=matvecs,
+                             resolution=geom.shape)
 
 
 def stability_spectrum(geom, integrand):
     """Minimal Rayleigh quotient of the second-variation form against the
-    L^2(dmu) norm under Dirichlet conditions on the chart boundary.  The
-    chart counts as stable when lambda_stab - residual >= 0."""
-    B = _psi_pullback(geom, integrand)
-    ginv = geom.metric_inv
-    coeff = np.einsum("...ab,...bc,...cd->...ad", ginv, B, ginv)
-    S2 = np.einsum("...ab,...bc->...ac", geom.shape_op, geom.shape_op)
-    pot = -np.einsum("...ab,...bc,...ca->...", S2, ginv, B)
-    K, M = assemble_forms(geom, coeff, pot, np.ones(geom.shape))
-    idx = np.flatnonzero(geom.dirichlet_mask().ravel())
-    Ki = K[idx][:, idx]
-    Mi = M[idx][:, idx]
-    lam, vec, matvecs, resid = smallest_eigenpair(Ki, Mi)
-    full = np.zeros(int(np.prod(geom.shape)))
-    full[idx] = vec
-    return StabilityReport(lambda_stab=lam, stable=bool(lam - resid >= 0.0),
-                           eigenfunction=full.reshape(geom.shape),
-                           resolution=geom.shape, matvecs=matvecs, residual=resid,
-                           _K=Ki, _M=Mi, _interior=idx)
+    L^2(dmu) norm under Dirichlet conditions on the chart boundary."""
+    C, V = _second_variation_density(geom, integrand)
+    return dirichlet_spectrum(geom, C, V, np.ones(geom.shape))
 
 
 @dataclass
@@ -554,13 +534,11 @@ def reduced_stability_check(geom, integrand, u):
     _check_compact_support(geom, u)
     a_min, a_max = ig.pinch_bounds(integrand)
     lam = a_min / a_max
-    B = _psi_pullback(geom, integrand)
+    C, V = _second_variation_density(geom, integrand)
     du = geom.param_gradient(u)
-    ginv = geom.metric_inv
-    psi_grad = np.einsum("...a,...ab,...bc,...cd,...d->...", du, ginv, B, ginv, du)
-    grad2 = np.einsum("...a,...ab,...b->...", du, ginv, du)
-    S2 = np.einsum("...ab,...bc->...ac", geom.shape_op, geom.shape_op)
-    psi_pot = np.einsum("...ab,...bc,...ca->...", S2, ginv, B)
+    psi_grad = np.einsum("...a,...ab,...b->...", du, C, du)
+    grad2 = geom.grad_norm_sq(u)
+    psi_pot = -V
     reduced = geom.integrate(grad2 - lam * geom.A2 * u * u)
     q = geom.integrate(psi_grad - psi_pot * u * u)
     return ReducedStabilityCheck(

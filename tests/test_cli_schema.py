@@ -320,13 +320,13 @@ def test_runner_exception_exits_3_with_one_line(monkeypatch, capsys, exc):
 def test_conformal_lambda1_uses_the_stability_rule(monkeypatch):
     # theta = 0 passes the old "lambda_stab >= -1e-10" test, but with a
     # positive residual theta - residual < 0, so the chart is not stable
-    def unresolved(geom, integrand, tol=va.EIG_TOL):
-        theta, residual = 0.0, 1e-3
-        return va.StabilityReport(lambda_stab=theta, stable=theta - residual >= 0.0,
-                                  eigenfunction=None, resolution=geom.shape,
-                                  matvecs=0, residual=residual)
+    solve = va.smallest_eigenpair
 
-    monkeypatch.setattr(va, "stability_spectrum", unresolved)
+    def unresolved(K, M):
+        _, x, matvecs, _ = solve(K, M)
+        return 0.0, x, matvecs, 1e-3
+
+    monkeypatch.setattr(va, "smallest_eigenpair", unresolved)
     job = {"command": "conformal", "seed": 7,
            "inputs": {"chart": {"kind": "hyperplane", "n": 3, "offset": 1.0,
                                 "box": [[-1.2, 1.2]] * 3},
@@ -418,6 +418,16 @@ UNRUNNABLE = [
      "/inputs/model/params/amplitude"),
     (_mubble({"profile": "bulge", "params": {"amplitude": -1.0}}),
      "/inputs/model/params/amplitude"),
+    # lambda_1 <= 0 leaves the band 4 pi/sqrt(lambda) undefined
+    (_mubble({"params": {"rate": -10}}), "/inputs/model"),
+    (_mubble({"profile": "bulge", "params": {"period": 1e-3}}), "/inputs/model"),
+    # f underflows (rate T >= 680) or f'' overflows: the profile is not finite
+    (_mubble({"params": {"rate": 40}}), "/inputs/model/params/rate"),
+    (_mubble({"params": {"rate": 1e5}}), "/inputs/model/params/rate"),
+    (_mubble({"profile": "bulge", "params": {"period": 1e-160}}),
+     "/inputs/model/params/period"),
+    # h = -amplitude tan(phi) squares past the float range on the band
+    (_mubble(amplitude=1e300), "/inputs/amplitude"),
 ]
 
 

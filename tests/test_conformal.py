@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from anisocheck import acceptance as ac
+from anisocheck import cli
 from anisocheck import conformal as cf
 from anisocheck import constants as co
 from anisocheck import geometry as geo
+from anisocheck import integrand as ig
 from anisocheck import variation as va
 from anisocheck.checks import refinement_order
 
@@ -133,9 +136,10 @@ def test_deformed_length_dilation_invariance():
 
 def test_lambda1_flat_patch_meets_spectral_target():
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0, box=[(-1.2, 1.2)] * 3), 21)
-    est = cf.lambda1_estimate(cf.deform(g), lambda_target=0.75)
-    assert est.lambda1 >= 0.75 - 1e-3
-    assert "Dirichlet" in est.note
+    rec = ac.lambda1_target_check("lambda1", cf.deform(g), ig.Integrand.isotropic(4),
+                                  0.75)
+    assert rec.detail["lambda1"] >= 0.75 - 1e-3
+    assert "Dirichlet" in rec.detail["note"]
 
 
 def test_lambda1_estimate_matches_dense_oracle(monkeypatch):
@@ -149,19 +153,45 @@ def test_lambda1_estimate_matches_dense_oracle(monkeypatch):
     monkeypatch.setattr(va, "smallest_eigenpair", keep)
     flat = geo.Hyperplane(3, offset=1.0, box=[(-1.2, 1.2)] * 3)
     for chart in (flat, geo.catalog(3)["cone"]):
-        est = cf.lambda1_estimate(cf.deform(geo.sample_chart(chart, 9)), 0.75)
+        cg = cf.deform(geo.sample_chart(chart, 9))
+        est = cf.lambda1_estimate(cg)
         K, M = forms[-1]
         exact = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[0]
-        assert abs(est.lambda1 - exact) <= 1e-9 * max(1.0, abs(exact)), chart.name
-        assert est.residual <= va.EIG_TOL * max(1.0, abs(est.lambda1))
-        assert est.margin == est.lambda1 - est.residual - 0.75
+        assert abs(est.eigenvalue - exact) <= 1e-9 * max(1.0, abs(exact)), chart.name
+        assert est.residual <= va.EIG_TOL * max(1.0, abs(est.eigenvalue))
+        rec = ac.lambda1_target_check("lambda1", cg, ig.Integrand.isotropic(4), 0.75)
+        assert rec.detail["lambda1"] == est.eigenvalue
+        assert rec.value == est.eigenvalue - est.residual - 0.75
+
+
+def test_lambda1_record_subtracts_the_residual(monkeypatch):
+    # every residual inflated to theta - 3/4 + 1e-2: theta - residual = 0.74
+    # keeps the flat patch certified stable, and lambda1 - residual - 3/4
+    # = -1e-2 lies below the slack, so only the residual makes the record fail
+    solve = va.smallest_eigenpair
+
+    def inflated(K, M):
+        theta, x, matvecs, _ = solve(K, M)
+        return theta, x, matvecs, theta - 0.75 + 1e-2
+
+    monkeypatch.setattr(va, "smallest_eigenpair", inflated)
+    job = {"command": "conformal", "seed": 7,
+           "inputs": {"chart": {"kind": "hyperplane", "n": 3, "offset": 1.0,
+                                "box": [[-1.2, 1.2]] * 3},
+                      "lambda": 0.75, "resolution": 9, "tests": ["lambda1"]}}
+    report = cli.run(job)
+    (rec,) = report["records"]
+    assert rec["tolerance"] == -1e-3 and rec["value"] == pytest.approx(-1e-2, abs=1e-12)
+    assert rec["detail"]["lambda1"] > 0.75 and not rec["pass"] and not report["pass"]
+    (flat,) = [r for r in ac.criterion_conformal() if r.name.startswith("flat patch")]
+    assert flat.tolerance == -1e-3 and not flat.passed
 
 
 def test_lambda1_dirichlet_monotone_under_enlargement():
     vals = []
     for half in (0.8, 1.2, 1.6):
         g = geo.sample_chart(geo.Hyperplane(3, offset=1.0, box=[(-half, half)] * 3), 17)
-        vals.append(cf.lambda1_estimate(cf.deform(g)).lambda1)
+        vals.append(cf.lambda1_estimate(cf.deform(g)).eigenvalue)
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -199,8 +229,8 @@ def test_lambda1_hemisphere_matches_separated_oracle():
 
     lam_1d = oracle_1d()
     assert lam_1d == pytest.approx(6.0, rel=1e-3)
-    assert est.lambda1 == pytest.approx(6.0, rel=2e-2)
-    assert est.lambda1 == pytest.approx(lam_1d, rel=2e-2)
+    assert est.eigenvalue == pytest.approx(6.0, rel=2e-2)
+    assert est.eigenvalue == pytest.approx(lam_1d, rel=2e-2)
 
 
 def test_absorption_step_margin_on_catalog():

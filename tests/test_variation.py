@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from anisocheck import acceptance as ac
 from anisocheck import cli
 from anisocheck import geometry as geo
 from anisocheck import integrand as ig
@@ -17,6 +18,34 @@ def iso3():
 @pytest.fixture(scope="module")
 def iso4():
     return ig.Integrand.isotropic(4)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every (K, M, x) that ``va.smallest_eigenpair`` solves, in call order."""
+    seen = []
+    solve = va.smallest_eigenpair
+
+    def keep(K, M, **kwargs):
+        theta, x, matvecs, resid = solve(K, M, **kwargs)
+        seen.append((K, M, x))
+        return theta, x, matvecs, resid
+
+    monkeypatch.setattr(va, "smallest_eigenpair", keep)
+    return seen
+
+
+def _on_grid(geom, v):
+    """The node scalar that is ``v`` on the Dirichlet-free nodes, 0 elsewhere."""
+    full = np.zeros(geom.shape)
+    full[geom.dirichlet_mask()] = v
+    return full
+
+
+def _form(K, geom, u, v=None):
+    """The assembled form K at node scalars u, v (v defaults to u)."""
+    free = geom.dirichlet_mask()
+    return float(u[free] @ (K @ (u if v is None else v)[free]))
 
 
 def test_phi_area_values(iso3, iso4):
@@ -106,22 +135,23 @@ def test_stability_spectrum_flat_rectangle(iso3):
     g = geo.sample_chart(geo.Hyperplane(2, offset=1.0, box=[(0, 1), (0, 2)]), (49, 97))
     rep = va.stability_spectrum(g, iso3)
     exact = np.pi**2 * (1.0 + 0.25)
-    assert rep.lambda_stab == pytest.approx(exact, rel=2e-3)
-    assert rep.stable
+    assert rep.eigenvalue == pytest.approx(exact, rel=2e-3)
+    assert ac.certified_stable(rep)
 
 
-def test_stability_spectrum_catenoid_bands(iso3):
+def test_stability_spectrum_catenoid_bands(iso3, solves):
     wide = geo.sample_chart(geo.Catenoid2(1.0, (-1.6, 1.6)), (33, 64))
     rep = va.stability_spectrum(wide, iso3)
-    assert rep.lambda_stab < 0.0 and not rep.stable
+    assert rep.eigenvalue < 0.0 and not ac.certified_stable(rep)
+    K, _, x = solves[-1]
     narrow = geo.sample_chart(geo.Catenoid2(1.0, (-0.4, 0.4)), (17, 48))
-    assert va.stability_spectrum(narrow, iso3).lambda_stab > 0.0
+    assert va.stability_spectrum(narrow, iso3).eigenvalue > 0.0
     # ground state of the wide band certifies instability through Q
-    u = rep.eigenfunction
-    assert rep.q_value(u) < 0.0
+    u = _on_grid(wide, x)
+    assert _form(K, wide, u) < 0.0
 
 
-def test_stability_spectrum_matches_dense_oracle(iso3, iso4):
+def test_stability_spectrum_matches_dense_oracle(iso3, iso4, solves):
     # every catalog chart at resolution 9, isotropic and a mild quadratic
     mild = {3: ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.1])),
             4: ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.0, 1.1]))}
@@ -130,14 +160,14 @@ def test_stability_spectrum_matches_dense_oracle(iso3, iso4):
             g = geo.sample_chart(chart, 9)
             for integ in (iso, mild[n + 1]):
                 rep = va.stability_spectrum(g, integ)
-                exact = scipy.linalg.eigh(rep._K.toarray(), rep._M.toarray(),
-                                          eigvals_only=True)[0]
-                assert abs(rep.lambda_stab - exact) <= 1e-9 * max(1.0, abs(exact)), \
+                K, M, x = solves[-1]
+                exact = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[0]
+                assert abs(rep.eigenvalue - exact) <= 1e-9 * max(1.0, abs(exact)), \
                     (name, integ.describe())
-                assert rep.residual <= va.EIG_TOL * max(1.0, abs(rep.lambda_stab))
-                assert rep.stable == (rep.lambda_stab - rep.residual >= 0.0)
-                assert rep.mass(rep.eigenfunction) == pytest.approx(1.0, abs=1e-12)
-                assert np.sum(rep.eigenfunction) > 0.0
+                assert rep.residual <= va.EIG_TOL * max(1.0, abs(rep.eigenvalue))
+                assert ac.certified_stable(rep) == (rep.eigenvalue - rep.residual >= 0.0)
+                assert float(x @ (M @ x)) == pytest.approx(1.0, abs=1e-12)
+                assert np.sum(x) > 0.0
 
 
 def test_smallest_eigenpair_rejects_what_it_cannot_solve():
@@ -213,24 +243,25 @@ def test_stability_spectrum_domain_monotonicity(iso4):
         cap = geo.sample_chart(
             geo.Sphere(3, 1.0, box=[(0.0, tmax), (0, np.pi), (0, 2 * np.pi)]),
             (13, 13, 12))
-        lams.append(va.stability_spectrum(cap, iso4).lambda_stab)
+        lams.append(va.stability_spectrum(cap, iso4).eigenvalue)
     assert lams[0] > lams[1] > lams[2] > 0.0
 
 
-def test_assembled_form_bilinearity(iso4):
+def test_assembled_form_bilinearity(iso4, solves):
     mild = ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.0, 1.1]))
     g = geo.sample_chart(geo.catalog(3)["sphere"], 13)
-    rep = va.stability_spectrum(g, mild)
+    va.stability_spectrum(g, mild)
+    K = solves[-1][0]
     u = va.bump_function(g, "centered")
     v = va.bump_function(g, "two_humps")
-    resid = rep.q_value(u + v) - rep.q_value(u) - rep.q_value(v) - 2 * rep.bilinear(u, v)
+    resid = _form(K, g, u + v) - _form(K, g, u) - _form(K, g, v) - 2 * _form(K, g, u, v)
     assert abs(resid) <= 1e-8
     # element route and collocation route agree at the discretization level
     q_int = va.second_variation_form(g, mild, u)
-    assert rep.q_value(u) == pytest.approx(q_int, rel=0.2)
+    assert _form(K, g, u) == pytest.approx(q_int, rel=0.2)
 
 
-def test_stability_inequality_instance_for_ground_state(iso4):
+def test_stability_inequality_instance_for_ground_state(iso4, solves):
     # stable chart x pinched integrand: the reduced inequality
     # int |grad u|^2 - |A|^2 u^2 / sqrt2 >= 0 holds on the computed ground
     # eigenfunction with margin >= -1e-8
@@ -248,8 +279,8 @@ def test_stability_inequality_instance_for_ground_state(iso4):
     for g, integrands in cases:
         for integ in integrands:
             rep = va.stability_spectrum(g, integ)
-            assert rep.lambda_stab > 0.0, (g.chart_name, integ.describe())
-            u = rep.eigenfunction
+            assert rep.eigenvalue > 0.0, (g.chart_name, integ.describe())
+            u = _on_grid(g, solves[-1][2])
             reduced = g.integrate(g.grad_norm_sq(u)
                                   - (1 / np.sqrt(2.0)) * g.A2 * u * u)
             assert reduced >= -1e-8, (g.chart_name, integ.describe())

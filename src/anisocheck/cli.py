@@ -32,7 +32,7 @@ from . import mubble as mb
 from . import schema as sch
 from . import table as tb
 from . import variation as va
-from .checks import Check, ge, le
+from .checks import Check, le
 
 
 def _write_csv(out_dir, name, header, rows):
@@ -70,11 +70,7 @@ def _chart_domain():
 def _run_constants(inputs, seed, out_dir):
     table = co.build_table(c1_norm=float(inputs["c1_norm"]),
                            phi_min=float(inputs["phi_min"]), variant=inputs["variant"])
-    records = []
-    for entry in table.entries.values():
-        err = entry.rederivation_error()
-        records.append(le(f"rederive {entry.name}", err, 1e-14,
-                          constant=entry.value, expression=entry.expression))
+    records = ac.rederivation_checks(table)
     if out_dir:
         _write_csv(out_dir, "constants.csv", ["name", "value", "expression"],
                    [(e.name, repr(e.value), e.expression)
@@ -128,26 +124,14 @@ def _run_variation(inputs, seed, out_dir):
                 extras["second_variation"] = "skipped: chart is not phi-stationary"
         records += ac.variation_records(oracle, integ, hphi, kinds).values()
     if "vectorfield" in tests:
-        resid, interior, boundary, stat = va.vectorfield_first_variation(
-            g, integ, va.VectorField.position())
-        if stat:
-            tol = 1e-6 if float(np.abs(g.shape_op).max()) == 0.0 \
-                else 1e-2 * max(1.0, abs(interior))
-            records.append(le("vector-field identity residual", resid, tol,
-                              interior=interior, boundary=boundary, stationary=True))
-        else:
-            records.append(Check("vector-field identity residual", resid, None, True,
-                                 {"interior": interior, "boundary": boundary,
-                                  "stationary": False,
-                                  "warning": "chart is not phi-stationary; the "
-                                             "identity is not expected to hold"}))
+        records.append(ac.vectorfield_identity_check("vector-field identity residual",
+                                                     g, integ, va.VectorField.position()))
     if "isoperimetric" in tests:
         rho = float(inputs["rho"])
         if rho <= 0.0:
             rho = max(float(np.linalg.norm(f.X, axis=-1).max())
                       for f in geo.boundary_faces(g)) * (1 + 1e-12)
-        chk = va.isoperimetric_check(g, integ, rho)
-        records.append(ge("isoperimetric margin", chk.margin, 0.0, **chk.as_dict()))
+        records.append(ac.isoperimetric_margin_check("isoperimetric margin", g, integ, rho))
     if "spectrum" in tests:
         spec = va.stability_spectrum(g, integ)
         records.append(ac.spectrum_converged_check(spec))
@@ -211,13 +195,13 @@ def _run_mubble(inputs, seed, out_dir):
                        f"{t_end:.4f} for lambda = {model.lam:.6g}, to hold the band of "
                        "the phi profile")
     amplitude = inputs["amplitude"]
+    prof = mb.build_phi_h(model, eps, amplitude)
     with np.errstate(over="ignore"):    # an overflow is the error reported below
-        h = mb.build_phi_h(model, eps, amplitude).h
-        if not np.all(np.isfinite(h * h)):
+        if not np.all(np.isfinite(np.square(prof.h))):
             raise _invalid("/inputs/model" if isinstance(amplitude, str) else
                            "/inputs/amplitude", "h = -amplitude tan(phi) squares past "
                            f"the float range on the band at lambda = {model.lam:.6g}")
-    records, prof, _ = ac.bubble_checks(model, eps, amplitude)
+    records, _ = ac.bubble_checks(model, prof)
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

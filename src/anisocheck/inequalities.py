@@ -35,6 +35,9 @@ from .checks import ge
 SQRT2 = np.sqrt(2.0)
 C0 = 1.0 / (SQRT2 - 0.5)
 C1_MAX = 1.5 - SQRT2
+#: a curvature-pinch sweep counts as near-sharp when its largest ratio
+#: |A|^2 / (-R) reaches this
+NEAR_SHARP_RATIO = C0 - 0.05
 TOL = 1e-10             # each record passes at margin >= -TOL
 #: default sizes of the sweeps, shared by the verify job and the criteria:
 #: samples of the curvature and Ricci sweeps, Kato points per polynomial and
@@ -117,11 +120,6 @@ def quadratic_lemma_point(alpha, beta, theta):
     q2 = 2.0 * alpha * k1 * k1 + 2.0 * (alpha + beta - 1.0) * k1 * k2 \
         + 2.0 * beta * k2 * k2
     return C0 * q2 - q1, C1_MAX - (q1 - q2) / q1, q1 / q2
-
-
-def quadratic_lemma_point_from_a(a1, a2, a3, theta):
-    """Same margins parametrized by the sorted coefficient triple."""
-    return quadratic_lemma_point(a1 / a3, a2 / a3, theta)
 
 
 def _quadratic_sweep(alphas, betas, coss, sins):
@@ -367,7 +365,7 @@ def verify_curvature_pinch(samples=SAMPLES, seed=SEED):
             ratio_cfg = {"a": list(a), "psi": float(psis[pr])}
     rep.extras["max_ratio_A2_over_negR"] = float(max_ratio)
     rep.extras["max_ratio_config"] = ratio_cfg
-    rep.extras["near_sharp"] = bool(max_ratio >= C0 - 0.05)
+    rep.extras["near_sharp"] = bool(max_ratio >= NEAR_SHARP_RATIO)
     rep.extras["max_constraint_residual"] = float(max_cons)
     rep.extras["c0"] = C0
     return rep

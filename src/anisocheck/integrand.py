@@ -26,6 +26,8 @@ import numpy as np
 SQRT2 = float(np.sqrt(2.0))
 #: default nodes per cube edge of the sphere grid of the statistics
 SPHERE_RESOLUTION = 17
+#: slack of the pinch window a_max <= sqrt(2) a_min on a sphere grid
+PINCH_SLACK = 1e-9
 
 #: Profile catalog for the perturbed family.  Each entry is a homogeneous
 #: polynomial P with |P| <= 1 on the unit sphere, given as
@@ -230,11 +232,6 @@ class Integrand:
         return self.scale * (tang + self.epsilon * pert)
 
 
-def eval_derivatives(integrand, v):
-    """(phi, D phi, D^2 phi) at one point or a batch; raises on zero vectors."""
-    return integrand.value(v), integrand.gradient(v), integrand.hessian(v)
-
-
 # -- finite-difference oracles ---------------------------------------------
 
 
@@ -344,19 +341,12 @@ def stability_lambda(integrand, sphere_grid_resolution=SPHERE_RESOLUTION):
     return a_min / a_max
 
 
-def c1_norm(integrand, sphere_grid_resolution=SPHERE_RESOLUTION, gradient="ambient"):
-    """Grid maximum over the sphere of sqrt(phi^2 + |D phi|^2).
-
-    ``gradient='ambient'`` uses the full ambient gradient (default);
-    ``'spherical'`` uses its tangential part D phi - phi nu.
-    """
+def c1_norm(integrand, sphere_grid_resolution=SPHERE_RESOLUTION):
+    """Grid maximum over the sphere of sqrt(phi^2 + |D phi|^2), with the
+    full ambient gradient D phi."""
     nu = sphere_grid(integrand.dim, sphere_grid_resolution)
     phi = integrand.value(nu)
     dphi = integrand.gradient(nu)
-    if gradient == "spherical":
-        dphi = dphi - phi[:, None] * nu
-    elif gradient != "ambient":
-        raise ValueError("gradient must be 'ambient' or 'spherical'")
     return float(np.sqrt(phi**2 + np.sum(dphi**2, axis=-1)).max())
 
 
@@ -385,9 +375,8 @@ class IntegrandReport:
 def analyze(integrand, sphere_grid_resolution=SPHERE_RESOLUTION):
     a_min, a_max = pinch_bounds(integrand, sphere_grid_resolution)
     lam = a_min / a_max if a_min > 0 else float("nan")
-    tol = 1e-9      # slack of the pinch window on the grid
-    window = a_min >= 1.0 - tol and a_max <= SQRT2 + tol
-    scaled = a_min > 0 and a_max <= SQRT2 * a_min + tol
+    window = a_min >= 1.0 - PINCH_SLACK and a_max <= SQRT2 + PINCH_SLACK
+    scaled = a_min > 0 and a_max <= SQRT2 * a_min + PINCH_SLACK
     return IntegrandReport(
         a_min=a_min,
         a_max=a_max,

@@ -206,16 +206,41 @@ def supersolution_residual(model):
 
 @dataclass
 class BubbleProfiles:
+    """The band of `build_phi_h`: phi sweeps [-pi/2, pi/2] affinely over
+    ``band`` with slope 1/denom, and h = -amplitude tan(phi)."""
+
     lam: float
     eps: float
     amplitude: float
-    lip_phi: float
+    denom: float
     band: tuple
-    t_mid: float
-    t: np.ndarray
-    phi: np.ndarray
-    h: np.ndarray
-    lip_within_budget: bool
+    t: np.ndarray       # the open band, where tan stays finite
+
+    @property
+    def lip_phi(self):
+        return 1.0 / self.denom
+
+    @property
+    def t_mid(self):
+        return self.eps + 0.5 * math.pi * self.denom
+
+    @property
+    def lip_within_budget(self):
+        return bool(self.lip_phi < math.sqrt(self.lam) / 2.0)
+
+    def phi_at(self, t):
+        return (t - self.eps) / self.denom - math.pi / 2.0
+
+    def h_at(self, t):
+        return -self.amplitude * np.tan(self.phi_at(t))
+
+    @property
+    def phi(self):
+        return self.phi_at(self.t)
+
+    @property
+    def h(self):
+        return self.h_at(self.t)
 
     def as_dict(self):
         return {"lambda": self.lam, "eps": self.eps, "amplitude": self.amplitude,
@@ -245,21 +270,13 @@ def build_phi_h(model, eps=EPS, amplitude=AMPLITUDE):
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     lam = model.lam
-    denom = 4.0 / math.sqrt(lam) + eps / math.pi
-    lip = 1.0 / denom
-    t_lo = eps
     t_hi = band_end(lam, eps)
     if t_hi > model.T:
         raise ValueError(
             f"model too short for the band: need T >= {t_hi:.3f}, have {model.T}")
-    amp = _amplitude_value(amplitude, lam)
-    t = np.linspace(t_lo, t_hi, BAND_POINTS)[1:-1]     # open band, tan stays finite
-    phi = (t - eps) / denom - math.pi / 2.0
-    h = -amp * np.tan(phi)
-    t_mid = eps + 0.5 * math.pi * denom
-    return BubbleProfiles(lam=lam, eps=eps, amplitude=amp, lip_phi=lip,
-                          band=(t_lo, t_hi), t_mid=t_mid, t=t, phi=phi,
-                          h=h, lip_within_budget=bool(lip < math.sqrt(lam) / 2.0))
+    return BubbleProfiles(lam=lam, eps=eps, amplitude=_amplitude_value(amplitude, lam),
+                          denom=4.0 / math.sqrt(lam) + eps / math.pi, band=(eps, t_hi),
+                          t=np.linspace(eps, t_hi, BAND_POINTS)[1:-1])
 
 
 def check_h_condition(profiles, lip_mode="model"):
@@ -279,14 +296,15 @@ def check_h_condition(profiles, lip_mode="model"):
         L = math.sqrt(lam) / 2.0
     else:
         raise ValueError("lip_mode must be 'model' or 'budget'")
-    tan = np.tan(profiles.phi)
+    phi = profiles.phi
+    tan = np.tan(phi)
     # margin = lam + amp^2 tan^2 - 2 amp L sec^2, grouped so that the
     # sqrt(lambda)-amplitude budget case cancels exactly instead of
     # through sec^2-amplified rounding
     two_LA = (2.0 * L) * amp
     margin = (lam - two_LA) + (amp * amp - two_LA) * (tan * tan)
     k = int(np.argmin(margin))
-    return float(margin[k]), {"t": float(profiles.t[k]), "phi": float(profiles.phi[k]),
+    return float(margin[k]), {"t": float(profiles.t[k]), "phi": float(phi[k]),
                               "lip": L, "amplitude": amp}
 
 
@@ -308,26 +326,20 @@ class MuBubbleSolution:
         return self.__dict__.copy()
 
 
-def minimize_A(model, eps=EPS, amplitude=AMPLITUDE):
-    """Minimize A over symmetric regions {t < t0}, t0 in the band: dense
-    scan plus golden-section refinement on spline interpolants.
+def minimize_A(model, prof):
+    """Minimize A over symmetric regions {t < t0}, t0 in the band of the
+    profiles ``prof`` (`build_phi_h` of the model): dense scan plus
+    golden-section refinement on spline interpolants.
 
     The first-variation condition at an interior minimizer is
     2 (f'/f) u + u' = h u, whose residual is reported.
     """
-    prof = build_phi_h(model, eps=eps, amplitude=amplitude)
-    lam, amp = prof.lam, prof.amplitude
     u_s = model.spline_u()
     ff, fpf = _profile_functions(model.name, model.params)[:2]
-    denom = 4.0 / math.sqrt(lam) + eps / math.pi
-
-    def h_of(t):
-        return -amp * np.tan((t - eps) / denom - math.pi / 2.0)
-
     lo, hi = prof.band
     pad = (hi - lo) * 1e-6
     grid = np.linspace(lo + pad, hi - pad, BAND_POINTS)
-    integ = CubicSpline(grid, h_of(grid) * u_s(grid) * ff(grid) ** 2)
+    integ = CubicSpline(grid, prof.h_at(grid) * u_s(grid) * ff(grid) ** 2)
     anti = integ.antiderivative()
     mid = prof.t_mid
 
@@ -355,12 +367,12 @@ def minimize_A(model, eps=EPS, amplitude=AMPLITUDE):
     on_edge = bool(t0 - lo < 1e-3 * (hi - lo) or hi - t0 < 1e-3 * (hi - lo))
     f0 = float(ff(t0))
     resid = abs(2.0 * float(fpf(t0)) / f0 * float(u_s(t0)) + float(u_s(t0, 1))
-                - float(h_of(t0)) * float(u_s(t0)))
+                - float(prof.h_at(t0)) * float(u_s(t0)))
     return MuBubbleSolution(
         t0=float(t0), boundary_area=FOUR_PI * f0 * f0,
         boundary_diameter=math.pi * f0, value=float(value(t0)),
         stationarity_residual=resid, boundary_minimizer=on_edge,
-        value_at_reference=float(value(mid)), lam=lam)
+        value_at_reference=float(value(mid)), lam=prof.lam)
 
 
 @dataclass
@@ -369,11 +381,6 @@ class ConclusionMargins:
     diameter_margin: float    # 2 pi / sqrt(lam) - boundary diameter
     containment_margin: float  # 5 pi / sqrt(lam) - t0
     minimality_slack: float   # A(reference) - A(minimizer)
-
-    @property
-    def passed(self):
-        return (self.area_margin >= -1e-8 and self.diameter_margin >= -1e-8
-                and self.containment_margin >= -1e-8 and self.minimality_slack >= -1e-8)
 
 
 def verify_conclusions(solution):

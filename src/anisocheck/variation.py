@@ -36,11 +36,16 @@ EIG_TOL = 1e-8          # eigensolver residual tolerance, relative to max(1, |la
 LANCZOS_NCV = 40
 
 
+def _pullback(jac, form):
+    """J^T F J at every node: the ambient matrix field ``form`` pulled back
+    to the chart by its Jacobian."""
+    jac_t = np.ascontiguousarray(np.swapaxes(jac, -1, -2))
+    return jac_t @ (form @ jac)
+
+
 def _psi_pullback(geom, integrand):
     """B_ab = D^2 phi(nu)[dX/du_a, dX/du_b] at every node."""
-    hess = integrand.hessian(geom.nu)
-    jac_t = np.ascontiguousarray(np.swapaxes(geom.jac, -1, -2))
-    return jac_t @ (hess @ geom.jac)
+    return _pullback(geom.jac, integrand.hessian(geom.nu))
 
 
 def phi_area(geom, integrand):
@@ -309,8 +314,7 @@ def vectorfield_first_variation(geom, integrand, field):
     dphi_tan = dphi - np.einsum("...d,...d->...", dphi, geom.nu)[..., None] * geom.nu
     V = field.value(geom.X)
     DV = field.jacobian(geom.X)
-    pull = np.einsum("...da,...de,...eb->...ab", geom.jac, DV, geom.jac)
-    div_m = np.einsum("...ab,...ba->...", geom.metric_inv, pull)
+    div_m = np.einsum("...ab,...ba->...", geom.metric_inv, _pullback(geom.jac, DV))
     directional = np.einsum("...de,...e->...d", DV, dphi_tan)
     normal_part = np.einsum("...d,...d->...", directional, geom.nu)
     interior = geom.integrate(phi * div_m + normal_part)

@@ -1,10 +1,11 @@
 """Release acceptance suite.
 
-One test per criterion; each prints a single PASS/FAIL line and asserts
-every record of the criterion at its pinned tolerance.  The final test
-drives the end-to-end CLI run twice and checks byte-level determinism
-(wall-clock runtime fields excluded), the ten-minute budget, and the exit
-status.
+One test per criterion; each reads the criterion's records, its runtime
+budget included, from the session's shared ``anisocheck all`` run, prints
+a single PASS/FAIL line and asserts every record at its pinned tolerance.
+The final test drives a second end-to-end CLI run and checks byte-level
+determinism (wall-clock runtime fields excluded), the ten-minute budget,
+and the exit status.
 """
 
 import json
@@ -16,52 +17,56 @@ from anisocheck import geometry as geo
 from anisocheck import mubble as mb
 
 
-def _check(name, records):
-    failed = [r for r in records if not r.passed]
-    status = "FAIL" if failed else "PASS"
+def _check(name, all_run, criterion):
+    """Judge the records of ``criterion`` in the shared ``all`` report."""
+    records = [r for r in all_run[2]["records"] if r["name"].startswith(f"{criterion}: ")]
+    failed = [r for r in records if not r["pass"]]
+    status = "FAIL" if failed or not records else "PASS"
     print(f"ACCEPTANCE [{status}] {name}: "
           f"{len(records) - len(failed)}/{len(records)} records")
     for r in failed:
-        print(f"    failing record: {r.name} value={r.value} tol={r.tolerance} "
-              f"{r.detail}")
-    assert not failed
+        print(f"    failing record: {r['name']} value={r['value']} "
+              f"tol={r['tolerance']} {r.get('detail', {})}")
+    assert records and not failed
+    assert records[-1]["name"] == f"{criterion}: criterion runtime (s)"
+    assert records[-1]["tolerance"] == ac.RUNTIME_BUDGETS[criterion]
 
 
-def test_criterion_01_constants():
-    _check("1 explicit constants", ac.criterion_constants())
+def test_criterion_01_constants(all_run):
+    _check("1 explicit constants", all_run, "constants")
 
 
-def test_criterion_02_quadratic_form_sweep():
-    _check("2 quadratic form comparison sweep", ac.criterion_quadratic_lemma())
+def test_criterion_02_quadratic_form_sweep(all_run):
+    _check("2 quadratic form comparison sweep", all_run, "quadratic_lemma")
 
 
-def test_criterion_03_curvature_and_ricci_sweeps():
-    _check("3 curvature/Ricci sweeps", ac.criterion_curvature_ricci())
+def test_criterion_03_curvature_and_ricci_sweeps(all_run):
+    _check("3 curvature/Ricci sweeps", all_run, "curvature_ricci")
 
 
-def test_criterion_04_kato_spot_check():
-    _check("4 improved Kato spot check", ac.criterion_kato())
+def test_criterion_04_kato_spot_check(all_run):
+    _check("4 improved Kato spot check", all_run, "kato")
 
 
-def test_criterion_05_variation_oracles():
-    _check("5 first/second variation vs oracles", ac.criterion_variation())
+def test_criterion_05_variation_oracles(all_run):
+    _check("5 first/second variation vs oracles", all_run, "variation")
 
 
-def test_criterion_06_vectorfield_isoperimetric():
-    _check("6 vector-field identity and isoperimetric comparison",
-           ac.criterion_vectorfield_isoperimetric())
+def test_criterion_06_vectorfield_isoperimetric(all_run):
+    _check("6 vector-field identity and isoperimetric comparison", all_run,
+           "vectorfield_isoperimetric")
 
 
-def test_criterion_07_conformal_identity_chain():
-    _check("7 conformal identity chain", ac.criterion_conformal())
+def test_criterion_07_conformal_identity_chain(all_run):
+    _check("7 conformal identity chain", all_run, "conformal")
 
 
-def test_criterion_08_warped_bubbles():
-    _check("8 warped bubble models", ac.criterion_mubble())
+def test_criterion_08_warped_bubbles(all_run):
+    _check("8 warped bubble models", all_run, "mubble")
 
 
-def test_criterion_09_pinching_pipeline():
-    _check("9 pinching pipeline", ac.criterion_pinching())
+def test_criterion_09_pinching_pipeline(all_run):
+    _check("9 pinching pipeline", all_run, "pinching")
 
 
 def _strip_wallclock(obj):
@@ -116,7 +121,18 @@ def test_record_names_hold_plain_numbers(all_run):
     assert not [name for name in names if "np." in name or "float64" in name]
 
 
-def test_cli_runners_and_criteria_share_builders():
+def _record(all_run, name):
+    (rec,) = [r for r in all_run[2]["records"] if r["name"] == name]
+    return rec
+
+
+def _variation_job(chart, integrand, resolution, tests, **inputs):
+    return cli.run({"command": "variation", "seed": 1,
+                    "inputs": {"chart": chart, "integrand": integrand,
+                               "resolution": resolution, "tests": tests, **inputs}})
+
+
+def test_cli_runners_and_criteria_share_builders(all_run):
     # a CLI conformal job at resolution 13 refines (13, 25), criterion 7's
     # RES_3D, on its catalog cone
     chart = {"kind": "cone", "n": 3, "theta_range": [math.pi / 4, 3 * math.pi / 4]}
@@ -132,7 +148,28 @@ def test_cli_runners_and_criteria_share_builders():
     report = cli.run({"command": "mubble", "seed": 1,
                       "inputs": {"model": {"profile": "cylinder", "T": 20,
                                            "lambda": 1.0}}})
-    shared, _, _ = ac.bubble_checks(mb.catalog()["cylinder"])
+    cylinder = mb.catalog()["cylinder"]
+    shared, _ = ac.bubble_checks(cylinder, mb.build_phi_h(cylinder))
     assert len(shared) == 7
     assert [dict(r, name="cylinder " + r["name"]) for r in report["records"]] \
         == [r.prefixed("cylinder ").as_dict() for r in shared]
+    # a CLI variation job on criterion 6's flat ball gives its isoperimetric margin
+    iso4 = {"kind": "isotropic", "dim": 4}
+    ball = {"kind": "hyperplane", "n": 3, "offset": 0.0, "polar": True,
+            "box": [[0.05, 1.0], [0.0, math.pi], [0.0, 2 * math.pi]]}
+    (rec,) = _variation_job(ball, iso4, [33, 33, 32], ["isoperimetric"], rho=1.0)["records"]
+    crit = _record(all_run, "vectorfield_isoperimetric: flat ball isoperimetric margin")
+    assert rec["name"] == "isoperimetric margin"
+    assert dict(rec, name=crit["name"]) == crit
+    # a CLI vector-field job on criterion 6's plane gives its position-field record
+    plane = {"kind": "hyperplane", "n": 3, "offset": 0.0, "box": [[-1.0, 1.0]] * 3}
+    (rec,) = _variation_job(plane, iso4, 13, ["vectorfield"])["records"]
+    crit = _record(all_run, "vectorfield_isoperimetric: plane identity [isotropic x position]")
+    assert rec["name"] == "vector-field identity residual"
+    assert dict(rec, name=crit["name"]) == crit
+    assert rec["tolerance"] == 1e-6 and rec["pass"]
+    # on a chart that is not phi-stationary the record is informational
+    sphere = {"kind": "sphere", "n": 3, "radius": 1.0}
+    (rec,) = _variation_job(sphere, iso4, 9, ["vectorfield"])["records"]
+    assert rec["tolerance"] is None and rec["pass"]
+    assert rec["detail"]["stationary"] is False and "warning" in rec["detail"]

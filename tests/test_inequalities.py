@@ -51,7 +51,7 @@ def test_quadratic_lemma_symmetries():
         assert m2f == pytest.approx(m2, abs=1e-13)
         # simultaneous scaling of the coefficient triple leaves margins fixed
         s = 0.5 + rng.random()
-        m1s, m2s, _ = iq.quadratic_lemma_point_from_a(s * a, s * b, s * 1.0, th)
+        m1s, m2s, _ = iq.quadratic_lemma_point(s * a / (s * 1.0), s * b / (s * 1.0), th)
         assert m1s == pytest.approx(m1, abs=1e-12)
         assert m2s == pytest.approx(m2, abs=1e-12)
 

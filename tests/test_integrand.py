@@ -9,7 +9,7 @@ SQRT2 = np.sqrt(2.0)
 def test_isotropic_derivatives_at_unit_vector():
     iso = ig.Integrand.isotropic(4)
     nu = np.array([0.5, 0.5, 0.5, 0.5])
-    phi, grad, hess = ig.eval_derivatives(iso, nu)
+    phi, grad, hess = iso.value(nu), iso.gradient(nu), iso.hessian(nu)
     assert phi == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(grad, nu, atol=1e-15)
     assert np.allclose(hess, np.eye(4) - np.outer(nu, nu), atol=1e-15)
@@ -28,7 +28,7 @@ def test_quadratic_identity_matrix_equals_isotropic():
 def test_quadratic_aniso4_at_first_axis():
     quad = ig.Integrand.quadratic(np.diag([1.0, 1.0, 1.0, 4.0]))
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    phi, grad, hess = ig.eval_derivatives(quad, e1)
+    phi, grad, hess = quad.value(e1), quad.gradient(e1), quad.hessian(e1)
     assert phi == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(grad, e1, atol=1e-15)
     assert hess[3, 3] == pytest.approx(4.0, abs=1e-14)
@@ -130,7 +130,12 @@ def test_c1_norm_values():
     iso = ig.Integrand.isotropic(4)
     assert ig.c1_norm(iso, 17) == pytest.approx(SQRT2, abs=1e-12)
     assert ig.c1_norm(iso.rescaled(2.0), 17) == pytest.approx(2 * SQRT2, abs=1e-12)
-    assert ig.c1_norm(iso, 17, gradient="spherical") == pytest.approx(1.0, abs=1e-12)
+    # with the spherical gradient D phi - phi nu in place of D phi the norm is 1
+    nu = ig.sphere_grid(4, 17)
+    phi = iso.value(nu)
+    dphi = iso.gradient(nu) - phi[:, None] * nu
+    assert float(np.sqrt(phi**2 + np.sum(dphi**2, axis=-1)).max()) == pytest.approx(
+        1.0, abs=1e-12)
     quad = ig.Integrand.quadratic(np.diag([1.0, 1.0, 1.0, 4.0]))
     # at nu = e4: phi = 2 and |D phi| = 2, so the norm is at least 2
     assert ig.c1_norm(quad, 17) >= 2.0

@@ -3,8 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from anisocheck import acceptance as ac
 from anisocheck import constants as co
 from anisocheck import mubble as mb
+
+CONCLUSIONS = ("boundary area margin", "diameter margin", "containment margin",
+               "minimality certificate")
+
+
+def _conclusions_pass(model, prof):
+    """The four conclusion records of `acceptance.bubble_checks` all pass."""
+    records, _ = ac.bubble_checks(model, prof)
+    concl = [r for r in records if r.name in CONCLUSIONS]
+    return len(concl) == len(CONCLUSIONS) and all(r.passed for r in concl)
 
 
 def test_cylinder_spectrum_closed_form():
@@ -105,7 +116,8 @@ def test_half_amplitude_counterexample_reproduced():
 
 def test_minimize_cylinder_closed_form():
     model = mb.make_model("cylinder", T=20.0, lam=1.0, n_grid=2001)
-    sol = mb.minimize_A(model, eps=0.1)
+    prof = mb.build_phi_h(model, eps=0.1)
+    sol = mb.minimize_A(model, prof)
     # f = u = 1: boundary area 4 pi for every competitor, well under 8 pi
     assert sol.boundary_area == pytest.approx(4 * math.pi, abs=1e-9)
     assert sol.boundary_diameter == pytest.approx(math.pi, abs=1e-10)
@@ -114,20 +126,20 @@ def test_minimize_cylinder_closed_form():
     concl = mb.verify_conclusions(sol)
     assert concl.area_margin == pytest.approx(4 * math.pi, abs=1e-9)
     assert concl.diameter_margin == pytest.approx(math.pi, abs=1e-10)
-    assert concl.passed
+    assert _conclusions_pass(model, prof)
 
 
 def test_minimizer_moves_to_small_f_on_funnel():
     model = mb.catalog()["funnel"]
-    sol = mb.minimize_A(model, eps=0.1)
     prof = mb.build_phi_h(model, eps=0.1)
+    sol = mb.minimize_A(model, prof)
     assert sol.t0 > prof.t_mid  # shrinking profile pulls the bubble outward
-    assert mb.verify_conclusions(sol).passed
+    assert _conclusions_pass(model, prof)
 
 
 def test_conclusions_on_catalog():
     for name, model in mb.catalog().items():
-        sol = mb.minimize_A(model, eps=0.1)
+        sol = mb.minimize_A(model, mb.build_phi_h(model, eps=0.1))
         concl = mb.verify_conclusions(sol)
         assert concl.area_margin >= -1e-8, name
         assert concl.diameter_margin >= -1e-8, name
@@ -139,7 +151,7 @@ def test_conclusions_on_catalog():
 def test_interior_stationarity_residual_under_refinement():
     for ng in (1001, 4001):
         m = mb.make_model("funnel", T=17.0, params={"rate": 0.1}, n_grid=ng)
-        sol = mb.minimize_A(m, eps=0.1)
+        sol = mb.minimize_A(m, mb.build_phi_h(m, eps=0.1))
         assert not sol.boundary_minimizer
         assert sol.stationarity_residual <= 1e-6
 
@@ -154,7 +166,7 @@ def test_minimal_case_thresholds():
 
 def test_scaling_dimensional_analysis():
     base = mb.make_model("cylinder", T=20.0, lam=1.0, n_grid=801)
-    sol = mb.minimize_A(base, eps=0.1)
+    sol = mb.minimize_A(base, mb.build_phi_h(base, eps=0.1))
     s = 2.0
     # scaling lengths by s: areas scale by s^2, lambda by 1/s^2; margins
     # keep their signs (here both shrink by exactly s^2 in the bound)

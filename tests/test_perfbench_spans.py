@@ -1,5 +1,7 @@
-"""The benchmark traces the package by module attribute (perfbench/tracer.py),
-so a rename of a traced function must fail here, not in the benchmark run."""
+"""The benchmark traces the package by module attribute (perfbench/tracer.py)
+and wraps the values of ``acceptance.CRITERIA``, so a rename of a traced
+function, or a criterion that is not a callable with a runtime budget, must
+fail here, not in the benchmark run."""
 
 import importlib
 import importlib.util
@@ -23,3 +25,12 @@ def test_every_traced_attribute_resolves():
         assert callable(getattr(mod, attr, None)), f"anisocheck.{module}.{attr}"
     variation = importlib.import_module("anisocheck.variation")
     assert callable(variation.spla.splu)
+
+
+def test_every_criterion_is_callable_with_a_runtime_budget():
+    acceptance = importlib.import_module("anisocheck.acceptance")
+    assert acceptance.CRITERIA
+    for name, fn in acceptance.CRITERIA.items():
+        assert callable(fn), f"acceptance.CRITERIA[{name!r}]"
+        assert acceptance.RUNTIME_BUDGETS.get(name, 0.0) > 0.0, name
+    assert set(acceptance.RUNTIME_BUDGETS) == set(acceptance.CRITERIA)

@@ -15,11 +15,13 @@ Conventions (the sign dictionary):
 * mean curvature vector ``H_vec = Laplace_g X = -H nu``; the identity is
   validated numerically rather than assumed where both appear.
 
-Axes may be periodic (full angular revolutions); quadrature and stencils
-respect that.  Axes with a coordinate degeneracy at their ends (sphere
-poles) are inset by half a grid step so nodes never sit on the
-degeneracy; the inset shrinks under refinement, so integrals converge to
-the closed (uninset) values at second order.
+A chart of revolution reads its seam and its poles from its box
+(`Revolution`): the link's azimuth is periodic exactly when its range
+spans 2 pi, and an end of a polar angle at 0 or pi is a pole.  Quadrature
+and stencils wrap across a periodic axis.  Pole ends are inset by half a
+grid step so nodes never sit on the degeneracy; the inset shrinks under
+refinement, so integrals converge to the closed (uninset) values at second
+order.  Every other end of a non-periodic axis is physical boundary.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from . import table
 
 R_MIN = 1e-3          # radial floor required by conformal operations
 DET_FLOOR = 1e-10     # immersion check threshold on det(g)
+ANGLE_TOL = 1e-12     # a box end within this of 0, pi or a 2 pi span sits there
 
 
 class ImmersionError(ValueError):
@@ -126,16 +129,20 @@ class SampledGeometry:
                     mask[(slice(None),) * a + (ends,)] = False
         return mask
 
+    def boundary_ends(self):
+        """(axis, side) of each physical boundary end: both ends of every
+        non-periodic axis except the polar-inset ones, which are coordinate
+        artifacts where the surface closes smoothly."""
+        return [(a, side) for a in range(self.n) if not self.periodic[a]
+                for side in (0, -1) if (a, side) not in self.pole_ends]
+
     def dirichlet_mask(self):
         """Mask of free nodes for Dirichlet problems: one node layer of each
-        physical boundary is clamped; polar-inset ends are coordinate artifacts
-        where the surface closes smoothly, so their nodes stay free
-        (natural condition on a ring that shrinks with the grid step)."""
+        physical boundary end is clamped; the nodes of a polar-inset end stay
+        free (natural condition on a ring that shrinks with the grid step)."""
         mask = np.ones(self.shape, dtype=bool)
-        for a in range(self.n):
-            for side in (0, -1):
-                if not self.periodic[a] and (a, side) not in self.pole_ends:
-                    mask[(slice(None),) * a + (side,)] = False
+        for a, side in self.boundary_ends():
+            mask[(slice(None),) * a + (side,)] = False
         return mask
 
     def axis_weights(self):
@@ -414,35 +421,27 @@ class BoundaryFace:
 
 
 def boundary_faces(geom):
-    """Faces of all non-periodic axes with outward conormals.
-
-    Polar-inset ends (sphere poles) are coordinate artifacts, not physical
-    boundary, and are skipped.
-    """
+    """The faces of the physical boundary ends (`SampledGeometry.boundary_ends`)
+    with outward conormals."""
     faces = []
     axes_w = geom.axis_weights()
-    for a in range(geom.n):
-        if geom.periodic[a]:
-            continue
-        for side in (0, -1):
-            if (a, side) in geom.pole_ends:
-                continue
-            sl = [slice(None)] * geom.n
-            sl[a] = side
-            sl = tuple(sl)
-            keep = [b for b in range(geom.n) if b != a]
-            gsub = geom.metric[sl][..., keep, :][..., :, keep]
-            area = np.sqrt(np.linalg.det(gsub)) if keep else np.ones(geom.X[sl].shape[:-1])
-            w = np.ones(area.shape)
-            for pos, b in enumerate(keep):
-                shp = [1] * len(keep)
-                shp[pos] = -1
-                w = w * axes_w[b].reshape(shp)
-            v = np.einsum("...da,...ab->...db", geom.jac[sl], geom.metric_inv[sl])[..., a]
-            v = v / np.linalg.norm(v, axis=-1)[..., None]
-            eta = v if side == -1 else -v
-            faces.append(BoundaryFace(axis=a, side=side, X=geom.X[sl], nu=geom.nu[sl],
-                                      eta=eta, weights=w * area))
+    for a, side in geom.boundary_ends():
+        sl = [slice(None)] * geom.n
+        sl[a] = side
+        sl = tuple(sl)
+        keep = [b for b in range(geom.n) if b != a]
+        gsub = geom.metric[sl][..., keep, :][..., :, keep]
+        area = np.sqrt(np.linalg.det(gsub)) if keep else np.ones(geom.X[sl].shape[:-1])
+        w = np.ones(area.shape)
+        for pos, b in enumerate(keep):
+            shp = [1] * len(keep)
+            shp[pos] = -1
+            w = w * axes_w[b].reshape(shp)
+        v = np.einsum("...da,...ab->...db", geom.jac[sl], geom.metric_inv[sl])[..., a]
+        v = v / np.linalg.norm(v, axis=-1)[..., None]
+        eta = v if side == -1 else -v
+        faces.append(BoundaryFace(axis=a, side=side, X=geom.X[sl], nu=geom.nu[sl],
+                                  eta=eta, weights=w * area))
     return faces
 
 
@@ -549,11 +548,12 @@ class Chart:
     #: time and its face is not part of the physical boundary.
     pole_ends = ()
 
-    def __init__(self, n, box, periodic):
+    def __init__(self, n, box):
         self.n = n
         self.dim = n + 1
         self.box = [tuple(map(float, b)) for b in box]
-        self.periodic = tuple(periodic)
+        #: per axis, whether it closes on itself (no axis of a Cartesian chart)
+        self.periodic = (False,) * n
 
     def resolve_box(self, shape):
         box = [list(b) for b in self.box]
@@ -580,9 +580,27 @@ class Revolution(Chart):
     ``profile_axis = -1``); the remaining axes parametrize omega.  A family
     supplies ``_profile(t)``, which returns (rho, rho', rho'', z, z', z'')
     and the normal components (n_rho, n_z) with nu = (n_rho omega, n_z).
+
+    The box alone decides the seam and the poles: the last link axis (the
+    azimuth) is periodic exactly when its range spans 2 pi, and an end of a
+    polar angle (the link's theta for n = 3, and the profile parameter of
+    a chart whose ``profile_is_polar``) is a pole when it sits at 0 or pi.
     """
 
     profile_axis = 0
+    profile_is_polar = False
+
+    def __init__(self, n, box):
+        super().__init__(n, box)
+        p = self.profile_axis % n
+        links = [a for a in range(n) if a != p]
+        lo, hi = self.box[links[-1]]
+        seam = abs(hi - lo - 2 * np.pi) < ANGLE_TOL
+        self.periodic = tuple(seam and a == links[-1] for a in range(n))
+        polar = sorted(links[:-1] + [p] * self.profile_is_polar)
+        self.pole_ends = tuple((a, side) for a in polar for side in (0, -1)
+                               if min(abs(self.box[a][side]),
+                                      abs(self.box[a][side] - np.pi)) < ANGLE_TOL)
 
     def frame(self, u):
         n = self.n
@@ -624,16 +642,11 @@ class Hyperplane(Revolution):
         self.offset = float(offset)
         self.polar = bool(polar)
         self.supports_intrinsic_radius = bool(polar) and self.offset == 0.0
-        if polar:
-            if box is None:
-                box = [(R_MIN, 1.0)] + ([(0.0, np.pi)] if n == 3 else []) + [(0.0, 2 * np.pi)]
-            periodic = [False] * (n - 1) + [True]
-            self.pole_ends = ((1, 0), (1, -1)) if n == 3 else ()
-        else:
-            if box is None:
-                box = [(-1.0, 1.0)] * n
-            periodic = [False] * n
-        super().__init__(n, box, periodic)
+        if box is None:
+            box = ([(R_MIN, 1.0)] + [(0.0, np.pi)] * (n - 2) + [(0.0, 2 * np.pi)] if polar
+                   else [(-1.0, 1.0)] * n)
+        # a Cartesian chart is not a chart of revolution: no seam, no pole
+        (Revolution if polar else Chart).__init__(self, n, box)
         self.name = f"hyperplane{'_polar' if polar else ''}{n}"
 
     def _profile(self, s):
@@ -659,28 +672,15 @@ class Hyperplane(Revolution):
 
 
 class Sphere(Revolution):
-    """Round sphere of radius rho about ``center``, outward normal."""
+    """Round sphere of radius rho about ``center``, outward normal; the
+    profile parameter is the polar angle."""
+
+    profile_is_polar = True
 
     def __init__(self, n=3, radius=1.0, center=None, box=None):
         self.radius = float(radius)
         self.center = np.zeros(n + 1) if center is None else np.asarray(center, dtype=float)
-        if n == 2:
-            default = [(0.0, np.pi), (0.0, 2 * np.pi)]
-            periodic = [False, True]
-            polar_axes = (0,)
-        else:
-            default = [(0.0, np.pi), (0.0, np.pi), (0.0, 2 * np.pi)]
-            periodic = [False, False, True]
-            polar_axes = (0, 1)
-        super().__init__(n, box or default, periodic)
-        # only box ends landing exactly on a pole get the half-step inset
-        ends = []
-        for a in polar_axes:
-            if abs(self.box[a][0]) < 1e-12:
-                ends.append((a, 0))
-            if abs(self.box[a][1] - np.pi) < 1e-12:
-                ends.append((a, -1))
-        self.pole_ends = tuple(ends)
+        super().__init__(n, box or [(0.0, np.pi)] * (n - 1) + [(0.0, 2 * np.pi)])
         self.name = f"sphere{n}"
 
     def _profile(self, t):
@@ -702,17 +702,9 @@ class Cylinder(Revolution):
 
     profile_axis = -1
 
-    def __init__(self, n=3, link_radius=1.0, z_range=(-1.0, 1.0), theta_range=None):
+    def __init__(self, n=3, link_radius=1.0, z_range=(-1.0, 1.0), theta_range=(0.0, np.pi)):
         self.a = float(link_radius)
-        if n == 2:
-            box = [[0.0, 2 * np.pi], list(z_range)]
-            periodic = [True, False]
-        else:
-            th = theta_range or (0.0, np.pi)
-            box = [list(th), [0.0, 2 * np.pi], list(z_range)]
-            periodic = [False, True, False]
-            self.pole_ends = ((0, 0), (0, -1)) if theta_range is None else ()
-        super().__init__(n, box, periodic)
+        super().__init__(n, [theta_range] * (n - 2) + [(0.0, 2 * np.pi), z_range])
         self.name = f"cylinder{n}"
 
     def _profile(self, z):
@@ -722,10 +714,9 @@ class Cylinder(Revolution):
 class Catenoid2(Revolution):
     """Classical minimal surface of revolution in R^3, neck scale c."""
 
-    def __init__(self, scale=1.0, s_range=(-1.0, 1.0), angular_box=None):
+    def __init__(self, scale=1.0, s_range=(-1.0, 1.0)):
         self.c = float(scale)
-        box = [list(s_range), list(angular_box or (0.0, 2 * np.pi))]
-        super().__init__(2, box, [False, angular_box is None])
+        super().__init__(2, [s_range, (0.0, 2 * np.pi)])
         self.name = "catenoid_2"
 
     def _profile(self, s):
@@ -758,12 +749,9 @@ class Catenoid3(Revolution):
     closed form.
     """
 
-    def __init__(self, scale=1.0, t_range=(-0.8, 0.8), theta_range=None):
+    def __init__(self, scale=1.0, t_range=(-0.8, 0.8), theta_range=(0.0, np.pi)):
         self.c = float(scale)
-        th = theta_range or (0.0, np.pi)
-        box = [list(t_range), list(th), [0.0, 2 * np.pi]]
-        super().__init__(3, box, [False, False, True])
-        self.pole_ends = ((1, 0), (1, -1)) if theta_range is None else ()
+        super().__init__(3, [t_range, theta_range, (0.0, 2 * np.pi)])
         self.name = "catenoid_3"
 
     def _profile(self, t):
@@ -789,7 +777,7 @@ class Graph(Chart):
         self.height = height
         self.amplitude = float(amplitude)
         self.offset = float(offset)
-        super().__init__(n, box or [(-1.0, 1.0)] * n, [False] * n)
+        super().__init__(n, box or [(-1.0, 1.0)] * n)
         self.name = f"graph_{height}{n}"
 
     def _F(self, u):
@@ -839,31 +827,21 @@ class ConePatch(Revolution):
     and the patch is invariant under dilations about the origin.
     """
 
-    def __init__(self, n=3, link_ratio=0.8, s_range=(0.5, 1.5), theta_range=None):
+    def __init__(self, n=3, link_ratio=0.8, s_range=(0.5, 1.5), theta_range=(0.0, np.pi)):
         if not 0 < link_ratio < 1:
             raise ValueError("link ratio must be in (0, 1)")
         self.a = float(link_ratio)
         self.supports_intrinsic_radius = True
         self.b = float(np.sqrt(1.0 - link_ratio**2))
-        if n == 2:
-            box = [list(s_range), [0.0, 2 * np.pi]]
-            periodic = [False, True]
-        else:
-            th = theta_range or (0.0, np.pi)
-            box = [list(s_range), list(th), [0.0, 2 * np.pi]]
-            periodic = [False, False, True]
-            self.pole_ends = ((1, 0), (1, -1)) if theta_range is None else ()
-        super().__init__(n, box, periodic)
+        super().__init__(n, [s_range] + [theta_range] * (n - 2) + [(0.0, 2 * np.pi)])
         self.name = f"cone{n}"
 
     def _profile(self, s):
         return (self.a * s, self.a, 0.0, self.b * s, self.b, 0.0), (self.b, -self.a)
 
     def dilate(self, factor):
-        return ConePatch(self.n, link_ratio=self.a,
-                         s_range=(factor * self.box[0][0], factor * self.box[0][1]),
-                         theta_range=None if self.pole_ends or self.n == 2
-                         else tuple(self.box[1]))
+        (lo, hi), *links = self.box
+        return ConePatch(self.n, self.a, (factor * lo, factor * hi), *links[:-1])
 
     def intrinsic_radius(self, u):
         """Distance to the apex along the cone (rays are unit speed)."""

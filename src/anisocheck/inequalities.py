@@ -92,6 +92,15 @@ def halton(count, dims, skip=20):
     return out
 
 
+def _sample_streams(count, dims, seed):
+    """The two labelled point streams of a sweep in [0,1)^dims: the first
+    ``count // 2`` points from the Halton stream, the rest from the PRNG
+    seeded with ``seed``; each is built when the caller reaches it."""
+    half = count // 2
+    yield "halton", halton(half, dims)
+    yield "prng", np.random.default_rng(seed).random((count - half, dims))
+
+
 @dataclass
 class SweepReport:
     suite: str
@@ -248,13 +257,9 @@ def curvature_pinch_point(a, psi):
     return -R, -C0 * R - A2, A2, abs(float(np.asarray(a) @ k))
 
 
-def _curvature_samples(count, seed, sampler):
-    """Sorted coefficient columns a1 <= a2 <= a3 in [1, sqrt2] and angles."""
-    if sampler == "halton":
-        pts = halton(count, 4)
-    else:
-        rng = np.random.default_rng(seed)
-        pts = rng.random((count, 4))
+def _curvature_samples(pts):
+    """Sorted coefficient columns a1 <= a2 <= a3 in [1, sqrt2] and angles
+    of points ``pts`` in [0,1)^4."""
     # sort the first three coordinates of each point with min/max selections
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     lo, hi = np.minimum(x, y), np.maximum(x, y)
@@ -333,8 +338,9 @@ def verify_curvature_pinch(samples=SAMPLES, seed=SEED):
     max_ratio = -np.inf
     ratio_cfg = None
     max_cons = 0.0
-    for sampler, cnt in (("halton", samples // 2), ("prng", samples - samples // 2)):
-        aa, psis = _curvature_samples(cnt, seed, sampler)
+    for sampler, pts in _sample_streams(samples, 4, seed):
+        aa, psis = _curvature_samples(pts)
+        del pts     # the sweep reads only the sorted columns: keep its peak memory low
         mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
         rep.records.append(ge(f"-R >= 0 [{sampler}]", mR, -TOL,
                               config={"a": [float(c[pR]) for c in aa],
@@ -416,11 +422,7 @@ def verify_ricci_bound(samples=SAMPLES, seed=SEED):
     """Certify Ric(y,y) >= -|A|^2/sqrt(2) over unit (k, y), including the
     closed-form equality witness k = (-sqrt2, 1, 1)/2, y = e1."""
     rep = SweepReport(suite="ricci_bound", sample_count=samples, tolerance=TOL)
-    for sampler, cnt in (("halton", samples // 2), ("prng", samples - samples // 2)):
-        if sampler == "halton":
-            pts = halton(cnt, 4)
-        else:
-            pts = np.random.default_rng(seed).random((cnt, 4))
+    for sampler, pts in _sample_streams(samples, 4, seed):
         ks = _unit_sphere_points(pts[:, 0], pts[:, 1])
         ys = _unit_sphere_points(pts[:, 2], pts[:, 3])
         worst, p = _ricci_sweep(ks, ys)
@@ -568,11 +570,7 @@ def verify_kato(points=KATO_POINTS, seed=SEED):
     counted)."""
     rep = SweepReport(suite="kato_inequality", sample_count=points * len(_KATO_CATALOG),
                       tolerance=TOL)
-    half = points // 2
-    pts = np.concatenate([
-        2.0 * halton(half, 3) - 1.0,
-        2.0 * np.random.default_rng(seed).random((points - half, 3)) - 1.0,
-    ])
+    pts = 2.0 * np.concatenate([p for _, p in _sample_streams(points, 3, seed)]) - 1.0
     skipped = {}
     for name in kato_catalog_names():
         grad_fn, hess_fn = _KATO_CATALOG[name]

@@ -248,10 +248,16 @@ class BubbleProfiles:
                 "lip_within_budget": self.lip_within_budget}
 
 
+def _band_denom(lam, eps):
+    """Denominator 4 / sqrt(lam) + eps / pi of the phi slope of the band of
+    `build_phi_h` (`BubbleProfiles.denom`)."""
+    return 4.0 / math.sqrt(lam) + eps / math.pi
+
+
 def band_end(lam, eps):
     """Right end 4 pi / sqrt(lam) + 2 eps of the band of `build_phi_h`; a
     model must reach it (T >= band_end)."""
-    return eps + math.pi * (4.0 / math.sqrt(lam) + eps / math.pi)
+    return eps + math.pi * _band_denom(lam, eps)
 
 
 def _amplitude_value(amplitude, lam):
@@ -275,7 +281,7 @@ def build_phi_h(model, eps=EPS, amplitude=AMPLITUDE):
         raise ValueError(
             f"model too short for the band: need T >= {t_hi:.3f}, have {model.T}")
     return BubbleProfiles(lam=lam, eps=eps, amplitude=_amplitude_value(amplitude, lam),
-                          denom=4.0 / math.sqrt(lam) + eps / math.pi, band=(eps, t_hi),
+                          denom=_band_denom(lam, eps), band=(eps, t_hi),
                           t=np.linspace(eps, t_hi, BAND_POINTS)[1:-1])
 
 

@@ -164,10 +164,12 @@ def test_lambda1_estimate_matches_dense_oracle(monkeypatch):
         assert rec.value == est.eigenvalue - est.residual - 0.75
 
 
-def test_lambda1_record_subtracts_the_residual(monkeypatch):
+def test_lambda1_record_subtracts_the_residual(monkeypatch, all_run):
     # every residual inflated to theta - 3/4 + 1e-2: theta - residual = 0.74
     # keeps the flat patch certified stable, and lambda1 - residual - 3/4
     # = -1e-2 lies below the slack, so only the residual makes the record fail
+    (unpatched,) = [r for r in all_run[2]["records"]
+                    if r["name"] == "conformal: flat patch lambda1 estimate vs 3/4"]
     solve = va.smallest_eigenpair
 
     def inflated(K, M):
@@ -183,8 +185,13 @@ def test_lambda1_record_subtracts_the_residual(monkeypatch):
     (rec,) = report["records"]
     assert rec["tolerance"] == -1e-3 and rec["value"] == pytest.approx(-1e-2, abs=1e-12)
     assert rec["detail"]["lambda1"] > 0.75 and not rec["pass"] and not report["pass"]
-    (flat,) = [r for r in ac.criterion_conformal() if r.name.startswith("flat patch")]
+    # criterion 7's rule on criterion 7's 21^3 patch: the eigenvalue is the
+    # unpatched one of the `all` record, which passes
+    g = geo.sample_chart(geo.Hyperplane(3, offset=1.0, box=[(-1.2, 1.2)] * 3), 21)
+    flat = ac.lambda1_target_check("flat patch", cf.deform(g), ig.Integrand.isotropic(4),
+                                   cf.LAMBDA_TARGET[3])
     assert flat.tolerance == -1e-3 and not flat.passed
+    assert flat.detail["lambda1"] == unpatched["detail"]["lambda1"] and unpatched["pass"]
 
 
 def test_lambda1_dirichlet_monotone_under_enlargement():

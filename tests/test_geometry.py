@@ -1,10 +1,12 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from anisocheck import geometry as geo
+from anisocheck import schema as sch
 from anisocheck import table as tb
 
 
@@ -229,6 +231,64 @@ def test_boundary_faces_and_pole_skipping():
     assert [(f.axis, f.side) for f in faces] == [(0, -1)]
     assert sum(f.integrate(1.0) for f in faces) == pytest.approx(4 * np.pi, rel=2e-2)
     assert len(geo.boundary_faces(geo.sample_chart(geo.Sphere(3, 1.0), 13))) == 0
+
+
+def _chart_state(chart, shape, path):
+    g = geo.sample_chart(chart, shape)
+    geo.export_csv(g, path)
+    return chart.box, chart.periodic, chart.pole_ends, g.box, path.read_bytes()
+
+
+@pytest.mark.parametrize("kind, theta", [("cylinder", 0), ("catenoid_3", 1), ("cone", 1)])
+def test_explicit_full_theta_range_is_the_default_chart(tmp_path, kind, theta):
+    # a job's [0, pi] theta_range has poles at both ends, as the default has
+    explicit = sch.build_chart({"kind": kind, "n": 3, "theta_range": [0.0, math.pi]})
+    default = sch.build_chart({"kind": kind, "n": 3})
+    assert explicit.pole_ends == ((theta, 0), (theta, -1))
+    assert (_chart_state(explicit, 13, tmp_path / "explicit.csv")
+            == _chart_state(default, 13, tmp_path / "default.csv"))
+
+
+def test_half_azimuth_range_is_an_open_seam():
+    band = (0.25 * np.pi, 0.75 * np.pi)
+    for chart in (geo.Sphere(3, 1.0, box=[band, band, (0.0, np.pi)]),
+                  geo.Hyperplane(3, offset=0.0, polar=True,
+                                 box=[(0.05, 1.0), (0.0, np.pi), (0.0, np.pi)])):
+        g = geo.sample_chart(chart, 13)
+        faces = [(f.axis, f.side) for f in geo.boundary_faces(g)]
+        assert not any(g.periodic), chart.name
+        assert (2, 0) in faces and (2, -1) in faces, chart.name
+    # a 2 pi span stays a seam, on the link's first axis too
+    assert geo.Cylinder(2).periodic == (True, False)
+    # the phi in [0, pi] sphere band: |M| = (pi/4 + 1/2) sqrt2 pi and
+    # |dM| = 2 sqrt2 pi (t and phi faces) + 2 pi (theta faces)
+    g = geo.sample_chart(geo.Sphere(3, 1.0, box=[band, band, (0.0, np.pi)]), 25)
+    assert g.integrate() == pytest.approx((np.pi / 4 + 0.5) * np.sqrt(2) * np.pi, rel=1e-2)
+    assert geo.boundary_area(g) == pytest.approx(2 * np.sqrt(2) * np.pi + 2 * np.pi,
+                                                 rel=1e-2)
+
+
+def test_inner_polar_angle_ends_are_boundary():
+    # theta in [0.3, 0.6] on the polar ball slab s in [a, 1]: no pole, and
+    # |M| = (1 - a^3)/3 dcos 2 pi, |dM| = (1 + a^2) dcos 2 pi (s faces)
+    # + (1 - a^2)/2 (sin 0.3 + sin 0.6) 2 pi (theta faces)
+    a = 0.05
+    chart = geo.Hyperplane(3, offset=0.0, polar=True,
+                           box=[(a, 1.0), (0.3, 0.6), (0.0, 2 * np.pi)])
+    assert chart.pole_ends == () and chart.periodic == (False, False, True)
+    g = geo.sample_chart(chart, 13)
+    dcos = np.cos(0.3) - np.cos(0.6)
+    assert g.integrate() == pytest.approx((1 - a**3) / 3 * dcos * 2 * np.pi, rel=1e-2)
+    assert geo.boundary_area(g) == pytest.approx(
+        (1 + a**2) * dcos * 2 * np.pi + (1 - a**2) / 2 * (np.sin(0.3) + np.sin(0.6)) * 2 * np.pi,
+        rel=1e-2)
+
+
+def test_cartesian_charts_have_no_seam_and_no_pole():
+    box = [(0.0, np.pi), (0.0, 2 * np.pi), (-np.pi, np.pi)]
+    for chart in (geo.Hyperplane(3, offset=1.0, box=box), geo.Graph(3, box=box)):
+        assert chart.periodic == (False, False, False) and chart.pole_ends == ()
+        assert len(geo.boundary_faces(geo.sample_chart(chart, 9))) == 6
 
 
 def test_intrinsic_radius_bounds_extrinsic():

@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from mpmath import mp, mpf
-
 SQRT2 = math.sqrt(2.0)
 C0_EXPR = "1/(sqrt(2) - 1/2)"
 C0 = 1.0 / (SQRT2 - 0.5)
@@ -54,6 +52,8 @@ def eval_expression(expr, dps=50):
     Only arithmetic plus sqrt/pi/exp/log is allowed; used as the second,
     independent evaluation path for the 1e-14 re-derivation checks.
     """
+    from mpmath import mp, mpf
+
     with mp.workdps(dps):
         namespace = {"sqrt": mp.sqrt, "pi": mp.pi, "exp": mp.exp, "log": mp.log,
                      "__builtins__": {}}

@@ -204,28 +204,42 @@ def _grid_for(box, shape, periodic):
     return params, tuple(spacings)
 
 
+def _cofactor(m, i, j):
+    """(i, j) cofactor of a stack of 3x3 matrices; the cyclic index shifts
+    carry its sign."""
+    i1, i2 = (i + 1) % 3, (i + 2) % 3
+    j1, j2 = (j + 1) % 3, (j + 2) % 3
+    return m[..., i1, j1] * m[..., i2, j2] - m[..., i1, j2] * m[..., i2, j1]
+
+
+def _det(m):
+    """Determinant of a stack of 2x2 or 3x3 matrices in closed form, 3x3
+    expanded along the first row (the first adjugate column alone)."""
+    if m.shape[-1] == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if m.shape[-1] == 3:
+        return m[..., 0, 0] * _cofactor(m, 0, 0) + m[..., 0, 1] * _cofactor(m, 0, 1) \
+            + m[..., 0, 2] * _cofactor(m, 0, 2)
+    raise ValueError("only 2x2 and 3x3 matrices are supported")
+
+
 def _cofactors(m):
     """(det, adjugate) of a stack of 2x2 or 3x3 matrices in closed form.
 
     The adjugate is the transposed cofactor matrix, so ``adj / det`` is the
-    inverse; 3x3 cofactors use cyclic index shifts, which carry their signs.
+    inverse; det is :func:`_det`, bit for bit.
     """
+    det = _det(m)
     if m.shape[-1] == 2:
         a, b = m[..., 0, 0], m[..., 0, 1]
         c, d = m[..., 1, 0], m[..., 1, 1]
         adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
-        return a * d - b * c, adj
-    if m.shape[-1] == 3:
+    elif m.shape[-1] == 3:
         adj = np.empty_like(m)
         for i in range(3):
-            i1, i2 = (i + 1) % 3, (i + 2) % 3
             for j in range(3):
-                j1, j2 = (j + 1) % 3, (j + 2) % 3
-                adj[..., j, i] = m[..., i1, j1] * m[..., i2, j2] - m[..., i1, j2] * m[..., i2, j1]
-        det = m[..., 0, 0] * adj[..., 0, 0] + m[..., 0, 1] * adj[..., 1, 0] \
-            + m[..., 0, 2] * adj[..., 2, 0]
-        return det, adj
-    raise ValueError("only 2x2 and 3x3 matrices are supported")
+                adj[..., j, i] = _cofactor(m, i, j)
+    return det, adj
 
 
 def _generalized_cross(jac):
@@ -259,10 +273,20 @@ def _first_location(bad, params):
     return f"at parameters {tuple(float(p[i]) for p, i in zip(params, idx))}"
 
 
+def _gram(jac):
+    """g = J^T J at every node."""
+    return np.ascontiguousarray(np.swapaxes(jac, -1, -2)) @ jac
+
+
 def _metric(jac, chart_name, params):
     """(g, det g, adj g) of g = J^T J; raises at det g <= DET_FLOOR."""
-    g = np.ascontiguousarray(np.swapaxes(jac, -1, -2)) @ jac
+    g = _gram(jac)
     det, adj = _cofactors(g)
+    return g, _nondegenerate(det, chart_name, params), adj
+
+
+def _nondegenerate(det, chart_name, params):
+    """``det`` (of g), after raising where it is at most DET_FLOOR."""
     bad = det <= DET_FLOOR
     if np.any(bad):
         idx = np.unravel_index(np.argmax(bad), det.shape)
@@ -270,7 +294,7 @@ def _metric(jac, chart_name, params):
             f"degenerate metric on chart {chart_name!r}: det g = {det[idx]:.3e} "
             f"{_first_location(bad, params)}"
         )
-    return g, det, adj
+    return det
 
 
 def _assemble(chart_name, box, periodic, spacings, params, mats,
@@ -325,9 +349,9 @@ def sample_chart(chart, shape):
 
 
 def _first_order(X, params, mats, ref_nu, chart_name):
-    """Jacobian, unit normal (sign aligned with ``ref_nu``) and metric
-    ``(g, det g, adj g)`` of node positions X on the grid ``params``, all by
-    the finite-difference matrices ``mats``."""
+    """Jacobian and unit normal (sign aligned with ``ref_nu``) of node
+    positions X on the grid ``params``, both by the finite-difference
+    matrices ``mats``."""
     jac = np.stack(
         [np.stack([apply_derivative(X[..., d], D, a) for a, D in enumerate(mats)], axis=-1)
          for d in range(X.shape[-1])],
@@ -344,7 +368,7 @@ def _first_order(X, params, mats, ref_nu, chart_name):
     if np.any(flip == 0):
         raise ImmersionError("numeric normal orthogonal to reference normal")
     nu = nu * flip[..., None]
-    return jac, nu, _metric(jac, chart_name, params)
+    return jac, nu
 
 
 def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole_ends=()):
@@ -355,7 +379,8 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
     periodic = tuple(periodic)
     params, spacings = _grid_for(box, shape, periodic)
     mats = [derivative_matrix(shape[a], spacings[a], periodic[a]) for a in range(n)]
-    jac, nu, metric = _first_order(X, params, mats, ref_nu, chart_name)
+    jac, nu = _first_order(X, params, mats, ref_nu, chart_name)
+    metric = _metric(jac, chart_name, params)
     # d2X_ab symmetrized from derivatives of the Jacobian columns
     d2X = np.empty(shape + (dim, n, n))
     for a in range(n):
@@ -373,11 +398,12 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
 def resample_normal_graph(geom, u, t):
     """(nu, sqrt det g) of the immersion X + t * u * nu, re-derived by finite
     differences on the same parameter grid; the resample-and-difference
-    oracle needs nothing else, so no second derivative is formed."""
+    oracle needs nothing else, so neither a second derivative nor the
+    inverse metric is formed."""
     Y = geom.X + t * u[..., None] * geom.nu
-    _, nu, (_, det, _) = _first_order(Y, geom.params, geom._deriv_mats, geom.nu,
-                                      f"{geom.chart_name}+normal")
-    return nu, np.sqrt(det)
+    name = f"{geom.chart_name}+normal"
+    jac, nu = _first_order(Y, geom.params, geom._deriv_mats, geom.nu, name)
+    return nu, np.sqrt(_nondegenerate(_det(_gram(jac)), name, geom.params))
 
 
 # -- per-node linear algebra -------------------------------------------------

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
 
 FOUR_PI = 4.0 * math.pi
 #: the round cap f = sin t closes at its second pole t = pi
@@ -99,6 +97,8 @@ class WarpedModel:
         return self.t.size
 
     def spline_u(self):
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.t, self.u)
 
     def as_dict(self):
@@ -125,6 +125,8 @@ def lambda1_sturm(name, params, T, n_grid=N_GRID, t_min=0.0):
     2 n_grid - 1 nodes; the returned eigenvalue is the Richardson
     extrapolation, the eigenfunction lives on the fine grid.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     ff, fpf, fppf, fpppf = _profile_functions(name, params)
 
     def solve(n):
@@ -340,6 +342,8 @@ def minimize_A(model, prof):
     The first-variation condition at an interior minimizer is
     2 (f'/f) u + u' = h u, whose residual is reported.
     """
+    from scipy.interpolate import CubicSpline
+
     u_s = model.spline_u()
     ff, fpf = _profile_functions(model.name, model.params)[:2]
     lo, hi = prof.band

@@ -21,11 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import geometry as geo
 from . import integrand as ig
+
+
+def __getattr__(name):
+    """``variation.spla`` is scipy.sparse.linalg, imported on first access
+    like every scipy use of this module."""
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 STATIONARY_TOL = 1e-4   # max |H_phi| for a chart to count as phi-stationary
 EIG_TOL = 1e-8          # eigensolver residual tolerance, relative to max(1, |lambda|)
@@ -421,6 +430,8 @@ def assemble_forms(geom, coeff, potential, mass_density):
     the potential and mass are collocated and the mass is lumped diagonal.
     ``coeff`` has shape grid + (n, n).
     """
+    import scipy.sparse as sp
+
     n = geom.n
     size = int(np.prod(geom.shape))
     dens = geom.sqrt_det_g[..., None, None] * coeff
@@ -451,6 +462,9 @@ def smallest_eigenpair(K, M):
     residual = ||K x - theta M x|| in the M^-1 norm, so an eigenvalue lies
     within residual of theta.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     coo = sp.coo_matrix(M)
     if np.any(coo.row != coo.col):
         raise ValueError("mass matrix must be diagonal (lumped)")

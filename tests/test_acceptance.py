@@ -10,11 +10,14 @@ and the exit status.
 
 import json
 import math
+from pathlib import Path
 
 from anisocheck import acceptance as ac
 from anisocheck import cli
 from anisocheck import geometry as geo
 from anisocheck import mubble as mb
+
+JOBS = Path(__file__).resolve().parents[1] / "jobs"
 
 
 def _check(name, all_run, criterion):
@@ -161,6 +164,7 @@ def test_cli_runners_and_criteria_share_builders(all_run):
     crit = _record(all_run, "vectorfield_isoperimetric: flat ball isoperimetric margin")
     assert rec["name"] == "isoperimetric margin"
     assert dict(rec, name=crit["name"]) == crit
+    assert rec["tolerance"] == 0.0 and rec["detail"]["stationary"] is True
     # a CLI vector-field job on criterion 6's plane gives its position-field record
     plane = {"kind": "hyperplane", "n": 3, "offset": 0.0, "box": [[-1.0, 1.0]] * 3}
     (rec,) = _variation_job(plane, iso4, 13, ["vectorfield"])["records"]
@@ -173,3 +177,15 @@ def test_cli_runners_and_criteria_share_builders(all_run):
     (rec,) = _variation_job(sphere, iso4, 9, ["vectorfield"])["records"]
     assert rec["tolerance"] is None and rec["pass"]
     assert rec["detail"]["stationary"] is False and "warning" in rec["detail"]
+
+
+def test_isoperimetric_margin_is_reported_only_off_stationary_charts():
+    # the round half-band sphere of the example job is not phi-stationary:
+    # its margin is reported with a warning, not judged
+    job = json.loads((JOBS / "variation_sphere_half_band.json").read_text())
+    job["inputs"]["tests"] = ["isoperimetric"]
+    (rec,) = cli.run(job)["records"]
+    assert rec["name"] == "isoperimetric margin"
+    assert rec["tolerance"] is None and rec["pass"]
+    assert rec["detail"]["stationary"] is False and "warning" in rec["detail"]
+    assert rec["value"] == rec["detail"]["margin"]

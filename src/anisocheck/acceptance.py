@@ -35,12 +35,12 @@ from . import inequalities as iq
 from . import integrand as ig
 from . import mubble as mb
 from . import variation as va
-from .checks import ORDER_MIN, Check, ge, le, order_ok, refinement_order
+from .checks import ORDER_MIN, Check, ge, ladder, le, order_ok, refinement_order
 
 SQRT2 = math.sqrt(2.0)
 
-RES_2D = (17, 33)
-RES_3D = (13, 25)
+RES_2D = ladder(17, 2)
+RES_3D = ladder(13, 2)
 REL_TOL = 1e-3
 ORDER_FLOOR_REL = 1e-4
 LAMBDA1_SLACK = 1e-3
@@ -265,6 +265,13 @@ def criterion_curvature_ricci(seed=iq.SEED):
                    crep.extras["max_ratio_A2_over_negR"], iq.NEAR_SHARP_RATIO))
     recs.append(le("ratio stays below c0",
                    crep.extras["max_ratio_A2_over_negR"] - iq.C0, 1e-12))
+    errs = []
+    for r in crep.records:
+        cfg = r.detail["config"]
+        if "a" in cfg:
+            mR, m2, _, _ = iq.curvature_pinch_point(cfg["a"], cfg["psi"])
+            errs.append(abs((mR if r.name.startswith("-R") else m2) - r.value))
+    recs.append(le("argmin reproduction error", max(errs), 1e-14))
     rrep = iq.verify_ricci_bound(seed=seed)
     recs += [r.prefixed("ricci ") for r in rrep.records]
     return recs
@@ -406,7 +413,7 @@ def criterion_conformal(seed=iq.SEED):
     recs = []
     # three refinement levels; the order is taken on the finest pair (the
     # coarsest pair can sit pre-asymptotically where error terms cross)
-    levels = {2: (17, 33, 65), 3: (13, 25, 49)}
+    levels = {2: ladder(RES_2D[0], 3), 3: ladder(RES_3D[0], 3)}
     for n in (2, 3):
         for cname, chart in geo.catalog(n).items():
             recs.append(qform_order_check(

@@ -1,7 +1,8 @@
-"""One check record and one refinement-order rule.
+"""One check record, one refinement ladder and one refinement-order rule.
 
 Every verdict of the package (acceptance criteria, inequality sweeps, CLI
-runners) is a :class:`Check`.  Refinement-order estimates all go through
+runners) is a :class:`Check`.  Every grid refinement halves the step,
+r -> 2r - 1 (:func:`ladder`), refinement-order estimates all go through
 :func:`refinement_order`, and the noise-floor waiver of the order rule is
 :func:`order_ok`.
 """
@@ -41,6 +42,12 @@ def le(name, value, tolerance, /, **detail):
 def ge(name, value, bound, /, **detail):
     """Check that passes when ``value >= bound``."""
     return Check(name, float(value), float(bound), bool(value >= bound), detail)
+
+
+def ladder(res, levels):
+    """``levels`` grid resolutions from ``res``, each halving the step of
+    the one before: r -> 2r - 1."""
+    return tuple(2**k * (res - 1) + 1 for k in range(levels))
 
 
 def refinement_order(coarse, fine, zero):

@@ -32,7 +32,7 @@ from . import mubble as mb
 from . import schema as sch
 from . import table as tb
 from . import variation as va
-from .checks import Check, le
+from .checks import Check, ladder, le
 
 
 def _write_csv(out_dir, name, header, rows):
@@ -89,14 +89,18 @@ def _run_integrand(inputs, seed, out_dir):
                          - integ.value(v)).max())
     radial = float(np.abs(np.einsum("pde,pe->pd", integ.hessian(v), v)).max())
     w = v[0]
-    fd_g = ig.fd_gradient(integ.value, w)
-    fd_rel = float(np.abs(fd_g - integ.gradient(w)).max()
-                   / max(1.0, np.abs(integ.gradient(w)).max()))
+
+    def fd_rel(fd, exact):
+        return float(np.abs(fd - exact).max() / max(1.0, np.abs(exact).max()))
+
     records = [
         le("homogeneity residual", hom, 1e-12),
         le("Euler relation residual", euler, 1e-10),
         le("radial degeneracy residual", radial, 1e-8),
-        le("finite-difference gradient (rel)", fd_rel, 1e-6),
+        le("finite-difference gradient (rel)",
+           fd_rel(ig.fd_gradient(integ.value, w), integ.gradient(w)), 1e-6),
+        le("finite-difference Hessian (rel)",
+           fd_rel(ig.fd_hessian(integ.value, w), integ.hessian(w)), 1e-6),
         Check("phi positive on grid", rep.phi_min, 0.0, rep.phi_min > 0.0),
     ]
     return records, {"report": rep.as_dict(), "describe": integ.describe()}
@@ -153,8 +157,8 @@ def _run_conformal(inputs, seed, out_dir):
             g = geo.sample_chart(chart, res)
             cg = cf.deform(g)
         if tests & {"qform", "laplace_r"}:
-            # the refinement companion doubles a scalar resolution
-            fine = geo.sample_chart(chart, 2 * res - 1)
+            # the refinement companion halves the step of a scalar resolution
+            fine = geo.sample_chart(chart, ladder(res, 2)[-1])
             cfine = cf.deform(fine)
     records = []
     if "qform" in tests:

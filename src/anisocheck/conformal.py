@@ -32,9 +32,6 @@ class ConformalGeometry:
 
     base: geo.SampledGeometry
     w: np.ndarray
-    log_w: np.ndarray
-    lap_log_w: np.ndarray        # metric-aware FD Laplacian of log w
-    grad_log_w_sq: np.ndarray    # |grad log w|^2 = |grad r|^2 / r^2, closed form
     R_tilde: np.ndarray
 
     @property
@@ -50,25 +47,13 @@ def deform(geom):
             f"conformal deformation needs r >= {geo.R_MIN} on the chart (min r = {rmin:.2e})")
     n = geom.n
     w = 1.0 / geom.r
-    log_w = -np.log(geom.r)
-    lap_log_w = geom.laplacian(log_w)
+    # w^2 R~ = R - 2(n-1) Lap log w - (n-1)(n-2)|grad log w|^2, with the
+    # metric-aware FD Laplacian and |grad log w|^2 = |grad r|^2 / r^2
+    lap_log_w = geom.laplacian(-np.log(geom.r))
     grad_log_w_sq = np.einsum("...d,...d->...", geom.grad_r, geom.grad_r) / geom.r**2
     R_tilde = (geom.scalar_curvature - 2.0 * (n - 1) * lap_log_w
                - (n - 1) * (n - 2) * grad_log_w_sq) / w**2
-    return ConformalGeometry(base=geom, w=w, log_w=log_w, lap_log_w=lap_log_w,
-                             grad_log_w_sq=grad_log_w_sq, R_tilde=R_tilde)
-
-
-def transformation_law_residual(cgeom, lap_log_w_exact):
-    """Residual of w^2 R~ = R - 2(n-1) Lap log w - (n-1)(n-2)|grad log w|^2
-    against an externally supplied (closed-form) Laplacian of log w."""
-    n = cgeom.n
-    geom = cgeom.base
-    lhs = cgeom.w**2 * cgeom.R_tilde
-    rhs = (geom.scalar_curvature - 2.0 * (n - 1) * lap_log_w_exact
-           - (n - 1) * (n - 2) * cgeom.grad_log_w_sq)
-    mask = geom.interior_mask()
-    return float(np.abs(lhs - rhs)[mask].max())
+    return ConformalGeometry(base=geom, w=w, R_tilde=R_tilde)
 
 
 @dataclass

@@ -43,8 +43,6 @@ VARIANTS = ("sqrt-lambda", "as-printed")
 #: integrand phi(nu) = |nu| on the unit sphere
 C1_NORM, PHI_MIN = SQRT2, 1.0
 
-_SAFE_NUMERIC = {"sqrt", "pi", "exp", "log"}
-
 
 def eval_expression(expr, dps=50):
     """Evaluate a constant expression string in extended precision.

@@ -297,6 +297,14 @@ def _nondegenerate(det, chart_name, params):
     return det
 
 
+def curvature_scalars(S):
+    """(H, |A|^2, R) of the shape operator S: H = tr S, |A|^2 = tr(S^2) and
+    the Gauss equation R = H^2 - |A|^2."""
+    H = np.einsum("...aa->...", S)
+    A2 = np.einsum("...ab,...ba->...", S, S)
+    return H, A2, H * H - A2
+
+
 def _assemble(chart_name, box, periodic, spacings, params, mats,
               X, jac, d2X, nu, metric, pole_ends=()):
     """The SampledGeometry of node positions X and their derivatives on the
@@ -306,9 +314,7 @@ def _assemble(chart_name, box, periodic, spacings, params, mats,
     ginv = adj / det[..., None, None]
     hform = -np.einsum("...d,...dab->...ab", nu, d2X)
     S = ginv @ hform
-    H = np.einsum("...aa->...", S)
-    A2 = np.einsum("...ab,...ba->...", S, S)
-    R = H * H - A2
+    H, A2, R = curvature_scalars(S)
     r = np.linalg.norm(X, axis=-1)
     origin = bool(np.any(r < 1e-12))
     rsafe = np.where(r < 1e-12, 1.0, r)
@@ -404,28 +410,6 @@ def resample_normal_graph(geom, u, t):
     name = f"{geom.chart_name}+normal"
     jac, nu = _first_order(Y, geom.params, geom._deriv_mats, geom.nu, name)
     return nu, np.sqrt(_nondegenerate(_det(_gram(jac)), name, geom.params))
-
-
-# -- per-node linear algebra -------------------------------------------------
-
-
-def gauss_scalar(shape_op):
-    """Scalar curvature from the shape operator: (tr S)^2 - tr(S^2)."""
-    S = np.asarray(shape_op)
-    H = np.einsum("...aa->...", S)
-    A2 = np.einsum("...ab,...ba->...", S, S)
-    return H * H - A2
-
-
-def principal_curvatures(shape_op, metric):
-    """Sorted eigenvalues of the g-self-adjoint shape operator (batched)."""
-    S = np.asarray(shape_op, dtype=float)
-    g = np.asarray(metric, dtype=float)
-    h = np.einsum("...ab,...bc->...ac", g, S)
-    L = np.linalg.cholesky(g)
-    tmp = np.linalg.solve(L, h)
-    M = np.linalg.solve(L, np.swapaxes(tmp, -1, -2))
-    return np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
 
 
 # -- boundary faces -----------------------------------------------------------

@@ -109,14 +109,6 @@ class SweepReport:
     records: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    @property
-    def worst_margin(self):
-        return min(r.value for r in self.records)
-
-    @property
-    def passed(self):
-        return all(r.passed for r in self.records)
-
 
 # -- quadratic form comparison -------------------------------------------------
 

@@ -153,16 +153,6 @@ class Integrand:
     def perturbed(dim, epsilon, profile):
         return Integrand("perturbed", dim, epsilon=epsilon, profile=profile)
 
-    def rescaled(self, c):
-        """The integrand c * phi (c > 0); used for scale-invariance checks."""
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        if self.kind == "quadratic":
-            return Integrand("quadratic", self.dim, matrix=c * c * self.matrix)
-        out = Integrand(self.kind, self.dim, epsilon=self.epsilon, profile=self.profile,
-                        scale=self.scale * c)
-        return out
-
     def describe(self):
         if self.kind == "isotropic":
             tag = "isotropic" if self.scale == 1.0 else f"{self.scale:g}*isotropic"
@@ -236,43 +226,25 @@ class Integrand:
 
 
 def fd_gradient(fn, v, step=1e-3):
-    """Fourth-order central-difference gradient of a scalar callable."""
+    """Fourth-order central-difference gradient of a callable; the columns
+    are stacked last, so a vector-valued ``fn`` gives its Jacobian."""
     v = np.asarray(v, dtype=float)
     d = v.shape[-1]
-    out = np.empty(v.shape)
+    cols = []
     for i in range(d):
         e = np.zeros(d)
         e[i] = 1.0
-        out[..., i] = (
+        cols.append((
             -fn(v + 2 * step * e) + 8 * fn(v + step * e)
             - 8 * fn(v - step * e) + fn(v - 2 * step * e)
-        ) / (12 * step)
-    return out
+        ) / (12 * step))
+    return np.stack(cols, axis=-1)
 
 
 def fd_hessian(fn, v, step=1e-3):
-    """Fourth-order Hessian oracle: the 4-point first-derivative stencil
-    applied twice, so it never consults closed-form derivatives."""
-    v = np.asarray(v, dtype=float)
-    d = v.shape[-1]
-
-    def partial(w, j):
-        e = np.zeros(d)
-        e[j] = 1.0
-        return (
-            -fn(w + 2 * step * e) + 8 * fn(w + step * e)
-            - 8 * fn(w - step * e) + fn(w - 2 * step * e)
-        ) / (12 * step)
-
-    out = np.empty(v.shape + (d,))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        for j in range(d):
-            out[..., i, j] = (
-                -partial(v + 2 * step * e, j) + 8 * partial(v + step * e, j)
-                - 8 * partial(v - step * e, j) + partial(v - 2 * step * e, j)
-            ) / (12 * step)
+    """Fourth-order Hessian oracle: :func:`fd_gradient` applied twice, then
+    symmetrized, so it never consults closed-form derivatives."""
+    out = fd_gradient(lambda w: fd_gradient(fn, w, step), v, step)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 

@@ -25,6 +25,7 @@ from . import geometry as geo
 from . import inequalities as iq
 from . import integrand as ig
 from . import mubble as mb
+from .checks import ladder
 
 COMMANDS = ("constants", "integrand", "variation", "conformal", "mubble",
             "verify", "all")
@@ -325,7 +326,7 @@ def _rules(job):
             errors.append(f"/inputs/resolution: must hold n = {n} entries")
         nodes = math.prod(res)
     elif cmd == "conformal" and {"qform", "laplace_r"} & set(inputs["tests"]):
-        nodes = (2 * res - 1) ** n
+        nodes = ladder(res, 2)[-1] ** n
     else:
         nodes = res ** n
     if nodes > MAX_NODES:

@@ -15,6 +15,7 @@ from pathlib import Path
 from anisocheck import acceptance as ac
 from anisocheck import cli
 from anisocheck import geometry as geo
+from anisocheck import inequalities as iq
 from anisocheck import mubble as mb
 
 JOBS = Path(__file__).resolve().parents[1] / "jobs"
@@ -189,3 +190,27 @@ def test_isoperimetric_margin_is_reported_only_off_stationary_charts():
     assert rec["tolerance"] is None and rec["pass"]
     assert rec["detail"]["stationary"] is False and "warning" in rec["detail"]
     assert rec["value"] == rec["detail"]["margin"]
+
+
+def test_curvature_argmin_record_catches_a_shifted_witness(monkeypatch):
+    # criterion 3 on 50 000-sample sweeps; shifting one stored witness
+    # angle by 1e-9 moves its re-evaluated margin far beyond 1e-14
+    pinch, ricci = iq.verify_curvature_pinch, iq.verify_ricci_bound
+    monkeypatch.setattr(iq, "verify_ricci_bound", lambda seed: ricci(50_000, seed=seed))
+
+    def record():
+        (rec,) = [r for r in ac.criterion_curvature_ricci()
+                  if r.name == "argmin reproduction error"]
+        return rec
+
+    monkeypatch.setattr(iq, "verify_curvature_pinch", lambda seed: pinch(50_000, seed=seed))
+    assert record().passed
+
+    def shifted(seed):
+        rep = pinch(50_000, seed=seed)
+        rep.records[0].detail["config"]["psi"] += 1e-9
+        return rep
+
+    monkeypatch.setattr(iq, "verify_curvature_pinch", shifted)
+    rec = record()
+    assert not rec.passed and rec.value > 1e-12

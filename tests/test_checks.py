@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from anisocheck.checks import ORDER_MIN, Check, ge, le, order_ok, refinement_order
+from anisocheck.checks import ORDER_MIN, Check, ge, ladder, le, order_ok, refinement_order
 
 
 def test_check_as_dict_keys():
@@ -37,6 +37,12 @@ def test_refinement_order_is_inf_at_or_below_zero():
     assert refinement_order(1e-3, 5e-12, 1e-11) == math.inf
     assert refinement_order(1e-3, 0.0, 1e-12) == math.inf
     assert math.isfinite(refinement_order(1e-3, 2e-11, 1e-11))
+
+
+def test_ladder_halves_the_step():
+    assert ladder(13, 1) == (13,)
+    assert ladder(13, 3) == (13, 25, 49)
+    assert ladder(17, 2) == (17, 33)
 
 
 def test_refinement_order_exact_log2_and_zero_guard():

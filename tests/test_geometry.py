@@ -25,9 +25,20 @@ def test_sphere_is_umbilic():
     assert np.abs(g.scalar_curvature - 6.0 / rho**2).max() <= 1e-12
 
 
+def principal_curvatures(shape_op, metric):
+    """Sorted eigenvalues of the g-self-adjoint shape operator (batched)."""
+    S = np.asarray(shape_op, dtype=float)
+    g = np.asarray(metric, dtype=float)
+    h = np.einsum("...ab,...bc->...ac", g, S)
+    L = np.linalg.cholesky(g)
+    tmp = np.linalg.solve(L, h)
+    M = np.linalg.solve(L, np.swapaxes(tmp, -1, -2))
+    return np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
+
+
 def test_cylinder_principal_curvatures():
     g = geo.sample_chart(geo.Cylinder(3, link_radius=1.0), 13)
-    ks = geo.principal_curvatures(g.shape_op, g.metric)
+    ks = principal_curvatures(g.shape_op, g.metric)
     assert np.allclose(ks.reshape(-1, 3), [0.0, 1.0, 1.0], atol=1e-12)
 
 
@@ -54,13 +65,18 @@ def test_gauss_identity_on_catalog():
 
 
 def test_gauss_scalar_examples():
-    assert geo.gauss_scalar(np.zeros((3, 3))) == 0.0
+    def gauss_scalar(S):
+        return geo.curvature_scalars(np.asarray(S))[2]
+
+    assert gauss_scalar(np.zeros((3, 3))) == 0.0
     umb = np.eye(3) / 2.0
-    assert geo.gauss_scalar(umb) == pytest.approx(9 / 4 - 3 / 4, abs=1e-15)
+    assert gauss_scalar(umb) == pytest.approx(9 / 4 - 3 / 4, abs=1e-15)
     S = np.diag([-np.sqrt(2.0), 1.0, 1.0])
     # H = 2 - sqrt2, |A|^2 = 4: R = H^2 - |A|^2 = 2 - 4 sqrt2
-    assert geo.gauss_scalar(S) == pytest.approx(2 - 4 * np.sqrt(2.0), abs=1e-12)
-    assert geo.gauss_scalar(S) == pytest.approx(-3.6568542494923806, abs=1e-12)
+    assert gauss_scalar(S) == pytest.approx(2 - 4 * np.sqrt(2.0), abs=1e-12)
+    assert gauss_scalar(S) == pytest.approx(-3.6568542494923806, abs=1e-12)
+    H, A2, _ = geo.curvature_scalars(S)
+    assert (H, A2) == pytest.approx((2 - np.sqrt(2.0), 4.0), abs=1e-15)
 
 
 def test_radial_decomposition_bound():

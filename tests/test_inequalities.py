@@ -6,6 +6,14 @@ from anisocheck import inequalities as iq
 SQRT2 = np.sqrt(2.0)
 
 
+def passed(rep):
+    return all(r.passed for r in rep.records)
+
+
+def worst_margin(rep):
+    return min(r.value for r in rep.records)
+
+
 def test_c0_closed_form():
     assert iq.C0 == pytest.approx(1.0 / (SQRT2 - 0.5), abs=1e-15)
     assert abs(iq.C0 - 1.09) < 5e-3
@@ -23,8 +31,8 @@ def test_quadratic_lemma_equal_coefficients():
 
 def test_quadratic_lemma_sweep_small():
     rep = iq.verify_quadratic_lemma(50, 50, 180)
-    assert rep.passed
-    assert rep.worst_margin >= -1e-10
+    assert passed(rep)
+    assert worst_margin(rep) >= -1e-10
     assert rep.extras["q2_nonpositive_count"] == 0
     assert rep.extras["max_ratio_q1_q2"] <= iq.C0 + 1e-12
 
@@ -57,8 +65,8 @@ def test_quadratic_lemma_symmetries():
 
 
 def test_quadratic_lemma_resolution_stability():
-    worst_a = iq.verify_quadratic_lemma(50, 50, 180).worst_margin
-    worst_b = iq.verify_quadratic_lemma(100, 100, 360).worst_margin
+    worst_a = worst_margin(iq.verify_quadratic_lemma(50, 50, 180))
+    worst_b = worst_margin(iq.verify_quadratic_lemma(100, 100, 360))
     assert abs(worst_a - worst_b) <= 1e-3
 
 
@@ -76,7 +84,7 @@ def test_curvature_pinch_minimal_witness():
 
 def test_curvature_pinch_sweep():
     rep = iq.verify_curvature_pinch(100_000, seed=77)
-    assert rep.passed
+    assert passed(rep)
     assert rep.extras["max_constraint_residual"] <= 1e-12
     assert rep.extras["near_sharp"]
     assert rep.extras["max_ratio_A2_over_negR"] <= iq.C0 + 1e-12
@@ -89,12 +97,12 @@ def test_ricci_equality_witness_and_sweep():
     assert iq.ricci_point(k, [1.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-14)
     assert iq.ricci_point([1 / np.sqrt(3)] * 3, [0.0, 1.0, 0.0]) > 0.5
     rep = iq.verify_ricci_bound(100_000, seed=77)
-    assert rep.passed and rep.worst_margin >= -1e-10
+    assert passed(rep) and worst_margin(rep) >= -1e-10
 
 
 def test_kato_catalog():
     rep = iq.verify_kato(5_000, seed=77)
-    assert rep.passed
+    assert passed(rep)
     assert iq.kato_point("linear_x", [0.2, 0.3, 0.4]) == pytest.approx(0.0, abs=1e-15)
     assert iq.kato_point("xy", [0.9, -0.4, 0.1]) == pytest.approx(0.5, abs=1e-14)
     assert iq.kato_point("x2_minus_y2", [0.5, 0.5, 0.0]) == pytest.approx(2.0, abs=1e-13)
@@ -136,8 +144,8 @@ def test_sweeps_deterministic_under_seed():
 def test_seed_changes_margins_but_not_verdicts():
     a = iq.verify_ricci_bound(50_000, seed=1)
     b = iq.verify_ricci_bound(50_000, seed=2)
-    assert a.passed and b.passed
-    assert abs(a.worst_margin - b.worst_margin) <= 1e-3
+    assert passed(a) and passed(b)
+    assert abs(worst_margin(a) - worst_margin(b)) <= 1e-3
 
 
 def test_halton_deterministic_and_in_unit_cube():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisocheck import cli
 from anisocheck import integrand as ig
 
 SQRT2 = np.sqrt(2.0)
@@ -66,6 +67,24 @@ def test_derivatives_match_finite_differences():
             assert np.abs(h_fd - h).max() / max(1.0, np.abs(h).max()) <= 1e-6
 
 
+def test_fd_hessian_record_catches_a_scaled_hessian(monkeypatch):
+    job = {"command": "integrand", "seed": 7,
+           "inputs": {"integrand": {"kind": "perturbed", "dim": 4, "epsilon": 0.1,
+                                    "profile": "axis2"}}}
+
+    def record():
+        (rec,) = [r for r in cli.run(job)["records"]
+                  if r["name"] == "finite-difference Hessian (rel)"]
+        return rec
+
+    assert record()["pass"]
+    hessian = ig.Integrand.hessian
+    monkeypatch.setattr(ig.Integrand, "hessian",
+                        lambda self, v: (1.0 + 1e-3) * hessian(self, v))
+    rec = record()
+    assert not rec["pass"] and rec["value"] >= 1e-4
+
+
 def test_pinch_bounds_isotropic():
     a_min, a_max = ig.pinch_bounds(ig.Integrand.isotropic(4), 17)
     assert a_min == pytest.approx(1.0, abs=1e-12)
@@ -109,10 +128,11 @@ def test_unnormalized_mild_quadratic_needs_scaling():
 def test_stability_lambda_scale_invariant():
     quad = ig.Integrand.quadratic(np.diag([1.0, 1.0, 1.0, 4.0]))
     lam = ig.stability_lambda(quad, 9)
-    lam_scaled = ig.stability_lambda(quad.rescaled(3.7), 9)
+    lam_scaled = ig.stability_lambda(ig.Integrand.quadratic(3.7**2 * quad.matrix), 9)
     assert lam_scaled == pytest.approx(lam, rel=1e-12)
     pert = ig.Integrand.perturbed(4, 0.05, "quartic_saddle")
-    assert ig.stability_lambda(pert.rescaled(0.2), 9) == pytest.approx(
+    small = ig.Integrand("perturbed", 4, epsilon=0.05, profile="quartic_saddle", scale=0.2)
+    assert ig.stability_lambda(small, 9) == pytest.approx(
         ig.stability_lambda(pert, 9), rel=1e-12)
 
 
@@ -129,7 +149,7 @@ def test_catalog_pinched_integrands_have_large_lambda():
 def test_c1_norm_values():
     iso = ig.Integrand.isotropic(4)
     assert ig.c1_norm(iso, 17) == pytest.approx(SQRT2, abs=1e-12)
-    assert ig.c1_norm(iso.rescaled(2.0), 17) == pytest.approx(2 * SQRT2, abs=1e-12)
+    assert ig.c1_norm(ig.Integrand.isotropic(4, scale=2.0), 17) == pytest.approx(2 * SQRT2, abs=1e-12)
     # with the spherical gradient D phi - phi nu in place of D phi the norm is 1
     nu = ig.sphere_grid(4, 17)
     phi = iso.value(nu)

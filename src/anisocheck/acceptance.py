@@ -2,13 +2,16 @@
 
 Each criterion function returns a list of :class:`~anisocheck.checks.Check`;
 the CLI ``all`` command and the pytest acceptance module both consume
-these.  The check families that the other CLI runners share with the
-criteria (variation oracles, refinement orders, random-path distance
-margins, vector-field identities, isoperimetric margins, constant
-rederivations, warped-bubble models) come from one builder each, below,
-so the two entry points cannot drift apart.  Tolerances are fixed here,
-not at call sites, and :func:`run_all` judges each criterion's runtime
-against its budget in :data:`RUNTIME_BUDGETS`.
+these.  The numerics of `variation`, `conformal` and `mubble` return plain
+numbers; this module turns them into records and holds every convention
+that judges them: relative-discrepancy floors, margins, residuals,
+phi-stationarity decisions and tolerances.  The check families that the
+other CLI runners share with the criteria (variation oracles, refinement
+orders, random-path distance margins, vector-field identities,
+isoperimetric margins, constant rederivations, integrand identities,
+warped-bubble models) come from one builder each, below, so the two
+entry points cannot drift apart.  :func:`run_all` judges each
+criterion's runtime against its budget in :data:`RUNTIME_BUDGETS`.
 
 Numerical conventions decided during calibration:
 
@@ -54,19 +57,33 @@ LAMBDA1_NOTE = ("Dirichlet value on a compact chart piece; upper bounds the char
 
 
 def variation_records(oracle, integrand, hphi, kinds):
-    """Per-bump variation records of one oracle, keyed by (kind, bump) in
-    the order of ``kinds`` ("first", "second") and BUMP_NAMES.
+    """Per-speed variation records of one oracle, keyed by (kind, speed) in
+    the order of ``kinds`` ("first", "second") and of the oracle's speeds:
+    the discrepancy of the difference quotient from the formula, relative
+    to |formula| + Phi-area/10 (the first convention above).
 
     ``hphi`` is aniso_mean_curvature of the oracle's geometry.  The caller
-    decides stationarity, that is whether "second" is among ``kinds``.
+    decides stationarity, that is whether "second" is among ``kinds``; a
+    "second" record states it.
     """
-    checks = {"first": va.first_variation_check, "second": va.second_variation_check}
+    geom = oracle.geom
+    scale = abs(va.phi_area(geom, integrand))
     recs = {}
     for kind in kinds:
-        for bump in va.BUMP_NAMES:
-            chk = checks[kind](oracle, integrand, bump, hphi)
-            recs[kind, bump] = le(f"{kind} variation rel discrepancy [{bump}]",
-                                  chk.rel_discrepancy, REL_TOL, **chk.as_dict())
+        detail = {}
+        if kind == "second":
+            detail["stationary"] = va.is_phi_stationary(geom, integrand, hphi)
+        for speed in oracle.speeds:
+            if kind == "first":
+                fd, formula = va.first_variation_check(oracle, integrand, speed, hphi)
+            else:
+                fd, formula = va.second_variation_check(oracle, integrand, speed)
+            disc = abs(fd - formula)
+            rel = disc / (abs(formula) + 0.1 * scale)
+            recs[kind, speed] = le(
+                f"{kind} variation rel discrepancy [{speed}]", rel, REL_TOL, fd_value=fd,
+                formula_value=formula, discrepancy=disc, rel_discrepancy=rel, scale=scale,
+                step=oracle.step, **detail)
     return recs
 
 
@@ -78,10 +95,11 @@ def qform_order_check(name, cgeoms, lam):
     discrepancy relative to max(1, |derived|) sits at ORDER_FLOOR_REL."""
     discs = []
     for cg in cgeoms:
-        chk = cf.qform_identity_check(cg, va.bump_function(cg.base, "centered"), lam)
-        discs.append(chk.discrepancy)
+        phi = va.bump_function(cg.base, "centered")
+        direct, derived = cf.qform_identity_check(cg, phi, lam)
+        discs.append(abs(direct - derived))
     order = refinement_order(discs[-2], discs[-1], 1e-11)
-    ok = order_ok(order, discs[-1] / max(1.0, abs(chk.derived)), ORDER_FLOOR_REL)
+    ok = order_ok(order, discs[-1] / max(1.0, abs(derived)), ORDER_FLOOR_REL)
     return Check(name, order, ORDER_MIN, ok, {"discrepancies": discs})
 
 
@@ -95,8 +113,8 @@ def laplace_r_order_check(name, geoms):
 
 
 def distance_margin_check(name, charts, rng, batches, points, samples):
-    """Worst margin of the log-distance comparison, and of its intrinsic
-    variant where a chart has one, along random broken lines: per chart,
+    """Worst margin D - log ratio of the log-distance comparison, and of its
+    intrinsic variant where a chart has one, along random broken lines: per chart,
     ``batches`` lines through ``points`` uniform parameter points drawn
     from ``rng``, each segment sampled at ``samples`` points."""
     tt = np.linspace(0, 1, samples)[:, None]
@@ -107,10 +125,10 @@ def distance_margin_check(name, charts, rng, batches, points, samples):
         for _ in range(batches):
             pts = lo + rng.random((points, chart.n)) * (np.array(hi) - lo)
             path = np.concatenate([a + tt * (b - a) for a, b in zip(pts[:-1], pts[1:])])
-            c = cf.distance_comparison_check(chart, path)
-            worst = min(worst, c.margin)
-            if c.intrinsic_margin is not None:
-                worst = min(worst, c.intrinsic_margin)
+            length, log_ratio, intrinsic = cf.distance_comparison_check(chart, path)
+            worst = min(worst, length - log_ratio)
+            if intrinsic is not None:
+                worst = min(worst, length - intrinsic)
     return ge(name, worst, -1e-6)
 
 
@@ -150,7 +168,9 @@ def vectorfield_identity_check(name, geom, integrand, field):
     ``field``: at most 1e-6 on a flat chart and 1e-2 max(1, |interior|) on
     a curved one; reported only where the chart is not phi-stationary,
     since the identity is not expected to hold there."""
-    resid, interior, boundary, stat = va.vectorfield_first_variation(geom, integrand, field)
+    interior, boundary = va.vectorfield_first_variation(geom, integrand, field)
+    resid = abs(interior - boundary)
+    stat = va.is_phi_stationary(geom, integrand)
     detail = {"interior": interior, "boundary": boundary, "stationary": stat}
     if not stat:
         return Check(name, resid, None, True,
@@ -165,12 +185,16 @@ def isoperimetric_margin_check(name, geom, integrand, rho):
     the ball of radius ``rho``; the detail holds both sides.  Reported only
     where the chart is not phi-stationary, since the comparison is claimed
     for stationary pieces alone."""
-    chk = va.isoperimetric_check(geom, integrand, rho)
-    if not chk.stationary:
-        return Check(name, float(chk.margin), None, True,
-                     {**chk.as_dict(), "warning": "chart is not phi-stationary; the "
-                                                  "comparison is not expected to hold"})
-    return ge(name, chk.margin, 0.0, **chk.as_dict())
+    area, boundary, bound = va.isoperimetric_check(geom, integrand, rho)
+    margin = bound - area
+    stat = va.is_phi_stationary(geom, integrand)
+    detail = {"area": area, "boundary_measure": boundary, "bound": bound,
+              "margin": margin, "stationary": stat}
+    if not stat:
+        return Check(name, float(margin), None, True,
+                     {**detail, "warning": "chart is not phi-stationary; the "
+                                           "comparison is not expected to hold"})
+    return ge(name, margin, 0.0, **detail)
 
 
 def rederivation_checks(table):
@@ -180,24 +204,55 @@ def rederivation_checks(table):
                constant=e.value, expression=e.expression) for e in table.entries.values()]
 
 
+def integrand_checks(integrand, rep, rng):
+    """Records of an integrand job: the homogeneity, Euler relation and
+    radial degeneracy residuals of the closed forms on 1000 unit vectors
+    drawn from ``rng``, the closed gradient and Hessian against
+    `integrand.fd_gradient` and `fd_hessian` at the first of them, and phi
+    positive on the sphere grid of ``rep`` (`integrand.analyze`)."""
+    v = rng.normal(size=(1000, integrand.dim))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    phi = integrand.value(v)
+    euler = np.einsum("pi,pi->p", integrand.gradient(v), v) - phi
+    radial = np.einsum("pde,pe->pd", integrand.hessian(v), v)
+    w = v[0]
+
+    def fd_rel(fd, exact):
+        return float(np.abs(fd - exact).max() / max(1.0, np.abs(exact).max()))
+
+    return [
+        le("homogeneity residual",
+           float(np.abs(integrand.value(2.0 * v) - 2.0 * phi).max()), 1e-12),
+        le("Euler relation residual", float(np.abs(euler).max()), 1e-10),
+        le("radial degeneracy residual", float(np.abs(radial).max()), 1e-8),
+        le("finite-difference gradient (rel)",
+           fd_rel(ig.fd_gradient(integrand.value, w), integrand.gradient(w)), 1e-6),
+        le("finite-difference Hessian (rel)",
+           fd_rel(ig.fd_hessian(integrand.value, w), integrand.hessian(w)), 1e-6),
+        Check("phi positive on grid", rep.phi_min, 0.0, rep.phi_min > 0.0),
+    ]
+
+
 def bubble_checks(model, prof):
     """Warped-bubble records of one model with its band profiles ``prof``
     (`mubble.build_phi_h`): the spectral witness residual, the slope
     condition under the model's phi slope and under the Lipschitz budget,
-    and the four conclusion margins of the minimizer of A.  Returns the
-    records and the minimizer."""
+    and the four conclusion margins of the minimizer of A: 8 pi/lambda and
+    2 pi/sqrt(lambda) less its boundary area and diameter, 5 pi/sqrt(lambda)
+    less its t0, and A at the reference t_mid less A at the minimizer.
+    Returns the records and the minimizer."""
     records = [le("witness residual", mb.supersolution_residual(model), 1e-6)]
     m_model, cfg = mb.check_h_condition(prof, "model")
     m_budget, _ = mb.check_h_condition(prof, "budget")
     records.append(ge("slope condition margin (model lip)", m_model, -1e-10, **cfg))
     records.append(ge("slope condition margin (lip budget)", m_budget, -1e-10))
     sol = mb.minimize_A(model, prof)
-    concl = mb.verify_conclusions(sol)
-    records += [ge("boundary area margin", concl.area_margin, -1e-8,
-                   solution=sol.as_dict()),
-                ge("diameter margin", concl.diameter_margin, -1e-8),
-                ge("containment margin", concl.containment_margin, -1e-8),
-                ge("minimality certificate", concl.minimality_slack, -1e-8)]
+    root = math.sqrt(sol.lam)
+    records += [ge("boundary area margin", 8.0 * math.pi / sol.lam - sol.boundary_area,
+                   -1e-8, solution=sol.as_dict()),
+                ge("diameter margin", 2.0 * math.pi / root - sol.boundary_diameter, -1e-8),
+                ge("containment margin", 5.0 * math.pi / root - sol.t0, -1e-8),
+                ge("minimality certificate", sol.value_at_reference - sol.value, -1e-8)]
     return records, sol
 
 
@@ -380,12 +435,12 @@ def criterion_vectorfield_isoperimetric():
         resids = []
         for res in pair:
             g = geo.sample_chart(chart, res)
-            r, interior, _, stat = va.vectorfield_first_variation(
+            interior, boundary = va.vectorfield_first_variation(
                 g, integ, va.VectorField.position())
-            resids.append(r)
+            resids.append(abs(interior - boundary))
         order = refinement_order(resids[0], resids[1], 1e-12)
         recs.append(ge(f"{label} position-field residual order", order, ORDER_MIN,
-                       residuals=resids, stationary=stat))
+                       residuals=resids, stationary=va.is_phi_stationary(g, integ)))
     # flat-ball isoperimetric instance with closed-form sides
     s0 = 0.05
     ball = geo.sample_chart(
@@ -430,11 +485,9 @@ def criterion_conformal(seed=iq.SEED):
     plane0 = geo.Hyperplane(2, offset=0.0, polar=True, box=[(0.5, 3.0), (0, 2 * math.pi)])
     s = np.linspace(1.0, math.e, 4001)
     ray = np.stack([s, np.zeros_like(s)], axis=-1)
-    chk = cf.distance_comparison_check(plane0, ray)
-    recs.append(le("radial ray equality |D - log ratio|",
-                   abs(chk.length - chk.log_ratio), 1e-8))
-    recs.append(le("radial ray intrinsic equality",
-                   abs(chk.length - chk.intrinsic_log_ratio), 1e-8))
+    length, log_ratio, intrinsic = cf.distance_comparison_check(plane0, ray)
+    recs.append(le("radial ray equality |D - log ratio|", abs(length - log_ratio), 1e-8))
+    recs.append(le("radial ray intrinsic equality", abs(length - intrinsic), 1e-8))
     charts = [geo.Sphere(3, radius=1.5, center=[0.2, 0, 0, 0]),
               geo.catalog(3)["cone"], plane0]
     recs.append(distance_margin_check("random path comparison worst margin", charts,

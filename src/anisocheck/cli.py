@@ -32,7 +32,7 @@ from . import mubble as mb
 from . import schema as sch
 from . import table as tb
 from . import variation as va
-from .checks import Check, ladder, le
+from .checks import ladder
 
 
 def _write_csv(out_dir, name, header, rows):
@@ -81,28 +81,7 @@ def _run_constants(inputs, seed, out_dir):
 def _run_integrand(inputs, seed, out_dir):
     integ = sch.build_integrand(inputs["integrand"])
     rep = ig.analyze(integ, int(inputs["resolution"]))
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=(1000, integ.dim))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    hom = float(np.abs(integ.value(2.0 * v) - 2.0 * integ.value(v)).max())
-    euler = float(np.abs(np.einsum("pi,pi->p", integ.gradient(v), v)
-                         - integ.value(v)).max())
-    radial = float(np.abs(np.einsum("pde,pe->pd", integ.hessian(v), v)).max())
-    w = v[0]
-
-    def fd_rel(fd, exact):
-        return float(np.abs(fd - exact).max() / max(1.0, np.abs(exact).max()))
-
-    records = [
-        le("homogeneity residual", hom, 1e-12),
-        le("Euler relation residual", euler, 1e-10),
-        le("radial degeneracy residual", radial, 1e-8),
-        le("finite-difference gradient (rel)",
-           fd_rel(ig.fd_gradient(integ.value, w), integ.gradient(w)), 1e-6),
-        le("finite-difference Hessian (rel)",
-           fd_rel(ig.fd_hessian(integ.value, w), integ.hessian(w)), 1e-6),
-        Check("phi positive on grid", rep.phi_min, 0.0, rep.phi_min > 0.0),
-    ]
+    records = ac.integrand_checks(integ, rep, np.random.default_rng(seed))
     return records, {"report": rep.as_dict(), "describe": integ.describe()}
 
 

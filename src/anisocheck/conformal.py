@@ -4,9 +4,9 @@ On a chart avoiding the ambient origin, the metric is rescaled by the
 inverse squared distance to the origin.  The module computes the deformed
 scalar curvature through the conformal transformation law, evaluates the
 associated spectral quadratic form two independent ways, estimates the
-bottom Dirichlet eigenvalue of -Lap~ + R~/2, and checks the log-distance
-comparison along curves (g~-length controls ratios of r and of the
-intrinsic radius).
+bottom Dirichlet eigenvalue of -Lap~ + R~/2, and evaluates both sides of
+the log-distance comparison along curves (g~-length controls ratios of r
+and of the intrinsic radius); `acceptance` judges the numbers.
 
 The deformed metric is dilation-invariant about the origin, which the
 catalog cone chart makes directly testable.
@@ -56,16 +56,9 @@ def deform(geom):
     return ConformalGeometry(base=geom, w=w, R_tilde=R_tilde)
 
 
-@dataclass
-class QFormCheck:
-    direct: float
-    derived: float
-    discrepancy: float
-    lam: float
-
-
 def qform_identity_check(cgeom, phi, lam):
-    """Two-way evaluation of the deformed spectral quadratic form.
+    """(direct, derived): two evaluations of the deformed spectral quadratic
+    form,
 
     direct:  Q~(phi) = int |grad~ (w^{(2-n)/2} phi)|^2_g~
                        + (R~/2 - lam) (w^{(2-n)/2} phi)^2 dmu~
@@ -91,8 +84,7 @@ def qform_identity_check(cgeom, phi, lam):
     derived = geom.integrate(geom.grad_norm_sq(phi)
                              + 0.5 * geom.scalar_curvature * phi**2
                              + potential * phi**2)
-    return QFormCheck(direct=direct, derived=derived,
-                      discrepancy=abs(direct - derived), lam=lam)
+    return direct, derived
 
 
 def lambda1_estimate(cgeom):
@@ -130,32 +122,22 @@ def curve_gtilde_length(chart, curve_params):
     return float(np.sum((speed(a) + 4.0 * speed(mid) + speed(b)) / 6.0))
 
 
-@dataclass
-class DistanceComparison:
-    length: float
-    log_ratio: float
-    margin: float
-    intrinsic_log_ratio: float | None
-    intrinsic_margin: float | None
-
-
 def distance_comparison_check(chart, curve_params):
-    """Margins of the comparison |log r(p) - log r(q)| <= g~-length, and of
-    the intrinsic-radius variant on charts exposing an exact intrinsic
-    distance to the origin preimage (radial charts)."""
+    """(length, log ratio, intrinsic log ratio) of the comparison
+    |log r(p) - log r(q)| <= g~-length between the ends p, q of a curve;
+    the intrinsic log ratio, of the intrinsic radius in place of r, is None
+    except on charts exposing an exact intrinsic distance to the origin
+    preimage (radial charts)."""
     pts = np.asarray(curve_params, dtype=float)
     D = curve_gtilde_length(chart, pts)
     ends = chart.frame(pts[[0, -1]])[0]
     r0, r1 = np.linalg.norm(ends, axis=-1)
     log_ratio = abs(float(np.log(r1) - np.log(r0)))
     intrinsic = None
-    imargin = None
     if getattr(chart, "supports_intrinsic_radius", False):
         rb = chart.intrinsic_radius(pts[[0, -1]])
         intrinsic = abs(float(np.log(rb[1]) - np.log(rb[0])))
-        imargin = D - intrinsic
-    return DistanceComparison(length=D, log_ratio=log_ratio, margin=D - log_ratio,
-                              intrinsic_log_ratio=intrinsic, intrinsic_margin=imargin)
+    return D, log_ratio, intrinsic
 
 
 def cauchy_schwarz_step_check(geom, beta):

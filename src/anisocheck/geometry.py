@@ -702,10 +702,6 @@ class Sphere(Revolution):
         X, J, d2, nu = super().frame(u)
         return self.center + X, J, d2, nu
 
-    def dilate(self, factor):
-        return Sphere(self.n, radius=factor * self.radius, center=factor * self.center,
-                      box=self.box)
-
 
 class Cylinder(Revolution):
     """Product of a round sphere of radius ``a`` with a line segment."""

@@ -304,15 +304,6 @@ def pinch_bounds(integrand, sphere_grid_resolution=SPHERE_RESOLUTION):
     return float(eigs[:, 0].min()), float(eigs[:, -1].max())
 
 
-def stability_lambda(integrand, sphere_grid_resolution=SPHERE_RESOLUTION):
-    """Ellipticity ratio Lambda = a_min / a_max; equals 1 for the area
-    integrand and is >= 1/sqrt(2) whenever the pinch window holds."""
-    a_min, a_max = pinch_bounds(integrand, sphere_grid_resolution)
-    if a_min <= 0:
-        raise ValueError("integrand is not convex on the sampled grid (a_min <= 0)")
-    return a_min / a_max
-
-
 def c1_norm(integrand, sphere_grid_resolution=SPHERE_RESOLUTION):
     """Grid maximum over the sphere of sqrt(phi^2 + |D phi|^2), with the
     full ambient gradient D phi."""

@@ -383,20 +383,3 @@ def minimize_A(model, prof):
         boundary_diameter=math.pi * f0, value=float(value(t0)),
         stationarity_residual=resid, boundary_minimizer=on_edge,
         value_at_reference=float(value(mid)), lam=prof.lam)
-
-
-@dataclass
-class ConclusionMargins:
-    area_margin: float        # 8 pi / lam - boundary area
-    diameter_margin: float    # 2 pi / sqrt(lam) - boundary diameter
-    containment_margin: float  # 5 pi / sqrt(lam) - t0
-    minimality_slack: float   # A(reference) - A(minimizer)
-
-
-def verify_conclusions(solution):
-    lam = solution.lam
-    return ConclusionMargins(
-        area_margin=8.0 * math.pi / lam - solution.boundary_area,
-        diameter_margin=2.0 * math.pi / math.sqrt(lam) - solution.boundary_diameter,
-        containment_margin=5.0 * math.pi / math.sqrt(lam) - solution.t0,
-        minimality_slack=solution.value_at_reference - solution.value)

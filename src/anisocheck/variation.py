@@ -1,9 +1,10 @@
 """First and second variation of the anisotropic area functional.
 
 The functional is the integral of phi(nu) over a sampled chart.  Closed
-formulas are validated here against finite-difference oracles obtained by
+formulas are paired here with finite-difference oracles obtained by
 perturbing the immersion along its normal, resampling every geometric
-field from node positions alone, and differencing the functional.
+field from node positions alone, and differencing the functional; each
+checker returns both numbers and `acceptance` judges them.
 
 Key formulas (with S = grad(nu), H = tr S, Psi(nu) = D^2 phi(nu)):
 
@@ -140,19 +141,6 @@ def _check_compact_support(geom, u):
 # -- finite-difference variation oracles --------------------------------------
 
 
-@dataclass
-class VariationCheck:
-    fd_value: float
-    formula_value: float
-    discrepancy: float
-    rel_discrepancy: float
-    scale: float
-    step: float
-
-    def as_dict(self):
-        return self.__dict__.copy()
-
-
 class NormalOracle:
     """Resample-and-difference oracle for normal variations of one sampled
     geometry.
@@ -211,20 +199,10 @@ class NormalOracle:
         return (4.0 * second(t / 2.0) - second(t)) / 3.0
 
 
-def _compare(fd, formula, geom, integrand, step):
-    """The relative discrepancy is measured against |formula| +
-    phi_area/10, an absolute floor that keeps the ratio meaningful when the
-    exact value vanishes identically (stationary charts)."""
-    scale = abs(phi_area(geom, integrand))
-    disc = abs(fd - formula)
-    rel = disc / (abs(formula) + 0.1 * scale)
-    return VariationCheck(fd_value=fd, formula_value=formula, discrepancy=disc,
-                          rel_discrepancy=rel, scale=scale, step=step)
-
-
 def first_variation_check(oracle, integrand, speed, hphi=None):
-    """Central difference of the functional under X -> X + t u nu versus
-    the closed formula int H_phi u dmu (Richardson across t and t/2).
+    """(fd, formula): the central difference of the functional under
+    X -> X + t u nu (Richardson across t and t/2) and the closed formula
+    int H_phi u dmu.
 
     ``oracle`` is a :class:`NormalOracle` and ``speed`` one of its speed
     names; ``hphi`` is aniso_mean_curvature of the oracle's geometry when
@@ -234,8 +212,7 @@ def first_variation_check(oracle, integrand, speed, hphi=None):
     if hphi is None:
         hphi = aniso_mean_curvature(geom, integrand)
     formula = geom.integrate(hphi * oracle.speeds[speed])
-    return _compare(oracle.first_difference(integrand, speed), formula, geom,
-                    integrand, oracle.step)
+    return oracle.first_difference(integrand, speed), formula
 
 
 def _second_variation_density(geom, integrand):
@@ -256,16 +233,12 @@ def second_variation_form(geom, integrand, u):
     return geom.integrate(np.einsum("...a,...ab,...b->...", du, C, du) + V * u * u)
 
 
-def second_variation_check(oracle, integrand, speed, hphi=None):
-    """Second central difference of the functional versus the assembled
-    quadratic form; only meaningful on phi-stationary charts (flagged).
-    Arguments as for :func:`first_variation_check`."""
-    geom = oracle.geom
-    formula = second_variation_form(geom, integrand, oracle.speeds[speed])
-    chk = _compare(oracle.second_difference(integrand, speed), formula, geom,
-                   integrand, oracle.step)
-    chk.stationary = is_phi_stationary(geom, integrand, hphi)
-    return chk
+def second_variation_check(oracle, integrand, speed):
+    """(fd, formula): the second central difference of the functional and
+    the assembled quadratic form, which it matches on phi-stationary charts
+    only.  Arguments as for :func:`first_variation_check`."""
+    formula = second_variation_form(oracle.geom, integrand, oracle.speeds[speed])
+    return oracle.second_difference(integrand, speed), formula
 
 
 # -- vector fields and the stationary identity --------------------------------
@@ -309,14 +282,13 @@ class VectorField:
 
 
 def vectorfield_first_variation(geom, integrand, field):
-    """Residual of the stationary first-variation identity for an ambient
-    field X:
+    """(interior, boundary): the two sides of the stationary first-variation
+    identity for an ambient field X,
 
         int_M phi(nu) div_M X + D_{Dphi(nu)^T} X . nu
-            = int_dM phi(nu) X.eta + (X.nu) Dphi(nu).eta.
+            = int_dM phi(nu) X.eta + (X.nu) Dphi(nu).eta,
 
-    Returns (residual, interior_value, boundary_value, stationary_flag);
-    the identity is only expected to hold when max |H_phi| is small.
+    which holds on phi-stationary charts only.
     """
     phi = integrand.value(geom.nu)
     dphi = integrand.gradient(geom.nu)
@@ -337,25 +309,13 @@ def vectorfield_first_variation(geom, integrand, field):
         term += (np.einsum("...d,...d->...", Vf, face.nu)
                  * np.einsum("...d,...d->...", dphi_f, face.eta))
         boundary += face.integrate(term)
-    residual = abs(interior - boundary)
-    return residual, interior, boundary, is_phi_stationary(geom, integrand)
-
-
-@dataclass
-class IsoperimetricCheck:
-    area: float
-    boundary_measure: float
-    bound: float
-    margin: float
-    stationary: bool
-
-    def as_dict(self):
-        return self.__dict__.copy()
+    return interior, boundary
 
 
 def isoperimetric_check(geom, integrand, rho):
-    """Verify |M| <= rho ||phi||_C1 / (n min phi) |dM| for a chart whose
-    boundary sits inside the ball of radius rho about the origin."""
+    """(|M|, |dM|, bound): the two sides of |M| <= bound =
+    rho ||phi||_C1 / (n min phi) |dM| and the boundary measure, for a chart
+    whose boundary sits inside the ball of radius rho about the origin."""
     for face in geo.boundary_faces(geom):
         rr = np.linalg.norm(face.X, axis=-1)
         if float(rr.max()) > rho * (1 + 1e-9):
@@ -364,10 +324,7 @@ def isoperimetric_check(geom, integrand, rho):
     bd = geo.boundary_area(geom)
     c1 = ig.c1_norm(integrand)
     pmin = ig.min_phi(integrand)
-    bound = rho * c1 / (geom.n * pmin) * bd
-    return IsoperimetricCheck(area=area, boundary_measure=bd, bound=bound,
-                              margin=bound - area,
-                              stationary=is_phi_stationary(geom, integrand))
+    return area, bd, rho * c1 / (geom.n * pmin) * bd
 
 
 # -- Dirichlet spectrum --------------------------------------------------------
@@ -525,47 +482,3 @@ def stability_spectrum(geom, integrand):
     L^2(dmu) norm under Dirichlet conditions on the chart boundary."""
     C, V = _second_variation_density(geom, integrand)
     return dirichlet_spectrum(geom, C, V, np.ones(geom.shape))
-
-
-@dataclass
-class ReducedStabilityCheck:
-    reduced_value: float        # int |grad u|^2 - Lambda |A|^2 u^2
-    q_value: float
-    chain_margin: float         # a_max * reduced - Q >= 0 up to roundoff
-    min_slack_gradient: float   # <grad u, Psi grad u> - a_min |grad u|^2
-    min_slack_gradient_upper: float  # a_max |grad u|^2 - <grad u, Psi grad u>
-    min_slack_potential: float  # a_max |A|^2 - tr(Psi S^2)
-    min_slack_potential_lower: float  # tr(Psi S^2) - a_min |A|^2
-    lam: float
-
-
-def reduced_stability_check(geom, integrand, u):
-    """Pointwise and integrated consistency of the ellipticity chain
-
-        a_min |grad u|^2 <= <grad u, Psi grad u> <= a_max |grad u|^2,
-        a_min |A|^2 <= tr(Psi S^2) <= a_max |A|^2,
-
-    which gives Q(u) <= a_max (int |grad u|^2 - Lambda |A|^2 u^2) with
-    Lambda = a_min/a_max, so a nonnegative Q forces the reduced form to be
-    nonnegative as well.
-    """
-    _check_compact_support(geom, u)
-    a_min, a_max = ig.pinch_bounds(integrand)
-    lam = a_min / a_max
-    C, V = _second_variation_density(geom, integrand)
-    du = geom.param_gradient(u)
-    psi_grad = np.einsum("...a,...ab,...b->...", du, C, du)
-    grad2 = geom.grad_norm_sq(u)
-    psi_pot = -V
-    reduced = geom.integrate(grad2 - lam * geom.A2 * u * u)
-    q = geom.integrate(psi_grad - psi_pot * u * u)
-    return ReducedStabilityCheck(
-        reduced_value=reduced,
-        q_value=q,
-        chain_margin=a_max * reduced - q,
-        min_slack_gradient=float((psi_grad - a_min * grad2).min()),
-        min_slack_gradient_upper=float((a_max * grad2 - psi_grad).min()),
-        min_slack_potential=float((a_max * geom.A2 - psi_pot).min()),
-        min_slack_potential_lower=float((psi_pot - a_min * geom.A2).min()),
-        lam=lam,
-    )

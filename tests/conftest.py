@@ -19,25 +19,45 @@ def child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
-@pytest.fixture(scope="session")
-def run_all_cli(child_env):
-    """Runs ``anisocheck all --seed 1234`` into a directory in a child
-    process; returns (exit code, wall time in s, report.json as a dict)."""
-    def run(out_dir):
-        t0 = time.time()
-        proc = subprocess.run(
+class AllRun:
+    """One ``anisocheck all --seed 1234`` child process writing into
+    ``out_dir``, started when built."""
+
+    def __init__(self, out_dir, env):
+        self.out_dir = Path(out_dir)
+        self.start = time.time()
+        self.proc = subprocess.Popen(
             [sys.executable, "-m", "anisocheck.cli", "all", "--seed", "1234",
              "--out", str(out_dir)],
-            capture_output=True, text=True, timeout=900, env=child_env)
-        runtime = time.time() - t0
-        report = json.loads((Path(out_dir) / "report.json").read_text())
-        return proc.returncode, runtime, report
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+        self._result = None
 
-    return run
+    def result(self):
+        """(exit code, wall time in s up to the first wait that saw it end,
+        report.json as a dict); waits for the run to end."""
+        if self._result is None:
+            code = self.proc.wait(timeout=900)
+            runtime = time.time() - self.start
+            report = json.loads((self.out_dir / "report.json").read_text())
+            self._result = code, runtime, report
+        return self._result
 
 
 @pytest.fixture(scope="session")
-def all_run(tmp_path_factory, run_all_cli):
-    """One ``anisocheck all --seed 1234`` run shared by the tests that read
-    its report."""
-    return run_all_cli(tmp_path_factory.mktemp("all_run"))
+def all_runs(tmp_path_factory, child_env):
+    """Two ``anisocheck all --seed 1234`` runs, started side by side when a
+    test first asks for one: the first is the shared ``all_run``, the
+    second the run that criterion 10 compares with it."""
+    runs = [AllRun(tmp_path_factory.mktemp(f"all_run{k}"), child_env) for k in range(2)]
+    yield runs
+    for run in runs:
+        if run.proc.poll() is None:
+            run.proc.kill()
+            run.proc.wait()
+
+
+@pytest.fixture(scope="session")
+def all_run(all_runs):
+    """The ``all`` run shared by the tests that read its report: (exit
+    code, wall time in s, report.json as a dict)."""
+    return all_runs[0].result()

@@ -3,9 +3,9 @@
 One test per criterion; each reads the criterion's records, its runtime
 budget included, from the session's shared ``anisocheck all`` run, prints
 a single PASS/FAIL line and asserts every record at its pinned tolerance.
-The final test drives a second end-to-end CLI run and checks byte-level
-determinism (wall-clock runtime fields excluded), the ten-minute budget,
-and the exit status.
+The final test compares it with a second end-to-end CLI run, started
+beside it, and checks byte-level determinism (wall-clock runtime fields
+excluded), the ten-minute budget, and the exit status.
 """
 
 import json
@@ -92,9 +92,9 @@ def _strip_wallclock(obj):
     return obj
 
 
-def test_criterion_10_run_all_deterministic_and_timed(tmp_path, run_all_cli, all_run):
+def test_criterion_10_run_all_deterministic_and_timed(all_runs, all_run):
     # the shared session run is the first of the two runs
-    runs = [all_run, run_all_cli(tmp_path / "r2")]
+    runs = [all_run, all_runs[1].result()]
     codes = [code for code, _, _ in runs]
     runtimes = [runtime for _, runtime, _ in runs]
     reports = [report for _, _, report in runs]

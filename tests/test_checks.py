@@ -1,7 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import anisocheck
 from anisocheck.checks import ORDER_MIN, Check, ge, ladder, le, order_ok, refinement_order
 
 
@@ -60,3 +63,29 @@ def test_order_waiver_at_its_floor():
     assert order_ok(below, 1e-4, 1e-4)
     assert not order_ok(below, math.nextafter(1e-4, 1.0), 1e-4)
     assert order_ok(math.inf, 1.0, 1e-4)
+
+
+#: the modules that build check records: the record itself, the criteria
+#: and the builders every runner shares, and the sweeps' own -TOL records
+RECORD_MODULES = {"checks", "acceptance", "inequalities"}
+
+
+def record_modules(package_dir):
+    """Stems of the modules in ``package_dir`` that call Check, le or ge."""
+    out = set()
+    for path in Path(package_dir).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in ("Check", "le", "ge"):
+                    out.add(path.stem)
+    return out
+
+
+def test_only_acceptance_and_the_sweeps_build_records(tmp_path):
+    assert record_modules(Path(anisocheck.__file__).parent) == RECORD_MODULES
+    (tmp_path / "runner.py").write_text("from . import checks as ch\n\n\n"
+                                        "def run(x):\n    return [ch.le('x', x, 1.0)]\n")
+    (tmp_path / "numerics.py").write_text("def le(a, b):\n    return a <= b\n")
+    assert record_modules(tmp_path) == {"runner"}

@@ -55,13 +55,31 @@ def test_catenoids_minimal_by_finite_difference_oracle():
         assert np.abs(g.mean_curvature).max() <= 1e-12
 
 
+def _gauss_residual(R, shape_op, metric):
+    """max |R - 2 sum_{i<j} k_i k_j| over the nodes, k the principal
+    curvatures: an eigenvalue route, independent of the traces that
+    `curvature_scalars` takes."""
+    ks = principal_curvatures(shape_op, metric)
+    n = ks.shape[-1]
+    sigma2 = sum(ks[..., i] * ks[..., j] for i in range(n) for j in range(i + 1, n))
+    return float(np.abs(R - 2.0 * sigma2).max())
+
+
 def test_gauss_identity_on_catalog():
     for n in (2, 3):
         for name, chart in geo.catalog(n).items():
             g = geo.sample_chart(chart, 9)
-            resid = np.abs(g.scalar_curvature
-                           - (g.mean_curvature**2 - g.A2)).max()
-            assert resid <= 1e-8, name
+            assert _gauss_residual(g.scalar_curvature, g.shape_op, g.metric) <= 1e-12, name
+            # closed forms at radius 1: n(n-1) on the sphere, (n-1)(n-2) on
+            # the cylinder S^(n-1) x R, 0 on the hyperplane
+            exact = {"sphere": n * (n - 1), "cylinder": (n - 1) * (n - 2), "hyperplane": 0}
+            if name in exact:
+                assert np.abs(g.scalar_curvature - exact[name]).max() <= 1e-10, name
+    # negative control: R from a shape operator shifted by 1e-6 fails both
+    g = geo.sample_chart(geo.catalog(3)["sphere"], 9)
+    shifted = geo.curvature_scalars(g.shape_op + 1e-6 * np.eye(3))[2]
+    assert _gauss_residual(shifted, g.shape_op, g.metric) > 1e-12
+    assert np.abs(shifted - 6.0).max() > 1e-10
 
 
 def test_gauss_scalar_examples():

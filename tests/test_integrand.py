@@ -127,13 +127,13 @@ def test_unnormalized_mild_quadratic_needs_scaling():
 
 def test_stability_lambda_scale_invariant():
     quad = ig.Integrand.quadratic(np.diag([1.0, 1.0, 1.0, 4.0]))
-    lam = ig.stability_lambda(quad, 9)
-    lam_scaled = ig.stability_lambda(ig.Integrand.quadratic(3.7**2 * quad.matrix), 9)
+    lam = ig.analyze(quad, 9).stability_lambda
+    lam_scaled = ig.analyze(ig.Integrand.quadratic(3.7**2 * quad.matrix), 9).stability_lambda
     assert lam_scaled == pytest.approx(lam, rel=1e-12)
     pert = ig.Integrand.perturbed(4, 0.05, "quartic_saddle")
     small = ig.Integrand("perturbed", 4, epsilon=0.05, profile="quartic_saddle", scale=0.2)
-    assert ig.stability_lambda(small, 9) == pytest.approx(
-        ig.stability_lambda(pert, 9), rel=1e-12)
+    assert ig.analyze(small, 9).stability_lambda == pytest.approx(
+        ig.analyze(pert, 9).stability_lambda, rel=1e-12)
 
 
 def test_catalog_pinched_integrands_have_large_lambda():

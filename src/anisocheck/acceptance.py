@@ -38,7 +38,7 @@ from . import inequalities as iq
 from . import integrand as ig
 from . import mubble as mb
 from . import variation as va
-from .checks import ORDER_MIN, Check, ge, ladder, le, order_ok, refinement_order
+from .checks import Check, ge, ladder, le, order_check
 
 SQRT2 = math.sqrt(2.0)
 
@@ -88,28 +88,24 @@ def variation_records(oracle, integrand, hphi, kinds):
 
 
 def qform_order_check(name, cgeoms, lam):
-    """Refinement order of the two-way quadratic-form discrepancy on the
+    """The order rule on the two-way quadratic-form discrepancy on the
     centered bump, over the deformed samples ``cgeoms`` of one chart from
-    coarse to fine (any iterable, so a generator samples one at a time).
-    The order is taken on the finest pair; it is waived when the finest
-    discrepancy relative to max(1, |derived|) sits at ORDER_FLOOR_REL."""
+    coarse to fine (any iterable, so a generator samples one at a time);
+    waived when the finest discrepancy relative to max(1, |derived|) sits
+    at ORDER_FLOOR_REL."""
     discs = []
     for cg in cgeoms:
         phi = va.bump_function(cg.base, "centered")
         direct, derived = cf.qform_identity_check(cg, phi, lam)
         discs.append(abs(direct - derived))
-    order = refinement_order(discs[-2], discs[-1], 1e-11)
-    ok = order_ok(order, discs[-1] / max(1.0, abs(derived)), ORDER_FLOOR_REL)
-    return Check(name, order, ORDER_MIN, ok, {"discrepancies": discs})
+    return order_check(name, discs, 1e-11, discs[-1] / max(1.0, abs(derived)),
+                       ORDER_FLOOR_REL)
 
 
 def laplace_r_order_check(name, geoms):
-    """Refinement order of the radial Laplacian identity residual over the
-    samples ``geoms`` of one chart from coarse to fine (any iterable);
-    taken on the finest pair."""
-    resids = [geo.laplace_r_check(g) for g in geoms]
-    return ge(name, refinement_order(resids[-2], resids[-1], 1e-12), ORDER_MIN,
-              residuals=resids)
+    """The order rule on the radial Laplacian identity residual over the
+    samples ``geoms`` of one chart from coarse to fine (any iterable)."""
+    return order_check(name, [geo.laplace_r_check(g) for g in geoms], 1e-12)
 
 
 def distance_margin_check(name, charts, rng, batches, points, samples):
@@ -340,16 +336,28 @@ def criterion_kato(seed=iq.SEED):
     recs = list(rep.records)
     m = iq.kato_point("xy", [0.37, -0.61, 0.11])
     recs.append(le("xy closed form margin = 1/2", abs(m - 0.5), 1e-12))
+    recs.append(le("Laplacian of each table is zero (max |coefficient|)",
+                   max((abs(c) for poly in iq.KATO_CATALOG.values()
+                        for c in iq.laplacian(poly).values()), default=0), 0.0))
     return recs
 
 
 # -- criterion 5: first/second variation vs oracles -------------------------------
 
 
+#: noise floor of the order waiver of each variation kind: the
+#: second-difference oracle has a higher one (t^4 times the fourth
+#: time-derivative of the functional)
+VARIATION_ORDER_FLOORS = {"first": ORDER_FLOOR_REL, "second": 5e-4}
+
+
 def variation_consistency_cases():
     """All (catalog chart x catalog integrand x bump) discrepancy pairs by
     kind: ``first`` for every combination, ``second`` for the
-    phi-stationary ones, where the second-variation formula applies.
+    phi-stationary ones, where the second-variation formula applies.  Each
+    case is its order record, waived at the floor of
+    :data:`VARIATION_ORDER_FLOORS`, whose detail names the case and holds
+    the relative discrepancy ``rel`` of its finest level.
 
     Each chart is sampled once per resolution, and one oracle per sample
     serves every integrand, bump and both kinds, so each perturbed
@@ -372,25 +380,19 @@ def variation_consistency_cases():
                           for o, h in zip(oracles, hphis)]
                 for (kind, bump), fine in levels[-1].items():
                     discs = [recs[kind, bump].detail["discrepancy"] for recs in levels]
-                    order = refinement_order(discs[0], discs[1], 1e-11)
-                    cases[kind].append({"n": n, "chart": cname, "integrand": iname,
-                                        "bump": bump, "rel": fine.value,
-                                        "order": order, "discrepancies": discs})
+                    cases[kind].append(order_check(
+                        f"{kind} variation order [{cname} x {iname} x {bump}]", discs,
+                        1e-11, fine.value, VARIATION_ORDER_FLOORS[kind], n=n, chart=cname,
+                        integrand=iname, bump=bump, rel=fine.value))
     return cases
 
 
 def criterion_variation():
     recs = []
-    all_cases = variation_consistency_cases()
-    # the second-difference oracle has a higher noise floor (t^4 times the
-    # fourth time-derivative of the functional), so its order waiver sits
-    # at 5e-4 instead of 1e-4
-    for kind, floor in (("first", ORDER_FLOOR_REL), ("second", 5e-4)):
-        cases = all_cases[kind]
-        worst_rel = max(c["rel"] for c in cases)
-        violations = [c for c in cases
-                      if not (c["rel"] <= REL_TOL
-                              and order_ok(c["order"], c["rel"], floor))]
+    for kind, cases in variation_consistency_cases().items():
+        worst_rel = max(c.detail["rel"] for c in cases)
+        violations = [{**c.detail, "order": c.value} for c in cases
+                      if not (c.detail["rel"] <= REL_TOL and c.passed)]
         recs.append(le(f"{kind} variation worst relative discrepancy",
                        worst_rel, REL_TOL, cases=len(cases)))
         recs.append(Check(f"{kind} variation order rule violations",
@@ -421,9 +423,9 @@ def criterion_variation():
 def criterion_vectorfield_isoperimetric():
     recs = []
     plane0 = geo.sample_chart(geo.Hyperplane(3, offset=0.0, box=[(-1, 1)] * 3), 13)
-    fields = {"position": va.VectorField.position(),
-              "constant_e1": va.VectorField.constant([1.0, 0, 0, 0]),
-              "linear_diag": va.VectorField.linear(np.diag([1.0, 2.0, 0.5, 1.0]))}
+    fields = {"position": va.VectorField(np.eye(4)),
+              "constant_e1": va.VectorField(np.zeros((4, 4)), [1.0, 0, 0, 0]),
+              "linear_diag": va.VectorField(np.diag([1.0, 2.0, 0.5, 1.0]))}
     for iname, integ in ig.catalog(4).items():
         for fname, fld in fields.items():
             recs.append(vectorfield_identity_check(f"plane identity [{iname} x {fname}]",
@@ -436,11 +438,10 @@ def criterion_vectorfield_isoperimetric():
         for res in pair:
             g = geo.sample_chart(chart, res)
             interior, boundary = va.vectorfield_first_variation(
-                g, integ, va.VectorField.position())
+                g, integ, va.VectorField(np.eye(g.dim)))
             resids.append(abs(interior - boundary))
-        order = refinement_order(resids[0], resids[1], 1e-12)
-        recs.append(ge(f"{label} position-field residual order", order, ORDER_MIN,
-                       residuals=resids, stationary=va.is_phi_stationary(g, integ)))
+        recs.append(order_check(f"{label} position-field residual order", resids, 1e-12,
+                                stationary=va.is_phi_stationary(g, integ)))
     # flat-ball isoperimetric instance with closed-form sides
     s0 = 0.05
     ball = geo.sample_chart(

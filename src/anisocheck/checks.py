@@ -2,9 +2,8 @@
 
 Every verdict of the package (acceptance criteria, inequality sweeps, CLI
 runners) is a :class:`Check`.  Every grid refinement halves the step,
-r -> 2r - 1 (:func:`ladder`), refinement-order estimates all go through
-:func:`refinement_order`, and the noise-floor waiver of the order rule is
-:func:`order_ok`.
+r -> 2r - 1 (:func:`ladder`), and every refinement-order record, with the
+noise-floor waiver of the order rule, is an :func:`order_check`.
 """
 
 from __future__ import annotations
@@ -50,15 +49,18 @@ def ladder(res, levels):
     return tuple(2**k * (res - 1) + 1 for k in range(levels))
 
 
-def refinement_order(coarse, fine, zero):
-    """Observed order log2(coarse/fine) of a discrepancy between two grid
-    levels; inf when the fine discrepancy is at or below ``zero``."""
-    if fine <= zero:
-        return math.inf
-    return math.log2(max(coarse, 1e-300) / fine)
+def order_check(name, discrepancies, zero, rel=None, floor=None, /, **detail):
+    """The order rule on ``discrepancies`` of one quantity from coarse to
+    fine grid levels.
 
-
-def order_ok(order, rel, floor):
-    """The order rule: the order reaches ORDER_MIN, or the relative
-    discrepancy already sits at the noise ``floor`` where slopes are noise."""
-    return order >= ORDER_MIN or rel <= floor
+    The value is the observed order log2(coarse/fine) on the finest pair,
+    inf when the finest discrepancy is at or below ``zero``.  It passes
+    when the order reaches ORDER_MIN, or when the finest relative
+    discrepancy ``rel`` already sits at the noise ``floor``, where slopes
+    are noise (no waiver without a floor).  The detail holds the
+    discrepancies.
+    """
+    coarse, fine = discrepancies[-2:]
+    order = math.inf if fine <= zero else math.log2(max(coarse, 1e-300) / fine)
+    ok = order >= ORDER_MIN or (floor is not None and rel <= floor)
+    return Check(name, order, ORDER_MIN, ok, {"discrepancies": discrepancies, **detail})

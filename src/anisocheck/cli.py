@@ -107,8 +107,8 @@ def _run_variation(inputs, seed, out_dir):
                 extras["second_variation"] = "skipped: chart is not phi-stationary"
         records += ac.variation_records(oracle, integ, hphi, kinds).values()
     if "vectorfield" in tests:
-        records.append(ac.vectorfield_identity_check("vector-field identity residual",
-                                                     g, integ, va.VectorField.position()))
+        records.append(ac.vectorfield_identity_check(
+            "vector-field identity residual", g, integ, va.VectorField(np.eye(g.dim))))
     if "isoperimetric" in tests:
         rho = float(inputs["rho"])
         if rho <= 0.0:
@@ -210,7 +210,7 @@ def _run_verify(inputs, seed, out_dir):
         rep = sweeps[suite]()
         extras[suite] = rep.extras
         records += [r.prefixed(f"{suite}: ") for r in rep.records]
-        rows += [(suite, r.name, repr(r.value), repr(rep.tolerance), r.passed,
+        rows += [(suite, r.name, repr(r.value), repr(r.tolerance), r.passed,
                   json.dumps(r.detail["config"], sort_keys=True)) for r in rep.records]
     if out_dir:
         _write_csv(out_dir, "margins.csv",

@@ -103,9 +103,7 @@ def _sample_streams(count, dims, seed):
 
 @dataclass
 class SweepReport:
-    suite: str
     sample_count: int
-    tolerance: float
     records: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
@@ -206,7 +204,7 @@ def verify_quadratic_lemma(n_alpha, n_beta, n_angle):
     (m1, i1, j1, k1, m2, i2, j2, k2, maxr, ir, jr, krr, bad) = _quadratic_sweep(
         alphas, betas, coss, sins)
     count = int(np.sum(betas[None, :] >= alphas[:, None]) * n_angle)
-    rep = SweepReport(suite="quadratic_lemma", sample_count=count, tolerance=TOL)
+    rep = SweepReport(sample_count=count)
     rep.records.append(ge(
         "c0*Q2 - Q1", m1, -TOL,
         config={"alpha": float(alphas[i1]), "beta": float(betas[j1]),
@@ -326,7 +324,7 @@ def verify_curvature_pinch(samples=SAMPLES, seed=SEED):
     stream; a deterministic pass over the corner triples of [1, sqrt2]^3
     with a fine angle grid probes near-sharpness of c0.
     """
-    rep = SweepReport(suite="curvature_pinch", sample_count=samples, tolerance=TOL)
+    rep = SweepReport(sample_count=samples)
     max_ratio = -np.inf
     ratio_cfg = None
     max_cons = 0.0
@@ -413,7 +411,7 @@ def _ricci_sweep(ks, ys):
 def verify_ricci_bound(samples=SAMPLES, seed=SEED):
     """Certify Ric(y,y) >= -|A|^2/sqrt(2) over unit (k, y), including the
     closed-form equality witness k = (-sqrt2, 1, 1)/2, y = e1."""
-    rep = SweepReport(suite="ricci_bound", sample_count=samples, tolerance=TOL)
+    rep = SweepReport(sample_count=samples)
     for sampler, pts in _sample_streams(samples, 4, seed):
         ks = _unit_sphere_points(pts[:, 0], pts[:, 1])
         ys = _unit_sphere_points(pts[:, 2], pts[:, 3])
@@ -433,120 +431,65 @@ def verify_ricci_bound(samples=SAMPLES, seed=SEED):
 # -- improved Kato spot-check ----------------------------------------------------
 #
 # Harmonic polynomials u on flat R^3 satisfy
-# |Hess u|^2 >= (3/8) |grad u|^-2 |grad |grad u|^2|^2; derivatives are exact.
+# |Hess u|^2 >= (3/8) |grad u|^-2 |grad |grad u|^2|^2; their derivatives are exact,
+# by the power rule on coefficient tables.
 
-_KATO_CATALOG = {}
-
-
-def _register_kato(name, grad, hess):
-    _KATO_CATALOG[name] = (grad, hess)
-
-
-_register_kato(
-    "linear_x",
-    lambda p: np.stack([np.ones_like(p[..., 0]), np.zeros_like(p[..., 0]),
-                        np.zeros_like(p[..., 0])], axis=-1),
-    lambda p: np.zeros(p.shape + (3,)),
-)
+#: the catalog: each polynomial a table {(i, j, k): c} of its monomials c x^i y^j z^k
+KATO_CATALOG = {
+    "linear_x": {(1, 0, 0): 1},
+    "re_z3": {(3, 0, 0): 1, (1, 2, 0): -3},
+    "x2_minus_y2": {(2, 0, 0): 1, (0, 2, 0): -1},
+    "xy": {(1, 1, 0): 1},
+    "xyz": {(1, 1, 1): 1},
+    "z_x2_minus_y2": {(2, 0, 1): 1, (0, 2, 1): -1},
+}
 
 
-def _xy_grad(p):
-    return np.stack([p[..., 1], p[..., 0], np.zeros_like(p[..., 0])], axis=-1)
+def derivative(poly, axis):
+    """The power rule: the table of d poly / dx_axis."""
+    return {tuple(e - (a == axis) for a, e in enumerate(powers)): c * powers[axis]
+            for powers, c in poly.items() if powers[axis]}
 
 
-def _xy_hess(p):
-    h = np.zeros(p.shape + (3,))
-    h[..., 0, 1] = 1.0
-    h[..., 1, 0] = 1.0
-    return h
+def laplacian(poly):
+    """The table of the Laplacian of ``poly``: the power rule applied twice
+    per axis, summed (a harmonic table has only zero coefficients)."""
+    out = {}
+    for axis in range(3):
+        for powers, c in derivative(derivative(poly, axis), axis).items():
+            out[powers] = out.get(powers, 0) + c
+    return out
 
 
-_register_kato("xy", _xy_grad, _xy_hess)
+def poly_value(poly, p):
+    """``poly`` at points ``p`` (..., 3): its terms in table order, each the
+    coefficient times those of x^i, y^j and z^k with a nonzero power, in turn."""
+    out = np.zeros(p.shape[:-1])
+    for powers, c in poly.items():
+        term = c
+        for axis, e in enumerate(powers):
+            if e:
+                term = term * p[..., axis] ** e
+        out = out + term
+    return out
 
 
-def _x2y2_grad(p):
-    return np.stack([2 * p[..., 0], -2 * p[..., 1], np.zeros_like(p[..., 0])], axis=-1)
+def poly_gradient(poly, p):
+    """Gradient of ``poly`` at points ``p``, stacked last."""
+    return np.stack([poly_value(derivative(poly, a), p) for a in range(3)], axis=-1)
 
 
-def _x2y2_hess(p):
-    h = np.zeros(p.shape + (3,))
-    h[..., 0, 0] = 2.0
-    h[..., 1, 1] = -2.0
-    return h
-
-
-_register_kato("x2_minus_y2", _x2y2_grad, _x2y2_hess)
-
-
-def _xyz_grad(p):
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    return np.stack([y * z, x * z, x * y], axis=-1)
-
-
-def _xyz_hess(p):
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    h = np.zeros(p.shape + (3,))
-    h[..., 0, 1] = z
-    h[..., 1, 0] = z
-    h[..., 0, 2] = y
-    h[..., 2, 0] = y
-    h[..., 1, 2] = x
-    h[..., 2, 1] = x
-    return h
-
-
-_register_kato("xyz", _xyz_grad, _xyz_hess)
-
-
-def _zx2y2_grad(p):
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    return np.stack([2 * x * z, -2 * y * z, x * x - y * y], axis=-1)
-
-
-def _zx2y2_hess(p):
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    h = np.zeros(p.shape + (3,))
-    h[..., 0, 0] = 2 * z
-    h[..., 1, 1] = -2 * z
-    h[..., 0, 2] = 2 * x
-    h[..., 2, 0] = 2 * x
-    h[..., 1, 2] = -2 * y
-    h[..., 2, 1] = -2 * y
-    return h
-
-
-_register_kato("z_x2_minus_y2", _zx2y2_grad, _zx2y2_hess)
-
-
-def _rez3_grad(p):
-    x, y = p[..., 0], p[..., 1]
-    return np.stack([3 * (x * x - y * y), -6 * x * y, np.zeros_like(x)], axis=-1)
-
-
-def _rez3_hess(p):
-    x, y = p[..., 0], p[..., 1]
-    h = np.zeros(p.shape + (3,))
-    h[..., 0, 0] = 6 * x
-    h[..., 0, 1] = -6 * y
-    h[..., 1, 0] = -6 * y
-    h[..., 1, 1] = -6 * x
-    return h
-
-
-_register_kato("re_z3", _rez3_grad, _rez3_hess)
-
-
-def kato_catalog_names():
-    return sorted(_KATO_CATALOG)
+def poly_hessian(poly, p):
+    """Hessian of ``poly`` at points ``p``, in the last two axes."""
+    return np.stack([poly_gradient(derivative(poly, a), p) for a in range(3)], axis=-2)
 
 
 def kato_point(poly, point):
     """Margin |Hess u|^2 - (3/8)|grad u|^-2 |grad|grad u|^2|^2 at one point,
     or None when |grad u| is below 1e-8 (critical point skipped)."""
-    grad_fn, hess_fn = _KATO_CATALOG[poly]
     p = np.asarray(point, dtype=float)
-    g = grad_fn(p)
-    H = hess_fn(p)
+    g = poly_gradient(KATO_CATALOG[poly], p)
+    H = poly_hessian(KATO_CATALOG[poly], p)
     g2 = float(np.sum(g * g))
     if g2 < 1e-8**2:
         return None
@@ -560,14 +503,12 @@ def verify_kato(points=KATO_POINTS, seed=SEED):
     """Sweep the harmonic polynomial catalog on points of [-1, 1]^3 with
     exact derivatives (points with |grad u| below 1e-8 are skipped and
     counted)."""
-    rep = SweepReport(suite="kato_inequality", sample_count=points * len(_KATO_CATALOG),
-                      tolerance=TOL)
+    rep = SweepReport(sample_count=points * len(KATO_CATALOG))
     pts = 2.0 * np.concatenate([p for _, p in _sample_streams(points, 3, seed)]) - 1.0
     skipped = {}
-    for name in kato_catalog_names():
-        grad_fn, hess_fn = _KATO_CATALOG[name]
-        g = grad_fn(pts)
-        H = hess_fn(pts)
+    for name, poly in sorted(KATO_CATALOG.items()):
+        g = poly_gradient(poly, pts)
+        H = poly_hessian(poly, pts)
         g2 = np.sum(g * g, axis=-1)
         ok = g2 >= 1e-16
         skipped[name] = int(np.sum(~ok))

@@ -85,7 +85,6 @@ class WarpedModel:
     t: np.ndarray
     f: np.ndarray
     fp: np.ndarray
-    fpp: np.ndarray
     R: np.ndarray
     u: np.ndarray
     lam: float
@@ -175,7 +174,7 @@ def make_model(name, T, params=None, lam=None, n_grid=N_GRID):
     lam1, t, u = lambda1_sturm(name, params, T, n_grid=n_grid)
     ff, fpf, fppf, fpppf = _profile_functions(name, params)
     f, fp, fpp = ff(t), fpf(t), fppf(t)
-    return WarpedModel(name=name, T=float(T), t=t, f=f, fp=fp, fpp=fpp,
+    return WarpedModel(name=name, T=float(T), t=t, f=f, fp=fp,
                        R=scalar_curvature_profile(f, fp, fpp, fpppf(t)), u=u,
                        lam=float(lam1 if lam is None else lam), lambda1=float(lam1),
                        params=params)

@@ -245,40 +245,14 @@ def second_variation_check(oracle, integrand, speed):
 
 
 class VectorField:
-    """Ambient vector field with closed-form Jacobian."""
+    """Affine ambient vector field V(x) = A x + b; its Jacobian is A."""
 
-    def __init__(self, kind, data=None):
-        self.kind = kind
-        self.data = data
-
-    @staticmethod
-    def position():
-        return VectorField("position")
-
-    @staticmethod
-    def constant(direction):
-        return VectorField("constant", np.asarray(direction, dtype=float))
-
-    @staticmethod
-    def linear(matrix):
-        return VectorField("linear", np.asarray(matrix, dtype=float))
+    def __init__(self, A, b=0.0):
+        self.A = np.asarray(A, dtype=float)
+        self.b = np.asarray(b, dtype=float)
 
     def value(self, x):
-        if self.kind == "position":
-            return x
-        if self.kind == "constant":
-            return np.broadcast_to(self.data, x.shape).copy()
-        return np.einsum("ij,...j->...i", self.data, x)
-
-    def jacobian(self, x):
-        d = x.shape[-1]
-        if self.kind == "position":
-            J = np.eye(d)
-        elif self.kind == "constant":
-            J = np.zeros((d, d))
-        else:
-            J = self.data
-        return np.broadcast_to(J, x.shape + (d,)).copy()
+        return np.einsum("ij,...j->...i", self.A, x) + self.b
 
 
 def vectorfield_first_variation(geom, integrand, field):
@@ -293,8 +267,7 @@ def vectorfield_first_variation(geom, integrand, field):
     phi = integrand.value(geom.nu)
     dphi = integrand.gradient(geom.nu)
     dphi_tan = dphi - np.einsum("...d,...d->...", dphi, geom.nu)[..., None] * geom.nu
-    V = field.value(geom.X)
-    DV = field.jacobian(geom.X)
+    DV = field.A
     div_m = np.einsum("...ab,...ba->...", geom.metric_inv, _pullback(geom.jac, DV))
     directional = np.einsum("...de,...e->...d", DV, dphi_tan)
     normal_part = np.einsum("...d,...d->...", directional, geom.nu)

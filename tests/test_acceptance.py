@@ -214,3 +214,16 @@ def test_curvature_argmin_record_catches_a_shifted_witness(monkeypatch):
     monkeypatch.setattr(iq, "verify_curvature_pinch", shifted)
     rec = record()
     assert not rec.passed and rec.value > 1e-12
+
+
+def test_kato_harmonicity_record_catches_a_perturbed_table(monkeypatch):
+    # re(z^3) = x^3 - 3 x y^2 with -3 changed to -2.9 has Laplacian 0.2 x
+    def record():
+        (rec,) = [r for r in ac.criterion_kato()
+                  if r.name == "Laplacian of each table is zero (max |coefficient|)"]
+        return rec
+
+    assert record().passed and record().value == 0.0
+    monkeypatch.setitem(iq.KATO_CATALOG, "re_z3", {(3, 0, 0): 1, (1, 2, 0): -2.9})
+    rec = record()
+    assert not rec.passed and abs(rec.value - 0.2) <= 1e-12

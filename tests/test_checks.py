@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import anisocheck
-from anisocheck.checks import ORDER_MIN, Check, ge, ladder, le, order_ok, refinement_order
+from anisocheck.checks import ORDER_MIN, Check, ge, ladder, le, order_check
 
 
 def test_check_as_dict_keys():
@@ -35,11 +35,15 @@ def test_prefixed_keeps_everything_but_the_name():
         rec.value, rec.tolerance, rec.passed, rec.detail)
 
 
+def order(coarse, fine, zero):
+    return order_check("o", [coarse, fine], zero).value
+
+
 def test_refinement_order_is_inf_at_or_below_zero():
-    assert refinement_order(1e-3, 1e-11, 1e-11) == math.inf
-    assert refinement_order(1e-3, 5e-12, 1e-11) == math.inf
-    assert refinement_order(1e-3, 0.0, 1e-12) == math.inf
-    assert math.isfinite(refinement_order(1e-3, 2e-11, 1e-11))
+    assert order(1e-3, 1e-11, 1e-11) == math.inf
+    assert order(1e-3, 5e-12, 1e-11) == math.inf
+    assert order(1e-3, 0.0, 1e-12) == math.inf
+    assert math.isfinite(order(1e-3, 2e-11, 1e-11))
 
 
 def test_ladder_halves_the_step():
@@ -49,20 +53,33 @@ def test_ladder_halves_the_step():
 
 
 def test_refinement_order_exact_log2_and_zero_guard():
-    assert refinement_order(8e-4, 1e-4, 1e-12) == 3.0
-    assert refinement_order(1e-4, 4e-4, 1e-12) == -2.0
+    assert order(8e-4, 1e-4, 1e-12) == 3.0
+    assert order(1e-4, 4e-4, 1e-12) == -2.0
     # a vanishing coarse discrepancy is clamped at 1e-300 instead of log2(0)
-    assert refinement_order(0.0, 1e-6, 1e-12) == pytest.approx(math.log2(1e-294),
-                                                               rel=1e-15)
+    assert order(0.0, 1e-6, 1e-12) == pytest.approx(math.log2(1e-294), rel=1e-15)
+    # the order is taken on the finest pair, and the detail keeps every level
+    rec = order_check("o", [1.0, 8e-4, 1e-4], 1e-12, stationary=True)
+    assert (rec.name, rec.value, rec.tolerance, rec.passed) == ("o", 3.0, ORDER_MIN, True)
+    assert rec.detail == {"discrepancies": [1.0, 8e-4, 1e-4], "stationary": True}
 
 
 def test_order_waiver_at_its_floor():
-    assert order_ok(ORDER_MIN, 1.0, 1e-4)
-    below = math.nextafter(ORDER_MIN, 0.0)
-    assert not order_ok(below, 1.0, 1e-4)
-    assert order_ok(below, 1e-4, 1e-4)
-    assert not order_ok(below, math.nextafter(1e-4, 1.0), 1e-4)
-    assert order_ok(math.inf, 1.0, 1e-4)
+    def passed(coarse, rel=None, floor=None):
+        return order_check("o", [coarse, 1.0], 0.0, rel, floor).passed
+
+    # the smallest coarse discrepancy whose order over 1.0 reaches ORDER_MIN
+    at = 2.0**ORDER_MIN
+    while math.log2(at) < ORDER_MIN:
+        at = math.nextafter(at, math.inf)
+    while math.log2(math.nextafter(at, 0.0)) >= ORDER_MIN:
+        at = math.nextafter(at, 0.0)
+    below = math.nextafter(at, 0.0)
+    assert passed(at, 1.0, 1e-4)
+    assert not passed(below, 1.0, 1e-4)
+    assert passed(below, 1e-4, 1e-4)
+    assert not passed(below, math.nextafter(1e-4, 1.0), 1e-4)
+    assert not passed(below, 0.0)    # no waiver without a floor
+    assert order_check("o", [1.0, 0.0], 0.0, 1.0, 1e-4).passed    # inf order
 
 
 #: the modules that build check records: the record itself, the criteria
@@ -71,14 +88,15 @@ RECORD_MODULES = {"checks", "acceptance", "inequalities"}
 
 
 def record_modules(package_dir):
-    """Stems of the modules in ``package_dir`` that call Check, le or ge."""
+    """Stems of the modules in ``package_dir`` that call Check, le, ge or
+    order_check."""
     out = set()
     for path in Path(package_dir).glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in ("Check", "le", "ge"):
+                if name in ("Check", "le", "ge", "order_check"):
                     out.add(path.stem)
     return out
 

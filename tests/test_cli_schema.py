@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -168,6 +169,19 @@ def test_cli_verify_deterministic_and_seed_sensitivity(tmp_path):
     worst_a = min(r["value"] for r in base["records"])
     worst_b = min(r["value"] for r in other["records"])
     assert abs(worst_a - worst_b) <= 1e-3
+
+
+def test_margins_csv_tolerance_is_the_record_tolerance(tmp_path):
+    job = {"command": "verify", "seed": 3,
+           "inputs": {"suites": list(sch.SUITES), "samples": 1000, "points": 200,
+                      "grids": [10, 10, 12]}}
+    report = cli.run(job, out_dir=tmp_path)
+    tolerance = {r["name"]: r["tolerance"] for r in report["records"]}
+    with open(tmp_path / "margins.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(tolerance)
+    for row in rows:
+        assert float(row["tolerance"]) == tolerance[f"{row['suite']}: {row['record']}"], row
 
 
 def test_cli_mubble_writes_profile_curves(tmp_path):

@@ -9,7 +9,7 @@ from anisocheck import constants as co
 from anisocheck import geometry as geo
 from anisocheck import integrand as ig
 from anisocheck import variation as va
-from anisocheck.checks import refinement_order
+from anisocheck.checks import order_check
 
 
 def test_deform_unit_sphere_is_identity():
@@ -81,7 +81,7 @@ def test_qform_identity_refinement():
             phi = va.bump_function(g, "centered")
             direct, derived = cf.qform_identity_check(cg, phi, lam)
             discs.append(abs(direct - derived))
-        assert refinement_order(discs[0], discs[1], 1e-11) >= 1.8
+        assert order_check("qform", discs, 1e-11).passed
 
 
 def test_distance_comparison_radial_ray_equality():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anisocheck import inequalities as iq
+from anisocheck import integrand as ig
 
 SQRT2 = np.sqrt(2.0)
 
@@ -107,6 +108,19 @@ def test_kato_catalog():
     assert iq.kato_point("xy", [0.9, -0.4, 0.1]) == pytest.approx(0.5, abs=1e-14)
     assert iq.kato_point("x2_minus_y2", [0.5, 0.5, 0.0]) == pytest.approx(2.0, abs=1e-13)
     assert iq.kato_point("xy", [0.0, 0.0, 0.3]) is None  # critical point skipped
+
+
+@pytest.mark.parametrize("name", sorted(iq.KATO_CATALOG))
+def test_kato_tables_differentiate_by_finite_differences(name):
+    # the power rule against the fourth-order differences of the table's
+    # own value and gradient at a seeded point
+    poly = iq.KATO_CATALOG[name]
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, 3)
+    grad = iq.poly_gradient(poly, x)
+    fd = ig.fd_gradient(lambda q: iq.poly_value(poly, q), x)
+    assert np.abs(fd - grad).max() <= 1e-8
+    fd = ig.fd_gradient(lambda q: iq.poly_gradient(poly, q), x)
+    assert np.abs(fd - iq.poly_hessian(poly, x)).max() <= 1e-8
 
 
 def test_curvature_and_ricci_argmin_reproducible():

@@ -238,8 +238,8 @@ def bubble_checks(model, prof):
     less its t0, and A at the reference t_mid less A at the minimizer.
     Returns the records and the minimizer."""
     records = [le("witness residual", mb.supersolution_residual(model), 1e-6)]
-    m_model, cfg = mb.check_h_condition(prof, "model")
-    m_budget, _ = mb.check_h_condition(prof, "budget")
+    m_model, cfg = mb.check_h_condition(prof, prof.lip_phi)
+    m_budget, _ = mb.check_h_condition(prof, prof.lip_budget)
     records.append(ge("slope condition margin (model lip)", m_model, -1e-10, **cfg))
     records.append(ge("slope condition margin (lip budget)", m_budget, -1e-10))
     sol = mb.minimize_A(model, prof)
@@ -537,7 +537,7 @@ def criterion_mubble():
     lam_pinched = co.spectral_lambda(3, 1.0 / SQRT2, co.C0)
     witness = mb.make_model("cylinder", T=20.0, lam=lam_pinched, n_grid=501)
     prof_half = mb.build_phi_h(witness, amplitude="half")
-    m_bad, cfg = mb.check_h_condition(prof_half, "budget")
+    m_bad, cfg = mb.check_h_condition(prof_half, prof_half.lip_budget)
     recs.append(Check("half-amplitude budget counterexample margin", float(m_bad),
                       0.0, m_bad < 0.0, cfg))
     return recs

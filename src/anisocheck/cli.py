@@ -64,6 +64,14 @@ def _chart_domain():
         raise _invalid("/inputs/chart", exc) from exc
 
 
+def _bump_room(g):
+    """Raise an invalid job where a non-periodic axis of the sampled chart
+    ``g`` has too few nodes for the bumps of `variation.bump_function`."""
+    if any(m < va.BUMP_NODES for m, per in zip(g.shape, g.periodic) if not per):
+        raise _invalid("/inputs/resolution", f"the variation bumps need at least "
+                       f"{va.BUMP_NODES} nodes on each non-periodic axis")
+
+
 # -- command runners: each gets the inputs of `schema.resolve_inputs` ----------------
 
 
@@ -96,6 +104,7 @@ def _run_variation(inputs, seed, out_dir):
     records = []
     extras = {"phi_area": va.phi_area(g, integ)}
     if "first_variation" in tests or "second_variation" in tests:
+        _bump_room(g)
         # one oracle: the checks share every resampled immersion
         oracle = va.NormalOracle(g, {b: va.bump_function(g, b) for b in va.BUMP_NAMES})
         hphi = va.aniso_mean_curvature(g, integ)
@@ -112,8 +121,8 @@ def _run_variation(inputs, seed, out_dir):
     if "isoperimetric" in tests:
         rho = float(inputs["rho"])
         if rho <= 0.0:
-            rho = max(float(np.linalg.norm(f.X, axis=-1).max())
-                      for f in geo.boundary_faces(g)) * (1 + 1e-12)
+            rho = max((float(np.linalg.norm(f.X, axis=-1).max())
+                       for f in geo.boundary_faces(g)), default=0.0) * (1 + 1e-12)
         records.append(ac.isoperimetric_margin_check("isoperimetric margin", g, integ, rho))
     if "spectrum" in tests:
         spec = va.stability_spectrum(g, integ)
@@ -141,6 +150,7 @@ def _run_conformal(inputs, seed, out_dir):
             cfine = cf.deform(fine)
     records = []
     if "qform" in tests:
+        _bump_room(g)
         records.append(ac.qform_order_check(
             "qform identity refinement order", [cg, cfine], lam))
     if "laplace_r" in tests:

@@ -432,7 +432,8 @@ def verify_ricci_bound(samples=SAMPLES, seed=SEED):
 #
 # Harmonic polynomials u on flat R^3 satisfy
 # |Hess u|^2 >= (3/8) |grad u|^-2 |grad |grad u|^2|^2; their derivatives are exact,
-# by the power rule on coefficient tables.
+# by the power rule on coefficient tables (in any dimension: the profiles of
+# `integrand.PROFILES` are tables too).
 
 #: the catalog: each polynomial a table {(i, j, k): c} of its monomials c x^i y^j z^k
 KATO_CATALOG = {
@@ -455,33 +456,41 @@ def laplacian(poly):
     """The table of the Laplacian of ``poly``: the power rule applied twice
     per axis, summed (a harmonic table has only zero coefficients)."""
     out = {}
-    for axis in range(3):
+    for axis in range(len(next(iter(poly)))):
         for powers, c in derivative(derivative(poly, axis), axis).items():
             out[powers] = out.get(powers, 0) + c
     return out
 
 
 def poly_value(poly, p):
-    """``poly`` at points ``p`` (..., 3): its terms in table order, each the
-    coefficient times those of x^i, y^j and z^k with a nonzero power, in turn."""
+    """``poly`` at points ``p`` (..., d): its terms in table order, each the
+    coefficient times the powers p_a^e of its nonzero exponents e, in turn."""
     out = np.zeros(p.shape[:-1])
     for powers, c in poly.items():
         term = c
         for axis, e in enumerate(powers):
             if e:
                 term = term * p[..., axis] ** e
-        out = out + term
+        out += term
     return out
 
 
 def poly_gradient(poly, p):
     """Gradient of ``poly`` at points ``p``, stacked last."""
-    return np.stack([poly_value(derivative(poly, a), p) for a in range(3)], axis=-1)
+    return np.stack([poly_value(derivative(poly, a), p) for a in range(p.shape[-1])],
+                    axis=-1)
 
 
 def poly_hessian(poly, p):
-    """Hessian of ``poly`` at points ``p``, in the last two axes."""
-    return np.stack([poly_gradient(derivative(poly, a), p) for a in range(3)], axis=-2)
+    """Hessian of ``poly`` at points ``p``, in the last two axes: the upper
+    triangle, mirrored, with zero where the derivative table is empty."""
+    d = p.shape[-1]
+    out = np.zeros(p.shape[:-1] + (d, d))
+    for a in range(d):
+        for b in range(a, d):
+            if second := derivative(derivative(poly, a), b):
+                out[..., a, b] = out[..., b, a] = poly_value(second, p)
+    return out
 
 
 def kato_point(poly, point):

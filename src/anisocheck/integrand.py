@@ -23,88 +23,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import inequalities as iq
+
 SQRT2 = float(np.sqrt(2.0))
 #: default nodes per cube edge of the sphere grid of the statistics
 SPHERE_RESOLUTION = 17
 #: slack of the pinch window a_max <= sqrt(2) a_min on a sphere grid
 PINCH_SLACK = 1e-9
 
-#: Profile catalog for the perturbed family.  Each entry is a homogeneous
-#: polynomial P with |P| <= 1 on the unit sphere, given as
-#: (degree, value, gradient, hessian), all vectorized over (..., d).
-_PROFILES = {}
+def _powers(d, *axes):
+    """Exponents in R^d of the monomial that multiplies v_a for each a in ``axes``."""
+    return tuple(axes.count(a) for a in range(d))
 
 
-def _register_profile(name, degree, value, grad, hess):
-    _PROFILES[name] = (degree, value, grad, hess)
-
-
-def _axis2_value(v):
-    return v[..., -1] ** 2
-
-
-def _axis2_grad(v):
-    g = np.zeros_like(v)
-    g[..., -1] = 2.0 * v[..., -1]
-    return g
-
-
-def _axis2_hess(v):
-    d = v.shape[-1]
-    h = np.zeros(v.shape[:-1] + (d, d))
-    h[..., -1, -1] = 2.0
-    return h
-
-
-_register_profile("axis2", 2, _axis2_value, _axis2_grad, _axis2_hess)
-
-
-def _saddle2_value(v):
-    return v[..., 0] ** 2 - v[..., 1] ** 2
-
-
-def _saddle2_grad(v):
-    g = np.zeros_like(v)
-    g[..., 0] = 2.0 * v[..., 0]
-    g[..., 1] = -2.0 * v[..., 1]
-    return g
-
-
-def _saddle2_hess(v):
-    d = v.shape[-1]
-    h = np.zeros(v.shape[:-1] + (d, d))
-    h[..., 0, 0] = 2.0
-    h[..., 1, 1] = -2.0
-    return h
-
-
-_register_profile("saddle2", 2, _saddle2_value, _saddle2_grad, _saddle2_hess)
-
-
-def _quartic_value(v):
-    # sum v_i^4 - 0.5 |v|^4, in [-1, 1] on the sphere for d <= 4
-    return np.sum(v**4, axis=-1) - 0.5 * np.sum(v**2, axis=-1) ** 2
-
-
-def _quartic_grad(v):
-    s2 = np.sum(v**2, axis=-1, keepdims=True)
-    return 4.0 * v**3 - 2.0 * s2 * v
-
-
-def _quartic_hess(v):
-    d = v.shape[-1]
-    s2 = np.sum(v**2, axis=-1)
-    h = -4.0 * v[..., :, None] * v[..., None, :]
-    eye = np.eye(d)
-    h += (12.0 * v**2 - 2.0 * s2[..., None])[..., :, None] * eye
-    return h
-
-
-_register_profile("quartic_saddle", 4, _quartic_value, _quartic_grad, _quartic_hess)
-
-
-def profile_names():
-    return sorted(_PROFILES)
+#: Profile catalog for the perturbed family.  Each entry builds, for the
+#: ambient dimension d, a homogeneous polynomial P with |P| <= 1 on the unit
+#: sphere as a table {exponents: c} of its monomials; `inequalities.derivative`
+#: differentiates it by the power rule.
+PROFILES = {
+    "axis2": lambda d: {_powers(d, d - 1, d - 1): 1},
+    "saddle2": lambda d: {_powers(d, 0, 0): 1, _powers(d, 1, 1): -1},
+    # sum v_i^4 - |v|^4 / 2, in [1/d - 1/2, 1/2] on the sphere
+    "quartic_saddle": lambda d: {
+        **{_powers(d, i, i, i, i): 0.5 for i in range(d)},
+        **{_powers(d, i, i, j, j): -1 for i in range(d) for j in range(i + 1, d)}},
+}
 
 
 class Integrand:
@@ -133,8 +76,10 @@ class Integrand:
             if np.min(np.linalg.eigvalsh(A)) <= 0:
                 raise ValueError("quadratic integrand matrix must be positive definite")
         elif kind == "perturbed":
-            if profile not in _PROFILES:
-                raise ValueError(f"unknown profile {profile!r}; choose from {profile_names()}")
+            if profile not in PROFILES:
+                raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
+            self.table = PROFILES[profile](self.dim)
+            self.degree = sum(next(iter(self.table)))
         elif kind != "isotropic":
             raise ValueError(f"unknown integrand kind {kind!r}")
 
@@ -177,8 +122,8 @@ class Integrand:
         s = np.linalg.norm(v, axis=-1)
         if self.kind == "isotropic":
             return self.scale * s
-        deg, P, _, _ = _PROFILES[self.profile]
-        return self.scale * (s + self.epsilon * P(v) * s ** (1 - deg))
+        return self.scale * (s + self.epsilon * iq.poly_value(self.table, v)
+                             * s ** (1 - self.degree))
 
     def gradient(self, v):
         v = np.asarray(v, dtype=float)
@@ -190,9 +135,10 @@ class Integrand:
         s = np.linalg.norm(v, axis=-1)[..., None]
         if self.kind == "isotropic":
             return self.scale * v / s
-        deg, P, DP, _ = _PROFILES[self.profile]
-        p = P(v)[..., None]
-        out = v / s + self.epsilon * (DP(v) * s ** (1 - deg) + (1 - deg) * p * s ** (-1 - deg) * v)
+        deg = self.degree
+        p = iq.poly_value(self.table, v)[..., None]
+        gp = iq.poly_gradient(self.table, v)
+        out = v / s + self.epsilon * (gp * s ** (1 - deg) + (1 - deg) * p * s ** (-1 - deg) * v)
         return self.scale * out
 
     def hessian(self, v):
@@ -209,12 +155,12 @@ class Integrand:
         tang = (eye - vhat[..., :, None] * vhat[..., None, :]) / s
         if self.kind == "isotropic":
             return self.scale * tang
-        deg, P, DP, D2P = _PROFILES[self.profile]
-        p = P(v)[..., None, None]
-        gp = DP(v)
+        deg = self.degree
+        p = iq.poly_value(self.table, v)[..., None, None]
+        gp = iq.poly_gradient(self.table, v)
         cross = gp[..., :, None] * v[..., None, :] + v[..., :, None] * gp[..., None, :]
         pert = (
-            D2P(v) * s ** (1 - deg)
+            iq.poly_hessian(self.table, v) * s ** (1 - deg)
             + (1 - deg) * s ** (-1 - deg) * cross
             + (1 - deg) * p * (s ** (-1 - deg) * eye - (1 + deg) * s ** (-3 - deg)
                                * v[..., :, None] * v[..., None, :])

@@ -116,7 +116,7 @@ def scalar_curvature_profile(f, fp, fpp, fppp=None):
     return R
 
 
-def lambda1_sturm(name, params, T, n_grid=N_GRID, t_min=0.0):
+def lambda1_sturm(name, params, T, n_grid=N_GRID):
     """Bottom eigenvalue and positive ground state of -Lap + R/2 over
     radial functions, natural (Neumann) ends.
 
@@ -129,15 +129,15 @@ def lambda1_sturm(name, params, T, n_grid=N_GRID, t_min=0.0):
     ff, fpf, fppf, fpppf = _profile_functions(name, params)
 
     def solve(n):
-        t = np.linspace(t_min, T, n)
+        t = np.linspace(0.0, T, n)
         h = t[1] - t[0]
         with np.errstate(all="ignore"):     # an overflow is caught just below
             f = ff(t)
             R = scalar_curvature_profile(f, fpf(t), fppf(t), fpppf(t))
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(R))):
             raise ProfileError(f"the {name} profile f or its curvature R is not finite "
-                               f"on [{t_min}, {T}]")
-        # a pole at t_min carries no mass; its natural condition gives
+                               f"on [0.0, {T}]")
+        # a pole at t = 0 carries no mass; its natural condition gives
         # u_0 = u_1, so the node and its element drop out of the solve
         lo = 1 if f[0] == 0.0 else 0
         fr = f[lo:]
@@ -226,8 +226,14 @@ class BubbleProfiles:
         return self.eps + 0.5 * math.pi * self.denom
 
     @property
+    def lip_budget(self):
+        """The full slope allowance sqrt(lambda)/2: the general-manifold bound
+        for a Lipschitz-2 smoothed distance."""
+        return math.sqrt(self.lam) / 2.0
+
+    @property
     def lip_within_budget(self):
-        return bool(self.lip_phi < math.sqrt(self.lam) / 2.0)
+        return bool(self.lip_phi < self.lip_budget)
 
     def phi_at(self, t):
         return (t - self.eps) / self.denom - math.pi / 2.0
@@ -286,23 +292,15 @@ def build_phi_h(model, eps=EPS, amplitude=AMPLITUDE):
                           t=np.linspace(eps, t_hi, BAND_POINTS)[1:-1])
 
 
-def check_h_condition(profiles, lip_mode="model"):
-    """Minimum over the band of lambda + h^2 - 2 |h'|.
+def check_h_condition(profiles, L):
+    """Minimum over the band of lambda + h^2 - 2 |h'| when phi has slope ``L``.
 
-    ``lip_mode='model'`` uses the model's actual phi slope; ``'budget'``
-    uses the full allowance sqrt(lambda)/2 (the general-manifold bound for
-    a Lipschitz-2 smoothed distance), under which the sqrt(lambda)
-    amplitude sits exactly at equality and the half amplitude fails for
-    lambda > 1/4.
+    The model's own slope is ``profiles.lip_phi``; under the full allowance
+    ``profiles.lip_budget`` the sqrt(lambda) amplitude sits exactly at
+    equality and the half amplitude fails for lambda > 1/4.
     """
     lam = profiles.lam
     amp = profiles.amplitude
-    if lip_mode == "model":
-        L = profiles.lip_phi
-    elif lip_mode == "budget":
-        L = math.sqrt(lam) / 2.0
-    else:
-        raise ValueError("lip_mode must be 'model' or 'budget'")
     phi = profiles.phi
     tan = np.tan(phi)
     # margin = lam + amp^2 tan^2 - 2 amp L sec^2, grouped so that the

@@ -44,8 +44,8 @@ MAX_GRID_POINTS = 100_000_000
 MAX_NODES = 125_000
 #: largest sphere grid the integrand command analyzes: m^dim - (m - 2)^dim
 #: nodes for a resolution r, m = r | 1.  Near the cap (dim 6, r = 8: 413 792
-#: nodes) the analysis of a perturbed integrand peaks at 851 MiB RSS in
-#: 13 s on a 2-core x86-64 machine (an isotropic one at 469 MiB)
+#: nodes) the analysis of a perturbed integrand peaks at 815 MiB RSS in
+#: 8-10 s on a 2-core x86-64 machine (an isotropic one at 420 MiB)
 MAX_SPHERE_NODES = 500_000
 #: largest integrand ambient dimension: dim 7 exceeds MAX_SPHERE_NODES at
 #: the smallest resolution, 8
@@ -100,7 +100,7 @@ INTEGRAND = {
                    "description": "symmetric positive definite; its size is the "
                                   "ambient dimension"},
         "epsilon": {"type": "number", "minimum": -1.0, "maximum": 1.0},
-        "profile": {"enum": ig.profile_names()},
+        "profile": {"enum": sorted(ig.PROFILES)},
     },
     "allOf": [_when("kind", "quadratic", {"required": ["matrix"]}),
               _when("kind", "perturbed", {"required": ["profile"]})],

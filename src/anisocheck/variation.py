@@ -99,7 +99,7 @@ def bump_function(geom, which="centered"):
 
     Support stays inside 80% of each non-periodic axis, so the function
     vanishes identically on the outermost two node layers at any
-    resolution of at least 11 nodes per axis.
+    resolution of at least ``BUMP_NODES`` nodes per axis.
     """
     U = np.meshgrid(*geom.params, indexing="ij")
     out = np.ones(geom.shape)
@@ -130,6 +130,8 @@ def bump_function(geom, which="centered"):
 
 
 BUMP_NAMES = ("centered", "offset", "two_humps")
+#: nodes per non-periodic axis from which every bump vanishes on the two end layers
+BUMP_NODES = 11
 
 
 def _check_compact_support(geom, u):

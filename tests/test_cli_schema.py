@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -442,6 +443,11 @@ UNRUNNABLE = [
      "/inputs/model/params/period"),
     # h = -amplitude tan(phi) squares past the float range on the band
     (_mubble(amplitude=1e300), "/inputs/amplitude"),
+    # the variation bumps vanish on two end layers from 11 nodes per bounded axis
+    (_variation(resolution=8), "/inputs/resolution"),
+    (_variation(resolution=10, tests=["second_variation"]), "/inputs/resolution"),
+    (_variation(resolution=[11, 11, 10]), "/inputs/resolution"),
+    (_conformal(chart={"kind": "cone", "n": 3}, resolution=10), "/inputs/resolution"),
 ]
 
 
@@ -459,6 +465,24 @@ def _run_pointers(tmp_path, capsys, job):
                          UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT + UNCAPPED + UNRUNNABLE)
 def test_unchecked_inputs_exit_2_with_their_pointer(tmp_path, capsys, job, pointer):
     assert _run_pointers(tmp_path, capsys, job) == (2, [pointer])
+
+
+BAND = [math.pi / 4, 3 * math.pi / 4]
+
+
+@pytest.mark.parametrize("job", [
+    # a closed chart has no boundary face to set the default rho
+    _variation(chart={"kind": "sphere"}, tests=["isoperimetric"], resolution=13),
+    _variation(chart={"kind": "sphere", "n": 2}, integrand={"kind": "isotropic", "dim": 3},
+               tests=["isoperimetric"], resolution=21),
+    # a periodic axis needs no room for the bumps
+    _variation(chart={"kind": "sphere", "box": [BAND, BAND, [0.0, 2 * math.pi]]},
+               resolution=[11, 11, 8]),
+])
+def test_valid_jobs_run(tmp_path, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert cli.main(["run", "--job", str(path)]) in (0, 1)
 
 
 def test_round_cap_without_T_exits_2(tmp_path, capsys):

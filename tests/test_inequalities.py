@@ -3,6 +3,7 @@ import pytest
 
 from anisocheck import inequalities as iq
 from anisocheck import integrand as ig
+from anisocheck import schema as sch
 
 SQRT2 = np.sqrt(2.0)
 
@@ -110,12 +111,19 @@ def test_kato_catalog():
     assert iq.kato_point("xy", [0.0, 0.0, 0.3]) is None  # critical point skipped
 
 
-@pytest.mark.parametrize("name", sorted(iq.KATO_CATALOG))
+#: every coefficient table: the Kato harmonics, and each integrand profile in
+#: the ambient dimensions an integrand job admits
+TABLES = {**iq.KATO_CATALOG,
+          **{f"{name}@{d}": build(d) for name, build in sorted(ig.PROFILES.items())
+             for d in range(3, sch.MAX_DIM + 1)}}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
 def test_kato_tables_differentiate_by_finite_differences(name):
     # the power rule against the fourth-order differences of the table's
     # own value and gradient at a seeded point
-    poly = iq.KATO_CATALOG[name]
-    x = np.random.default_rng(5).uniform(-1.0, 1.0, 3)
+    poly = TABLES[name]
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, len(next(iter(poly))))
     grad = iq.poly_gradient(poly, x)
     fd = ig.fd_gradient(lambda q: iq.poly_value(poly, q), x)
     assert np.abs(fd - grad).max() <= 1e-8

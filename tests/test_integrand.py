@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from anisocheck import cli
+from anisocheck import inequalities as iq
 from anisocheck import integrand as ig
+from anisocheck import schema as sch
 
 SQRT2 = np.sqrt(2.0)
 
@@ -169,6 +171,21 @@ def test_min_phi_values():
     assert ig.min_phi(quad, 17) == pytest.approx(1.0, abs=1e-12)
     pert = ig.Integrand.perturbed(4, 0.1, "axis2")
     assert 0.9 <= ig.min_phi(pert, 17) <= 1.0
+
+
+@pytest.mark.parametrize("dim", range(3, sch.MAX_DIM + 1))
+def test_profiles_are_homogeneous_and_bounded_on_the_sphere(dim):
+    # the catalog's claim: each table is a homogeneous polynomial in R^dim
+    # with |P| <= 1 on the unit sphere; the grid has the default resolution
+    # 17 up to dim 4 and the smallest, 8, beyond (at 17 it would hold 0.66
+    # million nodes in dim 5 and 12.7 million in dim 6)
+    res = ig.SPHERE_RESOLUTION if dim <= 4 else 8
+    nu = ig.sphere_grid(dim, res)
+    for name, build in ig.PROFILES.items():
+        table = build(dim)
+        assert all(len(powers) == dim for powers in table), name
+        assert len({sum(powers) for powers in table}) == 1, name
+        assert np.abs(iq.poly_value(table, nu)).max() <= 1.0, name
 
 
 def test_sphere_grid_contains_axes_and_rejects_small_resolution():

@@ -27,7 +27,7 @@ def test_cylinder_spectrum_closed_form():
 
 def test_round_cap_spectrum_closed_form():
     # f = sin t: R = 6 everywhere (round 3-sphere); constant ground state
-    lam1, _, u = mb.lambda1_sturm("round_cap", {}, 2.0, 2001, t_min=0.5)
+    lam1, _, u = mb.lambda1_sturm("round_cap", {}, 2.0, 2001)
     assert lam1 == pytest.approx(3.0, abs=1e-8)
     assert np.ptp(u) <= 1e-9
 
@@ -78,6 +78,7 @@ def test_band_profiles_arithmetic():
     assert prof.phi[0] == pytest.approx(-math.pi / 2, abs=1e-2)
     assert prof.phi[-1] == pytest.approx(math.pi / 2, abs=1e-2)
     assert prof.lip_phi == pytest.approx(1.0 / (4.0 + 0.1 / math.pi), abs=1e-12)
+    assert prof.lip_budget == 0.5
     assert prof.lip_within_budget
     assert prof.t_mid == pytest.approx(0.1 + 0.5 * math.pi * (4.0 + 0.1 / math.pi),
                                        abs=1e-12)
@@ -94,9 +95,9 @@ def test_band_needs_room():
 def test_slope_condition_margins():
     model = mb.make_model("cylinder", T=20.0, lam=1.0, n_grid=801)
     prof = mb.build_phi_h(model, eps=0.1)
-    m_model, cfg = mb.check_h_condition(prof, "model")
+    m_model, cfg = mb.check_h_condition(prof, prof.lip_phi)
     assert m_model > 0.4  # strict positivity with the model Lipschitz
-    m_budget, _ = mb.check_h_condition(prof, "budget")
+    m_budget, _ = mb.check_h_condition(prof, prof.lip_budget)
     # sqrt(lambda) amplitude sits exactly at equality under the budget
     assert abs(m_budget) <= 1e-10
 
@@ -106,11 +107,11 @@ def test_half_amplitude_counterexample_reproduced():
     assert lam == pytest.approx(0.495, abs=1e-3)
     model = mb.make_model("cylinder", T=20.0, lam=lam, n_grid=801)
     prof = mb.build_phi_h(model, eps=0.1, amplitude="half")
-    m_budget, cfg = mb.check_h_condition(prof, "budget")
+    m_budget, cfg = mb.check_h_condition(prof, prof.lip_budget)
     assert m_budget < -1.0  # fails badly near the band edge
     # with the model's actual slope the half amplitude happens to survive,
     # which is why the counterexample is specifically about the budget
-    m_model, _ = mb.check_h_condition(prof, "model")
+    m_model, _ = mb.check_h_condition(prof, prof.lip_phi)
     assert m_model > 0.0
 
 

@@ -8,10 +8,12 @@ that judges them: relative-discrepancy floors, margins, residuals,
 phi-stationarity decisions and tolerances.  The check families that the
 other CLI runners share with the criteria (variation oracles, refinement
 orders, random-path distance margins, vector-field identities,
-isoperimetric margins, constant rederivations, integrand identities,
-warped-bubble models) come from one builder each, below, so the two
-entry points cannot drift apart.  :func:`run_all` judges each
-criterion's runtime against its budget in :data:`RUNTIME_BUDGETS`.
+isoperimetric margins, integrand identities, warped-bubble models) come
+from one builder each, below, and the `constants` and `verify` jobs
+report exactly what criteria 1-4 report (`constants_checks`,
+`sweep_checks`), so the two entry points cannot drift apart.
+:func:`run_all` judges each criterion's runtime against its budget in
+:data:`RUNTIME_BUDGETS`.
 
 Numerical conventions decided during calibration:
 
@@ -193,13 +195,6 @@ def isoperimetric_margin_check(name, geom, integrand, rho):
     return ge(name, margin, 0.0, **detail)
 
 
-def rederivation_checks(table):
-    """One record per entry of a constants table: the relative error of its
-    value against a re-evaluation of its expression."""
-    return [le(f"rederive {e.name}", e.rederivation_error(), REDERIVATION_TOL,
-               constant=e.value, expression=e.expression) for e in table.entries.values()]
-
-
 def integrand_checks(integrand, rep, rng):
     """Records of an integrand job: the homogeneity, Euler relation and
     radial degeneracy residuals of the closed forms on 1000 unit vectors
@@ -252,94 +247,103 @@ def bubble_checks(model, prof):
     return records, sol
 
 
-# -- criterion 1: explicit constants --------------------------------------------
+# -- criteria 1-4: explicit constants and the inequality sweeps ------------------
+
+
+def constants_checks(table):
+    """Criterion 1's records on the constants ``table``: closed forms of the
+    pinched lambda and c0 and of its isotropic-case entries, then the relative
+    error of each entry against a re-evaluation of its expression."""
+    lam = co.spectral_lambda(3, 1.0 / SQRT2, co.C0)
+    lam_closed = 3.0 * (5.0 + 3.0 * SQRT2) / 56.0
+    vol_ref = (32.0 * math.pi / 3.0) ** 1.5 * math.exp(30.0 * math.pi / math.sqrt(3.0)) \
+        / (6.0 * math.sqrt(math.pi))
+    rho0 = table.value("rho0_min_case")
+    beta = co.c0_and_beta()[1]
+    recs = [
+        le("lambda vs 3(5+3sqrt2)/56 (rel)", abs(lam - lam_closed) / lam_closed, 1e-14),
+        le("c0 vs 1/(sqrt2 - 1/2) (rel)", abs(co.C0 - 1.0 / (SQRT2 - 0.5)) / co.C0, 1e-14),
+        le("c0 approximately 1.09", abs(co.C0 - 1.09), 5e-3),
+        le("minimal volume coefficient (rel)",
+           abs(table.value("volume_coefficient") - vol_ref) / vol_ref, 1e-14),
+        le("minimal rho0 vs e^(-10pi/sqrt3) (rel)",
+           abs(rho0 - math.exp(-10 * math.pi / math.sqrt(3.0))) / rho0, 1e-14),
+        le("minimal area bound vs 32pi/3 (rel)",
+           abs(table.value("area_bound_min_case") - 32 * math.pi / 3) / (32 * math.pi / 3),
+           1e-14),
+        le("minimal diameter bound vs 4pi/sqrt3 (rel)",
+           abs(table.value("diameter_bound_min_case") - 4 * math.pi / math.sqrt(3.0))
+           / (4 * math.pi / math.sqrt(3.0)), 1e-14),
+        le("lambda pipeline uses no hand-entered minimal value",
+           abs(co.spectral_lambda(3, 1.0, 1.0) - table.value("lambda_min_case")), 0.0),
+        le("beta route cross-check residual", abs(0.5 * 3 * (0.5 - 0.5 / beta) - lam), 1e-14)]
+    return recs + [le(f"rederive {e.name}", e.rederivation_error(), REDERIVATION_TOL,
+                      constant=e.value, expression=e.expression)
+                   for e in table.entries.values()]
+
+
+def sweep_checks(suites, seed, samples, points, grids):
+    """Records of the inequality sweeps ``suites`` (`schema.SUITES`) at
+    ``seed``, each named ``"<suite>: <record>"``: the sweep's records
+    (curvature and Ricci on ``samples`` points, Kato on ``points``, the
+    quadratic lemma on the grid ``grids``), then its judgments; and the
+    extras of each sweep by suite.  Each stored quadratic, curvature and
+    Ricci witness re-evaluates through its scalar `*_point` reference to
+    1e-14; Kato's do not, since |Hess u|^2 reaches about 288 on [-1, 1]^3,
+    where 1e-14 is below one ulp."""
+    records, extras = [], {}
+    for suite in suites:
+        if suite == "quadratic_lemma":
+            rep = iq.verify_quadratic_lemma(*grids)
+            errs = [abs(iq.quadratic_lemma_point(**r.detail["config"])[k] - r.value)
+                    for k, r in enumerate(rep.records[:2])]
+            bad = rep.extras["q2_nonpositive_count"]
+            judged = [le("max Q1/Q2 vs c0", rep.extras["max_ratio_q1_q2"] - iq.C0, 1e-12),
+                      le("argmin reproduction error", max(errs), 1e-14),
+                      Check("q2 positive everywhere", bad, 0.0, bad == 0)]
+        elif suite == "curvature_pinch":
+            rep = iq.verify_curvature_pinch(samples, seed=seed)
+            errs = [abs(iq.curvature_pinch_point(**r.detail["config"])[
+                        0 if r.name.startswith("-R") else 1] - r.value)
+                    for r in rep.records if "a" in r.detail["config"]]
+            ratio = rep.extras["max_ratio_A2_over_negR"]
+            judged = [le("curvature constraint residual",
+                         rep.extras["max_constraint_residual"], 1e-12),
+                      ge("near-sharp ratio >= c0 - 0.05", ratio, iq.NEAR_SHARP_RATIO),
+                      le("ratio stays below c0", ratio - iq.C0, 1e-12),
+                      le("argmin reproduction error", max(errs), 1e-14)]
+        elif suite == "ricci_bound":
+            rep = iq.verify_ricci_bound(samples, seed=seed)
+            errs = [abs(iq.ricci_point(**r.detail["config"]) - r.value) for r in rep.records]
+            judged = [le("argmin reproduction error", max(errs), 1e-14)]
+        else:
+            rep = iq.verify_kato(points, seed=seed)
+            judged = [le("xy closed form margin = 1/2",
+                         abs(iq.kato_point("xy", [0.37, -0.61, 0.11]) - 0.5), 1e-12),
+                      le("Laplacian of each table is zero (max |coefficient|)",
+                         max((abs(c) for poly in iq.KATO_CATALOG.values()
+                              for c in iq.laplacian(poly).values()), default=0), 0.0)]
+        extras[suite] = rep.extras
+        records += [r.prefixed(f"{suite}: ") for r in rep.records + judged]
+    return records, extras
 
 
 def criterion_constants():
-    recs = []
-    lam = co.spectral_lambda(3, 1.0 / SQRT2, co.C0)
-    lam_closed = 3.0 * (5.0 + 3.0 * SQRT2) / 56.0
-    recs.append(le("lambda vs 3(5+3sqrt2)/56 (rel)",
-                   abs(lam - lam_closed) / lam_closed, 1e-14))
-    recs.append(le("c0 vs 1/(sqrt2 - 1/2) (rel)",
-                   abs(co.C0 - 1.0 / (SQRT2 - 0.5)) / co.C0, 1e-14))
-    recs.append(le("c0 approximately 1.09", abs(co.C0 - 1.09), 5e-3))
-    mc = co.minimal_case_constants()
-    vol_ref = (32.0 * math.pi / 3.0) ** 1.5 * math.exp(30.0 * math.pi / math.sqrt(3.0)) \
-        / (6.0 * math.sqrt(math.pi))
-    recs.append(le("minimal volume coefficient (rel)",
-                   abs(mc.value("volume_coefficient") - vol_ref) / vol_ref, 1e-14))
-    recs.append(le("minimal rho0 vs e^(-10pi/sqrt3) (rel)",
-                   abs(mc.value("rho0_min_case") - math.exp(-10 * math.pi / math.sqrt(3.0)))
-                   / mc.value("rho0_min_case"), 1e-14))
-    recs.append(le("minimal area bound vs 32pi/3 (rel)",
-                   abs(mc.value("area_bound_min_case") - 32 * math.pi / 3)
-                   / (32 * math.pi / 3), 1e-14))
-    recs.append(le("minimal diameter bound vs 4pi/sqrt3 (rel)",
-                   abs(mc.value("diameter_bound_min_case") - 4 * math.pi / math.sqrt(3.0))
-                   / (4 * math.pi / math.sqrt(3.0)), 1e-14))
-    recs.append(le("worst expression rederivation error",
-                   max(r.value for r in rederivation_checks(co.build_table())),
-                   REDERIVATION_TOL))
-    recs.append(le("lambda pipeline uses no hand-entered minimal value",
-                   abs(co.spectral_lambda(3, 1.0, 1.0) - mc.value("lambda_min_case")), 0.0))
-    c0, beta = co.c0_and_beta()
-    recs.append(le("beta route cross-check residual",
-                   abs(0.5 * 3 * (0.5 - 0.5 / beta) - lam), 1e-14))
-    return recs
-
-
-# -- criterion 2: quadratic form comparison sweep -------------------------------
+    return constants_checks(co.build_table())
 
 
 def criterion_quadratic_lemma():
-    rep = iq.verify_quadratic_lemma(*iq.GRIDS)
-    recs = [r.prefixed("sweep ") for r in rep.records]
-    recs.append(le("max Q1/Q2 vs c0", rep.extras["max_ratio_q1_q2"] - iq.C0, 1e-12))
-    cfg = rep.records[0].detail["config"]
-    m1, _, _ = iq.quadratic_lemma_point(cfg["alpha"], cfg["beta"], cfg["theta"])
-    recs.append(le("argmin reproduction error", abs(m1 - rep.records[0].value), 1e-14))
-    recs.append(Check("q2 positive everywhere", rep.extras["q2_nonpositive_count"], 0.0,
-                      rep.extras["q2_nonpositive_count"] == 0))
-    return recs
-
-
-# -- criterion 3: curvature and Ricci sweeps -------------------------------------
+    return sweep_checks(["quadratic_lemma"], iq.SEED, iq.SAMPLES, iq.KATO_POINTS,
+                        iq.GRIDS)[0]
 
 
 def criterion_curvature_ricci(seed=iq.SEED):
-    crep = iq.verify_curvature_pinch(seed=seed)
-    recs = [r.prefixed("curvature ") for r in crep.records]
-    recs.append(le("curvature constraint residual",
-                   crep.extras["max_constraint_residual"], 1e-12))
-    recs.append(ge("near-sharp ratio >= c0 - 0.05",
-                   crep.extras["max_ratio_A2_over_negR"], iq.NEAR_SHARP_RATIO))
-    recs.append(le("ratio stays below c0",
-                   crep.extras["max_ratio_A2_over_negR"] - iq.C0, 1e-12))
-    errs = []
-    for r in crep.records:
-        cfg = r.detail["config"]
-        if "a" in cfg:
-            mR, m2, _, _ = iq.curvature_pinch_point(cfg["a"], cfg["psi"])
-            errs.append(abs((mR if r.name.startswith("-R") else m2) - r.value))
-    recs.append(le("argmin reproduction error", max(errs), 1e-14))
-    rrep = iq.verify_ricci_bound(seed=seed)
-    recs += [r.prefixed("ricci ") for r in rrep.records]
-    return recs
-
-
-# -- criterion 4: improved Kato spot check ----------------------------------------
+    return sweep_checks(["curvature_pinch", "ricci_bound"], seed, iq.SAMPLES,
+                        iq.KATO_POINTS, iq.GRIDS)[0]
 
 
 def criterion_kato(seed=iq.SEED):
-    rep = iq.verify_kato(seed=seed)
-    recs = list(rep.records)
-    m = iq.kato_point("xy", [0.37, -0.61, 0.11])
-    recs.append(le("xy closed form margin = 1/2", abs(m - 0.5), 1e-12))
-    recs.append(le("Laplacian of each table is zero (max |coefficient|)",
-                   max((abs(c) for poly in iq.KATO_CATALOG.values()
-                        for c in iq.laplacian(poly).values()), default=0), 0.0))
-    return recs
+    return sweep_checks(["kato"], seed, iq.SAMPLES, iq.KATO_POINTS, iq.GRIDS)[0]
 
 
 # -- criterion 5: first/second variation vs oracles -------------------------------

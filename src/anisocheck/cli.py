@@ -78,12 +78,11 @@ def _bump_room(g):
 def _run_constants(inputs, seed, out_dir):
     table = co.build_table(c1_norm=float(inputs["c1_norm"]),
                            phi_min=float(inputs["phi_min"]), variant=inputs["variant"])
-    records = ac.rederivation_checks(table)
     if out_dir:
         _write_csv(out_dir, "constants.csv", ["name", "value", "expression"],
                    [(e.name, repr(e.value), e.expression)
                     for e in table.entries.values()])
-    return records, {"table": table.as_dict(), "text": table.text_table()}
+    return ac.constants_checks(table), {"table": table.as_dict(), "text": table.text_table()}
 
 
 def _run_integrand(inputs, seed, out_dir):
@@ -208,23 +207,14 @@ def _run_mubble(inputs, seed, out_dir):
 
 
 def _run_verify(inputs, seed, out_dir):
-    samples = int(inputs["samples"])
-    sweeps = {"quadratic_lemma": lambda: iq.verify_quadratic_lemma(*inputs["grids"]),
-              "curvature_pinch": lambda: iq.verify_curvature_pinch(samples, seed=seed),
-              "ricci_bound": lambda: iq.verify_ricci_bound(samples, seed=seed),
-              "kato": lambda: iq.verify_kato(int(inputs["points"]), seed=seed)}
-    records = []
-    extras = {}
-    rows = []
-    for suite in inputs["suites"]:
-        rep = sweeps[suite]()
-        extras[suite] = rep.extras
-        records += [r.prefixed(f"{suite}: ") for r in rep.records]
-        rows += [(suite, r.name, repr(r.value), repr(r.tolerance), r.passed,
-                  json.dumps(r.detail["config"], sort_keys=True)) for r in rep.records]
+    records, extras = ac.sweep_checks(inputs["suites"], seed, inputs["samples"],
+                                      inputs["points"], inputs["grids"])
     if out_dir:
         _write_csv(out_dir, "margins.csv",
-                   ["suite", "record", "margin", "tolerance", "pass", "config"], rows)
+                   ["suite", "record", "margin", "tolerance", "pass", "config"],
+                   [(*r.name.split(": ", 1), repr(r.value), repr(r.tolerance), r.passed,
+                     json.dumps(r.detail.get("config", {}), sort_keys=True))
+                    for r in records])
     return records, extras
 
 

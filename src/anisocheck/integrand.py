@@ -58,7 +58,7 @@ class Integrand:
     hypersurfaces of dimension n >= 2).
     """
 
-    def __init__(self, kind, dim, matrix=None, epsilon=0.0, profile=None, scale=1.0):
+    def __init__(self, kind, dim, matrix=None, epsilon=0.0, profile=None):
         if dim < 3:
             raise ValueError("ambient dimension must be at least 3")
         self.kind = kind
@@ -66,7 +66,6 @@ class Integrand:
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
         self.epsilon = float(epsilon)
         self.profile = profile
-        self.scale = float(scale)
         if kind == "quadratic":
             A = self.matrix
             if A is None or A.shape != (dim, dim):
@@ -86,8 +85,8 @@ class Integrand:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def isotropic(dim, scale=1.0):
-        return Integrand("isotropic", dim, scale=scale)
+    def isotropic(dim):
+        return Integrand("isotropic", dim)
 
     @staticmethod
     def quadratic(matrix):
@@ -99,13 +98,11 @@ class Integrand:
         return Integrand("perturbed", dim, epsilon=epsilon, profile=profile)
 
     def describe(self):
-        if self.kind == "isotropic":
-            tag = "isotropic" if self.scale == 1.0 else f"{self.scale:g}*isotropic"
-        elif self.kind == "quadratic":
-            tag = f"quadratic(diag-ish {np.diag(self.matrix)})"
-        else:
-            tag = f"perturbed(eps={self.epsilon:g}, {self.profile})"
-        return tag
+        if self.kind == "quadratic":
+            return f"quadratic(diag-ish {np.diag(self.matrix)})"
+        if self.kind == "perturbed":
+            return f"perturbed(eps={self.epsilon:g}, {self.profile})"
+        return "isotropic"
 
     # -- evaluation --------------------------------------------------------
 
@@ -121,9 +118,8 @@ class Integrand:
             return np.sqrt(q)
         s = np.linalg.norm(v, axis=-1)
         if self.kind == "isotropic":
-            return self.scale * s
-        return self.scale * (s + self.epsilon * iq.poly_value(self.table, v)
-                             * s ** (1 - self.degree))
+            return s
+        return s + self.epsilon * iq.poly_value(self.table, v) * s ** (1 - self.degree)
 
     def gradient(self, v):
         v = np.asarray(v, dtype=float)
@@ -134,12 +130,12 @@ class Integrand:
             return Av / np.sqrt(q)[..., None]
         s = np.linalg.norm(v, axis=-1)[..., None]
         if self.kind == "isotropic":
-            return self.scale * v / s
+            return v / s
         deg = self.degree
         p = iq.poly_value(self.table, v)[..., None]
         gp = iq.poly_gradient(self.table, v)
-        out = v / s + self.epsilon * (gp * s ** (1 - deg) + (1 - deg) * p * s ** (-1 - deg) * v)
-        return self.scale * out
+        return v / s + self.epsilon * (gp * s ** (1 - deg)
+                                       + (1 - deg) * p * s ** (-1 - deg) * v)
 
     def hessian(self, v):
         v = np.asarray(v, dtype=float)
@@ -154,7 +150,7 @@ class Integrand:
         vhat = v / np.linalg.norm(v, axis=-1)[..., None]
         tang = (eye - vhat[..., :, None] * vhat[..., None, :]) / s
         if self.kind == "isotropic":
-            return self.scale * tang
+            return tang
         deg = self.degree
         p = iq.poly_value(self.table, v)[..., None, None]
         gp = iq.poly_gradient(self.table, v)
@@ -165,7 +161,7 @@ class Integrand:
             + (1 - deg) * p * (s ** (-1 - deg) * eye - (1 + deg) * s ** (-3 - deg)
                                * v[..., :, None] * v[..., None, :])
         )
-        return self.scale * (tang + self.epsilon * pert)
+        return tang + self.epsilon * pert
 
 
 # -- finite-difference oracles ---------------------------------------------
@@ -202,22 +198,23 @@ def sphere_grid(dim, resolution):
     """Quasi-uniform deterministic grid on the unit sphere in R^dim.
 
     Lattice points on the surface of the cube [-1,1]^dim (``resolution``
-    nodes per edge, forced odd so that all +-e_i directions are present)
-    are deduplicated and radially normalized.  Built once per (dim,
-    resolution) and returned read-only, since every caller shares it.
+    nodes per edge, forced odd so that all +-e_i directions are present),
+    each once and in C order of the lattice, radially normalized.  Built
+    once per (dim, resolution) and returned read-only, since every caller
+    shares it.
     """
     if resolution < 8:
         raise ValueError("sphere grid resolution must be at least 8")
-    m = int(resolution) | 1
-    axis = np.linspace(-1.0, 1.0, m)
-    pts = []
-    for a in range(dim):
-        for side in (-1.0, 1.0):
-            grids = np.meshgrid(*([axis] * (dim - 1)), indexing="ij")
-            face = np.stack([grid.ravel() for grid in grids], axis=-1)
-            col = np.full((face.shape[0], 1), side)
-            pts.append(np.concatenate([face[:, :a], col, face[:, a:]], axis=1))
-    pts = np.unique(np.concatenate(pts, axis=0), axis=0)
+    axis = np.linspace(-1.0, 1.0, int(resolution) | 1)
+    # the surface of the d-cube in C order: where x_0 sits at an end of the
+    # axis the rest is the full (d - 1)-lattice, elsewhere the (d - 1)-surface
+    pts = axis[[0, -1], None]
+    for d in range(2, dim + 1):
+        full = np.stack(np.meshgrid(*([axis] * (d - 1)), indexing="ij"), axis=-1)
+        blocks = [pts if 0 < k < axis.size - 1 else full.reshape(-1, d - 1)
+                  for k in range(axis.size)]
+        pts = np.column_stack([np.repeat(axis, [len(b) for b in blocks]),
+                               np.concatenate(blocks)])
     grid = pts / np.linalg.norm(pts, axis=1)[:, None]
     grid.flags.writeable = False
     return grid

@@ -93,7 +93,8 @@ INTEGRAND = {
         "kind": {"enum": ["isotropic", "quadratic", "perturbed"]},
         "dim": {"type": "integer", "minimum": 3, "maximum": MAX_DIM,
                 "description": "ambient dimension"},
-        "scale": POSITIVE,
+        "scale": {"not": {}, "description": "absent: the area integrand scaled by c is the "
+                                            "quadratic integrand with matrix c^2 I"},
         "matrix": {"type": "array", "format": "spd-matrix", "minItems": 3,
                    "maxItems": MAX_DIM,
                    "items": {"type": "array", "items": {"type": "number"}},
@@ -289,7 +290,8 @@ def _walk(schema, value, path=""):
         for key, sub in schema.get("properties", {}).items():
             if key in value:
                 errors += _walk(sub, value[key], f"{path}/{key}")
-    if "anyOf" in schema and all(_walk(sub, value, path) for sub in schema["anyOf"]):
+    if ("anyOf" in schema and all(_walk(sub, value, path) for sub in schema["anyOf"])
+            or "not" in schema and not _walk(schema["not"], value, path)):
         fail(f"must be {schema['description']}")
     if "if" in schema and not _walk(schema["if"], value, path):
         errors += _walk(schema["then"], value, path)
@@ -392,7 +394,7 @@ def build_integrand(spec):
     kind = spec["kind"]
     dim = int(spec["dim"])
     if kind == "isotropic":
-        return ig.Integrand.isotropic(dim, scale=float(spec.get("scale", 1.0)))
+        return ig.Integrand.isotropic(dim)
     if kind == "quadratic":
         return ig.Integrand.quadratic(np.asarray(spec["matrix"], dtype=float))
     return ig.Integrand.perturbed(dim, float(spec.get("epsilon", 0.0)), spec["profile"])

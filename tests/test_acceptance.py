@@ -12,6 +12,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from anisocheck import acceptance as ac
 from anisocheck import cli
 from anisocheck import geometry as geo
@@ -180,6 +182,22 @@ def test_cli_runners_and_criteria_share_builders(all_run):
     assert rec["detail"]["stationary"] is False and "warning" in rec["detail"]
 
 
+@pytest.mark.parametrize("job, criteria", [
+    ("verify_all_suites.json", ("quadratic_lemma", "curvature_ricci", "kato")),
+    ("constants.json", ("constants",)),
+])
+def test_jobs_report_exactly_the_records_of_their_criteria(all_run, job, criteria):
+    # a job file at the criteria's seed and sizes reports the criteria's
+    # records, each without its "<criterion>: " prefix, runtimes aside
+    expected = []
+    for rec in all_run[2]["records"]:
+        criterion, _, name = rec["name"].partition(": ")
+        if criterion in criteria and name != "criterion runtime (s)":
+            expected.append(dict(rec, name=name))
+    report = cli.run(json.loads((JOBS / job).read_text()))
+    assert json.loads(json.dumps(report["records"])) == expected
+
+
 def test_isoperimetric_margin_is_reported_only_off_stationary_charts():
     # the round half-band sphere of the example job is not phi-stationary:
     # its margin is reported with a warning, not judged
@@ -192,27 +210,61 @@ def test_isoperimetric_margin_is_reported_only_off_stationary_charts():
     assert rec["value"] == rec["detail"]["margin"]
 
 
+def _argmin_record(suite, **sizes):
+    """The `argmin reproduction error` record of ``suite`` from the sweep
+    builder at seed 1234 and the default sizes, or the given ones."""
+    sizes = {"samples": iq.SAMPLES, "points": iq.KATO_POINTS, "grids": iq.GRIDS, **sizes}
+    records, _ = ac.sweep_checks([suite], iq.SEED, **sizes)
+    (rec,) = [r for r in records if r.name == f"{suite}: argmin reproduction error"]
+    return rec
+
+
 def test_curvature_argmin_record_catches_a_shifted_witness(monkeypatch):
     # criterion 3 on 50 000-sample sweeps; shifting one stored witness
     # angle by 1e-9 moves its re-evaluated margin far beyond 1e-14
-    pinch, ricci = iq.verify_curvature_pinch, iq.verify_ricci_bound
-    monkeypatch.setattr(iq, "verify_ricci_bound", lambda seed: ricci(50_000, seed=seed))
+    assert _argmin_record("curvature_pinch", samples=50_000).passed
+    pinch = iq.verify_curvature_pinch
 
-    def record():
-        (rec,) = [r for r in ac.criterion_curvature_ricci()
-                  if r.name == "argmin reproduction error"]
-        return rec
-
-    monkeypatch.setattr(iq, "verify_curvature_pinch", lambda seed: pinch(50_000, seed=seed))
-    assert record().passed
-
-    def shifted(seed):
-        rep = pinch(50_000, seed=seed)
+    def shifted(samples, seed):
+        rep = pinch(samples, seed=seed)
         rep.records[0].detail["config"]["psi"] += 1e-9
         return rep
 
     monkeypatch.setattr(iq, "verify_curvature_pinch", shifted)
-    rec = record()
+    rec = _argmin_record("curvature_pinch", samples=50_000)
+    assert not rec.passed and rec.value > 1e-12
+
+
+def test_ricci_argmin_record_catches_a_shifted_witness(monkeypatch):
+    # Ric(y, y) is quadratic in y: a 1e-9 shift of the largest component of
+    # the stored direction moves the margin by about 1e-9
+    assert _argmin_record("ricci_bound", samples=50_000).passed
+    ricci = iq.verify_ricci_bound
+
+    def shifted(samples, seed):
+        rep = ricci(samples, seed=seed)
+        y = rep.records[0].detail["config"]["y"]
+        y[max(range(3), key=lambda i: abs(y[i]))] += 1e-9
+        return rep
+
+    monkeypatch.setattr(iq, "verify_ricci_bound", shifted)
+    rec = _argmin_record("ricci_bound", samples=50_000)
+    assert not rec.passed and rec.value > 1e-12
+
+
+def test_quadratic_argmin_record_catches_a_shifted_second_witness(monkeypatch):
+    # the witness of (3/2 - sqrt2) - (Q1-Q2)/Q1 on a coarse grid sits off
+    # the angle that minimizes it, so a 1e-9 shift of theta shows
+    assert _argmin_record("quadratic_lemma", grids=[10, 10, 12]).passed
+    lemma = iq.verify_quadratic_lemma
+
+    def shifted(*grids):
+        rep = lemma(*grids)
+        rep.records[1].detail["config"]["theta"] += 1e-9
+        return rep
+
+    monkeypatch.setattr(iq, "verify_quadratic_lemma", shifted)
+    rec = _argmin_record("quadratic_lemma", grids=[10, 10, 12])
     assert not rec.passed and rec.value > 1e-12
 
 
@@ -220,7 +272,7 @@ def test_kato_harmonicity_record_catches_a_perturbed_table(monkeypatch):
     # re(z^3) = x^3 - 3 x y^2 with -3 changed to -2.9 has Laplacian 0.2 x
     def record():
         (rec,) = [r for r in ac.criterion_kato()
-                  if r.name == "Laplacian of each table is zero (max |coefficient|)"]
+                  if r.name == "kato: Laplacian of each table is zero (max |coefficient|)"]
         return rec
 
     assert record().passed and record().value == 0.0

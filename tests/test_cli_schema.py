@@ -10,6 +10,7 @@ import pytest
 from anisocheck import cli
 from anisocheck import conformal as cf
 from anisocheck import geometry as geo
+from anisocheck import inequalities as iq
 from anisocheck import schema as sch
 from anisocheck import variation as va
 
@@ -183,6 +184,25 @@ def test_margins_csv_tolerance_is_the_record_tolerance(tmp_path):
     assert len(rows) == len(tolerance)
     for row in rows:
         assert float(row["tolerance"]) == tolerance[f"{row['suite']}: {row['record']}"], row
+
+
+def test_verify_job_catches_a_shifted_curvature_witness(monkeypatch, tmp_path):
+    # the job judges its witnesses as criterion 3 does: a stored angle
+    # shifted by 1e-9 fails the argmin reproduction record
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "verify", "seed": 1234,
+                                "inputs": {"samples": 1000, "points": 200,
+                                           "grids": [10, 10, 12]}}))
+    assert cli.main(["run", "--job", str(path)]) == 0
+    pinch = iq.verify_curvature_pinch
+
+    def shifted(samples, seed):
+        rep = pinch(samples, seed=seed)
+        rep.records[0].detail["config"]["psi"] += 1e-9
+        return rep
+
+    monkeypatch.setattr(iq, "verify_curvature_pinch", shifted)
+    assert cli.main(["run", "--job", str(path)]) == 1
 
 
 def test_cli_mubble_writes_profile_curves(tmp_path):
@@ -451,6 +471,15 @@ UNRUNNABLE = [
 ]
 
 
+# inputs that are no longer read: an integrand's scale c is the quadratic
+# integrand with matrix c^2 I
+REMOVED_INPUTS = [
+    ({"command": "integrand",
+      "inputs": {"integrand": {"kind": "quadratic", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                               "scale": 2}}}, "/inputs/integrand/scale"),
+]
+
+
 def _run_pointers(tmp_path, capsys, job):
     """Exit code of ``anisocheck run`` on ``job`` and the pointers it printed."""
     bad = tmp_path / "bad.json"
@@ -462,7 +491,8 @@ def _run_pointers(tmp_path, capsys, job):
 
 
 @pytest.mark.parametrize("job, pointer",
-                         UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT + UNCAPPED + UNRUNNABLE)
+                         UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT + UNCAPPED + UNRUNNABLE
+                         + REMOVED_INPUTS)
 def test_unchecked_inputs_exit_2_with_their_pointer(tmp_path, capsys, job, pointer):
     assert _run_pointers(tmp_path, capsys, job) == (2, [pointer])
 
@@ -506,7 +536,7 @@ def test_jsonschema_agrees_with_the_walker():
     validator = _draft7()
     jobs = [json.loads(p.read_text()) for p in sorted(JOBS_DIR.glob("*.json"))]
     jobs += EXAMPLE_JOBS + [job for job, _ in UNCHECKED_INPUTS + BEYOND_FLOAT + UNCAPPED
-                            + UNRUNNABLE]
+                            + UNRUNNABLE + REMOVED_INPUTS]
     jobs.append({"command": "mubble", "inputs": {"model": {"profile": "round_cap"}}})
     jobs += [{"command": "integrand",
               "inputs": {"integrand": {"kind": "quadratic", "matrix": m}}}

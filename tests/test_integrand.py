@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -133,7 +135,10 @@ def test_stability_lambda_scale_invariant():
     lam_scaled = ig.analyze(ig.Integrand.quadratic(3.7**2 * quad.matrix), 9).stability_lambda
     assert lam_scaled == pytest.approx(lam, rel=1e-12)
     pert = ig.Integrand.perturbed(4, 0.05, "quartic_saddle")
-    small = ig.Integrand("perturbed", 4, epsilon=0.05, profile="quartic_saddle", scale=0.2)
+    # 0.2 phi: its value, gradient and Hessian are those of phi times 0.2
+    small = SimpleNamespace(dim=4, value=lambda v: 0.2 * pert.value(v),
+                            gradient=lambda v: 0.2 * pert.gradient(v),
+                            hessian=lambda v: 0.2 * pert.hessian(v))
     assert ig.analyze(small, 9).stability_lambda == pytest.approx(
         ig.analyze(pert, 9).stability_lambda, rel=1e-12)
 
@@ -151,7 +156,9 @@ def test_catalog_pinched_integrands_have_large_lambda():
 def test_c1_norm_values():
     iso = ig.Integrand.isotropic(4)
     assert ig.c1_norm(iso, 17) == pytest.approx(SQRT2, abs=1e-12)
-    assert ig.c1_norm(ig.Integrand.isotropic(4, scale=2.0), 17) == pytest.approx(2 * SQRT2, abs=1e-12)
+    # 2 |v| is the quadratic integrand with matrix 4 I
+    assert ig.c1_norm(ig.Integrand.quadratic(4.0 * np.eye(4)), 17) == pytest.approx(
+        2 * SQRT2, abs=1e-12)
     # with the spherical gradient D phi - phi nu in place of D phi the norm is 1
     nu = ig.sphere_grid(4, 17)
     phi = iso.value(nu)
@@ -197,6 +204,29 @@ def test_sphere_grid_contains_axes_and_rejects_small_resolution():
         assert np.min(np.linalg.norm(grid - e, axis=1)) <= 1e-14
     with pytest.raises(ValueError):
         ig.sphere_grid(4, 7)
+
+
+def _face_by_face_sphere_grid(dim, resolution):
+    """The sphere grid built face by face: the 2 dim faces of the cube
+    lattice, deduplicated and sorted by `np.unique`, then normalized."""
+    axis = np.linspace(-1.0, 1.0, resolution | 1)
+    faces = []
+    for a in range(dim):
+        for side in (-1.0, 1.0):
+            grids = np.meshgrid(*([axis] * (dim - 1)), indexing="ij")
+            face = np.stack([grid.ravel() for grid in grids], axis=-1)
+            col = np.full((face.shape[0], 1), side)
+            faces.append(np.concatenate([face[:, :a], col, face[:, a:]], axis=1))
+    pts = np.unique(np.concatenate(faces, axis=0), axis=0)
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("dim, resolution", [(3, 8), (3, 17), (3, 40), (4, 9), (4, 17),
+                                             (5, 8)])
+def test_sphere_grid_equals_the_face_by_face_construction(dim, resolution):
+    grid = ig.sphere_grid(dim, resolution)
+    ref = _face_by_face_sphere_grid(dim, resolution)
+    assert grid.shape == ref.shape and grid.tobytes() == ref.tobytes()
 
 
 def test_sphere_grid_is_cached_read_only():

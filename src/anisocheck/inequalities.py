@@ -7,8 +7,15 @@ are reproducible.  Sampling is deterministic: a Halton low-discrepancy
 stream and a fixed-seed PRNG stream, both reported, plus closed-form
 witness configurations where an equality case is known.
 
-The sweep kernels are vectorized numpy; on ties the first occurrence of
-the extreme value wins, so the stored argmin witness is deterministic.
+Every sweep runs in blocks of at most ``_BLOCK`` points, one constant
+sized so that a block's temporaries fit in L2: the quadratic-lemma grid in
+blocks of beta rows, the curvature, Ricci and Kato sample streams in blocks
+built on demand, so their memory is constant in the sample count and their
+time linear.  The sweep kernels are vectorized numpy over one block, and one
+rule (:class:`_Extreme`) combines the blocks' extremes: a NaN margin
+propagates and otherwise the first occurrence of the extreme value wins,
+exactly as one ``np.argmin``/``np.argmax`` over the whole sweep, so the
+stored witness is deterministic and independent of the block size.
 The kernels hoist and tabulate terms but never reorder floating-point
 operations: the quadratic-lemma kernel keeps the operation order of
 `quadratic_lemma_point`, so its witnesses re-evaluate to the bit, and the
@@ -26,6 +33,7 @@ witness configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +59,8 @@ SEED = 1234
 _PRIMES = (2, 3, 5, 7, 11, 13)
 #: largest table of low-digit sums that `halton` builds per dimension
 _HALTON_TABLE = 1 << 14
-#: points per block of the quadratic-lemma sweep (a few blocks fit in L2)
-_QUAD_BLOCK = 1 << 15
+#: points per block of every sweep (a few blocks fit in L2)
+_BLOCK = 1 << 15
 
 
 def halton(count, dims, skip=20):
@@ -93,12 +101,51 @@ def halton(count, dims, skip=20):
 
 
 def _sample_streams(count, dims, seed):
-    """The two labelled point streams of a sweep in [0,1)^dims: the first
-    ``count // 2`` points from the Halton stream, the rest from the PRNG
-    seeded with ``seed``; each is built when the caller reaches it."""
+    """The two labelled point streams of a sweep in [0,1)^dims, each an
+    iterator over blocks of at most ``_BLOCK`` points built when the caller
+    reaches them: the first ``count // 2`` points from the Halton stream,
+    the rest from the PRNG seeded with ``seed``.
+
+    `halton` is exact for every skip and successive draws of one generator
+    equal a single draw, so the blocks of a stream concatenate to its
+    one-call build bit for bit.
+    """
     half = count // 2
-    yield "halton", halton(half, dims)
-    yield "prng", np.random.default_rng(seed).random((count - half, dims))
+    rng = np.random.default_rng(seed)
+    yield "halton", (halton(m, dims, skip=20 + lo) for lo, m in _blocks(half))
+    yield "prng", (rng.random((m, dims)) for _, m in _blocks(count - half))
+
+
+def _blocks(count):
+    """(offset, size) of the consecutive blocks of at most ``_BLOCK`` points
+    that cover ``count`` points."""
+    return ((lo, min(_BLOCK, count - lo)) for lo in range(0, count, _BLOCK))
+
+
+class _Extreme:
+    """The running minimum (or, with ``largest``, maximum) of one margin over
+    the blocks of a sweep, and the witness of the point that attains it.
+
+    Blocks are offered in sweep order, each with its own extreme and the
+    index at which ``np.argmin``/``np.argmax`` finds it.  The running extreme
+    changes exactly as one ``np.argmin``/``np.argmax`` over the whole sweep
+    would pick: the first block sets it, a NaN then beats every number and
+    stays, and otherwise only a strictly better value replaces, so the first
+    occurrence wins.
+    """
+
+    def __init__(self, largest=False):
+        self.largest = largest
+        self.value = self.witness = None
+
+    def offer(self, value, index, witness):
+        """Fold in a block whose extreme ``value`` sits at ``index``;
+        ``witness(index)`` is called only when the block sets the extreme."""
+        old = self.value
+        if old is not None and (math.isnan(old) or not (
+                math.isnan(value) or (value > old if self.largest else value < old))):
+            return
+        self.value, self.witness = value, witness(index)
 
 
 @dataclass
@@ -128,17 +175,12 @@ def _quadratic_sweep(alphas, betas, coss, sins):
     ``betas`` is ascending, so beta >= alpha is a suffix of the grid.  Each
     term is evaluated in the operation order of `quadratic_lemma_point`:
     the alpha-only terms once per alpha, the beta-only terms once per
-    (beta, theta), the mixed terms per block of at most ``_QUAD_BLOCK``
-    points, and every sum left to right.  Blocks run in grid order and
-    only a strictly better value replaces an extreme, so the first
-    occurrence wins as in a single argmin over the domain.
+    (beta, theta), the mixed terms per block of at most ``_BLOCK`` points,
+    and every sum left to right.  Blocks run in grid order and combine as
+    :class:`_Extreme`, so the extremes and their indices are those of a
+    single argmin/argmax over the domain.
     """
-    min1 = np.inf
-    i1 = j1 = k1i = 0
-    min2 = np.inf
-    i2 = j2 = k2i = 0
-    maxr = -np.inf
-    ir = jr = kr = 0
+    min1, min2, maxr = _Extreme(), _Extreme(), _Extreme(largest=True)
     bad_q2 = 0
     n = coss.size
     k1 = coss[None, :]
@@ -146,7 +188,7 @@ def _quadratic_sweep(alphas, betas, coss, sins):
     bb = betas[:, None]
     q1_beta = (1.0 + bb * bb) * k2 * k2
     q2_beta = 2.0 * bb * k2 * k2
-    rows = max(1, _QUAD_BLOCK // n)
+    rows = max(1, _BLOCK // n)
     q1, q2, m1, m2, r = np.empty((5, min(rows, betas.size), n))
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, a in enumerate(alphas):
@@ -175,19 +217,14 @@ def _quadratic_sweep(alphas, betas, coss, sins):
                     M1[bad] = np.inf
                     M2[bad] = np.inf
                     R[bad] = -np.inf
-                f = int(np.argmin(M1))
-                if M1.flat[f] < min1:
-                    min1 = float(M1.flat[f])
-                    i1, j1, k1i = i, j + f // n, f % n
-                f = int(np.argmin(M2))
-                if M2.flat[f] < min2:
-                    min2 = float(M2.flat[f])
-                    i2, j2, k2i = i, j + f // n, f % n
-                f = int(np.argmax(R))
-                if R.flat[f] > maxr:
-                    maxr = float(R.flat[f])
-                    ir, jr, kr = i, j + f // n, f % n
-    return min1, i1, j1, k1i, min2, i2, j2, k2i, maxr, ir, jr, kr, bad_q2
+                def at(f):
+                    return i, j + f // n, f % n
+                for ext, arr, pick in ((min1, M1, np.argmin), (min2, M2, np.argmin),
+                                       (maxr, R, np.argmax)):
+                    f = int(pick(arr))
+                    ext.offer(float(arr.flat[f]), f, at)
+    return (min1.value, *min1.witness, min2.value, *min2.witness,
+            maxr.value, *maxr.witness, bad_q2)
 
 
 def verify_quadratic_lemma(n_alpha, n_beta, n_angle):
@@ -325,23 +362,24 @@ def verify_curvature_pinch(samples=SAMPLES, seed=SEED):
     with a fine angle grid probes near-sharpness of c0.
     """
     rep = SweepReport(sample_count=samples)
-    max_ratio = -np.inf
-    ratio_cfg = None
+    max_ratio = _Extreme(largest=True)
     max_cons = 0.0
-    for sampler, pts in _sample_streams(samples, 4, seed):
-        aa, psis = _curvature_samples(pts)
-        del pts     # the sweep reads only the sorted columns: keep its peak memory low
-        mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
-        rep.records.append(ge(f"-R >= 0 [{sampler}]", mR, -TOL,
-                              config={"a": [float(c[pR]) for c in aa],
-                                      "psi": float(psis[pR])}))
-        rep.records.append(ge(f"c0*(-R) - |A|^2 [{sampler}]", m2, -TOL,
-                              config={"a": [float(c[p2]) for c in aa],
-                                      "psi": float(psis[p2])}))
-        max_cons = max(max_cons, cons)
-        if ratio > max_ratio:
-            max_ratio = ratio
-            ratio_cfg = {"a": [float(c[pr]) for c in aa], "psi": float(psis[pr])}
+    for sampler, blocks in _sample_streams(samples, 4, seed):
+        min_R, min_2 = _Extreme(), _Extreme()
+        for pts in blocks:
+            aa, psis = _curvature_samples(pts)
+            mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
+
+            def config(p):
+                return {"a": [float(c[p]) for c in aa], "psi": float(psis[p])}
+            min_R.offer(mR, pR, config)
+            min_2.offer(m2, p2, config)
+            max_ratio.offer(ratio, pr, config)
+            max_cons = float(np.maximum(max_cons, cons))
+        rep.records.append(ge(f"-R >= 0 [{sampler}]", min_R.value, -TOL,
+                              config=min_R.witness))
+        rep.records.append(ge(f"c0*(-R) - |A|^2 [{sampler}]", min_2.value, -TOL,
+                              config=min_2.witness))
     # |A|^2 >= -R is (sum k)^2 >= 0: record the identity margin at the
     # moment R is most negative (trivially nonnegative, kept for the table)
     rep.records.append(ge("|A|^2 + R >= 0", 0.0, -TOL, config={"identity": "(sum k)^2"}))
@@ -355,13 +393,11 @@ def verify_curvature_pinch(samples=SAMPLES, seed=SEED):
         rep.records.append(ge(
             f"c0*(-R) - |A|^2 [corner {tuple(round(float(x), 6) for x in a)}]", m2, -TOL,
             config={"a": list(a), "psi": float(psis[p2])}))
-        max_cons = max(max_cons, cons)
-        if ratio > max_ratio:
-            max_ratio = ratio
-            ratio_cfg = {"a": list(a), "psi": float(psis[pr])}
-    rep.extras["max_ratio_A2_over_negR"] = float(max_ratio)
-    rep.extras["max_ratio_config"] = ratio_cfg
-    rep.extras["near_sharp"] = bool(max_ratio >= NEAR_SHARP_RATIO)
+        max_cons = float(np.maximum(max_cons, cons))
+        max_ratio.offer(ratio, pr, lambda p: {"a": list(a), "psi": float(psis[p])})
+    rep.extras["max_ratio_A2_over_negR"] = float(max_ratio.value)
+    rep.extras["max_ratio_config"] = max_ratio.witness
+    rep.extras["near_sharp"] = bool(max_ratio.value >= NEAR_SHARP_RATIO)
     rep.extras["max_constraint_residual"] = float(max_cons)
     rep.extras["c0"] = C0
     return rep
@@ -412,13 +448,16 @@ def verify_ricci_bound(samples=SAMPLES, seed=SEED):
     """Certify Ric(y,y) >= -|A|^2/sqrt(2) over unit (k, y), including the
     closed-form equality witness k = (-sqrt2, 1, 1)/2, y = e1."""
     rep = SweepReport(sample_count=samples)
-    for sampler, pts in _sample_streams(samples, 4, seed):
-        ks = _unit_sphere_points(pts[:, 0], pts[:, 1])
-        ys = _unit_sphere_points(pts[:, 2], pts[:, 3])
-        worst, p = _ricci_sweep(ks, ys)
-        rep.records.append(ge(f"Ric + |A|^2/sqrt2 [{sampler}]", worst, -TOL,
-                              config={"k": [float(c[p]) for c in ks],
-                                      "y": [float(c[p]) for c in ys]}))
+    for sampler, blocks in _sample_streams(samples, 4, seed):
+        worst = _Extreme()
+        for pts in blocks:
+            ks = _unit_sphere_points(pts[:, 0], pts[:, 1])
+            ys = _unit_sphere_points(pts[:, 2], pts[:, 3])
+            m, p = _ricci_sweep(ks, ys)
+            worst.offer(m, p, lambda p: {"k": [float(c[p]) for c in ks],
+                                         "y": [float(c[p]) for c in ys]})
+        rep.records.append(ge(f"Ric + |A|^2/sqrt2 [{sampler}]", worst.value, -TOL,
+                              config=worst.witness))
     k_eq = np.array([-SQRT2, 1.0, 1.0]) / 2.0
     y_eq = np.array([1.0, 0.0, 0.0])
     m_eq = ricci_point(k_eq, y_eq)
@@ -513,20 +552,28 @@ def verify_kato(points=KATO_POINTS, seed=SEED):
     exact derivatives (points with |grad u| below 1e-8 are skipped and
     counted)."""
     rep = SweepReport(sample_count=points * len(KATO_CATALOG))
-    pts = 2.0 * np.concatenate([p for _, p in _sample_streams(points, 3, seed)]) - 1.0
-    skipped = {}
-    for name, poly in sorted(KATO_CATALOG.items()):
-        g = poly_gradient(poly, pts)
-        H = poly_hessian(poly, pts)
-        g2 = np.sum(g * g, axis=-1)
-        ok = g2 >= 1e-16
-        skipped[name] = int(np.sum(~ok))
-        lhs = np.sum(H * H, axis=(-2, -1))
-        hg = np.einsum("...ij,...j->...i", H, g)
-        rhs = 1.5 * np.sum(hg * hg, axis=-1) / np.where(ok, g2, 1.0)
-        margin = np.where(ok, lhs - rhs, np.inf)
-        p = int(np.argmin(margin))
-        rep.records.append(ge(f"kato[{name}]", margin[p], -TOL,
-                              config={"poly": name, "point": pts[p].tolist()}))
+    names = sorted(KATO_CATALOG)
+    worst = {name: _Extreme() for name in names}
+    skipped = dict.fromkeys(names, 0)
+    for _, blocks in _sample_streams(points, 3, seed):
+        for block in blocks:
+            pts = 2.0 * block - 1.0
+            for name in names:
+                poly = KATO_CATALOG[name]
+                g = poly_gradient(poly, pts)
+                H = poly_hessian(poly, pts)
+                g2 = np.sum(g * g, axis=-1)
+                ok = g2 >= 1e-16
+                skipped[name] += int(np.sum(~ok))
+                lhs = np.sum(H * H, axis=(-2, -1))
+                hg = np.einsum("...ij,...j->...i", H, g)
+                rhs = 1.5 * np.sum(hg * hg, axis=-1) / np.where(ok, g2, 1.0)
+                margin = np.where(ok, lhs - rhs, np.inf)
+                p = int(np.argmin(margin))
+                worst[name].offer(float(margin[p]), p,
+                                  lambda p: {"poly": name, "point": pts[p].tolist()})
+    for name in names:
+        rep.records.append(ge(f"kato[{name}]", worst[name].value, -TOL,
+                              config=worst[name].witness))
     rep.extras["skipped_points"] = skipped
     return rep

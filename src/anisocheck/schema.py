@@ -30,8 +30,9 @@ from .checks import ladder
 COMMANDS = ("constants", "integrand", "variation", "conformal", "mubble",
             "verify", "all")
 SUITES = ("quadratic_lemma", "curvature_pinch", "ricci_bound", "kato")
-#: largest ``samples`` (and Kato ``points``) of a verify job: memory and
-#: time grow linearly in it, about 75 MB and 0.2 s per 10^6 curvature samples
+#: largest ``samples`` (and Kato ``points``) of a verify job: the sweeps
+#: stream their samples in blocks, so memory stays constant (4-10 MiB) and
+#: time grows linearly, about 0.15 s per 10^6 curvature or Ricci samples
 MAX_SAMPLES = 10_000_000
 #: largest grid product n_alpha * n_beta * n_angle of the quadratic-lemma
 #: sweep: about 3.5 times the default 200 x 200 x 720

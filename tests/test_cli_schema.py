@@ -166,10 +166,12 @@ def test_cli_verify_deterministic_and_seed_sensitivity(tmp_path):
     other = json.loads((tmp_path / "c2" / "report.json").read_text())
     base = json.loads(ra)
     assert [r["pass"] for r in other["records"]] == [r["pass"] for r in base["records"]]
-    # the report-level worst margin is pinned by the seed-independent
-    # Halton stream and the exact witness, so it moves well under 1e-3
-    worst_a = min(r["value"] for r in base["records"])
-    worst_b = min(r["value"] for r in other["records"])
+    # the report-level worst margin (over the margin records, tolerance
+    # -TOL; the argmin reproduction residual is no margin) is pinned by the
+    # seed-independent Halton stream and the exact witness, so it moves well
+    # under 1e-3
+    worst_a = min(r["value"] for r in base["records"] if r["tolerance"] == -iq.TOL)
+    worst_b = min(r["value"] for r in other["records"] if r["tolerance"] == -iq.TOL)
     assert abs(worst_a - worst_b) <= 1e-3
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -372,14 +374,90 @@ def _sweep_outputs(rep):
             "extras": rep.extras}
 
 
-@pytest.mark.parametrize("suite, sweep", [
+PINNED = [
     ("quadratic_lemma", lambda: iq.verify_quadratic_lemma(40, 40, 72)),
     ("curvature_pinch", lambda: iq.verify_curvature_pinch(20_000, seed=1234)),
     ("ricci_bound", lambda: iq.verify_ricci_bound(20_000, seed=1234)),
     ("kato", lambda: iq.verify_kato(2_000, seed=1234)),
-])
+]
+
+
+@pytest.mark.parametrize("suite, sweep", PINNED)
 def test_sweep_records_are_pinned(suite, sweep):
     assert repr(_sweep_outputs(sweep())) == repr(GOLDEN[suite])
+
+
+@pytest.mark.parametrize("block", [7, 4096, 10_000])
+@pytest.mark.parametrize("suite, sweep", PINNED)
+def test_sweep_records_are_pinned_in_any_block_size(monkeypatch, suite, sweep, block):
+    # a stream of 10 000 points in blocks with ragged tails, and one block
+    # of the whole stream; the quadratic grid in one beta row per block up
+    # to a whole alpha row per block
+    monkeypatch.setattr(iq, "_BLOCK", block)
+    assert repr(_sweep_outputs(sweep())) == repr(GOLDEN[suite])
+
+
+def test_stream_blocks_concatenate_to_the_one_call_stream(monkeypatch):
+    # blocks of 5000 Halton points: the first builds smaller digit tables
+    # than one call, and one straddles index 2^14 = _HALTON_TABLE, where the
+    # base-2 table's high digit changes; the PRNG blocks are successive draws
+    monkeypatch.setattr(iq, "_BLOCK", 5000)
+    count = 40_001
+    streams = {label: np.concatenate(list(blocks))
+               for label, blocks in iq._sample_streams(count, len(iq._PRIMES), 7)}
+    halton = iq.halton(count // 2, len(iq._PRIMES))
+    assert np.array_equal(streams["halton"].view(np.int64), halton.view(np.int64))
+    prng = np.random.default_rng(7).random((count - count // 2, len(iq._PRIMES)))
+    assert np.array_equal(streams["prng"].view(np.int64), prng.view(np.int64))
+
+
+def test_a_nan_margin_in_a_later_stream_block_is_reported(monkeypatch):
+    # Halton point 2500 gets a NaN fourth coordinate (the curvature angle,
+    # a Ricci direction), so its margins are NaN; in blocks of 1000 it lies
+    # in the third block, and the records report it as one argmin over the
+    # whole stream does, so they fail
+    halton, bad = iq.halton, 20 + 2500
+
+    def poisoned(count, dims, skip=20):
+        pts = halton(count, dims, skip)
+        if skip <= bad < skip + count:
+            pts[bad - skip, 3] = np.nan
+        return pts
+
+    monkeypatch.setattr(iq, "halton", poisoned)
+    for sweep, name in ((iq.verify_curvature_pinch, "-R >= 0 [halton]"),
+                        (iq.verify_ricci_bound, "Ric + |A|^2/sqrt2 [halton]")):
+        outputs = []
+        for block in (1000, 10_000):
+            monkeypatch.setattr(iq, "_BLOCK", block)
+            rep = sweep(20_000, seed=5)
+            outputs.append(repr(_sweep_outputs(rep)))
+            rec = next(r for r in rep.records if r.name == name)
+            assert np.isnan(rec.value) and not rec.passed
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("sweep, count, mib", [
+    (iq.verify_curvature_pinch, 10**6, 8),
+    (iq.verify_ricci_bound, 10**6, 8),
+    (iq.verify_kato, 200_000, 16),
+])
+def test_streamed_sweep_memory_is_constant_in_the_sample_count(sweep, count, mib):
+    # whole-stream arrays took a tracemalloc peak of 69 and 65 MiB for the
+    # curvature and Ricci sweeps at 10^6 samples and of 51 MiB for Kato at
+    # 2 x 10^5 points, growing linearly; blocks of _BLOCK points take about
+    # 5, 4 and 10 MiB at any count
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sweep(count)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < mib * 2**20
 
 
 def _radical_inverse(index, base):
@@ -408,17 +486,22 @@ def test_halton_matches_scalar_radical_inverse(count, skip):
     # identical rows, and theta -> theta + pi repeats every value: ties
     # within and across blocks, where the first occurrence must win
     (np.full(3, 0.8), np.full(4, 0.8)),
+    # beta = 1e200 overflows 1 + beta^2: at theta = 0, Q1 = inf * 0 is NaN
+    # while Q2 = 2 alpha stays positive, so all three margins are NaN in the
+    # last beta row (a later block), and NaN must win as in one argmin
+    (np.array([0.8, 0.9]), np.array([0.8, 0.9, 1e200])),
 ])
 def test_quadratic_sweep_matches_full_grid_reference(monkeypatch, block, alphas, betas):
     # swept in blocks of two beta rows and in whole rows
-    monkeypatch.setattr(iq, "_QUAD_BLOCK", block)
+    monkeypatch.setattr(iq, "_BLOCK", block)
     thetas = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     coss, sins = np.cos(thetas), np.sin(thetas)
     a, b = alphas[:, None, None], betas[None, :, None]
     k1, k2 = coss[None, None, :], sins[None, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         m1, m2, r = iq.quadratic_lemma_point(a, b, thetas[None, None, :])
-    q2 = 2.0 * a * k1 * k1 + 2.0 * (a + b - 1.0) * k1 * k2 + 2.0 * b * k2 * k2
+        q2 = 2.0 * a * k1 * k1 + 2.0 * (a + b - 1.0) * k1 * k2 + 2.0 * b * k2 * k2
+        swept = iq._quadratic_sweep(alphas, betas, coss, sins)
     keep = (b >= a) & (q2 > 0.0)
     expected = []
     for arr, fill, pick in ((m1, np.inf, np.argmin), (m2, np.inf, np.argmin),
@@ -427,7 +510,8 @@ def test_quadratic_sweep_matches_full_grid_reference(monkeypatch, block, alphas,
         f = int(pick(masked))
         expected += [float(masked.flat[f]), *np.unravel_index(f, masked.shape)]
     expected.append(int(np.sum((b >= a) & ~keep)))
-    assert iq._quadratic_sweep(alphas, betas, coss, sins) == tuple(expected)
+    # equal element by element, a NaN equal to a NaN
+    np.testing.assert_equal(swept, tuple(expected))
 
 
 def test_curvature_and_ricci_kernels_match_stacked_reference():

@@ -9,13 +9,19 @@ witness configurations where an equality case is known.
 
 Every sweep runs in blocks of at most ``_BLOCK`` points, one constant
 sized so that a block's temporaries fit in L2: the quadratic-lemma grid in
-blocks of beta rows, the curvature, Ricci and Kato sample streams in blocks
-built on demand, so their memory is constant in the sample count and their
-time linear.  The sweep kernels are vectorized numpy over one block, and one
-rule (:class:`_Extreme`) combines the blocks' extremes: a NaN margin
-propagates and otherwise the first occurrence of the extreme value wins,
-exactly as one ``np.argmin``/``np.argmax`` over the whole sweep, so the
-stored witness is deterministic and independent of the block size.
+blocks of (alpha, beta) rows at one alpha, the curvature, Ricci and Kato
+sample streams in blocks built on demand, so their memory is constant in
+the grid and the sample count.  The stream sweeps take time linear in their
+count.  The quadratic-lemma sweep runs its kernel only on the rows that can
+hold or tie an extreme: closed-form 2x2 eigenvalue floors of each row's
+margins over the unit circle, computed in chunks of at most ``_BLOCK``
+rows, skip the rest (`_quadratic_sweep`), so its time follows the rows that
+survive (one of the 20 100 at `GRIDS`).  The sweep kernels are vectorized
+numpy over one block, and one rule (:class:`_Extreme`) combines the blocks'
+extremes: a NaN margin propagates and otherwise the first occurrence of
+the extreme value wins, exactly as one ``np.argmin``/``np.argmax`` over the
+whole sweep, so the stored witness is deterministic and independent of the
+block size and of the rows skipped.
 The kernels hoist and tabulate terms but never reorder floating-point
 operations: the quadratic-lemma kernel keeps the operation order of
 `quadratic_lemma_point`, so its witnesses re-evaluate to the bit, and the
@@ -61,6 +67,8 @@ _PRIMES = (2, 3, 5, 7, 11, 13)
 _HALTON_TABLE = 1 << 14
 #: points per block of every sweep (a few blocks fit in L2)
 _BLOCK = 1 << 15
+#: unit roundoff of float64
+_U = 2.0 ** -53
 
 
 def halton(count, dims, skip=20):
@@ -168,61 +176,182 @@ def quadratic_lemma_point(alpha, beta, theta):
     return C0 * q2 - q1, C1_MAX - (q1 - q2) / q1, q1 / q2
 
 
+def _quadratic_block(a, b, k1, k2, out):
+    """The margins (c0 Q2 - Q1, c1_max - (Q1-Q2)/Q1, Q1/Q2) of the rows
+    ``b`` at ``a`` on the angle grid ``(k1, k2)`` (each of shape (1, n)), as
+    views of the six (rows, n) buffers ``out``, with inf, inf and -inf where
+    Q2 <= 0, and the count of those points.
+
+    Each term is evaluated in the operation order of `quadratic_lemma_point`
+    and every sum left to right, so each margin equals its scalar value.
+    """
+    Q1, Q2, M1, M2, R, T = (buf[:b.size] for buf in out)
+    bb = b[:, None]
+    np.multiply(2.0 * a * bb, k1, out=Q1)
+    Q1 *= k2
+    Q1 += (1.0 + a * a) * k1 * k1
+    np.multiply(1.0 + bb * bb, k2, out=T)
+    T *= k2
+    Q1 += T
+    np.multiply(2.0 * (a + bb - 1.0), k1, out=Q2)
+    Q2 *= k2
+    Q2 += 2.0 * a * k1 * k1
+    np.multiply(2.0 * bb, k2, out=T)
+    T *= k2
+    Q2 += T
+    np.multiply(Q2, C0, out=M1)
+    M1 -= Q1
+    np.subtract(Q1, Q2, out=M2)
+    M2 /= Q1
+    np.subtract(C1_MAX, M2, out=M2)
+    np.divide(Q1, Q2, out=R)
+    bad = 0
+    if not Q2.min() > 0.0:
+        nonpositive = ~(Q2 > 0.0)
+        bad = int(np.count_nonzero(nonpositive))
+        M1[nonpositive] = np.inf
+        M2[nonpositive] = np.inf
+        R[nonpositive] = -np.inf
+    return M1, M2, R, bad
+
+
+def _lambda_min(p, q, r):
+    """The smaller eigenvalue of [[p, q], [q, r]]: (p + r)/2 - hypot((p - r)/2, q),
+    with no cancellation under the root."""
+    return (p + r) / 2.0 - np.hypot((p - r) / 2.0, q)
+
+
+def _quadratic_floors(a, b, eta):
+    """Per row (a, b): the floors over the unit circle of c0 Q2 - Q1, of
+    c1_max - (Q1-Q2)/Q1 and of Q2, the cap on Q1/Q2 (inf unless Q2/Q1 has a
+    positive floor) and the slack of `_quadratic_sweep`, for an angle grid
+    with |k|^2 within ``eta`` of 1."""
+    with np.errstate(all="ignore"):
+        p1, q1, d = 1.0 + a * a, a * b, b * b
+        p2, q2, r2 = 2.0 * a, a + b - 1.0, 2.0 * b
+        floor1 = _lambda_min(C0 * p2 - p1, C0 * q2 - q1, C0 * r2 - (1.0 + d))
+        floor_q2 = _lambda_min(p2, q2, r2)
+        # L^-1 B2 L^-T for the Cholesky factor L of B1, whose determinant is d
+        d += p1
+        t = q1 / p1
+        mu = _lambda_min(p2 / p1, (q2 - p2 * t) / np.sqrt(d),
+                         (p2 * t * t - 2.0 * q2 * t + r2) * (p1 / d))
+        cap = np.where(mu > 0.0, 1.0 / mu, np.inf)
+        w = (d + np.abs(a) + np.abs(b)) * (1.0 + cap)
+        bound = (1024.0 * _U + 64.0 * eta) * w * w
+        slack = 1e3 * np.where(bound <= 0.5, bound, np.inf)
+    return floor1, (C1_MAX - 1.0) + mu, cap, floor_q2, slack
+
+
+def _quadratic_pairs(starts, n_beta):
+    """(alpha, beta) index arrays of the rows j >= starts[i], in grid order,
+    in chunks of at most ``_BLOCK`` rows."""
+    ends = np.cumsum(n_beta - starts)
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, _BLOCK):
+        p = np.arange(lo, min(lo + _BLOCK, total))
+        i = np.searchsorted(ends, p, side="right")
+        yield i, p - ends[i] + n_beta
+
+
 def _quadratic_sweep(alphas, betas, coss, sins):
     """Extremes of the three margins over beta >= alpha and the angle grid,
     with their grid indices, and the count of points where Q2 <= 0.
 
-    ``betas`` is ascending, so beta >= alpha is a suffix of the grid.  Each
-    term is evaluated in the operation order of `quadratic_lemma_point`:
-    the alpha-only terms once per alpha, the beta-only terms once per
-    (beta, theta), the mixed terms per block of at most ``_BLOCK`` points,
-    and every sum left to right.  Blocks run in grid order and combine as
-    :class:`_Extreme`, so the extremes and their indices are those of a
-    single argmin/argmax over the domain.
+    ``betas`` is ascending, so beta >= alpha is a suffix of each alpha's
+    rows.  On a row (alpha, beta) the margins are quadratic forms in
+    k = (cos theta, sin theta): Q1 = k^T B1 k and Q2 = k^T B2 k with
+    B1 = [[1 + a^2, ab], [ab, 1 + b^2]] = I + (a, b)(a, b)^T and
+    B2 = [[2a, a + b - 1], [a + b - 1, 2b]].  Over the unit circle the
+    Rayleigh quotient (Courant-Fischer) bounds them in closed form
+    (`_quadratic_floors`): c0 Q2 - Q1 >= lambda_min(c0 B2 - B1),
+    Q2 >= lambda_min(B2), and Q2/Q1 >= mu = lambda_min(L^-1 B2 L^-T) for the
+    Cholesky factor L of B1, so c1_max - (Q1-Q2)/Q1 >= c1_max - 1 + mu and,
+    when mu > 0, Q1/Q2 <= 1/mu, the cap.
+
+    The block kernel `_quadratic_block` first runs on the rows that
+    minimize the first two floors; their extremes are grid values u1, u2
+    and r_max.  Then it runs, in grid order, on every row except those whose
+    floors of the two margins exceed u1 and u2, and whose cap falls short of
+    r_max, each by more than the row's slack, whose Q2 floor exceeds the
+    slack and whose floors are all finite; when u1, u2 or r_max is not
+    finite, it runs on every row.  The slack bounds the distance between a
+    computed floor and any margin the kernel computes on the row (below), so
+    a skipped row has no margin that reaches or ties an extreme, no NaN and
+    no Q2 <= 0, and a row attaining u1, u2 or r_max is never skipped: the
+    extremes, their first-occurrence witnesses, NaN propagation and the Q2
+    count are those of the whole grid.  Each block holds at most ``_BLOCK``
+    points of rows at one alpha, and the blocks combine as :class:`_Extreme`,
+    so the extremes and their indices are those of a single argmin/argmax
+    over the domain.
+
+    The slack.  Let u = 2^-53, S = 1 + a^2 + b^2 + |a| + |b|, cap = 1/mu and
+    eta >= ||k|^2 - 1| on the grid (its measured deviation plus 4u).  On the
+    unit circle q1 is in [1, S] (B1 >= I) and |q2| <= ||B2|| <= 3S.
+    - The kernel computes Q1 and Q2 within 16uS of the forms at k (at most
+      six roundings per term), which lie within 3 eta S of the forms at
+      k/|k|: within E = (16u + 3 eta) S of q1 and q2.
+    - The computed lambda_min(c0 B2 - B1) and lambda_min(B2) are within
+      64uS of their values, and mu within 128uS^2 (the entries of
+      L^-1 B2 L^-T reach S^(3/2)).
+    - So c0 Q2 - Q1 and Q2 reach at most (128u + 8 eta) S below their
+      floors; Q2/Q1 moves by at most 2E(1 + 3S) as q1 >= 1, so the second
+      margin reaches at most (288u + 24 eta) S^2 below its floor; and
+      q2 >= mu q1 >= mu, so Q1/Q2 moves by at most 2E cap (1 + cap), which
+      with the error of the cap is at most (290u + 6 eta) (S (1 + cap))^2.
+    Each is below (512u + 32 eta) W^2 for W = S (1 + cap), and twice that,
+    bound = (1024u + 64 eta) W^2 with the computed cap (within a quarter of
+    the exact one), bounds them all where bound <= 1/2, which also keeps Q1,
+    Q2 and mu away from zero in the steps above.  The slack is 10^3 bound,
+    which also covers the rounding of the comparisons, and infinite where
+    bound > 1/2.
     """
-    min1, min2, maxr = _Extreme(), _Extreme(), _Extreme(largest=True)
-    bad_q2 = 0
     n = coss.size
-    k1 = coss[None, :]
-    k2 = sins[None, :]
-    bb = betas[:, None]
-    q1_beta = (1.0 + bb * bb) * k2 * k2
-    q2_beta = 2.0 * bb * k2 * k2
+    k1, k2 = coss[None, :], sins[None, :]
     rows = max(1, _BLOCK // n)
-    q1, q2, m1, m2, r = np.empty((5, min(rows, betas.size), n))
+    out = np.empty((6, min(rows, betas.size), n))
+    starts = np.searchsorted(betas, alphas)
+    eta = float(np.max(np.abs(coss * coss + sins * sins - 1.0))) + 4.0 * _U
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, a in enumerate(alphas):
-            q1_alpha = (1.0 + a * a) * k1 * k1
-            q2_alpha = 2.0 * a * k1 * k1
-            for j in range(int(np.searchsorted(betas, a)), betas.size, rows):
-                b = bb[j:j + rows]
-                Q1, Q2, M1, M2, R = (buf[:b.size] for buf in (q1, q2, m1, m2, r))
-                np.multiply(2.0 * a * b, k1, out=Q1)
-                Q1 *= k2
-                Q1 += q1_alpha
-                Q1 += q1_beta[j:j + rows]
-                np.multiply(2.0 * (a + b - 1.0), k1, out=Q2)
-                Q2 *= k2
-                Q2 += q2_alpha
-                Q2 += q2_beta[j:j + rows]
-                np.multiply(Q2, C0, out=M1)
-                M1 -= Q1
-                np.subtract(Q1, Q2, out=M2)
-                M2 /= Q1
-                np.subtract(C1_MAX, M2, out=M2)
-                np.divide(Q1, Q2, out=R)
-                if not Q2.min() > 0.0:
-                    bad = ~(Q2 > 0.0)
-                    bad_q2 += int(np.count_nonzero(bad))
-                    M1[bad] = np.inf
-                    M2[bad] = np.inf
-                    R[bad] = -np.inf
-                def at(f):
-                    return i, j + f // n, f % n
-                for ext, arr, pick in ((min1, M1, np.argmin), (min2, M2, np.argmin),
-                                       (maxr, R, np.argmax)):
-                    f = int(pick(arr))
-                    ext.offer(float(arr.flat[f]), f, at)
+        # 1. the thresholds: the kernel on the rows minimizing the two floors
+        lowest = _Extreme(), _Extreme()
+        for i, j in _quadratic_pairs(starts, betas.size):
+            for ext, floor in zip(lowest, _quadratic_floors(alphas[i], betas[j], eta)[:2]):
+                floor = np.where(np.isnan(floor), np.inf, floor)
+                p = int(np.argmin(floor))
+                ext.offer(float(floor[p]), p, lambda p: (int(i[p]), int(j[p])))
+        u1, u2, r_max = np.inf, np.inf, -np.inf
+        for i, j in {ext.witness for ext in lowest}:
+            M1, M2, R, _ = _quadratic_block(alphas[i], betas[j:j + 1], k1, k2, out)
+            u1, u2 = np.minimum(u1, M1.min()), np.minimum(u2, M2.min())
+            r_max = np.maximum(r_max, R.max())
+        prune = bool(np.isfinite([u1, u2, r_max]).all())
+        # 2. the kernel on the rows that are not skipped, in grid order
+        min1, min2, maxr = _Extreme(), _Extreme(), _Extreme(largest=True)
+        bad_q2 = 0
+        for i, j in _quadratic_pairs(starts, betas.size):
+            if prune:
+                f1, f2, cap, fq2, slack = _quadratic_floors(alphas[i], betas[j], eta)
+                skip = ((f1 - slack > u1) & (f2 - slack > u2) & (cap + slack < r_max)
+                        & (fq2 > slack) & np.isfinite(f1) & np.isfinite(f2)
+                        & np.isfinite(cap) & np.isfinite(fq2))
+                i, j = i[~skip], j[~skip]
+            if not i.size:
+                continue
+            cuts = np.flatnonzero(np.diff(i)) + 1
+            for row_i, row_j in zip(np.split(i, cuts), np.split(j, cuts)):
+                a = alphas[row_i[0]]
+                for lo in range(0, row_j.size, rows):
+                    js = row_j[lo:lo + rows]
+                    M1, M2, R, bad = _quadratic_block(a, betas[js], k1, k2, out)
+                    bad_q2 += bad
+
+                    def at(f):
+                        return int(row_i[0]), int(js[f // n]), f % n
+                    for ext, arr, pick in ((min1, M1, np.argmin), (min2, M2, np.argmin),
+                                           (maxr, R, np.argmax)):
+                        f = int(pick(arr))
+                        ext.offer(float(arr.flat[f]), f, at)
     return (min1.value, *min1.witness, min2.value, *min2.witness,
             maxr.value, *maxr.witness, bad_q2)
 
@@ -240,7 +369,7 @@ def verify_quadratic_lemma(n_alpha, n_beta, n_angle):
     coss, sins = np.cos(thetas), np.sin(thetas)
     (m1, i1, j1, k1, m2, i2, j2, k2, maxr, ir, jr, krr, bad) = _quadratic_sweep(
         alphas, betas, coss, sins)
-    count = int(np.sum(betas[None, :] >= alphas[:, None]) * n_angle)
+    count = int(np.sum(n_beta - np.searchsorted(betas, alphas))) * n_angle
     rep = SweepReport(sample_count=count)
     rep.records.append(ge(
         "c0*Q2 - Q1", m1, -TOL,

@@ -12,6 +12,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anisocheck import acceptance as ac
@@ -266,6 +267,27 @@ def test_quadratic_argmin_record_catches_a_shifted_second_witness(monkeypatch):
     monkeypatch.setattr(iq, "verify_quadratic_lemma", shifted)
     rec = _argmin_record("quadratic_lemma", grids=[10, 10, 12])
     assert not rec.passed and rec.value > 1e-12
+
+
+@pytest.mark.parametrize("scale", [1 - 1e-3, 1 - 1e-6])
+def test_quadratic_lemma_record_catches_a_scaled_c0(monkeypatch, scale):
+    # c0 Q2 - Q1 is sharp at alpha = beta = 1/sqrt2, theta = pi/4, where
+    # c0 Q2 = Q1 = 2, so c0 (1 - eps) reads -2 eps there; the floors that
+    # skip rows read the scaled c0 too, so the witness at (40, 40, 72) is
+    # the argmin of the whole grid
+    monkeypatch.setattr(iq, "C0", iq.C0 * scale)
+    records, _ = ac.sweep_checks(["quadratic_lemma"], iq.SEED, iq.SAMPLES,
+                                 iq.KATO_POINTS, iq.GRIDS)
+    (rec,) = [r for r in records if r.name == "quadratic_lemma: c0*Q2 - Q1"]
+    assert not rec.passed and rec.value == pytest.approx(-2.0 * (1.0 - scale), rel=1e-6)
+    alphas = np.linspace(1.0 / iq.SQRT2, 1.0, 40)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 72, endpoint=False)
+    a, b = alphas[:, None, None], alphas[None, :, None]
+    m1 = np.where(b >= a, iq.quadratic_lemma_point(a, b, thetas)[0], np.inf)
+    i, j, k = np.unravel_index(int(np.argmin(m1)), m1.shape)
+    (rec, *_) = iq.verify_quadratic_lemma(40, 40, 72).records
+    assert rec.value == m1[i, j, k] and not rec.passed
+    assert rec.detail["config"] == {"alpha": alphas[i], "beta": alphas[j], "theta": thetas[k]}
 
 
 def test_kato_harmonicity_record_catches_a_perturbed_table(monkeypatch):

@@ -437,6 +437,20 @@ def test_a_nan_margin_in_a_later_stream_block_is_reported(monkeypatch):
         assert outputs[0] == outputs[1]
 
 
+def _traced_peak(call):
+    """The tracemalloc peak of ``call()`` above the memory traced before it."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("sweep, count, mib", [
     (iq.verify_curvature_pinch, 10**6, 8),
     (iq.verify_ricci_bound, 10**6, 8),
@@ -447,17 +461,30 @@ def test_streamed_sweep_memory_is_constant_in_the_sample_count(sweep, count, mib
     # curvature and Ricci sweeps at 10^6 samples and of 51 MiB for Kato at
     # 2 x 10^5 points, growing linearly; blocks of _BLOCK points take about
     # 5, 4 and 10 MiB at any count
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        sweep(count)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
-    assert peak < mib * 2**20
+    assert _traced_peak(lambda: sweep(count)) < mib * 2**20
+
+
+@pytest.mark.parametrize("grids", [(2, 1000, 5000), iq.GRIDS])
+def test_quadratic_sweep_memory_is_constant_in_the_grid(grids):
+    # tabulated beta terms, two (n_beta, n_angle) arrays, took a tracemalloc
+    # peak of 114.6 MiB at (2, 1000, 5000); the floors in chunks of _BLOCK
+    # rows and the kernel's buffers of _BLOCK points take 1.7 and 4.7 MiB
+    assert _traced_peak(lambda: iq.verify_quadratic_lemma(*grids)) < 8 * 2**20
+
+
+def test_quadratic_sweep_runs_the_kernel_on_few_rows(monkeypatch):
+    # of the 20 100 rows beta >= alpha at GRIDS the floors keep only the
+    # corner alpha = beta = 1/sqrt2, which the kernel sweeps twice: for the
+    # thresholds and in grid order
+    kernel, rows = iq._quadratic_block, []
+
+    def counting(a, b, *args):
+        rows.append(b.size)
+        return kernel(a, b, *args)
+
+    monkeypatch.setattr(iq, "_quadratic_block", counting)
+    assert passed(iq.verify_quadratic_lemma(*iq.GRIDS))
+    assert sum(rows) <= 10
 
 
 def _radical_inverse(index, base):
@@ -543,3 +570,63 @@ def test_curvature_and_ricci_kernels_match_stacked_reference():
         worst, _ = iq._ricci_sweep(tuple(ks[p:p + 1, i] for i in range(3)),
                                    tuple(ys[p:p + 1, i] for i in range(3)))
         assert worst == ricci[p], p
+
+
+def _random_quadratic_grid(rng):
+    """A small (alphas, betas) grid: values in [-0.5, 1.5] drawn from a pool
+    of five (so rows repeat), betas ascending, at times a near-overflow
+    +-1e154 or the 1e200 row of the reference test."""
+    pool = rng.uniform(-0.5, 1.5, 5)
+    alphas = rng.choice(pool, rng.integers(1, 6))
+    betas = np.sort(np.append(rng.choice(pool, rng.integers(1, 7)), alphas.max()))
+    extreme = rng.choice([0.0, 1e154, -1e154, 1e200], p=[0.85, 0.05, 0.05, 0.05])
+    if extreme > 0.0:
+        betas = np.append(betas, extreme)
+    elif extreme < 0.0:
+        alphas = np.append(alphas, extreme)
+    return alphas, betas
+
+
+def test_quadratic_floors_bound_the_kernel_and_pruning_keeps_the_full_grid(monkeypatch):
+    # on every row of 300 seeded grids each floor less its slack lies at or
+    # below the kernel's own minimum of that quantity over the angle grid
+    # (and the cap plus its slack at or above the largest Q1/Q2), and the
+    # pruned sweep equals the full-grid reference in blocks of two rows and
+    # in whole alpha rows.  The second margin is c1_max - 1 + Q2/Q1, so it
+    # and Q1/Q2 peak at the same point but for rounding: dropping either of
+    # their skip conditions alone leaves the sweep exact, dropping both
+    # fails here
+    thetas = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    coss, sins = np.cos(thetas), np.sin(thetas)
+    k1, k2 = coss[None, :], sins[None, :]
+    eta = float(np.max(np.abs(coss * coss + sins * sins - 1.0))) + 4.0 * iq._U
+    kernel, swept_rows, finite_rows, all_rows = iq._quadratic_block, [0], 0, 0
+
+    def counting(a, b, *args):
+        swept_rows[0] += b.size
+        return kernel(a, b, *args)
+
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        alphas, betas = _random_quadratic_grid(rng)
+        out = np.empty((6, betas.size, thetas.size))
+        for a in alphas:
+            with np.errstate(all="ignore"):
+                m1, m2, r, _ = kernel(a, betas, k1, k2, out)
+                q2 = 2.0 * a * k1 * k1 + 2.0 * (a + betas[:, None] - 1.0) * k1 * k2 \
+                    + 2.0 * betas[:, None] * k2 * k2
+            f1, f2, cap, fq2, slack = iq._quadratic_floors(np.full(betas.size, a), betas, eta)
+            rows = np.isfinite(slack)
+            finite_rows += int(np.count_nonzero(rows))
+            assert np.all(f1[rows] - slack[rows] <= m1[rows].min(axis=1))
+            assert np.all(f2[rows] - slack[rows] <= m2[rows].min(axis=1))
+            assert np.all(cap[rows] + slack[rows] >= r[rows].max(axis=1))
+            assert np.all(fq2[rows] - slack[rows] <= q2[rows].min(axis=1))
+        all_rows += int(np.sum(betas.size - np.searchsorted(betas, alphas)))
+        monkeypatch.setattr(iq, "_quadratic_block", counting)
+        for block in (48, 1 << 15):
+            test_quadratic_sweep_matches_full_grid_reference(monkeypatch, block, alphas, betas)
+        monkeypatch.setattr(iq, "_quadratic_block", kernel)
+    # the bounds are not vacuous, and the sweeps skip rows
+    assert finite_rows > 1000
+    assert swept_rows[0] / 2 < 0.8 * all_rows

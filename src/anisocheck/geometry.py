@@ -212,48 +212,44 @@ def _cofactor(m, i, j):
     return m[..., i1, j1] * m[..., i2, j2] - m[..., i1, j2] * m[..., i2, j1]
 
 
-def _det(m):
-    """Determinant of a stack of 2x2 or 3x3 matrices in closed form, 3x3
-    expanded along the first row (the first adjugate column alone)."""
-    if m.shape[-1] == 2:
-        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    if m.shape[-1] == 3:
-        return m[..., 0, 0] * _cofactor(m, 0, 0) + m[..., 0, 1] * _cofactor(m, 0, 1) \
-            + m[..., 0, 2] * _cofactor(m, 0, 2)
-    raise ValueError("only 2x2 and 3x3 matrices are supported")
-
-
 def _cofactors(m):
-    """(det, adjugate) of a stack of 2x2 or 3x3 matrices in closed form.
+    """(det, adjugate) of a stack of 2x2 or 3x3 matrices in closed form, a
+    3x3 det expanded along the first row.
 
     The adjugate is the transposed cofactor matrix, so ``adj / det`` is the
-    inverse; det is :func:`_det`, bit for bit.
+    inverse.
     """
-    det = _det(m)
     if m.shape[-1] == 2:
         a, b = m[..., 0, 0], m[..., 0, 1]
         c, d = m[..., 1, 0], m[..., 1, 1]
         adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
-    elif m.shape[-1] == 3:
+        return a * d - b * c, adj
+    if m.shape[-1] == 3:
         adj = np.empty_like(m)
         for i in range(3):
             for j in range(3):
                 adj[..., j, i] = _cofactor(m, i, j)
-    return det, adj
+        det = m[..., 0, 0] * adj[..., 0, 0] + m[..., 0, 1] * adj[..., 1, 0] \
+            + m[..., 0, 2] * adj[..., 2, 0]
+        return det, adj
+    raise ValueError("only 2x2 and 3x3 matrices are supported")
 
 
 def _generalized_cross(jac):
-    """Vector orthogonal to the columns of jac, neither normalized nor
-    sign-aligned.
+    """Components (one array per ambient axis) of a vector orthogonal to the
+    columns of jac, neither normalized nor sign-aligned.
 
-    dim 3: plain cross product; dim 4: cofactor expansion of the 3-column
-    frame (component i is (-1)^i times the minor without row i), each 3x3
-    minor expanded along the third column over the 2x2 minors of the first
-    two.
+    dim 3: the cross product in the order of ``np.cross``; dim 4: cofactor
+    expansion of the 3-column frame (component i is (-1)^i times the minor
+    without row i), each 3x3 minor expanded along the third column over the
+    2x2 minors of the first two.
     """
     dim = jac.shape[-2]
     if dim == 3:
-        return np.cross(jac[..., :, 0], jac[..., :, 1])
+        a, b = jac[..., :, 0], jac[..., :, 1]
+        return [a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]]
     if dim == 4:
         a, b, c = jac[..., :, 0], jac[..., :, 1], jac[..., :, 2]
         m2 = {(p, q): a[..., p] * b[..., q] - a[..., q] * b[..., p]
@@ -262,25 +258,20 @@ def _generalized_cross(jac):
         def minor(p, q, r):
             return c[..., p] * m2[q, r] - c[..., q] * m2[p, r] + c[..., r] * m2[p, q]
 
-        return np.stack([minor(1, 2, 3), -minor(0, 2, 3), minor(0, 1, 3), -minor(0, 1, 2)],
-                        axis=-1)
+        return [minor(1, 2, 3), -minor(0, 2, 3), minor(0, 1, 3), -minor(0, 1, 2)]
     raise ValueError("only ambient dimensions 3 and 4 are supported")
 
 
 def _first_location(bad, params):
-    """'at parameters (u1, ..., un)' of the first flagged node in C order."""
-    idx = np.unravel_index(np.argmax(bad), bad.shape)
+    """'at parameters (u1, ..., un)' of the first flagged node in C order;
+    ``bad`` may stack grids on leading axes."""
+    idx = np.unravel_index(np.argmax(bad), bad.shape)[bad.ndim - len(params):]
     return f"at parameters {tuple(float(p[i]) for p, i in zip(params, idx))}"
-
-
-def _gram(jac):
-    """g = J^T J at every node."""
-    return np.ascontiguousarray(np.swapaxes(jac, -1, -2)) @ jac
 
 
 def _metric(jac, chart_name, params):
     """(g, det g, adj g) of g = J^T J; raises at det g <= DET_FLOOR."""
-    g = _gram(jac)
+    g = np.ascontiguousarray(np.swapaxes(jac, -1, -2)) @ jac
     det, adj = _cofactors(g)
     return g, _nondegenerate(det, chart_name, params), adj
 
@@ -354,27 +345,38 @@ def sample_chart(chart, shape):
                      nu, _metric(jac, chart.name, params), pole_ends=chart.pole_ends)
 
 
-def _first_order(X, params, mats, ref_nu, chart_name):
-    """Jacobian and unit normal (sign aligned with ``ref_nu``) of node
-    positions X on the grid ``params``, both by the finite-difference
-    matrices ``mats``."""
-    jac = np.stack(
-        [np.stack([apply_derivative(X[..., d], D, a) for a, D in enumerate(mats)], axis=-1)
-         for d in range(X.shape[-1])],
-        axis=-2,
-    )
+def fd_jacobian(X, mats):
+    """J[..., d, a] = dX_d / du_a of node positions X by the finite-difference
+    matrices ``mats`` of the grid axes.  Each entry (d, a) is contiguous over
+    the grid (the array is a view of one of shape (dim, n) + grid), so the
+    entrywise products of :func:`_generalized_cross` read contiguous data."""
+    jac = np.stack([np.stack([apply_derivative(X[..., d], D, a) for a, D in enumerate(mats)])
+                    for d in range(X.shape[-1])])
+    return np.moveaxis(jac, (0, 1), (-2, -1))
+
+
+def _oriented_normal(jac, ref_nu, params, chart_name):
+    """(nu, |N|) of the frames ``jac``: N is their generalized cross product,
+    nu = N / |N| with its sign aligned with ``ref_nu``, and |N| is the area
+    element, |N|^2 = det(J^T J) by the Cauchy-Binet identity.  ``jac`` may
+    stack frames on leading axes before the grid axes of ``params``; each
+    component of nu is contiguous over them.  Raises where N is zero or not
+    finite, or |N|^2 <= DET_FLOOR."""
     raw = _generalized_cross(jac)
-    norm = np.linalg.norm(raw, axis=-1)
+    norm2 = raw[0] * raw[0]
+    for comp in raw[1:]:
+        norm2 = norm2 + comp * comp            # the order of np.linalg.norm
+    norm = np.sqrt(norm2)
     bad = ~(np.isfinite(norm) & (norm > 0.0))
     if np.any(bad):
         raise ImmersionError(f"zero or non-finite numeric normal on chart {chart_name!r} "
                              f"{_first_location(bad, params)}")
-    nu = raw / norm[..., None]
-    flip = np.sign(np.einsum("...d,...d->...", nu, ref_nu))
+    _nondegenerate(norm2, chart_name, params)
+    unit = [comp / norm for comp in raw]
+    flip = np.sign(sum(comp * ref_nu[..., d] for d, comp in enumerate(unit)))
     if np.any(flip == 0):
         raise ImmersionError("numeric normal orthogonal to reference normal")
-    nu = nu * flip[..., None]
-    return jac, nu
+    return np.moveaxis(np.stack([comp * flip for comp in unit]), 0, -1), norm
 
 
 def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole_ends=()):
@@ -385,7 +387,8 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
     periodic = tuple(periodic)
     params, spacings = _grid_for(box, shape, periodic)
     mats = [derivative_matrix(shape[a], spacings[a], periodic[a]) for a in range(n)]
-    jac, nu = _first_order(X, params, mats, ref_nu, chart_name)
+    jac = np.ascontiguousarray(fd_jacobian(X, mats))
+    nu = np.ascontiguousarray(_oriented_normal(jac, ref_nu, params, chart_name)[0])
     metric = _metric(jac, chart_name, params)
     # d2X_ab symmetrized from derivatives of the Jacobian columns
     d2X = np.empty(shape + (dim, n, n))
@@ -401,15 +404,21 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
                      X, jac, d2X, nu, metric, pole_ends=pole_ends)
 
 
-def resample_normal_graph(geom, u, t):
-    """(nu, sqrt det g) of the immersion X + t * u * nu, re-derived by finite
-    differences on the same parameter grid; the resample-and-difference
-    oracle needs nothing else, so neither a second derivative nor the
-    inverse metric is formed."""
-    Y = geom.X + t * u[..., None] * geom.nu
-    name = f"{geom.chart_name}+normal"
-    jac, nu = _first_order(Y, geom.params, geom._deriv_mats, geom.nu, name)
-    return nu, np.sqrt(_nondegenerate(_det(_gram(jac)), name, geom.params))
+def resample_normal_graph(geom, jac0, jac1=None, taus=(0.0,)):
+    """(nu, |N|) of the immersions X + tau u nu, one per tau of ``taus``,
+    stacked on a leading axis: ``jac0`` is the finite-difference Jacobian
+    (:func:`fd_jacobian`) of ``geom.X`` and ``jac1`` that of u nu (omitted
+    for tau = 0 alone).  Finite differences are linear, so each immersion's
+    Jacobian is jac0 + tau jac1, and its normal and area element |N| =
+    sqrt det g come from the generalized cross product N of that frame
+    (:func:`_oriented_normal`); the resample-and-difference oracle needs
+    nothing else, so neither the metric nor a second derivative is formed."""
+    taus = np.asarray(taus, dtype=float)
+    if jac1 is None:
+        jac = np.broadcast_to(jac0, taus.shape + jac0.shape)
+    else:
+        jac = jac0 + taus.reshape(taus.shape + (1,) * jac0.ndim) * jac1
+    return _oriented_normal(jac, geom.nu, geom.params, f"{geom.chart_name}+normal")
 
 
 # -- boundary faces -----------------------------------------------------------

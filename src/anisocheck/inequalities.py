@@ -39,6 +39,7 @@ witness configuration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -221,26 +222,34 @@ def _lambda_min(p, q, r):
     return (p + r) / 2.0 - np.hypot((p - r) / 2.0, q)
 
 
-def _quadratic_floors(a, b, eta):
-    """Per row (a, b): the floors over the unit circle of c0 Q2 - Q1, of
-    c1_max - (Q1-Q2)/Q1 and of Q2, the cap on Q1/Q2 (inf unless Q2/Q1 has a
-    positive floor) and the slack of `_quadratic_sweep`, for an angle grid
-    with |k|^2 within ``eta`` of 1."""
+def _margin_floors(a, b):
+    """Per row (a, b): the floors over the unit circle of c0 Q2 - Q1 and of
+    c1_max - (Q1-Q2)/Q1, then mu = lambda_min(L^-1 B2 L^-T) and d = det B1
+    for `_quadratic_floors`."""
     with np.errstate(all="ignore"):
         p1, q1, d = 1.0 + a * a, a * b, b * b
         p2, q2, r2 = 2.0 * a, a + b - 1.0, 2.0 * b
         floor1 = _lambda_min(C0 * p2 - p1, C0 * q2 - q1, C0 * r2 - (1.0 + d))
-        floor_q2 = _lambda_min(p2, q2, r2)
         # L^-1 B2 L^-T for the Cholesky factor L of B1, whose determinant is d
         d += p1
         t = q1 / p1
         mu = _lambda_min(p2 / p1, (q2 - p2 * t) / np.sqrt(d),
                          (p2 * t * t - 2.0 * q2 * t + r2) * (p1 / d))
+    return floor1, (C1_MAX - 1.0) + mu, mu, d
+
+
+def _quadratic_floors(a, b, eta):
+    """Per row (a, b): the two floors of `_margin_floors`, the cap on Q1/Q2
+    (inf unless Q2/Q1 has a positive floor), the floor of Q2 and the slack
+    of `_quadratic_sweep`, for an angle grid with |k|^2 within ``eta`` of 1."""
+    floor1, floor2, mu, d = _margin_floors(a, b)
+    with np.errstate(all="ignore"):
+        floor_q2 = _lambda_min(2.0 * a, a + b - 1.0, 2.0 * b)
         cap = np.where(mu > 0.0, 1.0 / mu, np.inf)
         w = (d + np.abs(a) + np.abs(b)) * (1.0 + cap)
         bound = (1024.0 * _U + 64.0 * eta) * w * w
         slack = 1e3 * np.where(bound <= 0.5, bound, np.inf)
-    return floor1, (C1_MAX - 1.0) + mu, cap, floor_q2, slack
+    return floor1, floor2, cap, floor_q2, slack
 
 
 def _quadratic_pairs(starts, n_beta):
@@ -316,7 +325,7 @@ def _quadratic_sweep(alphas, betas, coss, sins):
         # 1. the thresholds: the kernel on the rows minimizing the two floors
         lowest = _Extreme(), _Extreme()
         for i, j in _quadratic_pairs(starts, betas.size):
-            for ext, floor in zip(lowest, _quadratic_floors(alphas[i], betas[j], eta)[:2]):
+            for ext, floor in zip(lowest, _margin_floors(alphas[i], betas[j])[:2]):
                 floor = np.where(np.isnan(floor), np.inf, floor)
                 p = int(np.argmin(floor))
                 ext.offer(float(floor[p]), p, lambda p: (int(i[p]), int(j[p])))
@@ -630,22 +639,41 @@ def laplacian(poly):
     return out
 
 
+def _poly_values(polys, p):
+    """Each table of ``polys`` at points ``p`` (..., d), stacked first: its
+    terms in table order, each the coefficient times the powers p_a^e of its
+    nonzero exponents e, in turn.  The points are taken in blocks of
+    ``_BLOCK``; in each block every coordinate column is made contiguous and
+    every power p_a^e is computed once for all the tables."""
+    d = p.shape[-1]
+    flat = p.reshape(-1, d)
+    out = np.empty((len(polys), flat.shape[0]))
+    for lo in range(0, flat.shape[0], _BLOCK):
+        columns = [np.ascontiguousarray(flat[lo:lo + _BLOCK, a]) for a in range(d)]
+        power = functools.cache(lambda a, e: columns[a] ** e)
+        term = np.empty(columns[0].shape)
+        for poly, value in zip(polys, out[:, lo:lo + _BLOCK]):
+            value.fill(0.0)
+            for powers, c in poly.items():
+                factors = [power(axis, e) for axis, e in enumerate(powers) if e]
+                if not factors:
+                    value += c
+                    continue
+                np.multiply(c, factors[0], out=term)
+                for factor in factors[1:]:
+                    term *= factor
+                value += term
+    return out.reshape((len(polys),) + p.shape[:-1])
+
+
 def poly_value(poly, p):
-    """``poly`` at points ``p`` (..., d): its terms in table order, each the
-    coefficient times the powers p_a^e of its nonzero exponents e, in turn."""
-    out = np.zeros(p.shape[:-1])
-    for powers, c in poly.items():
-        term = c
-        for axis, e in enumerate(powers):
-            if e:
-                term = term * p[..., axis] ** e
-        out += term
-    return out
+    """``poly`` at points ``p`` (..., d), as `_poly_values` evaluates it."""
+    return _poly_values([poly], p)[0]
 
 
 def poly_gradient(poly, p):
     """Gradient of ``poly`` at points ``p``, stacked last."""
-    return np.stack([poly_value(derivative(poly, a), p) for a in range(p.shape[-1])],
+    return np.stack(list(_poly_values([derivative(poly, a) for a in range(p.shape[-1])], p)),
                     axis=-1)
 
 
@@ -653,11 +681,11 @@ def poly_hessian(poly, p):
     """Hessian of ``poly`` at points ``p``, in the last two axes: the upper
     triangle, mirrored, with zero where the derivative table is empty."""
     d = p.shape[-1]
-    out = np.zeros(p.shape[:-1] + (d, d))
-    for a in range(d):
-        for b in range(a, d):
-            if second := derivative(derivative(poly, a), b):
-                out[..., a, b] = out[..., b, a] = poly_value(second, p)
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    values = _poly_values([derivative(derivative(poly, a), b) for a, b in pairs], p)
+    out = np.empty(p.shape[:-1] + (d, d))
+    for (a, b), value in zip(pairs, values):
+        out[..., a, b] = out[..., b, a] = value
     return out
 
 

@@ -106,29 +106,30 @@ class Integrand:
 
     # -- evaluation --------------------------------------------------------
 
-    def _check_nonzero(self, v):
-        if np.any(np.linalg.norm(v, axis=-1) == 0.0):
+    def _norm(self, v):
+        """|v| at every point, after raising where it is zero."""
+        s = np.linalg.norm(v, axis=-1)
+        if np.any(s == 0.0):
             raise ValueError("integrand evaluated at the zero vector")
+        return s
 
     def value(self, v):
         v = np.asarray(v, dtype=float)
-        self._check_nonzero(v)
+        s = self._norm(v)
         if self.kind == "quadratic":
             q = np.einsum("...i,ij,...j->...", v, self.matrix, v)
             return np.sqrt(q)
-        s = np.linalg.norm(v, axis=-1)
         if self.kind == "isotropic":
             return s
         return s + self.epsilon * iq.poly_value(self.table, v) * s ** (1 - self.degree)
 
     def gradient(self, v):
         v = np.asarray(v, dtype=float)
-        self._check_nonzero(v)
+        s = self._norm(v)[..., None]
         if self.kind == "quadratic":
             Av = np.einsum("ij,...j->...i", self.matrix, v)
             q = np.einsum("...i,...i->...", v, Av)
             return Av / np.sqrt(q)[..., None]
-        s = np.linalg.norm(v, axis=-1)[..., None]
         if self.kind == "isotropic":
             return v / s
         deg = self.degree
@@ -139,15 +140,15 @@ class Integrand:
 
     def hessian(self, v):
         v = np.asarray(v, dtype=float)
-        self._check_nonzero(v)
+        norm = self._norm(v)
         d = v.shape[-1]
         eye = np.eye(d)
         if self.kind == "quadratic":
             Av = np.einsum("ij,...j->...i", self.matrix, v)
             q = np.einsum("...i,...i->...", v, Av)[..., None, None]
             return self.matrix / np.sqrt(q) - Av[..., :, None] * Av[..., None, :] / q**1.5
-        s = np.linalg.norm(v, axis=-1)[..., None, None]
-        vhat = v / np.linalg.norm(v, axis=-1)[..., None]
+        s = norm[..., None, None]
+        vhat = v / norm[..., None]
         tang = (eye - vhat[..., :, None] * vhat[..., None, :]) / s
         if self.kind == "isotropic":
             return tang

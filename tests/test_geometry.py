@@ -183,7 +183,7 @@ def _resample_error(g, X):
         with pytest.raises(geo.ImmersionError) as full:
             geo.geometry_from_positions(X, g.box, g.periodic, g.nu, chart_name=name)
         with pytest.raises(geo.ImmersionError) as first:
-            geo.resample_normal_graph(dataclasses.replace(g, X=X), np.zeros(g.shape), 0.0)
+            geo.resample_normal_graph(g, geo.fd_jacobian(X, g._deriv_mats))
     assert str(first.value) == str(full.value)
     return str(full.value)
 
@@ -231,20 +231,44 @@ def test_numeric_path_matches_analytic():
     m = g.interior_mask()
     assert np.linalg.norm(gn.nu - g.nu, axis=-1)[m].max() <= 1e-4
     assert np.abs(gn.scalar_curvature - g.scalar_curvature)[m].max() <= 1e-2
-    # the oracle's first-order path gives the very nu and sqrt det g that
-    # geometry_from_positions builds from the same perturbed positions
-    t = 0.01
-    for chart, res in ((geo.catalog(2)["catenoid_2"], 33),
-                       (geo.catalog(3)["catenoid_3"], 17),
-                       (geo.catalog(3)["sphere"], 17),
-                       (geo.Sphere(3), (13, 13, 12))):
-        g = geo.sample_chart(chart, res)
-        u = np.cos(3.0 * g.X[..., 0]) * np.sin(2.0 * g.X[..., -1] + 0.5)
-        full = geo.geometry_from_positions(g.X + t * u[..., None] * g.nu, g.box, g.periodic,
-                                           g.nu, pole_ends=g.pole_ends)
-        nu, sqrt_det_g = geo.resample_normal_graph(g, u, t)
-        assert np.array_equal(nu, full.nu), chart.name
-        assert np.array_equal(sqrt_det_g, full.sqrt_det_g), chart.name
+
+
+CATALOG_SAMPLES = [pytest.param(n, name, id=f"{name}{n}")
+                   for n in (2, 3) for name in geo.catalog(n)]
+TAUS = (0.005, -0.005, 0.01, -0.01)
+
+
+def _perturbed(n, name):
+    """A catalog sample, a smooth speed u on it and the FD Jacobians of X
+    and of u nu."""
+    g = geo.sample_chart(geo.catalog(n)[name], 17 if n == 2 else 13)
+    u = np.cos(3.0 * g.X[..., 0]) * np.sin(2.0 * g.X[..., -1] + 0.5)
+    return (g, u, geo.fd_jacobian(g.X, g._deriv_mats),
+            geo.fd_jacobian(u[..., None] * g.nu, g._deriv_mats))
+
+
+@pytest.mark.parametrize("n, name", CATALOG_SAMPLES)
+def test_oracle_jacobian_is_linear_in_tau(n, name):
+    # the oracle's J0 + tau J1 is the FD Jacobian of X + tau u nu
+    g, u, jac0, jac1 = _perturbed(n, name)
+    for tau in TAUS:
+        jac = geo.fd_jacobian(g.X + tau * u[..., None] * g.nu, g._deriv_mats)
+        assert np.abs(jac0 + tau * jac1 - jac).max() <= 1e-12 * np.abs(jac).max()
+
+
+@pytest.mark.parametrize("n, name", CATALOG_SAMPLES)
+def test_cross_product_norm_is_the_metric_determinant(n, name):
+    # |N|^2 = det(J^T J) (Cauchy-Binet), and nu is the normal that
+    # geometry_from_positions builds from the perturbed positions
+    g, u, jac0, jac1 = _perturbed(n, name)
+    nus, norms = geo.resample_normal_graph(g, jac0, jac1, TAUS)
+    for tau, nu, norm in zip(TAUS, nus, norms):
+        jac = jac0 + tau * jac1
+        det = np.linalg.det(np.swapaxes(jac, -1, -2) @ jac)
+        assert np.abs(norm * norm - det).max() <= 1e-12 * det.max()
+        full = geo.geometry_from_positions(g.X + tau * u[..., None] * g.nu, g.box,
+                                           g.periodic, g.nu, pole_ends=g.pole_ends)
+        assert np.abs(nu - full.nu).max() <= 1e-12
 
 
 def test_boundary_faces_and_pole_skipping():
@@ -404,10 +428,10 @@ def test_export_csv_matches_savetxt_on_distinct_values(tmp_path):
     _assert_export_matches_savetxt(geom, tmp_path)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 341), (32, 32), (5, 205)])
+@pytest.mark.parametrize("shape", [(1, 1), (23, 89), (32, 64), (3, 683)])
 def test_export_csv_matches_savetxt_at_block_edges(tmp_path, shape):
     # 1, BLOCK_ROWS - 1, BLOCK_ROWS and BLOCK_ROWS + 1 rows
-    assert tb.BLOCK_ROWS == 1024
+    assert tb.BLOCK_ROWS == 2048
     rng = np.random.default_rng(5)
     pool = np.concatenate([SPECIAL, rng.normal(size=40)])
     _assert_export_matches_savetxt(_synthetic(shape, lambda size: rng.choice(pool, size)),
@@ -458,7 +482,7 @@ def test_cofactor_normal_matches_linalg_minors():
     for jac in (frames, near):
         ref = np.stack([(-1.0) ** i * np.linalg.det(jac[:, rows != i, :]) for i in range(4)],
                        axis=-1)
-        raw = geo._generalized_cross(jac)
+        raw = np.stack(geo._generalized_cross(jac), axis=-1)
         bound = 8.0 * EPS * np.linalg.cond(jac)
         assert np.all(np.linalg.norm(raw - ref, axis=-1)
                       <= bound * np.linalg.norm(ref, axis=-1))

@@ -347,13 +347,14 @@ def test_bump_functions_vanish_on_two_layers():
 
 
 def _count_resamples(monkeypatch):
-    """Record every call of the resampling entry point."""
+    """Record every immersion that the resampling entry point rebuilds
+    (one per tau of a call)."""
     calls = []
     build = geo.resample_normal_graph
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return build(*args, **kwargs)
+    def counting(geom, jac0, jac1=None, taus=(0.0,)):
+        calls.extend([geom.shape] * len(taus))
+        return build(geom, jac0, jac1, taus)
 
     monkeypatch.setattr(geo, "resample_normal_graph", counting)
     return calls
@@ -377,18 +378,50 @@ def test_variation_job_resamples_each_immersion_once(monkeypatch):
 
 def test_oracle_shares_resamples_across_integrands(monkeypatch, iso3):
     calls = _count_resamples(monkeypatch)
+    jacobians = []
+    fd_jacobian = geo.fd_jacobian
+
+    def counting(X, mats):
+        jacobians.append(X.shape)
+        return fd_jacobian(X, mats)
+
+    monkeypatch.setattr(geo, "fd_jacobian", counting)
     mild = ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.1]))
     counts = []
     for integrands in ([iso3], [iso3, mild]):
         calls.clear()
+        jacobians.clear()
         g = geo.sample_chart(geo.catalog(2)["catenoid_2"], 17)
         oracle = va.NormalOracle(g, {b: va.bump_function(g, b) for b in va.BUMP_NAMES})
         for integ in integrands:
             for bump in va.BUMP_NAMES:
                 va.first_variation_check(oracle, integ, bump)
                 va.second_variation_check(oracle, integ, bump)
-        counts.append(len(calls))
-    assert counts == [13, 13]
+        counts.append((len(calls), len(jacobians)))
+    # one FD Jacobian of X per oracle and one of u nu per speed
+    assert counts == [(13, 1 + len(va.BUMP_NAMES))] * 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-3])
+def test_first_variation_order_record_catches_a_scaled_speed_jacobian(monkeypatch, scale):
+    # J1 x (1 + 1e-3) makes the oracle difference X + 1.001 tau u nu: the
+    # order record of criterion 5 on catenoid_3 stops converging
+    build = geo.resample_normal_graph
+
+    def scaled(geom, jac0, jac1=None, taus=(0.0,)):
+        return build(geom, jac0, None if jac1 is None else jac1 * scale, taus)
+
+    monkeypatch.setattr(geo, "resample_normal_graph", scaled)
+    integ = ig.catalog(4)["quadratic_aniso4"]
+    recs = []
+    for res in ac.ladder(25, 2):
+        g = geo.sample_chart(geo.catalog(3)["catenoid_3"], res)
+        oracle = va.NormalOracle(g, {"centered": va.bump_function(g, "centered")})
+        hphi = va.aniso_mean_curvature(g, integ)
+        recs.append(ac.variation_records(oracle, integ, hphi, ["first"])["first", "centered"])
+    order = ac.order_check("first variation order", [r.detail["discrepancy"] for r in recs],
+                           1e-11, recs[-1].value, ac.VARIATION_ORDER_FLOORS["first"])
+    assert order.passed == (scale == 1.0)
 
 
 def test_shared_oracle_matches_one_speed_oracles(iso3):

@@ -22,6 +22,22 @@ extremes: a NaN margin propagates and otherwise the first occurrence of
 the extreme value wins, exactly as one ``np.argmin``/``np.argmax`` over the
 whole sweep, so the stored witness is deterministic and independent of the
 block size and of the rows skipped.
+The curvature and Ricci sweeps read the same 4-D stream, so they share one
+pass over it (`verify_curvature_ricci`; `verify_curvature_pinch` and
+`verify_ricci_bound` are its one-suite calls).  The calling thread builds
+each block once, in stream order (the PRNG state is sequential), and one
+cos/sin of 2 pi pts[:, 3] serves as the curvature angle psi and as the
+azimuth of the Ricci direction y.  A pool of one thread per available core
+(`_map_blocks`) fills in the blocks' cosines and sines, almost half of the
+work, while the calling thread runs the margin kernels on the blocks
+already filled and folds their extremes in block order, so every record is
+independent of the worker count.  The blocks hold ``_STREAM_BLOCK`` points,
+so that the margin kernels' temporaries fit in L2, and at most one block
+per worker is in flight (one ``_BLOCK`` of points at four workers).  The
+pool writes only into arrays the calling thread allocated: each thread's
+own malloc arena would add its temporaries to the process's peak memory
+instead of reusing the calling thread's (the margin kernels on the pool
+raised the peak RSS of a ``verify`` job by a tenth).
 The kernels hoist and tabulate terms but never reorder floating-point
 operations: the quadratic-lemma kernel keeps the operation order of
 `quadratic_lemma_point`, so its witnesses re-evaluate to the bit, and the
@@ -39,8 +55,10 @@ witness configuration.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +86,10 @@ _PRIMES = (2, 3, 5, 7, 11, 13)
 _HALTON_TABLE = 1 << 14
 #: points per block of every sweep (a few blocks fit in L2)
 _BLOCK = 1 << 15
+#: points per block of the curvature and Ricci stream: the two margin
+#: kernels hold about 20 block-sized arrays, 1.3 MiB at 2^13 points, which
+#: fit in L2 (at _BLOCK points they take 5 MiB and run about a fifth slower)
+_STREAM_BLOCK = 1 << 13
 #: unit roundoff of float64
 _U = 2.0 ** -53
 
@@ -109,26 +131,62 @@ def halton(count, dims, skip=20):
     return out
 
 
-def _sample_streams(count, dims, seed):
+def _sample_streams(count, dims, seed, size=None):
     """The two labelled point streams of a sweep in [0,1)^dims, each an
-    iterator over blocks of at most ``_BLOCK`` points built when the caller
-    reaches them: the first ``count // 2`` points from the Halton stream,
-    the rest from the PRNG seeded with ``seed``.
+    iterator over blocks of at most ``size`` points (default ``_BLOCK``)
+    built when the caller reaches them: the first ``count // 2`` points from
+    the Halton stream, the rest from the PRNG seeded with ``seed``.
 
     `halton` is exact for every skip and successive draws of one generator
     equal a single draw, so the blocks of a stream concatenate to its
-    one-call build bit for bit.
+    one-call build bit for bit, whatever their size.
     """
+    size = size or _BLOCK
     half = count // 2
     rng = np.random.default_rng(seed)
-    yield "halton", (halton(m, dims, skip=20 + lo) for lo, m in _blocks(half))
-    yield "prng", (rng.random((m, dims)) for _, m in _blocks(count - half))
+    yield "halton", (halton(m, dims, skip=20 + lo) for lo, m in _blocks(half, size))
+    yield "prng", (rng.random((m, dims)) for _, m in _blocks(count - half, size))
 
 
-def _blocks(count):
-    """(offset, size) of the consecutive blocks of at most ``_BLOCK`` points
+def _blocks(count, size):
+    """(offset, size) of the consecutive blocks of at most ``size`` points
     that cover ``count`` points."""
-    return ((lo, min(_BLOCK, count - lo)) for lo in range(0, count, _BLOCK))
+    return ((lo, min(size, count - lo)) for lo in range(0, count, size))
+
+
+def _workers():
+    """Threads of the block pool: one per core this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_blocks(kernel, blocks, fold):
+    """``fold(kernel(block))`` for every block of the iterator ``blocks``, in
+    block order.
+
+    The kernels run on a pool of `_workers` threads (numpy's ufuncs release
+    the GIL), while this thread builds the blocks in stream order (the PRNG
+    state is sequential) and folds the results.  At most one block per
+    worker is in flight: this thread folds the oldest before it builds the
+    next.  When a kernel raises, no further block is built, the blocks not
+    yet started are cancelled, the pool's threads are joined and the
+    kernel's exception propagates.
+    """
+    from concurrent.futures import ThreadPoolExecutor   # pulls in logging
+
+    workers = _workers()
+    pool = ThreadPoolExecutor(workers)
+    pending = collections.deque()
+    try:
+        for block in blocks:
+            pending.append(pool.submit(kernel, block))
+            if len(pending) == workers:
+                fold(pending.popleft().result())
+        while pending:
+            fold(pending.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class _Extreme:
@@ -422,29 +480,31 @@ def curvature_pinch_point(a, psi):
     return -R, -C0 * R - A2, A2, abs(float(np.asarray(a) @ k))
 
 
-def _curvature_samples(pts):
-    """Sorted coefficient columns a1 <= a2 <= a3 in [1, sqrt2] and angles
-    of points ``pts`` in [0,1)^4."""
+def _curvature_coefficients(pts):
+    """Sorted coefficient columns a1 <= a2 <= a3 in [1, sqrt2] of points
+    ``pts`` in [0,1)^4."""
     # sort the first three coordinates of each point with min/max selections
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     lo, hi = np.minimum(x, y), np.maximum(x, y)
     mid = np.maximum(lo, z)
     aa = (np.minimum(lo, z), np.minimum(hi, mid), np.maximum(hi, mid))
-    return tuple(1.0 + (SQRT2 - 1.0) * c for c in aa), 2.0 * np.pi * pts[:, 3]
+    return tuple(1.0 + (SQRT2 - 1.0) * c for c in aa)
 
 
-def _curvature_sweep(aa, psis):
+def _curvature_sweep(aa, cp, sp):
     """Worst margins of -R and c0 (-R) - |A|^2 with their sample indices,
     the largest ratio |A|^2 / (-R) and the largest constraint residual.
 
-    ``aa`` holds the coefficient columns (a1, a2, a3).  For unit k orthogonal
-    to a (componentwise in [1, sqrt 2], sorted), with |A|^2 = |k|^2 = 1 and
-    R = (sum k)^2 - 1; the constraint-plane basis b1 = (0, a3, -a2)/|.|,
-    b2 = a x b1/|.| never degenerates on [1, sqrt2]^3.  The basis is written
-    out per component in the order of `np.cross` and of `np.linalg.norm`,
-    and the dot products in the order of ``np.einsum("pi,pi->p")`` for
-    three terms, ``(x0 + x2) + x1``, so the margins equal those of the
-    stacked (n, 3) evaluation to the bit.
+    ``aa`` holds the coefficient columns (a1, a2, a3) and ``cp``, ``sp`` the
+    cosines and sines of the angles psi, which this kernel only reads, so
+    the shared pass hands the same pair to the Ricci kernel.  For unit k
+    orthogonal to a (componentwise in [1, sqrt 2], sorted), with
+    |A|^2 = |k|^2 = 1 and R = (sum k)^2 - 1; the constraint-plane basis
+    b1 = (0, a3, -a2)/|.|, b2 = a x b1/|.| never degenerates on
+    [1, sqrt2]^3.  The basis is written out per component in the order of
+    `np.cross` and of `np.linalg.norm`, and the dot products in the order of
+    ``np.einsum("pi,pi->p")`` for three terms, ``(x0 + x2) + x1``, so the
+    margins equal those of the stacked (n, 3) evaluation to the bit.
     """
     a1, a2, a3 = aa
     # b1 = (0, c, -s): (0, a3, -a2) over its norm
@@ -462,7 +522,6 @@ def _curvature_sweep(aa, psis):
     norm += k2 * k2
     np.sqrt(norm, out=norm)
     # k = cos(psi) b1 + sin(psi) b2
-    cp, sp = np.cos(psis), np.sin(psis)
     for kc in (k0, k1, k2):
         kc /= norm
         kc *= sp
@@ -492,55 +551,6 @@ def _curvature_sweep(aa, psis):
     return (float(mR[p1]), p1, float(m2[p2]), p2, float(ratio[pr]), pr, cons)
 
 
-def verify_curvature_pinch(samples=SAMPLES, seed=SEED):
-    """Certify R <= 0, -R <= |A|^2 <= -c0 R on the constrained domain.
-
-    ``samples`` are split between the Halton stream and the seeded PRNG
-    stream; a deterministic pass over the corner triples of [1, sqrt2]^3
-    with a fine angle grid probes near-sharpness of c0.
-    """
-    rep = SweepReport(sample_count=samples)
-    max_ratio = _Extreme(largest=True)
-    max_cons = 0.0
-    for sampler, blocks in _sample_streams(samples, 4, seed):
-        min_R, min_2 = _Extreme(), _Extreme()
-        for pts in blocks:
-            aa, psis = _curvature_samples(pts)
-            mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
-
-            def config(p):
-                return {"a": [float(c[p]) for c in aa], "psi": float(psis[p])}
-            min_R.offer(mR, pR, config)
-            min_2.offer(m2, p2, config)
-            max_ratio.offer(ratio, pr, config)
-            max_cons = float(np.maximum(max_cons, cons))
-        rep.records.append(ge(f"-R >= 0 [{sampler}]", min_R.value, -TOL,
-                              config=min_R.witness))
-        rep.records.append(ge(f"c0*(-R) - |A|^2 [{sampler}]", min_2.value, -TOL,
-                              config=min_2.witness))
-    # |A|^2 >= -R is (sum k)^2 >= 0: record the identity margin at the
-    # moment R is most negative (trivially nonnegative, kept for the table)
-    rep.records.append(ge("|A|^2 + R >= 0", 0.0, -TOL, config={"identity": "(sum k)^2"}))
-    # deterministic near-sharpness pass over the corner triples
-    corners = [(1.0, 1.0, 1.0), (1.0, 1.0, SQRT2), (1.0, SQRT2, SQRT2),
-               (SQRT2, SQRT2, SQRT2)]
-    psis = np.linspace(0.0, 2.0 * np.pi, 20001)
-    for a in corners:
-        aa = tuple(np.full(psis.size, c) for c in a)
-        mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, psis)
-        rep.records.append(ge(
-            f"c0*(-R) - |A|^2 [corner {tuple(round(float(x), 6) for x in a)}]", m2, -TOL,
-            config={"a": list(a), "psi": float(psis[p2])}))
-        max_cons = float(np.maximum(max_cons, cons))
-        max_ratio.offer(ratio, pr, lambda p: {"a": list(a), "psi": float(psis[p])})
-    rep.extras["max_ratio_A2_over_negR"] = float(max_ratio.value)
-    rep.extras["max_ratio_config"] = max_ratio.witness
-    rep.extras["near_sharp"] = bool(max_ratio.value >= NEAR_SHARP_RATIO)
-    rep.extras["max_constraint_residual"] = float(max_cons)
-    rep.extras["c0"] = C0
-    return rep
-
-
 # -- Ricci lower bound ----------------------------------------------------------
 
 
@@ -554,23 +564,25 @@ def ricci_point(k, y):
     return ric + float(k @ k) / SQRT2
 
 
-def _unit_sphere_points(u, v):
+def _unit_sphere_points(u, cos, sin):
     """Coordinate columns (x, y, z) of the area-uniform map of [0,1)^2 onto
-    the unit sphere."""
+    the unit sphere at heights from ``u`` and azimuths th = 2 pi v, given
+    by ``cos`` and ``sin`` of th."""
     z = 2.0 * u - 1.0
-    th = 2.0 * np.pi * v
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return s * np.cos(th), s * np.sin(th), z
+    return s * cos, s * sin, z
 
 
 def _ricci_sweep(ks, ys):
     """Worst margin of Ric(y) + |A|^2/sqrt2, Ric(y) = sum_i k_i (s - k_i) y_i^2,
     and its sample index.
 
-    ``ks`` and ``ys`` are coordinate columns.  The three-term sums keep the
-    order of ``np.einsum("pi,pi->p")``, ``(x0 + x2) + x1``, and of
-    ``sum(axis=1)``, ``(x0 + x1) + x2``, so the margins equal those of the
-    stacked (n, 3) evaluation to the bit.
+    ``ks`` and ``ys`` are coordinate columns: in the shared pass k on the
+    sphere of pts[:, 0:2] and y on that of pts[:, 2:4], whose azimuth is the
+    curvature sweep's angle psi.  The three-term sums keep the order of
+    ``np.einsum("pi,pi->p")``, ``(x0 + x2) + x1``, and of ``sum(axis=1)``,
+    ``(x0 + x1) + x2``, so the margins equal those of the stacked (n, 3)
+    evaluation to the bit.
     """
     k0, k1, k2 = ks
     s = (k0 + k1) + k2
@@ -582,35 +594,154 @@ def _ricci_sweep(ks, ys):
     return float(m[p]), p
 
 
-def verify_ricci_bound(samples=SAMPLES, seed=SEED):
-    """Certify Ric(y,y) >= -|A|^2/sqrt(2) over unit (k, y), including the
-    closed-form equality witness k = (-sqrt2, 1, 1)/2, y = e1."""
-    rep = SweepReport(sample_count=samples)
-    for sampler, blocks in _sample_streams(samples, 4, seed):
-        worst = _Extreme()
-        for pts in blocks:
-            ks = _unit_sphere_points(pts[:, 0], pts[:, 1])
-            ys = _unit_sphere_points(pts[:, 2], pts[:, 3])
-            m, p = _ricci_sweep(ks, ys)
-            worst.offer(m, p, lambda p: {"k": [float(c[p]) for c in ks],
-                                         "y": [float(c[p]) for c in ys]})
-        rep.records.append(ge(f"Ric + |A|^2/sqrt2 [{sampler}]", worst.value, -TOL,
-                              config=worst.witness))
+# -- one pass of the 4-D stream for both sweeps -----------------------------------
+
+
+#: the sweeps of the 4-D sample stream, in the order of their reports
+STREAM_SUITES = ("curvature_pinch", "ricci_bound")
+
+
+def _angles(pts, suites):
+    """The angle columns of a block ``pts`` of the 4-D stream that the
+    kernels of ``suites`` read, each as (angle, cos, sin) with empty arrays
+    for its cosine and sine: psi = 2 pi pts[:, 3], the curvature angle and
+    the azimuth of the Ricci direction y, then for the Ricci suite the
+    azimuth 2 pi pts[:, 1] of k."""
+    columns = (3, 1) if "ricci_bound" in suites else (3,)
+    return [(th, np.empty_like(th), np.empty_like(th))
+            for th in (2.0 * np.pi * pts[:, c] for c in columns)]
+
+
+def _cos_sin(block):
+    """Fill in the cosines and sines of the `_angles` of a block
+    ``(pts, angles)`` and return it: the pool's kernel, almost half of the
+    work of a block.  It writes into arrays that the building thread
+    allocated, so the pool's threads allocate no block-sized memory of
+    their own (a thread's own malloc arena would add its temporaries to the
+    process's peak instead of reusing those of the building thread)."""
+    for th, cos, sin in block[1]:
+        np.cos(th, out=cos)
+        np.sin(th, out=sin)
+    return block
+
+
+def verify_curvature_ricci(samples=SAMPLES, seed=SEED, suites=STREAM_SUITES):
+    """The curvature-pinch and Ricci-bound sweeps of ``suites`` in one walk
+    of the 4-D sample stream, as {suite: SweepReport}.
+
+    ``samples`` are split between the Halton stream and the seeded PRNG
+    stream.  Each block of ``_STREAM_BLOCK`` points is built once with its
+    `_angles`; `_map_blocks` fills in their cosines and sines on the block
+    pool while this thread runs the margin kernels of the blocks already
+    filled, in block order, and folds their extremes, so every margin and
+    witness is that of the one-suite sweep and of one argmin over the
+    stream, whatever the block size and the worker count.  One cos/sin of
+    psi serves both kernels.
+    """
+    reps = {suite: SweepReport(sample_count=samples) for suite in suites}
+    max_ratio, max_cons = _Extreme(largest=True), 0.0
+    for sampler, stream in _sample_streams(samples, 4, seed, _STREAM_BLOCK):
+        min_R, min_2, worst = _Extreme(), _Extreme(), _Extreme()
+
+        def fold(block):
+            # the margin kernels of one block, on this thread
+            nonlocal max_cons
+            pts, ((psis, cp, sp), *azimuth) = block
+            if "curvature_pinch" in reps:
+                aa = _curvature_coefficients(pts)
+                mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, cp, sp)
+
+                def config(p):
+                    return {"a": [float(c[p]) for c in aa], "psi": float(psis[p])}
+                min_R.offer(mR, pR, config)
+                min_2.offer(m2, p2, config)
+                max_ratio.offer(ratio, pr, config)
+                max_cons = float(np.maximum(max_cons, cons))
+            if "ricci_bound" in reps:
+                (_, ck, sk), = azimuth
+                ks = _unit_sphere_points(pts[:, 0], ck, sk)
+                ys = _unit_sphere_points(pts[:, 2], cp, sp)
+                m, p = _ricci_sweep(ks, ys)
+                worst.offer(m, p, lambda p: {"k": [float(c[p]) for c in ks],
+                                             "y": [float(c[p]) for c in ys]})
+        _map_blocks(_cos_sin, ((pts, _angles(pts, suites)) for pts in stream), fold)
+        if "curvature_pinch" in reps:
+            reps["curvature_pinch"].records += [
+                ge(f"-R >= 0 [{sampler}]", min_R.value, -TOL, config=min_R.witness),
+                ge(f"c0*(-R) - |A|^2 [{sampler}]", min_2.value, -TOL, config=min_2.witness)]
+        if "ricci_bound" in reps:
+            reps["ricci_bound"].records.append(ge(
+                f"Ric + |A|^2/sqrt2 [{sampler}]", worst.value, -TOL, config=worst.witness))
+    if "curvature_pinch" in reps:
+        _curvature_corners(reps["curvature_pinch"], max_ratio, max_cons)
+    if "ricci_bound" in reps:
+        _ricci_equality(reps["ricci_bound"])
+    return reps
+
+
+def _curvature_corners(rep, max_ratio, max_cons):
+    """Close the curvature report ``rep`` of the streams, whose largest
+    ratio and constraint residual are ``max_ratio`` and ``max_cons``: the
+    identity record, a deterministic near-sharpness pass over the corner
+    triples of [1, sqrt2]^3 on a fine angle grid, and the extras."""
+    # |A|^2 >= -R is (sum k)^2 >= 0: record the identity margin at the
+    # moment R is most negative (trivially nonnegative, kept for the table)
+    rep.records.append(ge("|A|^2 + R >= 0", 0.0, -TOL, config={"identity": "(sum k)^2"}))
+    corners = [(1.0, 1.0, 1.0), (1.0, 1.0, SQRT2), (1.0, SQRT2, SQRT2),
+               (SQRT2, SQRT2, SQRT2)]
+    psis = np.linspace(0.0, 2.0 * np.pi, 20001)
+    cp, sp = np.cos(psis), np.sin(psis)
+    for a in corners:
+        aa = tuple(np.full(psis.size, c) for c in a)
+        mR, pR, m2, p2, ratio, pr, cons = _curvature_sweep(aa, cp, sp)
+        rep.records.append(ge(
+            f"c0*(-R) - |A|^2 [corner {tuple(round(float(x), 6) for x in a)}]", m2, -TOL,
+            config={"a": list(a), "psi": float(psis[p2])}))
+        max_cons = float(np.maximum(max_cons, cons))
+        max_ratio.offer(ratio, pr, lambda p: {"a": list(a), "psi": float(psis[p])})
+    rep.extras["max_ratio_A2_over_negR"] = float(max_ratio.value)
+    rep.extras["max_ratio_config"] = max_ratio.witness
+    rep.extras["near_sharp"] = bool(max_ratio.value >= NEAR_SHARP_RATIO)
+    rep.extras["max_constraint_residual"] = float(max_cons)
+    rep.extras["c0"] = C0
+
+
+def _ricci_equality(rep):
+    """Close the Ricci report ``rep`` of the streams with the closed-form
+    equality witness k = (-sqrt2, 1, 1)/2, y = e1."""
     k_eq = np.array([-SQRT2, 1.0, 1.0]) / 2.0
     y_eq = np.array([1.0, 0.0, 0.0])
     m_eq = ricci_point(k_eq, y_eq)
     rep.records.append(ge("equality witness k=(-sqrt2,1,1)/2, y=e1", m_eq, -TOL,
                           config={"k": k_eq.tolist(), "y": y_eq.tolist()}))
     rep.extras["equality_witness_margin"] = float(m_eq)
-    return rep
+
+
+def verify_curvature_pinch(samples=SAMPLES, seed=SEED):
+    """Certify R <= 0, -R <= |A|^2 <= -c0 R on the constrained domain: the
+    curvature suite alone of `verify_curvature_ricci`, whose corner pass
+    probes near-sharpness of c0."""
+    return verify_curvature_ricci(samples, seed, ("curvature_pinch",))["curvature_pinch"]
+
+
+def verify_ricci_bound(samples=SAMPLES, seed=SEED):
+    """Certify Ric(y,y) >= -|A|^2/sqrt(2) over unit (k, y), including the
+    closed-form equality witness: the Ricci suite alone of
+    `verify_curvature_ricci`."""
+    return verify_curvature_ricci(samples, seed, ("ricci_bound",))["ricci_bound"]
 
 
 # -- improved Kato spot-check ----------------------------------------------------
 #
 # Harmonic polynomials u on flat R^3 satisfy
-# |Hess u|^2 >= (3/8) |grad u|^-2 |grad |grad u|^2|^2; their derivatives are exact,
+# |Hess u|^2 >= KATO_CONSTANT |grad u|^-2 |grad |grad u|^2|^2; their derivatives are exact,
 # by the power rule on coefficient tables (in any dimension: the profiles of
 # `integrand.PROFILES` are tables too).
+
+#: the improved Kato constant of harmonic functions on flat R^3; since
+#: grad |grad u|^2 = 2 H grad u, the margins weigh |H grad u|^2 by
+#: 4 KATO_CONSTANT, exactly 1.5
+KATO_CONSTANT = 3.0 / 8.0
 
 #: the catalog: each polynomial a table {(i, j, k): c} of its monomials c x^i y^j z^k
 KATO_CATALOG = {
@@ -690,7 +821,7 @@ def poly_hessian(poly, p):
 
 
 def kato_point(poly, point):
-    """Margin |Hess u|^2 - (3/8)|grad u|^-2 |grad|grad u|^2|^2 at one point,
+    """Margin |Hess u|^2 - KATO_CONSTANT |grad u|^-2 |grad|grad u|^2|^2 at one point,
     or None when |grad u| is below 1e-8 (critical point skipped)."""
     p = np.asarray(point, dtype=float)
     g = poly_gradient(KATO_CATALOG[poly], p)
@@ -700,7 +831,7 @@ def kato_point(poly, point):
         return None
     lhs = float(np.sum(H * H))
     hg = H @ g
-    rhs = (3.0 / 8.0) * 4.0 * float(hg @ hg) / g2
+    rhs = KATO_CONSTANT * 4.0 * float(hg @ hg) / g2
     return lhs - rhs
 
 
@@ -724,7 +855,7 @@ def verify_kato(points=KATO_POINTS, seed=SEED):
                 skipped[name] += int(np.sum(~ok))
                 lhs = np.sum(H * H, axis=(-2, -1))
                 hg = np.einsum("...ij,...j->...i", H, g)
-                rhs = 1.5 * np.sum(hg * hg, axis=-1) / np.where(ok, g2, 1.0)
+                rhs = 4.0 * KATO_CONSTANT * np.sum(hg * hg, axis=-1) / np.where(ok, g2, 1.0)
                 margin = np.where(ok, lhs - rhs, np.inf)
                 p = int(np.argmin(margin))
                 worst[name].offer(float(margin[p]), p,

@@ -290,6 +290,23 @@ def test_quadratic_lemma_record_catches_a_scaled_c0(monkeypatch, scale):
     assert rec.detail["config"] == {"alpha": alphas[i], "beta": alphas[j], "theta": thetas[k]}
 
 
+def test_kato_record_catches_a_scaled_constant(monkeypatch):
+    # |Hess u|^2 >= (3/8) |grad u|^-2 |grad |grad u|^2|^2 is nearly sharp on
+    # the catalog's xyz and z(x^2 - y^2) (worst margins 1.6e-5 and 4.1e-4 at
+    # 10^4 points), so a constant 1e-3 larger fails their records (about
+    # -5.4e-3 and -8.4e-3)
+    def failing():
+        records, _ = ac.sweep_checks(["kato"], iq.SEED, iq.SAMPLES, iq.KATO_POINTS,
+                                     iq.GRIDS)
+        return {r.name: r.value for r in records if not r.passed}
+
+    assert failing() == {}
+    monkeypatch.setattr(iq, "KATO_CONSTANT", iq.KATO_CONSTANT * (1 + 1e-3))
+    margins = failing()
+    assert margins["kato: kato[xyz]"] < -1e-3
+    assert margins["kato: kato[z_x2_minus_y2]"] < -1e-3
+
+
 def test_kato_harmonicity_record_catches_a_perturbed_table(monkeypatch):
     # re(z^3) = x^3 - 3 x y^2 with -3 changed to -2.9 has Laplacian 0.2 x
     def record():

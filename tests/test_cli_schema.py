@@ -196,15 +196,40 @@ def test_verify_job_catches_a_shifted_curvature_witness(monkeypatch, tmp_path):
                                 "inputs": {"samples": 1000, "points": 200,
                                            "grids": [10, 10, 12]}}))
     assert cli.main(["run", "--job", str(path)]) == 0
-    pinch = iq.verify_curvature_pinch
+    sweeps = iq.verify_curvature_ricci
 
-    def shifted(samples, seed):
-        rep = pinch(samples, seed=seed)
-        rep.records[0].detail["config"]["psi"] += 1e-9
-        return rep
+    def shifted(samples, seed, suites=iq.STREAM_SUITES):
+        reps = sweeps(samples, seed=seed, suites=suites)
+        reps["curvature_pinch"].records[0].detail["config"]["psi"] += 1e-9
+        return reps
 
-    monkeypatch.setattr(iq, "verify_curvature_pinch", shifted)
+    # the job lists every suite, so one pass serves curvature and Ricci
+    monkeypatch.setattr(iq, "verify_curvature_ricci", shifted)
     assert cli.main(["run", "--job", str(path)]) == 1
+
+
+def test_verify_records_are_those_of_each_suite_alone(tmp_path):
+    # the curvature and Ricci suites listed together share one pass of the
+    # stream; each suite's report.json records and extras and margins.csv
+    # rows are byte-identical to those of the job that lists it alone, in
+    # either order
+    outputs = {}
+    for suites in (["curvature_pinch", "ricci_bound"], ["ricci_bound", "curvature_pinch"],
+                   ["curvature_pinch"], ["ricci_bound"]):
+        out = tmp_path / "-".join(suites)
+        cli.run({"command": "verify", "seed": 2718,
+                 "inputs": {"suites": suites, "samples": 20_000}}, out_dir=out)
+        report = json.loads((out / "report.json").read_text())
+        rows = (out / "margins.csv").read_bytes().splitlines()[1:]
+        for suite in suites:
+            records = [json.dumps(r, sort_keys=True) for r in report["records"]
+                       if r["name"].startswith(f"{suite}: ")]
+            outputs.setdefault(suite, []).append((
+                records, [row for row in rows if row.startswith(f"{suite},".encode())],
+                json.dumps(report["extras"][suite], sort_keys=True)))
+    for suite, seen in outputs.items():
+        assert len(seen) == 3 and seen[0][0] and len(seen[0][0]) == len(seen[0][1])
+        assert seen[1] == seen[0] and seen[2] == seen[0], suite
 
 
 def test_cli_mubble_writes_profile_curves(tmp_path):

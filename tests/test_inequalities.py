@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -391,10 +394,32 @@ def test_sweep_records_are_pinned(suite, sweep):
 @pytest.mark.parametrize("suite, sweep", PINNED)
 def test_sweep_records_are_pinned_in_any_block_size(monkeypatch, suite, sweep, block):
     # a stream of 10 000 points in blocks with ragged tails, and one block
-    # of the whole stream; the quadratic grid in one beta row per block up
-    # to a whole alpha row per block
+    # of the whole stream, on a pool of one to three workers; the quadratic
+    # grid in one beta row per block up to a whole alpha row per block
     monkeypatch.setattr(iq, "_BLOCK", block)
-    assert repr(_sweep_outputs(sweep())) == repr(GOLDEN[suite])
+    monkeypatch.setattr(iq, "_STREAM_BLOCK", block)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(iq, "_workers", lambda: workers)
+        assert repr(_sweep_outputs(sweep())) == repr(GOLDEN[suite]), workers
+
+
+@pytest.mark.parametrize("block", [1000, 10_000])
+def test_shared_stream_pass_is_pinned(monkeypatch, block):
+    # one walk of the stream for both sweeps gives each the records of its
+    # own sweep, at any block size and worker count, also with more workers
+    # than cores and threads switched every microsecond
+    monkeypatch.setattr(iq, "_STREAM_BLOCK", block)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(iq, "_workers", lambda: workers)
+            reps = iq.verify_curvature_ricci(20_000, seed=1234)
+            assert list(reps) == list(iq.STREAM_SUITES)
+            for suite, rep in reps.items():
+                assert repr(_sweep_outputs(rep)) == repr(GOLDEN[suite]), (suite, workers)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_stream_blocks_concatenate_to_the_one_call_stream(monkeypatch):
@@ -414,8 +439,9 @@ def test_stream_blocks_concatenate_to_the_one_call_stream(monkeypatch):
 def test_a_nan_margin_in_a_later_stream_block_is_reported(monkeypatch):
     # Halton point 2500 gets a NaN fourth coordinate (the curvature angle,
     # a Ricci direction), so its margins are NaN; in blocks of 1000 it lies
-    # in the third block, and the records report it as one argmin over the
-    # whole stream does, so they fail
+    # in the third block, and the records of each sweep alone and of the
+    # shared pass, on a pool of one to three workers, report it as one
+    # argmin over the whole stream does, so they fail
     halton, bad = iq.halton, 20 + 2500
 
     def poisoned(count, dims, skip=20):
@@ -425,16 +451,71 @@ def test_a_nan_margin_in_a_later_stream_block_is_reported(monkeypatch):
         return pts
 
     monkeypatch.setattr(iq, "halton", poisoned)
-    for sweep, name in ((iq.verify_curvature_pinch, "-R >= 0 [halton]"),
-                        (iq.verify_ricci_bound, "Ric + |A|^2/sqrt2 [halton]")):
-        outputs = []
-        for block in (1000, 10_000):
-            monkeypatch.setattr(iq, "_BLOCK", block)
-            rep = sweep(20_000, seed=5)
-            outputs.append(repr(_sweep_outputs(rep)))
-            rec = next(r for r in rep.records if r.name == name)
-            assert np.isnan(rec.value) and not rec.passed
-        assert outputs[0] == outputs[1]
+    sweeps = {"curvature_pinch": (iq.verify_curvature_pinch, "-R >= 0 [halton]"),
+              "ricci_bound": (iq.verify_ricci_bound, "Ric + |A|^2/sqrt2 [halton]")}
+    for suite, (sweep, name) in sweeps.items():
+        outputs = set()
+        for block, workers in ((1000, 1), (1000, 2), (1000, 3), (10_000, 1)):
+            monkeypatch.setattr(iq, "_STREAM_BLOCK", block)
+            monkeypatch.setattr(iq, "_workers", lambda: workers)
+            for rep in (sweep(20_000, seed=5), iq.verify_curvature_ricci(20_000, seed=5)[suite]):
+                outputs.add(repr(_sweep_outputs(rep)))
+                rec = next(r for r in rep.records if r.name == name)
+                assert np.isnan(rec.value) and not rec.passed
+        assert len(outputs) == 1
+
+
+def test_block_pool_folds_in_block_order_one_block_per_worker_ahead(monkeypatch):
+    # kernels that finish out of order still fold in block order, which the
+    # first-occurrence rule of ties needs, and a block is built only when at
+    # most one block per worker is unfolded, counting it
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(iq, "_workers", lambda: workers)
+        built, folded = [], []
+
+        def blocks():
+            for k in range(40):
+                built.append(k)
+                assert len(built) - len(folded) <= workers
+                yield k
+
+        def kernel(k):
+            time.sleep(0.001 * (k * 7 % 5))
+            return k
+
+        iq._map_blocks(kernel, blocks(), folded.append)
+        assert folded == list(range(40)), workers
+
+
+def test_a_raising_block_kernel_ends_the_sweep_and_its_pool(monkeypatch):
+    # the pool's kernel raises on the fourth Halton block: the sweep raises
+    # that exception, builds at most one block per worker past it, starts
+    # no kernel of a block it cancelled, and joins every thread of its pool
+    halton, kernel = iq.halton, iq._cos_sin
+    err = RuntimeError("block 3")
+    monkeypatch.setattr(iq, "_STREAM_BLOCK", 1200)
+    for workers in (1, 2, 3):
+        built, started = [], []
+
+        def building(count, dims, skip=20):
+            built.append(halton(count, dims, skip))
+            return built[-1]
+
+        def failing(block):
+            started.append(block)
+            if len(built) > 3 and block[0] is built[3]:
+                raise err
+            return kernel(block)
+
+        monkeypatch.setattr(iq, "halton", building)
+        monkeypatch.setattr(iq, "_cos_sin", failing)
+        monkeypatch.setattr(iq, "_workers", lambda: workers)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            iq.verify_curvature_ricci(120_000, seed=5)
+        assert raised.value is err
+        assert threading.active_count() == threads
+        assert 4 <= len(built) <= 4 + workers and len(started) <= len(built)
 
 
 def _traced_peak(call):
@@ -455,12 +536,15 @@ def _traced_peak(call):
     (iq.verify_curvature_pinch, 10**6, 8),
     (iq.verify_ricci_bound, 10**6, 8),
     (iq.verify_kato, 200_000, 16),
+    (iq.verify_curvature_ricci, 10**6, 8),
 ])
 def test_streamed_sweep_memory_is_constant_in_the_sample_count(sweep, count, mib):
     # whole-stream arrays took a tracemalloc peak of 69 and 65 MiB for the
     # curvature and Ricci sweeps at 10^6 samples and of 51 MiB for Kato at
-    # 2 x 10^5 points, growing linearly; blocks of _BLOCK points take about
-    # 5, 4 and 10 MiB at any count
+    # 2 x 10^5 points, growing linearly; Kato's blocks of _BLOCK points take
+    # about 10 MiB at any count, and the blocks of _STREAM_BLOCK points, one
+    # per worker in flight, about 4, 2 and 2.5 MiB for the curvature sweep
+    # (its corner pass), the Ricci sweep and the shared pass
     assert _traced_peak(lambda: sweep(count)) < mib * 2**20
 
 
@@ -564,7 +648,8 @@ def test_curvature_and_ricci_kernels_match_stacked_reference():
     ricci = ric + np.einsum("pi,pi->p", ks, ks) / SQRT2
     for p in range(n):
         mR, _, m2, _, ratio, _, c = iq._curvature_sweep(
-            tuple(aa[p:p + 1, i] for i in range(3)), psis[p:p + 1])
+            tuple(aa[p:p + 1, i] for i in range(3)), np.cos(psis[p:p + 1]),
+            np.sin(psis[p:p + 1]))
         assert (mR, m2, ratio, c) == (-R[p], -iq.C0 * R[p] - A2[p], A2[p] / -R[p],
                                       cons[p]), p
         worst, _ = iq._ricci_sweep(tuple(ks[p:p + 1, i] for i in range(3)),

@@ -1,7 +1,9 @@
 """Start-up cost: importing the package, validating jobs, printing the
 schema, rejecting an invalid job and running a ``verify`` job load neither
 scipy nor mpmath, which are imported only inside the functions that use
-them."""
+them; importing the package and validating jobs load neither
+``concurrent.futures`` nor the ``logging`` it pulls in, which the block pool
+of the inequality sweeps imports when it first runs."""
 
 import json
 import subprocess
@@ -19,6 +21,8 @@ from anisocheck import cli, schema
 jobs = [json.loads(Path(p).read_text()) for p in sys.argv[2:]]
 assert {job["command"] for job in jobs} == set(schema.COMMANDS)
 assert not [e for job in jobs for e in schema.validate_job(job)]
+pool = sorted(m for m in sys.modules
+              if m.split(".")[0] == "logging" or m.startswith("concurrent.futures"))
 out = sys.argv[1]
 bad = Path(out, "bad.json")
 bad.write_text(json.dumps({"command": "verify", "inputs": {"samples": "x"}}))
@@ -30,7 +34,7 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")
 from anisocheck import variation
 import scipy.sparse.linalg
 
-print(json.dumps({"codes": codes, "loaded": loaded,
+print(json.dumps({"codes": codes, "loaded": loaded, "pool": pool,
                   "spla": variation.spla is scipy.sparse.linalg}))
 """
 
@@ -43,4 +47,5 @@ def test_startup_loads_neither_scipy_nor_mpmath(tmp_path, child_env):
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 2, 0]
     assert result["loaded"] == []
+    assert result["pool"] == []
     assert result["spla"]

@@ -94,6 +94,20 @@ _STREAM_BLOCK = 1 << 13
 _U = 2.0 ** -53
 
 
+@functools.lru_cache(maxsize=None)
+def _halton_table(b):
+    """(sums, b^k): the digit-by-digit sums of the low k digits of every
+    residue below b^k in base ``b``, for the largest b^k up to
+    ``_HALTON_TABLE``; built once per base and read-only."""
+    low = np.zeros(1)
+    denom = 1.0
+    while low.size * b <= _HALTON_TABLE:
+        denom *= b
+        low = (low + (np.arange(b) / denom)[:, None]).ravel()
+    low.flags.writeable = False
+    return low, denom
+
+
 def halton(count, dims, skip=20):
     """Deterministic Halton points in [0,1)^dims (radical inverse).
 
@@ -111,11 +125,7 @@ def halton(count, dims, skip=20):
     col = np.empty(count)
     for d in range(dims):
         b = _PRIMES[d]
-        low = np.zeros(1)
-        denom = 1.0
-        while low.size < stop and low.size * b <= _HALTON_TABLE:
-            denom *= b
-            low = (low + (np.arange(b) / denom)[:, None]).ravel()
+        low, denom = _halton_table(b)
         span = low.size
         for high in range(skip // span, (stop - 1) // span + 1):
             lo, hi = max(skip, high * span), min(stop, (high + 1) * span)

@@ -347,20 +347,72 @@ def _fem_templates(n, spacings):
     return temps
 
 
-def _element_corners(shape, periodic):
-    """Global node indices of every cell's 2^n corners, wrapping periodic
-    axes; corner bit order matches the kron order of the templates."""
-    n = len(shape)
-    ranges = [np.arange(m if per else m - 1) for m, per in zip(shape, periodic)]
-    E = np.meshgrid(*ranges, indexing="ij")
-    corners = []
+def _bits(corner, n):
+    """Per-axis 0/1 offsets of a cell corner, in the kron order of the
+    templates (the first axis is the highest bit)."""
+    return [(corner >> (n - 1 - ax)) & 1 for ax in range(n)]
+
+
+def _free_box(geom):
+    """Per-axis node slices of the Dirichlet-free nodes: `dirichlet_mask`
+    clamps whole node layers of non-periodic axes only, so they form a box."""
+    ends = geom.boundary_ends()
+    box = tuple(slice(int((a, 0) in ends), m - int((a, -1) in ends))
+                for a, m in enumerate(geom.shape))
+    mask = geom.dirichlet_mask()
+    assert mask[box].all() and mask.sum() == mask[box].size, "free nodes are not a box"
+    return box
+
+
+def _stencil(geom, coeff):
+    """Stiffness stencil of the gradient part, shape (3,)*n + padded grid:
+    entry (o_0 + 1, ..., o_(n-1) + 1, x) is the element sum K[x, x + o] at
+    node x of the grid padded by one layer on every axis (the pad layers of
+    a periodic axis hold its wrapped values, those of the other axes zero).
+    The cells average sqrt(g) coeff over their 2^n corners; their element
+    matrices come from the templates, and each of the 4^n corner pairs
+    adds one slice into its offset."""
+    n, shape, periodic = geom.n, geom.shape, geom.periodic
+    cells = tuple(m if per else m - 1 for m, per in zip(shape, periodic))
+    dens = np.moveaxis(geom.sqrt_det_g[..., None, None] * coeff, (-2, -1), (0, 1))
+    dens = np.pad(dens, [(0, 0)] * 2 + [(0, int(per)) for per in periodic], mode="wrap")
+    cmean = np.zeros((n, n) + cells)
     for corner in range(2**n):
-        idx = 0
-        for ax in range(n):
-            bit = (corner >> (n - 1 - ax)) & 1
-            idx = idx * shape[ax] + (E[ax] + bit) % shape[ax]
-        corners.append(idx.ravel())
-    return np.stack(corners, axis=1)
+        cmean += dens[(slice(None),) * 2 + tuple(slice(b, b + c)
+                                                 for b, c in zip(_bits(corner, n), cells))]
+    cmean /= 2**n
+    local = np.einsum("abpq,abe->pqe", _fem_templates(n, geom.spacings),
+                      cmean.reshape(n, n, -1)).reshape((2**n, 2**n) + cells)
+    S = np.zeros((3,) * n + tuple(m + 2 for m in shape))
+    for p in range(2**n):
+        bp = _bits(p, n)
+        at = tuple(slice(1 + b, 1 + b + c) for b, c in zip(bp, cells))
+        for q in range(2**n):
+            o = tuple(bq - b + 1 for b, bq in zip(bp, _bits(q, n)))
+            S[o + at] += local[p, q]
+    for ax, m in enumerate(shape):
+        if periodic[ax]:
+            # the last cell layer adds to node 0 through pad layer m + 1
+            layers = np.moveaxis(S, n + ax, 0)
+            layers[1] += layers[m + 1]
+            layers[0] = layers[m]
+            layers[m + 1] = layers[1]
+    return S
+
+
+def _neighbour_table(lo, hi, m, periodic):
+    """(order, position), each (3, hi - lo), for the free nodes lo + x of
+    one axis: the neighbour offsets -1, 0, 1 as indices 0, 1, 2 in the
+    order of the neighbours' positions x' in the free range (wrapped on a
+    periodic axis), and those positions, -1 outside the range."""
+    x = np.arange(hi - lo)
+    pos = np.stack([x - 1, x, x + 1])
+    if periodic:
+        pos %= m
+    order = np.argsort(pos, axis=0, kind="stable")
+    pos = np.take_along_axis(pos, order, axis=0)
+    pos[(pos < 0) | (pos >= hi - lo)] = -1
+    return order, pos
 
 
 def assemble_forms(geom, coeff, potential, mass_density):
@@ -368,30 +420,57 @@ def assemble_forms(geom, coeff, potential, mass_density):
 
         Q(u) = int du^T coeff du + potential u^2   (measure sqrt(g) du)
 
-    against the weighted mass int mass_density u^2.  The gradient part is
-    exact multilinear finite elements with cell-averaged coefficients (no
-    spurious low-energy modes, unlike collocated wide-stencil gradients);
-    the potential and mass are collocated and the mass is lumped diagonal.
-    ``coeff`` has shape grid + (n, n).
+    against the weighted mass int mass_density u^2, on the free nodes of
+    ``geom.dirichlet_mask()`` in C order: K is CSR with sorted columns and
+    no stored zeros, exactly symmetric, and M is diagonal.  The gradient
+    part is exact multilinear finite elements with cell-averaged
+    coefficients (no spurious low-energy modes, unlike collocated
+    wide-stencil gradients), summed into a 3^n-point stencil whose two
+    triangles are averaged; the potential and mass are collocated and the
+    mass is lumped diagonal.  ``coeff`` has shape grid + (n, n).
     """
     import scipy.sparse as sp
 
     n = geom.n
-    size = int(np.prod(geom.shape))
-    dens = geom.sqrt_det_g[..., None, None] * coeff
-    corners = _element_corners(geom.shape, geom.periodic)
-    cvals = dens.reshape(size, n, n)[corners]          # (E, 2^n, n, n)
-    cmean = cvals.mean(axis=1)
-    temps = _fem_templates(n, geom.spacings)
-    local = np.einsum("eab,abpq->epq", cmean, temps)
-    rows = np.repeat(corners, 2**n, axis=1).ravel()
-    cols = np.tile(corners, (1, 2**n)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size)).tocsr()
-    w = (geom.node_weights() * geom.sqrt_det_g).ravel()
-    K = K + sp.diags(w * np.ravel(potential))
-    M = sp.diags(w * np.ravel(mass_density))
-    K = 0.5 * (K + K.T)
-    return K.tocsc(), M.tocsc()
+    box = _free_box(geom)
+    lens = tuple(s.stop - s.start for s in box)
+    S = _stencil(geom, coeff)
+    w = geom.node_weights() * geom.sqrt_det_g
+    # V[o + 1, x] = K[x, x + o] at the free nodes x: the mean of the stencil
+    # entry and its mirror K[x + o, x], so exactly symmetric, plus the
+    # potential on the diagonal
+    V = np.empty((3,) * n + lens)
+    for o in np.ndindex((3,) * n):
+        here = o + tuple(slice(s.start + 1, s.stop + 1) for s in box)
+        if all(d == 1 for d in o):
+            V[o] = S[here] + (w * potential)[box]
+        else:
+            there = tuple(2 - d for d in o) + tuple(
+                slice(s.start + d, s.stop + d) for s, d in zip(box, o))
+            V[o] = 0.5 * (S[here] + S[there])
+    # columns: per axis, the neighbours in the order of their positions
+    cols = np.zeros(lens + (3,) * n, dtype=np.int32)
+    keep = np.ones(lens + (3,) * n, dtype=bool)
+    stride = 1
+    for ax in reversed(range(n)):
+        order, pos = _neighbour_table(box[ax].start, box[ax].stop, geom.shape[ax],
+                                      geom.periodic[ax])
+        for x in np.flatnonzero(np.any(order != np.arange(3)[:, None], axis=0)):
+            at = (slice(None),) * (n + ax) + (x,)
+            V[at] = np.take(V[at], order[:, x], axis=ax)
+        sh = [1] * (2 * n)
+        sh[ax], sh[n + ax] = lens[ax], 3
+        cols += (pos.T * stride).reshape(sh).astype(np.int32)
+        keep &= (pos.T >= 0).reshape(sh)
+        stride *= lens[ax]
+    data = V.reshape(3**n, stride).T
+    keep = keep.reshape(stride, -1) & (data != 0.0)
+    indptr = np.zeros(stride + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    K = sp.csr_matrix((data[keep], cols.reshape(stride, -1)[keep], indptr),
+                      shape=(stride, stride))
+    M = sp.diags((w * mass_density)[box].ravel())
+    return K, M
 
 
 def smallest_eigenpair(K, M):
@@ -416,7 +495,9 @@ def smallest_eigenpair(K, M):
     if d.size < 2:
         raise ValueError(f"eigenproblem needs at least 2 unknowns, got {d.size}")
     s = 1.0 / np.sqrt(d)
-    B = (sp.diags(s) @ K @ sp.diags(s)).tocsr()
+    K = K.tocsr()
+    scaled = np.repeat(s, np.diff(K.indptr)) * K.data * s[K.indices]
+    B = sp.csr_matrix((scaled, K.indices, K.indptr), shape=K.shape)
     matvecs = 0
 
     def matvec(y):
@@ -457,9 +538,8 @@ class DirichletSpectrum:
 def dirichlet_spectrum(geom, coeff, potential, mass_density):
     """Bottom of the spectrum of the form of :func:`assemble_forms` on the
     free nodes of ``geom.dirichlet_mask()``."""
-    K, M = assemble_forms(geom, coeff, potential, mass_density)
-    idx = np.flatnonzero(geom.dirichlet_mask().ravel())
-    lam, _, matvecs, resid = smallest_eigenpair(K[idx][:, idx], M[idx][:, idx])
+    lam, _, matvecs, resid = smallest_eigenpair(
+        *assemble_forms(geom, coeff, potential, mass_density))
     return DirichletSpectrum(eigenvalue=lam, residual=resid, matvecs=matvecs,
                              resolution=geom.shape)
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,23 @@ def all_run(all_runs):
     """The ``all`` run shared by the tests that read its report: (exit
     code, wall time in s, report.json as a dict)."""
     return all_runs[0].result()
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call)``: the tracemalloc peak of ``call()`` in bytes,
+    above the memory traced before it."""
+
+    def peak(call):
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return peak

@@ -1,7 +1,6 @@
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,42 +517,29 @@ def test_a_raising_block_kernel_ends_the_sweep_and_its_pool(monkeypatch):
         assert 4 <= len(built) <= 4 + workers and len(started) <= len(built)
 
 
-def _traced_peak(call):
-    """The tracemalloc peak of ``call()`` above the memory traced before it."""
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 @pytest.mark.parametrize("sweep, count, mib", [
     (iq.verify_curvature_pinch, 10**6, 8),
     (iq.verify_ricci_bound, 10**6, 8),
     (iq.verify_kato, 200_000, 16),
     (iq.verify_curvature_ricci, 10**6, 8),
 ])
-def test_streamed_sweep_memory_is_constant_in_the_sample_count(sweep, count, mib):
+def test_streamed_sweep_memory_is_constant_in_the_sample_count(sweep, count, mib,
+                                                              traced_peak):
     # whole-stream arrays took a tracemalloc peak of 69 and 65 MiB for the
     # curvature and Ricci sweeps at 10^6 samples and of 51 MiB for Kato at
     # 2 x 10^5 points, growing linearly; Kato's blocks of _BLOCK points take
     # about 10 MiB at any count, and the blocks of _STREAM_BLOCK points, one
     # per worker in flight, about 4, 2 and 2.5 MiB for the curvature sweep
     # (its corner pass), the Ricci sweep and the shared pass
-    assert _traced_peak(lambda: sweep(count)) < mib * 2**20
+    assert traced_peak(lambda: sweep(count)) < mib * 2**20
 
 
 @pytest.mark.parametrize("grids", [(2, 1000, 5000), iq.GRIDS])
-def test_quadratic_sweep_memory_is_constant_in_the_grid(grids):
+def test_quadratic_sweep_memory_is_constant_in_the_grid(grids, traced_peak):
     # tabulated beta terms, two (n_beta, n_angle) arrays, took a tracemalloc
     # peak of 114.6 MiB at (2, 1000, 5000); the floors in chunks of _BLOCK
     # rows and the kernel's buffers of _BLOCK points take 1.7 and 4.7 MiB
-    assert _traced_peak(lambda: iq.verify_quadratic_lemma(*grids)) < 8 * 2**20
+    assert traced_peak(lambda: iq.verify_quadratic_lemma(*grids)) < 8 * 2**20
 
 
 def test_quadratic_sweep_runs_the_kernel_on_few_rows(monkeypatch):

@@ -186,6 +186,123 @@ def test_smallest_eigenpair_rejects_what_it_cannot_solve():
         va.smallest_eigenpair(sp.csc_matrix([[1.0]]), sp.csc_matrix([[1.0]]))
 
 
+FEM_TEMPLATES = va._fem_templates
+BAND = (0.25 * np.pi, 0.75 * np.pi)
+
+
+def _element_loop_forms(geom, coeff, potential, mass_density):
+    """Reference assembly of :func:`va.assemble_forms`: every cell's 2^n x
+    2^n element matrix scattered as COO triplets over the whole grid
+    (duplicates summed), the two triangles averaged, then the rows and
+    columns of the free nodes taken; K in CSR with sorted columns and no
+    stored zeros."""
+    n, shape = geom.n, geom.shape
+    size = int(np.prod(shape))
+    ranges = [np.arange(m if per else m - 1) for m, per in zip(shape, geom.periodic)]
+    cells = np.meshgrid(*ranges, indexing="ij")
+    corners = []
+    for corner in range(2**n):
+        idx = 0
+        for ax in range(n):
+            bit = (corner >> (n - 1 - ax)) & 1
+            idx = idx * shape[ax] + (cells[ax] + bit) % shape[ax]
+        corners.append(idx.ravel())
+    corners = np.stack(corners, axis=1)
+    dens = geom.sqrt_det_g[..., None, None] * coeff
+    cmean = dens.reshape(size, n, n)[corners].mean(axis=1)
+    local = np.einsum("eab,abpq->epq", cmean, FEM_TEMPLATES(n, geom.spacings))
+    rows = np.repeat(corners, 2**n, axis=1).ravel()
+    cols = np.tile(corners, (1, 2**n)).ravel()
+    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size)).tocsr()
+    w = (geom.node_weights() * geom.sqrt_det_g).ravel()
+    K = K + sp.diags(w * potential.ravel())
+    K = 0.5 * (K + K.T)
+    idx = np.flatnonzero(geom.dirichlet_mask().ravel())
+    K = K.tocsr()[idx][:, idx].tocsr()
+    K.eliminate_zeros()
+    K.sort_indices()
+    return K, (w * mass_density.ravel())[idx]
+
+
+def _assembly_cases():
+    """(geometry, integrand): a periodic seam (the catenoid_3 band), polar
+    inset free rows (the (25, 13, 24) hemisphere), n = 2 (catenoid_2) and a
+    non-cubic box."""
+    mild = ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.0, 1.1]))
+    hemi = geo.Sphere(3, 1.0, box=[(0.0, np.pi / 2), (0, np.pi), (0, 2 * np.pi)])
+    box = geo.Hyperplane(3, offset=1.0, box=[(0, 1), (0, 2), (-1, 0.5)])
+    return [
+        (geo.sample_chart(geo.Catenoid3(theta_range=BAND), 13), ig.Integrand.isotropic(4)),
+        (geo.sample_chart(hemi, (25, 13, 24)), mild),
+        (geo.sample_chart(geo.catalog(2)["catenoid_2"], 33), ig.Integrand.isotropic(3)),
+        (geo.sample_chart(box, (9, 14, 11)), mild),
+    ]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9])
+def test_stencil_assembly_matches_the_element_loop(monkeypatch, scale):
+    # one template entry scaled by 1 + 1e-9 in the stencil assembly only:
+    # its entries leave the 1e-14 agreement with the element loop
+    def scaled(n, spacings):
+        temps = FEM_TEMPLATES(n, spacings)
+        temps[0, 0, 0, 0] *= scale
+        return temps
+
+    monkeypatch.setattr(va, "_fem_templates", scaled)
+    for g, integ in _assembly_cases():
+        C, V = va._second_variation_density(g, integ)
+        K, M = va.assemble_forms(g, C, V, np.ones(g.shape))
+        K_ref, d_ref = _element_loop_forms(g, C, V, np.ones(g.shape))
+        assert (K != K.T).nnz == 0 and K.has_sorted_indices, g.chart_name
+        assert np.array_equal(M.diagonal(), d_ref) and (M != sp.diags(d_ref)).nnz == 0
+        # relative to the largest entry of the row: summing the same terms
+        # in another order leaves up to 1.3e-14 of the small entries of the
+        # hemisphere's pole rows themselves
+        row_scale = np.repeat(np.maximum.reduceat(np.abs(K_ref.data), K_ref.indptr[:-1]),
+                              np.diff(K_ref.indptr))
+        same = (np.array_equal(K.indptr, K_ref.indptr)
+                and np.array_equal(K.indices, K_ref.indices)
+                and bool(np.all(np.abs(K.data - K_ref.data) <= 1e-14 * row_scale)))
+        assert same == (scale == 1.0), g.chart_name
+
+
+def test_assembly_memory_on_the_catenoid_band(traced_peak):
+    # the COO triplets of every cell, their CSR round trips and the
+    # restriction to the free nodes took a tracemalloc peak of 54 MiB on
+    # this 25^3 band; the stencil of the free-node box takes about 13 MiB
+    g = geo.sample_chart(geo.Catenoid3(theta_range=BAND), 25)
+    C, V = va._second_variation_density(g, ig.Integrand.isotropic(4))
+    one = np.ones(g.shape)
+    assert traced_peak(lambda: va.assemble_forms(g, C, V, one)) < 32 * 2**20
+
+
+_PLANE = {"kind": "hyperplane", "n": 3, "offset": 1.0, "box": [[-1.2, 1.2]] * 3}
+_MILD = {"kind": "quadratic", "dim": 4,
+         "matrix": [[1.1, 0, 0, 0], [0, 1.1, 0, 0], [0, 0, 1.1, 0], [0, 0, 0, 1.21]]}
+
+
+@pytest.mark.parametrize("inputs, lam", [
+    ({"chart": {"kind": "catenoid_3", "n": 3, "theta_range": list(BAND)},
+      "integrand": {"kind": "isotropic", "dim": 4}}, 2.9220536460538056),
+    ({"chart": _PLANE, "integrand": {"kind": "isotropic", "dim": 4}}, 5.077675326294999),
+    ({"chart": {"kind": "sphere", "n": 3, "radius": 1.0,
+                "box": [list(BAND), list(BAND), [0.0, 2 * np.pi]]},
+      "integrand": _MILD}, 4.0017386778717885),
+    ({"chart": _PLANE, "integrand": {"kind": "isotropic", "dim": 4}, "lambda": 0.75,
+      "resolution": 21, "tests": ["lambda1"]}, 10.84421910158233),
+], ids=["catenoid_3", "hyperplane", "sphere", "conformal_flat"])
+def test_benchmark_spectra_are_pinned(inputs, lam):
+    # the Dirichlet solves of the benchmark's spectra jobs: the eigenvalue
+    # of the element-loop assembly to 1e-12 and its 81 Lanczos matvecs
+    command = "conformal" if "lambda" in inputs else "variation"
+    job = {"command": command, "seed": 1,
+           "inputs": {"resolution": 25, "tests": ["spectrum"], **inputs}}
+    (rec,) = cli.run(job)["records"]
+    value = rec["detail"]["lambda1" if command == "conformal" else "lambda_stab"]
+    assert value == pytest.approx(lam, rel=1e-12) and rec["pass"]
+    assert rec["detail"]["matvecs"] == 81
+
+
 SPECTRUM_JOB = {"command": "variation", "seed": 1,
                 "inputs": {"chart": {"kind": "hyperplane", "n": 2, "offset": 1.0},
                            "integrand": {"kind": "isotropic", "dim": 3},

@@ -4,10 +4,11 @@ Subcommands mirror the job commands (constants, integrand, variation,
 conformal, mubble, verify, all) plus ``schema`` to print the job format
 and ``run`` to dispatch a job file directly.  Reports are deterministic
 for a fixed seed: report.json (sorted keys, no timestamps), CSV tables
-for bulk numbers, and .dat profile curves for plotting.  The exit status
-is 0 exactly when every recorded check passes, 1 when a check fails, 2
-when the job is invalid or cannot be read and 3 when a runner raises (an
-internal error, reported in one line on stderr).
+of the constants and sweep margins, and .npz archives of sampled geometry
+and bubble profiles.  The exit status is 0 exactly when every recorded
+check passes, 1 when a check fails, 2 when the job is invalid or cannot
+be read and 3 when a runner raises (an internal error, reported in one
+line on stderr).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from . import inequalities as iq
 from . import integrand as ig
 from . import mubble as mb
 from . import schema as sch
-from . import table as tb
 from . import variation as va
 from .checks import ladder
 
@@ -129,8 +129,8 @@ def _run_variation(inputs, seed, out_dir):
         extras["lambda_stab"] = spec.eigenvalue
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        geo.export_csv(g, Path(out_dir) / "geometry.csv")
-        extras["geometry_csv_columns"] = geo.CSV_COLUMNS_DOC
+        geo.export_csv(g, Path(out_dir) / "geometry.npz")
+        extras["geometry_arrays"] = list(geo.export_arrays(g))
     return records, extras
 
 
@@ -197,12 +197,8 @@ def _run_mubble(inputs, seed, out_dir):
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        curves = np.column_stack([model.t, model.f, model.u, model.R])
-        tb.write_table([(out / "model_profiles.dat", " ", "# t f u R"),
-                        (out / "model_profiles.csv", ",", "t,f,u,R")],
-                       tb.row_blocks(curves))
-        tb.write_table([(out / "band_profiles.dat", " ", "# t phi h")],
-                       tb.row_blocks(np.column_stack([prof.t, prof.phi, prof.h])))
+        np.savez(out / "model_profiles.npz", t=model.t, f=model.f, u=model.u, R=model.R)
+        np.savez(out / "band_profiles.npz", t=prof.t, phi=prof.phi, h=prof.h)
     return records, {"model": model.as_dict(), "profiles": prof.as_dict()}
 
 

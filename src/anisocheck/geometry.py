@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import table
-
 R_MIN = 1e-3          # radial floor required by conformal operations
 DET_FLOOR = 1e-10     # immersion check threshold on det(g)
 ANGLE_TOL = 1e-12     # a box end within this of 0, pi or a 2 pi span sits there
@@ -490,40 +488,29 @@ def laplace_r_check(geom):
     return float(res[geom.interior_mask()].max())
 
 
-# -- CSV export ---------------------------------------------------------------
+# -- array export -------------------------------------------------------------
 
-CSV_COLUMNS_DOC = (
-    "u1..un, X1..Xd, nu1..nud, sqrt_det_g, H, A2, R, r, radial_cos, "
-    "grad_r1..grad_rd  (nodes in C order of the grid)"
-)
+
+def export_arrays(geom):
+    """The arrays of `export_csv` by archive name: each parameter axis u1..un
+    once, then the sampled fields in their grid shapes."""
+    arrays = {f"u{a + 1}": p for a, p in enumerate(geom.params)}
+    arrays.update(X=geom.X, nu=geom.nu, sqrt_det_g=geom.sqrt_det_g, H=geom.mean_curvature,
+                  A2=geom.A2, R=geom.scalar_curvature, r=geom.r, radial_cos=geom.radial_cos,
+                  grad_r=geom.grad_r)
+    return arrays
 
 
 def export_csv(geom, path):
-    """One row per node, in C order of the grid; fixed column order (see
-    CSV_COLUMNS_DOC).  The text is ``np.savetxt``'s ``"%.18e"`` default."""
-    n, d = geom.n, geom.dim
-    nodes = int(np.prod(geom.shape))
-    fields = [geom.X.reshape(nodes, d), geom.nu.reshape(nodes, d)]
-    fields += [f.reshape(nodes, 1) for f in (geom.sqrt_det_g, geom.mean_curvature,
-                                             geom.A2, geom.scalar_curvature, geom.r,
-                                             geom.radial_cos)]
-    fields.append(geom.grad_r.reshape(nodes, d))
-    header = (
-        [f"u{a+1}" for a in range(n)]
-        + [f"X{i+1}" for i in range(d)]
-        + [f"nu{i+1}" for i in range(d)]
-        + ["sqrt_det_g", "H", "A2", "R", "r", "radial_cos"]
-        + [f"grad_r{i+1}" for i in range(d)]
-    )
-
-    def blocks():
-        for lo in range(0, nodes, table.BLOCK_ROWS):
-            hi = min(lo + table.BLOCK_ROWS, nodes)
-            index = np.unravel_index(np.arange(lo, hi), geom.shape)
-            yield np.column_stack([p[i] for p, i in zip(geom.params, index)]
-                                  + [f[lo:hi] for f in fields])
-
-    table.write_table([(path, ",", ",".join(header))], blocks())
+    """Write the arrays of `export_arrays` to exactly ``path`` as an
+    uncompressed ``np.savez`` archive (given a file name, ``np.savez``
+    would append ``.npz`` to one that lacks it).  Every value keeps its
+    bits, and the bytes depend on the arrays only: each member is dated
+    1980-01-01.  The name is kept from the CSV table this replaced, because
+    ``perfbench/tracer.py`` wraps the function by this attribute and
+    ``tests/test_perfbench_spans.py`` requires that it resolve."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **export_arrays(geom))
 
 
 # -- chart catalog ------------------------------------------------------------

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anisocheck
@@ -82,3 +83,22 @@ def traced_peak():
                 tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def assert_archive_bits():
+    """``assert_archive_bits(path, expected)``: the ``.npz`` archive at
+    ``path`` holds exactly the arrays of the dict ``expected``, in its
+    order, each with its dtype, shape and bits (so -0.0 and NaN payloads
+    count)."""
+
+    def check(path, expected):
+        with np.load(path) as archive:
+            assert archive.files == list(expected)
+            for name, want in expected.items():
+                got = archive[name]
+                want = np.asarray(want)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+    return check

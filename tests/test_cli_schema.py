@@ -11,6 +11,7 @@ from anisocheck import cli
 from anisocheck import conformal as cf
 from anisocheck import geometry as geo
 from anisocheck import inequalities as iq
+from anisocheck import mubble as mb
 from anisocheck import schema as sch
 from anisocheck import variation as va
 
@@ -232,7 +233,7 @@ def test_verify_records_are_those_of_each_suite_alone(tmp_path):
         assert seen[1] == seen[0] and seen[2] == seen[0], suite
 
 
-def test_cli_mubble_writes_profile_curves(tmp_path):
+def test_cli_mubble_writes_profile_curves(tmp_path, assert_archive_bits):
     job = {"command": "mubble", "seed": 1,
            "inputs": {"model": {"profile": "cylinder", "T": 20.0, "lambda": 1.0,
                                 "n_grid": 801}}}
@@ -240,13 +241,21 @@ def test_cli_mubble_writes_profile_curves(tmp_path):
     rc = cli.main(["run", "--job", str(tmp_path / "job.json"),
                    "--out", str(tmp_path / "m")])
     assert rc == 0
-    assert (tmp_path / "m" / "model_profiles.dat").exists()
-    assert (tmp_path / "m" / "band_profiles.dat").exists()
+    out = tmp_path / "m"
+    assert sorted(p.name for p in out.iterdir()) == ["band_profiles.npz",
+                                                     "model_profiles.npz", "report.json"]
+    bands = json.loads((out / "report.json").read_text())["extras"]["profiles"]
+    model = mb.make_model("cylinder", T=20.0, lam=1.0, n_grid=801)
+    prof = mb.build_phi_h(model, bands["eps"], bands["amplitude"])
+    assert_archive_bits(out / "model_profiles.npz",
+                        {"t": model.t, "f": model.f, "u": model.u, "R": model.R})
+    assert_archive_bits(out / "band_profiles.npz", {"t": prof.t, "phi": prof.phi, "h": prof.h})
 
 
-def test_cli_variation_exports_geometry_csv(tmp_path):
+def test_cli_variation_exports_geometry_csv(tmp_path, assert_archive_bits):
+    chart = {"kind": "hyperplane", "n": 2, "offset": 1.0}
     job = {"command": "variation", "seed": 1,
-           "inputs": {"chart": {"kind": "hyperplane", "n": 2, "offset": 1.0},
+           "inputs": {"chart": chart,
                       "integrand": {"kind": "isotropic", "dim": 3},
                       "tests": ["first_variation", "vectorfield"],
                       "resolution": 13}}
@@ -254,8 +263,11 @@ def test_cli_variation_exports_geometry_csv(tmp_path):
     rc = cli.main(["run", "--job", str(tmp_path / "job.json"),
                    "--out", str(tmp_path / "v")])
     assert rc == 0
-    header = (tmp_path / "v" / "geometry.csv").read_text().splitlines()[0]
-    assert header.startswith("u1,u2,X1")
+    # the names and fields of export_arrays are pinned in tests/test_geometry.py
+    expected = geo.export_arrays(geo.sample_chart(sch.build_chart(chart), 13))
+    assert_archive_bits(tmp_path / "v" / "geometry.npz", expected)
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    assert report["extras"]["geometry_arrays"] == list(expected)
 
 
 def test_cli_exit_codes_via_subprocess(tmp_path, child_env):

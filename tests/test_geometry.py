@@ -397,6 +397,67 @@ def test_export_round_trips_bit_for_bit(tmp_path, assert_archive_bits, n, name):
     assert_archive_bits(tmp_path / "geometry.npz", _exported(geom))
 
 
+def test_export_csv(tmp_path):
+    g = geo.sample_chart(geo.Hyperplane(2, offset=1.0), 9)
+    path = tmp_path / "geom.csv"
+    geo.export_csv(g, path)
+    with np.load(path) as archive:
+        assert archive.files[:3] == ["u1", "u2", "X"]
+        assert archive["u1"].shape == archive["u2"].shape == (9,)
+        assert archive["X"].shape == (9, 9, 3)
+
+
+def _savetxt_csv(params, fields, path):
+    """The old geometry.csv: one row per node (the axes unravelled in C
+    order), the columns u, X, nu, sqrt_det_g, H, A2, R, r, radial_cos,
+    grad_r, written by np.savetxt."""
+    n, d = len(params), fields[0].shape[-1]
+    U = np.stack(np.meshgrid(*params, indexing="ij"), axis=-1).reshape(-1, n)
+    data = np.column_stack([U] + [f.reshape(len(U), -1) for f in fields])
+    header = ([f"u{a+1}" for a in range(n)] + [f"X{i+1}" for i in range(d)]
+              + [f"nu{i+1}" for i in range(d)]
+              + ["sqrt_det_g", "H", "A2", "R", "r", "radial_cos"]
+              + [f"grad_r{i+1}" for i in range(d)])
+    np.savetxt(path, data, fmt="%.18e", delimiter=",", header=",".join(header),
+               comments="")
+
+
+def _assert_export_matches_savetxt(geom, tmp_path):
+    """The archive carries the old text table: the CSV that np.savetxt
+    writes from its arrays equals the one it writes from the geometry."""
+    geo.export_csv(geom, tmp_path / "geometry.npz")
+    with np.load(tmp_path / "geometry.npz") as archive:
+        params = [archive[f"u{a + 1}"] for a in range(geom.n)]
+        fields = [archive[k] for k in ("X", "nu", "sqrt_det_g", "H", "A2", "R", "r",
+                                       "radial_cos", "grad_r")]
+    _savetxt_csv(params, fields, tmp_path / "export.csv")
+    _savetxt_csv(geom.params, [geom.X, geom.nu, geom.sqrt_det_g, geom.mean_curvature,
+                               geom.A2, geom.scalar_curvature, geom.r, geom.radial_cos,
+                               geom.grad_r], tmp_path / "savetxt.csv")
+    assert (tmp_path / "export.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n, name", [(n, name) for n in (2, 3) for name in geo.catalog(n)])
+def test_export_csv_matches_savetxt_on_the_catalog(tmp_path, n, name):
+    _assert_export_matches_savetxt(geo.sample_chart(geo.catalog(n)[name], 9), tmp_path)
+
+
+def test_export_csv_matches_savetxt_on_special_values(tmp_path):
+    rng = np.random.default_rng(3)
+    geom = _synthetic((6, 7), lambda size: rng.choice(SPECIAL, size))
+    geom.X[0, 0, :2] = 0.0, -0.0     # side by side in one row
+    _assert_export_matches_savetxt(geom, tmp_path)
+    assert "0.000000000000000000e+00,-0.000000000000000000e+00" in \
+        (tmp_path / "export.csv").read_text()
+
+
+def test_export_csv_matches_savetxt_on_distinct_values(tmp_path):
+    rng = np.random.default_rng(4)
+    geom = _synthetic((40, 41), lambda size: rng.normal(size=size)
+                      * 10.0 ** rng.uniform(-300, 300, size))
+    _assert_export_matches_savetxt(geom, tmp_path)
+
+
 def test_export_writes_the_given_path_with_fixed_bytes(tmp_path):
     geom = geo.sample_chart(geo.catalog(3)["catenoid_3"], 9)
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

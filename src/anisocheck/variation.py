@@ -39,11 +39,19 @@ def __getattr__(name):
 
 STATIONARY_TOL = 1e-4   # max |H_phi| for a chart to count as phi-stationary
 EIG_TOL = 1e-8          # eigensolver residual tolerance, relative to max(1, |lambda|)
-# Lanczos basis size.  ARPACK's default of 20 restarts too often on polar
-# charts, whose inset pole nodes carry tiny masses and so stretch the
-# spectrum of the mass-scaled form (a (25, 13, 24) hemisphere takes 34451
-# matvecs at 20, 4201 at 40); charts without poles converge alike.
+# Lanczos basis size.  Smaller bases restart too often on polar charts,
+# whose inset pole nodes carry tiny masses and so stretch the spectrum of
+# the mass-scaled form: a (25, 13, 24) hemisphere takes 28630 matvecs at
+# 20, 5830 at 30 and 4210 at 40; charts without poles converge alike.
 LANCZOS_NCV = 40
+# Ritz vectors kept at a restart: on the 25^3 benchmark charts 5, 10, 15
+# and 20 take 75, 70, 65 and 60-80 matvecs, 10 the least time; at 30 the
+# hemisphere's estimate passes where its true residual does not, and the
+# solve stalls.
+LANCZOS_KEEP = 10
+# Matvecs after which a solve returns its last Ritz pair, about ten times
+# the hemisphere's.
+LANCZOS_MAX_MATVECS = 40_000
 
 
 def _pullback(jac, form):
@@ -473,20 +481,89 @@ def assemble_forms(geom, coeff, potential, mass_density):
     return K, M
 
 
+def _dot(a, b):
+    """Inner product of two vectors in numpy's own fixed-order loop, never
+    BLAS, so its bits do not depend on the BLAS thread count."""
+    return np.einsum("i,i->", a, b)
+
+
+def _lanczos(B, v0, converged):
+    """(y, matvecs): the unit Ritz vector of the smallest Ritz value of the
+    symmetric sparse B from a thick-restart Lanczos solve started at v0,
+    and the products with B it took.
+
+    Each step orthogonalizes B v against the whole basis by classical
+    Gram-Schmidt, twice, and stores the full projection column, so T is
+    the Rayleigh-Ritz matrix of the basis.  A full basis of LANCZOS_NCV
+    vectors restarts from its LANCZOS_KEEP smallest Ritz vectors and its
+    last Lanczos vector (Wu and Simon 2000).  The solve stops once the
+    residual estimate |beta s_m| is at most EIG_TOL max(1, |theta|) and
+    ``converged(y)`` confirms it, and otherwise goes on; it stops at once
+    when the Krylov space is invariant or spans every unknown, or after
+    LANCZOS_MAX_MATVECS matvecs.  Every product against the basis runs in
+    numpy's own ``einsum`` loops, in a fixed order, never in BLAS.
+    """
+    n = v0.size
+    m = min(LANCZOS_NCV, n)
+    V = np.empty((m + 1, n))
+    T = np.zeros((m, m))
+    V[0] = v0 / np.sqrt(_dot(v0, v0))
+    k = matvecs = 0
+    while True:
+        for j in range(k, m):
+            w = B @ V[j]
+            matvecs += 1
+            h = np.zeros(j + 1)
+            for _ in range(2):
+                c = np.einsum("ij,j->i", V[:j + 1], w)
+                w -= np.einsum("ij,i->j", V[:j + 1], c)
+                h += c
+            T[:j + 1, j] = T[j, :j + 1] = h
+            beta = np.sqrt(_dot(w, w))
+            p = j + 1
+            last = beta == 0.0 or p == n or matvecs >= LANCZOS_MAX_MATVECS
+            if last:
+                break
+            V[p] = w / beta
+        theta, S = np.linalg.eigh(T[:p, :p])
+        y = np.einsum("ij,i->j", V[:p], S[:, 0])
+        if last or (abs(beta * S[-1, 0]) <= EIG_TOL * max(1.0, abs(theta[0]))
+                    and converged(y)):
+            return y, matvecs
+        # restart: the kept Ritz vectors and the last Lanczos vector; T holds
+        # their Ritz values, and the next step's column fills its arrow row
+        k = LANCZOS_KEEP
+        V[:k] = np.einsum("ji,jk->ik", S[:, :k], V[:m])
+        V[k] = V[m]
+        T[:] = 0.0
+        T[range(k), range(k)] = theta[:k]
+
+
 def smallest_eigenpair(K, M):
     """Smallest eigenvalue of K x = lambda M x, K symmetric and M the
     diagonal positive (lumped) mass of :func:`assemble_forms`.
 
-    One Lanczos solve (ARPACK ``eigsh``, relative tolerance EIG_TOL) on the
-    mass-scaled form B = D^-1/2 K D^-1/2, D = diag(M), from the
-    deterministic start sqrt(D), the all-ones vector in scaled coordinates.
+    One thick-restart Lanczos solve (:func:`_lanczos`; Paige 1972, Wu and
+    Simon 2000) on the mass-scaled form B = D^-1/2 K D^-1/2, D = diag(M),
+    from the deterministic start sqrt(D), the all-ones vector in scaled
+    coordinates.  Stop rule: the residual estimate |beta s_m| of the
+    smallest Ritz pair is at most EIG_TOL max(1, |theta|), and so is the
+    true residual below, computed from that Ritz vector; if the true
+    residual fails, the solve goes on.  At LANCZOS_MAX_MATVECS it returns
+    its last Ritz pair, whose residual then fails the caller's check.
+
+    Every inner product, in the Lanczos loop and in x^T M x, x^T K x and
+    r^T M^-1 r below, is a fixed-order numpy sum, and B v is scipy's
+    single-threaded CSR product; the one BLAS call is the ``eigh`` of the
+    at most LANCZOS_NCV x LANCZOS_NCV matrix T, which touches no vector.
+    So the result does not depend on the BLAS thread count.
+
     Returns (theta, x, matvecs, residual): x is M-normalized with
     sum(M x) > 0, theta = x^T K x, matvecs counts products with B, and
     residual = ||K x - theta M x|| in the M^-1 norm, so an eigenvalue lies
     within residual of theta.
     """
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
 
     coo = sp.coo_matrix(M)
     if np.any(coo.row != coo.col):
@@ -498,29 +575,25 @@ def smallest_eigenpair(K, M):
     K = K.tocsr()
     scaled = np.repeat(s, np.diff(K.indptr)) * K.data * s[K.indices]
     B = sp.csr_matrix((scaled, K.indices, K.indptr), shape=K.shape)
-    matvecs = 0
 
-    def matvec(y):
-        nonlocal matvecs
-        matvecs += 1
-        return B @ y
+    def ritz_pair(y):
+        """(theta, x, residual) of the scaled Ritz vector y."""
+        x = s * y
+        x /= np.sqrt(_dot(x, d * x))
+        if np.sum(d * x) < 0.0:
+            x = -x
+        Kx = K @ x
+        theta = float(_dot(x, Kx))
+        r = Kx - theta * (d * x)
+        return theta, x, float(np.sqrt(_dot(r, r / d)))
 
-    v0 = np.sqrt(d)
-    op = spla.LinearOperator(B.shape, matvec=matvec, dtype=float)
-    try:
-        y = spla.eigsh(op, k=1, which="SA", v0=v0, ncv=LANCZOS_NCV, tol=EIG_TOL)[1][:, 0]
-    except spla.ArpackNoConvergence:
-        # unconverged at k = 1 ARPACK returns no Ritz pair; the start vector
-        # stands in, and its residual fails the caller's convergence check
-        y = v0
-    x = s * y
-    x /= np.sqrt(x @ (d * x))
-    if np.sum(d * x) < 0.0:
-        x = -x
-    Kx = K @ x
-    theta = float(x @ Kx)
-    r = Kx - theta * (d * x)
-    return theta, x, matvecs, float(np.sqrt(r @ (r / d)))
+    def converged(y):
+        theta, _, residual = ritz_pair(y)
+        return residual <= EIG_TOL * max(1.0, abs(theta))
+
+    y, matvecs = _lanczos(B, np.sqrt(d), converged)
+    theta, x, residual = ritz_pair(y)
+    return theta, x, matvecs, residual
 
 
 @dataclass

@@ -65,6 +65,32 @@ def all_run(all_runs):
     return all_runs[0].result()
 
 
+def _strip_wallclock(obj):
+    """``obj`` without its wall-clock-dependent values (the 'timestamps' of
+    the reports): the runtime keys dropped, runtime records' values 0.0."""
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            if k in ("runtime_s", "total_runtime_s", "criteria_runtimes"):
+                continue
+            if (k == "value" and isinstance(obj.get("name"), str)
+                    and "runtime" in obj["name"]):
+                out[k] = 0.0
+                continue
+            out[k] = _strip_wallclock(v)
+        return out
+    if isinstance(obj, list):
+        return [_strip_wallclock(v) for v in obj]
+    return obj
+
+
+@pytest.fixture(scope="session")
+def stripped_report():
+    """``stripped_report(report)``: the report dict as sorted JSON text
+    without its wall-clock fields, for byte comparison."""
+    return lambda report: json.dumps(_strip_wallclock(report), sort_keys=True)
+
+
 @pytest.fixture
 def traced_peak():
     """``traced_peak(call)``: the tracemalloc peak of ``call()`` in bytes,

@@ -76,26 +76,8 @@ def test_criterion_09_pinching_pipeline(all_run):
     _check("9 pinching pipeline", all_run, "pinching")
 
 
-def _strip_wallclock(obj):
-    """Remove wall-clock-dependent values (the 'timestamps' of these
-    reports) before byte comparison."""
-    if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            if k in ("runtime_s", "total_runtime_s", "criteria_runtimes"):
-                continue
-            if (k == "value" and isinstance(obj.get("name"), str)
-                    and "runtime" in obj["name"]):
-                out[k] = 0.0
-                continue
-            out[k] = _strip_wallclock(v)
-        return out
-    if isinstance(obj, list):
-        return [_strip_wallclock(v) for v in obj]
-    return obj
-
-
-def test_criterion_10_run_all_deterministic_and_timed(all_runs, all_run):
+def test_criterion_10_run_all_deterministic_and_timed(all_runs, all_run,
+                                                       stripped_report):
     # the shared session run is the first of the two runs
     runs = [all_run, all_runs[1].result()]
     codes = [code for code, _, _ in runs]
@@ -105,9 +87,8 @@ def test_criterion_10_run_all_deterministic_and_timed(all_runs, all_run):
     try:
         assert codes == [0, 0], f"exit codes {codes}"
         assert runtimes[0] <= 600.0, f"runtime {runtimes[0]:.1f}s"
-        a = json.dumps(_strip_wallclock(reports[0]), sort_keys=True)
-        b = json.dumps(_strip_wallclock(reports[1]), sort_keys=True)
-        assert a == b, "reports differ beyond wall-clock fields"
+        assert stripped_report(reports[0]) == stripped_report(reports[1]), \
+            "reports differ beyond wall-clock fields"
     except AssertionError:
         status = "FAIL"
         raise

@@ -241,6 +241,10 @@ def test_lambda1_hemisphere_matches_separated_oracle():
     assert lam_1d == pytest.approx(6.0, rel=1e-3)
     assert est.eigenvalue == pytest.approx(6.0, rel=2e-2)
     assert est.eigenvalue == pytest.approx(lam_1d, rel=2e-2)
+    # the inset pole nodes stretch the spectrum, so the true residual sits
+    # near its tolerance while the Lanczos estimate may pass: the solve must
+    # confirm it
+    assert est.residual <= va.EIG_TOL * max(1.0, abs(est.eigenvalue))
 
 
 def test_absorption_step_margin_on_catalog():

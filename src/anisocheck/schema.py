@@ -36,8 +36,8 @@ SUITES = ("quadratic_lemma", "curvature_pinch", "ricci_bound", "kato")
 MAX_SAMPLES = 10_000_000
 #: largest grid product n_alpha * n_beta * n_angle of the quadratic-lemma
 #: sweep: about 3.5 times the default 200 x 200 x 720.  Its memory is
-#: constant in the grid (blocks of rows, floors in chunks), and its time
-#: follows the (alpha, beta) rows that survive its eigenvalue floors
+#: constant in the grid (blocks of rows, floors in chunks), and its time is
+#: one floors evaluation per (alpha, beta) row plus the rows that survive
 MAX_GRID_POINTS = 100_000_000
 #: largest grid a variation or conformal job samples: r^n nodes for a
 #: resolution r, the product of a resolution list, (2r - 1)^n for the

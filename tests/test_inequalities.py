@@ -557,6 +557,22 @@ def test_quadratic_sweep_runs_the_kernel_on_few_rows(monkeypatch):
     assert sum(rows) <= 10
 
 
+def test_quadratic_sweep_evaluates_each_rows_floors_once(monkeypatch):
+    # the floors of a row are three 2x2 eigenvalues (c0 B2 - B1, L^-1 B2 L^-T
+    # and B2), each evaluated once on each of the 20 100 rows beta >= alpha
+    # at GRIDS; a threshold pre-pass that recomputes two of them reads 5
+    lambda_min, entries = iq._lambda_min, [0]
+
+    def counting(p, q, r):
+        value = lambda_min(p, q, r)
+        entries[0] += np.size(value)
+        return value
+
+    monkeypatch.setattr(iq, "_lambda_min", counting)
+    assert passed(iq.verify_quadratic_lemma(*iq.GRIDS))
+    assert entries[0] == 3 * 20_100
+
+
 def _radical_inverse(index, base):
     """Scalar reference: integer digits, lowest first, summed left to right."""
     f, denom = 0.0, 1.0
@@ -576,7 +592,7 @@ def test_halton_matches_scalar_radical_inverse(count, skip):
     assert np.array_equal(pts.view(np.int64), ref.view(np.int64))
 
 
-@pytest.mark.parametrize("block", [48, 1 << 15])
+@pytest.mark.parametrize("block", [3, 48, 1 << 15])
 @pytest.mark.parametrize("alphas, betas", [
     # reaches alpha, beta < 0, where Q2 <= 0 occurs
     (np.linspace(-0.5, 1.0, 9), np.linspace(-0.5, 1.0, 11)),
@@ -589,7 +605,8 @@ def test_halton_matches_scalar_radical_inverse(count, skip):
     (np.array([0.8, 0.9]), np.array([0.8, 0.9, 1e200])),
 ])
 def test_quadratic_sweep_matches_full_grid_reference(monkeypatch, block, alphas, betas):
-    # swept in blocks of two beta rows and in whole rows
+    # swept in chunks of three rows (one row per kernel block, thresholds
+    # that tighten chunk by chunk), in blocks of two rows and in whole grids
     monkeypatch.setattr(iq, "_BLOCK", block)
     thetas = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     coss, sins = np.cos(thetas), np.sin(thetas)
@@ -662,11 +679,11 @@ def test_quadratic_floors_bound_the_kernel_and_pruning_keeps_the_full_grid(monke
     # on every row of 300 seeded grids each floor less its slack lies at or
     # below the kernel's own minimum of that quantity over the angle grid
     # (and the cap plus its slack at or above the largest Q1/Q2), and the
-    # pruned sweep equals the full-grid reference in blocks of two rows and
-    # in whole alpha rows.  The second margin is c1_max - 1 + Q2/Q1, so it
-    # and Q1/Q2 peak at the same point but for rounding: dropping either of
-    # their skip conditions alone leaves the sweep exact, dropping both
-    # fails here
+    # pruned sweep equals the full-grid reference in chunks of three rows,
+    # in blocks of two rows and in whole grids.  The second margin is
+    # c1_max - 1 + Q2/Q1, so it and Q1/Q2 peak at the same point but for
+    # rounding: dropping either of their skip conditions alone leaves the
+    # sweep exact, dropping both fails here
     thetas = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     coss, sins = np.cos(thetas), np.sin(thetas)
     k1, k2 = coss[None, :], sins[None, :]
@@ -683,7 +700,7 @@ def test_quadratic_floors_bound_the_kernel_and_pruning_keeps_the_full_grid(monke
         out = np.empty((6, betas.size, thetas.size))
         for a in alphas:
             with np.errstate(all="ignore"):
-                m1, m2, r, _ = kernel(a, betas, k1, k2, out)
+                m1, m2, r, _ = kernel(np.full(betas.size, a), betas, k1, k2, out)
                 q2 = 2.0 * a * k1 * k1 + 2.0 * (a + betas[:, None] - 1.0) * k1 * k2 \
                     + 2.0 * betas[:, None] * k2 * k2
             f1, f2, cap, fq2, slack = iq._quadratic_floors(np.full(betas.size, a), betas, eta)
@@ -694,10 +711,12 @@ def test_quadratic_floors_bound_the_kernel_and_pruning_keeps_the_full_grid(monke
             assert np.all(cap[rows] + slack[rows] >= r[rows].max(axis=1))
             assert np.all(fq2[rows] - slack[rows] <= q2[rows].min(axis=1))
         all_rows += int(np.sum(betas.size - np.searchsorted(betas, alphas)))
-        monkeypatch.setattr(iq, "_quadratic_block", counting)
-        for block in (48, 1 << 15):
+        for block in (3, 48, 1 << 15):
+            monkeypatch.setattr(iq, "_quadratic_block", kernel if block == 3 else counting)
             test_quadratic_sweep_matches_full_grid_reference(monkeypatch, block, alphas, betas)
         monkeypatch.setattr(iq, "_quadratic_block", kernel)
-    # the bounds are not vacuous, and the sweeps skip rows
+    # the bounds are not vacuous, and the sweeps in blocks of 48 and 2^15
+    # points skip rows (in chunks of three rows the threshold rows alone
+    # take up to two kernel rows per chunk, so those sweeps are not counted)
     assert finite_rows > 1000
     assert swept_rows[0] / 2 < 0.8 * all_rows

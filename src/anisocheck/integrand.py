@@ -1,19 +1,18 @@
 """Direction-dependent area integrands and their ellipticity statistics.
 
 An integrand is a positively 1-homogeneous function ``phi`` on ambient
-space minus the origin.  Three families are provided:
-
-* ``isotropic``    -- phi(v) = |v|, the area integrand;
-* ``quadratic``    -- phi(v) = sqrt(v^T A v) for a symmetric positive
-                      definite matrix A (support function of an ellipsoid);
-* ``perturbed``    -- phi(v) = |v| + eps * P(v) |v|^(1-deg) for a catalog
-                      homogeneous polynomial P, i.e. |v| (1 + eps * p(v/|v|)).
-
-Every family carries closed-form value, gradient and Hessian.  The module
-also computes the statistics used downstream: the extreme tangential
-Hessian eigenvalues (a_min, a_max) over the unit sphere, the ellipticity
-ratio Lambda = a_min / a_max, the C^1 sup-norm on the sphere and the
-minimum of phi on the sphere.
+space minus the origin, always of one form, phi(v) = psi(L^T v), where
+psi(w) = |w| + eps * P(w) |w|^(1-deg) = |w| (1 + eps * p(w/|w|)) for a
+catalog homogeneous polynomial P, or |w| without one, and L is the
+Cholesky factor of a symmetric positive definite A = L L^T, or the
+identity.  The constructors name three families: ``isotropic`` |v|,
+``quadratic`` sqrt(v^T A v) (support function of an ellipsoid) and
+``perturbed`` psi.  The chain rule gives the gradient L Dpsi(L^T v) and
+the Hessian L D^2psi(L^T v) L^T.  The module also computes the
+statistics used downstream: the extreme tangential Hessian eigenvalues
+(a_min, a_max) over the unit sphere, the ellipticity ratio
+Lambda = a_min / a_max, the C^1 sup-norm on the sphere and the minimum
+of phi on the sphere.
 """
 
 from __future__ import annotations
@@ -51,11 +50,12 @@ PROFILES = {
 
 
 class Integrand:
-    """A 1-homogeneous integrand with closed-form derivatives.
+    """A 1-homogeneous integrand psi(L^T v) with closed-form derivatives.
 
     Use the constructors :meth:`isotropic`, :meth:`quadratic`,
     :meth:`perturbed`.  ``dim`` is the ambient dimension (n+1 for
-    hypersurfaces of dimension n >= 2).
+    hypersurfaces of dimension n >= 2).  ``factor`` is L, or None for the
+    identity, with which no product is formed.
     """
 
     def __init__(self, kind, dim, matrix=None, epsilon=0.0, profile=None):
@@ -66,14 +66,17 @@ class Integrand:
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
         self.epsilon = float(epsilon)
         self.profile = profile
+        self.factor = None
+        self.table = None
         if kind == "quadratic":
             A = self.matrix
             if A is None or A.shape != (dim, dim):
                 raise ValueError("quadratic integrand needs a dim x dim matrix")
             if not np.allclose(A, A.T, atol=1e-12):
                 raise ValueError("quadratic integrand matrix must be symmetric")
-            if np.min(np.linalg.eigvalsh(A)) <= 0:
-                raise ValueError("quadratic integrand matrix must be positive definite")
+            # reads the lower triangle only; raises LinAlgError, a
+            # ValueError, unless A is positive definite
+            self.factor = np.linalg.cholesky(A)
         elif kind == "perturbed":
             if profile not in PROFILES:
                 raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
@@ -99,70 +102,59 @@ class Integrand:
 
     def describe(self):
         if self.kind == "quadratic":
-            return f"quadratic(diag-ish {np.diag(self.matrix)})"
+            return f"quadratic({self.matrix.tolist()})"
         if self.kind == "perturbed":
             return f"perturbed(eps={self.epsilon:g}, {self.profile})"
         return "isotropic"
 
-    # -- evaluation --------------------------------------------------------
+    # -- evaluation: psi and its derivatives at w = L^T v, pushed by L ------
 
-    def _norm(self, v):
-        """|v| at every point, after raising where it is zero."""
-        s = np.linalg.norm(v, axis=-1)
+    def _pull(self, v):
+        """(w, |w|) with w = L^T v at every point, after raising where w is zero."""
+        w = np.asarray(v, dtype=float)
+        if self.factor is not None:
+            w = np.einsum("ji,...j->...i", self.factor, w)
+        s = np.linalg.norm(w, axis=-1)
         if np.any(s == 0.0):
             raise ValueError("integrand evaluated at the zero vector")
-        return s
+        return w, s
 
     def value(self, v):
-        v = np.asarray(v, dtype=float)
-        s = self._norm(v)
-        if self.kind == "quadratic":
-            q = np.einsum("...i,ij,...j->...", v, self.matrix, v)
-            return np.sqrt(q)
-        if self.kind == "isotropic":
+        w, s = self._pull(v)
+        if self.table is None:
             return s
-        return s + self.epsilon * iq.poly_value(self.table, v) * s ** (1 - self.degree)
+        return s + self.epsilon * iq.poly_value(self.table, w) * s ** (1 - self.degree)
 
     def gradient(self, v):
-        v = np.asarray(v, dtype=float)
-        s = self._norm(v)[..., None]
-        if self.kind == "quadratic":
-            Av = np.einsum("ij,...j->...i", self.matrix, v)
-            q = np.einsum("...i,...i->...", v, Av)
-            return Av / np.sqrt(q)[..., None]
-        if self.kind == "isotropic":
-            return v / s
-        deg = self.degree
-        p = iq.poly_value(self.table, v)[..., None]
-        gp = iq.poly_gradient(self.table, v)
-        return v / s + self.epsilon * (gp * s ** (1 - deg)
-                                       + (1 - deg) * p * s ** (-1 - deg) * v)
+        w, s = self._pull(v)
+        s = s[..., None]
+        grad = w / s
+        if self.table is not None:
+            deg = self.degree
+            p = iq.poly_value(self.table, w)[..., None]
+            gp = iq.poly_gradient(self.table, w)
+            grad = grad + self.epsilon * (gp * s ** (1 - deg)
+                                          + (1 - deg) * p * s ** (-1 - deg) * w)
+        return grad if self.factor is None else np.einsum("ij,...j->...i", self.factor, grad)
 
     def hessian(self, v):
-        v = np.asarray(v, dtype=float)
-        norm = self._norm(v)
-        d = v.shape[-1]
-        eye = np.eye(d)
-        if self.kind == "quadratic":
-            Av = np.einsum("ij,...j->...i", self.matrix, v)
-            q = np.einsum("...i,...i->...", v, Av)[..., None, None]
-            return self.matrix / np.sqrt(q) - Av[..., :, None] * Av[..., None, :] / q**1.5
+        w, norm = self._pull(v)
+        eye = np.eye(w.shape[-1])
         s = norm[..., None, None]
-        vhat = v / norm[..., None]
-        tang = (eye - vhat[..., :, None] * vhat[..., None, :]) / s
-        if self.kind == "isotropic":
-            return tang
-        deg = self.degree
-        p = iq.poly_value(self.table, v)[..., None, None]
-        gp = iq.poly_gradient(self.table, v)
-        cross = gp[..., :, None] * v[..., None, :] + v[..., :, None] * gp[..., None, :]
-        pert = (
-            iq.poly_hessian(self.table, v) * s ** (1 - deg)
-            + (1 - deg) * s ** (-1 - deg) * cross
-            + (1 - deg) * p * (s ** (-1 - deg) * eye - (1 + deg) * s ** (-3 - deg)
-                               * v[..., :, None] * v[..., None, :])
-        )
-        return tang + self.epsilon * pert
+        w_hat = w / norm[..., None]
+        hess = (eye - w_hat[..., :, None] * w_hat[..., None, :]) / s
+        if self.table is not None:
+            deg = self.degree
+            p = iq.poly_value(self.table, w)[..., None, None]
+            gp = iq.poly_gradient(self.table, w)
+            cross = gp[..., :, None] * w[..., None, :] + w[..., :, None] * gp[..., None, :]
+            hess = hess + self.epsilon * (
+                iq.poly_hessian(self.table, w) * s ** (1 - deg)
+                + (1 - deg) * s ** (-1 - deg) * cross
+                + (1 - deg) * p * (s ** (-1 - deg) * eye - (1 + deg) * s ** (-3 - deg)
+                                   * w[..., :, None] * w[..., None, :])
+            )
+        return hess if self.factor is None else self.factor @ hess @ self.factor.T
 
 
 # -- finite-difference oracles ---------------------------------------------

@@ -245,7 +245,9 @@ def _spd_matrix(m):
     a = np.array(m, dtype=float)
     if not np.allclose(a, a.T, atol=1e-12):
         return "must be symmetric"
-    if np.linalg.eigvalsh(a).min() <= 0:
+    try:    # the factorization `integrand.Integrand.quadratic` builds
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
         return "must be positive definite"
 
 

@@ -25,9 +25,37 @@ def test_quadratic_identity_matrix_equals_isotropic():
     quad = ig.Integrand.quadratic(np.eye(4))
     rng = np.random.default_rng(3)
     v = rng.normal(size=(50, 4))
-    assert np.allclose(quad.value(v), iso.value(v), atol=1e-14)
-    assert np.allclose(quad.gradient(v), iso.gradient(v), atol=1e-13)
-    assert np.allclose(quad.hessian(v), iso.hessian(v), atol=1e-13)
+    # with L = I the pull L^T v and the push by L are exact
+    assert np.array_equal(quad.value(v), iso.value(v))
+    assert np.array_equal(quad.gradient(v), iso.gradient(v))
+    assert np.array_equal(quad.hessian(v), iso.hessian(v))
+
+
+def test_rotated_quadratic_matches_closed_forms():
+    # A = Q diag(1, 1, 1, 4) Q^T is not diagonal, so its Cholesky factor L is
+    # not symmetric and a pull by L in place of L^T shows; the reference is
+    # the closed form of sqrt(v^T A v) and its derivatives
+    Q, _ = np.linalg.qr(np.random.default_rng(17).normal(size=(4, 4)))
+    A = Q @ np.diag([1.0, 1.0, 1.0, 4.0]) @ Q.T
+    A = 0.5 * (A + A.T)
+    assert np.abs(A - np.diag(np.diag(A))).max() > 0.1
+    quad = ig.Integrand.quadratic(A)
+    v = np.random.default_rng(4).normal(size=(200, 4))
+    Av = v @ A
+    phi = np.sqrt(np.einsum("pi,pi->p", v, Av))
+    grad = Av / phi[:, None]
+    hess = (A / phi[:, None, None]
+            - Av[:, :, None] * Av[:, None, :] / phi[:, None, None] ** 3)
+    for got, ref in ((quad.value(v), phi), (quad.gradient(v), grad),
+                     (quad.hessian(v), hess)):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_quadratic_rejects_an_indefinite_matrix():
+    with pytest.raises(ValueError):
+        ig.Integrand.quadratic(np.diag([1.0, 1.0, -1.0, 1.0]))
+    with pytest.raises(ValueError):
+        ig.Integrand.quadratic(np.array([[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 def test_quadratic_aniso4_at_first_axis():
@@ -37,6 +65,28 @@ def test_quadratic_aniso4_at_first_axis():
     assert phi == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(grad, e1, atol=1e-15)
     assert hess[3, 3] == pytest.approx(4.0, abs=1e-14)
+
+
+def test_schema_accepts_exactly_the_matrices_the_integrand_factors():
+    # rank-2 Gram matrices plus 1e-16 I sit at the edge of positive
+    # definiteness, where an eigvalsh sign test and the Cholesky
+    # factorization of the quadratic integrand disagree on about a quarter
+    # of them: a job that validates must build its integrand
+    rng = np.random.default_rng(0)
+    built = []
+    for _ in range(100):
+        B = rng.normal(size=(3, 2))
+        A = B @ B.T + 1e-16 * np.eye(3)
+        A = 0.5 * (A + A.T)
+        job = {"command": "integrand",
+               "inputs": {"integrand": {"kind": "quadratic", "matrix": A.tolist()}}}
+        try:
+            ig.Integrand.quadratic(A)
+            built.append(True)
+        except ValueError:
+            built.append(False)
+        assert (sch.validate_job(job) == []) == built[-1]
+    assert 0 < sum(built) < len(built)
 
 
 def test_zero_vector_rejected():

@@ -92,6 +92,38 @@ def test_aniso_mean_curvature_nonconstant_on_sphere():
     assert _variation_record(oracle, quad, "first").value <= 1e-3
 
 
+class _LinearImage:
+    """The chart L(M) of a chart M: X, dX and d^2X mapped by L, and nu by
+    L^-T nu / |L^-T nu|, the unit normal of the image; the rest is M's."""
+
+    def __init__(self, chart, L):
+        self.chart, self.L = chart, L
+
+    def __getattr__(self, key):
+        return getattr(self.chart, key)
+
+    def frame(self, u):
+        X, J, d2X, nu = self.chart.frame(u)
+        m = np.einsum("ji,...j->...i", np.linalg.inv(self.L), nu)
+        return (np.einsum("ij,...j->...i", self.L, X), np.einsum("ij,...ja->...ia", self.L, J),
+                np.einsum("ij,...jab->...iab", self.L, d2X),
+                m / np.linalg.norm(m, axis=-1)[..., None])
+
+
+@pytest.mark.parametrize("name", sorted(geo.catalog(3)))
+def test_quadratic_integrand_on_a_linear_image(iso4, name):
+    # with A = L L^T, phi(L^-T nu) = 1 / |L^-T nu| and the area element of
+    # L(M) is |det L| |L^-T nu| that of M: the phi-area of L(M) is
+    # |det L| area(M), node by node, so H_phi at L x is H at x
+    L = np.random.default_rng(0).normal(size=(4, 4)) + 3.0 * np.eye(4)
+    chart = geo.catalog(3)[name]
+    g, image = (geo.sample_chart(c, 13) for c in (chart, _LinearImage(chart, L)))
+    quad = ig.Integrand.quadratic(L @ L.T)
+    assert np.abs(va.aniso_mean_curvature(image, quad) - g.mean_curvature).max() <= 1e-12
+    ratio = va.phi_area(image, quad) / (abs(np.linalg.det(L)) * va.phi_area(g, iso4))
+    assert abs(ratio - 1.0) <= 1e-13
+
+
 def test_first_variation_sphere_isotropic(iso4):
     g = geo.sample_chart(geo.Sphere(3, radius=1.0), 17)
     u = va.bump_function(g, "centered")

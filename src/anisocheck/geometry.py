@@ -22,6 +22,16 @@ and stencils wrap across a periodic axis.  Pole ends are inset by half a
 grid step so nodes never sit on the degeneracy; the inset shrinks under
 refinement, so integrals converge to the closed (uninset) values at second
 order.  Every other end of a non-periodic axis is physical boundary.
+
+Per-node tensors are stored entry-major: X and nu as (dim,) + grid, the
+Jacobian as (dim, n) + grid, d^2X as (dim, n, n) + grid and g, g^-1 and S
+as (n, n) + grid, each exposed as a grid + entries view (`_planes`), so
+every entry is one contiguous plane over the grid.  Sampling forms each
+sum over an index (g, h, S = g^-1 h, H, |A|^2, cos) plane by plane, added
+in index order (`_plane_dot`), and every elementwise field inherits the
+storage of its operands.  No per-node matrix product is formed, so the
+bits of a sampled chart depend on the chart and the grid, not on the BLAS
+kernel the machine selects.
 """
 
 from __future__ import annotations
@@ -83,6 +93,25 @@ def quadrature_weights(m, h, periodic=False):
 def apply_derivative(values, D, axis):
     out = np.tensordot(D, values, axes=([1], [axis]))
     return np.moveaxis(out, 0, axis)
+
+
+# -- entry-major storage --------------------------------------------------------
+
+
+def _grid_view(stored, k):
+    """The array ``stored`` of shape entries + grid (k entry axes) seen as
+    grid + entries: each entry stays one contiguous plane over the grid."""
+    return np.moveaxis(stored, tuple(range(k)), tuple(range(-k, 0)))
+
+
+def _planes(grid, entries):
+    """Zeros of shape grid + entries, stored entry-major (`_grid_view`)."""
+    return _grid_view(np.zeros(tuple(entries) + tuple(grid)), len(entries))
+
+
+def _plane_dot(x, y):
+    """sum_k x[..., k] y[..., k], summed in k order over the last axis."""
+    return sum(x[..., k] * y[..., k] for k in range(x.shape[-1]))
 
 
 # -- sampled geometry -------------------------------------------------------
@@ -215,22 +244,23 @@ def _cofactors(m):
     3x3 det expanded along the first row.
 
     The adjugate is the transposed cofactor matrix, so ``adj / det`` is the
-    inverse.
+    inverse.  It is stored like ``m``: entry-major input gives an
+    entry-major adjugate.
     """
+    if m.shape[-1] not in (2, 3):
+        raise ValueError("only 2x2 and 3x3 matrices are supported")
+    adj = np.empty_like(m)
     if m.shape[-1] == 2:
         a, b = m[..., 0, 0], m[..., 0, 1]
         c, d = m[..., 1, 0], m[..., 1, 1]
-        adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
+        adj[..., 0, 0], adj[..., 0, 1], adj[..., 1, 0], adj[..., 1, 1] = d, -b, -c, a
         return a * d - b * c, adj
-    if m.shape[-1] == 3:
-        adj = np.empty_like(m)
-        for i in range(3):
-            for j in range(3):
-                adj[..., j, i] = _cofactor(m, i, j)
-        det = m[..., 0, 0] * adj[..., 0, 0] + m[..., 0, 1] * adj[..., 1, 0] \
-            + m[..., 0, 2] * adj[..., 2, 0]
-        return det, adj
-    raise ValueError("only 2x2 and 3x3 matrices are supported")
+    for i in range(3):
+        for j in range(3):
+            adj[..., j, i] = _cofactor(m, i, j)
+    det = m[..., 0, 0] * adj[..., 0, 0] + m[..., 0, 1] * adj[..., 1, 0] \
+        + m[..., 0, 2] * adj[..., 2, 0]
+    return det, adj
 
 
 def _generalized_cross(jac):
@@ -268,8 +298,13 @@ def _first_location(bad, params):
 
 
 def _metric(jac, chart_name, params):
-    """(g, det g, adj g) of g = J^T J; raises at det g <= DET_FLOOR."""
-    g = np.ascontiguousarray(np.swapaxes(jac, -1, -2)) @ jac
+    """(g, det g, adj g) of g_ab = sum_d J_da J_db, stored entry-major;
+    raises at det g <= DET_FLOOR."""
+    n = jac.shape[-1]
+    g = _planes(jac.shape[:-2], (n, n))
+    for a in range(n):
+        for b in range(a, n):
+            g[..., a, b] = g[..., b, a] = _plane_dot(jac[..., :, a], jac[..., :, b])
     det, adj = _cofactors(g)
     return g, _nondegenerate(det, chart_name, params), adj
 
@@ -289,26 +324,35 @@ def _nondegenerate(det, chart_name, params):
 def curvature_scalars(S):
     """(H, |A|^2, R) of the shape operator S: H = tr S, |A|^2 = tr(S^2) and
     the Gauss equation R = H^2 - |A|^2."""
-    H = np.einsum("...aa->...", S)
-    A2 = np.einsum("...ab,...ba->...", S, S)
+    n = S.shape[-1]
+    H = sum(S[..., a, a] for a in range(n))
+    A2 = sum(S[..., a, b] * S[..., b, a] for a in range(n) for b in range(n))
     return H, A2, H * H - A2
 
 
 def _assemble(chart_name, box, periodic, spacings, params, mats,
               X, jac, d2X, nu, metric, pole_ends=()):
     """The SampledGeometry of node positions X and their derivatives on the
-    grid ``params``, whose finite-difference matrices are ``mats``."""
+    grid ``params``, whose finite-difference matrices are ``mats``.  Every
+    field is stored entry-major: elementwise fields inherit the storage of
+    their operands, and h, S and the contractions sum contiguous planes in
+    index order."""
     shape, dim, n = X.shape[:-1], X.shape[-1], X.ndim - 1
     g, det, adj = metric
     ginv = adj / det[..., None, None]
-    hform = -np.einsum("...d,...dab->...ab", nu, d2X)
-    S = ginv @ hform
+    hform, S = _planes(shape, (n, n)), _planes(shape, (n, n))
+    for a in range(n):
+        for b in range(a, n):
+            hform[..., a, b] = hform[..., b, a] = -_plane_dot(nu, d2X[..., a, b])
+    for a in range(n):
+        for b in range(n):
+            S[..., a, b] = _plane_dot(ginv[..., a, :], hform[..., :, b])
     H, A2, R = curvature_scalars(S)
     r = np.linalg.norm(X, axis=-1)
     origin = bool(np.any(r < 1e-12))
     rsafe = np.where(r < 1e-12, 1.0, r)
     xhat = X / rsafe[..., None]
-    cosr = np.einsum("...d,...d->...", xhat, nu)
+    cosr = _plane_dot(xhat, nu)
     grad_r = xhat - cosr[..., None] * nu
     if origin:
         mask = r < 1e-12
@@ -336,7 +380,7 @@ def sample_chart(chart, shape):
     shape = tuple(int(m) for m in shape)
     box = chart.resolve_box(shape)
     params, spacings = _grid_for(box, shape, chart.periodic)
-    U = np.stack(np.meshgrid(*params, indexing="ij"), axis=-1)
+    U = _grid_view(np.array(np.meshgrid(*params, indexing="ij")), 1)
     X, jac, d2X, nu = chart.frame(U)
     mats = [derivative_matrix(m, h, per) for m, h, per in zip(shape, spacings, chart.periodic)]
     return _assemble(chart.name, box, chart.periodic, spacings, params, mats, X, jac, d2X,
@@ -385,11 +429,11 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
     periodic = tuple(periodic)
     params, spacings = _grid_for(box, shape, periodic)
     mats = [derivative_matrix(shape[a], spacings[a], periodic[a]) for a in range(n)]
-    jac = np.ascontiguousarray(fd_jacobian(X, mats))
-    nu = np.ascontiguousarray(_oriented_normal(jac, ref_nu, params, chart_name)[0])
+    jac = fd_jacobian(X, mats)
+    nu = _oriented_normal(jac, ref_nu, params, chart_name)[0]
     metric = _metric(jac, chart_name, params)
     # d2X_ab symmetrized from derivatives of the Jacobian columns
-    d2X = np.empty(shape + (dim, n, n))
+    d2X = _planes(shape, (dim, n, n))
     for a in range(n):
         for b in range(a, n):
             dab = apply_derivative(jac[..., :, a], mats[b], b)
@@ -518,35 +562,33 @@ def export_csv(geom, path):
 
 def _circle(theta):
     """S^1 direction and derivatives from theta: omega (2,), d_omega (2,1),
-    d2_omega (2,1,1)."""
-    omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    d = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)[..., None]
-    return omega, d, -omega[..., None, None]
+    d2_omega (2,1,1), each stored entry-major."""
+    c, s = np.cos(theta), np.sin(theta)
+    return (_grid_view(np.array([c, s]), 1), _grid_view(np.array([[-s], [c]]), 2),
+            _grid_view(np.array([[[-c]], [[-s]]]), 3))
 
 
-def _sphere2(angles):
+def _sphere2(theta, phi):
     """S^2 direction and derivatives from (theta, phi): omega, d_omega (3,2),
-    d2_omega (3,2,2)."""
-    th, ph = angles[..., 0], angles[..., 1]
-    st, ct = np.sin(th), np.cos(th)
-    sp, cp = np.sin(ph), np.cos(ph)
-    omega = np.stack([st * cp, st * sp, ct], axis=-1)
-    d = np.empty(omega.shape + (2,))
-    d[..., 0, 0], d[..., 1, 0], d[..., 2, 0] = ct * cp, ct * sp, -st
-    d[..., 0, 1], d[..., 1, 1], d[..., 2, 1] = -st * sp, st * cp, np.zeros_like(st)
-    dd = np.empty(omega.shape + (2, 2))
-    dd[..., 0, 0] = -omega
-    mixed = np.stack([-ct * sp, ct * cp, np.zeros_like(st)], axis=-1)
-    dd[..., 0, 1] = mixed
-    dd[..., 1, 0] = mixed
-    dd[..., 1, 1] = np.stack([-st * cp, -st * sp, np.zeros_like(st)], axis=-1)
-    return omega, d, dd
+    d2_omega (3,2,2), each stored entry-major."""
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    zero = np.zeros_like(st)
+    omega = [st * cp, st * sp, ct]
+    d = [[ct * cp, -st * sp], [ct * sp, st * cp], [-st, zero]]
+    mixed = [-ct * sp, ct * cp, zero]
+    dd = [[[-w, m], [m, e]] for w, m, e in zip(omega, mixed, [-st * cp, -st * sp, zero])]
+    return (_grid_view(np.array(omega), 1), _grid_view(np.array(d), 2),
+            _grid_view(np.array(dd), 3))
 
 
 class Chart:
     """Base class: subclasses provide ``frame(u)``, which returns the
     position X, the Jacobian dX/du (dim, n), the second derivatives
-    d^2X/du^2 (dim, n, n) and the unit normal nu at parameter points u."""
+    d^2X/du^2 (dim, n, n) and the unit normal nu at parameter points u,
+    each in the shape of the points plus its entry axes.  The catalog
+    charts store them entry-major (`_planes`); `sample_chart` accepts any
+    strides."""
 
     name = "chart"
     #: (axis, side) pairs whose box end sits on a coordinate degeneracy
@@ -612,18 +654,19 @@ class Revolution(Chart):
         n = self.n
         p = self.profile_axis % n
         links = [a for a in range(n) if a != p]
-        om, dom, ddom = _circle(u[..., links[0]]) if n == 2 else _sphere2(u[..., links])
+        om, dom, ddom = (_circle(u[..., links[0]]) if n == 2
+                         else _sphere2(u[..., links[0]], u[..., links[1]]))
         (rho, rho1, rho2, z, z1, z2), (n_rho, n_z) = self._profile(u[..., p])
         rho, rho1, rho2, n_rho = (np.asarray(f, dtype=float)[..., None]
                                   for f in (rho, rho1, rho2, n_rho))
         shp = u.shape[:-1]
-        X = np.empty(shp + (n + 1,))
+        X = _planes(shp, (n + 1,))
         X[..., :n] = rho * om
         X[..., n] = z
-        J = np.zeros(shp + (n + 1, n))
+        J = _planes(shp, (n + 1, n))
         J[..., :n, p] = rho1 * om
         J[..., n, p] = z1
-        d2 = np.zeros(shp + (n + 1, n, n))
+        d2 = _planes(shp, (n + 1, n, n))
         d2[..., :n, p, p] = rho2 * om
         d2[..., n, p, p] = z2
         for i, a in enumerate(links):
@@ -631,7 +674,7 @@ class Revolution(Chart):
             d2[..., :n, p, a] = d2[..., :n, a, p] = rho1 * dom[..., i]
             for j, b in enumerate(links):
                 d2[..., :n, a, b] = rho * ddom[..., i, j]
-        nu = np.empty(shp + (n + 1,))
+        nu = _planes(shp, (n + 1,))
         nu[..., :n] = n_rho * om
         nu[..., n] = n_z
         return X, J, d2, nu
@@ -662,12 +705,14 @@ class Hyperplane(Revolution):
         if self.polar:
             return super().frame(u)
         shp = u.shape[:-1]
-        X = np.concatenate([u, np.full(shp + (1,), self.offset)], axis=-1)
-        J = np.zeros(shp + (self.dim, self.n))
+        X = _planes(shp, (self.dim,))
+        X[..., :-1] = u
+        X[..., -1] = self.offset
+        J = _planes(shp, (self.dim, self.n))
         J[..., np.arange(self.n), np.arange(self.n)] = 1.0
-        nu = np.zeros(shp + (self.dim,))
+        nu = _planes(shp, (self.dim,))
         nu[..., -1] = 1.0
-        return X, J, np.zeros(shp + (self.dim, self.n, self.n)), nu
+        return X, J, _planes(shp, (self.dim, self.n, self.n)), nu
 
     def intrinsic_radius(self, u):
         """Exact intrinsic distance to the origin preimage; only defined for
@@ -786,16 +831,15 @@ class Graph(Chart):
         if self.height == "paraboloid":
             F = 0.5 * self.amplitude * np.sum(u * u, axis=-1)
             dF = self.amplitude * u
-            d2F = self.amplitude * np.broadcast_to(
-                np.eye(self.n), u.shape[:-1] + (self.n, self.n)
-            ).copy()
+            d2F = np.broadcast_to(self.amplitude * np.eye(self.n),
+                                  u.shape[:-1] + (self.n, self.n))
             return F, dF, d2F
         sins = np.sin(u)
         coss = np.cos(u)
         prod = np.prod(sins, axis=-1)
         F = self.amplitude * prod
         dF = np.empty_like(u)
-        d2F = np.empty(u.shape[:-1] + (self.n, self.n))
+        d2F = _planes(u.shape[:-1], (self.n, self.n))
         for a in range(self.n):
             rest_a = np.prod(np.delete(sins, a, axis=-1), axis=-1)
             dF[..., a] = self.amplitude * coss[..., a] * rest_a
@@ -811,14 +855,18 @@ class Graph(Chart):
     def frame(self, u):
         F, dF, d2F = self._F(u)
         shp = u.shape[:-1]
-        X = np.concatenate([u, (self.offset + F)[..., None]], axis=-1)
-        J = np.zeros(shp + (self.dim, self.n))
+        X = _planes(shp, (self.dim,))
+        X[..., :-1] = u
+        X[..., -1] = self.offset + F
+        J = _planes(shp, (self.dim, self.n))
         J[..., np.arange(self.n), np.arange(self.n)] = 1.0
         J[..., -1, :] = dF
-        d2 = np.zeros(shp + (self.dim, self.n, self.n))
+        d2 = _planes(shp, (self.dim, self.n, self.n))
         d2[..., -1, :, :] = d2F
-        denom = np.sqrt(1.0 + np.sum(dF * dF, axis=-1))[..., None]
-        nu = np.concatenate([-dF, np.ones(shp + (1,))], axis=-1) / denom
+        denom = np.sqrt(1.0 + np.sum(dF * dF, axis=-1))
+        nu = _planes(shp, (self.dim,))
+        nu[..., :-1] = -dF / denom[..., None]
+        nu[..., -1] = 1.0 / denom
         return X, J, d2, nu
 
 

@@ -768,18 +768,25 @@ def _poly_values(polys, p):
     terms in table order, each the coefficient times the powers p_a^e of its
     nonzero exponents e, in turn.  The points are taken in blocks of
     ``_BLOCK``; in each block every coordinate column is made contiguous and
-    every power p_a^e is computed once for all the tables."""
+    every power p_a^e up to the highest exponent of axis a in the tables is
+    computed once for all of them, as the product p_a^(e-1) p_a of the
+    lower power (p_a p_a for e = 2), never by ``pow``."""
     d = p.shape[-1]
     flat = p.reshape(-1, d)
     out = np.empty((len(polys), flat.shape[0]))
+    top = [max((powers[a] for poly in polys for powers in poly), default=0) for a in range(d)]
     for lo in range(0, flat.shape[0], _BLOCK):
-        columns = [np.ascontiguousarray(flat[lo:lo + _BLOCK, a]) for a in range(d)]
-        power = functools.cache(lambda a, e: columns[a] ** e)
-        term = np.empty(columns[0].shape)
+        block = flat[lo:lo + _BLOCK]
+        power = {}
+        for a in range(d):
+            column = np.ascontiguousarray(block[:, a])
+            for e in range(1, top[a] + 1):
+                power[a, e] = column if e == 1 else power[a, e - 1] * column
+        term = np.empty(len(block))
         for poly, value in zip(polys, out[:, lo:lo + _BLOCK]):
             value.fill(0.0)
             for powers, c in poly.items():
-                factors = [power(axis, e) for axis, e in enumerate(powers) if e]
+                factors = [power[axis, e] for axis, e in enumerate(powers) if e]
                 if not factors:
                     value += c
                     continue

@@ -29,6 +29,15 @@ SQRT2 = float(np.sqrt(2.0))
 SPHERE_RESOLUTION = 17
 #: slack of the pinch window a_max <= sqrt(2) a_min on a sphere grid
 PINCH_SLACK = 1e-9
+#: largest |A_ij - A_ji| of a matrix that counts as symmetric
+SYMMETRY_TOL = 1e-12
+
+
+def is_symmetric(A):
+    """Whether the square matrix A has |A_ij - A_ji| <= SYMMETRY_TOL for
+    every i, j: an absolute test, whatever the size of the entries."""
+    return bool(np.all(np.abs(A - A.T) <= SYMMETRY_TOL))
+
 
 def _powers(d, *axes):
     """Exponents in R^d of the monomial that multiplies v_a for each a in ``axes``."""
@@ -72,7 +81,7 @@ class Integrand:
             A = self.matrix
             if A is None or A.shape != (dim, dim):
                 raise ValueError("quadratic integrand needs a dim x dim matrix")
-            if not np.allclose(A, A.T, atol=1e-12):
+            if not is_symmetric(A):
                 raise ValueError("quadratic integrand matrix must be symmetric")
             # reads the lower triangle only; raises LinAlgError, a
             # ValueError, unless A is positive definite
@@ -104,7 +113,7 @@ class Integrand:
         if self.kind == "quadratic":
             return f"quadratic({self.matrix.tolist()})"
         if self.kind == "perturbed":
-            return f"perturbed(eps={self.epsilon:g}, {self.profile})"
+            return f"perturbed(eps={self.epsilon!r}, {self.profile})"
         return "isotropic"
 
     # -- evaluation: psi and its derivatives at w = L^T v, pushed by L ------
@@ -235,7 +244,10 @@ def pinch_bounds(integrand, sphere_grid_resolution=SPHERE_RESOLUTION):
     nu = sphere_grid(integrand.dim, sphere_grid_resolution)
     T = tangent_basis(nu)
     hess = integrand.hessian(nu)
-    tangential = np.einsum("pdi,pde,pej->pij", T, hess, T)
+    # T^T hess T as two two-operand products, each summed over d in order
+    d = T.shape[-2]
+    hess_T = sum(hess[..., :, e, None] * T[..., None, e, :] for e in range(d))
+    tangential = sum(T[..., k, :, None] * hess_T[..., k, None, :] for k in range(d))
     eigs = np.linalg.eigvalsh(tangential)
     return float(eigs[:, 0].min()), float(eigs[:, -1].max())
 

@@ -243,7 +243,7 @@ def _spd_matrix(m):
                       and all(_is_type(x, "number") for x in row) for row in m)):
         return "must be a square matrix of numbers"
     a = np.array(m, dtype=float)
-    if not np.allclose(a, a.T, atol=1e-12):
+    if not ig.is_symmetric(a):
         return "must be symmetric"
     try:    # the factorization `integrand.Integrand.quadratic` builds
         np.linalg.cholesky(a)

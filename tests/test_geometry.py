@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import platform
+import subprocess
+import sys
 import warnings
 import zipfile
 
@@ -492,6 +495,34 @@ def test_closed_form_det_and_inverse_match_linalg(n):
         ref_inv = np.linalg.inv(batch)
         assert np.all(np.abs(inv - ref_inv).max(axis=(1, 2))
                       <= bound * np.abs(ref_inv).max(axis=(1, 2)))
+
+
+_FIELD_DIGEST = """
+import dataclasses, hashlib
+import numpy as np
+from anisocheck import geometry as geo
+g = geo.sample_chart(geo.Catenoid3(theta_range=(0.25 * np.pi, 0.75 * np.pi)), 25)
+h = hashlib.sha256()
+for f in dataclasses.fields(g):
+    value = getattr(g, f.name)
+    for a in (value if isinstance(value, list) else [value]):
+        h.update(np.ascontiguousarray(a).tobytes() if isinstance(a, np.ndarray)
+                 else repr(a).encode())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_sampled_fields_do_not_depend_on_the_blas_kernel(child_env):
+    # every field of a sampled chart, hashed in two child processes that run
+    # different OpenBLAS kernels: a per-node BLAS product (g = J^T J and
+    # S = g^-1 h by stacked matmul) gave different bits under these two
+    digests = [subprocess.run([sys.executable, "-c", _FIELD_DIGEST], check=True,
+                              capture_output=True, text=True, timeout=300,
+                              env={**child_env, "OPENBLAS_CORETYPE": core}).stdout
+               for core in ("Nehalem", "Sandybridge")]
+    assert digests[0] and digests[0] == digests[1]
 
 
 def test_cofactor_normal_matches_linalg_minors():

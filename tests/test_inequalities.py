@@ -135,6 +135,15 @@ def test_kato_tables_differentiate_by_finite_differences(name):
     assert np.abs(fd - iq.poly_hessian(poly, x)).max() <= 1e-8
 
 
+def test_table_powers_are_products_of_lower_powers():
+    # p^e is (p^(e-1)) p, as quartic_saddle's v_i^4 terms need, not libm pow,
+    # whose correctly rounded x^3 and x^4 differ in the last bits
+    p = np.random.default_rng(9).uniform(-1.0, 1.0, (1000, 3))
+    x, y = p[:, 0], p[:, 1]
+    assert np.array_equal(iq.poly_value({(4, 0, 0): 1.0}, p), ((x * x) * x) * x)
+    assert np.array_equal(iq.poly_value({(3, 2, 0): 2.0}, p), (2.0 * ((x * x) * x)) * (y * y))
+
+
 def test_curvature_and_ricci_argmin_reproducible():
     crep = iq.verify_curvature_pinch(50_000, seed=42)
     for rec in crep.records:

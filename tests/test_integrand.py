@@ -58,6 +58,27 @@ def test_quadratic_rejects_an_indefinite_matrix():
         ig.Integrand.quadratic(np.array([[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
+def test_symmetry_test_is_absolute():
+    # an asymmetry of 4e-6, inside numpy's default relative tolerance of
+    # allclose, is rejected by the constructor and by the job schema alike
+    near = [[1.0, 0.5, 0.0], [0.500004, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(ValueError, match="symmetric"):
+        ig.Integrand.quadratic(near)
+    job = {"command": "integrand",
+           "inputs": {"integrand": {"kind": "quadratic", "dim": 3, "matrix": near}}}
+    assert any("matrix" in e and "symmetric" in e for e in sch.validate_job(job))
+    # round-off below the absolute tolerance still counts as symmetric
+    ig.Integrand.quadratic(np.eye(3) + 1e-13 * np.triu(np.ones((3, 3)), 1))
+
+
+def test_describe_keeps_every_digit_of_epsilon():
+    eps = 0.123456789
+    text = ig.Integrand.perturbed(4, eps, "axis2").describe()
+    assert text == "perturbed(eps=0.123456789, axis2)"
+    assert float(text.split("eps=")[1].split(",")[0]) == eps
+    assert ig.Integrand.perturbed(4, 0.1, "saddle2").describe() == "perturbed(eps=0.1, saddle2)"
+
+
 def test_quadratic_aniso4_at_first_axis():
     quad = ig.Integrand.quadratic(np.diag([1.0, 1.0, 1.0, 4.0]))
     e1 = np.array([1.0, 0.0, 0.0, 0.0])

@@ -58,28 +58,25 @@ LAMBDA1_NOTE = ("Dirichlet value on a compact chart piece; upper bounds the char
 # -- builders shared with the CLI runners ---------------------------------------
 
 
-def variation_records(oracle, integrand, hphi, kinds):
+def variation_records(oracle, form, kinds):
     """Per-speed variation records of one oracle, keyed by (kind, speed) in
     the order of ``kinds`` ("first", "second") and of the oracle's speeds:
     the discrepancy of the difference quotient from the formula, relative
     to |formula| + Phi-area/10 (the first convention above).
 
-    ``hphi`` is aniso_mean_curvature of the oracle's geometry.  The caller
-    decides stationarity, that is whether "second" is among ``kinds``; a
-    "second" record states it.
+    ``form`` is the `variation.PhiForm` of the oracle's geometry.  The
+    caller decides stationarity, that is whether "second" is among
+    ``kinds``; a "second" record states it.
     """
-    geom = oracle.geom
-    scale = abs(va.phi_area(geom, integrand))
+    scale = abs(va.phi_area(oracle.geom, form.integrand))
     recs = {}
     for kind in kinds:
         detail = {}
         if kind == "second":
-            detail["stationary"] = va.is_phi_stationary(geom, integrand, hphi)
+            detail["stationary"] = form.stationary
         for speed in oracle.speeds:
-            if kind == "first":
-                fd, formula = va.first_variation_check(oracle, integrand, speed, hphi)
-            else:
-                fd, formula = va.second_variation_check(oracle, integrand, speed)
+            check = va.first_variation_check if kind == "first" else va.second_variation_check
+            fd, formula = check(oracle, form, speed)
             disc = abs(fd - formula)
             rel = disc / (abs(formula) + 0.1 * scale)
             recs[kind, speed] = le(
@@ -152,23 +149,23 @@ def lambda1_target_check(name, cgeom, integrand, target):
     detail = {"lambda1": est.eigenvalue, "lambda_target": target, "margin": margin,
               "matvecs": est.matvecs, "residual": est.residual,
               "resolution": list(est.resolution), "note": LAMBDA1_NOTE}
-    g = cgeom.base
-    if (va.is_phi_stationary(g, integrand)
-            and certified_stable(va.stability_spectrum(g, integrand))):
+    form = va.PhiForm(cgeom.base, integrand)
+    if form.stationary and certified_stable(va.stability_spectrum(form)):
         return ge(name, margin, -LAMBDA1_SLACK, **detail)
     return Check(name, margin, None, True,
                  {"warning": "chart is not a certified stable stationary piece; "
                              "estimate reported only", **detail})
 
 
-def vectorfield_identity_check(name, geom, integrand, field):
+def vectorfield_identity_check(name, form, field):
     """Residual of the stationary first-variation identity for the ambient
-    ``field``: at most 1e-6 on a flat chart and 1e-2 max(1, |interior|) on
-    a curved one; reported only where the chart is not phi-stationary,
-    since the identity is not expected to hold there."""
-    interior, boundary = va.vectorfield_first_variation(geom, integrand, field)
+    ``field`` on the chart of ``form``: at most 1e-6 on a flat chart and
+    1e-2 max(1, |interior|) on a curved one; reported only where the chart
+    is not phi-stationary, since the identity is not expected to hold there."""
+    geom = form.geom
+    interior, boundary = va.vectorfield_first_variation(geom, form.integrand, field)
     resid = abs(interior - boundary)
-    stat = va.is_phi_stationary(geom, integrand)
+    stat = form.stationary
     detail = {"interior": interior, "boundary": boundary, "stationary": stat}
     if not stat:
         return Check(name, resid, None, True,
@@ -178,14 +175,14 @@ def vectorfield_identity_check(name, geom, integrand, field):
     return le(name, resid, tol, **detail)
 
 
-def isoperimetric_margin_check(name, geom, integrand, rho):
-    """Margin of |M| <= rho ||phi||_C1 / (n min phi) |dM| for a chart inside
-    the ball of radius ``rho``; the detail holds both sides.  Reported only
-    where the chart is not phi-stationary, since the comparison is claimed
-    for stationary pieces alone."""
-    area, boundary, bound = va.isoperimetric_check(geom, integrand, rho)
+def isoperimetric_margin_check(name, form, rho):
+    """Margin of |M| <= rho ||phi||_C1 / (n min phi) |dM| for the chart of
+    ``form`` inside the ball of radius ``rho``; the detail holds both sides.
+    Reported only where the chart is not phi-stationary, since the
+    comparison is claimed for stationary pieces alone."""
+    area, boundary, bound = va.isoperimetric_check(form.geom, form.integrand, rho)
     margin = bound - area
-    stat = va.is_phi_stationary(geom, integrand)
+    stat = form.stationary
     detail = {"area": area, "boundary_measure": boundary, "bound": bound,
               "margin": margin, "stationary": stat}
     if not stat:
@@ -379,12 +376,9 @@ def variation_consistency_cases():
                 oracles.append(va.NormalOracle(
                     g, {bump: va.bump_function(g, bump) for bump in va.BUMP_NAMES}))
             for iname, integ in ig.catalog(d).items():
-                hphis = [va.aniso_mean_curvature(o.geom, integ) for o in oracles]
-                kinds = ["first"]
-                if va.is_phi_stationary(oracles[0].geom, integ, hphi=hphis[0]):
-                    kinds.append("second")
-                levels = [variation_records(o, integ, h, kinds)
-                          for o, h in zip(oracles, hphis)]
+                forms = [va.PhiForm(o.geom, integ) for o in oracles]
+                kinds = ["first", "second"] if forms[0].stationary else ["first"]
+                levels = [variation_records(o, f, kinds) for o, f in zip(oracles, forms)]
                 for (kind, bump), fine in levels[-1].items():
                     discs = [recs[kind, bump].detail["discrepancy"] for recs in levels]
                     cases[kind].append(order_check(
@@ -412,8 +406,7 @@ def criterion_variation():
         iso = ig.Integrand.isotropic(d)
         for chart in geo.catalog(n).values():
             g = geo.sample_chart(chart, 11)
-            worst_h = max(worst_h, float(np.abs(
-                va.aniso_mean_curvature(g, iso) - g.mean_curvature).max()))
+            worst_h = max(worst_h, float(np.abs(va.PhiForm(g, iso).hphi - g.mean_curvature).max()))
             psi = iso.hessian(g.nu)
             for a in range(n):
                 w = g.jac[..., a]
@@ -434,9 +427,10 @@ def criterion_vectorfield_isoperimetric():
               "constant_e1": va.VectorField(np.zeros((4, 4)), [1.0, 0, 0, 0]),
               "linear_diag": va.VectorField(np.diag([1.0, 2.0, 0.5, 1.0]))}
     for iname, integ in ig.catalog(4).items():
+        form = va.PhiForm(plane0, integ)
         for fname, fld in fields.items():
             recs.append(vectorfield_identity_check(f"plane identity [{iname} x {fname}]",
-                                                   plane0, integ, fld))
+                                                   form, fld))
     # refinement of the residual on curved stationary charts
     for label, chart, integ, pair in (
             ("catenoid_2", geo.catalog(2)["catenoid_2"], ig.Integrand.isotropic(3), RES_2D),
@@ -448,14 +442,14 @@ def criterion_vectorfield_isoperimetric():
                 g, integ, va.VectorField(np.eye(g.dim)))
             resids.append(abs(interior - boundary))
         recs.append(order_check(f"{label} position-field residual order", resids, 1e-12,
-                                stationary=va.is_phi_stationary(g, integ)))
+                                stationary=va.PhiForm(g, integ).stationary))
     # flat-ball isoperimetric instance with closed-form sides
     s0 = 0.05
     ball = geo.sample_chart(
         geo.Hyperplane(3, offset=0.0, polar=True,
                        box=[(s0, 1.0), (0, math.pi), (0, 2 * math.pi)]), (33, 33, 32))
-    iso = isoperimetric_margin_check("flat ball isoperimetric margin", ball,
-                                     ig.Integrand.isotropic(4), 1.0)
+    iso = isoperimetric_margin_check("flat ball isoperimetric margin",
+                                     va.PhiForm(ball, ig.Integrand.isotropic(4)), 1.0)
     chk = iso.detail
     lhs_exact = 4.0 * math.pi / 3.0 * (1.0 - s0**3)
     rhs_exact = SQRT2 / 3.0 * 4.0 * math.pi * (1.0 + s0**2)

@@ -102,29 +102,29 @@ def _run_variation(inputs, seed, out_dir):
         g = geo.sample_chart(chart, res)
     records = []
     extras = {"phi_area": va.phi_area(g, integ)}
+    form = va.PhiForm(g, integ)
     if "first_variation" in tests or "second_variation" in tests:
         _bump_room(g)
         # one oracle: the checks share every resampled immersion
         oracle = va.NormalOracle(g, {b: va.bump_function(g, b) for b in va.BUMP_NAMES})
-        hphi = va.aniso_mean_curvature(g, integ)
         kinds = ["first"] if "first_variation" in tests else []
         if "second_variation" in tests:
-            if va.is_phi_stationary(g, integ, hphi=hphi):
+            if form.stationary:
                 kinds.append("second")
             else:
                 extras["second_variation"] = "skipped: chart is not phi-stationary"
-        records += ac.variation_records(oracle, integ, hphi, kinds).values()
+        records += ac.variation_records(oracle, form, kinds).values()
     if "vectorfield" in tests:
         records.append(ac.vectorfield_identity_check(
-            "vector-field identity residual", g, integ, va.VectorField(np.eye(g.dim))))
+            "vector-field identity residual", form, va.VectorField(np.eye(g.dim))))
     if "isoperimetric" in tests:
         rho = float(inputs["rho"])
         if rho <= 0.0:
             rho = max((float(np.linalg.norm(f.X, axis=-1).max())
                        for f in geo.boundary_faces(g)), default=0.0) * (1 + 1e-12)
-        records.append(ac.isoperimetric_margin_check("isoperimetric margin", g, integ, rho))
+        records.append(ac.isoperimetric_margin_check("isoperimetric margin", form, rho))
     if "spectrum" in tests:
-        spec = va.stability_spectrum(g, integ)
+        spec = va.stability_spectrum(form)
         records.append(ac.spectrum_converged_check(spec))
         extras["lambda_stab"] = spec.eigenvalue
     if out_dir:

@@ -453,24 +453,21 @@ def verify_quadratic_lemma(n_alpha, n_beta, n_angle):
 # -- curvature pinch -----------------------------------------------------------
 
 
-def _constraint_basis(a):
-    a = np.asarray(a, dtype=float)
-    b1 = np.array([0.0, a[2], -a[1]])
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(a, b1)
-    b2 /= np.linalg.norm(b2)
-    return b1, b2
-
-
 def curvature_pinch_point(a, psi):
     """(-R, c0 * (-R) - |A|^2, |A|^2, constraint residual) for the principal
-    curvature direction psi in the plane sum a_i k_i = 0, |k| = 1."""
-    b1, b2 = _constraint_basis(a)
-    k = np.cos(psi) * b1 + np.sin(psi) * b2
-    A2 = float(k @ k)
-    s = float(k.sum())
+    curvature direction psi in the plane sum a_i k_i = 0, |k| = 1, spanned
+    by b1 = (0, a3, -a2)/|.| and b2 = a x b1/|.|.  Norms and sums run in
+    the order of `_curvature_sweep`, with no BLAS dot, so a stored witness
+    re-evaluates to the sweep's bits."""
+    a = np.asarray(a, dtype=float)
+    b1 = np.array([0.0, a[2], -a[1]]) / np.sqrt(a[2] * a[2] + a[1] * a[1])
+    b2 = np.cross(a, b1)
+    b2 /= np.sqrt((b2[0] * b2[0] + b2[1] * b2[1]) + b2[2] * b2[2])
+    k0, k1, k2 = np.cos(psi) * b1 + np.sin(psi) * b2
+    A2 = float((k0 * k0 + k2 * k2) + k1 * k1)
+    s = float((k0 + k1) + k2)
     R = s * s - A2
-    return -R, -C0 * R - A2, A2, abs(float(np.asarray(a) @ k))
+    return -R, -C0 * R - A2, A2, abs(float((a[0] * k0 + a[2] * k2) + a[1] * k1))
 
 
 def _curvature_coefficients(pts):
@@ -549,12 +546,12 @@ def _curvature_sweep(aa, cp, sp):
 
 def ricci_point(k, y):
     """Margin of Ric(y,y) + |A|^2/sqrt(2) for principal curvatures k and a
-    unit direction y."""
+    unit direction y, summed in the order of `_ricci_sweep` with no BLAS
+    dot, so a stored witness re-evaluates to the sweep's bits."""
     k = np.asarray(k, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = float(k.sum())
-    ric = float(np.sum(k * (s - k) * y * y))
-    return ric + float(k @ k) / SQRT2
+    s = (k[0] + k[1]) + k[2]
+    w0, w1, w2 = (c * (s - c) * (v * v) for c, v in zip(k, np.asarray(y, dtype=float)))
+    return float(((w0 + w2) + w1) + ((k[0] * k[0] + k[2] * k[2]) + k[1] * k[1]) / SQRT2)
 
 
 def _unit_sphere_points(u, cos, sin):

@@ -15,11 +15,15 @@ Key formulas (with S = grad(nu), H = tr S, Psi(nu) = D^2 phi(nu)):
 * stationary vector-field identity:   int phi(nu) div_M X + D_{Dphi^T}X . nu
                                       = boundary flux;
 * enclosed-boundary area comparison:  |M| <= rho ||phi||_C1 / (n min phi) |dM|.
+
+Every formula that reads Psi reads one :class:`PhiForm` per (geometry,
+integrand), which pulls Psi back to the chart once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,9 +65,35 @@ def _pullback(jac, form):
     return jac_t @ (form @ jac)
 
 
-def _psi_pullback(geom, integrand):
-    """B_ab = D^2 phi(nu)[dX/du_a, dX/du_b] at every node."""
-    return _pullback(geom.jac, integrand.hessian(geom.nu))
+class PhiForm:
+    """B_ab = D^2 phi(nu)[dX/du_a, dX/du_b] at every node, formed once; H_phi,
+    the stationarity verdict and the coefficients of
+    Q(u) = int <du, C du> + V u^2 dmu derive from B on first use."""
+
+    def __init__(self, geom, integrand):
+        self.geom, self.integrand = geom, integrand
+        self.B = _pullback(geom.jac, integrand.hessian(geom.nu))
+
+    @cached_property
+    def hphi(self):
+        return aniso_mean_curvature(self)
+
+    @cached_property
+    def stationary(self):
+        """max |H_phi| <= STATIONARY_TOL."""
+        return float(np.abs(self.hphi).max()) <= STATIONARY_TOL
+
+    @cached_property
+    def C(self):
+        """g^{-1} B g^{-1}."""
+        ginv = self.geom.metric_inv
+        return ginv @ self.B @ ginv
+
+    @cached_property
+    def V(self):
+        """-tr(S^2 g^{-1} B), that is -tr_M(Psi S^2)."""
+        S = self.geom.shape_op
+        return -np.einsum("...ab,...ba->...", S @ S @ self.geom.metric_inv, self.B)
 
 
 def phi_area(geom, integrand):
@@ -73,18 +103,9 @@ def phi_area(geom, integrand):
     return geom.integrate(integrand.value(geom.nu))
 
 
-def aniso_mean_curvature(geom, integrand):
-    """Per-node anisotropic mean curvature tr_M(Psi(nu) S) = tr(S g^{-1} B)."""
-    return np.einsum("...ab,...ba->...", geom.shape_op @ geom.metric_inv,
-                     _psi_pullback(geom, integrand))
-
-
-def is_phi_stationary(geom, integrand, hphi=None):
-    """max |H_phi| <= STATIONARY_TOL; ``hphi`` is aniso_mean_curvature(geom,
-    integrand) when the caller already holds it."""
-    if hphi is None:
-        hphi = aniso_mean_curvature(geom, integrand)
-    return float(np.abs(hphi).max()) <= STATIONARY_TOL
+def aniso_mean_curvature(form):
+    """Per-node H_phi = tr_M(Psi(nu) S) = tr(S g^{-1} B) of a :class:`PhiForm`."""
+    return np.einsum("...ab,...ba->...", form.geom.shape_op @ form.geom.metric_inv, form.B)
 
 
 # -- bump functions ----------------------------------------------------------
@@ -221,46 +242,32 @@ class NormalOracle:
         return (4.0 * second_half - second_full) / 3.0
 
 
-def first_variation_check(oracle, integrand, speed, hphi=None):
+def first_variation_check(oracle, form, speed):
     """(fd, formula): the central difference of the functional under
     X -> X + t u nu (Richardson across t and t/2) and the closed formula
     int H_phi u dmu.
 
-    ``oracle`` is a :class:`NormalOracle` and ``speed`` one of its speed
-    names; ``hphi`` is aniso_mean_curvature of the oracle's geometry when
-    the caller already holds it.
+    ``oracle`` is a :class:`NormalOracle`, ``form`` the :class:`PhiForm` of
+    its geometry and ``speed`` one of its speed names.
     """
-    geom = oracle.geom
-    if hphi is None:
-        hphi = aniso_mean_curvature(geom, integrand)
-    formula = geom.integrate(hphi * oracle.speeds[speed])
-    return oracle.first_difference(integrand, speed), formula
+    formula = oracle.geom.integrate(form.hphi * oracle.speeds[speed])
+    return oracle.first_difference(form.integrand, speed), formula
 
 
-def _second_variation_density(geom, integrand):
-    """Per-node coefficients (C, V) of Q(u) = int <du, C du> + V u^2 dmu in
-    the parameter basis: C = g^{-1} B g^{-1} and V = -tr(S^2 g^{-1} B), with
-    B the pullback of Psi(nu) (tr(S^2 g^{-1} B) is tr_M(Psi S^2))."""
-    B = _psi_pullback(geom, integrand)
-    ginv = geom.metric_inv
-    S = geom.shape_op
-    return ginv @ B @ ginv, -np.einsum("...ab,...ba->...", S @ S @ ginv, B)
-
-
-def second_variation_form(geom, integrand, u):
+def second_variation_form(form, u):
     """Q(u) = int <grad u, Psi(nu) grad u> - tr_M(Psi(nu) S^2) u^2 dmu."""
+    geom = form.geom
     _check_compact_support(geom, u)
-    C, V = _second_variation_density(geom, integrand)
     du = geom.param_gradient(u)
-    return geom.integrate(np.einsum("...a,...ab,...b->...", du, C, du) + V * u * u)
+    return geom.integrate(np.einsum("...a,...ab,...b->...", du, form.C, du) + form.V * u * u)
 
 
-def second_variation_check(oracle, integrand, speed):
+def second_variation_check(oracle, form, speed):
     """(fd, formula): the second central difference of the functional and
     the assembled quadratic form, which it matches on phi-stationary charts
     only.  Arguments as for :func:`first_variation_check`."""
-    formula = second_variation_form(oracle.geom, integrand, oracle.speeds[speed])
-    return oracle.second_difference(integrand, speed), formula
+    formula = second_variation_form(form, oracle.speeds[speed])
+    return oracle.second_difference(form.integrand, speed), formula
 
 
 # -- vector fields and the stationary identity --------------------------------
@@ -617,8 +624,8 @@ def dirichlet_spectrum(geom, coeff, potential, mass_density):
                              resolution=geom.shape)
 
 
-def stability_spectrum(geom, integrand):
-    """Minimal Rayleigh quotient of the second-variation form against the
-    L^2(dmu) norm under Dirichlet conditions on the chart boundary."""
-    C, V = _second_variation_density(geom, integrand)
-    return dirichlet_spectrum(geom, C, V, np.ones(geom.shape))
+def stability_spectrum(form):
+    """Minimal Rayleigh quotient of the second-variation form of the
+    :class:`PhiForm` ``form`` against the L^2(dmu) norm under Dirichlet
+    conditions on the chart boundary."""
+    return dirichlet_spectrum(form.geom, form.C, form.V, np.ones(form.geom.shape))

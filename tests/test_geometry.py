@@ -525,6 +525,26 @@ def test_sampled_fields_do_not_depend_on_the_blas_kernel(child_env):
     assert digests[0] and digests[0] == digests[1]
 
 
+_ARGMIN_ERRORS = """
+from anisocheck import acceptance as ac
+for r in ac.criterion_curvature_ricci():
+    if r.name.endswith("argmin reproduction error"):
+        print(repr(r.value))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_argmin_reproduction_is_exact_under_another_blas_kernel(child_env):
+    # the scalar curvature and Ricci evaluators sum in the sweep kernels'
+    # order: with BLAS dots they missed the sweep's witnesses by 1 ulp
+    # (2.2e-16 and 1.1e-16) under Nehalem
+    out = subprocess.run([sys.executable, "-c", _ARGMIN_ERRORS], check=True,
+                         capture_output=True, text=True, timeout=300,
+                         env={**child_env, "OPENBLAS_CORETYPE": "Nehalem"}).stdout
+    assert out.split() == ["0.0", "0.0"]
+
+
 def test_cofactor_normal_matches_linalg_minors():
     rng = np.random.default_rng(11)
     frames = rng.normal(size=(2000, 4, 3))

@@ -69,7 +69,7 @@ def test_isotropic_reduction_identities(iso3, iso4):
     for n, iso in ((2, iso3), (3, iso4)):
         for name, chart in geo.catalog(n).items():
             g = geo.sample_chart(chart, 9)
-            hphi = va.aniso_mean_curvature(g, iso)
+            hphi = va.aniso_mean_curvature(va.PhiForm(g, iso))
             assert np.abs(hphi - g.mean_curvature).max() <= 1e-10, name
             psi = iso.hessian(g.nu)
             w = g.jac[..., 0]
@@ -78,16 +78,14 @@ def test_isotropic_reduction_identities(iso3, iso4):
 
 def _variation_record(oracle, integ, kind):
     """The acceptance record of ``kind`` for the oracle's speed "u"."""
-    hphi = va.aniso_mean_curvature(oracle.geom, integ)
-    return ac.variation_records(oracle, integ, hphi, [kind])[kind, "u"]
+    return ac.variation_records(oracle, va.PhiForm(oracle.geom, integ), [kind])[kind, "u"]
 
 
 def test_aniso_mean_curvature_nonconstant_on_sphere():
     # direction-dependent integrand on the round sphere: H_phi varies
     quad = ig.Integrand.quadratic(np.diag([1.0, 1.0, 1.0, 1.2]))
     g = geo.sample_chart(geo.catalog(3)["sphere"], 25)
-    hphi = va.aniso_mean_curvature(g, quad)
-    assert hphi.std() > 1e-2
+    assert va.PhiForm(g, quad).hphi.std() > 1e-2
     oracle = va.NormalOracle(g, {"u": va.bump_function(g, "centered")})
     assert _variation_record(oracle, quad, "first").value <= 1e-3
 
@@ -119,7 +117,7 @@ def test_quadratic_integrand_on_a_linear_image(iso4, name):
     chart = geo.catalog(3)[name]
     g, image = (geo.sample_chart(c, 13) for c in (chart, _LinearImage(chart, L)))
     quad = ig.Integrand.quadratic(L @ L.T)
-    assert np.abs(va.aniso_mean_curvature(image, quad) - g.mean_curvature).max() <= 1e-12
+    assert np.abs(va.PhiForm(image, quad).hphi - g.mean_curvature).max() <= 1e-12
     ratio = va.phi_area(image, quad) / (abs(np.linalg.det(L)) * va.phi_area(g, iso4))
     assert abs(ratio - 1.0) <= 1e-13
 
@@ -146,7 +144,7 @@ def test_boundary_supported_speed_rejected(iso4):
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0), 13)
     u = np.ones(g.shape)
     with pytest.raises(ValueError):
-        va.first_variation_check(va.NormalOracle(g, {"u": u}), iso4, "u")
+        va.first_variation_check(va.NormalOracle(g, {"u": u}), va.PhiForm(g, iso4), "u")
 
 
 def test_second_variation_form_sphere_reduction(iso4):
@@ -154,7 +152,7 @@ def test_second_variation_form_sphere_reduction(iso4):
     g = geo.sample_chart(geo.catalog(3)["sphere"], 13)
     u = va.bump_function(g, "centered")
     manual = g.integrate(g.grad_norm_sq(u) - 3.0 * u * u)
-    assert va.second_variation_form(g, iso4, u) == pytest.approx(manual, rel=1e-12)
+    assert va.second_variation_form(va.PhiForm(g, iso4), u) == pytest.approx(manual, rel=1e-12)
 
 
 def test_second_variation_matches_fd_on_stationary_charts(iso3):
@@ -174,7 +172,7 @@ def test_second_variation_matches_fd_on_stationary_charts(iso3):
 
 def test_stability_spectrum_flat_rectangle(iso3):
     g = geo.sample_chart(geo.Hyperplane(2, offset=1.0, box=[(0, 1), (0, 2)]), (49, 97))
-    rep = va.stability_spectrum(g, iso3)
+    rep = va.stability_spectrum(va.PhiForm(g, iso3))
     exact = np.pi**2 * (1.0 + 0.25)
     assert rep.eigenvalue == pytest.approx(exact, rel=2e-3)
     assert ac.certified_stable(rep)
@@ -182,11 +180,11 @@ def test_stability_spectrum_flat_rectangle(iso3):
 
 def test_stability_spectrum_catenoid_bands(iso3, solves):
     wide = geo.sample_chart(geo.Catenoid2(1.0, (-1.6, 1.6)), (33, 64))
-    rep = va.stability_spectrum(wide, iso3)
+    rep = va.stability_spectrum(va.PhiForm(wide, iso3))
     assert rep.eigenvalue < 0.0 and not ac.certified_stable(rep)
     K, _, x = solves[-1]
     narrow = geo.sample_chart(geo.Catenoid2(1.0, (-0.4, 0.4)), (17, 48))
-    assert va.stability_spectrum(narrow, iso3).eigenvalue > 0.0
+    assert va.stability_spectrum(va.PhiForm(narrow, iso3)).eigenvalue > 0.0
     # ground state of the wide band certifies instability through Q
     u = _on_grid(wide, x)
     assert _form(K, wide, u) < 0.0
@@ -200,7 +198,7 @@ def test_stability_spectrum_matches_dense_oracle(iso3, iso4, solves):
         for name, chart in geo.catalog(n).items():
             g = geo.sample_chart(chart, 9)
             for integ in (iso, mild[n + 1]):
-                rep = va.stability_spectrum(g, integ)
+                rep = va.stability_spectrum(va.PhiForm(g, integ))
                 K, M, x = solves[-1]
                 exact = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[0]
                 assert abs(rep.eigenvalue - exact) <= 1e-9 * max(1.0, abs(exact)), \
@@ -305,7 +303,8 @@ def test_stencil_assembly_matches_the_element_loop(monkeypatch, scale):
 
     monkeypatch.setattr(va, "_fem_templates", scaled)
     for g, integ in _assembly_cases():
-        C, V = va._second_variation_density(g, integ)
+        form = va.PhiForm(g, integ)
+        C, V = form.C, form.V
         K, M = va.assemble_forms(g, C, V, np.ones(g.shape))
         K_ref, d_ref = _element_loop_forms(g, C, V, np.ones(g.shape))
         assert (K != K.T).nnz == 0 and K.has_sorted_indices, g.chart_name
@@ -326,7 +325,8 @@ def test_assembly_memory_on_the_catenoid_band(traced_peak):
     # restriction to the free nodes took a tracemalloc peak of 54 MiB on
     # this 25^3 band; the stencil of the free-node box takes about 13 MiB
     g = geo.sample_chart(geo.Catenoid3(theta_range=BAND), 25)
-    C, V = va._second_variation_density(g, ig.Integrand.isotropic(4))
+    form = va.PhiForm(g, ig.Integrand.isotropic(4))
+    C, V = form.C, form.V
     one = np.ones(g.shape)
     assert traced_peak(lambda: va.assemble_forms(g, C, V, one)) < 32 * 2**20
 
@@ -338,7 +338,8 @@ def test_eigensolve_memory_on_the_catenoid_band(traced_peak):
     # 8.4 MiB; ARPACK's eigsh, with its workspace beside the basis, peaked
     # at 11.6 to 14.5 MiB (12.4 MiB in this test)
     g = geo.sample_chart(geo.Catenoid3(theta_range=BAND), 25)
-    C, V = va._second_variation_density(g, ig.Integrand.isotropic(4))
+    form = va.PhiForm(g, ig.Integrand.isotropic(4))
+    C, V = form.C, form.V
     K, M = va.assemble_forms(g, C, V, np.ones(g.shape))
     basis = (va.LANCZOS_NCV + 1) * M.shape[0] * 8
     assert traced_peak(lambda: va.smallest_eigenpair(K, M)) < 2.5 * basis
@@ -451,7 +452,7 @@ def test_cutoff_constant_destabilizes_wide_neck(iso3):
     xi = np.clip((np.abs(U[0]) - 1.5) / (2.4 * 0.92 - 1.5), 0.0, 1.0)
     u = (1.0 - xi**2) ** 2
     u[~wide.interior_mask()] = 0.0
-    assert va.second_variation_form(wide, iso3, u) < -1.0
+    assert va.second_variation_form(va.PhiForm(wide, iso3), u) < -1.0
 
 
 def test_stability_spectrum_domain_monotonicity(iso4):
@@ -460,21 +461,21 @@ def test_stability_spectrum_domain_monotonicity(iso4):
         cap = geo.sample_chart(
             geo.Sphere(3, 1.0, box=[(0.0, tmax), (0, np.pi), (0, 2 * np.pi)]),
             (13, 13, 12))
-        lams.append(va.stability_spectrum(cap, iso4).eigenvalue)
+        lams.append(va.stability_spectrum(va.PhiForm(cap, iso4)).eigenvalue)
     assert lams[0] > lams[1] > lams[2] > 0.0
 
 
 def test_assembled_form_bilinearity(iso4, solves):
     mild = ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.0, 1.1]))
     g = geo.sample_chart(geo.catalog(3)["sphere"], 13)
-    va.stability_spectrum(g, mild)
+    va.stability_spectrum(va.PhiForm(g, mild))
     K = solves[-1][0]
     u = va.bump_function(g, "centered")
     v = va.bump_function(g, "two_humps")
     resid = _form(K, g, u + v) - _form(K, g, u) - _form(K, g, v) - 2 * _form(K, g, u, v)
     assert abs(resid) <= 1e-8
     # element route and collocation route agree at the discretization level
-    q_int = va.second_variation_form(g, mild, u)
+    q_int = va.second_variation_form(va.PhiForm(g, mild), u)
     assert _form(K, g, u) == pytest.approx(q_int, rel=0.2)
 
 
@@ -495,7 +496,7 @@ def test_stability_inequality_instance_for_ground_state(iso4, solves):
     ]
     for g, integrands in cases:
         for integ in integrands:
-            rep = va.stability_spectrum(g, integ)
+            rep = va.stability_spectrum(va.PhiForm(g, integ))
             assert rep.eigenvalue > 0.0, (g.chart_name, integ.describe())
             u = _on_grid(g, solves[-1][2])
             reduced = g.integrate(g.grad_norm_sq(u)
@@ -508,7 +509,7 @@ def test_vectorfield_identity_flat_and_catenoid(iso3, iso4):
     for integ in ig.catalog(4).values():
         interior, boundary = va.vectorfield_first_variation(
             plane, integ, va.VectorField(np.eye(4)))
-        assert va.is_phi_stationary(plane, integ) and abs(interior - boundary) <= 1e-6
+        assert va.PhiForm(plane, integ).stationary and abs(interior - boundary) <= 1e-6
         # both sides reduce to n * phi(nu) * area on the flat patch
         phi_val = float(integ.value(plane.nu[0, 0, 0]))
         assert interior == pytest.approx(3 * phi_val * 8.0, rel=1e-12)
@@ -520,7 +521,7 @@ def test_vectorfield_identity_flat_and_catenoid(iso3, iso4):
         cat = geo.sample_chart(geo.Catenoid2(1.0, (-1, 1)), (m, 2 * m))
         interior, boundary = va.vectorfield_first_variation(cat, iso3,
                                                             va.VectorField(np.eye(3)))
-        assert va.is_phi_stationary(cat, iso3)
+        assert va.PhiForm(cat, iso3).stationary
         resids.append(abs(interior - boundary))
     assert resids[0] / resids[1] >= 3.5
 
@@ -588,6 +589,45 @@ def test_variation_job_resamples_each_immersion_once(monkeypatch):
     assert len(calls) == 12
 
 
+def _count_hessians(monkeypatch):
+    """Record the (nu, integrand) identities of every D^2 phi evaluation."""
+    calls = []
+    hessian = ig.Integrand.hessian
+
+    def counting(self, v):
+        calls.append((id(v), id(self)))
+        return hessian(self, v)
+
+    monkeypatch.setattr(ig.Integrand, "hessian", counting)
+    return calls
+
+
+def test_variation_job_forms_one_pullback(monkeypatch):
+    calls = _count_hessians(monkeypatch)
+    job = {"command": "variation", "seed": 1,
+           "inputs": {"chart": {"kind": "catenoid_2", "n": 2},
+                      "integrand": {"kind": "isotropic", "dim": 3}, "resolution": 25,
+                      "tests": ["first_variation", "second_variation", "spectrum"]}}
+    report = cli.run(job)
+    assert report["pass"] and len(report["records"]) == 7
+    # H_phi, the stationarity verdict, Q(u) of three bumps and the spectrum
+    # read one Psi(nu) and one pullback
+    assert len(calls) == 1
+
+
+def test_variation_cases_form_one_pullback_per_pair(monkeypatch):
+    # criterion 5 on catenoid_2 alone: one form per (sample, integrand),
+    # though the chart is stationary for the isotropic integrand and so
+    # runs the second variation too
+    calls = _count_hessians(monkeypatch)
+    catalog = geo.catalog
+    monkeypatch.setattr(geo, "catalog", lambda n: {"catenoid_2": catalog(2)["catenoid_2"]}
+                        if n == 2 else {})
+    cases = ac.variation_consistency_cases()
+    assert cases["second"]
+    assert len(calls) == len(set(calls)) == len(ac.RES_2D) * len(ig.catalog(3))
+
+
 def test_oracle_shares_resamples_across_integrands(monkeypatch, iso3):
     calls = _count_resamples(monkeypatch)
     jacobians = []
@@ -606,9 +646,10 @@ def test_oracle_shares_resamples_across_integrands(monkeypatch, iso3):
         g = geo.sample_chart(geo.catalog(2)["catenoid_2"], 17)
         oracle = va.NormalOracle(g, {b: va.bump_function(g, b) for b in va.BUMP_NAMES})
         for integ in integrands:
+            form = va.PhiForm(g, integ)
             for bump in va.BUMP_NAMES:
-                va.first_variation_check(oracle, integ, bump)
-                va.second_variation_check(oracle, integ, bump)
+                va.first_variation_check(oracle, form, bump)
+                va.second_variation_check(oracle, form, bump)
         counts.append((len(calls), len(jacobians)))
     # one FD Jacobian of X per oracle and one of u nu per speed
     assert counts == [(13, 1 + len(va.BUMP_NAMES))] * 2
@@ -629,8 +670,8 @@ def test_first_variation_order_record_catches_a_scaled_speed_jacobian(monkeypatc
     for res in ac.ladder(25, 2):
         g = geo.sample_chart(geo.catalog(3)["catenoid_3"], res)
         oracle = va.NormalOracle(g, {"centered": va.bump_function(g, "centered")})
-        hphi = va.aniso_mean_curvature(g, integ)
-        recs.append(ac.variation_records(oracle, integ, hphi, ["first"])["first", "centered"])
+        recs.append(ac.variation_records(oracle, va.PhiForm(g, integ),
+                                         ["first"])["first", "centered"])
     order = ac.order_check("first variation order", [r.detail["discrepancy"] for r in recs],
                            1e-11, recs[-1].value, ac.VARIATION_ORDER_FLOORS["first"])
     assert order.passed == (scale == 1.0)
@@ -642,7 +683,8 @@ def test_shared_oracle_matches_one_speed_oracles(iso3):
     g = geo.sample_chart(geo.catalog(2)["catenoid_2"], 17)
     speeds = {b: va.bump_function(g, b) for b in va.BUMP_NAMES}
     shared = va.NormalOracle(g, speeds)
+    form = va.PhiForm(g, iso3)
     for bump, u in speeds.items():
         for check in (va.first_variation_check, va.second_variation_check):
             alone = va.NormalOracle(g, {"u": u})
-            assert check(shared, iso3, bump) == check(alone, iso3, "u")
+            assert check(shared, form, bump) == check(alone, form, "u")

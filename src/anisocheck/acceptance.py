@@ -526,8 +526,7 @@ def criterion_mubble():
     for name, model in mb.catalog().items():
         shared, sol = bubble_checks(model, mb.build_phi_h(model))
         recs += [r.prefixed(f"{name} ") for r in shared]
-        lam_half, _, _ = mb.lambda1_sturm(model.name, model.params, model.T,
-                                          n_grid=model.n_grid // 2 + 1)
+        lam_half = mb.lambda1_sturm(model.profile, model.T, n_grid=model.n_grid // 2 + 1)[0]
         recs.append(le(f"{name} lambda1 2x-resolution drift",
                        abs(lam_half - model.lambda1), 1e-6))
         recs.append(ge(f"{name} satisfies the distance hypothesis",

@@ -180,14 +180,11 @@ def _run_mubble(inputs, seed, out_dir):
     if model.lam <= 0.0:
         raise _invalid("/inputs/model", f"lambda_1 = {model.lam:.6g} must be > 0 to set "
                        "the band of the phi profile")
-    eps = float(spec["eps"])
-    t_end = mb.band_end(model.lam, eps)
-    if model.T < t_end:
-        raise _invalid("/inputs/model/T", f"must be >= 4 pi/sqrt(lambda) + 2 eps = "
-                       f"{t_end:.4f} for lambda = {model.lam:.6g}, to hold the band of "
-                       "the phi profile")
     amplitude = inputs["amplitude"]
-    prof = mb.build_phi_h(model, eps, amplitude)
+    try:
+        prof = mb.build_phi_h(model, float(spec["eps"]), amplitude)
+    except mb.BandError as exc:
+        raise _invalid("/inputs/model/T", exc) from exc
     with np.errstate(over="ignore"):    # an overflow is the error reported below
         if not np.all(np.isfinite(np.square(prof.h))):
             raise _invalid("/inputs/model" if isinstance(amplitude, str) else

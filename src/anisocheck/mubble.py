@@ -5,6 +5,10 @@ A model is [0, T] x S^2 with metric dt^2 + f(t)^2 g_{S^2}, so
     R(t) = 2 (1 - f'^2) / f^2 - 4 f'' / f,
     Lap u = u'' + 2 (f'/f) u'          (radial functions).
 
+The warping profile f is an entry of ``PROFILES`` at the model's params,
+carried by the model (``WarpedModel.profile``) and evaluated once per
+model, on the fine grid of the Sturm solve, which also gives f, f' and R.
+
 A spectral witness is a positive u with Lap u <= -(2 lambda - R) u / 2;
 here u is the radial ground state of -Lap + R/2 (1D Sturm-Liouville
 solver, natural/Neumann ends) and lambda its eigenvalue, so the witness
@@ -47,40 +51,58 @@ class ProfileError(ValueError):
     """The warping profile or its curvature is not finite on the grid."""
 
 
+class BandError(ValueError):
+    """The model is too short to hold the band of the phi profile."""
+
+
 # -- profiles -------------------------------------------------------------------
 
 
-def _profile_functions(name, params):
-    """f and its first three derivatives for a named warping profile."""
-    if name == "cylinder":
-        return (lambda t: np.ones_like(t),
-                lambda t: np.zeros_like(t),
-                lambda t: np.zeros_like(t),
-                lambda t: np.zeros_like(t))
-    if name == "funnel":
-        a = float(params.get("rate", 0.1))
-        return (lambda t: np.exp(-a * t),
-                lambda t: -a * np.exp(-a * t),
-                lambda t: a * a * np.exp(-a * t),
-                lambda t: -a * a * a * np.exp(-a * t))
-    if name == "bulge":
-        amp = float(params.get("amplitude", 0.05))
-        period = float(params.get("period", 17.0))
-        om = 2.0 * math.pi / period
-        return (lambda t: 1.0 + amp * np.cos(om * t),
-                lambda t: -amp * om * np.sin(om * t),
-                lambda t: -amp * om * om * np.cos(om * t),
-                lambda t: amp * om * om * om * np.sin(om * t))
-    if name == "round_cap":
-        return (np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t))
-    raise ValueError(f"unknown warping profile {name!r}")
+def _cylinder(params):
+    return lambda t: (np.ones_like(t), np.zeros_like(t), np.zeros_like(t),
+                      np.zeros_like(t))
+
+
+def _funnel(params):
+    a = float(params.get("rate", 0.1))
+
+    def profile(t):
+        e = np.exp(-a * t)
+        return e, -a * e, a * a * e, -a * a * a * e
+    return profile
+
+
+def _bulge(params):
+    amp = float(params.get("amplitude", 0.05))
+    period = float(params.get("period", 17.0))
+    om = 2.0 * math.pi / period
+
+    def profile(t):
+        c, s = np.cos(om * t), np.sin(om * t)
+        return 1.0 + amp * c, -amp * om * s, -amp * om * om * c, amp * om * om * om * s
+    return profile
+
+
+def _round_cap(params):
+    def profile(t):
+        s, c = np.sin(t), np.cos(t)
+        return s, c, -s, -c
+    return profile
+
+
+#: the warping profiles by name: each entry maps the ``params`` of a model
+#: to its profile, the callable t -> (f, f', f'', f''')
+PROFILES = {"cylinder": _cylinder, "funnel": _funnel, "bulge": _bulge,
+            "round_cap": _round_cap}
 
 
 @dataclass
 class WarpedModel:
-    """Sampled rotationally symmetric model with spectral witness."""
+    """Sampled rotationally symmetric model with spectral witness; ``profile``
+    is the `PROFILES` entry of ``name`` at ``params``."""
 
     name: str
+    profile: object
     T: float
     t: np.ndarray
     f: np.ndarray
@@ -116,27 +138,27 @@ def scalar_curvature_profile(f, fp, fpp, fppp=None):
     return R
 
 
-def lambda1_sturm(name, params, T, n_grid=N_GRID):
+def lambda1_sturm(profile, T, n_grid=N_GRID):
     """Bottom eigenvalue and positive ground state of -Lap + R/2 over
     radial functions, natural (Neumann) ends.
 
-    1D P1 elements with lumped mass and weight f^2, solved at n_grid and
-    2 n_grid - 1 nodes; the returned eigenvalue is the Richardson
-    extrapolation, the eigenfunction lives on the fine grid.
+    1D P1 elements with lumped mass and weight f^2, solved at 2 n_grid - 1
+    nodes and at their even nodes (`np.linspace(0, T, n_grid)` bit for bit)
+    from one evaluation of ``profile``; returns the Richardson-extrapolated
+    eigenvalue and t, u, f, f' and R on the n_grid nodes.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    ff, fpf, fppf, fpppf = _profile_functions(name, params)
+    t = np.linspace(0.0, T, 2 * n_grid - 1)
+    with np.errstate(all="ignore"):     # an overflow is caught just below
+        f, fp, fpp, fppp = profile(t)
+        R = scalar_curvature_profile(f, fp, fpp, fppp)
+    del fpp, fppp       # not held through the solves: 32 MiB at the n_grid cap
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(R))):
+        raise ProfileError(f"f or its curvature R is not finite on [0.0, {T}]")
 
-    def solve(n):
-        t = np.linspace(0.0, T, n)
+    def solve(t, f, R):
         h = t[1] - t[0]
-        with np.errstate(all="ignore"):     # an overflow is caught just below
-            f = ff(t)
-            R = scalar_curvature_profile(f, fpf(t), fppf(t), fpppf(t))
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(R))):
-            raise ProfileError(f"the {name} profile f or its curvature R is not finite "
-                               f"on [0.0, {T}]")
         # a pole at t = 0 carries no mass; its natural condition gives
         # u_0 = u_1, so the node and its element drop out of the solve
         lo = 1 if f[0] == 0.0 else 0
@@ -146,7 +168,7 @@ def lambda1_sturm(name, params, T, n_grid=N_GRID):
         if not lo:
             mass[0] *= 0.5
         mass[-1] *= 0.5
-        diag = np.zeros(n - lo)
+        diag = np.zeros(t.size - lo)
         diag[:-1] += w_mid / h
         diag[1:] += w_mid / h
         off = -w_mid / h
@@ -159,25 +181,26 @@ def lambda1_sturm(name, params, T, n_grid=N_GRID):
         v = np.concatenate([v[:lo], v])
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
-        return float(vals[0]), t, v / np.abs(v).max()
+        return float(vals[0]), v / np.abs(v).max()
 
-    lam_c, _, _ = solve(n_grid)
-    lam_f, t, u = solve(2 * n_grid - 1)
+    lam_c, _ = solve(t[::2], f[::2], R[::2])
+    lam_f, u = solve(t, f, R)
     lam_ext = (4.0 * lam_f - lam_c) / 3.0
-    return lam_ext, t[::2], u[::2]
+    return lam_ext, t[::2], u[::2], f[::2], fp[::2], R[::2]
 
 
 def make_model(name, T, params=None, lam=None, n_grid=N_GRID):
     """Build a catalog model; ``lam`` defaults to the solver's lambda_1 so
     the witness inequality holds with equality up to discretization."""
     params = dict(params or {})
-    lam1, t, u = lambda1_sturm(name, params, T, n_grid=n_grid)
-    ff, fpf, fppf, fpppf = _profile_functions(name, params)
-    f, fp, fpp = ff(t), fpf(t), fppf(t)
-    return WarpedModel(name=name, T=float(T), t=t, f=f, fp=fp,
-                       R=scalar_curvature_profile(f, fp, fpp, fpppf(t)), u=u,
-                       lam=float(lam1 if lam is None else lam), lambda1=float(lam1),
-                       params=params)
+    profile = PROFILES[name](params)
+    try:
+        lam1, t, u, f, fp, R = lambda1_sturm(profile, T, n_grid=n_grid)
+    except ProfileError as exc:
+        raise ProfileError(f"the {name} profile {exc}") from None
+    return WarpedModel(name=name, profile=profile, T=float(T), t=t, f=f, fp=fp, R=R,
+                       u=u, lam=float(lam1 if lam is None else lam),
+                       lambda1=float(lam1), params=params)
 
 
 def catalog():
@@ -255,18 +278,6 @@ class BubbleProfiles:
                 "lip_within_budget": self.lip_within_budget}
 
 
-def _band_denom(lam, eps):
-    """Denominator 4 / sqrt(lam) + eps / pi of the phi slope of the band of
-    `build_phi_h` (`BubbleProfiles.denom`)."""
-    return 4.0 / math.sqrt(lam) + eps / math.pi
-
-
-def band_end(lam, eps):
-    """Right end 4 pi / sqrt(lam) + 2 eps of the band of `build_phi_h`; a
-    model must reach it (T >= band_end)."""
-    return eps + math.pi * _band_denom(lam, eps)
-
-
 def _amplitude_value(amplitude, lam):
     if amplitude == "sqrt-lambda":
         return math.sqrt(lam)
@@ -283,12 +294,13 @@ def build_phi_h(model, eps=EPS, amplitude=AMPLITUDE):
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     lam = model.lam
-    t_hi = band_end(lam, eps)
+    denom = 4.0 / math.sqrt(lam) + eps / math.pi
+    t_hi = eps + math.pi * denom
     if t_hi > model.T:
-        raise ValueError(
-            f"model too short for the band: need T >= {t_hi:.3f}, have {model.T}")
+        raise BandError(f"must be >= 4 pi/sqrt(lambda) + 2 eps = {t_hi:.4f} for "
+                        f"lambda = {lam:.6g}, to hold the band of the phi profile")
     return BubbleProfiles(lam=lam, eps=eps, amplitude=_amplitude_value(amplitude, lam),
-                          denom=_band_denom(lam, eps), band=(eps, t_hi),
+                          denom=denom, band=(eps, t_hi),
                           t=np.linspace(eps, t_hi, BAND_POINTS)[1:-1])
 
 
@@ -342,16 +354,16 @@ def minimize_A(model, prof):
     from scipy.interpolate import CubicSpline
 
     u_s = model.spline_u()
-    ff, fpf = _profile_functions(model.name, model.params)[:2]
+    profile = model.profile
     lo, hi = prof.band
     pad = (hi - lo) * 1e-6
     grid = np.linspace(lo + pad, hi - pad, BAND_POINTS)
-    integ = CubicSpline(grid, prof.h_at(grid) * u_s(grid) * ff(grid) ** 2)
+    integ = CubicSpline(grid, prof.h_at(grid) * u_s(grid) * profile(grid)[0] ** 2)
     anti = integ.antiderivative()
     mid = prof.t_mid
 
     def value(t0):
-        return FOUR_PI * (ff(t0) ** 2 * u_s(t0) - (anti(t0) - anti(mid)))
+        return FOUR_PI * (profile(t0)[0] ** 2 * u_s(t0) - (anti(t0) - anti(mid)))
 
     vals = value(grid)
     k = int(np.argmin(vals))
@@ -372,8 +384,8 @@ def minimize_A(model, prof):
             f2 = value(x2)
     t0 = 0.5 * (a + b)
     on_edge = bool(t0 - lo < 1e-3 * (hi - lo) or hi - t0 < 1e-3 * (hi - lo))
-    f0 = float(ff(t0))
-    resid = abs(2.0 * float(fpf(t0)) / f0 * float(u_s(t0)) + float(u_s(t0, 1))
+    f0, fp0 = (float(v) for v in profile(t0)[:2])
+    resid = abs(2.0 * fp0 / f0 * float(u_s(t0)) + float(u_s(t0, 1))
                 - float(prof.h_at(t0)) * float(u_s(t0)))
     return MuBubbleSolution(
         t0=float(t0), boundary_area=FOUR_PI * f0 * f0,

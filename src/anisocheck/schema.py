@@ -56,8 +56,8 @@ MAX_DIM = 6
 #: largest integrand resolution: r = 290 exceeds MAX_SPHERE_NODES at dim 3
 MAX_SPHERE_RESOLUTION = 289
 #: largest mubble ``n_grid``: the solve runs at n_grid and 2 n_grid - 1
-#: nodes; a funnel job at the cap peaks at 406 MiB RSS in 11 s on the
-#: machine above (and at 1.3 GiB in 60 s at 4 * 10^6 + 1)
+#: nodes; a funnel job at the cap peaks at 388 MiB RSS in 4-5 s on the
+#: machine above (1.3 GiB in 60 s at 4 * 10^6 + 1, when the cap was set)
 MAX_N_GRID = 1_000_000
 #: the chart class of each kind and the keys its constructor reads
 CHARTS = {
@@ -135,7 +135,7 @@ MODEL = {
     "type": "object",
     "required": ["profile"],
     "properties": {
-        "profile": {"enum": ["cylinder", "funnel", "bulge", "round_cap"]},
+        "profile": {"enum": list(mb.PROFILES)},
         "T": {"type": "number", "minimum": 1e-6,
               "description": "T >= 4 pi/sqrt(lambda) + 2 eps, checked by the runner"},
         "params": {"type": "object",

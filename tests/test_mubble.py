@@ -5,6 +5,7 @@ import pytest
 
 from anisocheck import acceptance as ac
 from anisocheck import constants as co
+from anisocheck import integrand as ig
 from anisocheck import mubble as mb
 
 CONCLUSIONS = ("boundary area margin", "diameter margin", "containment margin",
@@ -20,14 +21,14 @@ def _conclusions_pass(model, prof):
 
 def test_cylinder_spectrum_closed_form():
     # f = 1: R = 2 and the ground state is constant, so lambda1 = R/2 = 1
-    lam1, t, u = mb.lambda1_sturm("cylinder", {}, 20.0, 2001)
+    lam1, t, u, *_ = mb.lambda1_sturm(mb.PROFILES["cylinder"]({}), 20.0, 2001)
     assert lam1 == pytest.approx(1.0, abs=1e-9)
     assert np.ptp(u) <= 1e-10
 
 
 def test_round_cap_spectrum_closed_form():
     # f = sin t: R = 6 everywhere (round 3-sphere); constant ground state
-    lam1, _, u = mb.lambda1_sturm("round_cap", {}, 2.0, 2001)
+    lam1, _, u, *_ = mb.lambda1_sturm(mb.PROFILES["round_cap"]({}), 2.0, 2001)
     assert lam1 == pytest.approx(3.0, abs=1e-8)
     assert np.ptp(u) <= 1e-9
 
@@ -36,13 +37,50 @@ def test_round_cap_spectrum_from_the_pole():
     # the grid starts on the pole f(0) = 0: R takes its limit 6 there and
     # the massless pole node follows its neighbour
     for T in (1.0, 2.0, 3.0):
-        lam1, t, u = mb.lambda1_sturm("round_cap", {}, T)
+        lam1, t, u, *_ = mb.lambda1_sturm(mb.PROFILES["round_cap"]({}), T)
         assert t[0] == 0.0
         assert lam1 == pytest.approx(3.0, abs=1e-6), T
         assert np.ptp(u) <= 1e-9, T
     model = mb.make_model("round_cap", 3.0)
     assert np.all(np.isfinite(model.R)) and model.R[0] == 6.0
     assert mb.supersolution_residual(model) <= 1e-6
+
+
+@pytest.mark.parametrize("name,params", [
+    *((name, {}) for name in mb.PROFILES),
+    ("funnel", {"rate": 0.37}),
+    ("bulge", {"amplitude": -0.3, "period": 5.0}),
+])
+def test_profile_derivatives_match_finite_differences(name, params):
+    # f', f'' and f''' are written by hand; each must be the derivative of
+    # the one below it (f''' enters R only at a pole)
+    profile = mb.PROFILES[name](params)
+    t = np.linspace(0.3, 2.7, 9)
+    derivs = profile(t)
+    for k in range(3):
+        fd = ig.fd_gradient(lambda v: profile(v[..., 0])[k], t[:, None])[:, 0]
+        assert np.allclose(fd, derivs[k + 1], rtol=1e-8, atol=1e-10), (name, k + 1)
+
+
+def test_make_model_evaluates_its_profile_once(monkeypatch):
+    evaluated, solved = [], []
+    funnel = mb.PROFILES["funnel"]
+
+    def counted(params):
+        profile = funnel(params)
+        return lambda t: evaluated.append(np.size(t)) or profile(t)
+
+    lambda1_sturm = mb.lambda1_sturm
+    monkeypatch.setitem(mb.PROFILES, "funnel", counted)
+    monkeypatch.setattr(mb, "lambda1_sturm",
+                        lambda *a, **kw: solved.append(a) or lambda1_sturm(*a, **kw))
+    model = mb.make_model("funnel", 17.0, {"rate": 0.1}, n_grid=401)
+    # one solve, one evaluation on its fine grid of 2 n - 1 nodes; the
+    # model's f, f' and R are the even nodes of that evaluation
+    assert len(solved) == 1 and evaluated == [801]
+    f, fp, fpp, fppp = funnel({"rate": 0.1})(np.linspace(0.0, 17.0, 401))
+    assert np.array_equal(model.f, f) and np.array_equal(model.fp, fp)
+    assert np.array_equal(model.R, mb.scalar_curvature_profile(f, fp, fpp, fppp))
 
 
 def test_scalar_curvature_profile():
@@ -63,8 +101,7 @@ def test_catalog_models_satisfy_hypotheses():
 
 def test_lambda1_resolution_convergence():
     m = mb.catalog()["funnel"]
-    lam_half, _, _ = mb.lambda1_sturm("funnel", m.params, m.T,
-                                      n_grid=m.n_grid // 2 + 1)
+    lam_half = mb.lambda1_sturm(m.profile, m.T, n_grid=m.n_grid // 2 + 1)[0]
     assert abs(lam_half - m.lambda1) <= 1e-6
 
 

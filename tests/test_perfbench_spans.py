@@ -5,16 +5,25 @@ fail here, not in the benchmark run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # the dataclasses of run.py look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.SPANS
+    return _load("tracer").SPANS
 
 
 def test_every_traced_attribute_resolves():
@@ -34,3 +43,26 @@ def test_every_criterion_is_callable_with_a_runtime_budget():
         assert callable(fn), f"acceptance.CRITERIA[{name!r}]"
         assert acceptance.RUNTIME_BUDGETS.get(name, 0.0) > 0.0, name
     assert set(acceptance.RUNTIME_BUDGETS) == set(acceptance.CRITERIA)
+
+
+def test_traced_spectra_models_count_one_solve_per_model():
+    # the spectra workload reports mubble.lambda1_sturm.calls and
+    # mubble.minimize_A.calls; a call that bypasses the module attribute
+    # would read 0 there
+    cli = importlib.import_module("anisocheck.cli")
+    run = _load("run")
+    jobs = [job for job in run.spectra_jobs(1) if job["command"] == "mubble"]
+    assert len(jobs) == 4
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        for job in jobs:
+            if run.known_defect(job):
+                with pytest.raises(cli.InvalidJob):
+                    cli.run(job)
+            else:
+                assert cli.run(job)["pass"]
+    finally:
+        tracer.restore()
+    assert tracer.stats["mubble.lambda1_sturm"]["calls"] == 4
+    assert tracer.stats["mubble.minimize_A"]["calls"] == 3

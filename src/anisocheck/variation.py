@@ -508,8 +508,16 @@ def _lanczos(B, v0, converged):
     ``converged(y)`` confirms it, and otherwise goes on; it stops at once
     when the Krylov space is invariant or spans every unknown, or after
     LANCZOS_MAX_MATVECS matvecs.  Every product against the basis runs in
-    numpy's own ``einsum`` loops, in a fixed order, never in BLAS.
+    numpy's own ``einsum`` loops, in a fixed order, never in BLAS.  The
+    Ritz solve of T computes only the LANCZOS_KEEP smallest pairs, the ones
+    the restart and the stop rule read, by scipy's subset ``eigh`` (MRRR,
+    LAPACK ``dsyevr``), which wakes no BLAS worker thread at this size;
+    numpy's full ``eigh`` threads its work from about p = 30 on, and the
+    woken worker then spins on for 60-70 ms of CPU after each call (two
+    OpenBLAS threads on a 2-vCPU x86_64 machine).
     """
+    import scipy.linalg
+
     n = v0.size
     m = min(LANCZOS_NCV, n)
     V = np.empty((m + 1, n))
@@ -532,7 +540,8 @@ def _lanczos(B, v0, converged):
             if last:
                 break
             V[p] = w / beta
-        theta, S = np.linalg.eigh(T[:p, :p])
+        theta, S = scipy.linalg.eigh(T[:p, :p],
+                                     subset_by_index=(0, min(LANCZOS_KEEP, p) - 1))
         y = np.einsum("ij,i->j", V[:p], S[:, 0])
         if last or (abs(beta * S[-1, 0]) <= EIG_TOL * max(1.0, abs(theta[0]))
                     and converged(y)):
@@ -561,9 +570,10 @@ def smallest_eigenpair(K, M):
 
     Every inner product, in the Lanczos loop and in x^T M x, x^T K x and
     r^T M^-1 r below, is a fixed-order numpy sum, and B v is scipy's
-    single-threaded CSR product; the one BLAS call is the ``eigh`` of the
-    at most LANCZOS_NCV x LANCZOS_NCV matrix T, which touches no vector.
-    So the result does not depend on the BLAS thread count.
+    single-threaded CSR product; the one LAPACK call is the subset Ritz
+    solve of the at most LANCZOS_NCV x LANCZOS_NCV matrix T, which touches
+    no vector and wakes no BLAS worker thread.  So the result does not
+    depend on the BLAS thread count.
 
     Returns (theta, x, matvecs, residual): x is M-normalized with
     sum(M x) > 0, theta = x^T K x, matvecs counts products with B, and

@@ -32,11 +32,19 @@ in index order (`_plane_dot`), and every elementwise field inherits the
 storage of its operands.  No per-node matrix product is formed, so the
 bits of a sampled chart depend on the chart and the grid, not on the BLAS
 kernel the machine selects.
+
+Derivatives along the grid are BLAS-free too: one fourth-order five-point
+kernel (`five_point`) of numpy slices, applied along one axis of a field
+that may stack components on leading entry axes.  `fd_jacobian`,
+`param_gradient`, `laplacian` and `geometry_from_positions` call it once
+per grid axis on entry-major storage, so their bits do not depend on the
+BLAS kernel either, and no derivative wakes a BLAS worker thread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,26 +60,57 @@ class ImmersionError(ValueError):
 # -- 1D stencils ------------------------------------------------------------
 
 
-def derivative_matrix(m, h, periodic=False):
-    """Dense m x m fourth-order first-derivative matrix.
+#: the one-sided fourth-order rows at the lower end of a non-periodic axis,
+#: scaled by 12 h; the upper end's rows are their negated mirror images
+_END_ROWS = ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0))
 
-    One-sided fourth-order rows at the ends of non-periodic axes, circulant
-    central stencil for periodic ones.
+
+def five_point(f, axis, h, periodic, out):
+    """Fourth-order first derivative of ``f`` along ``axis`` (grid step
+    ``h``), written into ``out`` and returned.
+
+    Row i is a (f[i+1] - f[i-1]) + b (f[i+2] - f[i-2]), a = 2 / (3 h),
+    b = -1 / (12 h); a periodic axis wraps these rows across its seam, and
+    the two rows at each end of a non-periodic axis are the one-sided rows
+    of `_END_ROWS`.  ``f`` may stack fields on leading entry axes and have
+    any strides (it is read as C-contiguous floats, copied if it is not
+    stored so); ``out`` is a C-contiguous array of its shape that does not
+    overlap it.  Every row is formed by numpy's elementwise loops, so no
+    BLAS call is made and the bits do not depend on the BLAS kernel or
+    thread count.
     """
-    D = np.zeros((m, m))
-    c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+    if out.shape != f.shape or not out.flags.c_contiguous:
+        raise ValueError("five_point writes into a C-contiguous out of the shape of f")
+    f = np.ascontiguousarray(f, dtype=float)
+    axis %= f.ndim
+    m, size, step = f.shape[axis], f.size, math.prod(f.shape[axis + 1:])
+
+    def at(i):
+        return (slice(None),) * axis + (i,)
+
+    # the interior rows of every line at once, as one run over the flattened
+    # arrays; the rows within two of a line's ends, which straddle lines
+    # there, are written again below
+    a, b = 2.0 / (3.0 * h), -1.0 / (12.0 * h)
+    flat, inner = f.reshape(-1), out.reshape(-1)[2 * step:size - 2 * step]
+    np.subtract(flat[3 * step:size - step], flat[step:size - 3 * step], out=inner)
+    inner *= a
+    far = flat[4 * step:] - flat[:size - 4 * step]
+    far *= b
+    inner += far
     if periodic:
-        for k, off in enumerate(range(-2, 3)):
-            idx = (np.arange(m) + off) % m
-            D[np.arange(m), idx] += c[k]
-        return D / h
-    for i in range(2, m - 2):
-        D[i, i - 2 : i + 3] = c
-    D[0, :5] = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    D[1, :5] = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-    D[m - 1, -5:] = -D[0, :5][::-1]
-    D[m - 2, -5:] = -D[1, :5][::-1]
-    return D / h
+        for i in (0, 1, m - 2, m - 1):
+            out[at(i)] = a * (f[at((i + 1) % m)] - f[at(i - 1)]) \
+                + b * (f[at((i + 2) % m)] - f[at(i - 2)])
+        return out
+    scale = 1.0 / (12.0 * h)
+    for i, row in enumerate(_END_ROWS):
+        for first, side in ((0, 1), (m - 1, -1)):
+            acc = row[0] * f[at(first)]
+            for k in range(1, 5):
+                acc += row[k] * f[at(first + side * k)]
+            np.multiply(acc, side * scale, out=out[at(first + side * i)])
+    return out
 
 
 def quadrature_weights(m, h, periodic=False):
@@ -88,11 +127,6 @@ def quadrature_weights(m, h, periodic=False):
     else:
         w[0] = w[-1] = h / 2.0
     return w
-
-
-def apply_derivative(values, D, axis):
-    out = np.tensordot(D, values, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
 
 
 # -- entry-major storage --------------------------------------------------------
@@ -145,7 +179,6 @@ class SampledGeometry:
     radial_cos: np.ndarray
     origin_on_chart: bool = False
     pole_ends: tuple = ()
-    _deriv_mats: list = field(default_factory=list, repr=False)
 
     def interior_mask(self):
         """Mask excluding two node layers at non-periodic edges."""
@@ -191,28 +224,43 @@ class SampledGeometry:
         f = self.sqrt_det_g if density is None else np.asarray(density) * self.sqrt_det_g
         return float(np.sum(self.node_weights() * f))
 
+    def _derivative_planes(self, f):
+        """df[a] = df / du_a of a node field ``f`` (leading entry axes
+        allowed), one :func:`five_point` call per grid axis, stacked on a new
+        leading axis a."""
+        lead = f.ndim - self.n
+        df = np.empty((self.n,) + f.shape)
+        for a in range(self.n):
+            five_point(f, lead + a, self.spacings[a], self.periodic[a], out=df[a])
+        return df
+
     def param_gradient(self, f):
-        """Per-axis parameter derivatives of a node scalar, shape + (n,)."""
-        return np.stack(
-            [apply_derivative(f, self._deriv_mats[a], a) for a in range(self.n)], axis=-1
-        )
+        """Per-axis parameter derivatives of a node field, f.shape + (n,),
+        each derivative one contiguous plane."""
+        return np.moveaxis(self._derivative_planes(f), 0, -1)
 
     def grad_norm_sq(self, f):
         df = self.param_gradient(f)
         return np.einsum("...a,...ab,...b->...", df, self.metric_inv, df)
 
     def laplacian(self, f):
-        """Metric-aware Laplacian: (1/sqrt g) d_a (sqrt g g^{ab} d_b f)."""
-        df = self.param_gradient(f)
-        flux = self.sqrt_det_g[..., None] * np.einsum("...ab,...b->...a", self.metric_inv, df)
-        out = np.zeros(self.shape)
+        """Metric-aware Laplacian: (1/sqrt g) d_a (sqrt g g^{ab} d_b f), of
+        each field that ``f`` stacks on leading entry axes."""
+        df = self._derivative_planes(f)
+        out, term = np.zeros(f.shape), np.empty(f.shape)
         for a in range(self.n):
-            out += apply_derivative(flux[..., a], self._deriv_mats[a], a)
+            flux = self.metric_inv[..., a, 0] * df[0]
+            for b in range(1, self.n):
+                flux += self.metric_inv[..., a, b] * df[b]
+            flux *= self.sqrt_det_g
+            out += five_point(flux, f.ndim - self.n + a, self.spacings[a], self.periodic[a],
+                              out=term)
         return out / self.sqrt_det_g
 
     def laplacian_ambient(self, vec):
-        """Componentwise Laplacian of an ambient vector field (e.g. X)."""
-        return np.stack([self.laplacian(vec[..., d]) for d in range(self.dim)], axis=-1)
+        """Componentwise Laplacian of an ambient vector field (e.g. X),
+        differentiated as one stack of entry-major component planes."""
+        return _grid_view(self.laplacian(np.moveaxis(vec, -1, 0)), 1)
 
 
 def _grid_for(box, shape, periodic):
@@ -330,13 +378,12 @@ def curvature_scalars(S):
     return H, A2, H * H - A2
 
 
-def _assemble(chart_name, box, periodic, spacings, params, mats,
+def _assemble(chart_name, box, periodic, spacings, params,
               X, jac, d2X, nu, metric, pole_ends=()):
     """The SampledGeometry of node positions X and their derivatives on the
-    grid ``params``, whose finite-difference matrices are ``mats``.  Every
-    field is stored entry-major: elementwise fields inherit the storage of
-    their operands, and h, S and the contractions sum contiguous planes in
-    index order."""
+    grid ``params`` of steps ``spacings``.  Every field is stored
+    entry-major: elementwise fields inherit the storage of their operands,
+    and h, S and the contractions sum contiguous planes in index order."""
     shape, dim, n = X.shape[:-1], X.shape[-1], X.ndim - 1
     g, det, adj = metric
     ginv = adj / det[..., None, None]
@@ -365,7 +412,7 @@ def _assemble(chart_name, box, periodic, spacings, params, mats,
         sqrt_det_g=np.sqrt(det), shape_op=S,
         mean_curvature=H, mean_curvature_vec=-H[..., None] * nu,
         A2=A2, scalar_curvature=R, r=r, grad_r=grad_r, radial_cos=cosr,
-        origin_on_chart=origin, pole_ends=tuple(pole_ends), _deriv_mats=mats,
+        origin_on_chart=origin, pole_ends=tuple(pole_ends),
     )
 
 
@@ -382,19 +429,24 @@ def sample_chart(chart, shape):
     params, spacings = _grid_for(box, shape, chart.periodic)
     U = _grid_view(np.array(np.meshgrid(*params, indexing="ij")), 1)
     X, jac, d2X, nu = chart.frame(U)
-    mats = [derivative_matrix(m, h, per) for m, h, per in zip(shape, spacings, chart.periodic)]
-    return _assemble(chart.name, box, chart.periodic, spacings, params, mats, X, jac, d2X,
-                     nu, _metric(jac, chart.name, params), pole_ends=chart.pole_ends)
+    return _assemble(chart.name, box, chart.periodic, spacings, params, X, jac, d2X, nu,
+                     _metric(jac, chart.name, params), pole_ends=chart.pole_ends)
 
 
-def fd_jacobian(X, mats):
-    """J[..., d, a] = dX_d / du_a of node positions X by the finite-difference
-    matrices ``mats`` of the grid axes.  Each entry (d, a) is contiguous over
-    the grid (the array is a view of one of shape (dim, n) + grid), so the
-    entrywise products of :func:`_generalized_cross` read contiguous data."""
-    jac = np.stack([np.stack([apply_derivative(X[..., d], D, a) for a, D in enumerate(mats)])
-                    for d in range(X.shape[-1])])
-    return np.moveaxis(jac, (0, 1), (-2, -1))
+def fd_jacobian(X, spacings, periodic):
+    """J[..., d, a] = dX_d / du_a of node positions X by the five-point
+    stencil (:func:`five_point`) along grid axis a, of step ``spacings[a]``
+    and periodic where ``periodic[a]``: one call per grid axis on the
+    entry-major (dim,) + grid storage of X.  J is a view of an array of
+    shape (n, dim) + grid, so each column a is one contiguous block, each
+    entry (d, a) is contiguous over the grid, and the entrywise products of
+    :func:`_generalized_cross` read contiguous data."""
+    stored = np.moveaxis(X, -1, 0)
+    n = stored.ndim - 1
+    jac = np.empty((n,) + stored.shape)
+    for a in range(n):
+        five_point(stored, 1 + a, spacings[a], periodic[a], out=jac[a])
+    return np.moveaxis(jac, (0, 1), (-1, -2))
 
 
 def _oriented_normal(jac, ref_nu, params, chart_name):
@@ -428,22 +480,25 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
     shape, dim, n = X.shape[:-1], X.shape[-1], X.ndim - 1
     periodic = tuple(periodic)
     params, spacings = _grid_for(box, shape, periodic)
-    mats = [derivative_matrix(shape[a], spacings[a], periodic[a]) for a in range(n)]
-    jac = fd_jacobian(X, mats)
+    jac = fd_jacobian(X, spacings, periodic)
     nu = _oriented_normal(jac, ref_nu, params, chart_name)[0]
     metric = _metric(jac, chart_name, params)
-    # d2X_ab symmetrized from derivatives of the Jacobian columns
-    d2X = _planes(shape, (dim, n, n))
+    # d2X_ab symmetrized from derivatives of the Jacobian columns, each
+    # column differentiated through its (dim,) + grid storage; d2X is stored
+    # as (n, n, dim) + grid, so that each (a, b) block is contiguous
+    cols = np.moveaxis(jac, (-1, -2), (0, 1))
+    d2X = np.empty((n, n, dim) + shape)
     for a in range(n):
         for b in range(a, n):
-            dab = apply_derivative(jac[..., :, a], mats[b], b)
+            five_point(cols[a], 1 + b, spacings[b], periodic[b], out=d2X[a, b])
             if b > a:
-                dba = apply_derivative(jac[..., :, b], mats[a], a)
-                dab = 0.5 * (dab + dba)
-            d2X[..., a, b] = dab
-            d2X[..., b, a] = dab
-    return _assemble(chart_name, list(box), periodic, spacings, params, mats,
-                     X, jac, d2X, nu, metric, pole_ends=pole_ends)
+                five_point(cols[b], 1 + a, spacings[a], periodic[a], out=d2X[b, a])
+                d2X[a, b] += d2X[b, a]
+                d2X[a, b] *= 0.5
+                d2X[b, a] = d2X[a, b]
+    return _assemble(chart_name, list(box), periodic, spacings, params, X, jac,
+                     np.moveaxis(d2X, (0, 1, 2), (-2, -1, -3)), nu, metric,
+                     pole_ends=pole_ends)
 
 
 def resample_normal_graph(geom, jac0, jac1=None, taus=(0.0,)):

@@ -200,7 +200,7 @@ class NormalOracle:
         t = self.step
         self.taus = (t / 2.0, -t / 2.0, t, -t)
         self._weights = geom.node_weights()
-        self._jac0 = geo.fd_jacobian(geom.X, geom._deriv_mats)
+        self._jac0 = geo.fd_jacobian(geom.X, geom.spacings, geom.periodic)
         self._resamples = {}
 
     def _resample(self, speed):
@@ -210,9 +210,10 @@ class NormalOracle:
             if speed is None:
                 resample = geo.resample_normal_graph(self.geom, self._jac0)
             else:
-                jac1 = geo.fd_jacobian(self.speeds[speed][..., None] * self.geom.nu,
-                                       self.geom._deriv_mats)
-                resample = geo.resample_normal_graph(self.geom, self._jac0, jac1, self.taus)
+                geom = self.geom
+                jac1 = geo.fd_jacobian(self.speeds[speed][..., None] * geom.nu,
+                                       geom.spacings, geom.periodic)
+                resample = geo.resample_normal_graph(geom, self._jac0, jac1, self.taus)
             self._resamples[speed] = resample
         return self._resamples[speed]
 

@@ -128,3 +128,59 @@ def assert_archive_bits():
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
     return check
+
+
+_SPIN_PRELUDE = """
+import json, os, sys, threading, time
+import numpy as np
+# loading scipy's own OpenBLAS starts its worker, which spins once at start:
+# a cost per process, not per solve, so it is paid before any window
+import scipy.linalg
+from anisocheck import conformal as cf, geometry as geo, schema as sch, variation as va
+
+MAIN = threading.get_native_id()
+
+
+def worker_ticks():
+    # utime + stime, in clock ticks, of every thread but the main one
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != MAIN:
+            stat = open(f"/proc/self/task/{tid}/stat").read()
+            ticks += sum(int(f) for f in stat[stat.rindex(")") + 2:].split()[11:13])
+    return ticks
+
+
+def window(work):
+    # worker ticks of ``work`` and of the 0.1 s the main thread spins after
+    # it, long enough to catch a worker that spins on once woken; the sleep
+    # first lets a worker woken before the window fall idle
+    time.sleep(0.5)
+    before = worker_ticks()
+    work()
+    end = time.perf_counter() + 0.1
+    while time.perf_counter() < end:
+        pass
+    return worker_ticks() - before
+"""
+
+
+@pytest.fixture
+def worker_ticks_child(child_env):
+    """``worker_ticks_child(body, *args)``: the JSON that ``body`` prints in
+    a child process at two OpenBLAS threads, run after a prelude that
+    imports the package and defines ``window(work)``, the CPU ticks of
+    every thread but the main one during ``work()`` and the 0.1 s after it.
+    Skips where /proc/self/task cannot be read or one CPU leaves a BLAS
+    worker nothing to run on."""
+    if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("reads /proc/self/task; needs two CPUs for a BLAS worker")
+
+    def run(body, *args):
+        proc = subprocess.run([sys.executable, "-c", _SPIN_PRELUDE + body, *args],
+                              capture_output=True, text=True, timeout=300,
+                              env={**child_env, "OPENBLAS_NUM_THREADS": "2"})
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    return run

@@ -84,6 +84,33 @@ def test_qform_identity_refinement():
         assert order_check("qform", discs, 1e-11).passed
 
 
+CONE_CHILD = """
+g = geo.sample_chart(sch.build_chart({"kind": "cone", "n": 3}), 49)
+
+
+def deform_and_qform():
+    cf.qform_identity_check(cf.deform(g), va.bump_function(g, "centered"), 0.75)
+
+
+field = np.random.default_rng(0).standard_normal((49, 49, 49))
+matrix = np.random.default_rng(1).standard_normal((49, 49))
+print(json.dumps({"cold": window(deform_and_qform), "warm": window(deform_and_qform),
+                  "control": window(lambda: np.tensordot(matrix, field, axes=([1], [0])))}))
+"""
+
+
+def test_cone_refinement_companion_wakes_no_blas_worker(worker_ticks_child):
+    # the 49^3 refinement companion of the oracles workload's conformal
+    # qform job, in a child at two OpenBLAS threads: its derivatives run no
+    # BLAS call, so no worker thread spins.  A tensordot of a 49^3 field
+    # with a dense 49 x 49 matrix, the derivative this kernel replaced,
+    # wakes one
+    ticks = worker_ticks_child(CONE_CHILD)
+    if ticks["control"] == 0:
+        pytest.skip("a 49^3 tensordot woke no BLAS worker here, so the check shows nothing")
+    assert ticks["warm"] == 0, ticks
+
+
 def test_distance_comparison_radial_ray_equality():
     plane = geo.Hyperplane(2, offset=0.0, polar=True,
                            box=[(0.5, 3.0), (0, 2 * np.pi)])

@@ -12,6 +12,8 @@ import pytest
 from anisocheck import geometry as geo
 from anisocheck import schema as sch
 
+EPS = np.finfo(float).eps
+
 
 def test_hyperplane_is_flat():
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0), 9)
@@ -186,7 +188,7 @@ def _resample_error(g, X):
         with pytest.raises(geo.ImmersionError) as full:
             geo.geometry_from_positions(X, g.box, g.periodic, g.nu, chart_name=name)
         with pytest.raises(geo.ImmersionError) as first:
-            geo.resample_normal_graph(g, geo.fd_jacobian(X, g._deriv_mats))
+            geo.resample_normal_graph(g, geo.fd_jacobian(X, g.spacings, g.periodic))
     assert str(first.value) == str(full.value)
     return str(full.value)
 
@@ -226,6 +228,96 @@ def test_resolution_floor_enforced():
         geo.sample_chart(geo.Hyperplane(2, offset=1.0), 7)
 
 
+def _dense_five_point(m, h, periodic):
+    """The five-point first-derivative matrix, built row by row: the
+    central row (1, -8, 0, 8, -1) / 12h, wrapped on a periodic axis, and
+    the one-sided fourth-order rows and their negated mirror images at the
+    ends of a non-periodic one."""
+    D = np.zeros((m, m))
+    central = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+    for i in range(m):
+        if periodic or 2 <= i < m - 2:
+            D[i, (i + np.arange(-2, 3)) % m] = central
+    if not periodic:
+        D[0, :5] = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+        D[1, :5] = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+        D[-1, -5:] = -D[0, :5][::-1]
+        D[-2, -5:] = -D[1, :5][::-1]
+    return D / h
+
+
+def _along(D, f, axis):
+    """D applied to f along ``axis`` (a BLAS product: the independent route)."""
+    return np.moveaxis(np.tensordot(D, f, axes=([1], [axis])), 0, axis)
+
+
+def _within_rounding(out, ref, D, f, axis):
+    """|out - ref| <= 4 eps (|D| |f|) at every node, the rounding bound of
+    a row's sum of products.  4 eps max|f| / h would not cover the
+    one-sided rows, whose coefficients sum to 128 / 12h in absolute value."""
+    return np.all(np.abs(out - ref) <= 4.0 * EPS * _along(np.abs(D), np.abs(f), axis))
+
+
+@pytest.mark.parametrize("m", [8, 9, 25])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["scalar", "stacked"])
+def test_five_point_kernel_matches_the_dense_matrix(m, periodic, lead):
+    # a C-order scalar field and an entry-major (4,) + grid stack, each
+    # differentiated along every grid axis
+    h = 0.3
+    f = np.random.default_rng(m).standard_normal(lead + (m, m, m))
+    D = _dense_five_point(m, h, periodic)
+    for a in range(3):
+        axis = len(lead) + a
+        out = geo.five_point(f, axis, h, periodic, out=np.empty_like(f))
+        assert _within_rounding(out, _along(D, f, axis), D, f, axis)
+
+
+def _stacked_along(profile, a, m):
+    """A (4,) + (m, m, m) stack whose fields vary along grid axis a as
+    ``profile`` (one value per node), each times its own weight."""
+    shape = [1, 1, 1, 1]
+    shape[1 + a] = m
+    weight = np.random.default_rng(m).uniform(0.5, 1.5, size=(4, m, m))
+    return profile.reshape(shape) * np.moveaxis(weight[..., None], -1, 1 + a)
+
+
+@pytest.mark.parametrize("m", [8, 9, 25])
+def test_five_point_kernel_is_exact_on_quartics(m):
+    # fourth order, the one-sided end rows too
+    quartic = np.polynomial.Polynomial(np.random.default_rng(m).standard_normal(5))
+    u = np.linspace(-1.0, 2.0, m)
+    h = u[1] - u[0]
+    D = _dense_five_point(m, h, False)
+    for a in range(3):
+        f = _stacked_along(quartic(u), a, m)
+        out = geo.five_point(f, 1 + a, h, False, out=np.empty_like(f))
+        assert _within_rounding(out, _stacked_along(quartic.deriv()(u), a, m), D, f, 1 + a)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="needs a long double wider than a double")
+@pytest.mark.parametrize("m", [8, 9, 25])
+def test_five_point_kernel_maps_grid_modes_to_their_symbol(m):
+    # on a periodic grid, d/du sin(k u) -> sigma_k cos(k u) and
+    # cos(k u) -> -sigma_k sin(k u) exactly, sigma_k = (8 sin kh - sin 2kh)/6h;
+    # the modes and sigma_k are formed in long double and rounded once, so
+    # the rounding of the nodes 2 pi i / m does not enter
+    step = 2.0 * np.pi / m
+    h = 8 * np.arctan(np.longdouble(1)) / m
+    theta = h * np.arange(m)
+    D = _dense_five_point(m, step, True)
+    for k in (1, 2):
+        symbol = (8 * np.sin(k * h) - np.sin(2 * k * h)) / (6 * h)
+        for mode, image in ((np.sin(k * theta), symbol * np.cos(k * theta)),
+                            (np.cos(k * theta), -symbol * np.sin(k * theta))):
+            for a in range(3):
+                f = _stacked_along(mode.astype(float), a, m)
+                out = geo.five_point(f, 1 + a, step, True, out=np.empty_like(f))
+                exact = _stacked_along(image.astype(float), a, m)
+                assert _within_rounding(out, exact, D, f, 1 + a)
+
+
 def test_numeric_path_matches_analytic():
     chart = geo.catalog(3)["catenoid_3"]
     g = geo.sample_chart(chart, 17)
@@ -246,8 +338,8 @@ def _perturbed(n, name):
     and of u nu."""
     g = geo.sample_chart(geo.catalog(n)[name], 17 if n == 2 else 13)
     u = np.cos(3.0 * g.X[..., 0]) * np.sin(2.0 * g.X[..., -1] + 0.5)
-    return (g, u, geo.fd_jacobian(g.X, g._deriv_mats),
-            geo.fd_jacobian(u[..., None] * g.nu, g._deriv_mats))
+    return (g, u, geo.fd_jacobian(g.X, g.spacings, g.periodic),
+            geo.fd_jacobian(u[..., None] * g.nu, g.spacings, g.periodic))
 
 
 @pytest.mark.parametrize("n, name", CATALOG_SAMPLES)
@@ -255,7 +347,7 @@ def test_oracle_jacobian_is_linear_in_tau(n, name):
     # the oracle's J0 + tau J1 is the FD Jacobian of X + tau u nu
     g, u, jac0, jac1 = _perturbed(n, name)
     for tau in TAUS:
-        jac = geo.fd_jacobian(g.X + tau * u[..., None] * g.nu, g._deriv_mats)
+        jac = geo.fd_jacobian(g.X + tau * u[..., None] * g.nu, g.spacings, g.periodic)
         assert np.abs(jac0 + tau * jac1 - jac).max() <= 1e-12 * np.abs(jac).max()
 
 
@@ -475,9 +567,6 @@ def test_export_writes_the_given_path_with_fixed_bytes(tmp_path):
     assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
 
 
-EPS = np.finfo(float).eps
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_closed_form_det_and_inverse_match_linalg(n):
     rng = np.random.default_rng(7)
@@ -519,6 +608,35 @@ def test_sampled_fields_do_not_depend_on_the_blas_kernel(child_env):
     # different OpenBLAS kernels: a per-node BLAS product (g = J^T J and
     # S = g^-1 h by stacked matmul) gave different bits under these two
     digests = [subprocess.run([sys.executable, "-c", _FIELD_DIGEST], check=True,
+                              capture_output=True, text=True, timeout=300,
+                              env={**child_env, "OPENBLAS_CORETYPE": core}).stdout
+               for core in ("Nehalem", "Sandybridge")]
+    assert digests[0] and digests[0] == digests[1]
+
+
+_DERIVATIVE_DIGEST = """
+import hashlib
+import numpy as np
+from anisocheck import geometry as geo, integrand as ig, variation as va
+g = geo.sample_chart(geo.Catenoid3(theta_range=(0.25 * np.pi, 0.75 * np.pi)), 25)
+oracle = va.NormalOracle(g, {"centered": va.bump_function(g, "centered")})
+fd = oracle.first_difference(ig.Integrand.isotropic(4), "centered")
+h = hashlib.sha256()
+for a in (geo.fd_jacobian(g.X, g.spacings, g.periodic), g.param_gradient(g.r),
+          g.laplacian(np.log(g.r)), np.float64(fd)):
+    h.update(np.ascontiguousarray(a).tobytes())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_derivatives_do_not_depend_on_the_blas_kernel(child_env):
+    # the finite-difference Jacobian, gradient, Laplacian and one
+    # normal-graph oracle difference, hashed in two child processes that
+    # run different OpenBLAS kernels: a tensordot with a dense derivative
+    # matrix gave different bits under these two
+    digests = [subprocess.run([sys.executable, "-c", _DERIVATIVE_DIGEST], check=True,
                               capture_output=True, text=True, timeout=300,
                               env={**child_env, "OPENBLAS_CORETYPE": core}).stdout
                for core in ("Nehalem", "Sandybridge")]

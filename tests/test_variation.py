@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -446,40 +445,7 @@ def test_spectrum_report_is_the_same_at_any_blas_thread_count(tmp_path, child_en
     assert one == two
 
 
-SPIN_CHILD = """
-import json, os, sys, threading, time
-import numpy as np
-# loading scipy's own OpenBLAS starts its worker, which spins once at start:
-# a cost per process, not per solve, so it is paid before any window
-import scipy.linalg
-from anisocheck import conformal as cf, geometry as geo, schema as sch, variation as va
-
-MAIN = threading.get_native_id()
-
-
-def worker_ticks():
-    # utime + stime, in clock ticks, of every thread but the main one
-    ticks = 0
-    for tid in os.listdir("/proc/self/task"):
-        if int(tid) != MAIN:
-            stat = open(f"/proc/self/task/{tid}/stat").read()
-            ticks += sum(int(f) for f in stat[stat.rindex(")") + 2:].split()[11:13])
-    return ticks
-
-
-def window(work):
-    # worker ticks of ``work`` and of the 0.1 s the main thread spins after
-    # it, long enough to catch a worker that spins on once woken; the sleep
-    # first lets a worker woken before the window fall idle
-    time.sleep(0.5)
-    before = worker_ticks()
-    work()
-    end = time.perf_counter() + 0.1
-    while time.perf_counter() < end:
-        pass
-    return worker_ticks() - before
-
-
+SPECTRA_CHILD = """
 stability, (flat_chart, flat_res) = json.loads(sys.argv[1])
 forms = [va.PhiForm(geo.sample_chart(sch.build_chart(chart), res),
                     sch.build_integrand(integrand)) for chart, integrand, res in stability]
@@ -496,10 +462,7 @@ print(json.dumps({
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="reads /proc/self/task; needs two CPUs for a BLAS worker")
-def test_spectral_solves_wake_no_blas_worker(child_env):
+def test_spectral_solves_wake_no_blas_worker(worker_ticks_child):
     # the Dirichlet solves of the spectra workload in a child at two OpenBLAS
     # threads: the Ritz solve of the Lanczos matrix T must leave every worker
     # thread asleep.  numpy's full eigh of a 40 x 40 T wakes one, which then
@@ -510,11 +473,7 @@ def test_spectral_solves_wake_no_blas_worker(child_env):
                  ({"kind": "sphere", "n": 3, "radius": 1.0,
                    "box": [list(BAND), list(BAND), [0.0, 2 * np.pi]]}, _MILD, 25)]
     lambda1 = (_PLANE, 21)   # the conformal lambda1 job's flat patch
-    proc = subprocess.run([sys.executable, "-c", SPIN_CHILD, json.dumps([stability, lambda1])],
-                          capture_output=True, text=True, timeout=300,
-                          env={**child_env, "OPENBLAS_NUM_THREADS": "2"})
-    assert proc.returncode == 0, proc.stderr
-    ticks = json.loads(proc.stdout)
+    ticks = worker_ticks_child(SPECTRA_CHILD, json.dumps([stability, lambda1]))
     if ticks["control"] == 0:
         pytest.skip("numpy's eigh woke no BLAS worker here, so the check shows nothing")
     assert ticks["solves"] == 0, ticks
@@ -708,9 +667,9 @@ def test_oracle_shares_resamples_across_integrands(monkeypatch, iso3):
     jacobians = []
     fd_jacobian = geo.fd_jacobian
 
-    def counting(X, mats):
+    def counting(X, spacings, periodic):
         jacobians.append(X.shape)
-        return fd_jacobian(X, mats)
+        return fd_jacobian(X, spacings, periodic)
 
     monkeypatch.setattr(geo, "fd_jacobian", counting)
     mild = ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.1]))

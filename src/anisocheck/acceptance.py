@@ -49,7 +49,11 @@ RES_3D = ladder(13, 2)
 REL_TOL = 1e-3
 ORDER_FLOOR_REL = 1e-4
 LAMBDA1_SLACK = 1e-3
-REDERIVATION_TOL = 1e-14
+#: relative tolerance of a constant's double route against its 50-digit value.
+#: The worst amplification of rounding is exp(E) in V0: its relative error is
+#: the absolute error of E = 15 pi / lambda ~ 95.2 (as-printed V0), a few ulps
+#: of E at 1.4e-14 each.  The largest reading is 3.6e-14; a 1e-12 fault fails.
+DOUBLE_ROUTE_TOL = 5e-13
 LAMBDA1_NOTE = ("Dirichlet value on a compact chart piece; upper bounds the chart's "
                 "own bottom eigenvalue only, quoted for consistency with the target "
                 "on stable catalog charts")
@@ -249,14 +253,14 @@ def bubble_checks(model, prof):
 
 def constants_checks(table):
     """Criterion 1's records on the constants ``table``: closed forms of the
-    pinched lambda and c0 and of its isotropic-case entries, then the relative
-    error of each entry against a re-evaluation of its expression."""
-    lam = co.spectral_lambda(3, 1.0 / SQRT2, co.C0)
+    pinched lambda and c0 and of its isotropic-case entries, then for each
+    entry the relative difference of its double route from its 50-digit
+    value (``double route <name> (rel)``)."""
+    lam = co.LAMBDA
     lam_closed = 3.0 * (5.0 + 3.0 * SQRT2) / 56.0
     vol_ref = (32.0 * math.pi / 3.0) ** 1.5 * math.exp(30.0 * math.pi / math.sqrt(3.0)) \
         / (6.0 * math.sqrt(math.pi))
     rho0 = table.value("rho0_min_case")
-    beta = co.c0_and_beta()[1]
     recs = [
         le("lambda vs 3(5+3sqrt2)/56 (rel)", abs(lam - lam_closed) / lam_closed, 1e-14),
         le("c0 vs 1/(sqrt2 - 1/2) (rel)", abs(co.C0 - 1.0 / (SQRT2 - 0.5)) / co.C0, 1e-14),
@@ -273,9 +277,11 @@ def constants_checks(table):
            / (4 * math.pi / math.sqrt(3.0)), 1e-14),
         le("lambda pipeline uses no hand-entered minimal value",
            abs(co.spectral_lambda(3, 1.0, 1.0) - table.value("lambda_min_case")), 0.0),
-        le("beta route cross-check residual", abs(0.5 * 3 * (0.5 - 0.5 / beta) - lam), 1e-14)]
-    return recs + [le(f"rederive {e.name}", e.rederivation_error(), REDERIVATION_TOL,
-                      constant=e.value, expression=e.expression)
+        le("beta route cross-check residual", abs(0.5 * 3 * (0.5 - 0.5 / co.BETA) - lam),
+           1e-14)]
+    return recs + [le(f"double route {e.name} (rel)",
+                      abs(e.value_double - e.value) / max(abs(e.value), 1e-300),
+                      DOUBLE_ROUTE_TOL, constant=e.value, expression=e.expression)
                    for e in table.entries.values()]
 
 
@@ -499,12 +505,11 @@ def criterion_conformal(seed=iq.SEED):
     recs.append(lambda1_target_check("flat patch lambda1 estimate vs 3/4", cf.deform(g),
                                      ig.Integrand.isotropic(4), cf.LAMBDA_TARGET[3]))
     # pointwise absorption step margins on the catalog
-    beta = co.c0_and_beta()[1]
     worst_cs = math.inf
     for n in (2, 3):
         for chart in geo.catalog(n).values():
             g = geo.sample_chart(chart, 11)
-            worst_cs = min(worst_cs, cf.cauchy_schwarz_step_check(g, beta))
+            worst_cs = min(worst_cs, cf.cauchy_schwarz_step_check(g, co.BETA))
     recs.append(ge("absorption step worst margin", worst_cs, -1e-10))
     # dilation invariance of deformed lengths
     cone = geo.catalog(3)["cone"]

@@ -119,9 +119,12 @@ def _run_variation(inputs, seed, out_dir):
             "vector-field identity residual", form, va.VectorField(np.eye(g.dim))))
     if "isoperimetric" in tests:
         rho = float(inputs["rho"])
+        edge = geo.boundary_radius(g)
         if rho <= 0.0:
-            rho = max((float(np.linalg.norm(f.X, axis=-1).max())
-                       for f in geo.boundary_faces(g)), default=0.0) * (1 + 1e-12)
+            rho = edge * (1 + 1e-12)
+        elif edge > rho * (1 + va.BALL_SLACK):
+            raise _invalid("/inputs/rho", f"the chart boundary reaches radius {edge:.6g}, "
+                           f"outside the ball of radius {rho!r}")
         records.append(ac.isoperimetric_margin_check("isoperimetric margin", form, rho))
     if "spectrum" in tests:
         spec = va.stability_spectrum(form)

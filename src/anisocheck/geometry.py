@@ -224,20 +224,10 @@ class SampledGeometry:
         f = self.sqrt_det_g if density is None else np.asarray(density) * self.sqrt_det_g
         return float(np.sum(self.node_weights() * f))
 
-    def _derivative_planes(self, f):
-        """df[a] = df / du_a of a node field ``f`` (leading entry axes
-        allowed), one :func:`five_point` call per grid axis, stacked on a new
-        leading axis a."""
-        lead = f.ndim - self.n
-        df = np.empty((self.n,) + f.shape)
-        for a in range(self.n):
-            five_point(f, lead + a, self.spacings[a], self.periodic[a], out=df[a])
-        return df
-
     def param_gradient(self, f):
         """Per-axis parameter derivatives of a node field, f.shape + (n,),
         each derivative one contiguous plane."""
-        return np.moveaxis(self._derivative_planes(f), 0, -1)
+        return np.moveaxis(grid_derivatives(f, self.spacings, self.periodic), 0, -1)
 
     def grad_norm_sq(self, f):
         df = self.param_gradient(f)
@@ -246,7 +236,7 @@ class SampledGeometry:
     def laplacian(self, f):
         """Metric-aware Laplacian: (1/sqrt g) d_a (sqrt g g^{ab} d_b f), of
         each field that ``f`` stacks on leading entry axes."""
-        df = self._derivative_planes(f)
+        df = grid_derivatives(f, self.spacings, self.periodic)
         out, term = np.zeros(f.shape), np.empty(f.shape)
         for a in range(self.n):
             flux = self.metric_inv[..., a, 0] * df[0]
@@ -433,6 +423,20 @@ def sample_chart(chart, shape):
                      _metric(jac, chart.name, params), pole_ends=chart.pole_ends)
 
 
+def grid_derivatives(f, spacings, periodic):
+    """df[a] = df / du_a of a node field ``f`` on a grid of steps
+    ``spacings`` (periodic where ``periodic``), which may stack fields on
+    leading entry axes before its len(spacings) grid axes: one
+    :func:`five_point` call per grid axis, stacked on a new leading axis a,
+    so each derivative is one contiguous block."""
+    n = len(spacings)
+    lead = f.ndim - n
+    df = np.empty((n,) + f.shape)
+    for a in range(n):
+        five_point(f, lead + a, spacings[a], periodic[a], out=df[a])
+    return df
+
+
 def fd_jacobian(X, spacings, periodic):
     """J[..., d, a] = dX_d / du_a of node positions X by the five-point
     stencil (:func:`five_point`) along grid axis a, of step ``spacings[a]``
@@ -441,11 +445,7 @@ def fd_jacobian(X, spacings, periodic):
     shape (n, dim) + grid, so each column a is one contiguous block, each
     entry (d, a) is contiguous over the grid, and the entrywise products of
     :func:`_generalized_cross` read contiguous data."""
-    stored = np.moveaxis(X, -1, 0)
-    n = stored.ndim - 1
-    jac = np.empty((n,) + stored.shape)
-    for a in range(n):
-        five_point(stored, 1 + a, spacings[a], periodic[a], out=jac[a])
+    jac = grid_derivatives(np.moveaxis(X, -1, 0), spacings, periodic)
     return np.moveaxis(jac, (0, 1), (-1, -2))
 
 
@@ -477,25 +477,17 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
     """Build a SampledGeometry from node positions alone (all derivatives by
     grid finite differences); the normal sign is aligned with ``ref_nu``."""
     X = np.asarray(X, dtype=float)
-    shape, dim, n = X.shape[:-1], X.shape[-1], X.ndim - 1
     periodic = tuple(periodic)
-    params, spacings = _grid_for(box, shape, periodic)
+    params, spacings = _grid_for(box, X.shape[:-1], periodic)
     jac = fd_jacobian(X, spacings, periodic)
     nu = _oriented_normal(jac, ref_nu, params, chart_name)[0]
     metric = _metric(jac, chart_name, params)
-    # d2X_ab symmetrized from derivatives of the Jacobian columns, each
-    # column differentiated through its (dim,) + grid storage; d2X is stored
-    # as (n, n, dim) + grid, so that each (a, b) block is contiguous
-    cols = np.moveaxis(jac, (-1, -2), (0, 1))
-    d2X = np.empty((n, n, dim) + shape)
-    for a in range(n):
-        for b in range(a, n):
-            five_point(cols[a], 1 + b, spacings[b], periodic[b], out=d2X[a, b])
-            if b > a:
-                five_point(cols[b], 1 + a, spacings[a], periodic[a], out=d2X[b, a])
-                d2X[a, b] += d2X[b, a]
-                d2X[a, b] *= 0.5
-                d2X[b, a] = d2X[a, b]
+    # d2X = (D + D^T)/2 of the derivatives D[b, a] = d/du_b of the Jacobian
+    # columns a, differentiated through their (n, dim) + grid storage; d2X
+    # is stored as (n, n, dim) + grid, so that each (a, b) block is contiguous
+    D = grid_derivatives(np.moveaxis(jac, (-1, -2), (0, 1)), spacings, periodic)
+    d2X = D + D.swapaxes(0, 1)
+    d2X *= 0.5
     return _assemble(chart_name, list(box), periodic, spacings, params, X, jac,
                      np.moveaxis(d2X, (0, 1, 2), (-2, -1, -3)), nu, metric,
                      pole_ends=pole_ends)
@@ -563,6 +555,13 @@ def boundary_faces(geom):
 
 def boundary_area(geom):
     return sum(f.integrate(1.0) for f in boundary_faces(geom))
+
+
+def boundary_radius(geom):
+    """The largest |X| on the physical boundary of ``geom`` (0.0 for a
+    chart without one)."""
+    return max((float(np.linalg.norm(f.X, axis=-1).max()) for f in boundary_faces(geom)),
+               default=0.0)
 
 
 # -- radial identity check ----------------------------------------------------

@@ -317,6 +317,14 @@ def _rules(job):
         if nodes > MAX_SPHERE_NODES:
             return [f"/inputs/resolution: sphere grid of {nodes} nodes in dimension "
                     f"{dim}, more than MAX_SPHERE_NODES = {MAX_SPHERE_NODES}"]
+    if cmd == "constants":
+        c1, phi = float(inputs["c1_norm"]), float(inputs["phi_min"])
+        key = "c1_norm" if "c1_norm" in job.get("inputs", {}) else "phi_min"
+        if c1 < phi:
+            return [f"/inputs/{key}: c1_norm = {c1!r} must be >= phi_min = {phi!r}"]
+        if not all(math.isfinite(co.v0_double(v, c1 / phi)) for v in co.VARIANTS):
+            return [f"/inputs/{key}: V0 overflows a double at c1_norm / phi_min = "
+                    f"{c1 / phi:.3g}"]
     if cmd not in ("variation", "conformal"):
         return []
     chart, spec, n = inputs["chart"], inputs["integrand"], inputs["chart"]["n"]

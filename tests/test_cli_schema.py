@@ -9,6 +9,7 @@ import pytest
 
 from anisocheck import cli
 from anisocheck import conformal as cf
+from anisocheck import constants as co
 from anisocheck import geometry as geo
 from anisocheck import inequalities as iq
 from anisocheck import mubble as mb
@@ -508,6 +509,19 @@ UNRUNNABLE = [
     (_variation(resolution=[11, 11, 10]), "/inputs/resolution"),
     (_conformal(chart={"kind": "cone", "n": 3}, resolution=10), "/inputs/resolution"),
 ]
+# a positive rho inside the chart: its boundary reaches radius sqrt(3 + 1) = 2
+RHO_INSIDE = (_variation(tests=["isoperimetric"], rho=0.5), "/inputs/rho")
+
+# integrand norms of a constants table that cannot be built: c1_norm below
+# phi_min, or a ratio c1_norm / phi_min at which V0 overflows a double; the
+# pointer names the key the job gave
+UNBUILDABLE_NORMS = [
+    ({"command": "constants", "inputs": {"c1_norm": 0.5}}, "/inputs/c1_norm"),
+    ({"command": "constants", "inputs": {"phi_min": 2.0}}, "/inputs/phi_min"),
+    ({"command": "constants", "inputs": {"c1_norm": 1e300}}, "/inputs/c1_norm"),
+    ({"command": "constants", "inputs": {"phi_min": 1e-12, "variant": "as-printed",
+                                         "c1_norm": 1e256}}, "/inputs/c1_norm"),
+]
 
 
 # inputs that are no longer read: an integrand's scale c is the quadratic
@@ -531,7 +545,7 @@ def _run_pointers(tmp_path, capsys, job):
 
 @pytest.mark.parametrize("job, pointer",
                          UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT + UNCAPPED + UNRUNNABLE
-                         + REMOVED_INPUTS)
+                         + REMOVED_INPUTS + UNBUILDABLE_NORMS + [RHO_INSIDE])
 def test_unchecked_inputs_exit_2_with_their_pointer(tmp_path, capsys, job, pointer):
     assert _run_pointers(tmp_path, capsys, job) == (2, [pointer])
 
@@ -552,6 +566,25 @@ def test_valid_jobs_run(tmp_path, job):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
     assert cli.main(["run", "--job", str(path)]) in (0, 1)
+
+
+def test_valid_constants_jobs_pass():
+    # log-uniform norms over the whole range the schema admits, any variant:
+    # a job that validates builds its table and passes every record
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    exponent = st.floats(-12.0, 300.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(exponent, exponent, st.sampled_from(co.VARIANTS))
+    def check(c1, phi, variant):
+        job = {"command": "constants",
+               "inputs": {"c1_norm": 10.0**c1, "phi_min": 10.0**phi, "variant": variant}}
+        if not sch.validate_job(job):
+            assert cli.run(job)["pass"], job
+
+    check()
 
 
 def test_round_cap_without_T_exits_2(tmp_path, capsys):
@@ -575,7 +608,8 @@ def test_jsonschema_agrees_with_the_walker():
     validator = _draft7()
     jobs = [json.loads(p.read_text()) for p in sorted(JOBS_DIR.glob("*.json"))]
     jobs += EXAMPLE_JOBS + [job for job, _ in UNCHECKED_INPUTS + BEYOND_FLOAT + UNCAPPED
-                            + UNRUNNABLE + REMOVED_INPUTS]
+                            + UNRUNNABLE + REMOVED_INPUTS + UNBUILDABLE_NORMS]
+    jobs.append(RHO_INSIDE[0])
     jobs.append({"command": "mubble", "inputs": {"model": {"profile": "round_cap"}}})
     jobs += [{"command": "integrand",
               "inputs": {"integrand": {"kind": "quadratic", "matrix": m}}}

@@ -275,8 +275,7 @@ def test_lambda1_hemisphere_matches_separated_oracle():
 
 
 def test_absorption_step_margin_on_catalog():
-    beta = co.c0_and_beta()[1]
     for n in (2, 3):
         for chart in geo.catalog(n).values():
             g = geo.sample_chart(chart, 9)
-            assert cf.cauchy_schwarz_step_check(g, beta) >= -1e-10
+            assert cf.cauchy_schwarz_step_check(g, co.BETA) >= -1e-10

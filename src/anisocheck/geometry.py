@@ -15,9 +15,10 @@ Conventions (the sign dictionary):
 * mean curvature vector ``H_vec = Laplace_g X = -H nu``; the identity is
   validated numerically rather than assumed where both appear.
 
-A chart of revolution reads its seam and its poles from its box
-(`Revolution`): the link's azimuth is periodic exactly when its range
-spans 2 pi, and an end of a polar angle at 0 or pi is a pole.  Quadrature
+Every chart of revolution is the q = 0 instance of one two-link chart
+X = (rho(t) omega, z(t) eta) (`Join`; S^0 is the point eta = +1), and the
+cone over the Clifford torus its q = 1 instance.  It reads its seam and
+its poles from its box, link by link.  Quadrature
 and stencils wrap across a periodic axis.  Pole ends are inset by half a
 grid step so nodes never sit on the degeneracy; the inset shrinks under
 refinement, so integrals converge to the closed (uninset) values at second
@@ -614,24 +615,24 @@ def export_csv(geom, path):
 # -- chart catalog ------------------------------------------------------------
 
 
-def _circle(theta):
-    """S^1 direction and derivatives from theta: omega (2,), d_omega (2,1),
-    d2_omega (2,1,1), each stored entry-major."""
-    c, s = np.cos(theta), np.sin(theta)
-    return (_grid_view(np.array([c, s]), 1), _grid_view(np.array([[-s], [c]]), 2),
-            _grid_view(np.array([[[-c]], [[-s]]]), 3))
-
-
-def _sphere2(theta, phi):
-    """S^2 direction and derivatives from (theta, phi): omega, d_omega (3,2),
-    d2_omega (3,2,2), each stored entry-major."""
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    zero = np.zeros_like(st)
-    omega = [st * cp, st * sp, ct]
-    d = [[ct * cp, -st * sp], [ct * sp, st * cp], [-st, zero]]
-    mixed = [-ct * sp, ct * cp, zero]
-    dd = [[[-w, m], [m, e]] for w, m, e in zip(omega, mixed, [-st * cp, -st * sp, zero])]
+def _link(angles):
+    """The unit sphere S^k, k = len(angles) <= 2, and its derivatives:
+    omega (k + 1,), d omega (k + 1, k) and d^2 omega (k + 1, k, k), stored
+    entry-major.  S^0 is the point +1, S^1 is (cos theta, sin theta) and S^2
+    is (sin theta cos phi, sin theta sin phi, cos theta)."""
+    if not angles:
+        return np.ones(1), np.zeros((1, 0)), np.zeros((1, 0, 0))
+    if len(angles) == 1:
+        c, s = np.cos(angles[0]), np.sin(angles[0])
+        omega, d, dd = [c, s], [[-s], [c]], [[[-c]], [[-s]]]
+    else:
+        st, ct = np.sin(angles[0]), np.cos(angles[0])
+        sp, cp = np.sin(angles[1]), np.cos(angles[1])
+        zero = np.zeros_like(st)
+        omega = [st * cp, st * sp, ct]
+        d = [[ct * cp, -st * sp], [ct * sp, st * cp], [-st, zero]]
+        mixed = [-ct * sp, ct * cp, zero]
+        dd = [[[-w, m], [m, e]] for w, m, e in zip(omega, mixed, [-st * cp, -st * sp, zero])]
     return (_grid_view(np.array(omega), 1), _grid_view(np.array(d), 2),
             _grid_view(np.array(dd), 3))
 
@@ -674,67 +675,64 @@ class Chart:
         return [tuple(b) for b in box]
 
 
-class Revolution(Chart):
-    """Hypersurface of revolution X = (rho(t) omega, z(t)) with omega on the
-    unit sphere S^{n-1} (S^1 for n = 2, S^2 for n = 3).
+class Join(Chart):
+    """Hypersurface X = (rho(t) omega, z(t) eta), omega on the unit sphere
+    S^p and eta on S^q (`_link`), p + q + 1 = n: the pieces invariant under
+    O(p+1) x O(q+1) (Hsiang-Lawson); q = 0 is a hypersurface of revolution.
 
     The profile parameter t is the first axis (the last one where
-    ``profile_axis = -1``); the remaining axes parametrize omega.  A family
-    supplies ``_profile(t)``, which returns (rho, rho', rho'', z, z', z'')
-    and the normal components (n_rho, n_z) with nu = (n_rho omega, n_z).
-
-    The box alone decides the seam and the poles: the last link axis (the
-    azimuth) is periodic exactly when its range spans 2 pi, and an end of a
-    polar angle (the link's theta for n = 3, and the profile parameter of
-    a chart whose ``profile_is_polar``) is a pole when it sits at 0 or pi.
+    ``profile_axis = -1``), then come the angles of omega and of eta.  A
+    family sets ``q`` (default 0) and supplies ``_profile(t)``: (rho, rho',
+    rho'', z, z', z'') and (n_rho, n_z), nu = (n_rho omega, n_z eta).  The
+    box alone decides the seam and the poles, link by link: a link's last
+    angle (its azimuth) is periodic exactly when its range spans 2 pi, and
+    an end of a polar angle (a 2-sphere link's theta, and the profile
+    parameter where ``profile_is_polar``) is a pole when it sits at 0 or pi.
     """
 
     profile_axis = 0
     profile_is_polar = False
+    q = 0
 
     def __init__(self, n, box):
         super().__init__(n, box)
         p = self.profile_axis % n
-        links = [a for a in range(n) if a != p]
-        lo, hi = self.box[links[-1]]
-        seam = abs(hi - lo - 2 * np.pi) < ANGLE_TOL
-        self.periodic = tuple(seam and a == links[-1] for a in range(n))
-        polar = sorted(links[:-1] + [p] * self.profile_is_polar)
-        self.pole_ends = tuple((a, side) for a in polar for side in (0, -1)
+        angles = [a for a in range(n) if a != p]
+        self.links = (angles[:n - 1 - self.q], angles[n - 1 - self.q:])
+        periodic, polar = [False] * n, [p] * self.profile_is_polar
+        for axes in filter(None, self.links):
+            lo, hi = self.box[axes[-1]]
+            periodic[axes[-1]] = abs(hi - lo - 2 * np.pi) < ANGLE_TOL
+            polar += axes[:-1]
+        self.periodic = tuple(periodic)
+        self.pole_ends = tuple((a, side) for a in sorted(polar) for side in (0, -1)
                                if min(abs(self.box[a][side]),
                                       abs(self.box[a][side] - np.pi)) < ANGLE_TOL)
 
     def frame(self, u):
-        n = self.n
-        p = self.profile_axis % n
-        links = [a for a in range(n) if a != p]
-        om, dom, ddom = (_circle(u[..., links[0]]) if n == 2
-                         else _sphere2(u[..., links[0]], u[..., links[1]]))
-        (rho, rho1, rho2, z, z1, z2), (n_rho, n_z) = self._profile(u[..., p])
-        rho, rho1, rho2, n_rho = (np.asarray(f, dtype=float)[..., None]
-                                  for f in (rho, rho1, rho2, n_rho))
+        n, p = self.n, self.profile_axis % self.n
+        # the links before the outputs: freed below them, their memory serves
+        # the next call (formed after, a 49^3 sample page-faulted a fifth more)
+        links = [_link([u[..., a] for a in axes]) for axes in self.links]
+        profile, normal = self._profile(u[..., p])
         shp = u.shape[:-1]
-        X = _planes(shp, (n + 1,))
-        X[..., :n] = rho * om
-        X[..., n] = z
-        J = _planes(shp, (n + 1, n))
-        J[..., :n, p] = rho1 * om
-        J[..., n, p] = z1
-        d2 = _planes(shp, (n + 1, n, n))
-        d2[..., :n, p, p] = rho2 * om
-        d2[..., n, p, p] = z2
-        for i, a in enumerate(links):
-            J[..., :n, a] = rho * dom[..., i]
-            d2[..., :n, p, a] = d2[..., :n, a, p] = rho1 * dom[..., i]
-            for j, b in enumerate(links):
-                d2[..., :n, a, b] = rho * ddom[..., i, j]
-        nu = _planes(shp, (n + 1,))
-        nu[..., :n] = n_rho * om
-        nu[..., n] = n_z
+        X, J, d2, nu = (_planes(shp, (n + 1,) + (n,) * k) for k in (0, 1, 2, 0))
+        for k, (axes, (om, dom, ddom)) in enumerate(zip(self.links, links)):
+            rows = slice(0, n - self.q) if k == 0 else slice(n - self.q, n + 1)
+            f, f1, f2, nf = (np.asarray(v, dtype=float)[..., None]
+                             for v in profile[3 * k:3 * k + 3] + (normal[k],))
+            for factor, out in ((f, X), (nf, nu), (f1, J[..., p]), (f2, d2[..., p, p])):
+                np.multiply(factor, om, out=out[..., rows])
+            for i, a in enumerate(axes):
+                np.multiply(f, dom[..., i], out=J[..., rows, a])
+                np.multiply(f1, dom[..., i], out=d2[..., rows, p, a])
+                d2[..., rows, a, p] = d2[..., rows, p, a]
+                for j, b in enumerate(axes):
+                    np.multiply(f, ddom[..., i, j], out=d2[..., rows, a, b])
         return X, J, d2, nu
 
 
-class Hyperplane(Revolution):
+class Hyperplane(Join):
     """Flat chart in the coordinate hyperplane x_d = offset.
 
     Cartesian by default; ``polar=True`` uses radial coordinates in the
@@ -749,7 +747,7 @@ class Hyperplane(Revolution):
             box = ([(R_MIN, 1.0)] + [(0.0, np.pi)] * (n - 2) + [(0.0, 2 * np.pi)] if polar
                    else [(-1.0, 1.0)] * n)
         # a Cartesian chart is not a chart of revolution: no seam, no pole
-        (Revolution if polar else Chart).__init__(self, n, box)
+        (Join if polar else Chart).__init__(self, n, box)
         self.name = f"hyperplane{'_polar' if polar else ''}{n}"
 
     def _profile(self, s):
@@ -776,7 +774,7 @@ class Hyperplane(Revolution):
         return np.asarray(u, dtype=float)[..., 0]
 
 
-class Sphere(Revolution):
+class Sphere(Join):
     """Round sphere of radius rho about ``center``, outward normal; the
     profile parameter is the polar angle."""
 
@@ -798,7 +796,7 @@ class Sphere(Revolution):
         return self.center + X, J, d2, nu
 
 
-class Cylinder(Revolution):
+class Cylinder(Join):
     """Product of a round sphere of radius ``a`` with a line segment."""
 
     profile_axis = -1
@@ -812,7 +810,7 @@ class Cylinder(Revolution):
         return (self.a, 0.0, 0.0, z, 1.0, 0.0), (1.0, 0.0)
 
 
-class Catenoid2(Revolution):
+class Catenoid2(Join):
     """Classical minimal surface of revolution in R^3, neck scale c."""
 
     def __init__(self, scale=1.0, s_range=(-1.0, 1.0)):
@@ -841,7 +839,7 @@ def _catenoid3_height(t, c):
     return np.einsum("...q,q->...", vals, ws) * t
 
 
-class Catenoid3(Revolution):
+class Catenoid3(Join):
     """Rotationally symmetric minimal hypersurface in R^4.
 
     Profile rho(t) = c sqrt(cosh(2t/c)) with height z(t) chosen so that
@@ -924,7 +922,7 @@ class Graph(Chart):
         return X, J, d2, nu
 
 
-class ConePatch(Revolution):
+class ConePatch(Join):
     """Truncated cone over a sphere, radial from the ambient origin.
 
     X(s, angles) = s (a omega, b) with a^2 + b^2 = 1, so r(X) = s exactly
@@ -950,6 +948,24 @@ class ConePatch(Revolution):
     def intrinsic_radius(self, u):
         """Distance to the apex along the cone (rays are unit speed)."""
         return np.asarray(u, dtype=float)[..., 0]
+
+
+class CliffordCone(Join):
+    """The cone over the Clifford torus, X = s (omega, eta) / sqrt 2 with
+    omega and eta on unit circles, on the annulus s in [1, e^T]: H = 0,
+    |A|^2 = 2 / s^2, and the annulus is stable exactly for
+    T <= 2 pi / sqrt 7 (Simons 1968)."""
+
+    q = 1
+
+    def __init__(self, T=2.0):
+        self.T = float(T)
+        super().__init__(3, [(1.0, math.exp(self.T)), (0.0, 2 * np.pi), (0.0, 2 * np.pi)])
+        self.name = "clifford_cone"
+
+    def _profile(self, s):
+        h = math.sqrt(0.5)
+        return (h * s, h, 0.0, h * s, h, 0.0), (h, -h)
 
 
 def catalog(n):

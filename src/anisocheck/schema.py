@@ -59,6 +59,12 @@ MAX_SPHERE_RESOLUTION = 289
 #: nodes; a funnel job at the cap peaks at 388 MiB RSS in 4-5 s on the
 #: machine above (1.3 GiB in 60 s at 4 * 10^6 + 1, when the cap was set)
 MAX_N_GRID = 1_000_000
+#: the range of a Clifford cone's T, the log of its annulus s in [1, e^T].
+#: From T = 177.8 the quartics of s (det g = s^4 / 4) overflow a double, and
+#: below T = 3e-16 the s-step vanishes in the rounding of s = 1; at 1e-15 a
+#: first-variation record already reads rounding noise.  Cone jobs at both
+#: ends of this range exit 0 or 1 at every resolution
+CONE_T_RANGE = (1e-3, 100.0)
 #: the chart class of each kind and the keys its constructor reads
 CHARTS = {
     "hyperplane": (geo.Hyperplane, ("n", "offset", "box", "polar")),
@@ -68,6 +74,7 @@ CHARTS = {
     "catenoid_3": (geo.Catenoid3, ("scale", "t_range", "theta_range")),
     "graph": (geo.Graph, ("n", "height", "amplitude", "offset", "box")),
     "cone": (geo.ConePatch, ("n", "link_ratio", "s_range", "theta_range")),
+    "clifford_cone": (geo.CliffordCone, ("T",)),
 }
 
 
@@ -126,9 +133,12 @@ CHART = {
                    "description": "n + 1 numbers"},
         **{key: INTERVAL for key in ("theta_range", "z_range", "s_range", "t_range")},
         "box": {"type": "array", "items": INTERVAL, "description": "n intervals"},
+        "T": {"type": "number", "minimum": CONE_T_RANGE[0], "maximum": CONE_T_RANGE[1],
+              "description": "clifford_cone: the annulus s in [1, e^T]"},
     },
     "allOf": [_when("kind", "catenoid_2", {"properties": {"n": {"const": 2}}}),
-              _when("kind", "catenoid_3", {"properties": {"n": {"const": 3}}})],
+              *(_when("kind", kind, {"properties": {"n": {"const": 3}}})
+                for kind in ("catenoid_3", "clifford_cone"))],
 }
 
 MODEL = {

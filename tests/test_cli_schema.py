@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anisocheck import cli
@@ -12,6 +13,7 @@ from anisocheck import conformal as cf
 from anisocheck import constants as co
 from anisocheck import geometry as geo
 from anisocheck import inequalities as iq
+from anisocheck import integrand as ig
 from anisocheck import mubble as mb
 from anisocheck import schema as sch
 from anisocheck import variation as va
@@ -511,6 +513,10 @@ UNRUNNABLE = [
 ]
 # a positive rho inside the chart: its boundary reaches radius sqrt(3 + 1) = 2
 RHO_INSIDE = (_variation(tests=["isoperimetric"], rho=0.5), "/inputs/rho")
+# a size that, uncapped, overflows inside the runner (exit 3): e^T of the
+# Clifford cone's annulus (OverflowError); last, so the ids above keep
+# their indices
+CONE_T_OVERFLOW = (_variation(chart={"kind": "clifford_cone", "T": 800}), "/inputs/chart/T")
 
 # integrand norms of a constants table that cannot be built: c1_norm below
 # phi_min, or a ratio c1_norm / phi_min at which V0 overflows a double; the
@@ -545,7 +551,7 @@ def _run_pointers(tmp_path, capsys, job):
 
 @pytest.mark.parametrize("job, pointer",
                          UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT + UNCAPPED + UNRUNNABLE
-                         + REMOVED_INPUTS + UNBUILDABLE_NORMS + [RHO_INSIDE])
+                         + REMOVED_INPUTS + UNBUILDABLE_NORMS + [RHO_INSIDE, CONE_T_OVERFLOW])
 def test_unchecked_inputs_exit_2_with_their_pointer(tmp_path, capsys, job, pointer):
     assert _run_pointers(tmp_path, capsys, job) == (2, [pointer])
 
@@ -561,6 +567,14 @@ BAND = [math.pi / 4, 3 * math.pi / 4]
     # a periodic axis needs no room for the bumps
     _variation(chart={"kind": "sphere", "box": [BAND, BAND, [0.0, 2 * math.pi]]},
                resolution=[11, 11, 8]),
+    # a Clifford cone at either end of its T range, with every test but the
+    # conformal lambda1 (about 4 s at T = 100, where it passes; the spectrum
+    # of the variation job solves at both ends)
+    *(_variation(chart={"kind": "clifford_cone", "T": T}, resolution=[11, 8, 8],
+                 tests=["first_variation", "second_variation", "vectorfield",
+                        "isoperimetric", "spectrum"]) for T in sch.CONE_T_RANGE),
+    *(_conformal(chart={"kind": "clifford_cone", "T": T}, resolution=11,
+                 tests=["qform", "laplace_r", "distance"]) for T in sch.CONE_T_RANGE),
 ])
 def test_valid_jobs_run(tmp_path, job):
     path = tmp_path / "job.json"
@@ -587,6 +601,64 @@ def test_valid_constants_jobs_pass():
     check()
 
 
+def _runs_or_is_refused(job):
+    """Run a schema-valid ``job``: a check may fail (exit 1) and the runner
+    may refuse the job (exit 2), but no other exception (exit 3) escapes."""
+    if not sch.validate_job(job):
+        try:
+            cli.run(job)
+        except cli.InvalidJob:
+            pass
+
+
+def test_valid_mubble_jobs_run():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    number = st.floats(-1e3, 1e3) | st.floats(-1.0, 1.0)
+    params = st.fixed_dictionaries({}, optional={"rate": number, "amplitude": number,
+                                                 "period": st.floats(1e-3, 1e3)})
+    model = st.fixed_dictionaries(
+        {"profile": st.sampled_from(list(mb.PROFILES)), "n_grid": st.integers(3, 501)},
+        optional={"T": st.floats(1e-6, 60.0), "params": params,
+                  "lambda": st.floats(1e-6, 1e3), "eps": st.floats(1e-9, 0.5 - 1e-9)})
+    amplitude = st.sampled_from(["sqrt-lambda", "half"]) | number
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(model, st.none() | amplitude)
+    def check(model, amp):
+        inputs = {"model": model, **({} if amp is None else {"amplitude": amp})}
+        _runs_or_is_refused({"command": "mubble", "inputs": inputs})
+
+    check()
+
+
+def test_valid_integrand_jobs_run():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def spec(draw):
+        dim = draw(st.integers(3, 5))
+        kind = draw(st.sampled_from(["isotropic", "quadratic", "perturbed"]))
+        if kind == "quadratic":
+            m = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim * dim,
+                                       max_size=dim * dim))).reshape(dim, dim)
+            return {"kind": kind, "matrix": ((m + m.T) / 2 + 2.0 * np.eye(dim)).tolist()}
+        if kind == "perturbed":
+            return {"kind": kind, "dim": dim, "epsilon": draw(st.floats(-1.0, 1.0)),
+                    "profile": draw(st.sampled_from(sorted(ig.PROFILES)))}
+        return {"kind": kind, "dim": dim}
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(spec(), st.integers(8, 9))
+    def check(integrand, resolution):
+        _runs_or_is_refused({"command": "integrand",
+                             "inputs": {"integrand": integrand, "resolution": resolution}})
+
+    check()
+
+
 def test_round_cap_without_T_exits_2(tmp_path, capsys):
     # the runner's default T = 20 lies past the cap's second pole, T = pi
     job = {"command": "mubble", "inputs": {"model": {"profile": "round_cap"}}}
@@ -608,7 +680,8 @@ def test_jsonschema_agrees_with_the_walker():
     validator = _draft7()
     jobs = [json.loads(p.read_text()) for p in sorted(JOBS_DIR.glob("*.json"))]
     jobs += EXAMPLE_JOBS + [job for job, _ in UNCHECKED_INPUTS + BEYOND_FLOAT + UNCAPPED
-                            + UNRUNNABLE + REMOVED_INPUTS + UNBUILDABLE_NORMS]
+                            + UNRUNNABLE + REMOVED_INPUTS + UNBUILDABLE_NORMS
+                            + [CONE_T_OVERFLOW]]
     jobs.append(RHO_INSIDE[0])
     jobs.append({"command": "mubble", "inputs": {"model": {"profile": "round_cap"}}})
     jobs += [{"command": "integrand",

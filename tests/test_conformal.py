@@ -232,42 +232,16 @@ def test_lambda1_dirichlet_monotone_under_enlargement():
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_lambda1_hemisphere_matches_separated_oracle():
+def test_lambda1_hemisphere_matches_first_harmonic():
     # w == 1 on the unit sphere about the origin, so the estimate is the
-    # plain Dirichlet value of -Lap + R/2 on the hemisphere; the radial
-    # separation oracle (1D Sturm-Liouville with weight sin^2, natural at
-    # the pole, Dirichlet at the equator) gives the first-harmonic value
-    # 3 + R/2 = 6 exactly (eigenfunction cos theta)
+    # plain Dirichlet value of -Lap + R/2 on the hemisphere; separation of
+    # variables (natural at the pole, Dirichlet at the equator) gives the
+    # first-harmonic value 3 + R/2 = 6 exactly (eigenfunction cos theta)
     cap = geo.sample_chart(
         geo.Sphere(3, 1.0, box=[(0.0, np.pi / 2), (0, np.pi), (0, 2 * np.pi)]),
         (25, 13, 24))
     est = cf.lambda1_estimate(cf.deform(cap))
-
-    def oracle_1d(n=4001):
-        # grid offset half a step from the pole so the sin^2 weight stays
-        # positive; natural condition there, Dirichlet at the equator
-        h = (np.pi / 2) / n
-        t = np.linspace(h / 2, np.pi / 2, n)
-        f = np.sin(t)
-        w_mid = ((f[:-1] + f[1:]) / 2.0) ** 2
-        mass = f * f * h
-        mass[0] *= 0.5
-        mass[-1] *= 0.5
-        diag = np.zeros(n)
-        diag[:-1] += w_mid / h
-        diag[1:] += w_mid / h
-        d = np.sqrt(mass[:-1])
-        main = diag[:-1] / (d * d)
-        sub = -(w_mid[:-1] / h) / (d[:-1] * d[1:])
-        from scipy.linalg import eigh_tridiagonal
-        vals = eigh_tridiagonal(main, sub, select="i", select_range=(0, 0),
-                                eigvals_only=True)
-        return vals[0] + 3.0
-
-    lam_1d = oracle_1d()
-    assert lam_1d == pytest.approx(6.0, rel=1e-3)
     assert est.eigenvalue == pytest.approx(6.0, rel=2e-2)
-    assert est.eigenvalue == pytest.approx(lam_1d, rel=2e-2)
     # the inset pole nodes stretch the spectrum, so the true residual sits
     # near its tolerance while the Lanczos estimate may pass: the solve must
     # confirm it

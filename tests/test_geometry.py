@@ -437,6 +437,53 @@ def test_inner_polar_angle_ends_are_boundary():
         rel=1e-2)
 
 
+class _TwoLinks(geo.Join):
+    """A two-link chart on any box (n = 3): the Clifford cone's profile for
+    q = 1, and for q = 2 the cylinder X = (s, eta) over the 2-sphere link."""
+
+    def __init__(self, q, box):
+        self.q = q
+        super().__init__(3, box)
+
+    def _profile(self, s):
+        if self.q == 1:
+            return geo.CliffordCone._profile(self, s)
+        return (s, 1.0, 0.0, 1.0, 0.0, 0.0), (0.0, 1.0)
+
+
+@pytest.mark.parametrize("q, box, periodic, pole_ends", [
+    # each circle link's azimuth is periodic exactly when it spans 2 pi,
+    # and a circle's angle has no pole, even at 0 or pi
+    (1, [(1.0, 2.0), (0.0, 2 * np.pi), (0.0, np.pi)], (False, True, False), ()),
+    (1, [(1.0, 2.0), (0.0, np.pi), (0.0, 2 * np.pi)], (False, False, True), ()),
+    # the theta of a 2-sphere second link has its poles at 0 and pi
+    (2, [(0.0, 1.0), (0.0, np.pi), (0.0, 2 * np.pi)], (False, False, True),
+     ((1, 0), (1, -1))),
+    (2, [(0.0, 1.0), (0.3, np.pi), (0.0, np.pi)], (False, False, False), ((1, -1),)),
+])
+def test_seam_and_pole_rules_hold_on_both_links(q, box, periodic, pole_ends):
+    chart = _TwoLinks(q, box)
+    assert chart.periodic == periodic and chart.pole_ends == pole_ends
+    g = geo.sample_chart(chart, 13)
+    assert g.periodic == periodic and g.pole_ends == pole_ends
+    # the cone is minimal with |A|^2 = 2 / s^2; the cylinder over S^2 has
+    # principal curvatures 0, 1, 1
+    H, A2 = (0.0, 2.0 / g.r**2) if q == 1 else (2.0, 2.0)
+    assert np.abs(g.mean_curvature - H).max() <= 1e-13
+    assert np.abs(g.A2 - A2).max() <= 1e-13
+
+
+def test_clifford_cone_curvatures():
+    chart = geo.CliffordCone(2.0)
+    assert chart.periodic == (False, True, True) and chart.pole_ends == ()
+    assert chart.box[0] == (1.0, math.exp(2.0))
+    g = geo.sample_chart(chart, (17, 16, 16))
+    r2 = g.r**2
+    assert np.abs(g.mean_curvature).max() <= 1e-14
+    assert np.abs(g.A2 * r2 - 2.0).max() <= 1e-13
+    assert np.abs(g.scalar_curvature * r2 + 2.0).max() <= 1e-13
+
+
 def test_cartesian_charts_have_no_seam_and_no_pole():
     box = [(0.0, np.pi), (0.0, 2 * np.pi), (-np.pi, np.pi)]
     for chart in (geo.Hyperplane(3, offset=1.0, box=box), geo.Graph(3, box=box)):
@@ -586,81 +633,84 @@ def test_closed_form_det_and_inverse_match_linalg(n):
                       <= bound * np.abs(ref_inv).max(axis=(1, 2)))
 
 
-_FIELD_DIGEST = """
+_KERNEL_PROBES = """
 import dataclasses, hashlib
 import numpy as np
-from anisocheck import geometry as geo
-g = geo.sample_chart(geo.Catenoid3(theta_range=(0.25 * np.pi, 0.75 * np.pi)), 25)
-h = hashlib.sha256()
-for f in dataclasses.fields(g):
-    value = getattr(g, f.name)
-    for a in (value if isinstance(value, list) else [value]):
-        h.update(np.ascontiguousarray(a).tobytes() if isinstance(a, np.ndarray)
+from anisocheck import acceptance as ac, geometry as geo, integrand as ig, variation as va
+
+
+def digest(values):
+    h = hashlib.sha256()
+    for a in values:
+        h.update(np.ascontiguousarray(a).tobytes() if isinstance(a, (np.ndarray, np.generic))
                  else repr(a).encode())
-print(h.hexdigest())
-"""
+    return h.hexdigest()
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
-def test_sampled_fields_do_not_depend_on_the_blas_kernel(child_env):
-    # every field of a sampled chart, hashed in two child processes that run
-    # different OpenBLAS kernels: a per-node BLAS product (g = J^T J and
-    # S = g^-1 h by stacked matmul) gave different bits under these two
-    digests = [subprocess.run([sys.executable, "-c", _FIELD_DIGEST], check=True,
-                              capture_output=True, text=True, timeout=300,
-                              env={**child_env, "OPENBLAS_CORETYPE": core}).stdout
-               for core in ("Nehalem", "Sandybridge")]
-    assert digests[0] and digests[0] == digests[1]
+def fields(g):
+    for f in dataclasses.fields(g):
+        value = getattr(g, f.name)
+        yield from value if isinstance(value, list) else [value]
 
 
-_DERIVATIVE_DIGEST = """
-import hashlib
-import numpy as np
-from anisocheck import geometry as geo, integrand as ig, variation as va
 g = geo.sample_chart(geo.Catenoid3(theta_range=(0.25 * np.pi, 0.75 * np.pi)), 25)
+cone = geo.sample_chart(geo.CliffordCone(2.0), (17, 16, 16))
+print(digest([*fields(g), *fields(cone)]))
 oracle = va.NormalOracle(g, {"centered": va.bump_function(g, "centered")})
 fd = oracle.first_difference(ig.Integrand.isotropic(4), "centered")
-h = hashlib.sha256()
-for a in (geo.fd_jacobian(g.X, g.spacings, g.periodic), g.param_gradient(g.r),
-          g.laplacian(np.log(g.r)), np.float64(fd)):
-    h.update(np.ascontiguousarray(a).tobytes())
-print(h.hexdigest())
+print(digest([geo.fd_jacobian(g.X, g.spacings, g.periodic), g.param_gradient(g.r),
+              g.laplacian(np.log(g.r)), np.float64(fd)]))
+print(*[repr(r.value) for r in ac.criterion_curvature_ricci()
+        if r.name.endswith("argmin reproduction error")])
 """
+BLAS_KERNELS = ("Nehalem", "Sandybridge")
+x86_only = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                              reason="OPENBLAS_CORETYPE names x86-64 kernels")
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
-def test_derivatives_do_not_depend_on_the_blas_kernel(child_env):
-    # the finite-difference Jacobian, gradient, Laplacian and one
-    # normal-graph oracle difference, hashed in two child processes that
-    # run different OpenBLAS kernels: a tensordot with a dense derivative
-    # matrix gave different bits under these two
-    digests = [subprocess.run([sys.executable, "-c", _DERIVATIVE_DIGEST], check=True,
-                              capture_output=True, text=True, timeout=300,
-                              env={**child_env, "OPENBLAS_CORETYPE": core}).stdout
-               for core in ("Nehalem", "Sandybridge")]
+@pytest.fixture(scope="module")
+def kernel_probes(child_env):
+    """Per OpenBLAS kernel, the lines one child process prints: the digest
+    of every sampled field of the catenoid_3 band and the Clifford cone, the
+    digest of the band's derivatives and one normal-graph oracle
+    difference, and the curvature and Ricci argmin reproduction errors.
+    The two children run side by side."""
+    procs = {core: subprocess.Popen([sys.executable, "-c", _KERNEL_PROBES],
+                                    stdout=subprocess.PIPE, text=True,
+                                    env={**child_env, "OPENBLAS_CORETYPE": core})
+             for core in BLAS_KERNELS}
+    lines = {}
+    for core, proc in procs.items():
+        out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0, core
+        lines[core] = out.splitlines()
+    return lines
+
+
+@x86_only
+def test_sampled_fields_do_not_depend_on_the_blas_kernel(kernel_probes):
+    # a per-node BLAS product (g = J^T J and S = g^-1 h by stacked matmul)
+    # gave different bits under these two kernels
+    digests = [kernel_probes[core][0] for core in BLAS_KERNELS]
     assert digests[0] and digests[0] == digests[1]
 
 
-_ARGMIN_ERRORS = """
-from anisocheck import acceptance as ac
-for r in ac.criterion_curvature_ricci():
-    if r.name.endswith("argmin reproduction error"):
-        print(repr(r.value))
-"""
+@x86_only
+def test_derivatives_do_not_depend_on_the_blas_kernel(kernel_probes):
+    # the finite-difference Jacobian, gradient, Laplacian and one
+    # normal-graph oracle difference: a tensordot with a dense derivative
+    # matrix gave different bits under these two kernels
+    digests = [kernel_probes[core][1] for core in BLAS_KERNELS]
+    assert digests[0] and digests[0] == digests[1]
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
-def test_argmin_reproduction_is_exact_under_another_blas_kernel(child_env):
+@x86_only
+def test_argmin_reproduction_is_exact_under_another_blas_kernel(kernel_probes):
     # the scalar curvature and Ricci evaluators sum in the sweep kernels'
     # order: with BLAS dots they missed the sweep's witnesses by 1 ulp
     # (2.2e-16 and 1.1e-16) under Nehalem
-    out = subprocess.run([sys.executable, "-c", _ARGMIN_ERRORS], check=True,
-                         capture_output=True, text=True, timeout=300,
-                         env={**child_env, "OPENBLAS_CORETYPE": "Nehalem"}).stdout
-    assert out.split() == ["0.0", "0.0"]
+    for core in BLAS_KERNELS:
+        assert kernel_probes[core][2].split() == ["0.0", "0.0"], core
 
 
 def test_cofactor_normal_matches_linalg_minors():
@@ -709,18 +759,21 @@ FRAME_CHARTS = {
     "sphere3_poles": geo.Sphere(3, radius=1.5, center=[0.1, -0.2, 0.3, 0.5]),
     "graph_sine2": geo.Graph(2, "sine"),
     "graph_sine3": geo.Graph(3, "sine"),
+    "clifford_cone": geo.CliffordCone(2.0),
 }
 
 
 def _outward(chart, X):
     """A direction the unit normal must have a positive component along:
-    away from the center of a sphere, up for graphs and hyperplanes, away
-    from the x_d axis for the other charts of revolution."""
+    away from the center of a sphere, up for graphs and hyperplanes, and
+    for the other two-link charts the first link's part (rho omega, 0)."""
     if isinstance(chart, geo.Sphere):
         return X - chart.center
     if isinstance(chart, (geo.Graph, geo.Hyperplane)):
         return np.broadcast_to(np.eye(chart.dim)[-1], X.shape)
-    return np.concatenate([X[..., :-1], np.zeros(X.shape[:-1] + (1,))], axis=-1)
+    out = X.copy()
+    out[..., chart.n - chart.q:] = 0.0
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(FRAME_CHARTS))

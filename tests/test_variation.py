@@ -190,6 +190,19 @@ def test_stability_spectrum_catenoid_bands(iso3, solves):
     assert _form(K, wide, u) < 0.0
 
 
+@pytest.mark.parametrize("T, stable", [(2.0, True), (2.8, False)])
+def test_clifford_cone_stability_threshold(iso4, T, stable):
+    # Simons: the annulus s in [1, e^T] of the cone over the Clifford torus
+    # is stable exactly for T <= 2 pi / sqrt 7 = 2.3748; lambda_1 reads
+    # +0.074 at T = 2 and -0.018 at T = 2.8 on this grid
+    g = geo.sample_chart(geo.CliffordCone(T), (17, 16, 16))
+    rep = va.stability_spectrum(va.PhiForm(g, iso4))
+    if stable:
+        assert rep.eigenvalue - rep.residual > 0.0
+    else:
+        assert rep.eigenvalue + rep.residual < 0.0
+
+
 def test_stability_spectrum_matches_dense_oracle(iso3, iso4, solves):
     # every catalog chart at resolution 9, isotropic and a mild quadratic
     mild = {3: ig.Integrand.quadratic(1.1 * np.diag([1.0, 1.0, 1.1])),

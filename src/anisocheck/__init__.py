@@ -8,7 +8,7 @@ constants table, all driven by a JSON-job CLI (``anisocheck --help``).
 
 Importing the package loads numpy only: scipy and mpmath are imported
 inside the few functions that use them (the sparse eigensolve, the 1D
-Sturm solve and splines, the extended-precision constants).
+Sturm solve, the extended-precision constants).
 """
 
 __version__ = "0.1.0"

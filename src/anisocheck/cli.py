@@ -193,7 +193,10 @@ def _run_mubble(inputs, seed, out_dir):
             raise _invalid("/inputs/model" if isinstance(amplitude, str) else
                            "/inputs/amplitude", "h = -amplitude tan(phi) squares past "
                            f"the float range on the band at lambda = {model.lam:.6g}")
-    records, _ = ac.bubble_checks(model, prof)
+    try:
+        records, _ = ac.bubble_checks(model, prof)
+    except mb.GridError as exc:
+        raise _invalid("/inputs/model/n_grid", exc) from exc
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -41,7 +41,7 @@ ROUND_CAP_END = math.pi
 N_GRID = 4001
 EPS = 0.1
 AMPLITUDE = "sqrt-lambda"
-#: points across the band, for its profiles and for the scan of A
+#: points across the band, for its profiles
 BAND_POINTS = 4001
 #: the parameter that sets the length scale of a profile (1/rate, period)
 SCALE_PARAM = {"funnel": "rate", "bulge": "period"}
@@ -53,6 +53,10 @@ class ProfileError(ValueError):
 
 class BandError(ValueError):
     """The model is too short to hold the band of the phi profile."""
+
+
+class GridError(ValueError):
+    """The model's grid has too few nodes inside the band to minimize A."""
 
 
 # -- profiles -------------------------------------------------------------------
@@ -116,11 +120,6 @@ class WarpedModel:
     @property
     def n_grid(self):
         return self.t.size
-
-    def spline_u(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.t, self.u)
 
     def as_dict(self):
         return {"name": self.name, "T": self.T, "n_grid": self.n_grid,
@@ -343,52 +342,53 @@ class MuBubbleSolution:
         return self.__dict__.copy()
 
 
+def _quadratic(y, c, s):
+    """Value and slope per step, s steps from node c, of the quadratic
+    through y[c - 1], y[c] and y[c + 1]."""
+    slope, curv = 0.5 * (y[c + 1] - y[c - 1]), y[c + 1] - 2.0 * y[c] + y[c - 1]
+    return y[c] + s * (slope + 0.5 * s * curv), slope + s * curv
+
+
 def minimize_A(model, prof):
     """Minimize A over symmetric regions {t < t0}, t0 in the band of the
-    profiles ``prof`` (`build_phi_h` of the model): dense scan plus
-    golden-section refinement on spline interpolants.
+    profiles ``prof`` (`build_phi_h` of the model), on the model's Sturm grid.
+
+    A is taken at the grid nodes at least half a step inside the band, with
+    h in closed form, and its integral by the cumulative trapezoid rule with
+    the Euler-Maclaurin end correction -dt^2/12 (g' - g'_first), g' by
+    differences: fourth order in dt.  t0 is the vertex of the parabola
+    through the least node and its two neighbours, or that node itself at
+    an end (a boundary minimizer); A(t0), u(t0), u'(t0) and A(t_mid) are
+    read from three-node quadratics, f and f' at t0 from one call of the
+    profile.  Raises `GridError` when fewer than three nodes lie in the band.
 
     The first-variation condition at an interior minimizer is
     2 (f'/f) u + u' = h u, whose residual is reported.
     """
-    from scipy.interpolate import CubicSpline
-
-    u_s = model.spline_u()
-    profile = model.profile
-    lo, hi = prof.band
-    pad = (hi - lo) * 1e-6
-    grid = np.linspace(lo + pad, hi - pad, BAND_POINTS)
-    integ = CubicSpline(grid, prof.h_at(grid) * u_s(grid) * profile(grid)[0] ** 2)
-    anti = integ.antiderivative()
-    mid = prof.t_mid
-
-    def value(t0):
-        return FOUR_PI * (profile(t0)[0] ** 2 * u_s(t0) - (anti(t0) - anti(mid)))
-
-    vals = value(grid)
-    k = int(np.argmin(vals))
-    a = grid[max(0, k - 1)]
-    b = grid[min(grid.size - 1, k + 1)]
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1, f2 = value(x1), value(x2)
-    while b - a > 1e-10 * max(1.0, abs(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = value(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = value(x2)
-    t0 = 0.5 * (a + b)
-    on_edge = bool(t0 - lo < 1e-3 * (hi - lo) or hi - t0 < 1e-3 * (hi - lo))
-    f0, fp0 = (float(v) for v in profile(t0)[:2])
-    resid = abs(2.0 * fp0 / f0 * float(u_s(t0)) + float(u_s(t0, 1))
-                - float(prof.h_at(t0)) * float(u_s(t0)))
+    # h is singular at both ends of the band: at a node much nearer to one
+    # than a step, the end correction would outweigh the trapezoid steps
+    half = 0.5 * (model.t[1] - model.t[0])
+    nodes = slice(*np.searchsorted(model.t, np.add(prof.band, (half, -half))))
+    t, u, f = model.t[nodes], model.u[nodes], model.f[nodes]
+    if t.size < 3:
+        raise GridError(f"leaves {t.size} node(s) inside the band; minimizing A needs 3")
+    dt = t[1] - t[0]
+    g = prof.h_at(t) * u * f * f
+    dg = np.gradient(g, dt, edge_order=2)
+    G = np.cumsum(np.r_[0.0, 0.5 * dt * (g[:-1] + g[1:])]) - dt * dt / 12.0 * (dg - dg[0])
+    c_mid = min(max(round((prof.t_mid - t[0]) / dt), 1), t.size - 2)
+    s_mid = (prof.t_mid - t[c_mid]) / dt
+    A = FOUR_PI * (f * f * u - (G - _quadratic(G, c_mid, s_mid)[0]))
+    k = int(np.argmin(A))
+    c = min(max(k, 1), t.size - 2)
+    curv = A[c + 1] - 2.0 * A[c] + A[c - 1]
+    s = 0.5 * (A[c - 1] - A[c + 1]) / curv if k == c and curv > 0.0 else float(k - c)
+    t0 = float(t[c] + s * dt)
+    u0, du0 = _quadratic(u, c, s)
+    f0, fp0 = (float(v) for v in model.profile(t0)[:2])
+    resid = abs(2.0 * fp0 / f0 * u0 + du0 / dt - float(prof.h_at(t0)) * u0)
     return MuBubbleSolution(
-        t0=float(t0), boundary_area=FOUR_PI * f0 * f0,
-        boundary_diameter=math.pi * f0, value=float(value(t0)),
-        stationarity_residual=resid, boundary_minimizer=on_edge,
-        value_at_reference=float(value(mid)), lam=prof.lam)
+        t0=t0, boundary_area=FOUR_PI * f0 * f0, boundary_diameter=math.pi * f0,
+        value=float(_quadratic(A, c, s)[0]), stationarity_residual=float(resid),
+        boundary_minimizer=k != c, lam=prof.lam,
+        value_at_reference=float(_quadratic(A, c_mid, s_mid)[0]))

@@ -517,6 +517,9 @@ RHO_INSIDE = (_variation(tests=["isoperimetric"], rho=0.5), "/inputs/rho")
 # Clifford cone's annulus (OverflowError); last, so the ids above keep
 # their indices
 CONE_T_OVERFLOW = (_variation(chart={"kind": "clifford_cone", "T": 800}), "/inputs/chart/T")
+# one node of the grid lies inside the band, where minimizing A needs three
+# (an IndexError, exit 3, without the check); last, as above
+COARSE_BAND = (_mubble({"profile": "cylinder", "n_grid": 3}), "/inputs/model/n_grid")
 
 # integrand norms of a constants table that cannot be built: c1_norm below
 # phi_min, or a ratio c1_norm / phi_min at which V0 overflows a double; the
@@ -551,7 +554,8 @@ def _run_pointers(tmp_path, capsys, job):
 
 @pytest.mark.parametrize("job, pointer",
                          UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT + UNCAPPED + UNRUNNABLE
-                         + REMOVED_INPUTS + UNBUILDABLE_NORMS + [RHO_INSIDE, CONE_T_OVERFLOW])
+                         + REMOVED_INPUTS + UNBUILDABLE_NORMS
+                         + [RHO_INSIDE, CONE_T_OVERFLOW, COARSE_BAND])
 def test_unchecked_inputs_exit_2_with_their_pointer(tmp_path, capsys, job, pointer):
     assert _run_pointers(tmp_path, capsys, job) == (2, [pointer])
 
@@ -681,7 +685,7 @@ def test_jsonschema_agrees_with_the_walker():
     jobs = [json.loads(p.read_text()) for p in sorted(JOBS_DIR.glob("*.json"))]
     jobs += EXAMPLE_JOBS + [job for job, _ in UNCHECKED_INPUTS + BEYOND_FLOAT + UNCAPPED
                             + UNRUNNABLE + REMOVED_INPUTS + UNBUILDABLE_NORMS
-                            + [CONE_T_OVERFLOW]]
+                            + [CONE_T_OVERFLOW, COARSE_BAND]]
     jobs.append(RHO_INSIDE[0])
     jobs.append({"command": "mubble", "inputs": {"model": {"profile": "round_cap"}}})
     jobs += [{"command": "integrand",

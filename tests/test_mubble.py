@@ -68,7 +68,7 @@ def test_make_model_evaluates_its_profile_once(monkeypatch):
 
     def counted(params):
         profile = funnel(params)
-        return lambda t: evaluated.append(np.size(t)) or profile(t)
+        return lambda t: evaluated.append(np.shape(t)) or profile(t)
 
     lambda1_sturm = mb.lambda1_sturm
     monkeypatch.setitem(mb.PROFILES, "funnel", counted)
@@ -77,10 +77,14 @@ def test_make_model_evaluates_its_profile_once(monkeypatch):
     model = mb.make_model("funnel", 17.0, {"rate": 0.1}, n_grid=401)
     # one solve, one evaluation on its fine grid of 2 n - 1 nodes; the
     # model's f, f' and R are the even nodes of that evaluation
-    assert len(solved) == 1 and evaluated == [801]
+    assert len(solved) == 1 and evaluated == [(801,)]
     f, fp, fpp, fppp = funnel({"rate": 0.1})(np.linspace(0.0, 17.0, 401))
     assert np.array_equal(model.f, f) and np.array_equal(model.fp, fp)
     assert np.array_equal(model.R, mb.scalar_curvature_profile(f, fp, fpp, fppp))
+    # the minimizer reads f on the model's grid and evaluates the profile
+    # once more, at its scalar t0 alone
+    mb.minimize_A(model, mb.build_phi_h(model))
+    assert evaluated == [(801,), ()]
 
 
 def test_scalar_curvature_profile():
@@ -184,11 +188,31 @@ def test_conclusions_on_catalog():
 
 
 def test_interior_stationarity_residual_under_refinement():
-    for ng in (1001, 4001):
+    t0 = {}
+    for ng in (1001, 4001, 40001):
         m = mb.make_model("funnel", T=17.0, params={"rate": 0.1}, n_grid=ng)
         sol = mb.minimize_A(m, mb.build_phi_h(m, eps=0.1))
         assert not sol.boundary_minimizer
         assert sol.stationarity_residual <= 1e-6
+        t0[ng] = sol.t0
+    # the vertex of the three-node parabola converges with the grid
+    assert abs(t0[4001] - t0[40001]) <= 2e-5
+
+
+@pytest.mark.parametrize("name,params,T,lam", [
+    ("bulge", {"amplitude": 0.4, "period": 18.0}, 20.0, 1.2),
+    ("funnel", {"rate": 0.16}, 35.0, None),
+])
+def test_positive_amplitude_minimizer_is_interior(name, params, T, lam):
+    # with a positive amplitude h u f^2 grows like 1/(distance to the band's
+    # end) with the sign that sends A to +infinity at both ends, so the
+    # minimizer is interior and its value converges with the grid
+    sols = []
+    for ng in (2001, 8001):
+        m = mb.make_model(name, T, params, lam=lam, n_grid=ng)
+        sols.append(mb.minimize_A(m, mb.build_phi_h(m, eps=0.3)))
+        assert not sols[-1].boundary_minimizer
+    assert sols[0].value == pytest.approx(sols[1].value, abs=1e-7)
 
 
 def test_minimal_case_thresholds():

@@ -3,7 +3,8 @@ schema, rejecting an invalid job and running a ``verify`` job load neither
 scipy nor mpmath, which are imported only inside the functions that use
 them; importing the package and validating jobs load neither
 ``concurrent.futures`` nor the ``logging`` it pulls in, which the block pool
-of the inequality sweeps imports when it first runs."""
+of the inequality sweeps imports when it first runs; and a ``mubble`` job
+loads no ``scipy.interpolate``."""
 
 import json
 import subprocess
@@ -30,12 +31,17 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     codes = [cli.main(["schema"]), cli.main(["run", "--job", str(bad)]),
              cli.main(["verify", "--suite", "kato", "--samples", "1000", "--out", out])]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["run", "--job", next(p for p in sys.argv[2:]
+                                                 if p.endswith("mubble_funnel.json"))]))
+interpolate = "scipy.interpolate" in sys.modules
 
 from anisocheck import variation
 import scipy.sparse.linalg
 
 print(json.dumps({"codes": codes, "loaded": loaded, "pool": pool,
-                  "spla": variation.spla is scipy.sparse.linalg}))
+                  "spla": variation.spla is scipy.sparse.linalg,
+                  "interpolate": interpolate}))
 """
 
 
@@ -45,7 +51,9 @@ def test_startup_loads_neither_scipy_nor_mpmath(tmp_path, child_env):
         capture_output=True, text=True, timeout=300, env=child_env)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 2, 0]
+    assert result["codes"] == [0, 2, 0, 0]
     assert result["loaded"] == []
     assert result["pool"] == []
     assert result["spla"]
+    # a mubble job, run after the snapshot above, loads no spline package
+    assert not result["interpolate"]

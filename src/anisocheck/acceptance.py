@@ -99,10 +99,34 @@ def qform_order_check(name, cgeoms, lam):
     discs = []
     for cg in cgeoms:
         phi = va.bump_function(cg.base, "centered")
-        direct, derived = cf.qform_identity_check(cg, phi, lam)
+        direct, derived, _ = cf.qform_identity_check(cg, phi, lam)
         discs.append(abs(direct - derived))
     return order_check(name, discs, 1e-11, discs[-1] / max(1.0, abs(derived)),
                        ORDER_FLOOR_REL)
+
+
+def qform_rounding_check(name, cgeom, lam):
+    """The two-way quadratic-form discrepancy on the centered bump of one
+    deformed sample on which the two sides are the same sum, so that only
+    rounding tells them apart: the sphere about the origin, where w = 1 and
+    grad r = 0, so R~ = R and the potential is -lam.
+
+    The bound is the rounding of the sums, taking the node terms as given:
+    a node adds at most three terms (two roundings), the product of the n
+    axis weights and the area element scale it (n + 1), and the N nodes
+    are added in some order (N - 1), so each computed side lies within
+    gamma_m = m u / (1 - m u), m = N + n + 2 and u = 2^-53, of its exact
+    sum times the quadrature of its absolute node terms (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., Lemma 3.1 and (4.4)).
+    The discrepancy is then at most gamma_m times the magnitude of
+    `conformal.qform_identity_check`, which sums both sides."""
+    geom = cgeom.base
+    direct, derived, magnitude = cf.qform_identity_check(
+        cgeom, va.bump_function(geom, "centered"), lam)
+    m = geom.r.size + geom.n + 2
+    u = 2.0 ** -53
+    return le(name, abs(direct - derived), m * u / (1.0 - m * u) * magnitude,
+              direct=direct, derived=derived, magnitude=magnitude)
 
 
 def laplace_r_order_check(name, geoms):
@@ -479,10 +503,15 @@ def criterion_conformal(seed=iq.SEED):
     levels = {2: ladder(RES_2D[0], 3), 3: ladder(RES_3D[0], 3)}
     for n in (2, 3):
         for cname, chart in geo.catalog(n).items():
-            recs.append(qform_order_check(
-                f"qform identity order [{cname} n={n}]",
-                (cf.deform(geo.sample_chart(chart, res)) for res in levels[n]),
-                cf.LAMBDA_TARGET[n]))
+            if cname == "sphere":   # about the origin the two sides are one sum
+                recs.append(qform_rounding_check(
+                    f"qform identity rounding [{cname} n={n}]",
+                    cf.deform(geo.sample_chart(chart, levels[n][-1])), cf.LAMBDA_TARGET[n]))
+            else:
+                recs.append(qform_order_check(
+                    f"qform identity order [{cname} n={n}]",
+                    (cf.deform(geo.sample_chart(chart, res)) for res in levels[n]),
+                    cf.LAMBDA_TARGET[n]))
     for label, chart in (("plane", geo.Hyperplane(3, offset=1.0)),
                          ("cone", geo.catalog(3)["cone"]),
                          ("sphere_origin", geo.catalog(3)["sphere"])):

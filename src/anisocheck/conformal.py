@@ -57,14 +57,17 @@ def deform(geom):
 
 
 def qform_identity_check(cgeom, phi, lam):
-    """(direct, derived): two evaluations of the deformed spectral quadratic
-    form,
+    """(direct, derived, magnitude): two evaluations of the deformed
+    spectral quadratic form,
 
     direct:  Q~(phi) = int |grad~ (w^{(2-n)/2} phi)|^2_g~
                        + (R~/2 - lam) (w^{(2-n)/2} phi)^2 dmu~
     derived: int |grad phi|^2 + R/2 phi^2
                  + ( n/2 (n + r H_vec.xhat - (n+2)/2 |grad r|^2) - lam )
                    r^-2 phi^2  dmu
+
+    and the scale of their rounding: the quadrature of the absolute values
+    of the node terms that the two sides sum (two and three).
 
     The two agree identically in the continuum; the discrepancy is pure
     discretization and must vanish under refinement.
@@ -74,17 +77,17 @@ def qform_identity_check(cgeom, phi, lam):
     n = geom.n
     w = cgeom.w
     psi = w ** ((2.0 - n) / 2.0) * phi
-    grad_psi_sq = geom.grad_norm_sq(psi)
-    direct = geom.integrate(w ** (n - 2.0) * grad_psi_sq
-                            + (0.5 * cgeom.R_tilde - lam) * w**2 * phi**2)
+    direct = (w ** (n - 2.0) * geom.grad_norm_sq(psi),
+              (0.5 * cgeom.R_tilde - lam) * w**2 * phi**2)
     hx = np.einsum("...d,...d->...", geom.mean_curvature_vec,
                    geom.X / geom.r[..., None])
     gr2 = np.einsum("...d,...d->...", geom.grad_r, geom.grad_r)
     potential = (0.5 * n * (n + geom.r * hx - 0.5 * (n + 2.0) * gr2) - lam) / geom.r**2
-    derived = geom.integrate(geom.grad_norm_sq(phi)
-                             + 0.5 * geom.scalar_curvature * phi**2
-                             + potential * phi**2)
-    return direct, derived
+    derived = (geom.grad_norm_sq(phi), 0.5 * geom.scalar_curvature * phi**2,
+               potential * phi**2)
+    magnitude = geom.integrate(sum(np.abs(t) for t in direct + derived))
+    return (geom.integrate(direct[0] + direct[1]),
+            geom.integrate(derived[0] + derived[1] + derived[2]), magnitude)
 
 
 def lambda1_estimate(cgeom):

@@ -34,6 +34,14 @@ storage of its operands.  No per-node matrix product is formed, so the
 bits of a sampled chart depend on the chart and the grid, not on the BLAS
 kernel the machine selects.
 
+`sample_chart` allocates every field once and fills it slab by slab: a
+slab is `_SLAB_NODES` nodes rounded down to whole layers of grid axis 0
+(at least one layer), and the chart's frame, the metric and the fields of
+each slab are formed and written into that slab's layers (`_assemble`), so
+the frame's temporaries, d^2X, h and adj g exist at slab size only.  The
+frame and every field are pointwise, so their bits do not depend on the
+slab size.
+
 Derivatives along the grid are BLAS-free too: one fourth-order five-point
 kernel (`five_point`) of numpy slices, applied along one axis of a field
 that may stack components on leading entry axes.  `fd_jacobian`,
@@ -52,6 +60,12 @@ import numpy as np
 R_MIN = 1e-3          # radial floor required by conformal operations
 DET_FLOOR = 1e-10     # immersion check threshold on det(g)
 ANGLE_TOL = 1e-12     # a box end within this of 0, pi or a 2 pi span sits there
+#: nodes per slab of `sample_chart`, rounded down to whole layers of grid
+#: axis 0.  Measured on a 49^3 cone, the traced transient above its fields
+#: is 0.28 times their bytes at this size, 0.14 at 2^13 nodes, 0.61 at 2^15
+#: and 1.4 with the grid in one slab; the 21^3 and 25^3 samples of the
+#: benchmark fit in one slab, and cut into two they take about 15 % longer
+_SLAB_NODES = 1 << 14
 
 
 class ImmersionError(ValueError):
@@ -336,16 +350,15 @@ def _first_location(bad, params):
     return f"at parameters {tuple(float(p[i]) for p, i in zip(params, idx))}"
 
 
-def _metric(jac, chart_name, params):
-    """(g, det g, adj g) of g_ab = sum_d J_da J_db, stored entry-major;
+def _metric(jac, chart_name, params, g):
+    """Write g_ab = sum_d J_da J_db into ``g`` and return (det g, adj g);
     raises at det g <= DET_FLOOR."""
     n = jac.shape[-1]
-    g = _planes(jac.shape[:-2], (n, n))
     for a in range(n):
         for b in range(a, n):
             g[..., a, b] = g[..., b, a] = _plane_dot(jac[..., :, a], jac[..., :, b])
     det, adj = _cofactors(g)
-    return g, _nondegenerate(det, chart_name, params), adj
+    return _nondegenerate(det, chart_name, params), adj
 
 
 def _nondegenerate(det, chart_name, params):
@@ -369,16 +382,20 @@ def curvature_scalars(S):
     return H, A2, H * H - A2
 
 
-def _assemble(chart_name, box, periodic, spacings, params,
-              X, jac, d2X, nu, metric, pole_ends=()):
-    """The SampledGeometry of node positions X and their derivatives on the
-    grid ``params`` of steps ``spacings``.  Every field is stored
-    entry-major: elementwise fields inherit the storage of their operands,
-    and h, S and the contractions sum contiguous planes in index order."""
-    shape, dim, n = X.shape[:-1], X.shape[-1], X.ndim - 1
-    g, det, adj = metric
-    ginv = adj / det[..., None, None]
-    hform, S = _planes(shape, (n, n)), _planes(shape, (n, n))
+def _fields(X, jac, d2X, nu, out, chart_name, params):
+    """Write the pointwise fields of node positions X, their derivatives
+    and unit normal nu on the grid ``params`` into ``out``, the arrays of
+    the SampledGeometry fields on that grid by field name; return whether a
+    node sits at the ambient origin.  Raises at a degenerate metric
+    (`_metric`).  h, S and the contractions sum contiguous planes in index
+    order."""
+    n = X.ndim - 1
+    for name, value in (("X", X), ("nu", nu), ("jac", jac)):
+        out[name][...] = value
+    det, adj = _metric(jac, chart_name, params, out["metric"])
+    ginv = np.divide(adj, det[..., None, None], out=out["metric_inv"])
+    np.sqrt(det, out=out["sqrt_det_g"])
+    hform, S = _planes(X.shape[:-1], (n, n)), out["shape_op"]
     for a in range(n):
         for b in range(a, n):
             hform[..., a, b] = hform[..., b, a] = -_plane_dot(nu, d2X[..., a, b])
@@ -386,42 +403,86 @@ def _assemble(chart_name, box, periodic, spacings, params,
         for b in range(n):
             S[..., a, b] = _plane_dot(ginv[..., a, :], hform[..., :, b])
     H, A2, R = curvature_scalars(S)
-    r = np.linalg.norm(X, axis=-1)
+    for name, value in (("mean_curvature", H), ("A2", A2), ("scalar_curvature", R)):
+        out[name][...] = value
+    np.multiply(-H[..., None], nu, out=out["mean_curvature_vec"])
+    r = out["r"]
+    r[...] = np.linalg.norm(X, axis=-1)
     origin = bool(np.any(r < 1e-12))
     rsafe = np.where(r < 1e-12, 1.0, r)
     xhat = X / rsafe[..., None]
     cosr = _plane_dot(xhat, nu)
-    grad_r = xhat - cosr[..., None] * nu
+    grad_r = np.subtract(xhat, cosr[..., None] * nu, out=out["grad_r"])
     if origin:
         mask = r < 1e-12
-        cosr = np.where(mask, 0.0, cosr)
-        grad_r = np.where(mask[..., None], 0.0, grad_r)
+        cosr[mask] = 0.0
+        grad_r[mask] = 0.0
+    out["radial_cos"][...] = cosr
+    return origin
+
+
+def _assemble(chart_name, box, periodic, spacings, params, slabs, pole_ends=()):
+    """The SampledGeometry of the grid ``params`` of steps ``spacings``.
+
+    ``slabs`` yields, in order, one tuple (X, jac, d2X, nu) per run of
+    whole layers of grid axis 0, the runs together covering the grid: the
+    node positions, their first and second derivatives and the unit
+    normal.  Every field is allocated once over the whole grid, stored
+    entry-major (`_planes`), and each slab's fields are written into its
+    layers (`_fields`), checked on its own slice of the parameters of axis
+    0.  Every field is pointwise, so the bits do not depend on how the grid
+    is cut."""
+    shape = tuple(len(p) for p in params)
+    n, dim = len(shape), len(shape) + 1
+    entries = {"X": (dim,), "nu": (dim,), "jac": (dim, n), "metric": (n, n),
+               "metric_inv": (n, n), "sqrt_det_g": (), "shape_op": (n, n),
+               "mean_curvature": (), "mean_curvature_vec": (dim,), "A2": (),
+               "scalar_curvature": (), "r": (), "grad_r": (dim,), "radial_cos": ()}
+    # every entry of every field is written below, so the planes start empty
+    out = {name: _grid_view(np.empty(axes + shape), len(axes)) for name, axes in entries.items()}
+    origin, start = False, 0
+    for X, jac, d2X, nu in slabs:
+        layers = slice(start, start + X.shape[0])
+        origin |= _fields(X, jac, d2X, nu, {name: field[layers] for name, field in out.items()},
+                          chart_name, [params[0][layers]] + params[1:])
+        start = layers.stop
     return SampledGeometry(
-        chart_name=chart_name, n=n, dim=dim, box=box, shape=tuple(shape),
+        chart_name=chart_name, n=n, dim=dim, box=box, shape=shape,
         periodic=tuple(periodic), spacings=spacings, params=params,
-        X=X, nu=nu, jac=jac, metric=g, metric_inv=ginv,
-        sqrt_det_g=np.sqrt(det), shape_op=S,
-        mean_curvature=H, mean_curvature_vec=-H[..., None] * nu,
-        A2=A2, scalar_curvature=R, r=r, grad_r=grad_r, radial_cos=cosr,
-        origin_on_chart=origin, pole_ends=tuple(pole_ends),
-    )
+        origin_on_chart=origin, pole_ends=tuple(pole_ends), **out)
 
 
 def sample_chart(chart, shape):
     """Sample an analytic chart on a structured grid.
 
     ``shape`` is one int per parameter axis (or a single int for all).
-    Raises :class:`ImmersionError` at degenerate nodes.
+    Raises :class:`ImmersionError` at degenerate nodes, naming the first in
+    C order.
+
+    The grid is sampled slab by slab, each slab ``_SLAB_NODES`` nodes
+    rounded down to whole layers of grid axis 0 (at least one layer): per
+    slab, the parameter points, ``chart.frame``, the metric and the
+    pointwise fields are formed and written into that slab of the fields
+    (`_assemble`), so the frame's temporaries, d^2X, h and adj g exist at
+    slab size only.  Every field is pointwise, so its bits do not depend on
+    the slab size.  Slabs run in order, each checked on its own slice of
+    the first axis's parameters, so a degenerate metric raises at the same
+    node, with the same message, as a single-slab sample.
     """
     if np.isscalar(shape):
         shape = (int(shape),) * chart.n
     shape = tuple(int(m) for m in shape)
     box = chart.resolve_box(shape)
     params, spacings = _grid_for(box, shape, chart.periodic)
-    U = _grid_view(np.array(np.meshgrid(*params, indexing="ij")), 1)
-    X, jac, d2X, nu = chart.frame(U)
-    return _assemble(chart.name, box, chart.periodic, spacings, params, X, jac, d2X, nu,
-                     _metric(jac, chart.name, params), pole_ends=chart.pole_ends)
+    layers = max(1, _SLAB_NODES // math.prod(shape[1:]))
+
+    def slabs():
+        for start in range(0, shape[0], layers):
+            slab = [params[0][start:start + layers]] + params[1:]
+            yield chart.frame(_grid_view(np.array(np.meshgrid(*slab, indexing="ij")), 1))
+
+    return _assemble(chart.name, box, chart.periodic, spacings, params, slabs(),
+                     pole_ends=chart.pole_ends)
 
 
 def grid_derivatives(f, spacings, periodic):
@@ -482,15 +543,14 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
     params, spacings = _grid_for(box, X.shape[:-1], periodic)
     jac = fd_jacobian(X, spacings, periodic)
     nu = _oriented_normal(jac, ref_nu, params, chart_name)[0]
-    metric = _metric(jac, chart_name, params)
     # d2X = (D + D^T)/2 of the derivatives D[b, a] = d/du_b of the Jacobian
     # columns a, differentiated through their (n, dim) + grid storage; d2X
     # is stored as (n, n, dim) + grid, so that each (a, b) block is contiguous
     D = grid_derivatives(np.moveaxis(jac, (-1, -2), (0, 1)), spacings, periodic)
     d2X = D + D.swapaxes(0, 1)
     d2X *= 0.5
-    return _assemble(chart_name, list(box), periodic, spacings, params, X, jac,
-                     np.moveaxis(d2X, (0, 1, 2), (-2, -1, -3)), nu, metric,
+    return _assemble(chart_name, list(box), periodic, spacings, params,
+                     [(X, jac, np.moveaxis(d2X, (0, 1, 2), (-2, -1, -3)), nu)],
                      pole_ends=pole_ends)
 
 
@@ -643,7 +703,8 @@ class Chart:
     d^2X/du^2 (dim, n, n) and the unit normal nu at parameter points u,
     each in the shape of the points plus its entry axes.  The catalog
     charts store them entry-major (`_planes`); `sample_chart` accepts any
-    strides."""
+    strides.  A node's values depend on its own parameters alone, so
+    `sample_chart` may form the frame slab by slab."""
 
     name = "chart"
     #: (axis, side) pairs whose box end sits on a coordinate degeneracy

@@ -663,6 +663,81 @@ def test_valid_integrand_jobs_run():
     check()
 
 
+#: the job chart of each `geometry.catalog` chart, by n and name
+CATALOG_CHARTS = {
+    2: {"hyperplane": {"kind": "hyperplane", "n": 2, "offset": 1.0},
+        "sphere": {"kind": "sphere", "n": 2, "box": [BAND, [0.0, 2 * math.pi]]},
+        "cylinder": {"kind": "cylinder", "n": 2, "z_range": [-1.0, 1.0]},
+        "catenoid_2": {"kind": "catenoid_2", "s_range": [-1.0, 1.0]},
+        "graph": {"kind": "graph", "n": 2, "amplitude": 0.5, "offset": 1.0},
+        "cone": {"kind": "cone", "n": 2, "link_ratio": 0.8, "s_range": [0.5, 1.5]}},
+    3: {"hyperplane": {"kind": "hyperplane", "n": 3, "offset": 1.0},
+        "sphere": {"kind": "sphere", "n": 3, "box": [BAND, BAND, [0.0, 2 * math.pi]]},
+        "cylinder": {"kind": "cylinder", "n": 3, "theta_range": BAND},
+        "catenoid_3": {"kind": "catenoid_3", "t_range": [-0.8, 0.8], "theta_range": BAND},
+        "graph": {"kind": "graph", "n": 3, "amplitude": 0.5, "offset": 1.0},
+        "cone": {"kind": "cone", "n": 3, "link_ratio": 0.8, "s_range": [0.5, 1.5],
+                 "theta_range": BAND}},
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_catalog_job_charts_are_the_catalog(n):
+    for name, chart in geo.catalog(n).items():
+        job_chart = sch.build_chart(CATALOG_CHARTS[n][name])
+        assert (type(job_chart), job_chart.box) == (type(chart), chart.box), name
+
+
+def _chart_jobs(command, tests, extra):
+    """The strategy of schema-valid ``command`` jobs on a catalog chart or
+    a Clifford cone, at resolution 8 or 9, with a non-empty subset of
+    ``tests``, an integrand of the chart's ambient dimension and the
+    inputs ``extra`` draws."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def jobs(draw):
+        n = draw(st.sampled_from([2, 3]))
+        names = sorted(CATALOG_CHARTS[n]) + ["clifford_cone"] * (n == 3)
+        name = draw(st.sampled_from(names))
+        chart = (CATALOG_CHARTS[n][name] if name in CATALOG_CHARTS[n] else
+                 {"kind": name, "T": draw(st.floats(*sch.CONE_T_RANGE))})
+        integrand = draw(st.sampled_from([
+            {"kind": "isotropic", "dim": n + 1},
+            {"kind": "quadratic", "matrix": np.diag(np.linspace(1.0, 1.3, n + 1)).tolist()},
+            {"kind": "perturbed", "dim": n + 1, "epsilon": 0.05,
+             "profile": sorted(ig.PROFILES)[0]}]))
+        inputs = {"chart": chart, "integrand": integrand,
+                  "resolution": draw(st.integers(8, 9)),
+                  "tests": draw(st.lists(st.sampled_from(tests), min_size=1, unique=True)),
+                  **draw(extra)}
+        return {"command": command, "inputs": inputs}
+
+    return jobs()
+
+
+def test_valid_variation_and_conformal_jobs_run():
+    # every test of both commands, small grids; the bumps of the variation,
+    # qform and laplace_r tests need 11 nodes on a non-periodic axis, so
+    # about three in four jobs are refused (exit 2).  The tests without a
+    # bump come first, where the draws of a list fall most often
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    variation = _chart_jobs("variation", ["spectrum", "vectorfield", "isoperimetric",
+                                          "first_variation", "second_variation"],
+                            st.just({}))
+    conformal = _chart_jobs("conformal", ["distance", "lambda1", "laplace_r", "qform"],
+                            st.fixed_dictionaries({"lambda": st.floats(-10.0, 10.0)}))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(variation | conformal)
+    def check(job):
+        _runs_or_is_refused(job)
+
+    check()
+
+
 def test_round_cap_without_T_exits_2(tmp_path, capsys):
     # the runner's default T = 20 lies past the cap's second pole, T = pi
     job = {"command": "mubble", "inputs": {"model": {"profile": "round_cap"}}}

@@ -61,7 +61,7 @@ def test_qform_identity_sphere_exact_reduction():
     g = geo.sample_chart(geo.Sphere(3, radius=1.0), 13)
     cg = cf.deform(g)
     phi = va.bump_function(g, "centered")
-    direct, derived = cf.qform_identity_check(cg, phi, 0.5)
+    direct, derived, _ = cf.qform_identity_check(cg, phi, 0.5)
     # w == 1 and grad r == 0: both routes are literally the same integral
     assert abs(direct - derived) <= 1e-12
     manual = g.integrate(g.grad_norm_sq(phi) + (0.5 * 6.0 - 0.5) * phi**2)
@@ -79,9 +79,28 @@ def test_qform_identity_refinement():
             g = geo.sample_chart(chart, res)
             cg = cf.deform(g)
             phi = va.bump_function(g, "centered")
-            direct, derived = cf.qform_identity_check(cg, phi, lam)
+            direct, derived, _ = cf.qform_identity_check(cg, phi, lam)
             discs.append(abs(direct - derived))
         assert order_check("qform", discs, 1e-11).passed
+
+
+@pytest.mark.parametrize("n, res", [(2, 65), (3, 49)])
+def test_sphere_qform_rounding_record_sees_a_planted_error(monkeypatch, n, res):
+    # the finest sphere level of criterion 7: the two sides agree to a few
+    # ulps, far inside the rounding bound of the sums, and a relative error
+    # of 1e-10 in the direct side is far outside it
+    cg = cf.deform(geo.sample_chart(geo.catalog(n)["sphere"], res))
+    lam = cf.LAMBDA_TARGET[n]
+    rec = ac.qform_rounding_check("sphere", cg, lam)
+    assert rec.passed and rec.value <= 4 * np.finfo(float).eps * abs(rec.detail["direct"])
+    exact = cf.qform_identity_check
+
+    def planted(*args):
+        direct, derived, magnitude = exact(*args)
+        return direct * (1.0 + 1e-10), derived, magnitude
+
+    monkeypatch.setattr(cf, "qform_identity_check", planted)
+    assert not ac.qform_rounding_check("sphere", cg, lam).passed
 
 
 CONE_CHILD = """

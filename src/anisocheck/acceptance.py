@@ -105,11 +105,17 @@ def qform_order_check(name, cgeoms, lam):
                        ORDER_FLOOR_REL)
 
 
+def qform_one_sum(chart):
+    """Whether the two qform sides are one sum on ``chart``, judged by
+    `qform_rounding_check`: a `geometry.Sphere` about the origin, where
+    grad r = 0 and w = 1/r is constant (1 at radius 1)."""
+    return isinstance(chart, geo.Sphere) and not np.any(chart.center)
+
+
 def qform_rounding_check(name, cgeom, lam):
     """The two-way quadratic-form discrepancy on the centered bump of one
-    deformed sample on which the two sides are the same sum, so that only
-    rounding tells them apart: the sphere about the origin, where w = 1 and
-    grad r = 0, so R~ = R and the potential is -lam.
+    deformed sample on which the two sides are one sum (`qform_one_sum`),
+    so that only rounding tells them apart.
 
     The bound is the rounding of the sums, taking the node terms as given:
     a node adds at most three terms (two roundings), the product of the n
@@ -119,7 +125,8 @@ def qform_rounding_check(name, cgeom, lam):
     sum times the quadrature of its absolute node terms (Higham, *Accuracy
     and Stability of Numerical Algorithms*, 2nd ed., Lemma 3.1 and (4.4)).
     The discrepancy is then at most gamma_m times the magnitude of
-    `conformal.qform_identity_check`, which sums both sides."""
+    `conformal.qform_identity_check`, which sums both sides.  Off radius 1
+    the node terms differ by a few roundings of w, far fewer than m."""
     geom = cgeom.base
     direct, derived, magnitude = cf.qform_identity_check(
         cgeom, va.bump_function(geom, "centered"), lam)
@@ -503,7 +510,7 @@ def criterion_conformal(seed=iq.SEED):
     levels = {2: ladder(RES_2D[0], 3), 3: ladder(RES_3D[0], 3)}
     for n in (2, 3):
         for cname, chart in geo.catalog(n).items():
-            if cname == "sphere":   # about the origin the two sides are one sum
+            if qform_one_sum(chart):
                 recs.append(qform_rounding_check(
                     f"qform identity rounding [{cname} n={n}]",
                     cf.deform(geo.sample_chart(chart, levels[n][-1])), cf.LAMBDA_TARGET[n]))

@@ -48,6 +48,9 @@ that may stack components on leading entry axes.  `fd_jacobian`,
 `param_gradient`, `laplacian` and `geometry_from_positions` call it once
 per grid axis on entry-major storage, so their bits do not depend on the
 BLAS kernel either, and no derivative wakes a BLAS worker thread.
+`geometry_from_positions` takes the normal and the area element of node
+positions from `fd_jacobian` and `_oriented_normal`; the variation oracle
+rebuilds each perturbed immersion by these two steps alone.
 """
 
 from __future__ import annotations
@@ -344,9 +347,8 @@ def _generalized_cross(jac):
 
 
 def _first_location(bad, params):
-    """'at parameters (u1, ..., un)' of the first flagged node in C order;
-    ``bad`` may stack grids on leading axes."""
-    idx = np.unravel_index(np.argmax(bad), bad.shape)[bad.ndim - len(params):]
+    """'at parameters (u1, ..., un)' of the first flagged node in C order."""
+    idx = np.unravel_index(np.argmax(bad), bad.shape)
     return f"at parameters {tuple(float(p[i]) for p, i in zip(params, idx))}"
 
 
@@ -514,9 +516,8 @@ def fd_jacobian(X, spacings, periodic):
 def _oriented_normal(jac, ref_nu, params, chart_name):
     """(nu, |N|) of the frames ``jac``: N is their generalized cross product,
     nu = N / |N| with its sign aligned with ``ref_nu``, and |N| is the area
-    element, |N|^2 = det(J^T J) by the Cauchy-Binet identity.  ``jac`` may
-    stack frames on leading axes before the grid axes of ``params``; each
-    component of nu is contiguous over them.  Raises where N is zero or not
+    element, |N|^2 = det(J^T J) by the Cauchy-Binet identity; each component
+    of nu is contiguous over the grid.  Raises where N is zero or not
     finite, or |N|^2 <= DET_FLOOR."""
     raw = _generalized_cross(jac)
     norm2 = raw[0] * raw[0]
@@ -552,23 +553,6 @@ def geometry_from_positions(X, box, periodic, ref_nu, chart_name="numeric", pole
     return _assemble(chart_name, list(box), periodic, spacings, params,
                      [(X, jac, np.moveaxis(d2X, (0, 1, 2), (-2, -1, -3)), nu)],
                      pole_ends=pole_ends)
-
-
-def resample_normal_graph(geom, jac0, jac1=None, taus=(0.0,)):
-    """(nu, |N|) of the immersions X + tau u nu, one per tau of ``taus``,
-    stacked on a leading axis: ``jac0`` is the finite-difference Jacobian
-    (:func:`fd_jacobian`) of ``geom.X`` and ``jac1`` that of u nu (omitted
-    for tau = 0 alone).  Finite differences are linear, so each immersion's
-    Jacobian is jac0 + tau jac1, and its normal and area element |N| =
-    sqrt det g come from the generalized cross product N of that frame
-    (:func:`_oriented_normal`); the resample-and-difference oracle needs
-    nothing else, so neither the metric nor a second derivative is formed."""
-    taus = np.asarray(taus, dtype=float)
-    if jac1 is None:
-        jac = np.broadcast_to(jac0, taus.shape + jac0.shape)
-    else:
-        jac = jac0 + taus.reshape(taus.shape + (1,) * jac0.ndim) * jac1
-    return _oriented_normal(jac, geom.nu, geom.params, f"{geom.chart_name}+normal")
 
 
 # -- boundary faces -----------------------------------------------------------

@@ -85,7 +85,10 @@ SEED = 1234
 _PRIMES = (2, 3, 5, 7, 11, 13)
 #: largest table of low-digit sums that `halton` builds per dimension
 _HALTON_TABLE = 1 << 14
-#: points per block of every sweep (a few blocks fit in L2)
+#: points per block of every sweep (a few blocks fit in L2).  The blocks
+#: pay: with this and _STREAM_BLOCK at 2^20 points, one block per stream, the
+#: ``sweeps`` benchmark read 0.59 s and 143.5 MiB against 0.25 s and 48.4 MiB
+#: in 5 of 5 alternating pairs (BENCH_39.json, row ``streamed_blocks``)
 _BLOCK = 1 << 15
 #: points per block of the curvature and Ricci stream: the two margin
 #: kernels hold about 20 block-sized arrays, 1.3 MiB at 2^13 points, which
@@ -626,7 +629,10 @@ def verify_curvature_ricci(samples=SAMPLES, seed=SEED, suites=STREAM_SUITES):
     filled, in block order, and folds their extremes, so every margin and
     witness is that of the one-suite sweep and of one argmin over the
     stream, whatever the block size and the worker count.  One cos/sin of
-    psi serves both kernels.
+    psi serves both kernels.  The one walk pays: a walk per suite made the
+    ``sweeps`` benchmark read 0.34 s against 0.27 s (CPU 0.48 s against
+    0.36 s) in 5 of 5 alternating pairs (BENCH_39.json, row
+    ``shared_curvature_ricci``).
     """
     reps = {suite: SweepReport(sample_count=samples) for suite in suites}
     max_ratio, max_cons = _Extreme(largest=True), 0.0

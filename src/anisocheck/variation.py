@@ -181,14 +181,11 @@ class NormalOracle:
     layers at the boundary.  The oracle perturbs the immersion to
     X + tau u nu with tau in ``taus`` = (t/2, -t/2, t, -t) (and tau = 0, the
     same immersion for every speed) and rebuilds from node positions alone
-    what a phi-area needs: the normal and the area element.  Finite
-    differences are linear, so the Jacobian of X + tau u nu is J0 + tau J1,
-    J0 the finite-difference Jacobian of X (built once per oracle) and J1
-    that of u nu (built once per speed, on first use, with the four
-    perturbed immersions of the speed formed together); each immersion is
-    then one axpy and one generalized cross product
-    (:func:`geometry.resample_normal_graph`).  The first and second
-    variation of a speed and every integrand share these resamples.  The
+    what a phi-area needs, the normal nu and the area element |N|, by the
+    first-order steps of :func:`geometry.geometry_from_positions`
+    (:func:`geometry.fd_jacobian`, :func:`geometry._oriented_normal`).  Each
+    immersion is formed entry-major, one tau at a time; only its (nu, |N|)
+    is kept, shared by both variations of a speed and every integrand.  The
     step t is half the smallest grid spacing.
     """
 
@@ -201,28 +198,29 @@ class NormalOracle:
         t = self.step
         self.taus = (t / 2.0, -t / 2.0, t, -t)
         self._weights = geom.node_weights()
-        self._jac0 = geo.fd_jacobian(geom.X, geom.spacings, geom.periodic)
         self._resamples = {}
 
     def _resample(self, speed):
-        """(nu, |N|) of the immersions of ``speed`` stacked in the order of
+        """(nu, |N|) of each immersion of ``speed``, in the order of
         ``taus``; of the unperturbed immersion alone for ``speed=None``."""
         if speed not in self._resamples:
+            geom = self.geom
             if speed is None:
-                resample = geo.resample_normal_graph(self.geom, self._jac0)
+                immersions = [geom.X]
             else:
-                geom = self.geom
-                jac1 = geo.fd_jacobian(self.speeds[speed][..., None] * geom.nu,
-                                       geom.spacings, geom.periodic)
-                resample = geo.resample_normal_graph(geom, self._jac0, jac1, self.taus)
-            self._resamples[speed] = resample
+                X, nu = np.moveaxis(geom.X, -1, 0), np.moveaxis(geom.nu, -1, 0)
+                u = self.speeds[speed]
+                immersions = (np.moveaxis(X + tau * u * nu, 0, -1) for tau in self.taus)
+            self._resamples[speed] = [
+                geo._oriented_normal(geo.fd_jacobian(Xt, geom.spacings, geom.periodic),
+                                     geom.nu, geom.params, f"{geom.chart_name}+normal")
+                for Xt in immersions]
         return self._resamples[speed]
 
     def phi_areas(self, integrand, speed=None):
         """Phi-areas of the immersions of :meth:`_resample`."""
-        nu, area = self._resample(speed)
-        density = integrand.value(nu) * area
-        return [float(np.sum(self._weights * d)) for d in density]
+        return [float(np.sum(self._weights * (integrand.value(nu) * area)))
+                for nu, area in self._resample(speed)]
 
     def first_difference(self, integrand, speed):
         """Central first difference of the phi-area, Richardson across t

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -65,30 +66,23 @@ def all_run(all_runs):
     return all_runs[0].result()
 
 
-def _strip_wallclock(obj):
-    """``obj`` without its wall-clock-dependent values (the 'timestamps' of
-    the reports): the runtime keys dropped, runtime records' values 0.0."""
-    if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            if k in ("runtime_s", "total_runtime_s", "criteria_runtimes"):
-                continue
-            if (k == "value" and isinstance(obj.get("name"), str)
-                    and "runtime" in obj["name"]):
-                out[k] = 0.0
-                continue
-            out[k] = _strip_wallclock(v)
-        return out
-    if isinstance(obj, list):
-        return [_strip_wallclock(v) for v in obj]
-    return obj
+def _perfbench_run():
+    """perfbench/run.py, loaded from its file: its ``strip_wallclock`` is
+    the one rule of which report values depend on the wall clock."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # the dataclasses of run.py look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")
 def stripped_report():
     """``stripped_report(report)``: the report dict as sorted JSON text
     without its wall-clock fields, for byte comparison."""
-    return lambda report: json.dumps(_strip_wallclock(report), sort_keys=True)
+    strip = _perfbench_run().strip_wallclock
+    return lambda report: json.dumps(strip(report), sort_keys=True)
 
 
 @pytest.fixture

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -101,6 +104,31 @@ def test_sphere_qform_rounding_record_sees_a_planted_error(monkeypatch, n, res):
 
     monkeypatch.setattr(cf, "qform_identity_check", planted)
     assert not ac.qform_rounding_check("sphere", cg, lam).passed
+
+
+SPHERE_QFORM_JOB = {"command": "conformal",
+                    "inputs": {"chart": {"kind": "sphere"}, "resolution": 13, "tests": ["qform"]}}
+
+
+def test_conformal_qform_job_on_the_centered_sphere_reads_its_rounding(monkeypatch, tmp_path):
+    # the two sides are one sum there, so the job judges the rounding of its
+    # finer sample: it exits 0 with a finite record, and a planted relative
+    # error of 1e-10 in the direct side fails it
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(SPHERE_QFORM_JOB))
+    assert cli.main(["run", "--job", str(job), "--out", str(tmp_path / "out")]) == 0
+    rec, = json.loads((tmp_path / "out" / "report.json").read_text())["records"]
+    assert rec["name"] == "qform identity rounding" and math.isfinite(rec["value"])
+    assert ac.qform_one_sum(geo.catalog(3)["sphere"])
+    assert not ac.qform_one_sum(geo.Sphere(3, center=[0.2, 0.0, 0.0, 0.0]))
+    exact = cf.qform_identity_check
+
+    def planted(*args):
+        direct, derived, magnitude = exact(*args)
+        return direct * (1.0 + 1e-10), derived, magnitude
+
+    monkeypatch.setattr(cf, "qform_identity_check", planted)
+    assert cli.main(["run", "--job", str(job)]) == 1
 
 
 CONE_CHILD = """

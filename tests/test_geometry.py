@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from anisocheck import geometry as geo
+from anisocheck import integrand as ig
 from anisocheck import schema as sch
+from anisocheck import variation as va
 
 EPS = np.finfo(float).eps
 
@@ -178,19 +180,33 @@ def test_mean_curvature_vector_dictionary_on_sphere():
     assert err2 <= 1e-3
 
 
-def _resample_error(g, X):
-    """ImmersionError text of positions X on the grid of g, raised alike
-    (and without a warning) by geometry_from_positions and by the
-    oracle's first-order path resample_normal_graph."""
-    name = f"{g.chart_name}+normal"
+def _positions_error(g, X):
+    """ImmersionError text of positions X on the grid of g, raised by
+    geometry_from_positions without a warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(geo.ImmersionError) as full:
-            geo.geometry_from_positions(X, g.box, g.periodic, g.nu, chart_name=name)
-        with pytest.raises(geo.ImmersionError) as first:
-            geo.resample_normal_graph(g, geo.fd_jacobian(X, g.spacings, g.periodic))
-    assert str(first.value) == str(full.value)
-    return str(full.value)
+        with pytest.raises(geo.ImmersionError) as err:
+            geo.geometry_from_positions(X, g.box, g.periodic, g.nu, chart_name=g.chart_name)
+    return str(err.value)
+
+
+def _resample_error(g, u):
+    """ImmersionError text of the normal oracle of g with the speed u, the
+    same (and raised without a warning) as that of geometry_from_positions
+    on the immersion X + tau u nu of the first tau that degenerates."""
+    oracle = va.NormalOracle(g, {"u": u})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(geo.ImmersionError) as resampled:
+            oracle.phi_areas(ig.Integrand.isotropic(g.dim), "u")
+        for tau in oracle.taus:
+            try:
+                geo.geometry_from_positions(g.X + tau * u[..., None] * g.nu, g.box, g.periodic,
+                                            g.nu, chart_name=f"{g.chart_name}+normal")
+            except geo.ImmersionError as full:
+                assert str(resampled.value) == str(full)
+                return tau, str(full)
+    raise AssertionError("no immersion of the oracle degenerates")
 
 
 def test_immersion_error_reports_location():
@@ -212,15 +228,25 @@ def test_immersion_error_reports_location():
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0), 13)
     X = g.X.copy()
     X[..., 2] *= ((1.1 - X[..., 0]) / 2.0) ** 6
-    msg = _resample_error(g, X)
+    msg = _positions_error(g, X)
     assert f"at parameters {(float(g.params[0][11]), -1.0, -1.0)}" in msg
     # with f = ((1 - u1)/2)^6 the last u1 layer has a zero numeric normal:
     # rejected with its location before orientation, and without a warning
     X = g.X.copy()
     X[..., 2] *= ((1.0 - X[..., 0]) / 2.0) ** 6
-    msg = _resample_error(g, X)
+    msg = _positions_error(g, X)
     assert "numeric normal" in msg
     assert "at parameters (1.0, -1.0, " in msg
+    # oracle path: on the unit sphere X + tau u nu = (1 + tau u) X, and the
+    # speed u = -b / (t max b) of the centered bump b collapses the
+    # immersion at the bump's peak for tau = t alone
+    for n in (2, 3):
+        g = geo.sample_chart(geo.catalog(n)["sphere"], 13)
+        b = va.bump_function(g, "centered")
+        u = -b / (0.5 * min(g.spacings) * b.max())
+        tau, msg = _resample_error(g, u)
+        assert tau == 0.5 * min(g.spacings)
+        assert "numeric normal" in msg and g.chart_name in msg
 
 
 def test_resolution_floor_enforced():
@@ -441,18 +467,20 @@ TAUS = (0.005, -0.005, 0.01, -0.01)
 
 
 def _perturbed(n, name):
-    """A catalog sample, a smooth speed u on it and the FD Jacobians of X
-    and of u nu."""
+    """A catalog sample and a smooth speed u on it that vanishes on two node
+    layers at the boundary."""
     g = geo.sample_chart(geo.catalog(n)[name], 17 if n == 2 else 13)
     u = np.cos(3.0 * g.X[..., 0]) * np.sin(2.0 * g.X[..., -1] + 0.5)
-    return (g, u, geo.fd_jacobian(g.X, g.spacings, g.periodic),
-            geo.fd_jacobian(u[..., None] * g.nu, g.spacings, g.periodic))
+    return g, u * va.bump_function(g, "centered")
 
 
 @pytest.mark.parametrize("n, name", CATALOG_SAMPLES)
 def test_oracle_jacobian_is_linear_in_tau(n, name):
-    # the oracle's J0 + tau J1 is the FD Jacobian of X + tau u nu
-    g, u, jac0, jac1 = _perturbed(n, name)
+    # finite differences are linear: the Jacobian that the oracle takes of
+    # X + tau u nu is J0 + tau J1, J0 and J1 those of X and u nu, to rounding
+    g, u = _perturbed(n, name)
+    jac0 = geo.fd_jacobian(g.X, g.spacings, g.periodic)
+    jac1 = geo.fd_jacobian(u[..., None] * g.nu, g.spacings, g.periodic)
     for tau in TAUS:
         jac = geo.fd_jacobian(g.X + tau * u[..., None] * g.nu, g.spacings, g.periodic)
         assert np.abs(jac0 + tau * jac1 - jac).max() <= 1e-12 * np.abs(jac).max()
@@ -460,17 +488,18 @@ def test_oracle_jacobian_is_linear_in_tau(n, name):
 
 @pytest.mark.parametrize("n, name", CATALOG_SAMPLES)
 def test_cross_product_norm_is_the_metric_determinant(n, name):
-    # |N|^2 = det(J^T J) (Cauchy-Binet), and nu is the normal that
-    # geometry_from_positions builds from the perturbed positions
-    g, u, jac0, jac1 = _perturbed(n, name)
-    nus, norms = geo.resample_normal_graph(g, jac0, jac1, TAUS)
-    for tau, nu, norm in zip(TAUS, nus, norms):
-        jac = jac0 + tau * jac1
+    # the oracle's nu at each tau is the normal that geometry_from_positions
+    # builds from the perturbed positions, bit for bit, and its area element
+    # |N| has |N|^2 = det(J^T J) (Cauchy-Binet)
+    g, u = _perturbed(n, name)
+    oracle = va.NormalOracle(g, {"u": u})
+    for tau, (nu, norm) in zip(oracle.taus, oracle._resample("u"), strict=True):
+        X = g.X + tau * u[..., None] * g.nu
+        jac = geo.fd_jacobian(X, g.spacings, g.periodic)
         det = np.linalg.det(np.swapaxes(jac, -1, -2) @ jac)
         assert np.abs(norm * norm - det).max() <= 1e-12 * det.max()
-        full = geo.geometry_from_positions(g.X + tau * u[..., None] * g.nu, g.box,
-                                           g.periodic, g.nu, pole_ends=g.pole_ends)
-        assert np.abs(nu - full.nu).max() <= 1e-12
+        full = geo.geometry_from_positions(X, g.box, g.periodic, g.nu, pole_ends=g.pole_ends)
+        assert np.array_equal(nu, full.nu)
 
 
 def test_boundary_faces_and_pole_skipping():

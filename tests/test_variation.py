@@ -607,16 +607,16 @@ def test_bump_functions_vanish_on_two_layers():
 
 
 def _count_resamples(monkeypatch):
-    """Record every immersion that the resampling entry point rebuilds
-    (one per tau of a call)."""
+    """Record the grid shape of every immersion whose normal is rebuilt from
+    positions (one `geometry._oriented_normal` call each)."""
     calls = []
-    build = geo.resample_normal_graph
+    build = geo._oriented_normal
 
-    def counting(geom, jac0, jac1=None, taus=(0.0,)):
-        calls.extend([geom.shape] * len(taus))
-        return build(geom, jac0, jac1, taus)
+    def counting(jac, ref_nu, params, chart_name):
+        calls.append(tuple(len(p) for p in params))
+        return build(jac, ref_nu, params, chart_name)
 
-    monkeypatch.setattr(geo, "resample_normal_graph", counting)
+    monkeypatch.setattr(geo, "_oriented_normal", counting)
     return calls
 
 
@@ -698,25 +698,22 @@ def test_oracle_shares_resamples_across_integrands(monkeypatch, iso3):
                 va.first_variation_check(oracle, form, bump)
                 va.second_variation_check(oracle, form, bump)
         counts.append((len(calls), len(jacobians)))
-    # one FD Jacobian of X per oracle and one of u nu per speed
-    assert counts == [(13, 1 + len(va.BUMP_NAMES))] * 2
+    # one FD Jacobian per immersion: of X once per oracle, and of each
+    # X + tau u nu once per speed and tau
+    assert counts == [(13, 1 + 4 * len(va.BUMP_NAMES))] * 2
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-3])
-def test_first_variation_order_record_catches_a_scaled_speed_jacobian(monkeypatch, scale):
-    # J1 x (1 + 1e-3) makes the oracle difference X + 1.001 tau u nu: the
-    # order record of criterion 5 on catenoid_3 stops converging
-    build = geo.resample_normal_graph
-
-    def scaled(geom, jac0, jac1=None, taus=(0.0,)):
-        return build(geom, jac0, None if jac1 is None else jac1 * scale, taus)
-
-    monkeypatch.setattr(geo, "resample_normal_graph", scaled)
+def test_first_variation_order_record_catches_a_scaled_speed_jacobian(scale):
+    # taus x (1 + 1e-3) make the oracle difference X + 1.001 tau u nu, whose
+    # speed Jacobian is scaled by 1.001: the order record of criterion 5 on
+    # catenoid_3 stops converging
     integ = ig.catalog(4)["quadratic_aniso4"]
     recs = []
     for res in ac.ladder(25, 2):
         g = geo.sample_chart(geo.catalog(3)["catenoid_3"], res)
         oracle = va.NormalOracle(g, {"centered": va.bump_function(g, "centered")})
+        oracle.taus = tuple(scale * tau for tau in oracle.taus)
         recs.append(ac.variation_records(oracle, va.PhiForm(g, integ),
                                          ["first"])["first", "centered"])
     order = ac.order_check("first variation order", [r.detail["discrepancy"] for r in recs],

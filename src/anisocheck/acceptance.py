@@ -90,18 +90,22 @@ def variation_records(oracle, form, kinds):
     return recs
 
 
-def qform_order_check(name, cgeoms, lam):
-    """The order rule on the two-way quadratic-form discrepancy on the
-    centered bump, over the deformed samples ``cgeoms`` of one chart from
-    coarse to fine (any iterable, so a generator samples one at a time);
-    waived when the finest discrepancy relative to max(1, |derived|) sits
-    at ORDER_FLOOR_REL."""
-    discs = []
-    for cg in cgeoms:
-        phi = va.bump_function(cg.base, "centered")
-        direct, derived, _ = cf.qform_identity_check(cg, phi, lam)
-        discs.append(abs(direct - derived))
-    return order_check(name, discs, 1e-11, discs[-1] / max(1.0, abs(derived)),
+def qform_discrepancy(cgeom, lam):
+    """(|direct - derived|, derived) of the two-way quadratic form on the
+    centered bump of one deformed sample (`conformal.qform_identity_check`)."""
+    direct, derived, _ = cf.qform_identity_check(
+        cgeom, va.bump_function(cgeom.base, "centered"), lam)
+    return abs(direct - derived), derived
+
+
+def qform_order_check(name, levels):
+    """The order rule on the quadratic-form discrepancies ``levels``
+    (`qform_discrepancy`) of one chart's deformed samples from coarse to
+    fine; waived when the finest discrepancy relative to max(1, |derived|)
+    sits at ORDER_FLOOR_REL.  Taking numbers, not samples, it lets a caller
+    free each sample before it forms the next."""
+    discs = [disc for disc, _ in levels]
+    return order_check(name, discs, 1e-11, discs[-1] / max(1.0, abs(levels[-1][1])),
                        ORDER_FLOOR_REL)
 
 
@@ -136,10 +140,10 @@ def qform_rounding_check(name, cgeom, lam):
               direct=direct, derived=derived, magnitude=magnitude)
 
 
-def laplace_r_order_check(name, geoms):
-    """The order rule on the radial Laplacian identity residual over the
-    samples ``geoms`` of one chart from coarse to fine (any iterable)."""
-    return order_check(name, [geo.laplace_r_check(g) for g in geoms], 1e-12)
+def laplace_r_order_check(name, residuals):
+    """The order rule on the radial Laplacian identity residuals
+    (`geometry.laplace_r_check`) of one chart's samples from coarse to fine."""
+    return order_check(name, residuals, 1e-12)
 
 
 def distance_margin_check(name, charts, rng, batches, points, samples):
@@ -515,16 +519,17 @@ def criterion_conformal(seed=iq.SEED):
                     f"qform identity rounding [{cname} n={n}]",
                     cf.deform(geo.sample_chart(chart, levels[n][-1])), cf.LAMBDA_TARGET[n]))
             else:
+                # each level is a temporary, freed before the next is sampled
                 recs.append(qform_order_check(
                     f"qform identity order [{cname} n={n}]",
-                    (cf.deform(geo.sample_chart(chart, res)) for res in levels[n]),
-                    cf.LAMBDA_TARGET[n]))
+                    [qform_discrepancy(cf.deform(geo.sample_chart(chart, res)),
+                                       cf.LAMBDA_TARGET[n]) for res in levels[n]]))
     for label, chart in (("plane", geo.Hyperplane(3, offset=1.0)),
                          ("cone", geo.catalog(3)["cone"]),
                          ("sphere_origin", geo.catalog(3)["sphere"])):
         recs.append(laplace_r_order_check(
             f"radial Laplacian identity order [{label}]",
-            (geo.sample_chart(chart, res) for res in RES_3D)))
+            [geo.laplace_r_check(geo.sample_chart(chart, res)) for res in RES_3D]))
     # distance comparison margins
     plane0 = geo.Hyperplane(2, offset=0.0, polar=True, box=[(0.5, 3.0), (0, 2 * math.pi)])
     s = np.linspace(1.0, math.e, 4001)

@@ -64,12 +64,13 @@ def _chart_domain():
         raise _invalid("/inputs/chart", exc) from exc
 
 
-def _bump_room(g):
-    """Raise an invalid job where a non-periodic axis of the sampled chart
-    ``g`` has too few nodes for the bumps of `variation.bump_function`."""
-    if any(m < va.BUMP_NODES for m, per in zip(g.shape, g.periodic) if not per):
-        raise _invalid("/inputs/resolution", f"the variation bumps need at least "
-                       f"{va.BUMP_NODES} nodes on each non-periodic axis")
+def _bump_room(shape, periodic):
+    """The invalid job of a grid ``shape`` with too few nodes on a
+    non-periodic axis for the bumps of `variation.bump_function`, or None."""
+    if any(m < va.BUMP_NODES for m, per in zip(shape, periodic) if not per):
+        return _invalid("/inputs/resolution", f"the variation bumps need at least "
+                        f"{va.BUMP_NODES} nodes on each non-periodic axis")
+    return None
 
 
 # -- command runners: each gets the inputs of `schema.resolve_inputs` ----------------
@@ -104,7 +105,8 @@ def _run_variation(inputs, seed, out_dir):
     extras = {"phi_area": va.phi_area(g, integ)}
     form = va.PhiForm(g, integ)
     if "first_variation" in tests or "second_variation" in tests:
-        _bump_room(g)
+        if refused := _bump_room(g.shape, g.periodic):
+            raise refused
         # one oracle: the checks share every resampled immersion
         oracle = va.NormalOracle(g, {b: va.bump_function(g, b) for b in va.BUMP_NAMES})
         kinds = ["first"] if "first_variation" in tests else []
@@ -142,33 +144,46 @@ def _run_conformal(inputs, seed, out_dir):
     res = int(inputs["resolution"])
     tests = set(inputs["tests"])
     lam = float(inputs["lambda"])
-    with _chart_domain():
-        if tests & {"qform", "laplace_r", "lambda1"}:
-            g = geo.sample_chart(chart, res)
-            cg = cf.deform(g)
-        if tests & {"qform", "laplace_r"}:
-            # the refinement companion halves the step of a scalar resolution
-            fine = geo.sample_chart(chart, ladder(res, 2)[-1])
-            cfine = cf.deform(fine)
+    one_sum = ac.qform_one_sum(chart)
+    # the refinement companion halves the step of a scalar resolution
+    if tests & {"qform", "laplace_r"}:
+        levels = ladder(res, 2)
+    else:
+        levels = (res,) if "lambda1" in tests else ()
+    # a chart that fails at either level names the chart before the bumps'
+    # room is judged: a job without room only samples its levels
+    refused = _bump_room((res,) * chart.n, chart.periodic) if "qform" in tests else None
+    work = set() if refused else tests
+    discs, residuals = [], []
+    for k, level in enumerate(levels):
+        # one level alive: each is sampled, used and freed before the next
+        with _chart_domain():
+            cg = cf.deform(geo.sample_chart(chart, level))
+        if "qform" in work:
+            if not one_sum:
+                discs.append(ac.qform_discrepancy(cg, lam))
+            elif k == 1:
+                rounding = ac.qform_rounding_check("qform identity rounding", cg, lam)
+        if "laplace_r" in work:
+            residuals.append(geo.laplace_r_check(cg.base))
+        if "lambda1" in work and k == 0:
+            lambda1 = ac.lambda1_target_check("lambda1 estimate vs target", cg,
+                                              sch.build_integrand(inputs["integrand"]), lam)
+        del cg
+    if refused:
+        raise refused
     records = []
     if "qform" in tests:
-        _bump_room(g)
-        if ac.qform_one_sum(chart):
-            records.append(ac.qform_rounding_check("qform identity rounding", cfine, lam))
-        else:
-            records.append(ac.qform_order_check(
-                "qform identity refinement order", [cg, cfine], lam))
+        records.append(rounding if one_sum else
+                       ac.qform_order_check("qform identity refinement order", discs))
     if "laplace_r" in tests:
-        records.append(ac.laplace_r_order_check(
-            "radial Laplacian identity order", [g, fine]))
+        records.append(ac.laplace_r_order_check("radial Laplacian identity order", residuals))
     if "distance" in tests:
         records.append(ac.distance_margin_check("distance comparison worst margin",
                                                 [chart], np.random.default_rng(seed),
                                                 6, 10, 60))
     if "lambda1" in tests:
-        records.append(ac.lambda1_target_check("lambda1 estimate vs target", cg,
-                                               sch.build_integrand(inputs["integrand"]),
-                                               lam))
+        records.append(lambda1)
     return records, {}
 
 

@@ -2,8 +2,12 @@
 
 A chart is an analytic parametrization of a hypersurface patch over a box
 in parameter space; sampling it on a structured grid produces a
-:class:`SampledGeometry` carrying per-node position, unit normal, metric,
-shape operator, curvatures and radial quantities.
+:class:`SampledGeometry`.  It stores per node what the frame and the
+metric give: the position X, the unit normal nu, the Jacobian, g^-1, the
+area element sqrt(det g), the shape operator S and r = |X|.  It derives
+the rest over the whole grid on first read and keeps it: H, |A|^2 and R
+from S, the mean curvature vector from H and nu, and grad r and
+xhat . nu from X, r and nu.
 
 Conventions (the sign dictionary):
 
@@ -24,23 +28,24 @@ grid step so nodes never sit on the degeneracy; the inset shrinks under
 refinement, so integrals converge to the closed (uninset) values at second
 order.  Every other end of a non-periodic axis is physical boundary.
 
-Per-node tensors are stored entry-major: X and nu as (dim,) + grid, the
-Jacobian as (dim, n) + grid, d^2X as (dim, n, n) + grid and g, g^-1 and S
-as (n, n) + grid, each exposed as a grid + entries view (`_planes`), so
-every entry is one contiguous plane over the grid.  Sampling forms each
-sum over an index (g, h, S = g^-1 h, H, |A|^2, cos) plane by plane, added
-in index order (`_plane_dot`), and every elementwise field inherits the
-storage of its operands.  No per-node matrix product is formed, so the
-bits of a sampled chart depend on the chart and the grid, not on the BLAS
-kernel the machine selects.
+Per-node tensors are stored entry-major: X, nu, H_vec and grad r as
+(dim,) + grid, the Jacobian as (dim, n) + grid, d^2X as (dim, n, n) + grid
+and g, g^-1 and S as (n, n) + grid, each exposed as a grid + entries view
+(`_planes`), so every entry is one contiguous plane over the grid.
+Sampling and derivation form each sum over an index (g, h, S = g^-1 h, H,
+|A|^2, cos) plane by plane, added in index order (`_plane_dot`), and every
+elementwise field inherits the storage of its operands.  No per-node
+matrix product is formed, so the bits of a sampled chart depend on the
+chart and the grid, not on the BLAS kernel the machine selects.
 
-`sample_chart` allocates every field once and fills it slab by slab: a
-slab is `_SLAB_NODES` nodes rounded down to whole layers of grid axis 0
-(at least one layer), and the chart's frame, the metric and the fields of
-each slab are formed and written into that slab's layers (`_assemble`), so
-the frame's temporaries, d^2X, h and adj g exist at slab size only.  The
-frame and every field are pointwise, so their bits do not depend on the
-slab size.
+`sample_chart` allocates every stored field once and fills it slab by
+slab: a slab is `_SLAB_NODES` nodes rounded down to whole layers of grid
+axis 0 (at least one layer), and the chart's frame, the metric and the
+fields of each slab are formed and written into that slab's layers
+(`_assemble`), so the frame's temporaries, d^2X, g, h and adj g exist at
+slab size only.  The frame and every field are pointwise, so their bits
+do not depend on the slab size, and a field derived on read holds the
+bits that the same operations give slab by slab.
 
 Derivatives along the grid are BLAS-free too: one fourth-order five-point
 kernel (`five_point`) of numpy slices, applied along one axis of a field
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,10 +70,13 @@ R_MIN = 1e-3          # radial floor required by conformal operations
 DET_FLOOR = 1e-10     # immersion check threshold on det(g)
 ANGLE_TOL = 1e-12     # a box end within this of 0, pi or a 2 pi span sits there
 #: nodes per slab of `sample_chart`, rounded down to whole layers of grid
-#: axis 0.  Measured on a 49^3 cone, the traced transient above its fields
-#: is 0.28 times their bytes at this size, 0.14 at 2^13 nodes, 0.61 at 2^15
-#: and 1.4 with the grid in one slab; the 21^3 and 25^3 samples of the
-#: benchmark fit in one slab, and cut into two they take about 15 % longer
+#: axis 0.  Measured on a 49^3 cone (35.9 MiB of stored fields), the traced
+#: transient above its fields is 0.43 times their bytes at this size, 0.22
+#: at 2^13 nodes, 0.94 at 2^15 and 2.1 with the grid in one slab.  The
+#: conformal qform job on that cone peaks at 61.1 MiB at 2^13 and 2^14
+#: alike, in `conformal.deform` and the identity check, not in sampling;
+#: the 21^3 and 25^3 samples of the benchmark fit in one slab, and cut into
+#: two they take 10-20 % longer
 _SLAB_NODES = 1 << 14
 
 
@@ -171,7 +180,13 @@ def _plane_dot(x, y):
 
 @dataclass
 class SampledGeometry:
-    """Per-node geometric data of one sampled chart."""
+    """Per-node geometric data of one sampled chart.
+
+    The fields store what the frame and the metric give (X, nu, jac,
+    metric_inv, sqrt_det_g, shape_op, r).  The curvatures and radial
+    quantities below them are derived over the whole grid on first read,
+    stored entry-major (`_planes`) and kept; `dataclasses.replace` gives a
+    geometry that derives them afresh from its own fields."""
 
     chart_name: str
     n: int
@@ -184,19 +199,62 @@ class SampledGeometry:
     X: np.ndarray
     nu: np.ndarray
     jac: np.ndarray
-    metric: np.ndarray
     metric_inv: np.ndarray
     sqrt_det_g: np.ndarray
     shape_op: np.ndarray
-    mean_curvature: np.ndarray
-    mean_curvature_vec: np.ndarray
-    A2: np.ndarray
-    scalar_curvature: np.ndarray
     r: np.ndarray
-    grad_r: np.ndarray
-    radial_cos: np.ndarray
     origin_on_chart: bool = False
     pole_ends: tuple = ()
+
+    @cached_property
+    def _curvatures(self):
+        """(H, |A|^2, R) of the shape operator (`curvature_scalars`)."""
+        return curvature_scalars(self.shape_op)
+
+    @cached_property
+    def mean_curvature(self):
+        """H = tr S."""
+        return self._curvatures[0]
+
+    @cached_property
+    def A2(self):
+        """|A|^2 = tr(S^2)."""
+        return self._curvatures[1]
+
+    @cached_property
+    def scalar_curvature(self):
+        """R = H^2 - |A|^2 (Gauss equation)."""
+        return self._curvatures[2]
+
+    @cached_property
+    def mean_curvature_vec(self):
+        """H_vec = -H nu."""
+        return np.multiply(-self.mean_curvature[..., None], self.nu,
+                           out=_planes(self.shape, (self.dim,)))
+
+    @cached_property
+    def _radial(self):
+        """(grad r, xhat . nu): the tangential and normal parts of xhat =
+        X / r, both 0 at a node on the ambient origin."""
+        at_origin = self.r < 1e-12
+        xhat = self.X / np.where(at_origin, 1.0, self.r)[..., None]
+        cosr = _plane_dot(xhat, self.nu)
+        grad_r = np.subtract(xhat, cosr[..., None] * self.nu,
+                             out=_planes(self.shape, (self.dim,)))
+        if self.origin_on_chart:
+            cosr[at_origin] = 0.0
+            grad_r[at_origin] = 0.0
+        return grad_r, cosr
+
+    @cached_property
+    def grad_r(self):
+        """grad r = xhat - (xhat . nu) nu, tangent to the chart."""
+        return self._radial[0]
+
+    @cached_property
+    def radial_cos(self):
+        """xhat . nu."""
+        return self._radial[1]
 
     def interior_mask(self):
         """Mask excluding two node layers at non-periodic edges."""
@@ -352,14 +410,21 @@ def _first_location(bad, params):
     return f"at parameters {tuple(float(p[i]) for p, i in zip(params, idx))}"
 
 
-def _metric(jac, chart_name, params, g):
-    """Write g_ab = sum_d J_da J_db into ``g`` and return (det g, adj g);
-    raises at det g <= DET_FLOOR."""
+def _gram(jac, g):
+    """Write g_ab = sum_d J_da J_db of the frames ``jac`` into ``g`` and
+    return it."""
     n = jac.shape[-1]
     for a in range(n):
         for b in range(a, n):
             g[..., a, b] = g[..., b, a] = _plane_dot(jac[..., :, a], jac[..., :, b])
-    det, adj = _cofactors(g)
+    return g
+
+
+def _metric(jac, chart_name, params):
+    """(det g, adj g) of the metric g = J^T J of the frames ``jac``; raises
+    at det g <= DET_FLOOR."""
+    n = jac.shape[-1]
+    det, adj = _cofactors(_gram(jac, _planes(jac.shape[:-2], (n, n))))
     return _nondegenerate(det, chart_name, params), adj
 
 
@@ -385,16 +450,15 @@ def curvature_scalars(S):
 
 
 def _fields(X, jac, d2X, nu, out, chart_name, params):
-    """Write the pointwise fields of node positions X, their derivatives
-    and unit normal nu on the grid ``params`` into ``out``, the arrays of
-    the SampledGeometry fields on that grid by field name; return whether a
+    """Write the stored fields of node positions X, their derivatives and
+    unit normal nu on the grid ``params`` into ``out``, the arrays of the
+    SampledGeometry fields on that grid by field name; return whether a
     node sits at the ambient origin.  Raises at a degenerate metric
-    (`_metric`).  h, S and the contractions sum contiguous planes in index
-    order."""
+    (`_metric`).  h and S = g^-1 h sum contiguous planes in index order."""
     n = X.ndim - 1
     for name, value in (("X", X), ("nu", nu), ("jac", jac)):
         out[name][...] = value
-    det, adj = _metric(jac, chart_name, params, out["metric"])
+    det, adj = _metric(jac, chart_name, params)
     ginv = np.divide(adj, det[..., None, None], out=out["metric_inv"])
     np.sqrt(det, out=out["sqrt_det_g"])
     hform, S = _planes(X.shape[:-1], (n, n)), out["shape_op"]
@@ -404,23 +468,9 @@ def _fields(X, jac, d2X, nu, out, chart_name, params):
     for a in range(n):
         for b in range(n):
             S[..., a, b] = _plane_dot(ginv[..., a, :], hform[..., :, b])
-    H, A2, R = curvature_scalars(S)
-    for name, value in (("mean_curvature", H), ("A2", A2), ("scalar_curvature", R)):
-        out[name][...] = value
-    np.multiply(-H[..., None], nu, out=out["mean_curvature_vec"])
     r = out["r"]
     r[...] = np.linalg.norm(X, axis=-1)
-    origin = bool(np.any(r < 1e-12))
-    rsafe = np.where(r < 1e-12, 1.0, r)
-    xhat = X / rsafe[..., None]
-    cosr = _plane_dot(xhat, nu)
-    grad_r = np.subtract(xhat, cosr[..., None] * nu, out=out["grad_r"])
-    if origin:
-        mask = r < 1e-12
-        cosr[mask] = 0.0
-        grad_r[mask] = 0.0
-    out["radial_cos"][...] = cosr
-    return origin
+    return bool(np.any(r < 1e-12))
 
 
 def _assemble(chart_name, box, periodic, spacings, params, slabs, pole_ends=()):
@@ -429,17 +479,15 @@ def _assemble(chart_name, box, periodic, spacings, params, slabs, pole_ends=()):
     ``slabs`` yields, in order, one tuple (X, jac, d2X, nu) per run of
     whole layers of grid axis 0, the runs together covering the grid: the
     node positions, their first and second derivatives and the unit
-    normal.  Every field is allocated once over the whole grid, stored
-    entry-major (`_planes`), and each slab's fields are written into its
-    layers (`_fields`), checked on its own slice of the parameters of axis
-    0.  Every field is pointwise, so the bits do not depend on how the grid
-    is cut."""
+    normal.  Every stored field is allocated once over the whole grid,
+    stored entry-major (`_planes`), and each slab's fields are written into
+    its layers (`_fields`), checked on its own slice of the parameters of
+    axis 0.  Every field is pointwise, so the bits do not depend on how the
+    grid is cut."""
     shape = tuple(len(p) for p in params)
     n, dim = len(shape), len(shape) + 1
-    entries = {"X": (dim,), "nu": (dim,), "jac": (dim, n), "metric": (n, n),
-               "metric_inv": (n, n), "sqrt_det_g": (), "shape_op": (n, n),
-               "mean_curvature": (), "mean_curvature_vec": (dim,), "A2": (),
-               "scalar_curvature": (), "r": (), "grad_r": (dim,), "radial_cos": ()}
+    entries = {"X": (dim,), "nu": (dim,), "jac": (dim, n), "metric_inv": (n, n),
+               "sqrt_det_g": (), "shape_op": (n, n), "r": ()}
     # every entry of every field is written below, so the planes start empty
     out = {name: _grid_view(np.empty(axes + shape), len(axes)) for name, axes in entries.items()}
     origin, start = False, 0
@@ -464,9 +512,9 @@ def sample_chart(chart, shape):
     The grid is sampled slab by slab, each slab ``_SLAB_NODES`` nodes
     rounded down to whole layers of grid axis 0 (at least one layer): per
     slab, the parameter points, ``chart.frame``, the metric and the
-    pointwise fields are formed and written into that slab of the fields
-    (`_assemble`), so the frame's temporaries, d^2X, h and adj g exist at
-    slab size only.  Every field is pointwise, so its bits do not depend on
+    stored fields are formed and written into that slab of the fields
+    (`_assemble`), so the frame's temporaries, d^2X, g, h and adj g exist
+    at slab size only.  Every field is pointwise, so its bits do not depend on
     the slab size.  Slabs run in order, each checked on its own slice of
     the first axis's parameters, so a degenerate metric raises at the same
     node, with the same message, as a single-slab sample.
@@ -583,8 +631,9 @@ def boundary_faces(geom):
         sl[a] = side
         sl = tuple(sl)
         keep = [b for b in range(geom.n) if b != a]
-        gsub = geom.metric[sl][..., keep, :][..., :, keep]
-        area = np.sqrt(np.linalg.det(gsub)) if keep else np.ones(geom.X[sl].shape[:-1])
+        # the metric of the face, J^T J of its frames
+        gsub = _gram(geom.jac[sl][..., keep], _planes(geom.X[sl].shape[:-1], (len(keep),) * 2))
+        area = np.sqrt(np.linalg.det(gsub))
         w = np.ones(area.shape)
         for pos, b in enumerate(keep):
             shp = [1] * len(keep)

@@ -129,7 +129,8 @@ def test_cli_runners_and_criteria_share_builders(all_run):
                                  "tests": ["laplace_r"]}})
     crit = ac.laplace_r_order_check(
         "radial Laplacian identity order [cone]",
-        [geo.sample_chart(geo.catalog(3)["cone"], res) for res in ac.RES_3D])
+        [geo.laplace_r_check(geo.sample_chart(geo.catalog(3)["cone"], res))
+         for res in ac.RES_3D])
     assert report["records"][0]["value"] == crit.value
     # a CLI mubble job on the catalog cylinder reports criterion 8's seven
     # shared "cylinder ..." records

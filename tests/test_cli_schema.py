@@ -95,6 +95,24 @@ def test_conformal_runner_samples_each_grid_once(monkeypatch, job, samples, defo
     assert calls == {"sample_chart": samples, "deform": deforms}
 
 
+def test_conformal_cone_job_holds_one_level_at_a_time():
+    # the qform job of the oracles benchmark on the cone at 25 and 49 nodes:
+    # its traced peak read 61.1 MiB with one level alive and the derived
+    # fields formed on read, and 77.8 MiB with both levels alive and every
+    # field stored
+    tracemalloc = pytest.importorskip("tracemalloc")
+    job = {"command": "conformal", "seed": 1234,
+           "inputs": {"chart": {"kind": "cone", "n": 3}, "resolution": 25, "tests": ["qform"]}}
+    tracemalloc.start()
+    try:
+        report = cli.run(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"]
+    assert peak <= 66 * 2**20
+
+
 def test_schema_rejects_unknown_command():
     errors = sch.validate_job({"command": "explode"})
     assert errors and errors[0].startswith("/command")
@@ -560,6 +578,14 @@ def test_unchecked_inputs_exit_2_with_their_pointer(tmp_path, capsys, job, point
     assert _run_pointers(tmp_path, capsys, job) == (2, [pointer])
 
 
+def test_a_chart_error_at_the_refined_level_names_the_chart(tmp_path, capsys):
+    # the plane through the origin misses it at 10 nodes, where the bumps
+    # lack room, and has it as a node at the refined 19: the chart error is
+    # reported, though the coarse level is freed before the fine one is sampled
+    job = _conformal(chart={"kind": "hyperplane", "n": 3, "offset": 0.0}, resolution=10)
+    assert _run_pointers(tmp_path, capsys, job) == (2, ["/inputs/chart"])
+
+
 BAND = [math.pi / 4, 3 * math.pi / 4]
 
 
@@ -734,6 +760,29 @@ def test_valid_variation_and_conformal_jobs_run():
     @given(variation | conformal)
     def check(job):
         _runs_or_is_refused(job)
+
+    check()
+
+
+def test_valid_verify_jobs_pass():
+    # any suites (none, or repeated), small samples, points and grids, any
+    # seed: the lemmas hold at every point, so a job that validates passes
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    inputs = st.fixed_dictionaries({}, optional={
+        "suites": st.lists(st.sampled_from(sch.SUITES), max_size=5),
+        "samples": st.integers(1000, 20_000), "points": st.integers(1, 20_000),
+        "grids": st.lists(st.integers(2, 40), min_size=3, max_size=3)})
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inputs, st.integers(0, 2**64))
+    def check(inputs, seed):
+        # an omitted size takes its default, too slow to draw often
+        inputs = {"samples": 1000, "points": 1, "grids": [2, 2, 2], **inputs}
+        job = {"command": "verify", "seed": seed, "inputs": inputs}
+        if not sch.validate_job(job):
+            assert cli.run(job)["pass"], job
 
     check()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import platform
 import subprocess
@@ -32,6 +33,11 @@ def test_sphere_is_umbilic():
     assert np.abs(g.scalar_curvature - 6.0 / rho**2).max() <= 1e-12
 
 
+def _metric(g):
+    """g_ab = J_da J_db of a sampled geometry's Jacobian, by einsum."""
+    return np.einsum("...da,...db->...ab", g.jac, g.jac)
+
+
 def principal_curvatures(shape_op, metric):
     """Sorted eigenvalues of the g-self-adjoint shape operator (batched)."""
     S = np.asarray(shape_op, dtype=float)
@@ -45,7 +51,7 @@ def principal_curvatures(shape_op, metric):
 
 def test_cylinder_principal_curvatures():
     g = geo.sample_chart(geo.Cylinder(3, link_radius=1.0), 13)
-    ks = principal_curvatures(g.shape_op, g.metric)
+    ks = principal_curvatures(g.shape_op, _metric(g))
     assert np.allclose(ks.reshape(-1, 3), [0.0, 1.0, 1.0], atol=1e-12)
 
 
@@ -76,7 +82,7 @@ def test_gauss_identity_on_catalog():
     for n in (2, 3):
         for name, chart in geo.catalog(n).items():
             g = geo.sample_chart(chart, 9)
-            assert _gauss_residual(g.scalar_curvature, g.shape_op, g.metric) <= 1e-12, name
+            assert _gauss_residual(g.scalar_curvature, g.shape_op, _metric(g)) <= 1e-12, name
             # closed forms at radius 1: n(n-1) on the sphere, (n-1)(n-2) on
             # the cylinder S^(n-1) x R, 0 on the hyperplane
             exact = {"sphere": n * (n - 1), "cylinder": (n - 1) * (n - 2), "hyperplane": 0}
@@ -85,7 +91,7 @@ def test_gauss_identity_on_catalog():
     # negative control: R from a shape operator shifted by 1e-6 fails both
     g = geo.sample_chart(geo.catalog(3)["sphere"], 9)
     shifted = geo.curvature_scalars(g.shape_op + 1e-6 * np.eye(3))[2]
-    assert _gauss_residual(shifted, g.shape_op, g.metric) > 1e-12
+    assert _gauss_residual(shifted, g.shape_op, _metric(g)) > 1e-12
     assert np.abs(shifted - 6.0).max() > 1e-10
 
 
@@ -260,16 +266,49 @@ def _sample_in_slabs(monkeypatch, chart, shape, layers):
     return geo.sample_chart(chart, shape)
 
 
+def _derived_names(g):
+    """The fields that a sampled geometry derives on read: its public
+    cached properties."""
+    return [name for name, attr in vars(type(g)).items()
+            if isinstance(attr, functools.cached_property) and not name.startswith("_")]
+
+
+def _field_names(g):
+    """The fields that a sampled geometry stores, then those it derives."""
+    return [f.name for f in dataclasses.fields(g)] + _derived_names(g)
+
+
+def test_sampled_geometry_stores_seven_fields_and_derives_six():
+    g = geo.sample_chart(geo.catalog(3)["cone"], 9)
+    stored = [name for name in _field_names(g) if isinstance(getattr(g, name), np.ndarray)]
+    assert stored[:7] == ["X", "nu", "jac", "metric_inv", "sqrt_det_g", "shape_op", "r"]
+    assert stored[7:] == ["mean_curvature", "A2", "scalar_curvature", "mean_curvature_vec",
+                          "grad_r", "radial_cos"]
+    assert not hasattr(g, "metric")
+
+
+def test_replaced_shape_operator_derives_its_own_curvatures():
+    g = geo.sample_chart(geo.catalog(3)["sphere"], 9)
+    H, R = g.mean_curvature, g.scalar_curvature
+    doubled = dataclasses.replace(g, shape_op=2 * g.shape_op)
+    assert np.array_equal(doubled.mean_curvature, 2 * H)
+    assert np.array_equal(doubled.scalar_curvature, 4 * R)
+    assert np.array_equal(doubled.mean_curvature_vec, -2 * H[..., None] * g.nu)
+    # the derived fields are kept: a second read returns the same arrays
+    assert g.mean_curvature is H and doubled.grad_r is doubled.grad_r
+
+
 def _assert_same_sample(g, ref):
-    """Every field of two samples holds the same bits in the same strides."""
-    for f in dataclasses.fields(ref):
-        a, b = getattr(g, f.name), getattr(ref, f.name)
+    """Every stored and derived field of two samples holds the same bits in
+    the same strides."""
+    for name in _field_names(ref):
+        a, b = getattr(g, name), getattr(ref, name)
         if isinstance(b, np.ndarray):
-            assert (a.shape, a.strides, a.tobytes()) == (b.shape, b.strides, b.tobytes()), f.name
-        elif f.name == "params":
+            assert (a.shape, a.strides, a.tobytes()) == (b.shape, b.strides, b.tobytes()), name
+        elif name == "params":
             assert all(np.array_equal(p, q) for p, q in zip(a, b, strict=True))
         else:
-            assert a == b, f.name
+            assert a == b, name
 
 
 SLAB_CHARTS = {
@@ -344,10 +383,10 @@ def test_degenerate_metric_in_the_last_slab_is_located_as_in_one_slab(monkeypatc
 
 
 def test_slabbed_sample_holds_little_more_than_its_fields():
-    # the 49^3 cone of the conformal qform companion: with the frame, d^2X,
-    # h and adj g formed over the whole grid, the transient above the 55 MiB
-    # of fields is 1.05 times the fields; in slabs of 2^14 nodes it is 0.28
-    # times, of 2^15 nodes 0.61 times
+    # the 49^3 cone of the conformal qform companion stores 35.9 MiB of
+    # fields: its traced peak read 51.4 MiB; with all fourteen fields stored
+    # it read 70.3 MiB, and with the frame, d^2X, h and adj g formed over
+    # the whole grid the transient alone was 1.05 times the fields
     tracemalloc = pytest.importorskip("tracemalloc")
     chart = geo.catalog(3)["cone"]
     tracemalloc.start()
@@ -356,9 +395,9 @@ def test_slabbed_sample_holds_little_more_than_its_fields():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(getattr(g, f.name).nbytes for f in dataclasses.fields(g)
-               if isinstance(getattr(g, f.name), np.ndarray))
-    assert peak - held <= 0.4 * held
+    assert peak <= 56 * 2**20
+    # sampling derives nothing
+    assert not set(_derived_names(g)) & set(vars(g))
 
 
 def _dense_five_point(m, h, periodic):
@@ -649,8 +688,13 @@ def _synthetic(shape, values):
     fields = {key: values(shape + (3,)) for key in ("X", "nu", "grad_r")}
     fields.update({key: values(shape) for key in ("sqrt_det_g", "mean_curvature", "A2",
                                                   "scalar_curvature", "r", "radial_cos")})
-    return dataclasses.replace(base, shape=shape, params=[values(m) for m in shape],
-                               **fields)
+    stored = {key: fields.pop(key) for key in ("X", "nu", "sqrt_det_g", "r")}
+    geom = dataclasses.replace(base, shape=shape, params=[values(m) for m in shape],
+                               **stored)
+    # the derived fields, set on the instance in place of their derivation
+    for key, value in fields.items():
+        setattr(geom, key, value)
+    return geom
 
 
 def _exported(geom):
@@ -770,7 +814,7 @@ def test_closed_form_det_and_inverse_match_linalg(n):
 
 
 _KERNEL_PROBES = """
-import dataclasses, hashlib
+import dataclasses, functools, hashlib
 import numpy as np
 from anisocheck import acceptance as ac, geometry as geo, integrand as ig, variation as va
 
@@ -784,8 +828,11 @@ def digest(values):
 
 
 def fields(g):
-    for f in dataclasses.fields(g):
-        value = getattr(g, f.name)
+    # the stored fields, then the public cached properties derived on read
+    derived = [name for name, attr in vars(type(g)).items()
+               if isinstance(attr, functools.cached_property) and not name.startswith("_")]
+    for name in [f.name for f in dataclasses.fields(g)] + derived:
+        value = getattr(g, name)
         yield from value if isinstance(value, list) else [value]
 
 

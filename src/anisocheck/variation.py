@@ -44,18 +44,16 @@ def __getattr__(name):
 STATIONARY_TOL = 1e-4   # max |H_phi| for a chart to count as phi-stationary
 EIG_TOL = 1e-8          # eigensolver residual tolerance, relative to max(1, |lambda|)
 BALL_SLACK = 1e-9       # relative room of isoperimetric_check's enclosing ball
-# Lanczos basis size.  Smaller bases restart too often on polar charts,
-# whose inset pole nodes carry tiny masses and so stretch the spectrum of
-# the mass-scaled form: a (25, 13, 24) hemisphere takes 28630 matvecs at
-# 20, 5830 at 30 and 4210 at 40; charts without poles converge alike.
-LANCZOS_NCV = 40
-# Ritz vectors kept at a restart: on the 25^3 benchmark charts 5, 10, 15
-# and 20 take 75, 70, 65 and 60-80 matvecs, 10 the least time; at 30 the
-# hemisphere's estimate passes where its true residual does not, and the
-# solve stalls.
-LANCZOS_KEEP = 10
-# Matvecs after which a solve returns its last Ritz pair, about ten times
-# the hemisphere's.
+# Lanczos steps between two checks of the residual estimate.  A check
+# solves for the bottom pair of the p x p tridiagonal T_p, 0.1 ms at p = 60
+# and about 1 ms at the (25, 13, 24) hemisphere's p = 1410; the steps past
+# convergence that a stride adds are paid in both passes.  On the four
+# spectra solves strides 5, 10 and 20 take 109-129, 119-139 and 119-159
+# matvecs and about the same time; a check at every step takes 109-127 and
+# 1.5 times the time, and 1.7 s against 0.7 s on the hemisphere.
+LANCZOS_STRIDE = 10
+# Matvecs of both passes together after which a solve returns its last
+# Ritz pair, more than ten times the polar hemisphere's.
 LANCZOS_MAX_MATVECS = 40_000
 
 
@@ -493,74 +491,86 @@ def _dot(a, b):
 
 
 def _lanczos(B, v0, converged):
-    """(y, matvecs): the unit Ritz vector of the smallest Ritz value of the
-    symmetric sparse B from a thick-restart Lanczos solve started at v0,
-    and the products with B it took.
+    """(y, matvecs): the Ritz vector of the smallest Ritz value of the
+    symmetric sparse B from a two-pass Lanczos solve started at v0, and the
+    products with B that both passes took.
 
-    Each step orthogonalizes B v against the whole basis by classical
-    Gram-Schmidt, twice, and stores the full projection column, so T is
-    the Rayleigh-Ritz matrix of the basis.  A full basis of LANCZOS_NCV
-    vectors restarts from its LANCZOS_KEEP smallest Ritz vectors and its
-    last Lanczos vector (Wu and Simon 2000).  The solve stops once the
-    residual estimate |beta s_m| is at most EIG_TOL max(1, |theta|) and
-    ``converged(y)`` confirms it, and otherwise goes on; it stops at once
-    when the Krylov space is invariant or spans every unknown, or after
-    LANCZOS_MAX_MATVECS matvecs.  Every product against the basis runs in
-    numpy's own ``einsum`` loops, in a fixed order, never in BLAS.  The
-    Ritz solve of T computes only the LANCZOS_KEEP smallest pairs, the ones
-    the restart and the stop rule read, by scipy's subset ``eigh`` (MRRR,
-    LAPACK ``dsyevr``), which wakes no BLAS worker thread at this size;
-    numpy's full ``eigh`` threads its work from about p = 30 on, and the
-    woken worker then spins on for 60-70 ms of CPU after each call (two
-    OpenBLAS threads on a 2-vCPU x86_64 machine).
+    Pass 1 runs the three-term recurrence
+
+        w = B q_j - beta_(j-1) q_(j-1),  alpha_j = q_j . w,  w -= alpha_j q_j,
+        beta_j = |w|,  q_(j+1) = w / beta_j
+
+    without reorthogonalization and keeps alpha, beta and two vectors.
+    Every LANCZOS_STRIDE steps, and when the Krylov space is invariant
+    (beta = 0), spans every unknown or reaches the matvec cap, it takes the
+    bottom pair (theta, s) of the p x p tridiagonal T_p of alpha and beta
+    and tests the residual estimate |beta_p s_p| <= EIG_TOL max(1, |theta|).
+    Plain Lanczos loses orthogonality only toward Ritz vectors that have
+    already converged (Paige 1976), which at worst repeats theta in T_p
+    (Cullum and Willoughby 1985).  Once the estimate passes, pass 2 reruns
+    the recurrence from q_0 through the same ``step`` with the stored alpha
+    and beta, so it regenerates each q_i bit for bit, and sums
+    y = sum_i s_i q_i in index order.  The solve stops once
+    ``converged(y)`` confirms the estimate, and otherwise pass 1 goes on
+    from where it stopped; invariance, a full space or the cap stop it at
+    once.  LANCZOS_MAX_MATVECS bounds the products of both passes together:
+    pass 1 ends at the last step whose pass 2 keeps the total within it.
+
+    B v is scipy's CSR product, inner products are numpy's fixed-order
+    ``einsum`` loops and the updates are elementwise, never BLAS.  The one
+    LAPACK call is the bottom pair of T_p by scipy's ``eigh_tridiagonal``
+    (bisection and inverse iteration, ``dstebz`` and ``dstein``), which
+    wakes no BLAS worker thread.
     """
     import scipy.linalg
 
     n = v0.size
-    m = min(LANCZOS_NCV, n)
-    V = np.empty((m + 1, n))
-    T = np.zeros((m, m))
-    V[0] = v0 / np.sqrt(_dot(v0, v0))
-    k = matvecs = 0
+    alpha, beta = [], []
+    matvecs = 0
+
+    def step(j, q, q_prev):
+        """beta_j q_(j+1), from q_j and q_(j-1); pass 1 forms alpha_j."""
+        nonlocal matvecs
+        w = B @ q
+        matvecs += 1
+        if j:
+            w -= beta[j - 1] * q_prev
+        if j == len(alpha):
+            alpha.append(_dot(q, w))
+        w -= alpha[j] * q
+        return w
+
+    q0 = v0 / np.sqrt(_dot(v0, v0))
+    q_prev, q = None, q0
     while True:
-        for j in range(k, m):
-            w = B @ V[j]
-            matvecs += 1
-            h = np.zeros(j + 1)
-            for _ in range(2):
-                c = np.einsum("ij,j->i", V[:j + 1], w)
-                w -= np.einsum("ij,i->j", V[:j + 1], c)
-                h += c
-            T[:j + 1, j] = T[j, :j + 1] = h
-            beta = np.sqrt(_dot(w, w))
-            p = j + 1
-            last = beta == 0.0 or p == n or matvecs >= LANCZOS_MAX_MATVECS
-            if last:
-                break
-            V[p] = w / beta
-        theta, S = scipy.linalg.eigh(T[:p, :p],
-                                     subset_by_index=(0, min(LANCZOS_KEEP, p) - 1))
-        y = np.einsum("ij,i->j", V[:p], S[:, 0])
-        if last or (abs(beta * S[-1, 0]) <= EIG_TOL * max(1.0, abs(theta[0]))
-                    and converged(y)):
-            return y, matvecs
-        # restart: the kept Ritz vectors and the last Lanczos vector; T holds
-        # their Ritz values, and the next step's column fills its arrow row
-        k = LANCZOS_KEEP
-        V[:k] = np.einsum("ji,jk->ik", S[:, :k], V[:m])
-        V[k] = V[m]
-        T[:] = 0.0
-        T[range(k), range(k)] = theta[:k]
+        w = step(len(beta), q, q_prev)
+        beta.append(float(np.sqrt(_dot(w, w))))
+        p = len(beta)
+        last = beta[-1] == 0.0 or p == n or matvecs + p >= LANCZOS_MAX_MATVECS
+        if last or p % LANCZOS_STRIDE == 0:
+            theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1], select="i",
+                                                     select_range=(0, 0))
+            s = s[:, 0]
+            if last or abs(beta[-1] * s[-1]) <= EIG_TOL * max(1.0, abs(theta[0])):
+                y = s[0] * q0
+                r_prev, r = None, q0
+                for j in range(p - 1):
+                    r_prev, r = r, step(j, r, r_prev) / beta[j]
+                    y += s[j + 1] * r
+                # after a refusal, one more step and its pass 2 may pass the cap
+                if last or converged(y) or matvecs + p >= LANCZOS_MAX_MATVECS:
+                    return y, matvecs
+        q_prev, q = q, w / beta[-1]
 
 
 def smallest_eigenpair(K, M):
     """Smallest eigenvalue of K x = lambda M x, K symmetric and M the
     diagonal positive (lumped) mass of :func:`assemble_forms`.
 
-    One thick-restart Lanczos solve (:func:`_lanczos`; Paige 1972, Wu and
-    Simon 2000) on the mass-scaled form B = D^-1/2 K D^-1/2, D = diag(M),
-    from the deterministic start sqrt(D), the all-ones vector in scaled
-    coordinates.  Stop rule: the residual estimate |beta s_m| of the
+    One two-pass Lanczos solve (:func:`_lanczos`; Paige 1972, 1976) on the
+    mass-scaled form B = D^-1/2 K D^-1/2, D = diag(M), from the
+    deterministic start sqrt(D), the all-ones vector in scaled
+    coordinates.  Stop rule: the residual estimate |beta_p s_p| of the
     smallest Ritz pair is at most EIG_TOL max(1, |theta|), and so is the
     true residual below, computed from that Ritz vector; if the true
     residual fails, the solve goes on.  At LANCZOS_MAX_MATVECS it returns
@@ -568,15 +578,14 @@ def smallest_eigenpair(K, M):
 
     Every inner product, in the Lanczos loop and in x^T M x, x^T K x and
     r^T M^-1 r below, is a fixed-order numpy sum, and B v is scipy's
-    single-threaded CSR product; the one LAPACK call is the subset Ritz
-    solve of the at most LANCZOS_NCV x LANCZOS_NCV matrix T, which touches
-    no vector and wakes no BLAS worker thread.  So the result does not
-    depend on the BLAS thread count.
+    single-threaded CSR product; the one LAPACK call is the bottom pair of
+    the Lanczos tridiagonal T_p, which touches no vector and wakes no BLAS
+    worker thread.  So the result does not depend on the BLAS thread count.
 
     Returns (theta, x, matvecs, residual): x is M-normalized with
-    sum(M x) > 0, theta = x^T K x, matvecs counts products with B, and
-    residual = ||K x - theta M x|| in the M^-1 norm, so an eigenvalue lies
-    within residual of theta.
+    sum(M x) > 0, theta = x^T K x, matvecs counts products with B in both
+    Lanczos passes, and residual = ||K x - theta M x|| in the M^-1 norm, so
+    an eigenvalue lies within residual of theta.
     """
     import scipy.sparse as sp
 

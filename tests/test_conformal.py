@@ -293,6 +293,9 @@ def test_lambda1_hemisphere_matches_first_harmonic():
     # near its tolerance while the Lanczos estimate may pass: the solve must
     # confirm it
     assert est.residual <= va.EIG_TOL * max(1.0, abs(est.eigenvalue))
+    # both Lanczos passes take 2819 products; the thick-restart solve with
+    # its reorthogonalized 41-vector basis took 3520
+    assert est.matvecs < 3520
 
 
 def test_absorption_step_margin_on_catalog():

@@ -6,12 +6,14 @@ these.  The numerics of `variation`, `conformal` and `mubble` return plain
 numbers; this module turns them into records and holds every convention
 that judges them: relative-discrepancy floors, margins, residuals,
 phi-stationarity decisions and tolerances.  The check families that the
-other CLI runners share with the criteria (variation oracles, refinement
-orders, random-path distance margins, vector-field identities,
+other CLI runners share with the criteria (variation oracles, conformal
+refinement levels, random-path distance margins, vector-field identities,
 isoperimetric margins, integrand identities, warped-bubble models) come
-from one builder each, below, and the `constants` and `verify` jobs
-report exactly what criteria 1-4 report (`constants_checks`,
-`sweep_checks`), so the two entry points cannot drift apart.
+from one builder each, below: criterion 7 and the `conformal` job drive
+every deformed level through :func:`conformal_records`.  The `constants`
+and `verify` jobs report exactly what criteria 1-4 report
+(`constants_checks`, `sweep_checks`), so the two entry points cannot
+drift apart.
 :func:`run_all` judges each criterion's runtime against its budget in
 :data:`RUNTIME_BUDGETS`.
 
@@ -90,25 +92,6 @@ def variation_records(oracle, form, kinds):
     return recs
 
 
-def qform_discrepancy(cgeom, lam):
-    """(|direct - derived|, derived) of the two-way quadratic form on the
-    centered bump of one deformed sample (`conformal.qform_identity_check`)."""
-    direct, derived, _ = cf.qform_identity_check(
-        cgeom, va.bump_function(cgeom.base, "centered"), lam)
-    return abs(direct - derived), derived
-
-
-def qform_order_check(name, levels):
-    """The order rule on the quadratic-form discrepancies ``levels``
-    (`qform_discrepancy`) of one chart's deformed samples from coarse to
-    fine; waived when the finest discrepancy relative to max(1, |derived|)
-    sits at ORDER_FLOOR_REL.  Taking numbers, not samples, it lets a caller
-    free each sample before it forms the next."""
-    discs = [disc for disc, _ in levels]
-    return order_check(name, discs, 1e-11, discs[-1] / max(1.0, abs(levels[-1][1])),
-                       ORDER_FLOOR_REL)
-
-
 def qform_one_sum(chart):
     """Whether the two qform sides are one sum on ``chart``, judged by
     `qform_rounding_check`: a `geometry.Sphere` about the origin, where
@@ -140,10 +123,46 @@ def qform_rounding_check(name, cgeom, lam):
               direct=direct, derived=derived, magnitude=magnitude)
 
 
-def laplace_r_order_check(name, residuals):
-    """The order rule on the radial Laplacian identity residuals
-    (`geometry.laplace_r_check`) of one chart's samples from coarse to fine."""
-    return order_check(name, residuals, 1e-12)
+def conformal_records(chart, levels, tests, lam, integrand=None, label=""):
+    """The records of the conformal ``tests`` ("qform", "laplace_r",
+    "lambda1") on ``chart`` deformed at the grid ``levels``, coarse to fine,
+    in that order and each name followed by ``label``: the order rule on
+    the centered-bump quadratic-form discrepancies of every level (waived
+    when the finest relative to max(1, |derived|) sits at ORDER_FLOOR_REL),
+    or on a chart whose two sides are one sum (`qform_one_sum`) their
+    rounding at the finest level alone; the order rule on the radial
+    Laplacian identity residuals of every level; `lambda1_target_check` of
+    the first level against ``lam`` for ``integrand``.  A level is sampled
+    and deformed only when a test reads it, and freed before the next is
+    sampled.  A chart that fails to sample or to deform raises
+    `geometry.ImmersionError`."""
+    one_sum = "qform" in tests and qform_one_sum(chart)
+    discs, residuals, recs = [], [], {}
+    for k, level in enumerate(levels):
+        qform = "qform" in tests and (not one_sum or k == len(levels) - 1)
+        lambda1 = "lambda1" in tests and k == 0
+        if not (qform or lambda1 or "laplace_r" in tests):
+            continue
+        cg = cf.deform(geo.sample_chart(chart, level))
+        if qform and one_sum:
+            recs["qform"] = qform_rounding_check("qform identity rounding" + label, cg, lam)
+        elif qform:
+            direct, derived, _ = cf.qform_identity_check(
+                cg, va.bump_function(cg.base, "centered"), lam)
+            discs.append(abs(direct - derived))
+        if "laplace_r" in tests:
+            residuals.append(geo.laplace_r_check(cg.base))
+        if lambda1:
+            recs["lambda1"] = lambda1_target_check("lambda1 estimate vs target" + label,
+                                                   cg, integrand, lam)
+        del cg    # freed before the next level is sampled
+    if discs:    # ``derived`` is the finest level's
+        recs["qform"] = order_check("qform identity order" + label, discs, 1e-11,
+                                    discs[-1] / max(1.0, abs(derived)), ORDER_FLOOR_REL)
+    if residuals:
+        recs["laplace_r"] = order_check("radial Laplacian identity order" + label,
+                                        residuals, 1e-12)
+    return [recs[test] for test in ("qform", "laplace_r", "lambda1") if test in recs]
 
 
 def distance_margin_check(name, charts, rng, batches, points, samples):
@@ -514,22 +533,13 @@ def criterion_conformal(seed=iq.SEED):
     levels = {2: ladder(RES_2D[0], 3), 3: ladder(RES_3D[0], 3)}
     for n in (2, 3):
         for cname, chart in geo.catalog(n).items():
-            if qform_one_sum(chart):
-                recs.append(qform_rounding_check(
-                    f"qform identity rounding [{cname} n={n}]",
-                    cf.deform(geo.sample_chart(chart, levels[n][-1])), cf.LAMBDA_TARGET[n]))
-            else:
-                # each level is a temporary, freed before the next is sampled
-                recs.append(qform_order_check(
-                    f"qform identity order [{cname} n={n}]",
-                    [qform_discrepancy(cf.deform(geo.sample_chart(chart, res)),
-                                       cf.LAMBDA_TARGET[n]) for res in levels[n]]))
+            recs += conformal_records(chart, levels[n], {"qform"}, cf.LAMBDA_TARGET[n],
+                                      label=f" [{cname} n={n}]")
     for label, chart in (("plane", geo.Hyperplane(3, offset=1.0)),
                          ("cone", geo.catalog(3)["cone"]),
                          ("sphere_origin", geo.catalog(3)["sphere"])):
-        recs.append(laplace_r_order_check(
-            f"radial Laplacian identity order [{label}]",
-            [geo.laplace_r_check(geo.sample_chart(chart, res)) for res in RES_3D]))
+        recs += conformal_records(chart, RES_3D, {"laplace_r"}, cf.LAMBDA_TARGET[3],
+                                  label=f" [{label}]")
     # distance comparison margins
     plane0 = geo.Hyperplane(2, offset=0.0, polar=True, box=[(0.5, 3.0), (0, 2 * math.pi)])
     s = np.linspace(1.0, math.e, 4001)

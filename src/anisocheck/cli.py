@@ -5,7 +5,10 @@ conformal, mubble, verify, all) plus ``schema`` to print the job format
 and ``run`` to dispatch a job file directly.  Reports are deterministic
 for a fixed seed: report.json (sorted keys, no timestamps), CSV tables
 of the constants and sweep margins, and .npz archives of sampled geometry
-and bubble profiles.  The exit status is 0 exactly when every recorded
+and bubble profiles.  The runners build their records through the
+builders of `acceptance`: a conformal job through
+`acceptance.conformal_records`, the one conformal builder that criterion
+7 uses too.  The exit status is 0 exactly when every recorded
 check passes, 1 when a check fails, 2 when the job is invalid or cannot
 be read and 3 when a runner raises (an internal error, reported in one
 line on stderr).
@@ -56,11 +59,11 @@ def _invalid(pointer, message):
 
 @contextlib.contextmanager
 def _chart_domain():
-    """Turn the ValueError of sampling the job's chart (`geometry.ImmersionError`)
-    or of deforming it (`conformal.deform`'s radial floor) into an invalid job."""
+    """Turn the `geometry.ImmersionError` of sampling the job's chart or of
+    deforming it (`conformal.deform`'s radial floor) into an invalid job."""
     try:
         yield
-    except ValueError as exc:
+    except geo.ImmersionError as exc:
         raise _invalid("/inputs/chart", exc) from exc
 
 
@@ -142,48 +145,22 @@ def _run_variation(inputs, seed, out_dir):
 def _run_conformal(inputs, seed, out_dir):
     chart = sch.build_chart(inputs["chart"])
     res = int(inputs["resolution"])
-    tests = set(inputs["tests"])
-    lam = float(inputs["lambda"])
-    one_sum = ac.qform_one_sum(chart)
+    tests = inputs["tests"]
     # the refinement companion halves the step of a scalar resolution
-    if tests & {"qform", "laplace_r"}:
-        levels = ladder(res, 2)
-    else:
-        levels = (res,) if "lambda1" in tests else ()
-    # a chart that fails at either level names the chart before the bumps'
-    # room is judged: a job without room only samples its levels
-    refused = _bump_room((res,) * chart.n, chart.periodic) if "qform" in tests else None
-    work = set() if refused else tests
-    discs, residuals = [], []
-    for k, level in enumerate(levels):
-        # one level alive: each is sampled, used and freed before the next
-        with _chart_domain():
-            cg = cf.deform(geo.sample_chart(chart, level))
-        if "qform" in work:
-            if not one_sum:
-                discs.append(ac.qform_discrepancy(cg, lam))
-            elif k == 1:
-                rounding = ac.qform_rounding_check("qform identity rounding", cg, lam)
-        if "laplace_r" in work:
-            residuals.append(geo.laplace_r_check(cg.base))
-        if "lambda1" in work and k == 0:
-            lambda1 = ac.lambda1_target_check("lambda1 estimate vs target", cg,
-                                              sch.build_integrand(inputs["integrand"]), lam)
-        del cg
-    if refused:
+    levels = ladder(res, 2)
+    if "qform" in tests and (refused := _bump_room((res,) * chart.n, chart.periodic)):
+        # a chart that fails at either level is named before the bumps' room
+        for level in levels:
+            with _chart_domain():
+                cf.deform(geo.sample_chart(chart, level))
         raise refused
-    records = []
-    if "qform" in tests:
-        records.append(rounding if one_sum else
-                       ac.qform_order_check("qform identity refinement order", discs))
-    if "laplace_r" in tests:
-        records.append(ac.laplace_r_order_check("radial Laplacian identity order", residuals))
+    integ = sch.build_integrand(inputs["integrand"]) if "lambda1" in tests else None
+    with _chart_domain():
+        records = ac.conformal_records(chart, levels, tests, float(inputs["lambda"]), integ)
     if "distance" in tests:
         records.append(ac.distance_margin_check("distance comparison worst margin",
                                                 [chart], np.random.default_rng(seed),
                                                 6, 10, 60))
-    if "lambda1" in tests:
-        records.append(lambda1)
     return records, {}
 
 

@@ -40,10 +40,11 @@ class ConformalGeometry:
 
 
 def deform(geom):
-    """Conformal geometry of r^-2 g; requires r >= 1e-3 on the chart."""
+    """Conformal geometry of r^-2 g; raises `geometry.ImmersionError`
+    unless r >= 1e-3 on the chart."""
     rmin = float(geom.r.min())
     if geom.origin_on_chart or rmin < geo.R_MIN:
-        raise ValueError(
+        raise geo.ImmersionError(
             f"conformal deformation needs r >= {geo.R_MIN} on the chart (min r = {rmin:.2e})")
     n = geom.n
     w = 1.0 / geom.r

@@ -490,10 +490,10 @@ def _dot(a, b):
     return np.einsum("i,i->", a, b)
 
 
-def _lanczos(B, v0, converged):
-    """(y, matvecs): the Ritz vector of the smallest Ritz value of the
-    symmetric sparse B from a two-pass Lanczos solve started at v0, and the
-    products with B that both passes took.
+def _lanczos(B, v0):
+    """Yields (y, matvecs): each candidate Ritz vector of the smallest Ritz
+    value of the symmetric sparse B from a two-pass Lanczos solve started
+    at v0, and the products with B that both passes took up to it.
 
     Pass 1 runs the three-term recurrence
 
@@ -509,12 +509,13 @@ def _lanczos(B, v0, converged):
     already converged (Paige 1976), which at worst repeats theta in T_p
     (Cullum and Willoughby 1985).  Once the estimate passes, pass 2 reruns
     the recurrence from q_0 through the same ``step`` with the stored alpha
-    and beta, so it regenerates each q_i bit for bit, and sums
-    y = sum_i s_i q_i in index order.  The solve stops once
-    ``converged(y)`` confirms the estimate, and otherwise pass 1 goes on
-    from where it stopped; invariance, a full space or the cap stop it at
-    once.  LANCZOS_MAX_MATVECS bounds the products of both passes together:
-    pass 1 ends at the last step whose pass 2 keeps the total within it.
+    and beta, so it regenerates each q_i bit for bit, sums
+    y = sum_i s_i q_i in index order and yields y.  When the caller asks
+    for the next candidate, pass 1 goes on from where it stopped; after
+    invariance, a full space or the cap the last y is yielded whatever its
+    estimate, and the generator ends.  LANCZOS_MAX_MATVECS bounds the
+    products of both passes together: pass 1 ends at the last step whose
+    pass 2 keeps the total within it.
 
     B v is scipy's CSR product, inner products are numpy's fixed-order
     ``einsum`` loops and the updates are elementwise, never BLAS.  The one
@@ -557,9 +558,10 @@ def _lanczos(B, v0, converged):
                 for j in range(p - 1):
                     r_prev, r = r, step(j, r, r_prev) / beta[j]
                     y += s[j + 1] * r
+                yield y, matvecs
                 # after a refusal, one more step and its pass 2 may pass the cap
-                if last or converged(y) or matvecs + p >= LANCZOS_MAX_MATVECS:
-                    return y, matvecs
+                if last or matvecs + p >= LANCZOS_MAX_MATVECS:
+                    return
         q_prev, q = q, w / beta[-1]
 
 
@@ -572,9 +574,10 @@ def smallest_eigenpair(K, M):
     deterministic start sqrt(D), the all-ones vector in scaled
     coordinates.  Stop rule: the residual estimate |beta_p s_p| of the
     smallest Ritz pair is at most EIG_TOL max(1, |theta|), and so is the
-    true residual below, computed from that Ritz vector; if the true
-    residual fails, the solve goes on.  At LANCZOS_MAX_MATVECS it returns
-    its last Ritz pair, whose residual then fails the caller's check.
+    true residual below, computed once from each candidate Ritz vector
+    that `_lanczos` yields; if the true residual fails, the solve goes on.
+    At LANCZOS_MAX_MATVECS it returns its last Ritz pair, whose residual
+    then fails the caller's check.
 
     Every inner product, in the Lanczos loop and in x^T M x, x^T K x and
     r^T M^-1 r below, is a fixed-order numpy sum, and B v is scipy's
@@ -597,11 +600,13 @@ def smallest_eigenpair(K, M):
         raise ValueError(f"eigenproblem needs at least 2 unknowns, got {d.size}")
     s = 1.0 / np.sqrt(d)
     K = K.tocsr()
-    scaled = np.repeat(s, np.diff(K.indptr)) * K.data * s[K.indices]
+    # (s_row k) s_col, scaled in place: s[K.indices] is the one temporary
+    scaled = np.repeat(s, np.diff(K.indptr))
+    scaled *= K.data
+    scaled *= s[K.indices]
     B = sp.csr_matrix((scaled, K.indices, K.indptr), shape=K.shape)
 
-    def ritz_pair(y):
-        """(theta, x, residual) of the scaled Ritz vector y."""
+    for y, matvecs in _lanczos(B, np.sqrt(d)):
         x = s * y
         x /= np.sqrt(_dot(x, d * x))
         if np.sum(d * x) < 0.0:
@@ -609,14 +614,9 @@ def smallest_eigenpair(K, M):
         Kx = K @ x
         theta = float(_dot(x, Kx))
         r = Kx - theta * (d * x)
-        return theta, x, float(np.sqrt(_dot(r, r / d)))
-
-    def converged(y):
-        theta, _, residual = ritz_pair(y)
-        return residual <= EIG_TOL * max(1.0, abs(theta))
-
-    y, matvecs = _lanczos(B, np.sqrt(d), converged)
-    theta, x, residual = ritz_pair(y)
+        residual = float(np.sqrt(_dot(r, r / d)))
+        if residual <= EIG_TOL * max(1.0, abs(theta)):
+            break
     return theta, x, matvecs, residual
 
 

@@ -124,8 +124,8 @@ def assert_archive_bits():
     return check
 
 
-_SPIN_PRELUDE = """
-import json, os, sys, threading, time
+_WORKER_PROBES = """
+import json, math, os, threading, time
 import numpy as np
 # loading scipy's own OpenBLAS starts its worker, which spins once at start:
 # a cost per process, not per solve, so it is paid before any window
@@ -156,25 +156,62 @@ def window(work):
     while time.perf_counter() < end:
         pass
     return worker_ticks() - before
+
+
+# cone: the 49^3 refinement companion of the oracles workload's conformal
+# qform job, deformed and its quadratic form evaluated
+cone = geo.sample_chart(sch.build_chart({"kind": "cone", "n": 3}), 49)
+
+
+def deform_and_qform():
+    cf.qform_identity_check(cf.deform(cone), va.bump_function(cone, "centered"), 0.75)
+
+
+# spectra: the Dirichlet solves of the spectra workload, three stability
+# spectra at 25 nodes and the conformal lambda1 job's flat patch at 21
+band = [math.pi / 4, 3 * math.pi / 4]
+plane = {"kind": "hyperplane", "n": 3, "offset": 1.0, "box": [[-1.2, 1.2]] * 3}
+iso = {"kind": "isotropic", "dim": 4}
+mild = {"kind": "quadratic", "dim": 4,
+        "matrix": [[1.1, 0, 0, 0], [0, 1.1, 0, 0], [0, 0, 1.1, 0], [0, 0, 0, 1.21]]}
+sphere = {"kind": "sphere", "n": 3, "radius": 1.0, "box": [band, band, [0.0, 2 * math.pi]]}
+forms = [va.PhiForm(geo.sample_chart(sch.build_chart(chart), 25), sch.build_integrand(integ))
+         for chart, integ in (({"kind": "catenoid_3", "n": 3, "theta_range": band}, iso),
+                              (plane, iso), (sphere, mild))]
+for form in forms:
+    form.C, form.V   # the pullback's BLAS products run before the windows
+flat = cf.deform(geo.sample_chart(sch.build_chart(plane), 21))
+
+# the controls wake a worker where one can be seen: a tensordot of a 49^3
+# field with a dense 49 x 49 matrix, and numpy's full eigh of a 40 x 40 T
+field = np.random.default_rng(0).standard_normal((49, 49, 49))
+matrix = np.random.default_rng(1).standard_normal((49, 49))
+sym = np.random.default_rng(0).standard_normal((40, 40))
+sym += sym.T
+ticks = {"cone": {"cold": window(deform_and_qform), "warm": window(deform_and_qform)},
+         "spectra": {"solves": window(lambda: ([va.stability_spectrum(f) for f in forms],
+                                                cf.lambda1_estimate(flat)))}}
+# every control after every measured window, so no worker a control woke
+# can spin on into a measured one
+ticks["cone"]["control"] = window(lambda: np.tensordot(matrix, field, axes=([1], [0])))
+ticks["spectra"]["control"] = window(lambda: np.linalg.eigh(sym))
+print(json.dumps(ticks))
 """
 
 
-@pytest.fixture
-def worker_ticks_child(child_env):
-    """``worker_ticks_child(body, *args)``: the JSON that ``body`` prints in
-    a child process at two OpenBLAS threads, run after a prelude that
-    imports the package and defines ``window(work)``, the CPU ticks of
-    every thread but the main one during ``work()`` and the 0.1 s after it.
-    Skips where /proc/self/task cannot be read or one CPU leaves a BLAS
-    worker nothing to run on."""
+@pytest.fixture(scope="session")
+def blas_worker_ticks(child_env):
+    """The worker ticks of the BLAS-worker probes, by probe ("cone",
+    "spectra") and window, from one child process at two OpenBLAS threads
+    (`_WORKER_PROBES`): each window holds the CPU ticks of every thread but
+    the main one during its work and the 0.1 s after it.  Each probe has a
+    "control" window, a BLAS call that wakes a worker; the controls run
+    after every measured window.  Skips where /proc/self/task cannot be
+    read or one CPU leaves a BLAS worker nothing to run on."""
     if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("reads /proc/self/task; needs two CPUs for a BLAS worker")
-
-    def run(body, *args):
-        proc = subprocess.run([sys.executable, "-c", _SPIN_PRELUDE + body, *args],
-                              capture_output=True, text=True, timeout=300,
-                              env={**child_env, "OPENBLAS_NUM_THREADS": "2"})
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
-
-    return run
+    proc = subprocess.run([sys.executable, "-c", _WORKER_PROBES],
+                          capture_output=True, text=True, timeout=300,
+                          env={**child_env, "OPENBLAS_NUM_THREADS": "2"})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)

@@ -17,7 +17,6 @@ import pytest
 
 from anisocheck import acceptance as ac
 from anisocheck import cli
-from anisocheck import geometry as geo
 from anisocheck import inequalities as iq
 from anisocheck import mubble as mb
 
@@ -122,16 +121,23 @@ def _variation_job(chart, integrand, resolution, tests, **inputs):
 
 def test_cli_runners_and_criteria_share_builders(all_run):
     # a CLI conformal job at resolution 13 refines (13, 25), criterion 7's
-    # RES_3D, on its catalog cone
+    # RES_3D, on its catalog cone, and gives its radial Laplacian record
     chart = {"kind": "cone", "n": 3, "theta_range": [math.pi / 4, 3 * math.pi / 4]}
-    report = cli.run({"command": "conformal", "seed": 1,
+    (rec,) = cli.run({"command": "conformal", "seed": 1,
                       "inputs": {"chart": chart, "resolution": 13,
-                                 "tests": ["laplace_r"]}})
-    crit = ac.laplace_r_order_check(
-        "radial Laplacian identity order [cone]",
-        [geo.laplace_r_check(geo.sample_chart(geo.catalog(3)["cone"], res))
-         for res in ac.RES_3D])
-    assert report["records"][0]["value"] == crit.value
+                                 "tests": ["laplace_r"]}})["records"]
+    crit = _record(all_run, "conformal: radial Laplacian identity order [cone]")
+    assert rec["name"] == "radial Laplacian identity order"
+    assert dict(rec, name=crit["name"]) == crit
+    # at 25 it refines (25, 49), the finest pair of criterion 7's qform
+    # ladder (13, 25, 49), and gives the value and verdict of its record
+    (rec,) = cli.run({"command": "conformal", "seed": 1,
+                      "inputs": {"chart": chart, "resolution": 25,
+                                 "tests": ["qform"]}})["records"]
+    crit = _record(all_run, "conformal: qform identity order [cone n=3]")
+    assert rec["name"] == "qform identity order"
+    assert (rec["value"], rec["pass"]) == (crit["value"], crit["pass"])
+    assert rec["detail"]["discrepancies"] == crit["detail"]["discrepancies"][1:]
     # a CLI mubble job on the catalog cylinder reports criterion 8's seven
     # shared "cylinder ..." records
     report = cli.run({"command": "mubble", "seed": 1,

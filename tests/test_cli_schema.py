@@ -74,6 +74,16 @@ DISTANCE_ONLY = {"command": "conformal", "seed": 7,
     ("conformal_cone.json", 2, 2),
     ("conformal_flat_lambda1.json", 2, 2),
     (DISTANCE_ONLY, 0, 0),
+    # the two qform sides are one sum on the sphere about the origin: only
+    # the rounding of the finest level is judged, so only it is sampled
+    ({"command": "conformal", "seed": 7,
+      "inputs": {"chart": {"kind": "sphere", "n": 3}, "resolution": 13,
+                 "tests": ["qform"]}}, 1, 1),
+    # lambda1 reads the first level alone
+    ({"command": "conformal", "seed": 7,
+      "inputs": {"chart": {"kind": "hyperplane", "n": 3, "offset": 1.0,
+                           "box": [[-1.2, 1.2]] * 3},
+                 "resolution": 13, "tests": ["lambda1"]}}, 1, 1),
 ])
 def test_conformal_runner_samples_each_grid_once(monkeypatch, job, samples, deforms):
     calls = {"sample_chart": 0, "deform": 0}
@@ -584,6 +594,20 @@ def test_a_chart_error_at_the_refined_level_names_the_chart(tmp_path, capsys):
     # reported, though the coarse level is freed before the fine one is sampled
     job = _conformal(chart={"kind": "hyperplane", "n": 3, "offset": 0.0}, resolution=10)
     assert _run_pointers(tmp_path, capsys, job) == (2, ["/inputs/chart"])
+
+
+def test_a_runner_value_error_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # only a chart that fails to sample or to deform (geometry.ImmersionError)
+    # makes a conformal job invalid; any other ValueError of its builder is
+    # a runner fault
+    def broken(*args):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(cf, "qform_identity_check", broken)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_conformal(resolution=13)))
+    assert cli.main(["run", "--job", str(path)]) == 3
+    assert capsys.readouterr().err == "internal error: ValueError: planted\n"
 
 
 BAND = [math.pi / 4, 3 * math.pi / 4]

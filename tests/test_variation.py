@@ -234,22 +234,39 @@ def test_smallest_eigenpair_rejects_what_it_cannot_solve():
 
 
 def test_lanczos_goes_on_while_the_true_residual_fails():
-    # the estimate alone does not stop a solve: converged() is asked, and a
-    # refusal sends pass 1 on from where it stopped, to a second check
+    # the estimate alone does not stop a solve: asked for another candidate
+    # (its caller refused the first), pass 1 goes on from where it stopped
     n = 200
     B = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
-    checks = []
-
-    def refuse_once(y):
-        checks.append(y)
-        return len(checks) > 1
-
-    y, matvecs = va._lanczos(B, np.ones(n), lambda y: True)
-    y2, matvecs2 = va._lanczos(B, np.ones(n), refuse_once)
-    assert len(checks) == 2 and matvecs2 > matvecs
+    candidates = va._lanczos(B, np.ones(n))
+    y, matvecs = next(candidates)
+    y2, matvecs2 = next(candidates)
+    assert matvecs2 > matvecs
     theta = float(y @ (B @ y))
     assert theta == pytest.approx(2.0 - 2.0 * np.cos(np.pi / (n + 1)), rel=1e-6)
     assert float(np.linalg.norm(B @ y2 - (y2 @ (B @ y2)) * y2)) <= va.EIG_TOL
+
+
+def test_smallest_eigenpair_checks_each_candidate_once(monkeypatch):
+    # a refused candidate sends the solve on to the next one, and the pair
+    # it returns is the first candidate whose true residual passes
+    n = 200
+    K = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    M = sp.identity(n, format="csr")
+    lanczos = va._lanczos
+    yielded = []
+
+    def refuse_first(*args):
+        for k, (y, matvecs) in enumerate(lanczos(*args)):
+            yielded.append(matvecs)
+            yield (y + 1e-3 if k == 0 else y), matvecs
+
+    want = va.smallest_eigenpair(K, M)
+    monkeypatch.setattr(va, "_lanczos", refuse_first)
+    theta, x, matvecs, residual = va.smallest_eigenpair(K, M)
+    assert len(yielded) == 2 and matvecs == yielded[-1] > want[2]
+    assert residual <= va.EIG_TOL * max(1.0, abs(theta))
+    assert theta == pytest.approx(want[0], rel=1e-12)
 
 
 class _Recorded:
@@ -271,7 +288,7 @@ def test_lanczos_second_pass_regenerates_the_first_bit_for_bit():
     main = 2.0 + np.linspace(0.0, 1.0, n) ** 2
     B = _Recorded(sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1],
                            format="csr"))
-    y, matvecs = va._lanczos(B, np.linspace(1.0, 2.0, n), lambda y: True)
+    y, matvecs = next(va._lanczos(B, np.linspace(1.0, 2.0, n)))
     p = (matvecs + 1) // 2
     assert len(B.seen) == matvecs == 2 * p - 1 and p % va.LANCZOS_STRIDE == 0
     basis = B.seen[:p]
@@ -387,15 +404,16 @@ def test_assembly_memory_on_the_catenoid_band(traced_peak):
 
 def test_eigensolve_memory_on_the_catenoid_band(traced_peak):
     # Lanczos keeps a few vectors of the n = 13225 free nodes (103 KiB each);
-    # the mass-scaled copy of K (27 entries a row) and its scaling
-    # temporaries make most of the 5.5 MiB peak.  The thick-restart solve
-    # with its 41 x n basis peaked at 8.3 MiB, ARPACK's eigsh at 11.6 to
-    # 14.5 MiB
+    # the mass-scaled data of K (336 675 entries, 2.6 MiB), scaled in place,
+    # and its one temporary s[K.indices] of the same size make most of the
+    # 5.51 MiB peak, which the bound leaves 0.49 MiB of room.  The
+    # thick-restart solve with its 41 x n basis peaked at 8.3 MiB, ARPACK's
+    # eigsh at 11.6 to 14.5 MiB
     g = geo.sample_chart(geo.Catenoid3(theta_range=BAND), 25)
     form = va.PhiForm(g, ig.Integrand.isotropic(4))
     C, V = form.C, form.V
     K, M = va.assemble_forms(g, C, V, np.ones(g.shape))
-    assert traced_peak(lambda: va.smallest_eigenpair(K, M)) < 6.5 * 2**20
+    assert traced_peak(lambda: va.smallest_eigenpair(K, M)) < 6.0 * 2**20
 
 
 _PLANE = {"kind": "hyperplane", "n": 3, "offset": 1.0, "box": [[-1.2, 1.2]] * 3}
@@ -452,9 +470,9 @@ def test_spectrum_record_fails_on_a_perturbed_eigenvector(monkeypatch):
     lanczos = va._lanczos
 
     def perturbed(*args):
-        y, matvecs = lanczos(*args)
-        y[::5] *= 1.01
-        return y, matvecs
+        for y, matvecs in lanczos(*args):
+            y[::5] *= 1.01
+            yield y, matvecs
 
     monkeypatch.setattr(va, "_lanczos", perturbed)
     report = cli.run(SPECTRUM_JOB)
@@ -464,8 +482,12 @@ def test_spectrum_record_fails_on_a_perturbed_eigenvector(monkeypatch):
 def test_spectrum_record_fails_at_the_matvec_cap(monkeypatch):
     # the cap bounds both passes: two steps of pass 1 and the one product of
     # its pass 2 leave an unconverged Ritz pair; the solve returns it, and
-    # its residual fails the record without a crash
+    # its residual fails the record without a crash.  That pair is the one
+    # candidate, whatever its estimate: the generator then ends
     monkeypatch.setattr(va, "LANCZOS_MAX_MATVECS", 3)
+    n = 200
+    B = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    assert [matvecs for _, matvecs in va._lanczos(B, np.ones(n))] == [3]
     report = cli.run(SPECTRUM_JOB)
     rec = _converged_record(report)
     assert not rec["pass"] and not report["pass"]
@@ -501,35 +523,12 @@ def test_spectrum_report_is_the_same_at_any_blas_thread_count(tmp_path, child_en
     assert one == two
 
 
-SPECTRA_CHILD = """
-stability, (flat_chart, flat_res) = json.loads(sys.argv[1])
-forms = [va.PhiForm(geo.sample_chart(sch.build_chart(chart), res),
-                    sch.build_integrand(integrand)) for chart, integrand, res in stability]
-for form in forms:
-    form.C, form.V   # the pullback's BLAS products run before the window
-flat = cf.deform(geo.sample_chart(sch.build_chart(flat_chart), flat_res))
-sym = np.random.default_rng(0).standard_normal((40, 40))
-sym += sym.T
-print(json.dumps({
-    "solves": window(lambda: ([va.stability_spectrum(f) for f in forms],
-                              cf.lambda1_estimate(flat))),
-    "control": window(lambda: np.linalg.eigh(sym)),
-}))
-"""
-
-
-def test_spectral_solves_wake_no_blas_worker(worker_ticks_child):
+def test_spectral_solves_wake_no_blas_worker(blas_worker_ticks):
     # the Dirichlet solves of the spectra workload in a child at two OpenBLAS
     # threads: the Ritz solve of the Lanczos matrix T must leave every worker
     # thread asleep.  numpy's full eigh of a 40 x 40 T wakes one, which then
     # spins on for tens of ms of CPU after each restart
-    iso = {"kind": "isotropic", "dim": 4}
-    stability = [({"kind": "catenoid_3", "n": 3, "theta_range": list(BAND)}, iso, 25),
-                 (_PLANE, iso, 25),
-                 ({"kind": "sphere", "n": 3, "radius": 1.0,
-                   "box": [list(BAND), list(BAND), [0.0, 2 * np.pi]]}, _MILD, 25)]
-    lambda1 = (_PLANE, 21)   # the conformal lambda1 job's flat patch
-    ticks = worker_ticks_child(SPECTRA_CHILD, json.dumps([stability, lambda1]))
+    ticks = blas_worker_ticks["spectra"]
     if ticks["control"] == 0:
         pytest.skip("numpy's eigh woke no BLAS worker here, so the check shows nothing")
     assert ticks["solves"] == 0, ticks

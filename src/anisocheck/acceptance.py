@@ -99,10 +99,10 @@ def qform_one_sum(chart):
     return isinstance(chart, geo.Sphere) and not np.any(chart.center)
 
 
-def qform_rounding_check(name, cgeom, lam):
+def qform_rounding_check(name, geom, R_tilde, lam):
     """The two-way quadratic-form discrepancy on the centered bump of one
-    deformed sample on which the two sides are one sum (`qform_one_sum`),
-    so that only rounding tells them apart.
+    sample ``geom``, deformed to ``R_tilde``, on which the two sides are one
+    sum (`qform_one_sum`), so that only rounding tells them apart.
 
     The bound is the rounding of the sums, taking the node terms as given:
     a node adds at most three terms (two roundings), the product of the n
@@ -114,9 +114,8 @@ def qform_rounding_check(name, cgeom, lam):
     The discrepancy is then at most gamma_m times the magnitude of
     `conformal.qform_identity_check`, which sums both sides.  Off radius 1
     the node terms differ by a few roundings of w, far fewer than m."""
-    geom = cgeom.base
     direct, derived, magnitude = cf.qform_identity_check(
-        cgeom, va.bump_function(geom, "centered"), lam)
+        geom, R_tilde, va.bump_function(geom, "centered"), lam)
     m = geom.r.size + geom.n + 2
     u = 2.0 ** -53
     return le(name, abs(direct - derived), m * u / (1.0 - m * u) * magnitude,
@@ -143,19 +142,21 @@ def conformal_records(chart, levels, tests, lam, integrand=None, label=""):
         lambda1 = "lambda1" in tests and k == 0
         if not (qform or lambda1 or "laplace_r" in tests):
             continue
-        cg = cf.deform(geo.sample_chart(chart, level))
+        geom = geo.sample_chart(chart, level)
+        R_tilde = cf.deform(geom)
         if qform and one_sum:
-            recs["qform"] = qform_rounding_check("qform identity rounding" + label, cg, lam)
+            recs["qform"] = qform_rounding_check("qform identity rounding" + label, geom,
+                                                 R_tilde, lam)
         elif qform:
             direct, derived, _ = cf.qform_identity_check(
-                cg, va.bump_function(cg.base, "centered"), lam)
+                geom, R_tilde, va.bump_function(geom, "centered"), lam)
             discs.append(abs(direct - derived))
         if "laplace_r" in tests:
-            residuals.append(geo.laplace_r_check(cg.base))
+            residuals.append(geo.laplace_r_check(geom))
         if lambda1:
             recs["lambda1"] = lambda1_target_check("lambda1 estimate vs target" + label,
-                                                   cg, integrand, lam)
-        del cg    # freed before the next level is sampled
+                                                   geom, R_tilde, integrand, lam)
+        del geom, R_tilde    # freed before the next level is sampled
     if discs:    # ``derived`` is the finest level's
         recs["qform"] = order_check("qform identity order" + label, discs, 1e-11,
                                     discs[-1] / max(1.0, abs(derived)), ORDER_FLOOR_REL)
@@ -197,17 +198,18 @@ def spectrum_converged_check(spec):
               lambda_stab=lam, stable=certified_stable(spec), matvecs=spec.matvecs)
 
 
-def lambda1_target_check(name, cgeom, integrand, target):
+def lambda1_target_check(name, geom, R_tilde, integrand, target):
     """Margin lambda1 - residual - target >= -LAMBDA1_SLACK of the bottom
-    Dirichlet eigenvalue of -Lap~ + R~/2 on the deformed piece ``cgeom``,
-    judged only where the piece is certified phi-stationary and stable for
-    ``integrand`` (the target follows from stability); else reported only."""
-    est = cf.lambda1_estimate(cgeom)
+    Dirichlet eigenvalue of -Lap~ + R~/2 on the piece ``geom`` deformed to
+    ``R_tilde`` (`conformal.deform`), judged only where the piece is
+    certified phi-stationary and stable for ``integrand`` (the target
+    follows from stability); else reported only."""
+    est = cf.lambda1_estimate(geom, R_tilde)
     margin = est.eigenvalue - est.residual - target
     detail = {"lambda1": est.eigenvalue, "lambda_target": target, "margin": margin,
               "matvecs": est.matvecs, "residual": est.residual,
               "resolution": list(est.resolution), "note": LAMBDA1_NOTE}
-    form = va.PhiForm(cgeom.base, integrand)
+    form = va.PhiForm(geom, integrand)
     if form.stationary and certified_stable(va.stability_spectrum(form)):
         return ge(name, margin, -LAMBDA1_SLACK, **detail)
     return Check(name, margin, None, True,
@@ -553,7 +555,7 @@ def criterion_conformal(seed=iq.SEED):
                                       np.random.default_rng(seed), 8, 12, 80))
     # flat patch spectral estimate against the closed-form target 3/4
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0, box=[(-1.2, 1.2)] * 3), 21)
-    recs.append(lambda1_target_check("flat patch lambda1 estimate vs 3/4", cf.deform(g),
+    recs.append(lambda1_target_check("flat patch lambda1 estimate vs 3/4", g, cf.deform(g),
                                      ig.Integrand.isotropic(4), cf.LAMBDA_TARGET[3]))
     # pointwise absorption step margins on the catalog
     worst_cs = math.inf

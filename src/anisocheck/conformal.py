@@ -14,8 +14,6 @@ catalog cone chart makes directly testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import geometry as geo
@@ -26,22 +24,9 @@ from . import variation as va
 LAMBDA_TARGET = {2: 0.0, 3: 0.75}
 
 
-@dataclass
-class ConformalGeometry:
-    """Per-node data of the deformed metric w^2 g with w = 1/r."""
-
-    base: geo.SampledGeometry
-    w: np.ndarray
-    R_tilde: np.ndarray
-
-    @property
-    def n(self):
-        return self.base.n
-
-
 def deform(geom):
-    """Conformal geometry of r^-2 g; raises `geometry.ImmersionError`
-    unless r >= 1e-3 on the chart."""
+    """The scalar curvature R~ of r^-2 g at the nodes of ``geom``; raises
+    `geometry.ImmersionError` unless r >= 1e-3 on the chart."""
     rmin = float(geom.r.min())
     if geom.origin_on_chart or rmin < geo.R_MIN:
         raise geo.ImmersionError(
@@ -52,36 +37,35 @@ def deform(geom):
     # metric-aware FD Laplacian and |grad log w|^2 = |grad r|^2 / r^2
     lap_log_w = geom.laplacian(-np.log(geom.r))
     grad_log_w_sq = np.einsum("...d,...d->...", geom.grad_r, geom.grad_r) / geom.r**2
-    R_tilde = (geom.scalar_curvature - 2.0 * (n - 1) * lap_log_w
-               - (n - 1) * (n - 2) * grad_log_w_sq) / w**2
-    return ConformalGeometry(base=geom, w=w, R_tilde=R_tilde)
+    return (geom.scalar_curvature - 2.0 * (n - 1) * lap_log_w
+            - (n - 1) * (n - 2) * grad_log_w_sq) / w**2
 
 
-def qform_identity_check(cgeom, phi, lam):
+def qform_identity_check(geom, R_tilde, phi, lam):
     """(direct, derived, magnitude): two evaluations of the deformed
-    spectral quadratic form,
+    spectral quadratic form on ``geom``, whose deformed scalar curvature is
+    ``R_tilde`` (`deform`), with w = 1/r,
 
     direct:  Q~(phi) = int |grad~ (w^{(2-n)/2} phi)|^2_g~
                        + (R~/2 - lam) (w^{(2-n)/2} phi)^2 dmu~
     derived: int |grad phi|^2 + R/2 phi^2
-                 + ( n/2 (n + r H_vec.xhat - (n+2)/2 |grad r|^2) - lam )
+                 + ( n/2 (n - r H xhat.nu - (n+2)/2 |grad r|^2) - lam )
                    r^-2 phi^2  dmu
 
-    and the scale of their rounding: the quadrature of the absolute values
-    of the node terms that the two sides sum (two and three).
+    (H_vec.xhat = -H xhat.nu), and the scale of their rounding: the
+    quadrature of the absolute values of the node terms that the two sides
+    sum (two and three).
 
     The two agree identically in the continuum; the discrepancy is pure
     discretization and must vanish under refinement.
     """
-    geom = cgeom.base
     va._check_compact_support(geom, phi)
     n = geom.n
-    w = cgeom.w
+    w = 1.0 / geom.r
     psi = w ** ((2.0 - n) / 2.0) * phi
     direct = (w ** (n - 2.0) * geom.grad_norm_sq(psi),
-              (0.5 * cgeom.R_tilde - lam) * w**2 * phi**2)
-    hx = np.einsum("...d,...d->...", geom.mean_curvature_vec,
-                   geom.X / geom.r[..., None])
+              (0.5 * R_tilde - lam) * w**2 * phi**2)
+    hx = -geom.mean_curvature * geom.radial_cos
     gr2 = np.einsum("...d,...d->...", geom.grad_r, geom.grad_r)
     potential = (0.5 * n * (n + geom.r * hx - 0.5 * (n + 2.0) * gr2) - lam) / geom.r**2
     derived = (geom.grad_norm_sq(phi), 0.5 * geom.scalar_curvature * phi**2,
@@ -91,14 +75,15 @@ def qform_identity_check(cgeom, phi, lam):
             geom.integrate(derived[0] + derived[1] + derived[2]), magnitude)
 
 
-def lambda1_estimate(cgeom):
-    """Bottom Dirichlet eigenvalue of -Lap~ + R~/2 on the chart piece, a
+def lambda1_estimate(geom, R_tilde):
+    """Bottom Dirichlet eigenvalue of -Lap~ + R~/2 on the chart piece
+    ``geom`` with deformed scalar curvature ``R_tilde`` (`deform`), a
     :class:`variation.DirichletSpectrum`."""
-    geom = cgeom.base
     n = geom.n
-    wn = cgeom.w**n
-    coeff = (cgeom.w ** (n - 2.0))[..., None, None] * geom.metric_inv
-    return va.dirichlet_spectrum(geom, coeff, 0.5 * cgeom.R_tilde * wn, wn)
+    w = 1.0 / geom.r
+    wn = w**n
+    coeff = (w ** (n - 2.0))[..., None, None] * geom.metric_inv
+    return va.dirichlet_spectrum(geom, coeff, 0.5 * R_tilde * wn, wn)
 
 
 # -- curve comparisons ---------------------------------------------------------
@@ -138,7 +123,7 @@ def distance_comparison_check(chart, curve_params):
     r0, r1 = np.linalg.norm(ends, axis=-1)
     log_ratio = abs(float(np.log(r1) - np.log(r0)))
     intrinsic = None
-    if getattr(chart, "supports_intrinsic_radius", False):
+    if chart.supports_intrinsic_radius:
         rb = chart.intrinsic_radius(pts[[0, -1]])
         intrinsic = abs(float(np.log(rb[1]) - np.log(rb[0])))
     return D, log_ratio, intrinsic
@@ -146,12 +131,12 @@ def distance_comparison_check(chart, curve_params):
 
 def cauchy_schwarz_step_check(geom, beta):
     """Pointwise margin of r H_vec.xhat >= -beta r^2 H^2 / 2 - 1/(2 beta),
-    the weighted arithmetic-geometric mean step used with the deformed
-    form; holds on every chart for every beta > 0."""
+    with H_vec.xhat = -H xhat.nu, the weighted arithmetic-geometric mean
+    step used with the deformed form; holds on every chart for every
+    beta > 0."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    hx = np.einsum("...d,...d->...", geom.mean_curvature_vec,
-                   geom.X / geom.r[..., None])
+    hx = -geom.mean_curvature * geom.radial_cos
     margin = geom.r * hx + 0.5 * beta * (geom.r * geom.mean_curvature) ** 2 \
         + 0.5 / beta
     return float(margin.min())

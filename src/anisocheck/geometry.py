@@ -6,8 +6,7 @@ in parameter space; sampling it on a structured grid produces a
 metric give: the position X, the unit normal nu, the Jacobian, g^-1, the
 area element sqrt(det g), the shape operator S and r = |X|.  It derives
 the rest over the whole grid on first read and keeps it: H, |A|^2 and R
-from S, the mean curvature vector from H and nu, and grad r and
-xhat . nu from X, r and nu.
+from S, and grad r and xhat . nu from X, r and nu.
 
 Conventions (the sign dictionary):
 
@@ -16,8 +15,11 @@ Conventions (the sign dictionary):
   ``S = g^{-1} h``;
 * scalar mean curvature ``H = tr S`` (outward-normal round sphere of
   radius rho: H = n / rho);
-* mean curvature vector ``H_vec = Laplace_g X = -H nu``; the identity is
-  validated numerically rather than assumed where both appear.
+* mean curvature vector ``H_vec = Laplace_g X = -H nu``, checked against
+  the Laplacian of X by `test_mean_curvature_vector_dictionary_on_sphere`;
+  no field stores it: a check reads its radial part
+  ``H_vec . xhat = -H (xhat . nu)`` from ``mean_curvature`` and
+  ``radial_cos``.
 
 Every chart of revolution is the q = 0 instance of one two-link chart
 X = (rho(t) omega, z(t) eta) (`Join`; S^0 is the point eta = +1), and the
@@ -28,7 +30,7 @@ grid step so nodes never sit on the degeneracy; the inset shrinks under
 refinement, so integrals converge to the closed (uninset) values at second
 order.  Every other end of a non-periodic axis is physical boundary.
 
-Per-node tensors are stored entry-major: X, nu, H_vec and grad r as
+Per-node tensors are stored entry-major: X, nu and grad r as
 (dim,) + grid, the Jacobian as (dim, n) + grid, d^2X as (dim, n, n) + grid
 and g, g^-1 and S as (n, n) + grid, each exposed as a grid + entries view
 (`_planes`), so every entry is one contiguous plane over the grid.
@@ -73,7 +75,7 @@ ANGLE_TOL = 1e-12     # a box end within this of 0, pi or a 2 pi span sits there
 #: axis 0.  Measured on a 49^3 cone (35.9 MiB of stored fields), the traced
 #: transient above its fields is 0.43 times their bytes at this size, 0.22
 #: at 2^13 nodes, 0.94 at 2^15 and 2.1 with the grid in one slab.  The
-#: conformal qform job on that cone peaks at 61.1 MiB at 2^13 and 2^14
+#: conformal qform job on that cone peaks at 57.5 MiB at 2^13 and 2^14
 #: alike, in `conformal.deform` and the identity check, not in sampling;
 #: the 21^3 and 25^3 samples of the benchmark fit in one slab, and cut into
 #: two they take 10-20 % longer
@@ -227,12 +229,6 @@ class SampledGeometry:
         return self._curvatures[2]
 
     @cached_property
-    def mean_curvature_vec(self):
-        """H_vec = -H nu."""
-        return np.multiply(-self.mean_curvature[..., None], self.nu,
-                           out=_planes(self.shape, (self.dim,)))
-
-    @cached_property
     def _radial(self):
         """(grad r, xhat . nu): the tangential and normal parts of xhat =
         X / r, both 0 at a node on the ambient origin."""
@@ -271,15 +267,6 @@ class SampledGeometry:
         artifacts where the surface closes smoothly."""
         return [(a, side) for a in range(self.n) if not self.periodic[a]
                 for side in (0, -1) if (a, side) not in self.pole_ends]
-
-    def dirichlet_mask(self):
-        """Mask of free nodes for Dirichlet problems: one node layer of each
-        physical boundary end is clamped; the nodes of a polar-inset end stay
-        free (natural condition on a ring that shrinks with the grid step)."""
-        mask = np.ones(self.shape, dtype=bool)
-        for a, side in self.boundary_ends():
-            mask[(slice(None),) * a + (side,)] = False
-        return mask
 
     def axis_weights(self):
         return [
@@ -744,6 +731,9 @@ class Chart:
     #: (sphere pole); that end is inset by half a grid step at sampling
     #: time and its face is not part of the physical boundary.
     pole_ends = ()
+    #: whether ``intrinsic_radius(u)`` gives the exact intrinsic distance
+    #: to the origin preimage (radial charts only)
+    supports_intrinsic_radius = False
 
     def __init__(self, n, box):
         self.n = n
@@ -1023,11 +1013,12 @@ class ConePatch(Join):
     and the patch is invariant under dilations about the origin.
     """
 
+    supports_intrinsic_radius = True
+
     def __init__(self, n=3, link_ratio=0.8, s_range=(0.5, 1.5), theta_range=(0.0, np.pi)):
         if not 0 < link_ratio < 1:
             raise ValueError("link ratio must be in (0, 1)")
         self.a = float(link_ratio)
-        self.supports_intrinsic_radius = True
         self.b = float(np.sqrt(1.0 - link_ratio**2))
         super().__init__(n, [s_range] + [theta_range] * (n - 2) + [(0.0, 2 * np.pi)])
         self.name = f"cone{n}"

@@ -179,7 +179,7 @@ INPUTS = {
                            "description": "an integer >= 8 or a list of n of them"},
             "tests": _list_of("first_variation", "second_variation", "vectorfield",
                               "isoperimetric", "spectrum"),
-            "rho": {"type": "number"},
+            "rho": {"type": "number", "minimum": 0},
         },
     },
     "conformal": {"required": ["chart"],

@@ -365,14 +365,14 @@ def _bits(corner, n):
 
 
 def _free_box(geom):
-    """Per-axis node slices of the Dirichlet-free nodes: `dirichlet_mask`
-    clamps whole node layers of non-periodic axes only, so they form a box."""
+    """Per-axis node slices of the Dirichlet-free nodes: one node layer of
+    each physical boundary end (`SampledGeometry.boundary_ends`) is
+    clamped, so the free nodes form a box; the nodes of a polar-inset end
+    stay free (natural condition on a ring that shrinks with the grid
+    step)."""
     ends = geom.boundary_ends()
-    box = tuple(slice(int((a, 0) in ends), m - int((a, -1) in ends))
-                for a, m in enumerate(geom.shape))
-    mask = geom.dirichlet_mask()
-    assert mask[box].all() and mask.sum() == mask[box].size, "free nodes are not a box"
-    return box
+    return tuple(slice(int((a, 0) in ends), m - int((a, -1) in ends))
+                 for a, m in enumerate(geom.shape))
 
 
 def _stencil(geom, coeff):
@@ -432,7 +432,7 @@ def assemble_forms(geom, coeff, potential, mass_density):
         Q(u) = int du^T coeff du + potential u^2   (measure sqrt(g) du)
 
     against the weighted mass int mass_density u^2, on the free nodes of
-    ``geom.dirichlet_mask()`` in C order: K is CSR with sorted columns and
+    `_free_box` in C order: K is CSR with sorted columns and
     no stored zeros, exactly symmetric, and M is diagonal.  The gradient
     part is exact multilinear finite elements with cell-averaged
     coefficients (no spurious low-energy modes, unlike collocated
@@ -634,7 +634,7 @@ class DirichletSpectrum:
 
 def dirichlet_spectrum(geom, coeff, potential, mass_density):
     """Bottom of the spectrum of the form of :func:`assemble_forms` on the
-    free nodes of ``geom.dirichlet_mask()``."""
+    free nodes of `_free_box`."""
     lam, _, matvecs, resid = smallest_eigenpair(
         *assemble_forms(geom, coeff, potential, mass_density))
     return DirichletSpectrum(eigenvalue=lam, residual=resid, matvecs=matvecs,

@@ -164,7 +164,7 @@ cone = geo.sample_chart(sch.build_chart({"kind": "cone", "n": 3}), 49)
 
 
 def deform_and_qform():
-    cf.qform_identity_check(cf.deform(cone), va.bump_function(cone, "centered"), 0.75)
+    cf.qform_identity_check(cone, cf.deform(cone), va.bump_function(cone, "centered"), 0.75)
 
 
 # spectra: the Dirichlet solves of the spectra workload, three stability
@@ -180,7 +180,8 @@ forms = [va.PhiForm(geo.sample_chart(sch.build_chart(chart), 25), sch.build_inte
                               (plane, iso), (sphere, mild))]
 for form in forms:
     form.C, form.V   # the pullback's BLAS products run before the windows
-flat = cf.deform(geo.sample_chart(sch.build_chart(plane), 21))
+flat = geo.sample_chart(sch.build_chart(plane), 21)
+flat_R_tilde = cf.deform(flat)
 
 # the controls wake a worker where one can be seen: a tensordot of a 49^3
 # field with a dense 49 x 49 matrix, and numpy's full eigh of a 40 x 40 T
@@ -190,7 +191,7 @@ sym = np.random.default_rng(0).standard_normal((40, 40))
 sym += sym.T
 ticks = {"cone": {"cold": window(deform_and_qform), "warm": window(deform_and_qform)},
          "spectra": {"solves": window(lambda: ([va.stability_spectrum(f) for f in forms],
-                                                cf.lambda1_estimate(flat)))}}
+                                                cf.lambda1_estimate(flat, flat_R_tilde)))}}
 # every control after every measured window, so no worker a control woke
 # can spin on into a measured one
 ticks["cone"]["control"] = window(lambda: np.tensordot(matrix, field, axes=([1], [0])))

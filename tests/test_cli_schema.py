@@ -548,6 +548,8 @@ CONE_T_OVERFLOW = (_variation(chart={"kind": "clifford_cone", "T": 800}), "/inpu
 # one node of the grid lies inside the band, where minimizing A needs three
 # (an IndexError, exit 3, without the check); last, as above
 COARSE_BAND = (_mubble({"profile": "cylinder", "n_grid": 3}), "/inputs/model/n_grid")
+# a negative rho is no ball: it is refused, not run as the default 0; last, as above
+NEGATIVE_RHO = (_variation(tests=["isoperimetric"], rho=-5), "/inputs/rho")
 
 # integrand norms of a constants table that cannot be built: c1_norm below
 # phi_min, or a ratio c1_norm / phi_min at which V0 overflows a double; the
@@ -583,7 +585,7 @@ def _run_pointers(tmp_path, capsys, job):
 @pytest.mark.parametrize("job, pointer",
                          UNCHECKED_INPUTS + [TOO_LARGE] + BEYOND_FLOAT + UNCAPPED + UNRUNNABLE
                          + REMOVED_INPUTS + UNBUILDABLE_NORMS
-                         + [RHO_INSIDE, CONE_T_OVERFLOW, COARSE_BAND])
+                         + [RHO_INSIDE, CONE_T_OVERFLOW, COARSE_BAND, NEGATIVE_RHO])
 def test_unchecked_inputs_exit_2_with_their_pointer(tmp_path, capsys, job, pointer):
     assert _run_pointers(tmp_path, capsys, job) == (2, [pointer])
 

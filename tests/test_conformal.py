@@ -12,15 +12,15 @@ from anisocheck import constants as co
 from anisocheck import geometry as geo
 from anisocheck import integrand as ig
 from anisocheck import variation as va
-from anisocheck.checks import order_check
+from anisocheck.checks import ladder, order_check
 
 
 def test_deform_unit_sphere_is_identity():
     g = geo.sample_chart(geo.Sphere(3, radius=1.0), 13)
-    cg = cf.deform(g)
-    assert np.abs(cg.w - 1.0).max() <= 1e-14
+    R_tilde = cf.deform(g)
+    assert np.abs(1.0 / g.r - 1.0).max() <= 1e-14
     mask = g.interior_mask()
-    assert np.abs(cg.R_tilde - 6.0)[mask].max() <= 1e-10
+    assert np.abs(R_tilde - 6.0)[mask].max() <= 1e-10
 
 
 def test_deform_requires_radial_floor():
@@ -35,15 +35,15 @@ def test_transformation_law_against_plane_closed_form():
     prev = None
     for res in (13, 25):
         g = geo.sample_chart(geo.Hyperplane(3, offset=1.0), res)
-        cg = cf.deform(g)
+        R_tilde, w = cf.deform(g), 1.0 / g.r
         u2 = g.r**2 - 1.0
         lap_exact = -(3.0 + u2) / g.r**4
         Rt_exact = (0.0 - 4.0 * lap_exact - 2.0 * u2 / g.r**4) * g.r**2
         mask = g.interior_mask()
-        assert np.abs(cg.R_tilde - Rt_exact)[mask].max() <= (0.1 if res == 13 else 5e-3)
+        assert np.abs(R_tilde - Rt_exact)[mask].max() <= (0.1 if res == 13 else 5e-3)
         # residual of the law w^2 R~ = -4 Lap log w - 2|grad log w|^2 (n = 3,
         # R = 0) against the closed-form Laplacian
-        resid = np.abs(cg.w**2 * cg.R_tilde - cg.w**2 * Rt_exact)[mask].max()
+        resid = np.abs(w**2 * R_tilde - w**2 * Rt_exact)[mask].max()
         if prev is not None:
             assert prev / resid >= 3.5
         prev = resid
@@ -55,16 +55,14 @@ def test_cone_deformed_curvature_scale_invariant():
     cone = geo.catalog(3)["cone"]
     g1 = geo.sample_chart(cone, 13)
     g2 = geo.sample_chart(cone.dilate(2.0), 13)
-    c1, c2 = cf.deform(g1), cf.deform(g2)
     mask = g1.interior_mask()
-    assert np.abs(c1.R_tilde - c2.R_tilde)[mask].max() <= 1e-8
+    assert np.abs(cf.deform(g1) - cf.deform(g2))[mask].max() <= 1e-8
 
 
 def test_qform_identity_sphere_exact_reduction():
     g = geo.sample_chart(geo.Sphere(3, radius=1.0), 13)
-    cg = cf.deform(g)
     phi = va.bump_function(g, "centered")
-    direct, derived, _ = cf.qform_identity_check(cg, phi, 0.5)
+    direct, derived, _ = cf.qform_identity_check(g, cf.deform(g), phi, 0.5)
     # w == 1 and grad r == 0: both routes are literally the same integral
     assert abs(direct - derived) <= 1e-12
     manual = g.integrate(g.grad_norm_sq(phi) + (0.5 * 6.0 - 0.5) * phi**2)
@@ -80,11 +78,22 @@ def test_qform_identity_refinement():
         discs = []
         for res in pair:
             g = geo.sample_chart(chart, res)
-            cg = cf.deform(g)
             phi = va.bump_function(g, "centered")
-            direct, derived, _ = cf.qform_identity_check(cg, phi, lam)
+            direct, derived, _ = cf.qform_identity_check(g, cf.deform(g), phi, lam)
             discs.append(abs(direct - derived))
         assert order_check("qform", discs, 1e-11).passed
+
+
+def test_qform_records_read_radial_cos(monkeypatch):
+    # the derived side reads H_vec.xhat as -H (xhat.nu): on the cylinder
+    # (H != 0) the qform order record at the levels 13 and 25 passes, and
+    # fails once radial_cos is scaled by 1 + 1e-3
+    chart, lam = geo.catalog(3)["cylinder"], cf.LAMBDA_TARGET[3]
+    assert all(rec.passed for rec in ac.conformal_records(chart, ladder(13, 2), {"qform"}, lam))
+    monkeypatch.setattr(geo.SampledGeometry, "radial_cos",
+                        property(lambda g: g._radial[1] * (1.0 + 1e-3)))
+    assert not all(rec.passed
+                   for rec in ac.conformal_records(chart, ladder(13, 2), {"qform"}, lam))
 
 
 @pytest.mark.parametrize("n, res", [(2, 65), (3, 49)])
@@ -92,9 +101,10 @@ def test_sphere_qform_rounding_record_sees_a_planted_error(monkeypatch, n, res):
     # the finest sphere level of criterion 7: the two sides agree to a few
     # ulps, far inside the rounding bound of the sums, and a relative error
     # of 1e-10 in the direct side is far outside it
-    cg = cf.deform(geo.sample_chart(geo.catalog(n)["sphere"], res))
+    g = geo.sample_chart(geo.catalog(n)["sphere"], res)
+    R_tilde = cf.deform(g)
     lam = cf.LAMBDA_TARGET[n]
-    rec = ac.qform_rounding_check("sphere", cg, lam)
+    rec = ac.qform_rounding_check("sphere", g, R_tilde, lam)
     assert rec.passed and rec.value <= 4 * np.finfo(float).eps * abs(rec.detail["direct"])
     exact = cf.qform_identity_check
 
@@ -103,7 +113,7 @@ def test_sphere_qform_rounding_record_sees_a_planted_error(monkeypatch, n, res):
         return direct * (1.0 + 1e-10), derived, magnitude
 
     monkeypatch.setattr(cf, "qform_identity_check", planted)
-    assert not ac.qform_rounding_check("sphere", cg, lam).passed
+    assert not ac.qform_rounding_check("sphere", g, R_tilde, lam).passed
 
 
 SPHERE_QFORM_JOB = {"command": "conformal",
@@ -198,7 +208,7 @@ def test_deformed_length_dilation_invariance():
 
 def test_lambda1_flat_patch_meets_spectral_target():
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0, box=[(-1.2, 1.2)] * 3), 21)
-    rec = ac.lambda1_target_check("lambda1", cf.deform(g), ig.Integrand.isotropic(4),
+    rec = ac.lambda1_target_check("lambda1", g, cf.deform(g), ig.Integrand.isotropic(4),
                                   0.75)
     assert rec.detail["lambda1"] >= 0.75 - 1e-3
     assert "Dirichlet" in rec.detail["note"]
@@ -215,13 +225,14 @@ def test_lambda1_estimate_matches_dense_oracle(monkeypatch):
     monkeypatch.setattr(va, "smallest_eigenpair", keep)
     flat = geo.Hyperplane(3, offset=1.0, box=[(-1.2, 1.2)] * 3)
     for chart in (flat, geo.catalog(3)["cone"]):
-        cg = cf.deform(geo.sample_chart(chart, 9))
-        est = cf.lambda1_estimate(cg)
+        g = geo.sample_chart(chart, 9)
+        R_tilde = cf.deform(g)
+        est = cf.lambda1_estimate(g, R_tilde)
         K, M = forms[-1]
         exact = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[0]
         assert abs(est.eigenvalue - exact) <= 1e-9 * max(1.0, abs(exact)), chart.name
         assert est.residual <= va.EIG_TOL * max(1.0, abs(est.eigenvalue))
-        rec = ac.lambda1_target_check("lambda1", cg, ig.Integrand.isotropic(4), 0.75)
+        rec = ac.lambda1_target_check("lambda1", g, R_tilde, ig.Integrand.isotropic(4), 0.75)
         assert rec.detail["lambda1"] == est.eigenvalue
         assert rec.value == est.eigenvalue - est.residual - 0.75
 
@@ -250,7 +261,7 @@ def test_lambda1_record_subtracts_the_residual(monkeypatch, all_run):
     # criterion 7's rule on criterion 7's 21^3 patch: the eigenvalue is the
     # unpatched one of the `all` record, which passes
     g = geo.sample_chart(geo.Hyperplane(3, offset=1.0, box=[(-1.2, 1.2)] * 3), 21)
-    flat = ac.lambda1_target_check("flat patch", cf.deform(g), ig.Integrand.isotropic(4),
+    flat = ac.lambda1_target_check("flat patch", g, cf.deform(g), ig.Integrand.isotropic(4),
                                    cf.LAMBDA_TARGET[3])
     assert flat.tolerance == -1e-3 and not flat.passed
     assert flat.detail["lambda1"] == unpatched["detail"]["lambda1"] and unpatched["pass"]
@@ -260,7 +271,7 @@ def test_lambda1_dirichlet_monotone_under_enlargement():
     vals = []
     for half in (0.8, 1.2, 1.6):
         g = geo.sample_chart(geo.Hyperplane(3, offset=1.0, box=[(-half, half)] * 3), 17)
-        vals.append(cf.lambda1_estimate(cf.deform(g)).eigenvalue)
+        vals.append(cf.lambda1_estimate(g, cf.deform(g)).eigenvalue)
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -272,7 +283,7 @@ def test_lambda1_hemisphere_matches_first_harmonic():
     cap = geo.sample_chart(
         geo.Sphere(3, 1.0, box=[(0.0, np.pi / 2), (0, np.pi), (0, 2 * np.pi)]),
         (25, 13, 24))
-    est = cf.lambda1_estimate(cf.deform(cap))
+    est = cf.lambda1_estimate(cap, cf.deform(cap))
     assert est.eigenvalue == pytest.approx(6.0, rel=2e-2)
     # the inset pole nodes stretch the spectrum, so the true residual sits
     # near its tolerance while the Lanczos estimate may pass: the solve must

@@ -178,11 +178,12 @@ def test_mean_curvature_vector_dictionary_on_sphere():
     g = geo.sample_chart(geo.Sphere(3, radius=1.5), 21)
     hvec = g.laplacian_ambient(g.X)
     mask = g.interior_mask()
-    err = np.linalg.norm(hvec - g.mean_curvature_vec, axis=-1)[mask].max()
+    err = np.linalg.norm(hvec + g.mean_curvature[..., None] * g.nu, axis=-1)[mask].max()
     assert err <= 5e-3
     g2 = geo.sample_chart(geo.Sphere(2, radius=1.0), 33)
     hvec2 = g2.laplacian_ambient(g2.X)
-    err2 = np.linalg.norm(hvec2 - g2.mean_curvature_vec, axis=-1)[g2.interior_mask()].max()
+    err2 = np.linalg.norm(hvec2 + g2.mean_curvature[..., None] * g2.nu,
+                          axis=-1)[g2.interior_mask()].max()
     assert err2 <= 1e-3
 
 
@@ -278,12 +279,11 @@ def _field_names(g):
     return [f.name for f in dataclasses.fields(g)] + _derived_names(g)
 
 
-def test_sampled_geometry_stores_seven_fields_and_derives_six():
+def test_sampled_geometry_stores_seven_fields_and_derives_five():
     g = geo.sample_chart(geo.catalog(3)["cone"], 9)
     stored = [name for name in _field_names(g) if isinstance(getattr(g, name), np.ndarray)]
     assert stored[:7] == ["X", "nu", "jac", "metric_inv", "sqrt_det_g", "shape_op", "r"]
-    assert stored[7:] == ["mean_curvature", "A2", "scalar_curvature", "mean_curvature_vec",
-                          "grad_r", "radial_cos"]
+    assert stored[7:] == ["mean_curvature", "A2", "scalar_curvature", "grad_r", "radial_cos"]
     assert not hasattr(g, "metric")
 
 
@@ -293,7 +293,6 @@ def test_replaced_shape_operator_derives_its_own_curvatures():
     doubled = dataclasses.replace(g, shape_op=2 * g.shape_op)
     assert np.array_equal(doubled.mean_curvature, 2 * H)
     assert np.array_equal(doubled.scalar_curvature, 4 * R)
-    assert np.array_equal(doubled.mean_curvature_vec, -2 * H[..., None] * g.nu)
     # the derived fields are kept: a second read returns the same arrays
     assert g.mean_curvature is H and doubled.grad_r is doubled.grad_r
 

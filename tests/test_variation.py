@@ -39,16 +39,25 @@ def solves(monkeypatch):
     return seen
 
 
+def _free_mask(geom):
+    """The Dirichlet-free nodes: all but one node layer at each physical
+    boundary end."""
+    mask = np.ones(geom.shape, dtype=bool)
+    for a, side in geom.boundary_ends():
+        mask[(slice(None),) * a + (side,)] = False
+    return mask
+
+
 def _on_grid(geom, v):
     """The node scalar that is ``v`` on the Dirichlet-free nodes, 0 elsewhere."""
     full = np.zeros(geom.shape)
-    full[geom.dirichlet_mask()] = v
+    full[_free_mask(geom)] = v
     return full
 
 
 def _form(K, geom, u, v=None):
     """The assembled form K at node scalars u, v (v defaults to u)."""
-    free = geom.dirichlet_mask()
+    free = _free_mask(geom)
     return float(u[free] @ (K @ (u if v is None else v)[free]))
 
 
@@ -341,7 +350,7 @@ def _element_loop_forms(geom, coeff, potential, mass_density):
     w = (geom.node_weights() * geom.sqrt_det_g).ravel()
     K = K + sp.diags(w * potential.ravel())
     K = 0.5 * (K + K.T)
-    idx = np.flatnonzero(geom.dirichlet_mask().ravel())
+    idx = np.flatnonzero(_free_mask(geom).ravel())
     K = K.tocsr()[idx][:, idx].tocsr()
     K.eliminate_zeros()
     K.sort_indices()
